@@ -28,7 +28,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
 from .cohomology import h1_cyclic_norm_formula
-from .exact_linalg import FGAbelianGroup, IntMatrix
+from .exact_linalg import FGAbelianGroup, IntMatrix, _snf_memo_scope
 from .fans import (
     Fan,
     RankUnsupported,
@@ -715,6 +715,7 @@ def _is_prime(d: int) -> bool:
     return d >= 2 and all(d % p for p in range(2, int(d**0.5) + 1))
 
 
+@_snf_memo_scope()
 def classify_projective(n: int, backend: FieldBackend) -> ClassificationReport:
     """Forms of projective n-space split by a cyclic extension.
 
@@ -770,6 +771,7 @@ def hom_class_h1(fan: Fan, hom: HomClass, backend: FieldBackend) -> FGAbelianGro
     return h1_cyclic_norm_formula(fan, reduced_hom, reduced_backend)
 
 
+@_snf_memo_scope()
 def classify_fan(
     fan: Fan,
     group: GroupSpec,

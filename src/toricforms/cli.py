@@ -41,7 +41,7 @@ from .cohomology import (
     h1_finite_field_torus,
     h1_real_involution,
 )
-from .exact_linalg import FGAbelianGroup, IntMatrix
+from .exact_linalg import FGAbelianGroup, IntMatrix, _snf_memo_scope
 from .fans import (
     Fan,
     FanError,
@@ -102,19 +102,6 @@ def _load_fan(args: argparse.Namespace) -> tuple[Fan, str]:
     return Fan.from_json(sys.stdin.read()), "stdin"
 
 
-def _is_prime_power(q: int) -> bool:
-    if q < 2:
-        return False
-    for p in range(2, q + 1):
-        if p * p > q:
-            return True
-        if q % p == 0:
-            while q % p == 0:
-                q //= p
-            return q == 1
-    return False
-
-
 def _parse_group(text: str) -> GroupSpec:
     kind, sep, tail = text.partition(":")
     if not sep or not tail.isdigit():
@@ -138,12 +125,8 @@ def _parse_backend(text: str, group: GroupSpec | None) -> FieldBackend:
         parts = text[len("ff:") :].split(",")
         if len(parts) != 2 or not all(p.lstrip("-").isdigit() for p in parts):
             raise UsageError("--backend ff expects the form ff:q,d")
-        q, d = int(parts[0]), int(parts[1])
-        if not _is_prime_power(q):
-            raise ValueError(f"finite-field backend needs a prime power, got q={q}")
-        if d < 1:
-            raise ValueError(f"finite-field backend needs degree d >= 1, got d={d}")
-        return FiniteFieldBackend(q, d)
+        # raises ValueError unless q is a prime power and d >= 1
+        return FiniteFieldBackend(int(parts[0]), int(parts[1]))
     if text.startswith("symbolic:"):
         path = text[len("symbolic:") :]
         if group is None:
@@ -488,6 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_snf_memo_scope()
 def run(argv: Sequence[str]) -> int:
     parser = _build_parser()
     try:

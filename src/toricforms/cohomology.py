@@ -98,10 +98,6 @@ def h1_real_involution(s: IntMatrix) -> FGAbelianGroup:
 # closed subgroups of (R/Z)^m, exactly
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
-
 @dataclass(frozen=True)
 class TorusSubgroup:
     """Closed subgroup of (R/Z)^m: a rational subspace plus finitely many
@@ -175,7 +171,7 @@ class TorusSubgroup:
         scale = 1
         for g in self.lattice_gens + other.lattice_gens:
             for x in g:
-                scale = _lcm(scale, x.denominator)
+                scale = math.lcm(scale, x.denominator)
         ours = self._projected_lattice(w, scale)
         theirs = other._projected_lattice(w, scale)
         num = image_basis(IntMatrix.from_cols(ours, w.nrows))

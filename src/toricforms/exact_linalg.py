@@ -11,10 +11,13 @@ abelian groups.
 from __future__ import annotations
 
 import math
+import operator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class MembershipError(ValueError):
@@ -116,10 +119,10 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         assert self.ncols == other.nrows, f"shape mismatch {self.shape} @ {other.shape}"
         ocols = other.ncols
-        out = []
-        for r in self.rows:
-            out.append(tuple(sum(r[k] * other.rows[k][j] for k in range(len(r))) for j in range(ocols)))
-        return IntMatrix(tuple(out), ocols)
+        # columns of `other`; with no rows, each of its columns is empty
+        cols = tuple(zip(*other.rows)) if other.rows else ((),) * ocols
+        mul = operator.mul
+        return IntMatrix(tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in self.rows), ocols)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         assert self.shape == other.shape
@@ -140,7 +143,8 @@ class IntMatrix:
     def apply(self, v: Sequence[int]) -> tuple[int, ...]:
         """Matrix-vector product."""
         assert len(v) == self.ncols
-        return tuple(sum(r[k] * v[k] for k in range(len(v))) for r in self.rows)
+        mul = operator.mul
+        return tuple(sum(map(mul, r, v)) for r in self.rows)
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         assert self.nrows == other.nrows
@@ -226,8 +230,50 @@ class SmithDecomposition:
         return tuple(x for x in self.diagonal if x not in (0, 1))
 
 
+# Decompositions computed inside the open `_snf_memo_scope`, keyed by matrix;
+# None outside every scope, where nothing is kept.
+_SNF_MEMO: ContextVar[dict[IntMatrix, SmithDecomposition] | None] = ContextVar(
+    "_SNF_MEMO", default=None
+)
+
+
+@contextmanager
+def _snf_memo_scope() -> Iterator[None]:
+    """Share Smith decompositions among all calls made inside the block.
+
+    The library's top-level entry points run inside this scope, so each
+    distinct matrix is factored (and its certificate checked) once per call.
+    A nested scope reuses the enclosing one; the memo is dropped when the
+    outermost scope exits.  Usable as a decorator.
+    """
+    if _SNF_MEMO.get() is not None:
+        yield
+        return
+    token = _SNF_MEMO.set({})
+    try:
+        yield
+    finally:
+        _SNF_MEMO.reset(token)
+
+
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
-    """Compute the Smith normal form of an integer matrix.
+    """Smith normal form of an integer matrix, shared within a memo scope.
+
+    Inside `_snf_memo_scope` a matrix equal to one already factored gets the
+    decomposition (certified when it was built) back; otherwise it is
+    computed by `_compute_smith_normal_form`.
+    """
+    memo = _SNF_MEMO.get()
+    if memo is None:
+        return _compute_smith_normal_form(m)
+    dec = memo.get(m)
+    if dec is None:
+        dec = memo[m] = _compute_smith_normal_form(m)
+    return dec
+
+
+def _compute_smith_normal_form(m: IntMatrix) -> SmithDecomposition:
+    """Compute and certify the Smith normal form of an integer matrix.
 
     Deterministic pivot rule: among nonzero entries of the active submatrix,
     pick the one of smallest absolute value, breaking ties by lowest row index
@@ -502,16 +548,23 @@ def lattice_subquotient(sup_basis: IntMatrix, sub_gens: IntMatrix) -> FGAbelianG
     an integer combination of them, else MembershipError.
     """
     dec = smith_normal_form(sup_basis)
-    assert dec.rank == sup_basis.ncols, "sup_basis columns are dependent"
-    coords = []
-    for j in range(sub_gens.ncols):
-        x = solve_integer(sup_basis, sub_gens.col(j))
-        if x is None:
-            raise MembershipError(
-                f"column {j} of the subgroup generators is not in the ambient lattice"
-            )
-        coords.append(x)
-    return cokernel_presentation(IntMatrix.from_cols(coords, sup_basis.ncols))
+    n = sup_basis.ncols
+    assert dec.rank == n, "sup_basis columns are dependent"
+    # u @ sup_basis @ v == d with d[i][i] != 0 exactly for i < n, so column j
+    # lies in the lattice iff row i of u @ sub_gens is divisible by d[i][i]
+    # for i < n and zero below; the quotients, mapped back by v, are its
+    # coordinates.
+    c = dec.u @ sub_gens
+    bad = {j for row in c.rows[n:] for j, x in enumerate(row) if x}
+    y = []
+    for di, row in zip(dec.diagonal, c.rows):
+        bad.update(j for j, x in enumerate(row) if x % di)
+        y.append(tuple(x // di for x in row))
+    if bad:
+        raise MembershipError(
+            f"column {min(bad)} of the subgroup generators is not in the ambient lattice"
+        )
+    return cokernel_presentation(dec.v @ IntMatrix(tuple(y), sub_gens.ncols))
 
 
 def lattice_intersection(gens_a: IntMatrix, gens_b: IntMatrix) -> IntMatrix:

@@ -138,7 +138,9 @@ class GroupSpec:
 
     @classmethod
     def cyclic(cls, d: int) -> "GroupSpec":
-        assert d >= 1
+        # checked before the d x d table is built
+        if not 1 <= d <= MAX_GROUP_ORDER:
+            raise ValueError(f"cyclic group order must be in 1..{MAX_GROUP_ORDER}, got {d}")
         table = tuple(tuple((i + j) % d for j in range(d)) for i in range(d))
         return cls(f"C{d}", table, (1,) if d > 1 else ())
 
@@ -150,6 +152,10 @@ class GroupSpec:
         s r^i.
         """
         assert order >= 2 and order % 2 == 0
+        if order > MAX_GROUP_ORDER:  # checked before the table is built
+            raise ValueError(
+                f"dihedral group order must be at most {MAX_GROUP_ORDER}, got {order}"
+            )
         m = order // 2
 
         def mult(a: int, b: int) -> int:
@@ -392,23 +398,16 @@ class RealComplexBackend:
 
 
 def _prime_power_base(q: int) -> tuple[int, int]:
-    assert q >= 2
-    n = q
-    p = None
-    for cand in range(2, n + 1):
-        if cand * cand > n and p is None:
-            p = n
-            break
-        if n % cand == 0:
-            p = cand
-            break
-    assert p is not None
-    k = 0
-    while n > 1:
-        assert n % p == 0, f"{q} is not a prime power"
-        n //= p
-        k += 1
-    return p, k
+    """(p, k) with q == p**k and p prime; ValueError when q is no prime power."""
+    if q >= 2:
+        p = next((c for c in range(2, math.isqrt(q) + 1) if q % c == 0), q)
+        n, k = q, 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        if n == 1:
+            return p, k
+    raise ValueError(f"finite-field backend needs a prime power, got q={q}")
 
 
 @dataclass(frozen=True)
@@ -426,8 +425,9 @@ class FiniteFieldBackend:
     d: int
 
     def __post_init__(self) -> None:
-        assert self.d >= 1
         _prime_power_base(self.q)  # raises if not a prime power
+        if self.d < 1:
+            raise ValueError(f"finite-field backend needs degree d >= 1, got d={self.d}")
         c = self.mult_order
         for e in self._divisors(self.d):
             t = (self.q**self.d - 1) // (self.q**e - 1)

@@ -372,10 +372,24 @@ def test_backend_syntax_errors(capsys):
 
 
 def test_backend_ff_requires_prime_power(capsys):
-    code, _, _ = invoke(
+    code, _, err = invoke(
         capsys, "classify", "projective", "-n", "1", "--backend", "ff:6,2"
     )
     assert code == 1
+    assert "error: finite-field backend needs a prime power, got q=6" in err
+
+
+@pytest.mark.parametrize(
+    "backend, message",
+    [
+        ("ff:2,20000", "cyclic group order must be in 1..10000, got 20000"),
+        ("ff:3,0", "finite-field backend needs degree d >= 1, got d=0"),
+    ],
+)
+def test_backend_ff_degree_out_of_range(capsys, backend, message):
+    code, out, err = invoke(capsys, "classify", "projective", "-n", "3", "--backend", backend)
+    assert code == 1
+    assert out == "" and err == f"error: {message}\n"
 
 
 def test_symbolic_backend(tmp_path, capsys):

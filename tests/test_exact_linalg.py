@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricforms import exact_linalg
+from toricforms.classify import builtin_fan, classify_fan
+from toricforms.cli import run
 from toricforms.exact_linalg import (
     FGAbelianGroup,
     IntMatrix,
@@ -25,6 +28,7 @@ from toricforms.exact_linalg import (
     smith_normal_form,
     solve_integer,
 )
+from toricforms.galois import BackendUnsupported, FiniteFieldBackend, GroupSpec
 
 M = IntMatrix.from_rows
 
@@ -310,3 +314,170 @@ def test_rational_solve_and_inverse():
     assert rational_solve(M([[1, 1], [1, 1]]), IntMatrix.from_cols([(0, 1)])) is None
     assert integer_matrix_from_fractions([[Fraction(2), Fraction(1)]]) == M([[2, 1]])
     assert integer_matrix_from_fractions([[Fraction(1, 2)]]) is None
+
+
+# --- integer kernels ---------------------------------------------------------
+
+
+def _textbook_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    rows = []
+    for i in range(a.nrows):
+        row = []
+        for j in range(b.ncols):
+            acc = 0
+            for k in range(a.ncols):
+                acc += a.rows[i][k] * b.rows[k][j]
+            row.append(acc)
+        rows.append(tuple(row))
+    return IntMatrix(tuple(rows), b.ncols)
+
+
+_entries = st.one_of(st.integers(-5, 5), st.integers(-(2**200), 2**200))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_matmul_and_apply_match_triple_loop(n, k, m, data):
+    a = IntMatrix.from_rows(
+        [[data.draw(_entries) for _ in range(k)] for _ in range(n)], ncols=k
+    )
+    b = IntMatrix.from_rows(
+        [[data.draw(_entries) for _ in range(m)] for _ in range(k)], ncols=m
+    )
+    product = a @ b
+    assert product.shape == (n, m)
+    assert product == _textbook_matmul(a, b)
+    v = [data.draw(_entries) for _ in range(k)]
+    col = IntMatrix.from_rows([[x] for x in v], ncols=1)
+    assert a.apply(v) == a.apply(tuple(v)) == _textbook_matmul(a, col).col(0)
+
+
+def test_matmul_degenerate_shapes():
+    assert IntMatrix.zero(3, 0) @ IntMatrix.zero(0, 2) == IntMatrix.zero(3, 2)
+    assert (IntMatrix.zero(0, 3) @ IntMatrix.zero(3, 2)).shape == (0, 2)
+    assert (M([[1, 2]]) @ IntMatrix.zero(2, 0)).shape == (1, 0)
+    assert IntMatrix.zero(2, 0).apply(()) == (0, 0)
+    assert IntMatrix.zero(0, 2).apply((1, 2)) == ()
+    with pytest.raises(AssertionError):
+        M([[1, 2]]) @ M([[1, 2]])
+    with pytest.raises(AssertionError):
+        M([[1, 2]]).apply((1,))
+
+
+# --- one decomposition per lattice -------------------------------------------
+
+
+def _subquotient_by_column_solves(sup_basis: IntMatrix, sub_gens: IntMatrix):
+    coords = []
+    for j in range(sub_gens.ncols):
+        x = solve_integer(sup_basis, sub_gens.col(j))
+        if x is None:
+            return None
+        coords.append(x)
+    return cokernel_presentation(IntMatrix.from_cols(coords, sup_basis.ncols))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 4), st.data())
+def test_lattice_subquotient_matches_column_solves(nrows, ngens, data):
+    ncols = data.draw(st.integers(0, nrows))
+    while True:
+        sup = IntMatrix.from_rows(
+            [[data.draw(st.integers(-6, 6)) for _ in range(ncols)] for _ in range(nrows)],
+            ncols=ncols,
+        )
+        if smith_normal_form(sup).rank == ncols:
+            break
+    # members of the lattice, plus sometimes an arbitrary column
+    coeffs = IntMatrix.from_rows(
+        [[data.draw(st.integers(-4, 4)) for _ in range(ngens)] for _ in range(ncols)],
+        ncols=ngens,
+    )
+    sub = sup @ coeffs
+    if ngens and data.draw(st.booleans()):
+        j = data.draw(st.integers(0, ngens - 1))
+        col = [data.draw(st.integers(-6, 6)) for _ in range(nrows)]
+        cols = sub.cols()
+        cols[j] = tuple(col)
+        sub = IntMatrix.from_cols(cols, nrows)
+    want = _subquotient_by_column_solves(sup, sub)
+    if want is None:
+        with pytest.raises(MembershipError):
+            lattice_subquotient(sup, sub)
+    else:
+        assert lattice_subquotient(sup, sub) == want
+
+
+def test_lattice_subquotient_names_first_non_member_column():
+    sup = IntMatrix.from_cols([(2, 0, 0), (0, 3, 0)])
+    members = [(4, 3, 0), (2, 0, 0)]
+    off_span = (0, 0, 1)  # outside even the rational span
+    off_lattice = (1, 0, 0)  # in the rational span, not in the lattice
+    assert lattice_subquotient(sup, IntMatrix.from_cols(members)) == FGAbelianGroup.trivial()
+    for bad in (off_span, off_lattice):
+        sub = IntMatrix.from_cols([members[0], bad, members[1], bad])
+        with pytest.raises(MembershipError, match="column 1 "):
+            lattice_subquotient(sup, sub)
+
+
+# --- call-scoped SNF memo ----------------------------------------------------
+
+
+@pytest.fixture
+def count_decompositions(monkeypatch):
+    """Count the decompositions actually computed (memo misses)."""
+    computed = []
+    worker = exact_linalg._compute_smith_normal_form
+
+    def counting(m):
+        computed.append(m)
+        return worker(m)
+
+    monkeypatch.setattr(exact_linalg, "_compute_smith_normal_form", counting)
+    return computed
+
+
+def test_snf_outside_any_scope_computes_afresh(count_decompositions):
+    m = M([[2, 4], [6, 8]])
+    assert exact_linalg._SNF_MEMO.get() is None
+    first = smith_normal_form(m)
+    second = smith_normal_form(m)
+    assert len(count_decompositions) == 2
+    assert first is not second
+    assert (first.u, first.d, first.v) == (second.u, second.d, second.v)
+
+
+def test_snf_memo_scope_shares_and_nests(count_decompositions):
+    m = M([[2, 4], [6, 8]])
+    with exact_linalg._snf_memo_scope():
+        first = smith_normal_form(m)
+        with exact_linalg._snf_memo_scope():
+            assert smith_normal_form(M([[2, 4], [6, 8]])) is first
+        assert exact_linalg._SNF_MEMO.get() == {m: first}
+        assert smith_normal_form(m) is first
+    assert len(count_decompositions) == 1
+    assert exact_linalg._SNF_MEMO.get() is None
+    smith_normal_form(m)
+    assert len(count_decompositions) == 2
+
+
+def test_snf_memo_dropped_after_entry_points(capsys):
+    assert run(["classify", "fan", "--builtin", "hexagon", "--backend", "real"]) == 0
+    assert "total forms" in capsys.readouterr().out
+    assert exact_linalg._SNF_MEMO.get() is None
+    be = FiniteFieldBackend(5, 2)
+    classify_fan(builtin_fan("surface:C2"), be.group, be)
+    assert exact_linalg._SNF_MEMO.get() is None
+    with pytest.raises(BackendUnsupported):  # leaves the scope by an exception
+        classify_fan(builtin_fan("hexagon"), GroupSpec.cyclic(3), be)
+    assert exact_linalg._SNF_MEMO.get() is None
+
+
+def test_classify_fan_factors_each_matrix_once(count_decompositions):
+    be = FiniteFieldBackend(3, 6)
+    fan = builtin_fan("surface:C6")
+    count_decompositions.clear()  # builtin construction is not the subject
+    report = classify_fan(fan, be.group, be)
+    assert report.total is not None
+    assert len(count_decompositions) == len(set(count_decompositions))
+    assert len(count_decompositions) <= 45

@@ -1,12 +1,19 @@
 """Group specs, hom classes, backends, and norm quotients."""
 
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
+import toricforms
 from toricforms.exact_linalg import FGAbelianGroup, IntMatrix
 from toricforms.fan_aut import automorphism_group
 from toricforms.galois import (
     AssumptionViolated,
     BackendUnsupported,
+    MAX_GROUP_ORDER,
     FiniteFieldBackend,
     GroupSpec,
     HomClass,
@@ -32,6 +39,48 @@ def test_cyclic_group():
     assert g.power(1, 4) == 4
     assert g.subgroup_closure([2]) == frozenset({0, 2, 4})
     assert g.subgroup_closure([3]) == frozenset({0, 3})
+
+
+def test_group_order_budget_checked_before_allocating():
+    assert GroupSpec.cyclic(1).order == 1
+    for order in (0, -3, MAX_GROUP_ORDER + 1, 10**12):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="cyclic group order"):
+            GroupSpec.cyclic(order)
+        assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="dihedral group order"):
+        GroupSpec.dihedral(10**12)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_backend_validation_survives_optimized_mode():
+    """Input checks are typed exceptions, so `python -O` keeps them."""
+    script = (
+        "from toricforms.galois import FiniteFieldBackend, GroupSpec\n"
+        "for make in (lambda: FiniteFieldBackend(6, 2), lambda: FiniteFieldBackend(2, 0),\n"
+        "             lambda: GroupSpec.cyclic(0)):\n"
+        "    try:\n"
+        "        make()\n"
+        "    except ValueError as exc:\n"
+        "        print(type(exc).__name__, exc)\n"
+        "    else:\n"
+        "        print('accepted')\n"
+    )
+    src = str(Path(toricforms.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={"PYTHONPATH": src},
+        check=True,
+    ).stdout.splitlines()
+    assert out == [
+        "ValueError finite-field backend needs a prime power, got q=6",
+        "ValueError finite-field backend needs degree d >= 1, got d=0",
+        f"ValueError cyclic group order must be in 1..{MAX_GROUP_ORDER}, got 0",
+    ]
 
 
 def test_dihedral_group():
@@ -149,10 +198,12 @@ def test_finite_field_backend_validation():
     FiniteFieldBackend(2, 2)
     FiniteFieldBackend(4, 3)  # prime power base
     FiniteFieldBackend(5, 3)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="needs a prime power, got q=6"):
         FiniteFieldBackend(6, 2)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="needs a prime power"):
         FiniteFieldBackend(1, 2)
+    with pytest.raises(ValueError, match="needs degree d >= 1, got d=0"):
+        FiniteFieldBackend(3, 0)
     assert FiniteFieldBackend(3, 2).mult_order == 8
     assert FiniteFieldBackend(2, 3).group.order == 3
 
