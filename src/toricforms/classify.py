@@ -46,6 +46,7 @@ from .galois import (
     HomClass,
     NonCyclicGroup,
     RealComplexBackend,
+    _prime_factors,
     enumerate_hom_classes,
     kernel_reduction,
     norm_quotient,
@@ -711,10 +712,6 @@ def _report_total(entries: Sequence[ReportEntry]) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-def _is_prime(d: int) -> bool:
-    return d >= 2 and all(d % p for p in range(2, int(d**0.5) + 1))
-
-
 @_snf_memo_scope()
 def classify_projective(n: int, backend: FieldBackend) -> ClassificationReport:
     """Forms of projective n-space split by a cyclic extension.
@@ -746,7 +743,7 @@ def classify_projective(n: int, backend: FieldBackend) -> ClassificationReport:
             ReportEntry(f"partition {partition}", (matrix,), value, verdict)
         )
     total = _report_total(entries)
-    if _is_prime(d):
+    if _prime_factors(d) == [d]:
         relative_brauer = norm_quotient(backend, [])
         expected = len(parts.fixed) + (
             relative_brauer.order() if (n + 1) % d == 0 else 0

@@ -47,6 +47,7 @@ from .galois import (
     NonCyclicGroup,
     RealComplexBackend,
     SymbolicBrauerBackend,
+    _prime_factors,
     _prime_power_base,
     norm_quotient,
     torsion_factor_invertible,
@@ -509,20 +510,6 @@ def _exact_log(n: int, p: int) -> int:
     return k
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # finite-field tori, kernel-of-norm route
 
@@ -535,7 +522,9 @@ def h1_finite_field_torus(q: int, d: int, s: IntMatrix) -> FGAbelianGroup:
     (Z/(q^d - 1))^n the generator acts by sigma = q s, and for a cyclic
     group H^1 = ker(Norm) / im(sigma - 1) with Norm the sum of sigma^j.
     """
-    assert d >= 1 and _prime_power_base(q) is not None, "q must be a prime power"
+    _prime_power_base(q)  # raises ValueError unless q is a prime power
+    if d < 1:
+        raise ValueError(f"finite-field torus needs degree d >= 1, got d={d}")
     c = q**d - 1
     n = s.nrows
     ident = IntMatrix.identity(n)

@@ -36,7 +36,7 @@ from .exact_linalg import (
 from .fan_aut import FanAutGroup
 
 MAX_GROUP_ORDER = 10_000
-_ENUMERATION_CAP = 100_000
+_MAX_FACTORED = 2**40  # trial division then needs at most 2**20 divisors
 
 
 class BackendUnsupported(ValueError):
@@ -151,10 +151,10 @@ class GroupSpec:
         Elements 0..m-1 are rotations r^i, elements m..2m-1 are reflections
         s r^i.
         """
-        assert order >= 2 and order % 2 == 0
-        if order > MAX_GROUP_ORDER:  # checked before the table is built
+        # checked before the table is built
+        if not (2 <= order <= MAX_GROUP_ORDER and order % 2 == 0):
             raise ValueError(
-                f"dihedral group order must be at most {MAX_GROUP_ORDER}, got {order}"
+                f"dihedral group order must be even and in 2..{MAX_GROUP_ORDER}, got {order}"
             )
         m = order // 2
 
@@ -397,17 +397,32 @@ class RealComplexBackend:
         return "C/R"
 
 
-def _prime_power_base(q: int) -> tuple[int, int]:
-    """(p, k) with q == p**k and p prime; ValueError when q is no prime power."""
-    if q >= 2:
-        p = next((c for c in range(2, math.isqrt(q) + 1) if q % c == 0), q)
-        n, k = q, 0
-        while n % p == 0:
-            n //= p
-            k += 1
-        if n == 1:
-            return p, k
-    raise ValueError(f"finite-field backend needs a prime power, got q={q}")
+def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n in ascending order; [] when n < 2.
+
+    Trial division, so n is checked against 2**40 first: ValueError above it.
+    """
+    if n > _MAX_FACTORED:
+        raise ValueError(f"cannot factor {n}: only numbers up to 2**40 are factored")
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _prime_power_base(q: int) -> int:
+    """The prime p of which q is a power; ValueError when q is no prime power."""
+    factors = _prime_factors(q)
+    if len(factors) != 1:
+        raise ValueError(f"finite-field backend needs a prime power, got q={q}")
+    return factors[0]
 
 
 @dataclass(frozen=True)
@@ -415,10 +430,10 @@ class FiniteFieldBackend:
     """The extension F_{q^d} / F_q.
 
     K* is cyclic of order q^d - 1 with Frobenius acting as multiplication by
-    q.  Construction verifies that every intermediate norm map is surjective
-    onto the corresponding subfield's units (literally, by enumeration, when
-    the group is small enough to enumerate; by exact subgroup arithmetic
-    otherwise).
+    q.  Construction raises ValueError unless q is a prime power at most
+    2**40 and d >= 1.  The norm onto F_{q^e} for e | d is multiplication by
+    t = (q^d - 1)/(q^e - 1) on Z/(q^d - 1), whose image has order
+    (q^d - 1)/gcd(t, q^d - 1) = q^e - 1: every intermediate norm is onto.
     """
 
     q: int
@@ -430,15 +445,9 @@ class FiniteFieldBackend:
             raise ValueError(f"finite-field backend needs degree d >= 1, got d={self.d}")
         c = self.mult_order
         for e in self._divisors(self.d):
-            t = (self.q**self.d - 1) // (self.q**e - 1)
             target = self.q**e - 1
-            if c <= _ENUMERATION_CAP:
-                image = {(t * x) % c for x in range(c)}
-                assert len(image) == target, f"norm to F_{self.q}^{e} not surjective"
-                subfield = {x % c for x in range(0, c, c // target)}
-                assert image == subfield
-            else:
-                assert c // math.gcd(t, c) == target
+            t = c // target
+            assert c // math.gcd(t, c) == target, f"norm to F_{self.q}^{e} not surjective"
 
     @staticmethod
     def _divisors(d: int) -> list[int]:
@@ -570,17 +579,14 @@ def torsion_factor_invertible(backend: FieldBackend, factor: int) -> bool:
 
     For C/R the units are divisible, so any nonzero factor acts invertibly on
     the cohomology this library computes.  For a finite field, multiplication
-    by `factor` on K* = Z/(q^d - 1) is a bijection iff it is injective, which
-    is checked literally when the group is small.
+    by `factor` on the cyclic K* = Z/(q^d - 1) is a bijection iff `factor` is
+    prime to q^d - 1.
     """
     assert factor >= 1
     if isinstance(backend, RealComplexBackend):
         return True
     if isinstance(backend, FiniteFieldBackend):
-        c = backend.mult_order
-        if c <= _ENUMERATION_CAP:
-            return len({(factor * x) % c for x in range(c)}) == c
-        return math.gcd(factor, c) == 1
+        return math.gcd(factor, backend.mult_order) == 1
     raise BackendUnsupported("symbolic backend carries no unit-group arithmetic")
 
 
@@ -615,13 +621,8 @@ def norm_quotient(
         c = backend.mult_order
         base_units = c // (backend.q - 1)  # generator of k* inside Z/c
         gens = [base_units] + [backend.norm_image_generator(sub) for sub in stabilizers]
-        meet_gen = 1
-        for g in gens:
-            assert c % g == 0
-            meet_gen = meet_gen * g // math.gcd(meet_gen, g)
-        if 0 < c <= _ENUMERATION_CAP:
-            sets = [set(range(0, c, g)) for g in gens]
-            assert set.intersection(*sets) == set(range(0, c, meet_gen))
+        assert all(c % g == 0 for g in gens)
+        meet_gen = math.lcm(*gens)
         # numerator = <meet_gen>, denominator = k* = <base_units>
         assert meet_gen % base_units == 0 or base_units % meet_gen == 0
         assert base_units % meet_gen == 0, "numerator must contain the full norm image"

@@ -9,9 +9,14 @@ from __future__ import annotations
 
 import io
 import json
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import toricforms
 from toricforms.cli import run
 
 P2_JSON = json.dumps(
@@ -379,6 +384,17 @@ def test_backend_ff_requires_prime_power(capsys):
     assert "error: finite-field backend needs a prime power, got q=6" in err
 
 
+def test_backend_ff_huge_prime_exits_in_bounded_time(capsys):
+    start = time.perf_counter()
+    code, out, err = invoke(
+        capsys, "classify", "projective", "-n", "1", "--backend", "ff:1000000000000000003,2"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert err == "error: cannot factor 1000000000000000003: only numbers up to 2**40 are factored\n"
+
+
 @pytest.mark.parametrize(
     "backend, message",
     [
@@ -422,3 +438,33 @@ def test_symbolic_backend_needs_group(tmp_path, capsys):
         capsys, "classify", "projective", "-n", "1", "--backend", f"symbolic:{path}"
     )
     assert code == 2
+
+
+def test_projective_answers_do_not_depend_on_asserts(capsys):
+    """`python -O` strips every assert; no answer may hide inside one."""
+    argvs = [
+        ["classify", "projective", "-n", "6", "--backend", backend, "--json"]
+        for backend in (
+            "real", "ff:2,12", "ff:4,6", "ff:5,6", "ff:3,8", "ff:11,4", "ff:2,16", "ff:17,4"
+        )
+    ]
+    expected = ""
+    for argv in argvs:
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0
+        expected += out
+    script = (
+        "import json, sys\n"
+        "from toricforms.cli import run\n"
+        "sys.exit(max(run(argv) for argv in json.loads(sys.argv[1])))\n"
+    )
+    src = str(Path(toricforms.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-O", "-c", script, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={"PYTHONPATH": src},
+        check=True,
+    )
+    assert child.stdout == expected

@@ -1,5 +1,6 @@
 """Group specs, hom classes, backends, and norm quotients."""
 
+import itertools
 import subprocess
 import sys
 import time
@@ -19,6 +20,7 @@ from toricforms.galois import (
     HomClass,
     RealComplexBackend,
     SymbolicBrauerBackend,
+    _prime_factors,
     enumerate_hom_classes,
     kernel_reduction,
     norm_quotient,
@@ -57,9 +59,13 @@ def test_group_order_budget_checked_before_allocating():
 def test_backend_validation_survives_optimized_mode():
     """Input checks are typed exceptions, so `python -O` keeps them."""
     script = (
+        "from toricforms.cohomology import h1_finite_field_torus\n"
+        "from toricforms.exact_linalg import IntMatrix\n"
         "from toricforms.galois import FiniteFieldBackend, GroupSpec\n"
         "for make in (lambda: FiniteFieldBackend(6, 2), lambda: FiniteFieldBackend(2, 0),\n"
-        "             lambda: GroupSpec.cyclic(0)):\n"
+        "             lambda: GroupSpec.cyclic(0), lambda: GroupSpec.dihedral(3),\n"
+        "             lambda: h1_finite_field_torus(6, 2, IntMatrix.identity(1)),\n"
+        "             lambda: h1_finite_field_torus(2, 0, IntMatrix.identity(1))):\n"
         "    try:\n"
         "        make()\n"
         "    except ValueError as exc:\n"
@@ -80,6 +86,9 @@ def test_backend_validation_survives_optimized_mode():
         "ValueError finite-field backend needs a prime power, got q=6",
         "ValueError finite-field backend needs degree d >= 1, got d=0",
         f"ValueError cyclic group order must be in 1..{MAX_GROUP_ORDER}, got 0",
+        f"ValueError dihedral group order must be even and in 2..{MAX_GROUP_ORDER}, got 3",
+        "ValueError finite-field backend needs a prime power, got q=6",
+        "ValueError finite-field torus needs degree d >= 1, got d=0",
     ]
 
 
@@ -246,6 +255,63 @@ def test_norm_quotient_finite_field_always_trivial():
         for sub in subgroup_list:
             assert norm_quotient(backend, [sub]) == FGAbelianGroup.trivial()
         assert norm_quotient(backend, subgroup_list) == FGAbelianGroup.trivial()
+
+
+def test_prime_factors():
+    import sympy
+
+    for n in range(-3, 3000):
+        assert _prime_factors(n) == (sympy.primefactors(n) if n >= 2 else [])
+    assert _prime_factors(2**40) == [2]
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"only numbers up to 2\*\*40"):
+        _prime_factors(2**40 + 1)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_closed_forms_match_residue_enumeration():
+    """Finite-field closed forms against literal residue sets of K* = Z/c.
+
+    Frobenius acts on Z/c, c = q^d - 1, as multiplication by q; the subfield
+    fixed by its e-th power is {x : q^e x = x}, and the norm to the fixed
+    field of a subgroup H of Z/d is multiplication by the sum of q^h, h in H.
+    """
+    limit = 2000
+    prime_powers = [
+        q
+        for q in range(2, limit + 2)
+        if sum(1 for p in range(2, q + 1) if q % p == 0 and all(p % r for r in range(2, p))) == 1
+    ]
+    cases = [(q, d) for q in prime_powers for d in range(1, 12) if q**d - 1 <= limit]
+    assert len(cases) > 300 and (2, 10) in cases and (3, 6) in cases
+    for q, d in cases:
+        backend = FiniteFieldBackend(q, d)
+        c = q**d - 1
+        units = range(c)
+
+        def image(m):
+            return frozenset(m * x % c for x in units)
+
+        def fixed(e):
+            return frozenset(x for x in units if (q**e - 1) * x % c == 0)
+
+        subgroups = sorted(
+            {backend.group.subgroup_closure([g]) for g in range(d)}, key=len
+        )
+        norm_images = {sub: image(sum(q**h for h in sub)) for sub in subgroups}
+        for sub in subgroups:
+            e = d // len(sub)
+            assert norm_images[sub] == fixed(e) == image(backend.norm_image_generator(sub))
+        for factor in range(1, 13):
+            assert torsion_factor_invertible(backend, factor) == (len(image(factor)) == c)
+        k_units = fixed(1)
+        full_norms = norm_images[subgroups[-1]]
+        for r in range(len(subgroups) + 1):
+            for stabilizers in itertools.combinations(subgroups, r):
+                numerator = k_units.intersection(*(norm_images[s] for s in stabilizers))
+                assert full_norms <= numerator
+                order = len(numerator) // len(full_norms)
+                assert norm_quotient(backend, stabilizers).order() == order
 
 
 def test_norm_quotient_symbolic_mirrors_real():
