@@ -36,7 +36,6 @@ from .fans import (
     is_complete_surface,
     is_smooth,
     surface_blowup,
-    validate_fan,
 )
 from .fan_aut import automorphism_group, identify_gl2_class, involution_type
 from .galois import (
@@ -548,9 +547,9 @@ def _build_surface_fan(label: str) -> Fan:
 @lru_cache(maxsize=None)
 def _surface_fan(label: str) -> Fan:
     fan = _build_surface_fan(label)
-    validate_fan(fan)
+    aut = automorphism_group(fan)  # validates the fan
     assert is_smooth(fan) and is_complete_surface(fan)
-    found = identify_gl2_class(automorphism_group(fan)).label
+    found = identify_gl2_class(aut).label
     assert found == label, f"surface fan for {label} identified as {found}"
     return fan
 
@@ -784,13 +783,12 @@ def classify_fan(
     correspondingly twisted torus, computed after factoring out the
     homomorphism's kernel.
     """
-    validate_fan(fan)
+    aut = automorphism_group(fan)  # validates the fan first
     if backend.group.table != group.table:
         raise BackendUnsupported(
             f"backend Galois group {backend.group.name} does not match"
             f" the requested group {group.name}"
         )
-    aut = automorphism_group(fan)
     classes = enumerate_hom_classes(group, aut)
     verdict = descent_status(fan, group.order, quasiprojective)
     entries = []

@@ -226,8 +226,7 @@ def _cmd_fan_info(args: argparse.Namespace) -> int:
 
 def _cmd_fan_aut(args: argparse.Namespace) -> int:
     fan, _ = _load_fan(args)
-    validate_fan(fan)
-    aut = automorphism_group(fan)
+    aut = automorphism_group(fan)  # validates the fan
     label = None
     if fan.rank == 2:
         try:
@@ -338,9 +337,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     backend = _parse_backend(args.backend, None)
     if not isinstance(backend, FiniteFieldBackend):
         raise ValueError("the oracle verb needs a finite-field backend (ff:q,d)")
-    validate_fan(fan)
+    aut = automorphism_group(fan)  # validates the fan
     group = backend.group
-    classes = enumerate_hom_classes(group, automorphism_group(fan))
+    classes = enumerate_hom_classes(group, aut)
     rows = []
     all_agree = True
     for index, cls in enumerate(classes):

@@ -1,11 +1,11 @@
 """Exact linear algebra over the integers.
 
-Everything here runs on arbitrary-precision Python ints (rationals where a
-solve genuinely needs them, via `fractions.Fraction`).  The centerpiece is a
-deterministic Smith normal form with unimodular transform witnesses; on top of
-it sit kernels, images, saturations, cokernel presentations, and subquotients
-of integer lattices, plus a canonical value type for finitely generated
-abelian groups.
+Everything here runs on arbitrary-precision Python ints.  The centerpiece is
+a deterministic Smith normal form with unimodular transform witnesses, and it
+is the only solver: on top of it sit kernels, images, saturations, cokernel
+presentations, subquotients of integer lattices and rational solves (answered
+as an integer solution over one common denominator), plus a canonical value
+type for finitely generated abelian groups.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -647,66 +646,27 @@ def congruence_kernel_basis(m: IntMatrix, modulus: int) -> IntMatrix:
 
 
 # ---------------------------------------------------------------------------
-# small rational solvers (needed where integral answers come from Q-solves)
+# rational solves, kept integral
 
 
-def rational_solve(a: IntMatrix, b: IntMatrix) -> list[list[Fraction]] | None:
-    """Solve a @ x = b over Q by Gaussian elimination; None if inconsistent.
+def rational_solve(a: IntMatrix, b: IntMatrix) -> tuple[IntMatrix, int] | None:
+    """Solve a @ x = b over Q as integers: (x, den) with a @ x == den * b.
 
-    When the solution space is positive-dimensional an arbitrary member is
-    returned (free variables pinned to zero).
+    From u @ a @ v == d the system reads d @ y == den * (u @ b) in y =
+    v_inv @ x.  `den` is the last nonzero invariant factor of a (1 when a is
+    zero); every d_i divides it, so y_i = (den / d_i) * (u @ b)_i is integral
+    for i below the rank, and the free coordinates beyond it are pinned to
+    zero.  None when a row of u @ b beyond the rank is nonzero, i.e. the
+    system is inconsistent over Q.
     """
-    nr, nc = a.shape
-    assert b.nrows == nr
-    aug = [[Fraction(x) for x in a.rows[i]] + [Fraction(x) for x in b.rows[i]] for i in range(nr)]
-    width = nc + b.ncols
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(nr):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    for i in range(r, nr):
-        if any(aug[i][nc:]) and not any(aug[i][:nc]):
-            return None
-    x = [[Fraction(0)] * b.ncols for _ in range(nc)]
-    for i, c in enumerate(pivots):
-        for j in range(b.ncols):
-            x[c][j] = aug[i][nc + j]
-    return x
-
-
-def rational_inverse(a: IntMatrix) -> list[list[Fraction]]:
-    """Inverse of a nonsingular square integer matrix, as Fractions."""
-    assert a.nrows == a.ncols
-    x = rational_solve(a, IntMatrix.identity(a.nrows))
-    assert x is not None, "matrix is singular"
-    for i in range(a.nrows):
-        for j in range(a.nrows):
-            acc = sum(Fraction(a.rows[i][k]) * x[k][j] for k in range(a.nrows))
-            assert acc == (1 if i == j else 0), "singular matrix slipped through"
-    return x
-
-
-def integer_matrix_from_fractions(x: list[list[Fraction]]) -> IntMatrix | None:
-    """Cast a Fraction matrix to IntMatrix, or None if any entry is non-integral."""
-    rows = []
-    for r in x:
-        row = []
-        for f in r:
-            if f.denominator != 1:
-                return None
-            row.append(int(f))
-        rows.append(tuple(row))
-    return IntMatrix(tuple(rows), len(x[0]) if x else 0)
+    assert b.nrows == a.nrows
+    dec = smith_normal_form(a)
+    r = dec.rank
+    den = dec.diagonal[r - 1] if r else 1
+    c = dec.u @ b
+    if any(any(row) for row in c.rows[r:]):
+        return None
+    y = tuple(tuple(den // di * t for t in row) for di, row in zip(dec.diagonal, c.rows[:r]))
+    x = dec.v @ IntMatrix(y + ((0,) * b.ncols,) * (a.ncols - r), b.ncols)
+    assert a @ x == b.scaled(den)
+    return x, den

@@ -19,13 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .exact_linalg import (
-    IntMatrix,
-    det,
-    integer_matrix_from_fractions,
-    kernel_basis,
-    rational_inverse,
-)
+from .exact_linalg import IntMatrix, _snf_memo_scope, det, kernel_basis, rational_solve
 from .fans import Fan, NotSmoothComplete, boundary_word, is_complete_surface, is_smooth, validate_fan
 
 
@@ -127,16 +121,32 @@ def _frame(fan: Fan) -> list[int]:
     raise AssertionError("validated fan must have full-rank rays")
 
 
+def _scaled_inverse(m: IntMatrix) -> tuple[IntMatrix, int]:
+    """(g, den) with m @ g == den * identity, for a nonsingular square m."""
+    sol = rational_solve(m, IntMatrix.identity(m.nrows))
+    assert sol is not None, "matrix is singular"
+    return sol
+
+
+def _divided(m: IntMatrix, den: int) -> IntMatrix | None:
+    """m / den when den divides every entry, else None."""
+    if any(x % den for row in m.rows for x in row):
+        return None
+    return IntMatrix(tuple(tuple(x // den for x in row) for row in m.rows), m.ncols)
+
+
+@_snf_memo_scope()
 def automorphism_group(fan: Fan) -> FanAutGroup:
     """All GL(rank, Z) matrices mapping rays to rays and cones to cones.
 
-    Exhaustive search over images of a ray frame; each candidate matrix is
-    solved exactly over Q and kept only if it is integral, unimodular, maps
-    the ray set onto itself, and permutes the maximal cones.
+    Exhaustive search over images of a ray frame; the frame is inverted once
+    over Q as (g, den), and each candidate matrix (images @ g) / den is kept
+    only if it is integral, unimodular, maps the ray set onto itself, and
+    permutes the maximal cones.
     """
     validate_fan(fan)
     frame = _frame(fan)
-    frame_inv = rational_inverse(IntMatrix.from_cols([fan.rays[j] for j in frame], fan.rank))
+    frame_inv, den = _scaled_inverse(IntMatrix.from_cols([fan.rays[j] for j in frame], fan.rank))
     invariants = _ray_invariants(fan)
     ray_lookup = {r: i for i, r in enumerate(fan.rays)}
     cone_set = set(fan.max_cones)
@@ -148,14 +158,7 @@ def automorphism_group(fan: Fan) -> FanAutGroup:
         if len(set(images)) != len(images):
             continue
         img_cols = IntMatrix.from_cols([fan.rays[i] for i in images], fan.rank)
-        prod = [
-            [
-                sum(img_cols.rows[i][k] * frame_inv[k][j] for k in range(fan.rank))
-                for j in range(fan.rank)
-            ]
-            for i in range(fan.rank)
-        ]
-        s = integer_matrix_from_fractions([[x for x in row] for row in prod])
+        s = _divided(img_cols @ frame_inv, den)
         if s is None or abs(det(s)) != 1:
             continue
         perm = []
@@ -198,15 +201,10 @@ def aut_via_sequence(fan: Fan) -> FanAutGroup:
     w = bw.word
     m = len(w)
     rays = [fan.rays[i] for i in order]
-    base_inv = rational_inverse(IntMatrix.from_cols([rays[0], rays[1]], 2))
+    base_inv, den = _scaled_inverse(IntMatrix.from_cols([rays[0], rays[1]], 2))
 
     def lift(target0: tuple[int, ...], target1: tuple[int, ...]) -> IntMatrix:
-        tgt = IntMatrix.from_cols([target0, target1], 2)
-        prod = [
-            [sum(tgt.rows[i][k] * base_inv[k][j] for k in range(2)) for j in range(2)]
-            for i in range(2)
-        ]
-        s = integer_matrix_from_fractions(prod)
+        s = _divided(IntMatrix.from_cols([target0, target1], 2) @ base_inv, den)
         assert s is not None, "boundary bases are unimodular, lift must be integral"
         return s
 
@@ -313,8 +311,7 @@ class GL2ClassIdentification:
 
     def verify(self, elements: Iterable[IntMatrix]) -> bool:
         p = self.conjugator
-        pinv_f = rational_inverse(p)
-        pinv = integer_matrix_from_fractions(pinv_f)
+        pinv = _divided(*_scaled_inverse(p))
         assert pinv is not None
         conj = {p @ g @ pinv for g in gl2_class_elements(self.label)}
         return conj == set(elements)

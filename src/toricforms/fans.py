@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from math import gcd
 from typing import Iterable, Sequence
@@ -22,6 +21,7 @@ from typing import Iterable, Sequence
 from .exact_linalg import (
     FGAbelianGroup,
     IntMatrix,
+    _snf_memo_scope,
     cokernel_presentation,
     kernel_basis,
     rational_solve,
@@ -163,22 +163,19 @@ class Fan:
 # validation
 
 
-def _in_cone(fan: Fan, cone: Sequence[int], v: Sequence[int]) -> bool:
-    """Exact membership of v in the (simplicial) cone spanned by the rays."""
-    if all(x == 0 for x in v):
-        return True
-    if not cone:
-        return False
+def _cone_coords(fan: Fan, cone: Sequence[int], v: Sequence[int]) -> tuple[int, ...] | None:
+    """Coordinates of v in the rays of a simplicial cone, times a positive
+    common denominator, when v lies in that cone; None when it does not.
+
+    The rays of a simplicial cone are independent, so the coordinates are
+    unique and their signs decide membership exactly.
+    """
     gens = IntMatrix.from_cols([fan.rays[i] for i in cone], fan.rank)
-    sol = rational_solve(gens, IntMatrix.from_cols([v]))
+    sol = rational_solve(gens, IntMatrix.from_cols([v], fan.rank))
     if sol is None:
-        return False
-    # rational_solve pins free variables, but gens are independent here
-    for row in sol:
-        if row[0] < 0:
-            return False
-    recon = [sum(Fraction(gens.rows[i][k]) * sol[k][0] for k in range(gens.ncols)) for i in range(fan.rank)]
-    return recon == [Fraction(x) for x in v]
+        return None
+    x = sol[0].col(0)
+    return x if all(t >= 0 for t in x) else None
 
 
 def _span_planes(fan: Fan, cone: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
@@ -213,16 +210,25 @@ def _check_face_intersection(fan: Fan, ca: tuple[int, ...], cb: tuple[int, ...])
     Works for rank <= 3 by enumerating candidate extreme rays of the
     intersection: generators of one cone lying in the other, plus (in rank 3)
     primitive generators of pairwise intersections of facet planes.  Every
-    candidate must already lie in the span of the shared rays.
+    candidate lies in cone(ca), so it lies in the common face exactly when
+    its coordinates in the rays of ca vanish off the shared rays.
     """
     shared = tuple(sorted(set(ca) & set(cb)))
-    candidates: list[tuple[int, ...]] = []
+
+    def check(cand: tuple[int, ...], coords: Sequence[int]) -> None:
+        if any(t for t, i in zip(coords, ca) if i not in shared):
+            raise BadFaceIntersection(
+                f"cones {ca} and {cb} overlap beyond their common face: "
+                f"direction {cand} lies in both but not in the face spanned by {shared}"
+            )
+
     for i in ca:
-        if _in_cone(fan, cb, fan.rays[i]):
-            candidates.append(fan.rays[i])
+        if _cone_coords(fan, cb, fan.rays[i]) is not None:
+            check(fan.rays[i], [int(j == i) for j in ca])
     for i in cb:
-        if _in_cone(fan, ca, fan.rays[i]):
-            candidates.append(fan.rays[i])
+        coords = _cone_coords(fan, ca, fan.rays[i])
+        if coords is not None:
+            check(fan.rays[i], coords)
     if fan.rank == 3:
         for p1 in _span_planes(fan, ca):
             for p2 in _span_planes(fan, cb):
@@ -230,16 +236,12 @@ def _check_face_intersection(fan: Fan, ca: tuple[int, ...], cb: tuple[int, ...])
                 if g is None:
                     continue
                 for cand in (g, tuple(-x for x in g)):
-                    if _in_cone(fan, ca, cand) and _in_cone(fan, cb, cand):
-                        candidates.append(cand)
-    for cand in candidates:
-        if not _in_cone(fan, shared, cand):
-            raise BadFaceIntersection(
-                f"cones {ca} and {cb} overlap beyond their common face: "
-                f"direction {cand} lies in both but not in the face spanned by {shared}"
-            )
+                    coords = _cone_coords(fan, ca, cand)
+                    if coords is not None and _cone_coords(fan, cb, cand) is not None:
+                        check(cand, coords)
 
 
+@_snf_memo_scope()
 def validate_fan(fan: Fan) -> None:
     """Full structural validation; raises a FanError subclass on failure.
 
@@ -301,7 +303,7 @@ def validate_fan(fan: Fan) -> None:
                 ca, cb = fan.max_cones[ai], fan.max_cones[bi]
                 shared = tuple(sorted(set(ca) & set(cb)))
                 for i in ca:
-                    if i not in shared and _in_cone(fan, cb, fan.rays[i]):
+                    if i not in shared and _cone_coords(fan, cb, fan.rays[i]) is not None:
                         raise BadFaceIntersection(
                             f"ray {i} of cone {ca} lies inside cone {cb}"
                         )

@@ -447,6 +447,12 @@ def test_projective_answers_do_not_depend_on_asserts(capsys):
         for backend in (
             "real", "ff:2,12", "ff:4,6", "ff:5,6", "ff:3,8", "ff:11,4", "ff:2,16", "ff:17,4"
         )
+    ] + [
+        ["classify", "fan", "--builtin", fan, "--backend", backend, "--json"]
+        for fan, backend in (
+            ("surface:C6", "ff:3,6"), ("surface:D12", "real"), ("surface:C3", "ff:5,4"),
+            ("surface:D4p", "ff:3,6"),
+        )
     ]
     expected = ""
     for argv in argvs:

@@ -258,8 +258,11 @@ def test_shapiro_orbits_real():
 
 
 def test_shapiro_orbits_finite_field():
-    backend = FiniteFieldBackend(3, 2)
-    for fan in (P1, P2, P1XP1):
-        for cls in enumerate_hom_classes(GroupSpec.cyclic(2), automorphism_group(fan)):
-            parts = shapiro_orbit_h1(fan, cls, backend)
-            assert all(p.is_trivial() for p in parts)
+    # 1048583 is a prime below the 2**40 factoring bound; q**2, the field of
+    # an orbit with trivial stabilizer, is above it
+    for backend in (FiniteFieldBackend(3, 2), FiniteFieldBackend(1048583, 2)):
+        for fan in (P1, P2, P1XP1):
+            for cls in enumerate_hom_classes(GroupSpec.cyclic(2), automorphism_group(fan)):
+                parts = shapiro_orbit_h1(fan, cls, backend)
+                assert len(parts) == len(cls.ray_orbits)
+                assert all(p.is_trivial() for p in parts)

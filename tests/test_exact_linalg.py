@@ -18,11 +18,9 @@ from toricforms.exact_linalg import (
     congruence_kernel_basis,
     det,
     image_basis,
-    integer_matrix_from_fractions,
     kernel_basis,
     lattice_intersection,
     lattice_subquotient,
-    rational_inverse,
     rational_solve,
     saturation_basis,
     smith_normal_form,
@@ -302,18 +300,93 @@ def test_direct_sum_matches_factor_concatenation(xs, ys):
     assert a.direct_sum(b) == FGAbelianGroup.from_factors(xs + ys)
 
 
-# --- rational helpers -------------------------------------------------------
+# --- rational solves ---------------------------------------------------------
+
+
+def _gauss_jordan_solve(a: IntMatrix, b: IntMatrix) -> list[list[Fraction]] | None:
+    """Reference solver: a @ x = b over Q by Fraction Gauss-Jordan elimination.
+
+    None if inconsistent; free variables are pinned to zero.
+    """
+    nr, nc = a.shape
+    aug = [[Fraction(x) for x in a.rows[i]] + [Fraction(x) for x in b.rows[i]] for i in range(nr)]
+    pivots: list[int] = []
+    r = 0
+    for c in range(nc):
+        pr = next((i for i in range(r, nr) if aug[i][c]), None)
+        if pr is None:
+            continue
+        aug[r], aug[pr] = aug[pr], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(nr):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    for i in range(r, nr):
+        if any(aug[i][nc:]) and not any(aug[i][:nc]):
+            return None
+    x = [[Fraction(0)] * b.ncols for _ in range(nc)]
+    for i, c in enumerate(pivots):
+        for j in range(b.ncols):
+            x[c][j] = aug[i][nc + j]
+    return x
 
 
 def test_rational_solve_and_inverse():
     a = M([[2, 1], [1, 1]])
-    inv = rational_inverse(a)
-    assert inv == [[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(2)]]
-    x = rational_solve(M([[2, 0], [0, 4]]), IntMatrix.from_cols([(1, 2)]))
-    assert x == [[Fraction(1, 2)], [Fraction(1, 2)]]
+    assert rational_solve(a, IntMatrix.identity(2)) == (M([[1, -1], [-1, 2]]), 1)
+    x, den = rational_solve(M([[2, 0], [0, 4]]), IntMatrix.from_cols([(1, 2)]))
+    assert (x, den) == (IntMatrix.from_cols([(2, 2)]), 4)
+    assert [Fraction(t, den) for t in x.col(0)] == [Fraction(1, 2), Fraction(1, 2)]
     assert rational_solve(M([[1, 1], [1, 1]]), IntMatrix.from_cols([(0, 1)])) is None
-    assert integer_matrix_from_fractions([[Fraction(2), Fraction(1)]]) == M([[2, 1]])
-    assert integer_matrix_from_fractions([[Fraction(1, 2)]]) is None
+    # degenerate shapes: 0xn is always solvable, nx0 only for b == 0
+    assert rational_solve(IntMatrix.zero(0, 3), IntMatrix.zero(0, 2)) == (IntMatrix.zero(3, 2), 1)
+    assert rational_solve(IntMatrix.zero(2, 0), IntMatrix.zero(2, 1)) == (IntMatrix.zero(0, 1), 1)
+    assert rational_solve(IntMatrix.zero(2, 0), IntMatrix.from_cols([(0, 1)])) is None
+    assert rational_solve(IntMatrix.zero(2, 3), IntMatrix.from_cols([(1, 0)])) is None
+
+
+def _draw_matrix(data, nrows: int, ncols: int) -> IntMatrix:
+    return IntMatrix.from_rows(
+        [[data.draw(st.integers(-5, 5)) for _ in range(ncols)] for _ in range(nrows)],
+        ncols=ncols,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.integers(0, 2),
+    st.booleans(), st.data(),
+)
+def test_rational_solve_matches_gauss_jordan(nrows, ncols, inner, nrhs, consistent, data):
+    # a = p @ q has rank at most `inner`, so small `inner` is rank-deficient
+    a = _draw_matrix(data, nrows, inner) @ _draw_matrix(data, inner, ncols)
+    if consistent:
+        b = a @ _draw_matrix(data, ncols, nrhs)
+    else:
+        b = _draw_matrix(data, nrows, nrhs)
+    want = _gauss_jordan_solve(a, b)
+    got = rational_solve(a, b)
+    if want is None:
+        assert got is None
+        return
+    assert got is not None
+    x, den = got
+    dec = smith_normal_form(a)
+    assert den == (dec.diagonal[dec.rank - 1] if dec.rank else 1)
+    assert x.shape == (ncols, nrhs)
+    assert a @ x == b.scaled(den)
+    assert [
+        [sum(Fraction(a.rows[i][k]) * want[k][j] for k in range(ncols)) for j in range(nrhs)]
+        for i in range(nrows)
+    ] == [list(row) for row in b.rows]
+    if dec.rank == ncols:  # a unique solution: both solvers must find it
+        assert [[Fraction(t, den) for t in row] for row in x.rows] == want
 
 
 # --- integer kernels ---------------------------------------------------------
