@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -333,19 +334,30 @@ class FiniteModule:
     action: tuple[IntMatrix, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.moduli)
-        assert all(mi >= 1 for mi in self.moduli)
-        assert len(self.action) == self.group.order
+        # input checks raise ValueError, so they also hold under python -O;
+        # `brute_force_h1_finite` composes action tables relying on them
+        m = self.moduli
+        n = len(m)
+        if not all(mi >= 1 for mi in m):
+            raise ValueError(f"moduli must be at least 1, got {m}")
+        if len(self.action) != self.group.order:
+            raise ValueError(
+                f"{len(self.action)} action matrices for a group of order {self.group.order}"
+            )
         for mat in self.action:
-            assert mat.shape == (n, n)
-        assert self.action[0] == IntMatrix.identity(n)
+            if mat.shape != (n, n):
+                raise ValueError(f"action matrix of shape {mat.shape}, expected {(n, n)}")
+            # column j must map the relation m[j] e_j into the relations
+            if any(x * m[j] % m[i] for i, row in enumerate(mat.rows) for j, x in enumerate(row)):
+                raise ValueError(f"action matrix {mat} does not descend to the moduli {m}")
+        if self.action[0] != IntMatrix.identity(n):
+            raise ValueError("group element 0 must act as the identity")
         for a in range(self.group.order):
             for b in range(self.group.order):
                 prod = self.action[a] @ self.action[b]
                 expect = self.action[self.group.mult(a, b)]
-                assert self._reduce_matrix(prod) == self._reduce_matrix(expect), (
-                    "action is not a homomorphism"
-                )
+                if self._reduce_matrix(prod) != self._reduce_matrix(expect):
+                    raise ValueError("action is not a homomorphism")
 
     def _reduce_matrix(self, mat: IntMatrix) -> IntMatrix:
         return IntMatrix.from_rows(
@@ -367,7 +379,7 @@ class FiniteModule:
         return tuple(x % mi for x, mi in zip(raw, self.moduli))
 
     def add(self, u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
-        return tuple((a + b) % mi for a, b, mi in zip(u, v, self.moduli))
+        return tuple(map(operator.mod, map(operator.add, u, v), self.moduli))
 
     def scale(self, k: int, v: Sequence[int]) -> tuple[int, ...]:
         return tuple((k * a) % mi for a, mi in zip(v, self.moduli))
@@ -400,71 +412,44 @@ def brute_force_h1_finite(module: FiniteModule, guard: int = 10_000_000) -> FGAb
     along the Cayley graph and then checked against the cocycle identity on
     all pairs; coboundaries are enumerated directly.  The quotient's
     structure is read off by counting torsion elements.  Raises TooLarge if
-    the assignment space exceeds `guard`.
+    the assignment space exceeds `guard`, before anything is enumerated.
+
+    Each group element's action is looked up in a table built once per call
+    (`_action_tables`), so the enumeration itself does no matrix arithmetic.
     """
     group = module.group
     gens = group.generators if group.generators else ()
     count = module.size ** len(gens)
     if count > guard:
         raise TooLarge(f"{count} candidate assignments exceed the guard {guard}")
-
-    # breadth-first spanning of the Cayley graph, fixed once
-    parent: dict[int, tuple[int, int]] = {}
-    order_of_visit = [0]
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = group.mult(a, g)
-                if b not in seen:
-                    seen.add(b)
-                    parent[b] = (a, g)
-                    order_of_visit.append(b)
-                    nxt.append(b)
-        frontier = nxt
-    assert len(seen) == group.order, "generators fail to generate"
+    elements = tuple(module.elements())
+    position = {v: i for i, v in enumerate(elements)}
+    tree = _cayley_spanning_tree(group, gens)
+    act = _action_tables(module, elements, position, tree)
+    add = module.add
+    table = group.table
+    order = group.order
+    edges = [(a, g, table[a][g]) for a in range(order) for g in gens]
+    pairs = [(a, b, table[a][b]) for a in range(order) for b in range(order)]
 
     cocycles: set[tuple[tuple[int, ...], ...]] = set()
-    for assignment in itertools.product(module.elements(), repeat=len(gens)):
+    # an assignment gives each generator the position of its module element
+    for assignment in itertools.product(range(len(elements)), repeat=len(gens)):
         by_gen = dict(zip(gens, assignment))
-        c: list[tuple[int, ...] | None] = [None] * group.order
-        c[0] = module.zero()
-        ok = True
-        for b in order_of_visit[1:]:
-            a, g = parent[b]
-            c[b] = module.add(c[a], module.act(a, by_gen[g]))
-        for a in range(group.order):
-            if not ok:
-                break
-            for g in gens:
-                b = group.mult(a, g)
-                if c[b] != module.add(c[a], module.act(a, by_gen[g])):
-                    ok = False
-                    break
-        if ok:
-            full = True
-            for a in range(group.order):
-                for b in range(group.order):
-                    lhs = c[group.mult(a, b)]
-                    rhs = module.add(c[a], module.act(a, c[b]))
-                    if lhs != rhs:
-                        full = False
-                        break
-                if not full:
-                    break
-            if full:
-                cocycles.add(tuple(c))
+        c: list[tuple[int, ...]] = [module.zero()] * order
+        for b, a, g in tree:
+            c[b] = add(c[a], act[a][by_gen[g]])
+        if any(c[b] != add(c[a], act[a][by_gen[g]]) for a, g, b in edges):
+            continue
+        if all(c[ab] == add(c[a], act[a][position[c[b]]]) for a, b, ab in pairs):
+            cocycles.add(tuple(c))
 
-    boundaries: set[tuple[tuple[int, ...], ...]] = set()
-    for v in module.elements():
-        boundaries.add(
-            tuple(
-                tuple((x - y) % mi for x, y, mi in zip(module.act(a, v), v, module.moduli))
-                for a in range(group.order)
-            )
-        )
+    moduli = module.moduli
+    mod, sub = operator.mod, operator.sub
+    boundaries = {
+        tuple(tuple(map(mod, map(sub, act_a[i], v), moduli)) for act_a in act)
+        for i, v in enumerate(elements)
+    }
     assert boundaries <= cocycles
     h_order = len(cocycles) // len(boundaries)
     if h_order == 1:
@@ -492,6 +477,58 @@ def brute_force_h1_finite(module: FiniteModule, guard: int = 10_000_000) -> FGAb
     result = FGAbelianGroup.from_factors(factors)
     assert result.order() == h_order
     return result
+
+
+def _cayley_spanning_tree(
+    group: GroupSpec, gens: Sequence[int]
+) -> list[tuple[int, int, int]]:
+    """Breadth-first spanning tree of the Cayley graph from the identity.
+
+    Returns edges (b, a, g) with b = a g in visiting order, so every a is
+    the identity or an earlier b; there is one edge per non-identity element.
+    """
+    tree = []
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                b = group.mult(a, g)
+                if b not in seen:
+                    seen.add(b)
+                    tree.append((b, a, g))
+                    nxt.append(b)
+        frontier = nxt
+    assert len(seen) == group.order, "generators fail to generate"
+    return tree
+
+
+def _action_tables(
+    module: FiniteModule,
+    elements: Sequence[tuple[int, ...]],
+    position: dict[tuple[int, ...], int],
+    tree: Sequence[tuple[int, int, int]],
+) -> list[list[tuple[int, ...]]]:
+    """tables[a][i] = a . elements[i] for every group element a.
+
+    `position` inverts `elements`.  The generators' tables come from
+    `FiniteModule.act`; every other element b = a g of the spanning tree is
+    composed as tables[b][i] = tables[a][position of tables[g][i]].  That
+    equals `act(b, elements[i])` because the module checked that its action
+    is a homomorphism mod the moduli and preserves them.  Every entry is one
+    of the `elements` tuples, so the tables hold no copies.
+    """
+    tables: list[list | None] = [None] * module.group.order
+    tables[0] = list(elements)
+    for g in module.group.generators:
+        if tables[g] is None:
+            tables[g] = [elements[position[module.act(g, v)]] for v in elements]
+    for b, a, g in tree:
+        if tables[b] is None:
+            outer = tables[a]
+            tables[b] = [outer[position[w]] for w in tables[g]]
+    return tables
 
 
 def _exact_log(n: int, p: int) -> int:

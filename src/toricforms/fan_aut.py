@@ -54,9 +54,21 @@ class FanAutGroup:
 
     @cached_property
     def inverse_indices(self) -> tuple[int, ...]:
+        """Index of each matrix's inverse, read off its ray permutation.
+
+        The rays of a validated fan span, so a matrix is determined by how it
+        permutes them and the inverse matrix permutes them inversely; one
+        product per element certifies the lookup.
+        """
+        by_perm = {perm: i for i, perm in enumerate(self.ray_permutations)}
+        assert len(by_perm) == self.order, "ray permutations must be distinct"
         out = []
-        for i in range(self.order):
-            j = next(k for k in range(self.order) if self.mult_index(i, k) == self.identity_index)
+        for i, perm in enumerate(self.ray_permutations):
+            inv_perm = [0] * len(perm)
+            for k, image in enumerate(perm):
+                inv_perm[image] = k
+            j = by_perm[tuple(inv_perm)]
+            assert self.mult_index(i, j) == self.identity_index
             out.append(j)
         return tuple(out)
 

@@ -1,13 +1,25 @@
 """Oracles and cross-route checks for the H^1 engines."""
 
-import pytest
+import itertools
+import math
+import time
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from toricforms import cohomology
+from toricforms.classify import BUILTIN_SURFACE_NAMES, builtin_fan
 from toricforms.cohomology import (
     FiniteModule,
     NotInvolution,
     TooLarge,
     TorusSubgroup,
+    _action_tables,
+    _cayley_spanning_tree,
+    _exact_log,
     _h1_real_quotient_presentation,
+    _permutation_matrix,
     brute_force_h1_finite,
     finite_field_torus_module,
     h1_cyclic_norm_formula,
@@ -26,7 +38,10 @@ from toricforms.galois import (
     NonCyclicGroup,
     RealComplexBackend,
     SymbolicBrauerBackend,
+    _prime_factors,
     enumerate_hom_classes,
+    kernel_reduction,
+    reduce_backend,
 )
 
 from test_fans import HEXAGON, P1, P1XP1, P2
@@ -147,6 +162,111 @@ def test_norm_formula_rejects_non_cyclic_groups():
 # brute force oracles
 
 
+def _literal_brute_force_h1(module: FiniteModule, guard: int = 10_000_000) -> FGAbelianGroup:
+    """The enumeration `brute_force_h1_finite` replaced, kept as its reference:
+    every action is one `module.act` call, nothing is tabulated."""
+    group = module.group
+    gens = group.generators if group.generators else ()
+    count = module.size ** len(gens)
+    if count > guard:
+        raise TooLarge(f"{count} candidate assignments exceed the guard {guard}")
+
+    # breadth-first spanning of the Cayley graph, fixed once
+    parent: dict[int, tuple[int, int]] = {}
+    order_of_visit = [0]
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                b = group.mult(a, g)
+                if b not in seen:
+                    seen.add(b)
+                    parent[b] = (a, g)
+                    order_of_visit.append(b)
+                    nxt.append(b)
+        frontier = nxt
+    assert len(seen) == group.order, "generators fail to generate"
+
+    cocycles: set[tuple[tuple[int, ...], ...]] = set()
+    for assignment in itertools.product(module.elements(), repeat=len(gens)):
+        by_gen = dict(zip(gens, assignment))
+        c: list[tuple[int, ...] | None] = [None] * group.order
+        c[0] = module.zero()
+        ok = True
+        for b in order_of_visit[1:]:
+            a, g = parent[b]
+            c[b] = module.add(c[a], module.act(a, by_gen[g]))
+        for a in range(group.order):
+            if not ok:
+                break
+            for g in gens:
+                b = group.mult(a, g)
+                if c[b] != module.add(c[a], module.act(a, by_gen[g])):
+                    ok = False
+                    break
+        if ok:
+            full = True
+            for a in range(group.order):
+                for b in range(group.order):
+                    lhs = c[group.mult(a, b)]
+                    rhs = module.add(c[a], module.act(a, c[b]))
+                    if lhs != rhs:
+                        full = False
+                        break
+                if not full:
+                    break
+            if full:
+                cocycles.add(tuple(c))
+
+    boundaries: set[tuple[tuple[int, ...], ...]] = set()
+    for v in module.elements():
+        boundaries.add(
+            tuple(
+                tuple((x - y) % mi for x, y, mi in zip(module.act(a, v), v, module.moduli))
+                for a in range(group.order)
+            )
+        )
+    assert boundaries <= cocycles
+    h_order = len(cocycles) // len(boundaries)
+    if h_order == 1:
+        return FGAbelianGroup.trivial()
+
+    def scaled_in_boundaries(z, k: int) -> bool:
+        scaled = tuple(module.scale(k, row) for row in z)
+        return scaled in boundaries
+
+    factors: list[int] = []
+    for p in _prime_factors(h_order):
+        logs = [0]
+        while True:
+            killed = sum(
+                1 for z in cocycles if scaled_in_boundaries(z, p ** len(logs))
+            )
+            logs.append(_exact_log(killed // len(boundaries), p))
+            if logs[-1] == logs[-2]:
+                break
+        for k in range(1, len(logs) - 1):
+            multiplicity = (logs[k] - logs[k - 1]) - (logs[k + 1] - logs[k])
+            factors.extend([p**k] * multiplicity)
+    result = FGAbelianGroup.from_factors(factors)
+    assert result.order() == h_order
+    return result
+
+
+def _assert_matches_literal(module: FiniteModule) -> None:
+    """Same answer as the literal enumeration, and tables equal to `act`."""
+    assert brute_force_h1_finite(module) == _literal_brute_force_h1(module)
+    elements = tuple(module.elements())
+    position = {v: i for i, v in enumerate(elements)}
+    tree = _cayley_spanning_tree(module.group, module.group.generators)
+    tables = _action_tables(module, elements, position, tree)
+    assert len(tables) == module.group.order
+    for a, table in enumerate(tables):
+        assert table == [module.act(a, v) for v in elements]
+
+
 def _cyclic_module(order, moduli, mats):
     return FiniteModule(GroupSpec.cyclic(order), moduli, tuple(M(m) for m in mats))
 
@@ -154,16 +274,19 @@ def _cyclic_module(order, moduli, mats):
 def test_brute_force_negation_on_z4():
     mod = _cyclic_module(2, (4,), [[[1]], [[-1]]])
     assert brute_force_h1_finite(mod) == Z2
+    _assert_matches_literal(mod)
 
 
 def test_brute_force_trivial_action_on_z3():
     mod = _cyclic_module(2, (3,), [[[1]], [[1]]])
     assert brute_force_h1_finite(mod) == TRIVIAL
+    _assert_matches_literal(mod)
 
 
 def test_brute_force_trivial_action_on_z2():
     mod = _cyclic_module(2, (2,), [[[1]], [[1]]])
     assert brute_force_h1_finite(mod) == Z2
+    _assert_matches_literal(mod)
 
 
 def test_brute_force_klein_four_homs():
@@ -171,12 +294,105 @@ def test_brute_force_klein_four_homs():
     ident = [[1]]
     mod = FiniteModule(klein, (2,), tuple(M(ident) for _ in range(4)))
     assert brute_force_h1_finite(mod) == Z2Z2
+    _assert_matches_literal(mod)
 
 
-def test_brute_force_guard():
-    big = FiniteModule(GroupSpec.cyclic(2), (4001,), (M([[1]]), M([[1]])))
-    with pytest.raises(TooLarge):
-        brute_force_h1_finite(big, guard=4000)
+def test_brute_force_guard(monkeypatch):
+    def untouchable(*_args, **_kwargs):
+        raise AssertionError("the guard must refuse before any element is enumerated")
+
+    monkeypatch.setattr(cohomology, "_action_tables", untouchable)
+    monkeypatch.setattr(FiniteModule, "elements", untouchable)
+    for size in (4001, 10**7):
+        big = FiniteModule(GroupSpec.cyclic(2), (size,), (M([[1]]), M([[1]])))
+        start = time.perf_counter()
+        with pytest.raises(TooLarge):
+            brute_force_h1_finite(big, guard=4000)
+        assert time.perf_counter() - start < 0.1
+
+
+def _surface_oracle_modules(q: int, d: int) -> list[FiniteModule]:
+    """The distinct modules of every reduced twisting class of the 13 surfaces."""
+    backend = FiniteFieldBackend(q, d)
+    modules: dict[FiniteModule, None] = {}
+    for name in BUILTIN_SURFACE_NAMES:
+        for cls in enumerate_hom_classes(backend.group, automorphism_group(builtin_fan(name))):
+            reduced_group, reduced_hom, _ = kernel_reduction(cls)
+            if reduced_group.order > 1:
+                reduced = reduce_backend(backend, len(cls.kernel))
+                modules[finite_field_torus_module(reduced, reduced_hom)] = None
+    return list(modules)
+
+
+@pytest.mark.parametrize("q,d", [(2, 2), (3, 2), (2, 3), (7, 2)])
+def test_table_driven_brute_force_matches_literal_on_surface_classes(q, d):
+    modules = _surface_oracle_modules(q, d)
+    assert modules
+    for module in modules:
+        _assert_matches_literal(module)
+
+
+def _module_from_generators(group: GroupSpec, moduli, gen_mats) -> FiniteModule:
+    """The module on which each generator acts by the given matrix."""
+    n = len(moduli)
+    mats = {0: IntMatrix.identity(n)}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g, mat in zip(group.generators, gen_mats):
+                b = group.mult(a, g)
+                if b not in mats:
+                    prod = mats[a] @ mat
+                    mats[b] = M([[x % moduli[i] for x in row] for i, row in enumerate(prod.rows)])
+                    nxt.append(b)
+        frontier = nxt
+    return FiniteModule(group, tuple(moduli), tuple(mats[a] for a in range(group.order)))
+
+
+@st.composite
+def _diagonal_modules(draw):
+    """Cyclic groups of order 1-4 and the Klein four group acting diagonally."""
+    groups = [GroupSpec.cyclic(k) for k in range(1, 5)] + [GroupSpec.dihedral(4)]
+    group = draw(st.sampled_from(groups))
+    n = draw(st.integers(1, 2 if len(group.generators) > 1 else 3))
+    moduli = draw(st.lists(st.integers(1, 7), min_size=n, max_size=n))
+    gen_mats = []
+    for g in group.generators:
+        k = group.element_order(g)
+        units = [
+            [u for u in range(m) if math.gcd(u, m) == 1 and pow(u, k, m) == 1 % m] for m in moduli
+        ]
+        gen_mats.append(IntMatrix.diagonal([draw(st.sampled_from(us)) for us in units]))
+    return _module_from_generators(group, moduli, gen_mats)
+
+
+@st.composite
+def _permutation_modules(draw):
+    """A cyclic group permuting coordinates, one modulus per cycle."""
+    n = draw(st.integers(1, 3))
+    perm = draw(st.permutations(range(n)))
+    cycles = [frozenset((i, perm[i], perm[perm[i]])) for i in range(n)]  # lengths <= 3
+    modulus = {cycle: draw(st.integers(1, 7)) for cycle in sorted(set(cycles), key=min)}
+    order = math.lcm(*map(len, cycles)) * draw(st.integers(1, 2))
+    moduli = [modulus[cycle] for cycle in cycles]
+    return _module_from_generators(GroupSpec.cyclic(order), moduli, [_permutation_matrix(perm)])
+
+
+@st.composite
+def _symmetric_modules(draw):
+    """The non-abelian D6 = S3 permuting three coordinates: a rotation by a
+    3-cycle, a reflection by a transposition."""
+    cycle = draw(st.sampled_from([(1, 2, 0), (2, 0, 1)]))
+    swap = draw(st.sampled_from([(1, 0, 2), (0, 2, 1), (2, 1, 0)]))
+    gen_mats = [_permutation_matrix(cycle), _permutation_matrix(swap)]
+    return _module_from_generators(GroupSpec.dihedral(6), (draw(st.integers(1, 3)),) * 3, gen_mats)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_diagonal_modules(), _permutation_modules(), _symmetric_modules()))
+def test_table_driven_brute_force_matches_literal_on_random_actions(module):
+    _assert_matches_literal(module)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Fan automorphism groups and GL(2,Z) class identification."""
 
+import itertools
 import random
 
 import pytest
 
+from toricforms.classify import BUILTIN_NAMES, builtin_fan
 from toricforms.exact_linalg import IntMatrix, det, rational_solve
 from toricforms.fan_aut import (
     GEN_MIRROR_DIAG,
@@ -152,6 +154,45 @@ def test_group_indexing_helpers():
         assert group.mult_index(i, group.inverse_indices[i]) == e
     full = group.subgroup_closure(range(group.order))
     assert full == frozenset(range(group.order))
+
+
+def _projective_product(dims: tuple[int, ...]) -> Fan:
+    """P^dims[0] x P^dims[1] x ...: rays e_i and -(e_1 + ... + e_n) per factor."""
+    rank = sum(dims)
+    rays: list[tuple[int, ...]] = []
+    factor_cones = []
+    offset = 0
+    for n in dims:
+        first = len(rays)
+        rays.extend(tuple(int(i == offset + j) for i in range(rank)) for j in range(n))
+        rays.append(tuple(-int(offset <= i < offset + n) for i in range(rank)))
+        factor_cones.append(
+            [[first + k for k in range(n + 1) if k != skip] for skip in range(n + 1)]
+        )
+        offset += n
+    cones = [sum(combo, []) for combo in itertools.product(*factor_cones)]
+    return Fan.make(rank, rays, cones)
+
+
+@pytest.mark.parametrize(
+    "fan_name",
+    list(BUILTIN_NAMES)
+    + [f"projective:{n}" for n in (1, 2, 3, 4)]
+    + ["P1xP1xP1", "P1xP2", "P1xP1xP1xP1", "P2xP2", "P1xP3", "P1xP1xP2"],
+)
+@pytest.mark.filterwarnings("ignore:rank 4 fan")
+def test_inverse_indices_are_two_sided_inverses(fan_name):
+    if fan_name.startswith("P"):
+        dims = tuple(int(part) for part in fan_name[1:].split("xP"))
+        group = automorphism_group(_projective_product(dims))
+    else:
+        group = automorphism_group(builtin_fan(fan_name))
+    e = group.identity_index
+    inv = group.inverse_indices
+    assert len(inv) == group.order
+    for i in range(group.order):
+        assert group.mult_index(i, inv[i]) == e
+        assert group.mult_index(inv[i], i) == e
 
 
 def test_sequence_route_matches_search_route():

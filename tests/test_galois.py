@@ -59,13 +59,22 @@ def test_group_order_budget_checked_before_allocating():
 def test_backend_validation_survives_optimized_mode():
     """Input checks are typed exceptions, so `python -O` keeps them."""
     script = (
-        "from toricforms.cohomology import h1_finite_field_torus\n"
+        "from toricforms.cohomology import FiniteModule, h1_finite_field_torus\n"
         "from toricforms.exact_linalg import IntMatrix\n"
         "from toricforms.galois import FiniteFieldBackend, GroupSpec\n"
+        "M, C2, I1 = IntMatrix.from_rows, GroupSpec.cyclic(2), IntMatrix.identity(1)\n"
+        "swap = M([[0, 1], [1, 0]])\n"
         "for make in (lambda: FiniteFieldBackend(6, 2), lambda: FiniteFieldBackend(2, 0),\n"
         "             lambda: GroupSpec.cyclic(0), lambda: GroupSpec.dihedral(3),\n"
-        "             lambda: h1_finite_field_torus(6, 2, IntMatrix.identity(1)),\n"
-        "             lambda: h1_finite_field_torus(2, 0, IntMatrix.identity(1))):\n"
+        "             lambda: h1_finite_field_torus(6, 2, I1),\n"
+        "             lambda: h1_finite_field_torus(2, 0, I1),\n"
+        "             lambda: FiniteModule(C2, (5,), (I1, M([[2]]))),\n"
+        "             lambda: FiniteModule(C2, (0,), (I1, I1)),\n"
+        "             lambda: FiniteModule(C2, (5,), (I1,)),\n"
+        "             lambda: FiniteModule(C2, (5,), (I1, M([[1, 0]]))),\n"
+        "             lambda: FiniteModule(C2, (5,), (M([[-1]]), I1)),\n"
+        "             lambda: FiniteModule(C2, (2, 3), (IntMatrix.identity(2), swap)),\n"
+        "             lambda: FiniteModule(C2, (5,), (I1, M([[-1]])))):\n"
         "    try:\n"
         "        make()\n"
         "    except ValueError as exc:\n"
@@ -89,6 +98,13 @@ def test_backend_validation_survives_optimized_mode():
         f"ValueError dihedral group order must be even and in 2..{MAX_GROUP_ORDER}, got 3",
         "ValueError finite-field backend needs a prime power, got q=6",
         "ValueError finite-field torus needs degree d >= 1, got d=0",
+        "ValueError action is not a homomorphism",
+        "ValueError moduli must be at least 1, got (0,)",
+        "ValueError 1 action matrices for a group of order 2",
+        "ValueError action matrix of shape (1, 2), expected (1, 1)",
+        "ValueError group element 0 must act as the identity",
+        "ValueError action matrix [0 1; 1 0] does not descend to the moduli (2, 3)",
+        "accepted",
     ]
 
 
