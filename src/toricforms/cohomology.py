@@ -360,11 +360,9 @@ class FiniteModule:
                     raise ValueError("action is not a homomorphism")
 
     def _reduce_matrix(self, mat: IntMatrix) -> IntMatrix:
-        return IntMatrix.from_rows(
-            [
-                [mat.rows[i][j] % self.moduli[i] for j in range(len(self.moduli))]
-                for i in range(len(self.moduli))
-            ]
+        return IntMatrix._trusted(
+            tuple(tuple(x % mod for x in row) for row, mod in zip(mat.rows, self.moduli)),
+            mat.ncols,
         )
 
     @property

@@ -54,9 +54,22 @@ class IntMatrix:
 
     def __post_init__(self) -> None:
         widths = {len(r) for r in self.rows}
-        assert len(widths) <= 1, f"ragged rows: {sorted(widths)}"
+        if len(widths) > 1:
+            raise ValueError(f"ragged rows: {sorted(widths)}")
         # normalize the hint so dataclass equality/hash see one representation
         object.__setattr__(self, "ncols_hint", len(self.rows[0]) if self.rows else max(self.ncols_hint, 0))
+
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...], ncols: int) -> "IntMatrix":
+        """Matrix from int rows that all have length `ncols`, unchecked.
+
+        Only for results whose shape is known by construction (products,
+        transposes, entry-wise maps); everything else goes through the
+        checked constructor.
+        """
+        m = object.__new__(cls)
+        m.__dict__.update(rows=rows, ncols_hint=ncols)
+        return m
 
     @property
     def nrows(self) -> int:
@@ -79,7 +92,10 @@ class IntMatrix:
         cols = [tuple(int(x) for x in c) for c in cols]
         if not cols:
             return cls(tuple(() for _ in range(max(nrows, 0))), 0)
-        return cls.from_rows(zip(*cols))
+        height = len(cols[0])
+        if any(len(c) != height for c in cols):
+            raise ValueError(f"ragged columns: {sorted({len(c) for c in cols})}")
+        return cls._trusted(tuple(zip(*cols)), len(cols))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -109,8 +125,8 @@ class IntMatrix:
     @cached_property
     def transpose(self) -> "IntMatrix":
         if not self.rows:
-            return IntMatrix(tuple(() for _ in range(self.ncols)), 0)
-        return IntMatrix(tuple(zip(*self.rows)), self.nrows)
+            return IntMatrix._trusted(tuple(() for _ in range(self.ncols)), 0)
+        return IntMatrix._trusted(tuple(zip(*self.rows)), self.nrows)
 
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.rows for x in r)
@@ -121,7 +137,7 @@ class IntMatrix:
         # columns of `other`; with no rows, each of its columns is empty
         cols = tuple(zip(*other.rows)) if other.rows else ((),) * ocols
         mul = operator.mul
-        return IntMatrix(tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in self.rows), ocols)
+        return IntMatrix._trusted(tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in self.rows), ocols)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         assert self.shape == other.shape

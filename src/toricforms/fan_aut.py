@@ -1,11 +1,24 @@
 """Lattice automorphism groups of fans.
 
 An automorphism is a GL(rank, Z) matrix permuting the rays and the maximal
-cones.  The general search solves for the matrix on a frame of independent
-rays and filters candidates by exact criteria only.  For smooth complete
-surface fans the boundary word gives an independent shortcut: rotational
-symmetries of the word produce determinant +1 automorphisms, mirror
-symmetries determinant -1, and these exhaust the group.
+cones.  The rays of a validated fan span, so an automorphism is determined by
+its ray permutation, and `FanAutGroup` computes with those: a product is a
+composition of permutation tuples and one dict lookup.  The matrices are the
+report format and each one's certificate.
+
+The general search assigns images to a frame of independent rays one ray at
+a time, by backtracking, and prunes a partial assignment when a ray invariant
+differs, an image repeats, or cone incidence breaks (two frame rays share a
+maximal cone exactly when their images do).  Each complete assignment is
+solved for its matrix and kept only by exact criteria, which also yield its
+ray permutation.  The found set is certified to be a group at every order:
+greedily chosen generators are closed breadth-first by permutation products,
+each product must lie in the set, and the closure must be all of it.  The
+exhaustive frame product that the pruned search replaced is kept in the
+tests as its reference.  For smooth complete surface fans the boundary word
+gives an independent shortcut: rotational symmetries of the word produce
+determinant +1 automorphisms, mirror symmetries determinant -1, and these
+exhaust the group.
 
 Finite subgroups of GL(2, Z) are classified up to conjugacy by thirteen
 classes; `identify_gl2_class` names the class of a given finite matrix group
@@ -15,9 +28,9 @@ and returns an explicit unimodular conjugator as a checkable witness.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exact_linalg import IntMatrix, _snf_memo_scope, det, kernel_basis, rational_solve
 from .fans import Fan, NotSmoothComplete, boundary_word, is_complete_surface, is_smooth, validate_fan
@@ -27,20 +40,42 @@ class UnidentifiedClass(ValueError):
     """The given group matched no finite GL(2, Z) conjugacy class."""
 
 
+Perm = tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class FanAutGroup:
-    """Finite matrix group acting on a fan, matrices sorted for determinism."""
+    """Finite matrix group acting on a fan, matrices sorted for determinism.
+
+    `ray_permutations[i]` is the permutation k -> index of matrices[i] @ ray_k.
+    Group arithmetic runs on these permutations.  When not given they are
+    computed from the matrices; `automorphism_group` passes the ones its
+    checks produced.
+    """
 
     fan: Fan
     matrices: tuple[IntMatrix, ...]
+    ray_permutations: tuple[Perm, ...] = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        if self.ray_permutations is None:
+            lookup = {r: i for i, r in enumerate(self.fan.rays)}
+            perms = tuple(tuple(lookup[m.apply(r)] for r in self.fan.rays) for m in self.matrices)
+            object.__setattr__(self, "ray_permutations", perms)
 
     @property
     def order(self) -> int:
         return len(self.matrices)
 
     @cached_property
+    def _perm_index(self) -> dict[Perm, int]:
+        index = {perm: i for i, perm in enumerate(self.ray_permutations)}
+        assert len(index) == self.order, "ray permutations must be distinct"
+        return index
+
+    @cached_property
     def identity_index(self) -> int:
-        return self.matrices.index(IntMatrix.identity(self.fan.rank))
+        return self._perm_index[tuple(range(self.fan.num_rays))]
 
     @cached_property
     def _index(self) -> dict[IntMatrix, int]:
@@ -50,35 +85,24 @@ class FanAutGroup:
         return self._index[m]
 
     def mult_index(self, i: int, j: int) -> int:
-        return self._index[self.matrices[i] @ self.matrices[j]]
+        """Index of matrices[i] @ matrices[j]: the composed ray permutation."""
+        perms = self.ray_permutations
+        return self._perm_index[tuple(map(perms[i].__getitem__, perms[j]))]
 
     @cached_property
     def inverse_indices(self) -> tuple[int, ...]:
-        """Index of each matrix's inverse, read off its ray permutation.
+        """Index of each matrix's inverse: the inverse ray permutation.
 
-        The rays of a validated fan span, so a matrix is determined by how it
-        permutes them and the inverse matrix permutes them inversely; one
-        product per element certifies the lookup.
+        One product per element certifies the lookup.
         """
-        by_perm = {perm: i for i, perm in enumerate(self.ray_permutations)}
-        assert len(by_perm) == self.order, "ray permutations must be distinct"
         out = []
         for i, perm in enumerate(self.ray_permutations):
             inv_perm = [0] * len(perm)
             for k, image in enumerate(perm):
                 inv_perm[image] = k
-            j = by_perm[tuple(inv_perm)]
+            j = self._perm_index[tuple(inv_perm)]
             assert self.mult_index(i, j) == self.identity_index
             out.append(j)
-        return tuple(out)
-
-    @cached_property
-    def ray_permutations(self) -> tuple[tuple[int, ...], ...]:
-        """For each matrix S, the permutation i -> index of S @ ray_i."""
-        lookup = {r: i for i, r in enumerate(self.fan.rays)}
-        out = []
-        for m in self.matrices:
-            out.append(tuple(lookup[m.apply(r)] for r in self.fan.rays))
         return tuple(out)
 
     def element_order(self, i: int) -> int:
@@ -144,58 +168,107 @@ def _divided(m: IntMatrix, den: int) -> IntMatrix | None:
     """m / den when den divides every entry, else None."""
     if any(x % den for row in m.rows for x in row):
         return None
-    return IntMatrix(tuple(tuple(x // den for x in row) for row in m.rows), m.ncols)
+    return IntMatrix._trusted(tuple(tuple(x // den for x in row) for row in m.rows), m.ncols)
+
+
+def _frame_images(fan: Fan, frame: Sequence[int], invariants: dict[int, tuple]) -> Iterator[Perm]:
+    """Candidate images of the frame rays, one slot at a time by backtracking.
+
+    Each slot takes a ray with its frame ray's invariant.  A ray is pruned
+    when it is already used or when cone incidence breaks with an earlier
+    slot: an automorphism permutes the maximal cones, so two rays share one
+    exactly when their images do.  No automorphism's frame image is pruned.
+    """
+    near: list[set[int]] = [set() for _ in range(fan.num_rays)]
+    for cone in fan.max_cones:
+        for i in cone:
+            near[i].update(cone)
+    candidates = [[i for i in range(fan.num_rays) if invariants[i] == invariants[f]] for f in frame]
+    images: list[int] = []
+
+    def extend(k: int) -> Iterator[Perm]:
+        if k == len(frame):
+            yield tuple(images)
+            return
+        incident = [frame[l] in near[frame[k]] for l in range(k)]
+        for c in candidates[k]:
+            if c in images or any((images[l] in near[c]) != incident[l] for l in range(k)):
+                continue
+            images.append(c)
+            yield from extend(k + 1)
+            images.pop()
+
+    return extend(0)
+
+
+def _is_group(perms: Sequence[Perm]) -> bool:
+    """Is the set of permutations a group?  Certified by generating it.
+
+    Generators are picked greedily, each one not yet reached by the earlier
+    ones, and their closure is built breadth-first by products: an element
+    reached before a generator joins needs only the product with it, a newly
+    reached one the products with every generator.  Every product must lie
+    in the set, and the closure, a group, must be the whole set.  That costs
+    order x (number of generators) products.
+    """
+    members = set(perms)
+    identity = tuple(range(len(perms[0])))
+    if identity not in members:
+        return False
+    reached = {identity}
+    gens: list[Perm] = []
+    for p in perms:
+        if p in reached:
+            continue
+        gens.append(p)
+        frontier, step = list(reached), [p]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for g in step:
+                    x = tuple(map(a.__getitem__, g))
+                    if x not in reached:
+                        if x not in members:
+                            return False
+                        reached.add(x)
+                        nxt.append(x)
+            frontier, step = nxt, gens
+    return len(reached) == len(members)
 
 
 @_snf_memo_scope()
 def automorphism_group(fan: Fan) -> FanAutGroup:
     """All GL(rank, Z) matrices mapping rays to rays and cones to cones.
 
-    Exhaustive search over images of a ray frame; the frame is inverted once
-    over Q as (g, den), and each candidate matrix (images @ g) / den is kept
-    only if it is integral, unimodular, maps the ray set onto itself, and
-    permutes the maximal cones.
+    Backtracking search over images of a ray frame (`_frame_images`); the
+    frame is inverted once over Q as (g, den), and each candidate matrix
+    (images @ g) / den is kept only if it is integral, unimodular, maps the
+    ray set onto itself, and permutes the maximal cones.  The last two
+    checks yield the element's ray permutation, and the permutations found
+    are certified to form a group.
     """
     validate_fan(fan)
     frame = _frame(fan)
     frame_inv, den = _scaled_inverse(IntMatrix.from_cols([fan.rays[j] for j in frame], fan.rank))
-    invariants = _ray_invariants(fan)
     ray_lookup = {r: i for i, r in enumerate(fan.rays)}
     cone_set = set(fan.max_cones)
-    candidates_per_slot = [
-        [i for i in range(fan.num_rays) if invariants[i] == invariants[j]] for j in frame
-    ]
-    found: list[IntMatrix] = []
-    for images in itertools.product(*candidates_per_slot):
-        if len(set(images)) != len(images):
-            continue
+    found: list[tuple[IntMatrix, Perm]] = []
+    for images in _frame_images(fan, frame, _ray_invariants(fan)):
         img_cols = IntMatrix.from_cols([fan.rays[i] for i in images], fan.rank)
         s = _divided(img_cols @ frame_inv, den)
         if s is None or abs(det(s)) != 1:
             continue
-        perm = []
-        ok = True
-        for r in fan.rays:
-            img = s.apply(r)
-            idx = ray_lookup.get(img)
-            if idx is None:
-                ok = False
-                break
-            perm.append(idx)
-        if not ok:
+        perm = tuple(ray_lookup.get(s.apply(r)) for r in fan.rays)
+        if None in perm:
             continue
-        if any(tuple(sorted(perm[i] for i in c)) not in cone_set for c in fan.max_cones):
-            continue
-        found.append(s)
-    assert len(set(found)) == len(found)
-    group = FanAutGroup(fan, tuple(sorted(found, key=lambda m: m.rows)))
-    if group.order <= 1000:
-        perms = group.ray_permutations
-        pset = set(perms)
-        for pa in perms:
-            for pb in perms:
-                assert tuple(pa[i] for i in pb) in pset, "automorphism set not closed"
-    assert IntMatrix.identity(fan.rank) in group.matrices
+        if all(tuple(sorted(perm[i] for i in c)) in cone_set for c in fan.max_cones):
+            found.append((s, perm))
+    found.sort(key=lambda pair: pair[0].rows)
+    matrices = tuple(s for s, _ in found)
+    assert len(set(matrices)) == len(matrices)
+    group = FanAutGroup(fan, matrices, tuple(perm for _, perm in found))
+    assert _is_group(group.ray_permutations), "automorphism set not closed"
+    assert group.matrices[group.identity_index] == IntMatrix.identity(fan.rank)
     return group
 
 

@@ -23,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .exact_linalg import (
     FGAbelianGroup,
@@ -531,16 +531,51 @@ class SymbolicBrauerBackend:
 
     @classmethod
     def from_json(cls, text: str, degree: int) -> "SymbolicBrauerBackend":
+        """Read ``{"Q": {"invariant_factors": [...]}, "images": [...]}``.
+
+        Each image is ``{"subgroup_gens": [...], "subgroup_of_Q": [[...], ...]}``
+        with columns of length len(invariant_factors).  A missing or ill-typed
+        key raises ValueError naming it.
+        """
         data = json.loads(text)
-        factors = tuple(int(x) for x in data["Q"]["invariant_factors"])
+        q_data = _json_key(data, "Q", dict)
+        factors = _json_ints(_json_key(q_data, "invariant_factors", list), "'invariant_factors'")
+        if any(f < 2 for f in factors):
+            raise ValueError(
+                f"symbolic backend JSON: 'invariant_factors' must be at least 2, got {list(factors)}"
+            )
         images = []
         group = GroupSpec.cyclic(degree)
-        for item in data["images"]:
-            gens = [int(x) % degree for x in item["subgroup_gens"]]
-            sub = group.subgroup_closure(gens)
-            cols = [tuple(int(x) for x in col) for col in item["subgroup_of_Q"]]
+        for item in _json_key(data, "images", list):
+            gens = _json_ints(_json_key(item, "subgroup_gens", list), "'subgroup_gens'")
+            sub = group.subgroup_closure(x % degree for x in gens)
+            cols = [
+                _json_ints(col, "each column of 'subgroup_of_Q'")
+                for col in _json_key(item, "subgroup_of_Q", list)
+            ]
+            if any(len(col) != len(factors) for col in cols):
+                raise ValueError(
+                    f"symbolic backend JSON: 'subgroup_of_Q' columns must have length {len(factors)}"
+                )
             images.append((sub, IntMatrix.from_cols(cols, nrows=len(factors))))
         return cls(degree, factors, tuple(images))
+
+
+def _json_key(obj: object, key: str, kind: type) -> Any:
+    """obj[key], checked to be a `kind`; ValueError naming the key otherwise."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"symbolic backend JSON: missing key {key!r}")
+    value = obj[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"symbolic backend JSON: {key!r} must be a {kind.__name__}")
+    return value
+
+
+def _json_ints(value: object, what: str) -> tuple[int, ...]:
+    """The entries of a JSON list of integers; ValueError naming `what` otherwise."""
+    if not isinstance(value, list) or not all(type(x) is int for x in value):
+        raise ValueError(f"symbolic backend JSON: {what} must be a list of integers")
+    return tuple(value)
 
 
 FieldBackend = RealComplexBackend | FiniteFieldBackend | SymbolicBrauerBackend

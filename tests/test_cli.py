@@ -440,6 +440,33 @@ def test_symbolic_backend_needs_group(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"images": []}, "missing key 'Q'"),
+        ({"Q": {}}, "missing key 'invariant_factors'"),
+        ({"Q": {"invariant_factors": 3}}, "'invariant_factors' must be a list"),
+        ({"Q": {"invariant_factors": [2]}}, "missing key 'images'"),
+        ({"Q": {"invariant_factors": [2]}, "images": [{"subgroup_gens": [1]}]},
+         "missing key 'subgroup_of_Q'"),
+        ({"Q": {"invariant_factors": [2]}, "images": [{"subgroup_gens": 1, "subgroup_of_Q": []}]},
+         "'subgroup_gens' must be a list"),
+        ({"Q": {"invariant_factors": [2]},
+          "images": [{"subgroup_gens": [1], "subgroup_of_Q": [[1, 0]]}]},
+         "'subgroup_of_Q' columns must have length 1"),
+    ],
+)
+def test_symbolic_backend_rejects_malformed_json(tmp_path, capsys, data, message):
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(data))
+    code, out, err = invoke(
+        capsys, "classify", "projective", "-n", "1",
+        "--backend", f"symbolic:{path}", "--group", "cyclic:2",
+    )
+    assert code == 1
+    assert out == "" and err == f"error: symbolic backend JSON: {message}\n"
+
+
 def test_projective_answers_do_not_depend_on_asserts(capsys):
     """`python -O` strips every assert; no answer may hide inside one."""
     argvs = [

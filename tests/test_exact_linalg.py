@@ -51,6 +51,21 @@ def test_empty_shapes_are_tracked():
     assert e.transpose.shape == (0, 3)
     # equality must not depend on how the ncols hint was supplied
     assert M([[1, 2]]) == IntMatrix(((1, 2),), 2)
+    assert IntMatrix.from_cols([(), ()]) == IntMatrix.zero(0, 2)
+    # products, transposes and column builds skip the ragged check; they
+    # must still equal the checked constructor's matrices
+    a = M([[1, 2, 3], [4, 5, 6]])
+    assert a @ IntMatrix.zero(3, 0) == IntMatrix.zero(2, 0)
+    assert IntMatrix.zero(0, 2) @ a == IntMatrix.zero(0, 3)
+    assert a.transpose == M([[1, 4], [2, 5], [3, 6]])
+    assert hash(a.transpose) == hash(M([[1, 4], [2, 5], [3, 6]]))
+
+
+def test_ragged_input_is_a_value_error():
+    with pytest.raises(ValueError, match="ragged rows"):
+        M([[1, 2], [3]])
+    with pytest.raises(ValueError, match="ragged columns"):
+        IntMatrix.from_cols([(1, 2), (3,)])
 
 
 def test_det_frozen_values():

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricforms.classify import BUILTIN_NAMES, builtin_fan
 from toricforms.exact_linalg import IntMatrix, det, rational_solve
@@ -17,13 +19,18 @@ from toricforms.fan_aut import (
     GL2_CLASS_LABELS,
     FanAutGroup,
     UnidentifiedClass,
+    _divided,
+    _frame,
+    _is_group,
+    _ray_invariants,
+    _scaled_inverse,
     aut_via_sequence,
     automorphism_group,
     gl2_class_elements,
     identify_gl2_class,
     involution_type,
 )
-from toricforms.fans import Fan, NotSmoothComplete, surface_blowup
+from toricforms.fans import Fan, NotSmoothComplete, surface_blowup, validate_fan
 
 from test_fans import HEXAGON, P1, P1XP1, P2, random_smooth_complete_fan
 
@@ -156,7 +163,7 @@ def test_group_indexing_helpers():
     assert full == frozenset(range(group.order))
 
 
-def _projective_product(dims: tuple[int, ...]) -> Fan:
+def product_fan(dims: tuple[int, ...]) -> Fan:
     """P^dims[0] x P^dims[1] x ...: rays e_i and -(e_1 + ... + e_n) per factor."""
     rank = sum(dims)
     rays: list[tuple[int, ...]] = []
@@ -174,25 +181,153 @@ def _projective_product(dims: tuple[int, ...]) -> Fan:
     return Fan.make(rank, rays, cones)
 
 
+PRODUCT_FAN_NAMES = ("P1xP1xP1", "P1xP2", "P1xP1xP1xP1", "P2xP2", "P1xP3", "P1xP1xP2")
+SEARCH_FAN_NAMES = (
+    list(BUILTIN_NAMES) + [f"projective:{n}" for n in (1, 2, 3, 4, 5)] + list(PRODUCT_FAN_NAMES)
+)
+
+
+def _named_fan(name: str) -> Fan:
+    """A builtin fan, or a product of projective spaces named like P1xP2."""
+    if name.startswith("P"):
+        return product_fan(tuple(int(part) for part in name[1:].split("xP")))
+    return builtin_fan(name)
+
+
 @pytest.mark.parametrize(
     "fan_name",
-    list(BUILTIN_NAMES)
-    + [f"projective:{n}" for n in (1, 2, 3, 4)]
-    + ["P1xP1xP1", "P1xP2", "P1xP1xP1xP1", "P2xP2", "P1xP3", "P1xP1xP2"],
+    list(BUILTIN_NAMES) + [f"projective:{n}" for n in (1, 2, 3, 4)] + list(PRODUCT_FAN_NAMES),
 )
 @pytest.mark.filterwarnings("ignore:rank 4 fan")
 def test_inverse_indices_are_two_sided_inverses(fan_name):
-    if fan_name.startswith("P"):
-        dims = tuple(int(part) for part in fan_name[1:].split("xP"))
-        group = automorphism_group(_projective_product(dims))
-    else:
-        group = automorphism_group(builtin_fan(fan_name))
+    group = automorphism_group(_named_fan(fan_name))
     e = group.identity_index
     inv = group.inverse_indices
     assert len(inv) == group.order
     for i in range(group.order):
         assert group.mult_index(i, inv[i]) == e
         assert group.mult_index(inv[i], i) == e
+
+
+# ---------------------------------------------------------------------------
+# the pruned search against the exhaustive frame product
+
+
+def _frame_product_automorphisms(fan: Fan) -> tuple[IntMatrix, ...]:
+    """Reference search: every tuple of same-invariant rays as the frame's image.
+
+    Each candidate matrix (images @ g) / den is kept only if it is integral,
+    unimodular, maps the ray set onto itself and permutes the maximal cones;
+    the result is sorted by rows, as `FanAutGroup.matrices` is.
+    """
+    validate_fan(fan)
+    frame = _frame(fan)
+    frame_inv, den = _scaled_inverse(IntMatrix.from_cols([fan.rays[j] for j in frame], fan.rank))
+    invariants = _ray_invariants(fan)
+    ray_lookup = {r: i for i, r in enumerate(fan.rays)}
+    cone_set = set(fan.max_cones)
+    candidates_per_slot = [
+        [i for i in range(fan.num_rays) if invariants[i] == invariants[j]] for j in frame
+    ]
+    found: list[IntMatrix] = []
+    for images in itertools.product(*candidates_per_slot):
+        if len(set(images)) != len(images):
+            continue
+        img_cols = IntMatrix.from_cols([fan.rays[i] for i in images], fan.rank)
+        s = _divided(img_cols @ frame_inv, den)
+        if s is None or abs(det(s)) != 1:
+            continue
+        perm = [ray_lookup.get(s.apply(r)) for r in fan.rays]
+        if None in perm:
+            continue
+        if any(tuple(sorted(perm[i] for i in c)) not in cone_set for c in fan.max_cones):
+            continue
+        found.append(s)
+    assert len(set(found)) == len(found)
+    return tuple(sorted(found, key=lambda m: m.rows))
+
+
+@pytest.mark.parametrize("fan_name", SEARCH_FAN_NAMES)
+@pytest.mark.filterwarnings("ignore:rank [45] fan")
+def test_search_matches_frame_product_reference(fan_name):
+    fan = _named_fan(fan_name)
+    group = automorphism_group(fan)
+    assert group.matrices == _frame_product_automorphisms(fan)
+    # the permutations the search stored are the matrices' own
+    assert group.ray_permutations == FanAutGroup(fan, group.matrices).ray_permutations
+
+
+@st.composite
+def _unimodular(draw, rank: int) -> IntMatrix:
+    """A product of a signed permutation and a few elementary row operations."""
+    order = draw(st.permutations(range(rank)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=rank, max_size=rank))
+    rows = [[signs[i] * int(order[i] == j) for j in range(rank)] for i in range(rank)]
+    if rank > 1:
+        for _ in range(draw(st.integers(0, 4))):
+            i, j = draw(st.lists(st.integers(0, rank - 1), min_size=2, max_size=2, unique=True))
+            c = draw(st.integers(-2, 2))
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return IntMatrix.from_rows(rows)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+@pytest.mark.filterwarnings("ignore:rank [45] fan")
+def test_search_matches_reference_on_transformed_fans(data):
+    base = _named_fan(data.draw(st.sampled_from(SEARCH_FAN_NAMES)))
+    g = data.draw(_unimodular(base.rank))
+    assert abs(det(g)) == 1
+    fan = Fan.make(base.rank, [g.apply(r) for r in base.rays], base.max_cones)
+    group = automorphism_group(fan)
+    assert group.matrices == _frame_product_automorphisms(fan)
+    # conjugating by g carries the symmetries of the base fan onto these
+    g_inv, den = rational_solve(g, IntMatrix.identity(g.nrows))
+    assert den == 1
+    assert set(group.matrices) == {g @ s @ g_inv for s in automorphism_group(base).matrices}
+
+
+def _assert_products_match(group: FanAutGroup, pairs) -> None:
+    for i, j in pairs:
+        assert group.mult_index(i, j) == group.index(group.matrices[i] @ group.matrices[j])
+
+
+@pytest.mark.parametrize("fan_name", SEARCH_FAN_NAMES)
+@pytest.mark.filterwarnings("ignore:rank [45] fan")
+def test_mult_index_is_the_matrix_product(fan_name):
+    group = automorphism_group(_named_fan(fan_name))
+    if group.order <= 100:
+        pairs = itertools.product(range(group.order), repeat=2)
+    else:
+        rng = random.Random(fan_name)
+        pairs = [(rng.randrange(group.order), rng.randrange(group.order)) for _ in range(3000)]
+    _assert_products_match(group, pairs)
+
+
+@pytest.mark.filterwarnings("ignore:rank 5 fan")
+def test_p1_to_the_fifth_is_the_hyperoctahedral_group():
+    group = automorphism_group(product_fan((1, 1, 1, 1, 1)))
+    assert group.order == 3840 == 2**5 * 120
+    assert _is_group(group.ray_permutations)
+    assert group.matrices[group.identity_index] == IntMatrix.identity(5)
+    rng = random.Random(5)
+    _assert_products_match(
+        group, [(rng.randrange(3840), rng.randrange(3840)) for _ in range(500)]
+    )
+
+
+def test_closure_certificate_rejects_non_groups():
+    s3 = sorted(itertools.permutations(range(3)))
+    assert _is_group(s3)
+    assert _is_group([(0, 1, 2), (1, 2, 0), (2, 0, 1)])
+    assert _is_group([(0, 1, 2)])
+    assert not _is_group(s3[:-1])  # one transposition missing
+    assert not _is_group([(0, 1, 2), (1, 2, 0)])  # the 3-cycle's square is missing
+    assert not _is_group([(1, 0, 2), (0, 2, 1)])  # no identity
+    assert not _is_group([(0, 1, 2), (1, 0, 2), (0, 2, 1)])  # products escape
+    # closed under the products a*b, a*a, b*b, ab*b, but not under b*a: newly
+    # reached elements need the products with every generator, old and new
+    assert not _is_group([(0, 1, 2), (1, 0, 2), (0, 2, 1), (1, 2, 0)])
 
 
 def test_sequence_route_matches_search_route():

@@ -61,7 +61,7 @@ def test_backend_validation_survives_optimized_mode():
     script = (
         "from toricforms.cohomology import FiniteModule, h1_finite_field_torus\n"
         "from toricforms.exact_linalg import IntMatrix\n"
-        "from toricforms.galois import FiniteFieldBackend, GroupSpec\n"
+        "from toricforms.galois import FiniteFieldBackend, GroupSpec, SymbolicBrauerBackend\n"
         "M, C2, I1 = IntMatrix.from_rows, GroupSpec.cyclic(2), IntMatrix.identity(1)\n"
         "swap = M([[0, 1], [1, 0]])\n"
         "for make in (lambda: FiniteFieldBackend(6, 2), lambda: FiniteFieldBackend(2, 0),\n"
@@ -74,6 +74,8 @@ def test_backend_validation_survives_optimized_mode():
         "             lambda: FiniteModule(C2, (5,), (I1, M([[1, 0]]))),\n"
         "             lambda: FiniteModule(C2, (5,), (M([[-1]]), I1)),\n"
         "             lambda: FiniteModule(C2, (2, 3), (IntMatrix.identity(2), swap)),\n"
+        "             lambda: IntMatrix.from_rows([[1, 2], [3]]),\n"
+        "             lambda: SymbolicBrauerBackend.from_json('{\"Q\": {}}', 2),\n"
         "             lambda: FiniteModule(C2, (5,), (I1, M([[-1]])))):\n"
         "    try:\n"
         "        make()\n"
@@ -104,6 +106,8 @@ def test_backend_validation_survives_optimized_mode():
         "ValueError action matrix of shape (1, 2), expected (1, 1)",
         "ValueError group element 0 must act as the identity",
         "ValueError action matrix [0 1; 1 0] does not descend to the moduli (2, 3)",
+        "ValueError ragged rows: [1, 2]",
+        "ValueError symbolic backend JSON: missing key 'invariant_factors'",
         "accepted",
     ]
 
