@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 from typing import Sequence
 
@@ -403,7 +404,11 @@ def _cmd_table_surface(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Parsing leaves no state
+    on it (no append actions, no mutable defaults): every parse_args call
+    returns a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="toricforms",
         description="Classify twisted forms of split toric varieties.",

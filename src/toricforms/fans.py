@@ -2,11 +2,13 @@
 
 A fan is stored combinatorially: the ambient lattice rank, the ordered list of
 primitive ray generators, and the maximal cones as sets of ray indices.
-Validation covers primitivity, simpliciality, full-rank ray span, and (in rank
-up to three, exactly) the face-intersection axiom.  On top of the raw
-structure: divisor class groups, Cox presentations, completeness and
-smoothness tests, and for smooth complete surfaces the cyclic boundary word
-(the integers a_i with r_{i-1} + r_{i+1} = a_i * r_i around the boundary).
+Validation covers primitivity, simpliciality, full-rank ray span, and the
+face-intersection axiom: complete fans are proved by wall crossing in every
+rank, other fans are checked pair of cones by pair (exactly in rank up to
+three, spot-checked above).  On top of the raw structure: divisor class
+groups, Cox presentations, completeness and smoothness tests, and for smooth
+complete surfaces the cyclic boundary word (the integers a_i with
+r_{i-1} + r_{i+1} = a_i * r_i around the boundary).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .exact_linalg import (
     IntMatrix,
     _snf_memo_scope,
     cokernel_presentation,
+    det,
     kernel_basis,
     rational_solve,
     saturation_basis,
@@ -205,13 +208,14 @@ def _line_intersection(rank: int, p1: list[tuple[int, ...]], p2: list[tuple[int,
 
 
 def _check_face_intersection(fan: Fan, ca: tuple[int, ...], cb: tuple[int, ...]) -> None:
-    """Exact check that cone(ca) & cone(cb) equals the common face cone(ca&cb).
+    """Check that cone(ca) & cone(cb) equals the common face cone(ca&cb).
 
-    Works for rank <= 3 by enumerating candidate extreme rays of the
-    intersection: generators of one cone lying in the other, plus (in rank 3)
-    primitive generators of pairwise intersections of facet planes.  Every
-    candidate lies in cone(ca), so it lies in the common face exactly when
-    its coordinates in the rays of ca vanish off the shared rays.
+    Enumerates candidate extreme rays of the intersection: generators of one
+    cone lying in the other, plus (in rank 3) primitive generators of
+    pairwise intersections of facet planes.  That is exact for rank <= 3; in
+    higher rank only the generators are tested.  Every candidate lies in
+    cone(ca), so it lies in the common face exactly when its coordinates in
+    the rays of ca vanish off the shared rays.
     """
     shared = tuple(sorted(set(ca) & set(cb)))
 
@@ -241,13 +245,51 @@ def _check_face_intersection(fan: Fan, ca: tuple[int, ...], cb: tuple[int, ...])
                         check(cand, coords)
 
 
-@_snf_memo_scope()
-def validate_fan(fan: Fan) -> None:
-    """Full structural validation; raises a FanError subclass on failure.
+def _wall_crossing_certificate(fan: Fan) -> bool:
+    """Prove that the maximal cones form a complete fan, by wall crossing.
 
-    Face intersections are checked exactly in rank <= 3.  In higher rank only
-    the shared-ray consistency holds, and a warning says so.
+    True when they do.  False when some maximal cone has fewer than rank
+    rays or some facet (a cone minus one ray) does not lie in exactly two
+    listed cones: the fan is then not complete, and the caller checks it
+    pair by pair.  Raises BadFaceIntersection when two cones meet a common
+    facet from the same side, or when the cones wind around the origin more
+    than once.  One determinant and one cone-membership solve per cone.
     """
+    n = fan.rank
+    cones = [tuple(sorted(c)) for c in fan.max_cones]
+    if not cones or any(len(c) != n for c in cones):
+        return False
+    walls: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+    for cone in cones:
+        for k in range(n):
+            walls.setdefault(cone[:k] + cone[k + 1 :], []).append((cone, k))
+    if any(len(sides) != 2 for sides in walls.values()):
+        return False
+    positive = {
+        cone: det(IntMatrix.from_rows([fan.rays[i] for i in cone], n)) > 0 for cone in cones
+    }
+    for facet, ((ca, ka), (cb, kb)) in walls.items():
+        # moving the apex ray (position k) last takes n - 1 - k transpositions,
+        # so the apex-last determinant sign is that parity flip of the cone's
+        if positive[ca] ^ ((n - 1 - ka) & 1) == positive[cb] ^ ((n - 1 - kb) & 1):
+            raise BadFaceIntersection(
+                f"cones {ca} and {cb} lie on the same side of their common facet {facet}"
+            )
+    first = cones[0]
+    point = tuple(sum(col) for col in zip(*(fan.rays[i] for i in first)))
+    for cone in cones[1:]:
+        if _cone_coords(fan, cone, point) is not None:
+            raise BadFaceIntersection(
+                f"cones wind around the origin more than once: {point}, inside cone "
+                f"{first}, also lies in cone {cone}"
+            )
+    return True
+
+
+def _check_rays_and_cones(fan: Fan) -> None:
+    """The checks that precede the face-intersection axiom: rank, primitive
+    distinct rays, independent ray sets, no listed cone repeated or a face of
+    another, and rays spanning the lattice up to finite index."""
     if fan.rank < 1:
         raise FanError(f"rank must be >= 1, got {fan.rank}")
     seen: dict[tuple[int, ...], int] = {}
@@ -274,9 +316,12 @@ def validate_fan(fan: Fan) -> None:
                 raise NonSimplicialCone(
                     f"cone {cone} is not simplicial: its rays are linearly dependent"
                 )
-    for a in fan.max_cones:
-        for b in fan.max_cones:
-            if a != b and set(a) <= set(b):
+    cone_sets = [frozenset(c) for c in fan.max_cones]
+    for a, sa in zip(fan.max_cones, cone_sets):
+        if cone_sets.count(sa) > 1:
+            raise RedundantCone(f"cone {a} is listed more than once")
+        for b, sb in zip(fan.max_cones, cone_sets):
+            if sa < sb:
                 raise RedundantCone(f"cone {a} is a face of listed cone {b}")
 
     if fan.num_rays:
@@ -289,24 +334,40 @@ def validate_fan(fan: Fan) -> None:
     elif fan.rank > 0 and fan.max_cones not in ((), ((),)):
         raise FanError("no rays but nontrivial cones")
 
-    if fan.rank <= 3:
-        for ai in range(len(fan.max_cones)):
-            for bi in range(ai + 1, len(fan.max_cones)):
-                _check_face_intersection(fan, fan.max_cones[ai], fan.max_cones[bi])
-    else:
+
+@_snf_memo_scope()
+def validate_fan(fan: Fan) -> None:
+    """Full structural validation; raises a FanError subclass on failure.
+
+    When every maximal cone has rank rays, a wall-crossing certificate
+    proves the cones form a complete fan, in any rank, with three checks:
+    (a) every facet lies in exactly two listed cones; (b) those two cones lie
+    on opposite sides of it (their apex-last determinants differ in sign);
+    (c) the sum of the first cone's rays lies in no other closed cone.
+    Proof sketch: (a) makes the cones a closed pseudomanifold, and (b) makes
+    every cone map to the unit sphere preserving orientation, so the
+    oriented cones add up to a cycle and every point off the facets is
+    covered by the same number of cones, the degree.  (c) finds a point
+    covered once, so the degree is 1: cone interiors are disjoint, the cones
+    cover the space, and every intersection is a common face.  Failing (b)
+    or (c) means cones overlap (BadFaceIntersection).
+
+    A fan failing (a) is not complete.  Its face intersections are checked
+    pair by pair: exactly in rank <= 3; in higher rank only on the cones'
+    rays, and a warning says so.
+    """
+    _check_rays_and_cones(fan)
+    if _wall_crossing_certificate(fan):
+        return
+    if fan.rank > 3:
         warnings.warn(
-            f"rank {fan.rank} fan: face intersections only spot-checked on shared rays",
+            f"rank {fan.rank} fan: face intersections only spot-checked on the cones' rays"
+            " (the fan is not complete)",
             stacklevel=2,
         )
-        for ai in range(len(fan.max_cones)):
-            for bi in range(ai + 1, len(fan.max_cones)):
-                ca, cb = fan.max_cones[ai], fan.max_cones[bi]
-                shared = tuple(sorted(set(ca) & set(cb)))
-                for i in ca:
-                    if i not in shared and _cone_coords(fan, cb, fan.rays[i]) is not None:
-                        raise BadFaceIntersection(
-                            f"ray {i} of cone {ca} lies inside cone {cb}"
-                        )
+    for ai in range(len(fan.max_cones)):
+        for bi in range(ai + 1, len(fan.max_cones)):
+            _check_face_intersection(fan, fan.max_cones[ai], fan.max_cones[bi])
 
 
 # ---------------------------------------------------------------------------

@@ -483,15 +483,21 @@ class SymbolicBrauerBackend:
     images: tuple[tuple[frozenset[int], IntMatrix], ...]
 
     def __post_init__(self) -> None:
-        assert self.degree >= 1
-        for f in self.quotient_factors:
-            assert f >= 2
+        group = self.group  # GroupSpec.cyclic rejects a degree below 1
+        if any(f < 2 for f in self.quotient_factors):
+            raise ValueError(
+                f"invariant factors of Q must be at least 2, got {list(self.quotient_factors)}"
+            )
         t = len(self.quotient_factors)
-        group = self.group
         listed = dict(self.images)
         for sub, gens in self.images:
-            assert group.subgroup_closure(sub) == sub, f"{sorted(sub)} is not a subgroup"
-            assert gens.nrows == t
+            if not all(0 <= x < self.degree for x in sub) or group.subgroup_closure(sub) != sub:
+                raise ValueError(f"{sorted(sub)} is not a subgroup of Z/{self.degree}")
+            if gens.nrows != t:
+                raise ValueError(
+                    f"norm image of subgroup {sorted(sub)} needs {t} rows, one per factor"
+                    f" of Q, got {gens.nrows}"
+                )
         # monotonicity: larger subgroup of the Galois group means a smaller
         # subfield tower step, hence a larger norm image is *not* possible:
         # H inside H' forces image(H') inside image(H)

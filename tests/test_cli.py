@@ -71,6 +71,21 @@ def test_validate_roundtrip_byte_exact(tmp_path, capsys, monkeypatch):
     assert first == second
 
 
+def test_successive_runs_share_no_parser_state(capsys):
+    # one parser serves every run in a process; flags must not carry over
+    code, out, _ = invoke(capsys, "fan", "validate", "--builtin", "hexagon", "--json")
+    assert code == 0 and json.loads(out)["rank"] == 2
+    code, out, _ = invoke(capsys, "fan", "validate", "--builtin", "hexagon")
+    assert code == 0 and out.startswith("valid: rank 2")
+    argv = ("classify", "projective", "-n", "2", "--backend", "real")
+    code, before, _ = invoke(capsys, *argv)
+    assert code == 0
+    code, _, err = invoke(capsys, "classify", "projective", "--backend", "real")
+    assert code == 2 and "required: -n" in err
+    code, after, err = invoke(capsys, *argv)
+    assert (code, after, err) == (0, before, "")
+
+
 def test_validate_requires_one_source(capsys):
     code, _, _ = invoke(capsys, "fan", "validate")
     assert code == 2

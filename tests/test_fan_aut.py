@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricforms.classify import BUILTIN_NAMES, builtin_fan
+from toricforms.classify import BUILTIN_NAMES
 from toricforms.exact_linalg import IntMatrix, det, rational_solve
 from toricforms.fan_aut import (
     GEN_MIRROR_DIAG,
@@ -32,7 +32,17 @@ from toricforms.fan_aut import (
 )
 from toricforms.fans import Fan, NotSmoothComplete, surface_blowup, validate_fan
 
-from test_fans import HEXAGON, P1, P1XP1, P2, random_smooth_complete_fan
+from test_fans import (
+    HEXAGON,
+    P1,
+    P1XP1,
+    P2,
+    PRODUCT_FAN_NAMES,
+    named_fan,
+    product_fan,
+    random_smooth_complete_fan,
+    unimodular,
+)
 
 EXPECTED_CLASS_ORDERS = {
     "C1": 1, "C2": 2, "C3": 3, "C4": 4, "C6": 6,
@@ -163,44 +173,17 @@ def test_group_indexing_helpers():
     assert full == frozenset(range(group.order))
 
 
-def product_fan(dims: tuple[int, ...]) -> Fan:
-    """P^dims[0] x P^dims[1] x ...: rays e_i and -(e_1 + ... + e_n) per factor."""
-    rank = sum(dims)
-    rays: list[tuple[int, ...]] = []
-    factor_cones = []
-    offset = 0
-    for n in dims:
-        first = len(rays)
-        rays.extend(tuple(int(i == offset + j) for i in range(rank)) for j in range(n))
-        rays.append(tuple(-int(offset <= i < offset + n) for i in range(rank)))
-        factor_cones.append(
-            [[first + k for k in range(n + 1) if k != skip] for skip in range(n + 1)]
-        )
-        offset += n
-    cones = [sum(combo, []) for combo in itertools.product(*factor_cones)]
-    return Fan.make(rank, rays, cones)
-
-
-PRODUCT_FAN_NAMES = ("P1xP1xP1", "P1xP2", "P1xP1xP1xP1", "P2xP2", "P1xP3", "P1xP1xP2")
 SEARCH_FAN_NAMES = (
     list(BUILTIN_NAMES) + [f"projective:{n}" for n in (1, 2, 3, 4, 5)] + list(PRODUCT_FAN_NAMES)
 )
-
-
-def _named_fan(name: str) -> Fan:
-    """A builtin fan, or a product of projective spaces named like P1xP2."""
-    if name.startswith("P"):
-        return product_fan(tuple(int(part) for part in name[1:].split("xP")))
-    return builtin_fan(name)
 
 
 @pytest.mark.parametrize(
     "fan_name",
     list(BUILTIN_NAMES) + [f"projective:{n}" for n in (1, 2, 3, 4)] + list(PRODUCT_FAN_NAMES),
 )
-@pytest.mark.filterwarnings("ignore:rank 4 fan")
 def test_inverse_indices_are_two_sided_inverses(fan_name):
-    group = automorphism_group(_named_fan(fan_name))
+    group = automorphism_group(named_fan(fan_name))
     e = group.identity_index
     inv = group.inverse_indices
     assert len(inv) == group.order
@@ -248,35 +231,19 @@ def _frame_product_automorphisms(fan: Fan) -> tuple[IntMatrix, ...]:
 
 
 @pytest.mark.parametrize("fan_name", SEARCH_FAN_NAMES)
-@pytest.mark.filterwarnings("ignore:rank [45] fan")
 def test_search_matches_frame_product_reference(fan_name):
-    fan = _named_fan(fan_name)
+    fan = named_fan(fan_name)
     group = automorphism_group(fan)
     assert group.matrices == _frame_product_automorphisms(fan)
     # the permutations the search stored are the matrices' own
     assert group.ray_permutations == FanAutGroup(fan, group.matrices).ray_permutations
 
 
-@st.composite
-def _unimodular(draw, rank: int) -> IntMatrix:
-    """A product of a signed permutation and a few elementary row operations."""
-    order = draw(st.permutations(range(rank)))
-    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=rank, max_size=rank))
-    rows = [[signs[i] * int(order[i] == j) for j in range(rank)] for i in range(rank)]
-    if rank > 1:
-        for _ in range(draw(st.integers(0, 4))):
-            i, j = draw(st.lists(st.integers(0, rank - 1), min_size=2, max_size=2, unique=True))
-            c = draw(st.integers(-2, 2))
-            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-    return IntMatrix.from_rows(rows)
-
-
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-@pytest.mark.filterwarnings("ignore:rank [45] fan")
 def test_search_matches_reference_on_transformed_fans(data):
-    base = _named_fan(data.draw(st.sampled_from(SEARCH_FAN_NAMES)))
-    g = data.draw(_unimodular(base.rank))
+    base = named_fan(data.draw(st.sampled_from(SEARCH_FAN_NAMES)))
+    g = data.draw(unimodular(base.rank))
     assert abs(det(g)) == 1
     fan = Fan.make(base.rank, [g.apply(r) for r in base.rays], base.max_cones)
     group = automorphism_group(fan)
@@ -293,9 +260,8 @@ def _assert_products_match(group: FanAutGroup, pairs) -> None:
 
 
 @pytest.mark.parametrize("fan_name", SEARCH_FAN_NAMES)
-@pytest.mark.filterwarnings("ignore:rank [45] fan")
 def test_mult_index_is_the_matrix_product(fan_name):
-    group = automorphism_group(_named_fan(fan_name))
+    group = automorphism_group(named_fan(fan_name))
     if group.order <= 100:
         pairs = itertools.product(range(group.order), repeat=2)
     else:
@@ -304,7 +270,6 @@ def test_mult_index_is_the_matrix_product(fan_name):
     _assert_products_match(group, pairs)
 
 
-@pytest.mark.filterwarnings("ignore:rank 5 fan")
 def test_p1_to_the_fifth_is_the_hyperoctahedral_group():
     group = automorphism_group(product_fan((1, 1, 1, 1, 1)))
     assert group.order == 3840 == 2**5 * 120

@@ -1,12 +1,15 @@
 """Fan validation, class groups, and boundary words: frozen examples."""
 
+import itertools
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricforms.exact_linalg import FGAbelianGroup
+from toricforms.classify import BUILTIN_NAMES, builtin_fan
+from toricforms.exact_linalg import FGAbelianGroup, IntMatrix, _snf_memo_scope
 from toricforms.fans import (
     BadFaceIntersection,
     DuplicateRay,
@@ -19,6 +22,9 @@ from toricforms.fans import (
     RankUnsupported,
     RaysNotFullRank,
     RedundantCone,
+    _check_face_intersection,
+    _check_rays_and_cones,
+    _wall_crossing_certificate,
     a_sequence,
     boundary_word,
     ccw_ray_order,
@@ -28,6 +34,7 @@ from toricforms.fans import (
     fan_from_boundary_word,
     is_complete_surface,
     is_smooth,
+    primitive_vector,
     sequences_equivalent,
     surface_blowup,
     validate_fan,
@@ -41,6 +48,48 @@ HEXAGON = Fan.make(
     [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)],
 )
 P1 = Fan.make(1, [(1,), (-1,)], [(0,), (1,)])
+
+
+def product_fan(dims: tuple[int, ...]) -> Fan:
+    """P^dims[0] x P^dims[1] x ...: rays e_i and -(e_1 + ... + e_n) per factor."""
+    rank = sum(dims)
+    rays: list[tuple[int, ...]] = []
+    factor_cones = []
+    offset = 0
+    for n in dims:
+        first = len(rays)
+        rays.extend(tuple(int(i == offset + j) for i in range(rank)) for j in range(n))
+        rays.append(tuple(-int(offset <= i < offset + n) for i in range(rank)))
+        factor_cones.append(
+            [[first + k for k in range(n + 1) if k != skip] for skip in range(n + 1)]
+        )
+        offset += n
+    cones = [sum(combo, []) for combo in itertools.product(*factor_cones)]
+    return Fan.make(rank, rays, cones)
+
+
+PRODUCT_FAN_NAMES = ("P1xP1xP1", "P1xP2", "P1xP1xP1xP1", "P2xP2", "P1xP3", "P1xP1xP2")
+
+
+def named_fan(name: str) -> Fan:
+    """A builtin fan, or a product of projective spaces named like P1xP2."""
+    if name.startswith("P"):
+        return product_fan(tuple(int(part) for part in name[1:].split("xP")))
+    return builtin_fan(name)
+
+
+@st.composite
+def unimodular(draw, rank: int) -> IntMatrix:
+    """A product of a signed permutation and a few elementary row operations."""
+    order = draw(st.permutations(range(rank)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=rank, max_size=rank))
+    rows = [[signs[i] * int(order[i] == j) for j in range(rank)] for i in range(rank)]
+    if rank > 1:
+        for _ in range(draw(st.integers(0, 4))):
+            i, j = draw(st.lists(st.integers(0, rank - 1), min_size=2, max_size=2, unique=True))
+            c = draw(st.integers(-2, 2))
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return IntMatrix.from_rows(rows)
 
 
 def test_valid_fans_pass():
@@ -72,6 +121,10 @@ def test_validation_failures():
         validate_fan(Fan.make(2, [(1, 0)], [(0,)]))
     with pytest.raises(RedundantCone):
         validate_fan(Fan.make(2, [(1, 0), (0, 1)], [(0,), (0, 1)]))
+    with pytest.raises(RedundantCone, match=r"cone \(0, 1\) is listed more than once"):
+        validate_fan(Fan.make(2, P2.rays, P2.max_cones + ((0, 1),)))
+    with pytest.raises(RedundantCone):
+        validate_fan(Fan(2, P2.rays, ((0, 1), (1, 2), (0, 2), (1, 0))))
 
 
 def test_rays_not_full_rank_names_span():
@@ -118,13 +171,19 @@ def test_rank3_plane_crossing_detected():
 
 
 def test_rank4_warns_partial_check():
-    fan = Fan.make(
+    p4 = Fan.make(
         4,
         [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -1, -1)],
         [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4), (1, 2, 3, 4)],
     )
-    with pytest.warns(UserWarning):
-        validate_fan(fan)
+    # complete fans are proved by wall crossing, in any rank, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        validate_fan(p4)
+        validate_fan(product_fan((1, 1, 1, 1)))
+    # a fan that is not complete still gets only the partial check
+    with pytest.warns(UserWarning, match="rank 4 fan: face intersections"):
+        validate_fan(Fan.make(4, p4.rays, p4.max_cones[1:]))
 
 
 def test_class_groups_frozen():
@@ -273,7 +332,124 @@ def test_json_errors():
 def test_random_blowups_stay_valid(extra, seed):
     rng = random.Random(seed)
     fan = random_smooth_complete_fan(rng, extra)
-    validate_fan(fan)
+    assert assert_routes_agree(fan) is None
     assert is_smooth(fan)
     assert is_complete_surface(fan)
     assert class_group(fan) == FGAbelianGroup.free(fan.num_rays - 2)
+    for bad in corrupted_fans(fan, rng):
+        assert_routes_agree(bad)
+
+
+# ---------------------------------------------------------------------------
+# the wall-crossing certificate against the pairwise face-intersection check
+
+VALIDATION_FAN_NAMES = (
+    list(BUILTIN_NAMES) + [f"projective:{n}" for n in range(1, 7)] + list(PRODUCT_FAN_NAMES)
+)
+
+
+def pairwise_validate(fan: Fan) -> None:
+    """Reference route: the same ray and cone checks, then the pairwise
+    face-intersection check on every two maximal cones (exact in rank <= 3)."""
+    with _snf_memo_scope():
+        _check_rays_and_cones(fan)
+        for ca, cb in itertools.combinations(fan.max_cones, 2):
+            _check_face_intersection(fan, ca, cb)
+
+
+def _verdict(check, fan: Fan) -> type | None:
+    try:
+        check(fan)
+    except FanError as exc:
+        return type(exc)
+    return None
+
+
+def assert_routes_agree(fan: Fan) -> type | None:
+    """validate_fan and the pairwise reference accept or reject the fan alike,
+    with the same exception class; returns that class, None for accepted.
+
+    The warning for fans that are not complete in rank >= 4 is ignored;
+    every other warning fails the test.
+    """
+    expected = _verdict(pairwise_validate, fan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", message=r"rank \d+ fan: face intersections")
+        assert _verdict(validate_fan, fan) is expected
+    return expected
+
+
+def _with_ray(fan: Fan, index: int, ray: tuple[int, ...]) -> Fan:
+    rays = list(fan.rays)
+    rays[index] = ray
+    return Fan.make(fan.rank, rays, fan.max_cones)
+
+
+def corrupted_fans(fan: Fan, rng: random.Random) -> list[Fan]:
+    """One-step corruptions: two rays each moved to its negative and by a
+    unit step, a cone dropped, a cone duplicated, and one ray of one cone
+    replaced by its negative in that cone only."""
+    n = fan.rank
+    out = []
+    for i in rng.sample(range(fan.num_rays), min(2, fan.num_rays)):
+        ray = fan.rays[i]
+        k = rng.randrange(n)
+        stepped = tuple(x + rng.choice((1, -2)) * (j == k) for j, x in enumerate(ray))
+        out.append(_with_ray(fan, i, tuple(-x for x in ray)))
+        if any(stepped):
+            out.append(_with_ray(fan, i, primitive_vector(stepped)))
+    cone = rng.choice(fan.max_cones)
+    others = [c for c in fan.max_cones if c != cone]
+    out.append(Fan.make(n, fan.rays, others))
+    out.append(Fan.make(n, fan.rays, fan.max_cones + (cone,)))
+    k = rng.randrange(len(cone))
+    negated = tuple(-x for x in fan.rays[cone[k]])
+    rays = list(fan.rays) + [negated] * (negated not in fan.rays)
+    flipped = cone[:k] + (rays.index(negated),) + cone[k + 1 :]
+    out.append(Fan.make(n, rays, others + [flipped]))
+    return out
+
+
+@pytest.mark.parametrize("fan_name", VALIDATION_FAN_NAMES)
+def test_certificate_proves_the_complete_fans(fan_name):
+    fan = named_fan(fan_name)
+    assert _wall_crossing_certificate(fan)
+    assert assert_routes_agree(fan) is None
+    assert not _wall_crossing_certificate(Fan.make(fan.rank, fan.rays, fan.max_cones[1:]))
+
+
+@pytest.mark.parametrize("fan_name", VALIDATION_FAN_NAMES)
+def test_routes_agree_on_corrupted_fans(fan_name):
+    fan = named_fan(fan_name)
+    verdicts = [assert_routes_agree(bad) for bad in corrupted_fans(fan, random.Random(fan_name))]
+    assert RedundantCone in verdicts
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_routes_agree_on_transformed_fans(data):
+    base = named_fan(data.draw(st.sampled_from(VALIDATION_FAN_NAMES)))
+    g = data.draw(unimodular(base.rank))
+    fan = Fan.make(base.rank, [g.apply(r) for r in base.rays], base.max_cones)
+    assert assert_routes_agree(fan) is None
+    if fan.rank <= 3:  # where the reference is exact
+        for bad in corrupted_fans(fan, random.Random(data.draw(st.integers(0, 2**30)))):
+            assert_routes_agree(bad)
+
+
+def test_certificate_rejects_overlaps_that_pair_every_facet():
+    # every facet lies in exactly two cones, but (0, 1) and (0, 2) both lie
+    # above the wall spanned by ray 0: check (b)
+    folded = Fan.make(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(BadFaceIntersection, match="same side of their common facet"):
+        validate_fan(folded)
+    assert assert_routes_agree(folded) is BadFaceIntersection
+    # a pentagram: the cones turn the same way at every wall but wind around
+    # the origin twice, which only check (c) sees
+    pentagram = Fan.make(
+        2, [(1, 0), (1, 3), (-3, 2), (-3, -2), (1, -3)], [(k, (k + 2) % 5) for k in range(5)]
+    )
+    with pytest.raises(BadFaceIntersection, match="wind around the origin more than once"):
+        validate_fan(pentagram)
+    assert assert_routes_agree(pentagram) is BadFaceIntersection

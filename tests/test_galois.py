@@ -76,6 +76,9 @@ def test_backend_validation_survives_optimized_mode():
         "             lambda: FiniteModule(C2, (2, 3), (IntMatrix.identity(2), swap)),\n"
         "             lambda: IntMatrix.from_rows([[1, 2], [3]]),\n"
         "             lambda: SymbolicBrauerBackend.from_json('{\"Q\": {}}', 2),\n"
+        "             lambda: SymbolicBrauerBackend(2, (1,), ()),\n"
+        "             lambda: SymbolicBrauerBackend(2, (2, 3), ((frozenset({0, 1}), I1),)),\n"
+        "             lambda: SymbolicBrauerBackend(4, (2,), ((frozenset({0, 1}), I1),)),\n"
         "             lambda: FiniteModule(C2, (5,), (I1, M([[-1]])))):\n"
         "    try:\n"
         "        make()\n"
@@ -108,6 +111,9 @@ def test_backend_validation_survives_optimized_mode():
         "ValueError action matrix [0 1; 1 0] does not descend to the moduli (2, 3)",
         "ValueError ragged rows: [1, 2]",
         "ValueError symbolic backend JSON: missing key 'invariant_factors'",
+        "ValueError invariant factors of Q must be at least 2, got [1]",
+        "ValueError norm image of subgroup [0, 1] needs 2 rows, one per factor of Q, got 1",
+        "ValueError [0, 1] is not a subgroup of Z/4",
         "accepted",
     ]
 
