@@ -4,9 +4,11 @@ All computations are exact.  The module implements:
 
 * the involution formula for real tori (conjugation acting on the
   cocharacter lattice by an integer involution);
-* the norm-formula route for cyclic Galois groups, which works on the
-  quotient presentation of the dense torus coming from the fan's ray
-  coordinates and never touches the cocharacter action directly;
+* the norm-formula route for cyclic Galois groups, which works on the fan's
+  ray coordinates and never touches the cocharacter action directly: over
+  R it is one subquotient of Z^rays read off the class-group presentation
+  Cl = Z^rays / (ray coordinates), over finite fields the ray-coordinate
+  presentation of the dense torus mod q^d - 1;
 * a literal cocycle brute force over finite modules;
 * the kernel-of-norm / image-of-(Frobenius - 1) computation for tori over
   finite fields.
@@ -22,7 +24,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from typing import Sequence
 
@@ -34,8 +35,6 @@ from .exact_linalg import (
     image_basis,
     kernel_basis,
     lattice_subquotient,
-    rational_solve,
-    saturation_basis,
 )
 from .fans import Fan, class_group, degree_data
 from .galois import (
@@ -97,83 +96,6 @@ def h1_real_involution(s: IntMatrix) -> FGAbelianGroup:
 
 
 # ---------------------------------------------------------------------------
-# closed subgroups of (R/Z)^m, exactly
-
-
-@dataclass(frozen=True)
-class TorusSubgroup:
-    """Closed subgroup of (R/Z)^m: a rational subspace plus finitely many
-    rational points (mod Z^m).
-
-    component_basis columns span the identity component's direction (a
-    saturated integer basis); lattice_gens are rational vectors whose classes
-    generate the component group together with the subspace.
-    """
-
-    ambient_dim: int
-    component_basis: IntMatrix
-    lattice_gens: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def dim(self) -> int:
-        return self.component_basis.ncols
-
-    @classmethod
-    def from_congruence(cls, c: IntMatrix) -> "TorusSubgroup":
-        """The subgroup {z : c z = 0 in (R/Z)^rows} for an integer matrix c."""
-        v = kernel_basis(c)
-        sat = saturation_basis(c)
-        sol = rational_solve(c, sat)
-        assert sol is not None, "saturation basis must be attainable"
-        x, den = sol
-        gens = tuple(tuple(Fraction(t, den) for t in x.col(j)) for j in range(sat.ncols))
-        return cls(c.ncols, v, gens)
-
-    def image(self, b: IntMatrix) -> "TorusSubgroup":
-        assert b.ncols == self.ambient_dim
-        mapped = b @ self.component_basis
-        v = saturation_basis(mapped)
-        gens = tuple(
-            tuple(sum(x * t for x, t in zip(row, g)) for row in b.rows) for g in self.lattice_gens
-        )
-        return TorusSubgroup(b.nrows, v, gens)
-
-    def _projector(self) -> IntMatrix:
-        """Integer matrix with rows a saturated basis of the annihilator of
-        the component subspace; its kernel over R is exactly that subspace."""
-        return kernel_basis(self.component_basis.transpose).transpose
-
-    def _projected_lattice(self, w: IntMatrix, scale: int) -> list[tuple[int, ...]]:
-        cols = []
-        for g in self.lattice_gens:
-            scaled = [scale * sum(x * t for x, t in zip(row, g)) for row in w.rows]
-            assert all(x.denominator == 1 for x in scaled)
-            cols.append(tuple(int(x) for x in scaled))
-        for j in range(self.ambient_dim):
-            cols.append(tuple(scale * w.rows[i][j] for i in range(w.nrows)))
-        return cols
-
-    def quotient_by(self, other: "TorusSubgroup") -> FGAbelianGroup:
-        """Finite quotient by a closed subgroup with the same identity
-        component; raises if the components differ or other is not contained.
-        """
-        assert self.ambient_dim == other.ambient_dim
-        assert self.dim == other.dim, "quotient would not be finite"
-        assert rational_solve(self.component_basis, other.component_basis) is not None, (
-            "identity components differ"
-        )
-        w = self._projector()
-        scale = 1
-        for g in self.lattice_gens + other.lattice_gens:
-            for x in g:
-                scale = math.lcm(scale, x.denominator)
-        ours = self._projected_lattice(w, scale)
-        theirs = other._projected_lattice(w, scale)
-        num = image_basis(IntMatrix.from_cols(ours, w.nrows))
-        return lattice_subquotient(num, IntMatrix.from_cols(theirs, w.nrows))
-
-
-# ---------------------------------------------------------------------------
 # norm-formula route (cyclic Galois group, quotient presentation)
 
 
@@ -212,33 +134,38 @@ def _check_torsion_assumption(backend: FieldBackend, fan: Fan) -> None:
 
 
 def _h1_real_quotient_presentation(fan: Fan, hom: HomClass) -> FGAbelianGroup:
-    """H^1 over R via the ray-coordinate presentation of the dense torus.
+    """H^1 over R from the presentation Cl = Z^rays / im R of the class group.
 
-    Write X for the coordinate torus (C*)^rays with conjugation composed
-    with the ray permutation P, and Y <= X for the subgroup cut out by the
-    ray-character relations (the matrix R of ray coordinates).  The dense
-    torus is X/Y, its H^1 injects into H^2 of Y because H^1 of X vanishes
-    (Shapiro plus Hilbert 90 orbit by orbit), and the image is the kernel of
-    the map to H^2 of X, which is one Brauer class of R per conjugation-fixed
-    ray.  On the circle parts this becomes, with all congruences mod Z^rays:
+    R is the rays x rank matrix of ray coordinates and P the ray permutation
+    of complex conjugation; G is the group of order two and Hhat is Tate
+    cohomology.  The dense torus is the Cox quotient T = X/Y with
+    X = (C*)^rays and Y = Hom(Cl, C*).  X is induced orbit by orbit, so
+    H^1(X) = 0 (Shapiro and Hilbert 90), and since H^2 = Hhat^0 for a cyclic
+    group the long exact sequence gives H^1(T) = ker(Hhat^0(G, Y) ->
+    Hhat^0(G, X)).  Only the circles count: C* is (positive reals) x
+    (circle) equivariantly and the positive reals are uniquely divisible.
+    Conjugation is -1 on the circle R/Z, so up to uniquely divisible parts
+    the circles of Y and X are the duals Hom(-, Q/Z) of Cl and Z^rays with
+    the generator acting by tau = -P.  Tate duality (Hhat^0 of a dual is the
+    dual of Hhat^-1, and Hhat^-1(G, A) = ker(1 + tau) / (tau - 1) A) turns
+    the kernel into the dual of coker(Hhat^-1(G, Z^rays) -> Hhat^-1(G, Cl)).  A finite group is
+    isomorphic to its dual, and lifting the cokernel to Z^rays gives
 
-      numerator   z with R z = 0,  (I + P) z = 0,  z_rho = 0 at fixed rays
-      denominator (I - P) {z : R z = 0}
+      H^1  =  {x : (I - P) x in im R}  /  (ker(I - P) + (I + P) Z^rays + im R).
+
+    P^2 = I puts (I + P) Z^rays inside ker(I - P), so the denominator is
+    spanned by ker(I - P) and im R.  Torsion in Cl and fans that are not
+    complete need no special case; a fixed ray contributes its unit vector
+    through ker(I - P).
     """
-    perm = hom.ray_permutation(1)
     m = fan.num_rays
-    p = _permutation_matrix(perm)
-    r = fan.ray_columns
+    p = _permutation_matrix(hom.ray_permutation(1))
+    r = fan.ray_rows
     ident = IntMatrix.identity(m)
-    fixed_rows = [
-        tuple(int(j == i) for j in range(m)) for i in range(m) if perm[i] == i
-    ]
-    c1 = r.vstack(ident + p)
-    if fixed_rows:
-        c1 = c1.vstack(IntMatrix.from_rows(fixed_rows, m))
-    z1 = TorusSubgroup.from_congruence(c1)
-    z2 = TorusSubgroup.from_congruence(r).image(ident - p)
-    return z1.quotient_by(z2)
+    # (x, u) with (I - P) x = R u: the lifts x are the numerator
+    pairs = kernel_basis((ident - p).hstack(-r))
+    lifts = image_basis(IntMatrix(tuple(pairs.rows[:m]), pairs.ncols))
+    return lattice_subquotient(lifts, kernel_basis(ident - p).hstack(r))
 
 
 def _h1_finite_field_quotient_presentation(
@@ -567,39 +494,3 @@ def _h1_frobenius(q: int, d: int, s: IntMatrix) -> FGAbelianGroup:
     ker = congruence_kernel_basis(norm_op, c)
     im_gens = (sigma - ident).hstack(ident.scaled(c))
     return lattice_subquotient(ker, im_gens)
-
-
-# ---------------------------------------------------------------------------
-# orbitwise Hilbert 90 self-check
-
-
-def shapiro_orbit_h1(
-    fan: Fan, hom: HomClass, backend: FieldBackend
-) -> tuple[FGAbelianGroup, ...]:
-    """Per ray orbit, H^1 of the orbit stabilizer on the splitting units.
-
-    The coordinate torus of the quotient presentation is an induced module,
-    so by Shapiro's lemma its H^1 is the product over orbits of
-    H^1(stabilizer, K*), and each factor vanishes by Hilbert 90.  Computing
-    the factors and asserting triviality validates the induced-module
-    bookkeeping that both norm-formula routes rely on.
-    """
-    out = []
-    for orbit in hom.ray_orbits:
-        stab = hom.orbit_stabilizer(orbit)
-        if isinstance(backend, RealComplexBackend):
-            if len(stab) == 2:
-                h1 = h1_real_involution(IntMatrix.identity(1))
-            else:
-                h1 = FGAbelianGroup.trivial()
-        elif isinstance(backend, FiniteFieldBackend):
-            h = len(stab)
-            e = backend.d // h
-            # q**e may exceed what `h1_finite_field_torus` factors; the
-            # backend already checked q, so q**e is a prime power too
-            h1 = _h1_frobenius(backend.q**e, h, IntMatrix.identity(1))
-        else:
-            raise BackendUnsupported("orbitwise check needs a concrete field backend")
-        assert h1.is_trivial(), "Hilbert 90 must hold on every orbit"
-        out.append(h1)
-    return tuple(out)

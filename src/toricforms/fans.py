@@ -565,7 +565,8 @@ def fan_from_boundary_word(word: Sequence[int]) -> Fan:
 
     The recurrence r_{k+1} = word[k] * r_k - r_{k-1} must close up after
     len(word) steps; otherwise the word is not realizable from this seed and
-    a FanError is raised.
+    a FanError is raised.  A word whose rays wind around the origin more than
+    once fails validation with BadFaceIntersection.
     """
     m = len(word)
     if m < 3:
@@ -585,8 +586,6 @@ def fan_from_boundary_word(word: Sequence[int]) -> Fan:
     cones = [(k, (k + 1) % m) for k in range(m)]
     fan = Fan.make(2, rays, cones)
     validate_fan(fan)
-    if not is_complete_surface(fan):
-        raise FanError(f"word {tuple(word)} wraps the plane more than once")
     return fan
 
 

@@ -60,14 +60,19 @@ class GroupSpec:
     generators: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # input checks raise ValueError, so they also hold under python -O
         n = self.order
-        assert 1 <= n <= MAX_GROUP_ORDER
-        for row in self.table:
-            assert len(row) == n and all(0 <= x < n for x in row)
+        if not 1 <= n <= MAX_GROUP_ORDER:
+            raise ValueError(f"group order must be in 1..{MAX_GROUP_ORDER}, got {n}")
+        for i, row in enumerate(self.table):
+            if len(row) != n or not all(0 <= x < n for x in row):
+                raise ValueError(f"table row {i} is not {n} entries in 0..{n - 1}")
         for i in range(n):
-            assert self.table[0][i] == i and self.table[i][0] == i, "element 0 must be neutral"
+            if self.table[0][i] != i or self.table[i][0] != i:
+                raise ValueError("element 0 must be neutral")
         for g in self.generators:
-            assert 0 <= g < n
+            if not 0 <= g < n:
+                raise ValueError(f"generator {g} is not an element of a group of order {n}")
 
     @property
     def order(self) -> int:
@@ -182,15 +187,20 @@ class GroupSpec:
         """
         t = tuple(tuple(int(x) for x in row) for row in table)
         n = len(t)
+        if any(len(row) != n for row in t):
+            raise ValueError(f"table of {n} rows is not square")
         everything = set(range(n))
         for a in range(n):
-            assert set(t[a]) == everything, f"row {a} is not a permutation"
-            assert {t[b][a] for b in range(n)} == everything, f"column {a} is not a permutation"
+            if set(t[a]) != everything:
+                raise ValueError(f"row {a} is not a permutation")
+            if {t[b][a] for b in range(n)} != everything:
+                raise ValueError(f"column {a} is not a permutation")
         order_cap = min(n, 100)
         for a in range(order_cap):
             for b in range(order_cap):
                 for c in range(order_cap):
-                    assert t[t[a][b]][c] == t[a][t[b][c]], "multiplication not associative"
+                    if t[t[a][b]][c] != t[a][t[b][c]]:
+                        raise ValueError("multiplication not associative")
         gens: list[int] = []
         spec = cls(name, t, tuple(range(n)))
         reached = {0}
@@ -200,7 +210,8 @@ class GroupSpec:
                 reached = spec.subgroup_closure(gens)
             if len(reached) == n:
                 break
-        assert spec.subgroup_closure(gens) == frozenset(range(n)), "table is not generated"
+        if spec.subgroup_closure(gens) != frozenset(range(n)):
+            raise ValueError("table is not generated")
         return cls(name, t, tuple(gens))
 
 

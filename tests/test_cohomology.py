@@ -1,23 +1,26 @@
 """Oracles and cross-route checks for the H^1 engines."""
 
+import functools
 import itertools
 import math
 import time
+from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricforms import cohomology
-from toricforms.classify import BUILTIN_SURFACE_NAMES, builtin_fan
+from toricforms.classify import BUILTIN_NAMES, BUILTIN_SURFACE_NAMES, builtin_fan
 from toricforms.cohomology import (
     FiniteModule,
     NotInvolution,
     TooLarge,
-    TorusSubgroup,
     _action_tables,
     _cayley_spanning_tree,
     _exact_log,
+    _h1_frobenius,
     _h1_real_quotient_presentation,
     _permutation_matrix,
     brute_force_h1_finite,
@@ -25,11 +28,18 @@ from toricforms.cohomology import (
     h1_cyclic_norm_formula,
     h1_finite_field_torus,
     h1_real_involution,
-    shapiro_orbit_h1,
 )
-from toricforms.exact_linalg import FGAbelianGroup, IntMatrix
+from toricforms.exact_linalg import (
+    FGAbelianGroup,
+    IntMatrix,
+    image_basis,
+    kernel_basis,
+    lattice_subquotient,
+    rational_solve,
+    saturation_basis,
+)
 from toricforms.fan_aut import automorphism_group
-from toricforms.fans import Fan
+from toricforms.fans import Fan, class_group, validate_fan
 from toricforms.galois import (
     AssumptionViolated,
     BackendUnsupported,
@@ -44,7 +54,7 @@ from toricforms.galois import (
     reduce_backend,
 )
 
-from test_fans import HEXAGON, P1, P1XP1, P2
+from test_fans import HEXAGON, P1, P1XP1, P2, PRODUCT_FAN_NAMES, named_fan, unimodular
 
 M = IntMatrix.from_rows
 TRIVIAL = FGAbelianGroup.trivial()
@@ -88,7 +98,111 @@ def test_involution_formula_rejects_non_involutions():
 
 
 # ---------------------------------------------------------------------------
-# closed subgroups of the coordinate torus
+# closed subgroups of the coordinate torus: the reference real route
+
+
+@dataclass(frozen=True)
+class TorusSubgroup:
+    """Closed subgroup of (R/Z)^m: a rational subspace plus finitely many
+    rational points (mod Z^m).
+
+    component_basis columns span the identity component's direction (a
+    saturated integer basis); lattice_gens are rational vectors whose classes
+    generate the component group together with the subspace.
+    """
+
+    ambient_dim: int
+    component_basis: IntMatrix
+    lattice_gens: tuple[tuple[Fraction, ...], ...]
+
+    @property
+    def dim(self) -> int:
+        return self.component_basis.ncols
+
+    @classmethod
+    def from_congruence(cls, c: IntMatrix) -> "TorusSubgroup":
+        """The subgroup {z : c z = 0 in (R/Z)^rows} for an integer matrix c."""
+        v = kernel_basis(c)
+        sat = saturation_basis(c)
+        sol = rational_solve(c, sat)
+        assert sol is not None, "saturation basis must be attainable"
+        x, den = sol
+        gens = tuple(tuple(Fraction(t, den) for t in x.col(j)) for j in range(sat.ncols))
+        return cls(c.ncols, v, gens)
+
+    def image(self, b: IntMatrix) -> "TorusSubgroup":
+        assert b.ncols == self.ambient_dim
+        mapped = b @ self.component_basis
+        v = saturation_basis(mapped)
+        gens = tuple(
+            tuple(sum(x * t for x, t in zip(row, g)) for row in b.rows) for g in self.lattice_gens
+        )
+        return TorusSubgroup(b.nrows, v, gens)
+
+    def _projector(self) -> IntMatrix:
+        """Integer matrix with rows a saturated basis of the annihilator of
+        the component subspace; its kernel over R is exactly that subspace."""
+        return kernel_basis(self.component_basis.transpose).transpose
+
+    def _projected_lattice(self, w: IntMatrix, scale: int) -> list[tuple[int, ...]]:
+        cols = []
+        for g in self.lattice_gens:
+            scaled = [scale * sum(x * t for x, t in zip(row, g)) for row in w.rows]
+            assert all(x.denominator == 1 for x in scaled)
+            cols.append(tuple(int(x) for x in scaled))
+        for j in range(self.ambient_dim):
+            cols.append(tuple(scale * w.rows[i][j] for i in range(w.nrows)))
+        return cols
+
+    def quotient_by(self, other: "TorusSubgroup") -> FGAbelianGroup:
+        """Finite quotient by a closed subgroup with the same identity
+        component; raises if the components differ or other is not contained.
+        """
+        assert self.ambient_dim == other.ambient_dim
+        assert self.dim == other.dim, "quotient would not be finite"
+        assert rational_solve(self.component_basis, other.component_basis) is not None, (
+            "identity components differ"
+        )
+        w = self._projector()
+        scale = 1
+        for g in self.lattice_gens + other.lattice_gens:
+            for x in g:
+                scale = math.lcm(scale, x.denominator)
+        ours = self._projected_lattice(w, scale)
+        theirs = other._projected_lattice(w, scale)
+        num = image_basis(IntMatrix.from_cols(ours, w.nrows))
+        return lattice_subquotient(num, IntMatrix.from_cols(theirs, w.nrows))
+
+
+def _torus_subgroup_real_route(fan: Fan, hom) -> FGAbelianGroup:
+    """The real norm route the class-group presentation replaced, kept as its
+    reference: H^1 over R through closed subgroups of the coordinate torus.
+
+    Write X for the coordinate torus (C*)^rays with conjugation composed
+    with the ray permutation P, and Y <= X for the subgroup cut out by the
+    ray-character relations (the matrix R of ray coordinates).  The dense
+    torus is X/Y, its H^1 injects into H^2 of Y because H^1 of X vanishes,
+    and the image is the kernel of the map to H^2 of X, which is one Brauer
+    class of R per conjugation-fixed ray.  On the circle parts this becomes,
+    with all congruences mod Z^rays:
+
+      numerator   z with R z = 0,  (I + P) z = 0,  z_rho = 0 at fixed rays
+      denominator (I - P) {z : R z = 0}
+    """
+    perm = hom.ray_permutation(1)
+    m = fan.num_rays
+    p = _permutation_matrix(perm)
+    r = fan.ray_columns
+    ident = IntMatrix.identity(m)
+    fixed_rows = [
+        tuple(int(j == i) for j in range(m)) for i in range(m) if perm[i] == i
+    ]
+    c1 = r.vstack(ident + p)
+    if fixed_rows:
+        c1 = c1.vstack(IntMatrix.from_rows(fixed_rows, m))
+    z1 = TorusSubgroup.from_congruence(c1)
+    z2 = TorusSubgroup.from_congruence(r).image(ident - p)
+    return z1.quotient_by(z2)
 
 
 def test_congruence_subgroup_of_ray_relations():
@@ -149,6 +263,87 @@ def test_real_route_square_class_orders():
         h1_cyclic_norm_formula(P1XP1, cls, REAL).order() for cls in _c2_classes(P1XP1)
     )
     assert orders == [1, 1, 2, 4]
+
+
+# ---------------------------------------------------------------------------
+# the class-group route against the torus-subgroup reference and the
+# involution formula, on every C2 class
+
+# rays (1,0), (-1,2), (-1,-2): Cl = Z + Z/2
+TORSION_TRIANGLE = Fan.make(2, [(1, 0), (-1, 2), (-1, -2)], [(0, 1), (1, 2), (0, 2)])
+# the diagonal square: Cl = Z^2 + Z/2
+TORSION_SQUARE = Fan.make(
+    2, [(1, 1), (-1, 1), (-1, -1), (1, -1)], [(0, 1), (1, 2), (2, 3), (0, 3)]
+)
+# each adjacent pair of (+-1, +-1, 0) joined to each of (0, 0, +-1): Cl = Z^3 + Z/2
+TORSION_PRISM = Fan.make(
+    3,
+    [(1, 1, 0), (-1, 1, 0), (-1, -1, 0), (1, -1, 0), (0, 0, 1), (0, 0, -1)],
+    [pair + (apex,) for pair in ((0, 1), (1, 2), (2, 3), (0, 3)) for apex in (4, 5)],
+)
+# the two rays (1,0), (-1,2) without a common cone: Cl = Z/2
+TORSION_FAN = Fan.make(2, [(1, 0), (-1, 2)], [(0,), (1,)])
+# fans that are not complete; A^1 x G_m is missing because its one ray does
+# not span the rank-2 lattice, which validate_fan rejects (RaysNotFullRank)
+A2 = Fan.make(2, [(1, 0), (0, 1)], [(0, 1)])
+A1XP1 = Fan.make(2, [(1, 0), (0, 1), (0, -1)], [(0, 1), (0, 2)])
+OPEN_TORSION_TRIANGLE = Fan.make(2, TORSION_TRIANGLE.rays, [(0, 1), (0, 2)])
+
+REAL_ROUTE_FAN_NAMES = (
+    list(BUILTIN_NAMES) + [f"projective:{n}" for n in range(1, 6)] + list(PRODUCT_FAN_NAMES)
+)
+
+
+def _assert_real_routes_agree(fan: Fan) -> tuple[int, ...]:
+    """The class-group route, the torus-subgroup reference and the involution
+    formula give one group on every C2 class; returns the sorted orders."""
+    orders = []
+    for cls in _c2_classes(fan):
+        expected = h1_real_involution(cls.matrix(1))
+        assert _h1_real_quotient_presentation(fan, cls) == expected
+        assert _torus_subgroup_real_route(fan, cls) == expected
+        orders.append(expected.order())
+    return tuple(sorted(orders))
+
+
+@functools.lru_cache(maxsize=None)
+def _real_route_orders(fan_name: str) -> tuple[int, ...]:
+    return _assert_real_routes_agree(named_fan(fan_name))
+
+
+@pytest.mark.parametrize("fan_name", REAL_ROUTE_FAN_NAMES)
+def test_real_routes_agree_on_complete_fans(fan_name):
+    assert _real_route_orders(fan_name)
+
+
+@pytest.mark.parametrize(
+    "fan,cl,orders",
+    [
+        (TORSION_TRIANGLE, FGAbelianGroup.from_factors([2], 1), [1, 2]),
+        (TORSION_SQUARE, FGAbelianGroup.from_factors([2], 2), [1, 1, 2, 4]),
+        (TORSION_PRISM, FGAbelianGroup.from_factors([2], 3), [1, 1, 2, 2, 2, 4, 4, 8]),
+        (A2, FGAbelianGroup.trivial(), [1, 1]),
+        (A1XP1, FGAbelianGroup.free(1), [1, 2]),
+        (OPEN_TORSION_TRIANGLE, FGAbelianGroup.from_factors([2], 1), [1, 2]),
+        (TORSION_FAN, FGAbelianGroup.from_factors([2]), [1, 2]),
+    ],
+    ids=["torsion-triangle", "torsion-square", "torsion-prism", "A2", "A1xP1",
+         "open-torsion-triangle", "torsion-rays"],
+)
+def test_real_routes_agree_with_torsion_and_open_fans(fan, cl, orders):
+    validate_fan(fan)
+    assert class_group(fan) == cl
+    assert list(_assert_real_routes_agree(fan)) == orders
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_real_routes_agree_on_transformed_fans(data):
+    name = data.draw(st.sampled_from(REAL_ROUTE_FAN_NAMES))
+    base = named_fan(name)
+    g = data.draw(unimodular(base.rank))
+    fan = Fan.make(base.rank, [g.apply(r) for r in base.rays], base.max_cones)
+    assert _assert_real_routes_agree(fan) == _real_route_orders(name)
 
 
 def test_norm_formula_rejects_non_cyclic_groups():
@@ -427,9 +622,6 @@ def test_three_finite_field_routes_agree(q, d):
 # a fan with class-group torsion: assumption checking and agreement
 
 
-TORSION_FAN = Fan.make(2, [(1, 0), (-1, 2)], [(0,), (1,)])
-
-
 def _torsion_twist_class():
     classes = enumerate_hom_classes(C2, automorphism_group(TORSION_FAN))
     return next(c for c in classes if not c.is_trivial)
@@ -464,6 +656,36 @@ def test_symbolic_backend_needs_degree_one_profile():
 
 # ---------------------------------------------------------------------------
 # orbitwise Hilbert 90 bookkeeping
+
+
+def shapiro_orbit_h1(fan: Fan, hom, backend) -> tuple[FGAbelianGroup, ...]:
+    """Per ray orbit, H^1 of the orbit stabilizer on the splitting units.
+
+    The coordinate torus of the quotient presentation is an induced module,
+    so by Shapiro's lemma its H^1 is the product over orbits of
+    H^1(stabilizer, K*), and each factor vanishes by Hilbert 90.  Computing
+    the factors and asserting triviality validates the induced-module
+    bookkeeping that both norm-formula routes rely on.
+    """
+    out = []
+    for orbit in hom.ray_orbits:
+        stab = hom.orbit_stabilizer(orbit)
+        if isinstance(backend, RealComplexBackend):
+            if len(stab) == 2:
+                h1 = h1_real_involution(IntMatrix.identity(1))
+            else:
+                h1 = FGAbelianGroup.trivial()
+        elif isinstance(backend, FiniteFieldBackend):
+            h = len(stab)
+            e = backend.d // h
+            # q**e may exceed what `h1_finite_field_torus` factors; the
+            # backend already checked q, so q**e is a prime power too
+            h1 = _h1_frobenius(backend.q**e, h, IntMatrix.identity(1))
+        else:
+            raise BackendUnsupported("orbitwise check needs a concrete field backend")
+        assert h1.is_trivial(), "Hilbert 90 must hold on every orbit"
+        out.append(h1)
+    return tuple(out)
 
 
 def test_shapiro_orbits_real():

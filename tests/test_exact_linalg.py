@@ -1,6 +1,8 @@
 """Integer linear algebra: frozen oracle values and structural properties."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -402,6 +404,24 @@ def test_rational_solve_matches_gauss_jordan(nrows, ncols, inner, nrhs, consiste
     ] == [list(row) for row in b.rows]
     if dec.rank == ncols:  # a unique solution: both solvers must find it
         assert [[Fraction(t, den) for t in row] for row in x.rows] == want
+
+
+def test_library_imports_no_rational_arithmetic():
+    """Every solve goes through the Smith normal form in integers: no module
+    of the library imports `fractions`."""
+    sources = sorted(Path(exact_linalg.__file__).parent.glob("*.py"))
+    assert len(sources) >= 8
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "fractions" for n in names), (
+                f"{path.name}:{node.lineno} imports fractions"
+            )
 
 
 # --- integer kernels ---------------------------------------------------------

@@ -270,6 +270,12 @@ def test_fan_from_boundary_word_roundtrip():
         fan_from_boundary_word((5, 5, 5))
 
 
+def test_fan_from_boundary_word_rejects_double_winding():
+    # the six rays close up after turning twice around the origin
+    with pytest.raises(BadFaceIntersection, match="wind around the origin more than once"):
+        fan_from_boundary_word((-2, -2, -1, -2, 1, 0))
+
+
 def test_blowup_surgery_matches_word_surgery():
     blown = surface_blowup(P2, (0, 1))
     validate_fan(blown)

@@ -79,6 +79,9 @@ def test_backend_validation_survives_optimized_mode():
         "             lambda: SymbolicBrauerBackend(2, (1,), ()),\n"
         "             lambda: SymbolicBrauerBackend(2, (2, 3), ((frozenset({0, 1}), I1),)),\n"
         "             lambda: SymbolicBrauerBackend(4, (2,), ((frozenset({0, 1}), I1),)),\n"
+        "             lambda: GroupSpec.explicit([[0, 1], [1, 1]]),\n"
+        "             lambda: GroupSpec('g', ((1, 0), (0, 1)), ()),\n"
+        "             lambda: GroupSpec('g', ((0, 1), (1, 0)), (5,)),\n"
         "             lambda: FiniteModule(C2, (5,), (I1, M([[-1]])))):\n"
         "    try:\n"
         "        make()\n"
@@ -114,6 +117,9 @@ def test_backend_validation_survives_optimized_mode():
         "ValueError invariant factors of Q must be at least 2, got [1]",
         "ValueError norm image of subgroup [0, 1] needs 2 rows, one per factor of Q, got 1",
         "ValueError [0, 1] is not a subgroup of Z/4",
+        "ValueError row 1 is not a permutation",
+        "ValueError element 0 must be neutral",
+        "ValueError generator 5 is not an element of a group of order 2",
         "accepted",
     ]
 
@@ -142,8 +148,10 @@ def test_explicit_group_validation():
     g = GroupSpec.explicit(klein, name="V4")
     assert g.order == 4 and g.is_abelian and not g.is_cyclic
     assert g.subgroup_closure(g.generators) == frozenset(range(4))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="row 1 is not a permutation"):
         GroupSpec.explicit([[0, 1], [1, 1]])
+    with pytest.raises(ValueError, match="not square"):
+        GroupSpec.explicit([[0, 1, 2], [1, 2, 0], [2]])
 
 
 def test_hom_classes_c2_into_p1():
