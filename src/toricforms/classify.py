@@ -21,13 +21,13 @@ This module turns the lower-level engines into finished classifications:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
-from .cohomology import h1_cyclic_norm_formula
+from . import _jsonout
+from .cohomology import TooLarge, h1_cyclic_norm_formula
 from .exact_linalg import FGAbelianGroup, IntMatrix, _snf_memo_scope
 from .fans import (
     Fan,
@@ -307,22 +307,38 @@ def partitions_dividing(n_plus_1: int, d: int) -> PartitionSet:
     """All weakly decreasing partitions of ``n_plus_1`` with parts dividing ``d``."""
     if n_plus_1 < 1 or d < 1:
         raise ValueError("partitions_dividing requires n_plus_1 >= 1 and d >= 1")
-    divisors = [m for m in range(1, d + 1) if d % m == 0]
+    divisors = [m for m in range(d, 0, -1) if d % m == 0]  # descending, ends in 1
     found: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...], remaining: int, cap: int) -> None:
-        if remaining == 0:
-            found.append(prefix)
-            return
-        for m in divisors:
-            if m <= cap and m <= remaining:
-                extend(prefix + (m,), remaining - m, m)
-
-    extend((), n_plus_1, divisors[-1])
+    # explicit stack of (the parts chosen so far, what they leave to fill,
+    # index of the next divisor); each step picks how often that divisor
+    # occurs, and the final 1s complete every prefix
+    stack: list[tuple[tuple[int, ...], int, int]] = [((), n_plus_1, 0)]
+    while stack:
+        prefix, remaining, i = stack.pop()
+        m = divisors[i]
+        if m == 1:
+            found.append(prefix + (1,) * remaining)
+            continue
+        for k in range(remaining // m + 1):
+            stack.append((prefix + (m,) * k, remaining - k * m, i + 1))
     everything = tuple(sorted(found))
     fixed = tuple(p for p in everything if p[-1] == 1)
     starred = tuple(p for p in everything if p[-1] > 1)
     return PartitionSet(n_plus_1, d, everything, fixed, starred)
+
+
+def _count_partitions_dividing(n_plus_1: int, d: int) -> int:
+    """Number of partitions of ``n_plus_1`` with parts dividing ``d``.
+
+    Coin-change counting over the divisors: O(n_plus_1 * divisors(d)) and
+    no partition is built.
+    """
+    ways = [1] + [0] * n_plus_1
+    for m in range(1, min(d, n_plus_1) + 1):
+        if d % m == 0:
+            for total in range(m, n_plus_1 + 1):
+                ways[total] += ways[total - m]
+    return ways[n_plus_1]
 
 
 def partition_permutation(partition: Sequence[int], n_plus_1: int) -> tuple[int, ...]:
@@ -345,18 +361,21 @@ def partition_cocharacter_matrix(partition: Sequence[int], n_plus_1: int) -> Int
     """Action of the partition's permutation on the cocharacter lattice of P^n.
 
     The lattice is Z^(n+1)/Z(1,..,1) with basis the images of the last n
-    coordinate vectors, so index 0 maps to minus the all-ones vector.
+    coordinate vectors, so index 0 maps to minus the all-ones vector: the
+    column of the index sent to 0 is all -1, and every other index j sent to
+    perm[j] puts a 1 in row perm[j] - 1 of column j - 1.
     """
     perm = partition_permutation(partition, n_plus_1)
     n = n_plus_1 - 1
-    cols = []
+    template = [0] * n
+    to_zero = perm.index(0)
+    if to_zero:
+        template[to_zero - 1] = -1
+    rows = [template.copy() for _ in range(n)]
     for j in range(1, n_plus_1):
-        image = perm[j]
-        if image == 0:
-            cols.append(tuple(-1 for _ in range(n)))
-        else:
-            cols.append(tuple(1 if i == image else 0 for i in range(1, n_plus_1)))
-    return IntMatrix.from_cols(cols, nrows=n)
+        if perm[j]:
+            rows[perm[j] - 1][j - 1] = 1
+    return IntMatrix._trusted(tuple(map(tuple, rows)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +700,7 @@ class ClassificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return _jsonout.dumps(self.to_json_dict())
 
     def __str__(self) -> str:
         lines = [
@@ -711,6 +730,11 @@ def _report_total(entries: Sequence[ReportEntry]) -> int | None:
 # ---------------------------------------------------------------------------
 
 
+#: Largest number of matrix cells (partitions times n * n) that
+#: ``classify_projective`` builds; ``-n 300`` over C/R needs 13.6 million.
+MAX_PROJECTIVE_CELLS = 14_000_000
+
+
 @_snf_memo_scope()
 def classify_projective(n: int, backend: FieldBackend) -> ClassificationReport:
     """Forms of projective n-space split by a cyclic extension.
@@ -721,6 +745,8 @@ def classify_projective(n: int, backend: FieldBackend) -> ClassificationReport:
     contributes the norm quotient cut out by its parts' stabilizer
     subgroups.  The enumeration is purely combinatorial — the symmetry group
     of the fan (all coordinate permutations) is never materialised.
+    Raises ``TooLarge`` before building anything when the partition
+    matrices would hold more than ``MAX_PROJECTIVE_CELLS`` entries.
     """
     if n < 1:
         raise ValueError("projective space classification needs n >= 1")
@@ -728,13 +754,24 @@ def classify_projective(n: int, backend: FieldBackend) -> ClassificationReport:
     if not group.is_cyclic:
         raise NonCyclicGroup("projective classification requires a cyclic extension")
     d = group.order
+    # one n x n matrix per partition; n * n alone bounds the counting cost
+    if n * n > MAX_PROJECTIVE_CELLS or (
+        n * n * _count_partitions_dividing(n + 1, d) > MAX_PROJECTIVE_CELLS
+    ):
+        raise TooLarge(
+            f"projective:{n} over a degree-{d} extension needs one {n}x{n} matrix per"
+            f" partition, more than {MAX_PROJECTIVE_CELLS} matrix cells in all"
+        )
     parts = partitions_dividing(n + 1, d)
+    stabilizer_of = {
+        m: group.subgroup_closure([m % d]) for m in {m for p in parts.all for m in p}
+    }
     fan = _projective_fan(n)
     verdict = descent_status(fan, d, quasiprojective=True)
     entries = []
     for partition in parts.all:
         matrix = partition_cocharacter_matrix(partition, n + 1)
-        stabilizers = [group.subgroup_closure([m % d]) for m in partition]
+        stabilizers = [stabilizer_of[m] for m in partition]
         value = norm_quotient(backend, stabilizers)
         if partition[-1] == 1:
             assert value.is_trivial(), "a fixed coordinate must force triviality"

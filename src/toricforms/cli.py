@@ -22,6 +22,7 @@ from functools import cache
 from pathlib import Path
 from typing import Sequence
 
+from . import _jsonout
 from .classify import (
     REAL_TOWER,
     SURFACE_LABELS,
@@ -162,7 +163,7 @@ def _parse_matrix(text: str) -> IntMatrix:
 
 
 def _emit(args: argparse.Namespace, human: str, payload: dict) -> int:
-    print(json.dumps(payload, indent=2) if args.json else human)
+    print(_jsonout.dumps(payload) if args.json else human)
     return 0
 
 

@@ -59,7 +59,8 @@ class NotInvolution(ValueError):
 
 
 class TooLarge(ValueError):
-    """Brute-force enumeration would exceed the configured guard."""
+    """A computation would exceed its size guard (brute-force enumeration,
+    the partition matrices of a projective classification)."""
 
 
 # ---------------------------------------------------------------------------

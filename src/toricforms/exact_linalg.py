@@ -484,11 +484,6 @@ class FGAbelianGroup:
             return None
         return math.prod(self.invariant_factors) if self.invariant_factors else 1
 
-    def exponent(self) -> int | None:
-        if self.free_rank:
-            return None
-        return self.invariant_factors[-1] if self.invariant_factors else 1
-
     def direct_sum(self, other: "FGAbelianGroup") -> "FGAbelianGroup":
         return FGAbelianGroup.from_factors(
             self.invariant_factors + other.invariant_factors,

@@ -20,6 +20,7 @@ from functools import cached_property, cmp_to_key
 from math import gcd
 from typing import Iterable, Sequence
 
+from . import _jsonout
 from .exact_linalg import (
     FGAbelianGroup,
     IntMatrix,
@@ -128,7 +129,7 @@ class Fan:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return _jsonout.dumps(self.to_dict()) + "\n"
 
     @classmethod
     def from_dict(cls, data: dict) -> "Fan":
@@ -418,12 +419,6 @@ class CoxData:
     irrelevant_complements: tuple[tuple[int, ...], ...]
     """Each entry lists the rays *outside* one maximal cone; the product of
     those variables is one generator of the irrelevant ideal."""
-
-    def monomial_exponents(self) -> list[tuple[int, ...]]:
-        out = []
-        for comp in self.irrelevant_complements:
-            out.append(tuple(int(i in comp) for i in range(self.fan.num_rays)))
-        return out
 
 
 def cox_data(fan: Fan) -> CoxData:

@@ -108,14 +108,6 @@ class GroupSpec:
         return n
 
     @cached_property
-    def is_abelian(self) -> bool:
-        return all(
-            self.table[a][b] == self.table[b][a]
-            for a in range(self.order)
-            for b in range(a + 1, self.order)
-        )
-
-    @cached_property
     def cyclic_generator(self) -> int | None:
         for a in range(self.order):
             if self.element_order(a) == self.order:
@@ -282,16 +274,6 @@ class HomClass:
             g for g in range(self.group.order) if self.ray_permutation(g)[rep] == rep
         )
 
-    def coset_representatives(self, orbit: Sequence[int]) -> dict[int, int]:
-        """For each ray in the orbit, the least group element moving rep there."""
-        rep = min(orbit)
-        out: dict[int, int] = {}
-        for g in range(self.group.order):
-            img = self.ray_permutation(g)[rep]
-            out.setdefault(img, g)
-        assert sorted(out) == sorted(orbit)
-        return out
-
 
 def _extend_to_hom(
     group: GroupSpec, aut: FanAutGroup, gen_images: Sequence[int]
@@ -400,7 +382,7 @@ def kernel_reduction(hom: HomClass) -> tuple[GroupSpec, HomClass, tuple[int, ...
 class RealComplexBackend:
     """The quadratic extension C/R; Galois group of order two."""
 
-    @property
+    @cached_property
     def group(self) -> GroupSpec:
         return GroupSpec.cyclic(2)
 
@@ -460,7 +442,7 @@ class FiniteFieldBackend:
     def mult_order(self) -> int:
         return self.q**self.d - 1
 
-    @property
+    @cached_property
     def group(self) -> GroupSpec:
         return GroupSpec.cyclic(self.d)
 
@@ -526,7 +508,7 @@ class SymbolicBrauerBackend:
     def _modulus_cols(self) -> IntMatrix:
         return IntMatrix.diagonal(list(self.quotient_factors))
 
-    @property
+    @cached_property
     def group(self) -> GroupSpec:
         return GroupSpec.cyclic(self.degree)
 
@@ -648,7 +630,7 @@ def norm_quotient(
     that orbit's coordinate.
     """
     group = backend.group
-    for sub in stabilizers:
+    for sub in set(stabilizers):
         assert all(0 <= g < group.order for g in sub) and 0 in sub
         assert group.subgroup_closure(sub) == frozenset(sub), "stabilizer is not a subgroup"
 

@@ -8,6 +8,7 @@ structure produced by the fan classifier.
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -55,12 +56,17 @@ from toricforms.classify import (
     classify_surface_real,
     descent_status,
     evaluate,
+    MAX_PROJECTIVE_CELLS,
+    _count_partitions_dividing,
     partition_cocharacter_matrix,
+    partition_permutation,
     partitions_dividing,
     render,
     surface_table,
 )
-from toricforms.cohomology import h1_real_involution
+from toricforms.cohomology import TooLarge, h1_real_involution
+from toricforms.exact_linalg import IntMatrix
+from toricforms import classify
 
 TRIVIAL = FGAbelianGroup.trivial()
 Z2 = FGAbelianGroup.cyclic(2)
@@ -110,9 +116,90 @@ def test_partition_set_invariants(n_plus_1, d):
         assert part[-1] > 1
 
 
+def _partitions_dividing_recursive(n_plus_1: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """The recursive generator `partitions_dividing` replaced (reference)."""
+    divisors = [m for m in range(1, d + 1) if d % m == 0]
+    found: list[tuple[int, ...]] = []
+
+    def extend(prefix: tuple[int, ...], remaining: int, cap: int) -> None:
+        if remaining == 0:
+            found.append(prefix)
+            return
+        for m in divisors:
+            if m <= cap and m <= remaining:
+                extend(prefix + (m,), remaining - m, m)
+
+    extend((), n_plus_1, divisors[-1])
+    return tuple(sorted(found))
+
+
+def test_partitions_match_recursive_reference():
+    for n_plus_1 in range(1, 41):
+        for d in range(1, 25):
+            reference = _partitions_dividing_recursive(n_plus_1, d)
+            assert partitions_dividing(n_plus_1, d).all == reference, (n_plus_1, d)
+            assert _count_partitions_dividing(n_plus_1, d) == len(reference), (n_plus_1, d)
+
+
+def test_partitions_need_no_recursion():
+    assert partitions_dividing(5000, 1).all == ((1,) * 5000,)
+    assert len(partitions_dividing(3001, 2).all) == 1501
+    assert _count_partitions_dividing(3001, 2) == 1501
+
+
+def test_projective_size_check_before_any_partition(monkeypatch):
+    """n = 4 over C/R has three partitions of 5, so 3 * 4 * 4 = 48 cells."""
+    built = []
+    monkeypatch.setattr(
+        classify, "partitions_dividing", lambda *a: built.append(a) or partitions_dividing(*a)
+    )
+    monkeypatch.setattr(classify, "MAX_PROJECTIVE_CELLS", 48)
+    assert classify_projective(4, RealComplexBackend()).total == 3
+    assert built == [(5, 2)]
+    monkeypatch.setattr(classify, "MAX_PROJECTIVE_CELLS", 47)
+    with pytest.raises(TooLarge, match="more than 47 matrix cells"):
+        classify_projective(4, RealComplexBackend())
+    assert built == [(5, 2)]
+
+
+def test_projective_size_check_admits_n_300_over_real():
+    cells = _count_partitions_dividing(301, 2) * 300 * 300
+    assert cells == 13_590_000 <= MAX_PROJECTIVE_CELLS
+    assert _count_partitions_dividing(901, 2) * 900 * 900 > MAX_PROJECTIVE_CELLS
+    with pytest.raises(TooLarge):
+        classify_projective(900, RealComplexBackend())
+
+
 # ---------------------------------------------------------------------------
 # partition cocharacter matrices
 # ---------------------------------------------------------------------------
+
+
+def _cocharacter_matrix_from_cols(partition, n_plus_1: int) -> IntMatrix:
+    """The column-by-column build `partition_cocharacter_matrix` replaced (reference)."""
+    perm = partition_permutation(partition, n_plus_1)
+    n = n_plus_1 - 1
+    cols = []
+    for j in range(1, n_plus_1):
+        image = perm[j]
+        if image == 0:
+            cols.append(tuple(-1 for _ in range(n)))
+        else:
+            cols.append(tuple(1 if i == image else 0 for i in range(1, n_plus_1)))
+    return IntMatrix.from_cols(cols, nrows=n)
+
+
+def test_partition_matrix_matches_column_reference():
+    checked = 0
+    for n_plus_1 in range(1, 13):
+        every_part = math.lcm(*range(1, n_plus_1 + 1))
+        for partition in _partitions_dividing_recursive(n_plus_1, every_part):
+            for parts in {partition, partition[::-1]}:
+                got = partition_cocharacter_matrix(parts, n_plus_1)
+                assert got == _cocharacter_matrix_from_cols(parts, n_plus_1), parts
+                assert got.shape == (n_plus_1 - 1, n_plus_1 - 1)
+                checked += 1
+    assert checked > 77 + 56  # partitions of 12 and of 11, plus their reversals
 
 
 def test_partition_matrix_smallest():

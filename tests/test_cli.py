@@ -516,3 +516,52 @@ def test_projective_answers_do_not_depend_on_asserts(capsys):
         check=True,
     )
     assert child.stdout == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fan", "info", "--builtin", "surface:C3", "--json"],
+        ["fan", "info", "--builtin", "projective:3", "--json"],
+        ["fan", "aut", "--builtin", "hexagon", "--json"],
+        ["fan", "cox", "--builtin", "surface:D4p", "--json"],
+        ["classify", "projective", "-n", "5", "--backend", "ff:2,12", "--json"],
+        ["classify", "fan", "--builtin", "surface:C6", "--backend", "ff:3,6", "--json"],
+        ["classify", "fan", "--builtin", "projective:3", "--backend", "real", "--json"],
+        ["classify", "surface-real", "--builtin", "surface:D6", "--json"],
+        ["cohomology", "h1-real", "--matrix", "[[0,1],[1,0]]", "--json"],
+        ["table", "surface", "--json"],
+        ["table", "surface", "--real", "--json"],
+    ],
+)
+def test_json_verbs_print_what_json_dumps_writes(capsys, argv):
+    """Each --json verb prints exactly ``json.dumps(payload, indent=2)``."""
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", ["hexagon", "surface:C1", "projective:1", "projective:6"])
+def test_fan_validate_json_is_json_dumps_plus_newline(capsys, name):
+    code, out, _ = invoke(capsys, "fan", "validate", "--builtin", name, "--json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n\n"
+
+
+def test_projective_without_recursion_limit(capsys):
+    """Partitions are generated with an explicit stack: one partition of
+    1501 ones is no RecursionError."""
+    code, out, err = invoke(capsys, "classify", "projective", "-n", "1500", "--backend", "ff:3,1")
+    assert code == 0 and err == ""
+    assert "total forms: 1" in out
+
+
+@pytest.mark.parametrize(
+    "n, backend", [("900", "real"), ("1000", "ff:2,12"), ("100000", "real"), ("303", "real")]
+)
+def test_projective_size_check_is_one_line_error(capsys, n, backend):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "classify", "projective", "-n", n, "--backend", backend)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: projective:{n} over a degree-") and err.count("\n") == 1

@@ -297,10 +297,19 @@ def test_fg_abelian_group_canonicalization():
     assert FGAbelianGroup.cyclic(1).is_trivial()
 
 
+def _exponent(g: FGAbelianGroup) -> int | None:
+    """Least common multiple of the element orders; None when g is infinite."""
+    if g.free_rank:
+        return None
+    return g.invariant_factors[-1] if g.invariant_factors else 1
+
+
 def test_fg_abelian_group_queries():
     g = FGAbelianGroup(0, (2, 4))
     assert g.order() == 8
-    assert g.exponent() == 4
+    assert _exponent(g) == 4
+    assert _exponent(FGAbelianGroup.free(1)) is None
+    assert _exponent(FGAbelianGroup.trivial()) == 1
     assert FGAbelianGroup.free(1).order() is None
     assert str(g) == "Z/2 + Z/4"
     assert str(FGAbelianGroup.trivial()) == "1"
@@ -422,6 +431,22 @@ def test_library_imports_no_rational_arithmetic():
             assert not any(n.split(".")[0] == "fractions" for n in names), (
                 f"{path.name}:{node.lineno} imports fractions"
             )
+
+
+def test_library_writes_indented_json_only_through_the_emitter():
+    """No module of the library calls ``json.dumps`` with an ``indent``: the
+    stdlib's indented encoder is the pure-Python one, so every indented
+    payload goes through ``_jsonout.dumps``."""
+    sources = sorted(Path(exact_linalg.__file__).parent.glob("*.py"))
+    assert len(sources) >= 8
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in ("dumps", "dump") and any(k.arg == "indent" for k in node.keywords):
+                pytest.fail(f"{path.name}:{node.lineno} calls {name} with indent=")
 
 
 # --- integer kernels ---------------------------------------------------------

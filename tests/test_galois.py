@@ -31,10 +31,26 @@ from toricforms.galois import (
 from test_fans import HEXAGON, P1, P1XP1, P2
 
 
+def _is_abelian(g: GroupSpec) -> bool:
+    return all(
+        g.table[a][b] == g.table[b][a] for a in range(g.order) for b in range(a + 1, g.order)
+    )
+
+
+def _coset_representatives(hom, orbit) -> dict[int, int]:
+    """For each ray in the orbit, the least group element moving its minimal ray there."""
+    rep = min(orbit)
+    out: dict[int, int] = {}
+    for g in range(hom.group.order):
+        out.setdefault(hom.ray_permutation(g)[rep], g)
+    assert sorted(out) == sorted(orbit)
+    return out
+
+
 def test_cyclic_group():
     g = GroupSpec.cyclic(6)
     assert g.order == 6
-    assert g.is_abelian and g.is_cyclic
+    assert _is_abelian(g) and g.is_cyclic
     assert g.cyclic_generator == 1
     assert g.element_order(2) == 3
     assert g.inverse(2) == 4
@@ -124,10 +140,45 @@ def test_backend_validation_survives_optimized_mode():
     ]
 
 
+
+@pytest.mark.parametrize(
+    "backend, degree",
+    [
+        (RealComplexBackend(), 2),
+        (FiniteFieldBackend(3, 6), 6),
+        (FiniteFieldBackend(2, 1), 1),
+        (SymbolicBrauerBackend(4, (2,), ()), 4),
+    ],
+)
+def test_backend_group_is_built_once(backend, degree):
+    group = backend.group
+    assert group is backend.group
+    assert group == GroupSpec.cyclic(degree)
+    # the cache lives on the instance and leaves equality and hashing alone
+    twin = type(backend)(*(getattr(backend, f) for f in backend.__dataclass_fields__))
+    assert twin == backend and hash(twin) == hash(backend)
+    assert twin.group is not group
+
+
+def test_projective_proves_each_stabilizer_once(monkeypatch):
+    """classify_projective builds one stabilizer per distinct part and
+    norm_quotient proves each distinct stabilizer once per call."""
+    from toricforms.classify import classify_projective, partitions_dividing
+
+    calls = []
+    closure = GroupSpec.subgroup_closure
+    monkeypatch.setattr(
+        GroupSpec, "subgroup_closure", lambda self, gens: calls.append(1) or closure(self, gens)
+    )
+    parts = partitions_dividing(9, 12).all
+    classify_projective(8, FiniteFieldBackend(2, 12))
+    distinct_parts = {m for p in parts for m in p}
+    assert len(calls) <= len(distinct_parts) + sum(len(set(p)) for p in parts)
+
 def test_dihedral_group():
     g = GroupSpec.dihedral(12)
     assert g.order == 12
-    assert not g.is_abelian and not g.is_cyclic
+    assert not _is_abelian(g) and not g.is_cyclic
     m = 6
     # s * r = s r^1,  r * s = s r^{-1}
     assert g.mult(m, 1) == m + 1
@@ -146,7 +197,7 @@ def test_explicit_group_validation():
         [3, 2, 1, 0],
     ]
     g = GroupSpec.explicit(klein, name="V4")
-    assert g.order == 4 and g.is_abelian and not g.is_cyclic
+    assert g.order == 4 and _is_abelian(g) and not g.is_cyclic
     assert g.subgroup_closure(g.generators) == frozenset(range(4))
     with pytest.raises(ValueError, match="row 1 is not a permutation"):
         GroupSpec.explicit([[0, 1], [1, 1]])
@@ -164,7 +215,7 @@ def test_hom_classes_c2_into_p1():
     assert swap.matrix(1) == IntMatrix.from_rows([[-1]])
     assert swap.ray_orbits == ((0, 1),)
     assert swap.orbit_stabilizer((0, 1)) == frozenset({0})
-    assert swap.coset_representatives((0, 1)) == {0: 0, 1: 1}
+    assert _coset_representatives(swap, (0, 1)) == {0: 0, 1: 1}
 
 
 def test_hom_classes_c2_into_square():
