@@ -393,15 +393,15 @@ class DescentStatus:
 
 
 def descent_status(
-    fan: Fan, group_order: int, quasiprojective: bool = False
+    rank: int, group_order: int, quasiprojective: bool = False
 ) -> DescentStatus:
     """Whether twisted-form counts are honest form counts over the base field.
 
-    Descent holds automatically for fans of rank at most 2 (complete surface
-    fans are quasiprojective), for degree-2 extensions, and whenever the
-    caller asserts quasiprojectivity.
+    `rank` is the rank of the fan's lattice.  Descent holds automatically for
+    fans of rank at most 2 (complete surface fans are quasiprojective), for
+    degree-2 extensions, and whenever the caller asserts quasiprojectivity.
     """
-    if fan.rank <= 2:
+    if rank <= 2:
         return DescentStatus(
             FORMS_CLASSIFIED,
             "rank <= 2: every complete fan in a rank-2 lattice is quasiprojective,"
@@ -766,8 +766,7 @@ def classify_projective(n: int, backend: FieldBackend) -> ClassificationReport:
     stabilizer_of = {
         m: group.subgroup_closure([m % d]) for m in {m for p in parts.all for m in p}
     }
-    fan = _projective_fan(n)
-    verdict = descent_status(fan, d, quasiprojective=True)
+    verdict = descent_status(n, d, quasiprojective=True)
     entries = []
     for partition in parts.all:
         matrix = partition_cocharacter_matrix(partition, n + 1)
@@ -827,7 +826,7 @@ def classify_fan(
             f" the requested group {group.name}"
         )
     classes = enumerate_hom_classes(group, aut)
-    verdict = descent_status(fan, group.order, quasiprojective)
+    verdict = descent_status(fan.rank, group.order, quasiprojective)
     entries = []
     for index, cls in enumerate(classes):
         value = hom_class_h1(fan, cls, backend)

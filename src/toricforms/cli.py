@@ -343,13 +343,14 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     group = backend.group
     classes = enumerate_hom_classes(group, aut)
     rows = []
+    class_payloads = []
     all_agree = True
     for index, cls in enumerate(classes):
         norm_route = hom_class_h1(fan, cls, backend)
         reduced_group, reduced_hom, _ = kernel_reduction(cls)
         if reduced_group.order == 1:
             closed = FGAbelianGroup.trivial()
-            brute_text = "trivial class"
+            brute_json = {"kind": "skipped", "text": "trivial class"}
             agree = norm_route == closed
         else:
             reduced_backend = reduce_backend(backend, len(cls.kernel))
@@ -362,17 +363,25 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
                 brute = brute_force_h1_finite(
                     finite_field_torus_module(reduced_backend, reduced_hom)
                 )
-                brute_text = str(brute)
+                brute_json = h1_value_json(brute)
                 agree = agree and brute == closed
             except TooLarge:
-                brute_text = "skipped (guard)"
+                brute_json = {"kind": "skipped", "text": "skipped (guard)"}
         all_agree = all_agree and agree
         rows.append(
             f"class {index}: norm route {norm_route} |"
-            f" closed form {closed} | brute force {brute_text}"
+            f" closed form {closed} | brute force {brute_json['text']}"
+        )
+        class_payloads.append(
+            {
+                "class": index,
+                "norm_route": h1_value_json(norm_route),
+                "closed_form": h1_value_json(closed),
+                "brute_force": brute_json,
+            }
         )
     rows.append("all routes agree" if all_agree else "ROUTE DISAGREEMENT")
-    print("\n".join(rows))
+    _emit(args, "\n".join(rows), {"classes": class_payloads, "all_agree": all_agree})
     return 0 if all_agree else 1
 
 

@@ -7,8 +7,8 @@ All computations are exact.  The module implements:
 * the norm-formula route for cyclic Galois groups, which works on the fan's
   ray coordinates and never touches the cocharacter action directly: over
   R it is one subquotient of Z^rays read off the class-group presentation
-  Cl = Z^rays / (ray coordinates), over finite fields the ray-coordinate
-  presentation of the dense torus mod q^d - 1;
+  Cl = Z^rays / (ray coordinates), over finite fields the fixed points
+  modulo norms Y^G / N Y of Y = Hom(Cl, K*) inside (K*)^rays, mod q^d - 1;
 * a literal cocycle brute force over finite modules;
 * the kernel-of-norm / image-of-(Frobenius - 1) computation for tori over
   finite fields.
@@ -172,44 +172,36 @@ def _h1_real_quotient_presentation(fan: Fan, hom: HomClass) -> FGAbelianGroup:
 def _h1_finite_field_quotient_presentation(
     fan: Fan, hom: HomClass, backend: FiniteFieldBackend
 ) -> FGAbelianGroup:
-    """H^1 over F_q via the ray-coordinate presentation, all mod q^d - 1.
+    """H^1 over F_q as fixed points modulo norms of Y, all mod q^d - 1.
 
-    Same skeleton as the real case: with X = (K*)^rays carrying Frobenius
-    (multiplication by q) composed with the ray permutation P, and Y the
-    subgroup cut out by the ray characters, H^1 of the dense torus equals
-    the kernel of (fixed points mod norms of Y) -> (fixed points mod norms
-    of X), because X itself has trivial H^1 in both odd and even degrees
-    (Shapiro, Hilbert 90, and triviality of Brauer groups of finite fields).
-    Concretely, with N the norm operator sum of (qP)^j:
+    Same skeleton as the real case: X = (K*)^rays carries Frobenius
+    (multiplication by q) composed with the ray permutation P, Y =
+    Hom(Cl, K*) is the subgroup cut out by the ray characters R, and the
+    dense torus is X/Y.  X is induced orbit by orbit, so by Shapiro its
+    cohomology is that of the orbit stabilizers on K*: H^1(X) = 0 by
+    Hilbert 90, and Hhat^0(G, X) = 0 because every norm between finite
+    fields is onto.  For a cyclic group H^2 = Hhat^0, so the long exact
+    sequence gives H^1(T) = ker(Hhat^0(G, Y) -> Hhat^0(G, X)) = Hhat^0(G, Y)
+    = Y^G / N Y.  With N the norm operator sum of (qP)^j:
 
-      numerator   {z : R z = 0, (qP - I) z = 0}  meet  (N Z^rays + c Z^rays)
+      numerator   {z : R z = 0, (qP - I) z = 0}  +  c Z^rays
       denominator N {z : R z = 0}  +  c Z^rays
 
-    Every lattice in sight contains c Z^rays, so all bases are kept in the
-    bounded triangular form of `basis_mod`; in particular the intersection is
-    taken through a congruence kernel mod c rather than an integer kernel of
-    unreduced bases, whose entries can explode.
+    Both lattices contain c Z^rays, so both bases are kept in the bounded
+    triangular form of `basis_mod`, every entry below c.
     """
     d = backend.d
     q = backend.q
     c = backend.mult_order
-    m = fan.num_rays
     p = _permutation_matrix(hom.ray_permutation(1))
     r = fan.ray_columns
-    ident = IntMatrix.identity(m)
+    ident = IntMatrix.identity(fan.num_rays)
     qp = p.scaled(q)
     norm_op = reduce(lambda acc, _: acc @ qp + ident, range(d - 1), ident)
-    # sanity: norm_op == sum of (qP)^j for j < d
     fixed_lattice = congruence_kernel_basis(r.vstack(qp - ident), c)
-    norm_image = basis_mod(norm_op, c)
-    # z in both lattices iff z = Bx with Bx == B'y (mod c): the c Z^rays slack
-    # stays inside either lattice, so congruence solutions suffice
-    pair = congruence_kernel_basis(fixed_lattice.hstack(norm_image.scaled(-1)), c)
-    coeffs = IntMatrix(tuple(pair.rows[:m]), pair.ncols)
-    numerator = basis_mod(fixed_lattice @ coeffs, c)
     y_lattice = congruence_kernel_basis(r, c)
     denominator = basis_mod(norm_op @ y_lattice, c)
-    return lattice_subquotient(numerator, denominator)
+    return lattice_subquotient(fixed_lattice, denominator)
 
 
 def h1_cyclic_norm_formula(
@@ -481,11 +473,6 @@ def h1_finite_field_torus(q: int, d: int, s: IntMatrix) -> FGAbelianGroup:
     _prime_power_base(q)  # raises ValueError unless q is a prime power
     if d < 1:
         raise ValueError(f"finite-field torus needs degree d >= 1, got d={d}")
-    return _h1_frobenius(q, d, s)
-
-
-def _h1_frobenius(q: int, d: int, s: IntMatrix) -> FGAbelianGroup:
-    """`h1_finite_field_torus` for a q and d already checked."""
     c = q**d - 1
     n = s.nrows
     ident = IntMatrix.identity(n)

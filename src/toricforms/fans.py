@@ -325,15 +325,14 @@ def _check_rays_and_cones(fan: Fan) -> None:
             if sa < sb:
                 raise RedundantCone(f"cone {a} is a face of listed cone {b}")
 
-    if fan.num_rays:
-        sat = saturation_basis(fan.ray_columns)
-        if sat.ncols != fan.rank:
-            basis = [sat.col(j) for j in range(sat.ncols)]
-            raise RaysNotFullRank(
-                f"rays span a rank-{sat.ncols} sublattice; saturated span basis: {basis}"
-            )
-    elif fan.rank > 0 and fan.max_cones not in ((), ((),)):
-        raise FanError("no rays but nontrivial cones")
+    if not fan.num_rays:
+        raise RaysNotFullRank("no rays: they span the zero sublattice")
+    sat = saturation_basis(fan.ray_columns)
+    if sat.ncols != fan.rank:
+        basis = [sat.col(j) for j in range(sat.ncols)]
+        raise RaysNotFullRank(
+            f"rays span a rank-{sat.ncols} sublattice; saturated span basis: {basis}"
+        )
 
 
 @_snf_memo_scope()

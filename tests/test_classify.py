@@ -564,14 +564,35 @@ def test_classify_surface_real_rank3_rejected():
 
 
 def test_descent_status_cases():
-    p3 = builtin_fan("projective:3")
-    hexagon = builtin_fan("hexagon")
+    p3 = builtin_fan("projective:3").rank
+    hexagon = builtin_fan("hexagon").rank
     assert descent_status(hexagon, 6).status == "FORMS_CLASSIFIED"
+    assert descent_status(1, 5).status == "FORMS_CLASSIFIED"
     assert descent_status(p3, 2).status == "FORMS_CLASSIFIED"
     verdict = descent_status(p3, 3)
     assert verdict.status == "TWISTED_FORMS_ONLY"
     assert "Huruguen" in verdict.note
     assert descent_status(p3, 3, quasiprojective=True).status == "FORMS_CLASSIFIED"
+
+
+def test_classify_fan_verdict_reads_the_fan_rank():
+    be = FiniteFieldBackend(2, 3)
+    report = classify_fan(builtin_fan("projective:3"), be.group, be)
+    assert {e.descent for e in report.entries} == {descent_status(3, 3)}
+    report = classify_fan(builtin_fan("projective:2"), be.group, be)
+    assert {e.descent for e in report.entries} == {descent_status(2, 3)}
+
+
+def test_classify_projective_builds_no_fan(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"projective:{n} fan built")
+
+    monkeypatch.setattr(classify, "_projective_fan", refuse)
+    report = classify_projective(50, FiniteFieldBackend(3, 2))
+    assert report.fan_name == "projective:50"
+    assert {e.descent for e in report.entries} == {descent_status(50, 2, True)}
+    # 51 = 2k + 1s: every partition keeps a part 1, so each is one form
+    assert report.total == 26
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ via stdin and demands byte-for-byte stability.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import subprocess
@@ -15,8 +16,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toricforms
+from toricforms.classify import builtin_fan
 from toricforms.cli import run
 
 P2_JSON = json.dumps(
@@ -333,6 +337,57 @@ def test_cohomology_oracle(capsys):
     assert "agree" in out
 
 
+def test_cohomology_oracle_json_carries_the_text_rows(capsys):
+    argv = ["cohomology", "oracle", "--builtin", "surface:C4", "--backend", "ff:2,4"]
+    code, text, _ = invoke(capsys, *argv)
+    assert code == 0
+    code, out, _ = invoke(capsys, *argv, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["all_agree"] is True
+    rows = [
+        f"class {c['class']}: norm route {c['norm_route']['text']} |"
+        f" closed form {c['closed_form']['text']} | brute force {c['brute_force']['text']}"
+        for c in payload["classes"]
+    ]
+    assert text == "\n".join(rows + ["all routes agree"]) + "\n"
+    assert payload["classes"][-1]["brute_force"] == {"kind": "skipped", "text": "trivial class"}
+
+
+def test_cohomology_oracle_json_marks_a_guarded_brute_force(capsys):
+    code, out, _ = invoke(
+        capsys, "cohomology", "oracle", "--builtin", "surface:C2", "--backend", "ff:4099,2",
+        "--json",
+    )
+    assert code == 0
+    skipped = {"kind": "skipped", "text": "skipped (guard)"}
+    assert skipped in [c["brute_force"] for c in json.loads(out)["classes"]]
+
+
+def test_cohomology_oracle_disagreement_exits_one_with_json(capsys, monkeypatch):
+    from toricforms import cli
+    from toricforms.exact_linalg import FGAbelianGroup
+
+    monkeypatch.setattr(
+        cli, "h1_finite_field_torus", lambda q, d, s: FGAbelianGroup.from_factors([2])
+    )
+    argv = ["cohomology", "oracle", "--builtin", "surface:C2", "--backend", "ff:3,2"]
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 1
+    assert out.endswith("ROUTE DISAGREEMENT\n")
+    code, out, _ = invoke(capsys, *argv, "--json")
+    assert code == 1
+    assert json.loads(out)["all_agree"] is False
+
+
+@pytest.mark.parametrize("verb", ["validate", "aut"])
+def test_fan_without_rays_is_a_domain_error(capsys, monkeypatch, verb):
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"rank": 1, "rays": [], "cones": []}'))
+    code, out, err = invoke(capsys, "fan", verb, "--stdin")
+    assert code == 1 and out == ""
+    assert err.startswith("error: no rays")
+
+
 def test_cohomology_oracle_needs_ff(capsys):
     code, _, _ = invoke(
         capsys, "cohomology", "oracle", "--builtin", "hexagon", "--backend", "real"
@@ -530,6 +585,7 @@ def test_projective_answers_do_not_depend_on_asserts(capsys):
         ["classify", "fan", "--builtin", "projective:3", "--backend", "real", "--json"],
         ["classify", "surface-real", "--builtin", "surface:D6", "--json"],
         ["cohomology", "h1-real", "--matrix", "[[0,1],[1,0]]", "--json"],
+        ["cohomology", "oracle", "--builtin", "surface:D4", "--backend", "ff:7,2", "--json"],
         ["table", "surface", "--json"],
         ["table", "surface", "--real", "--json"],
     ],
@@ -565,3 +621,124 @@ def test_projective_size_check_is_one_line_error(capsys, n, backend):
     assert time.perf_counter() - start < 1.0
     assert code == 1 and out == ""
     assert err.startswith(f"error: projective:{n} over a degree-") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# bounded fuzzing: any input ends with exit code 0, 1 or 2
+# ---------------------------------------------------------------------------
+
+_SMALL = st.integers(-3, 3)
+_FUZZ_BASES = tuple(
+    builtin_fan(name).to_dict()
+    for name in ("hexagon", "surface:C2", "surface:D4", "projective:1", "projective:3")
+)
+_JSON_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["rank", "rays", "cones", "x"]), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _edited_fan(draw) -> dict:
+    """A builtin fan's JSON after up to three small edits."""
+    fan = json.loads(json.dumps(draw(st.sampled_from(_FUZZ_BASES))))
+    rays, cones = fan["rays"], fan["cones"]
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["drop cone", "change ray", "add ray", "grow cone", "add cone", "rank"]))
+        if edit == "drop cone" and cones:
+            cones.pop(draw(st.integers(0, len(cones) - 1)))
+        elif edit == "change ray" and rays:
+            ray = draw(st.sampled_from(rays))
+            ray[draw(st.integers(0, len(ray) - 1))] = draw(_SMALL)
+        elif edit == "add ray":
+            rays.append(draw(st.lists(_SMALL, min_size=fan["rank"], max_size=fan["rank"])))
+        elif edit == "grow cone" and cones:
+            draw(st.sampled_from(cones)).append(draw(st.integers(0, len(rays))))
+        elif edit == "add cone":
+            cones.append(draw(st.lists(st.integers(0, len(rays)), max_size=3)))
+        elif edit == "rank":
+            fan["rank"] = draw(st.integers(0, 3))
+    return fan
+
+
+_FAN_TEXT = st.one_of(
+    _edited_fan().map(json.dumps),
+    st.fixed_dictionaries(
+        {
+            "rank": st.integers(0, 4),
+            "rays": st.lists(st.lists(_SMALL, max_size=4), max_size=6),
+            "cones": st.lists(st.lists(st.integers(-1, 7), max_size=4), max_size=6),
+        }
+    ).map(json.dumps),
+    _JSON_JUNK.map(json.dumps),
+    st.text(max_size=20),
+)
+# (q^d - 1)^rank stays small, so a brute force the guard lets through is quick
+_BACKEND = st.one_of(
+    st.sampled_from(["real", "ff:2,3", "ff:4,3", "symbolic:SYMBOLIC", "ff:", "ff:2", "ff:a,b"]),
+    st.builds("ff:{},{}".format, st.integers(-2, 7), st.integers(-2, 2)),
+    st.text(max_size=8),
+)
+_GROUP = st.one_of(
+    st.builds("{}:{}".format, st.sampled_from(["cyclic", "dihedral", "x"]), st.integers(-1, 12)),
+    st.sampled_from(["cyclic:", "cyclic", "dihedral:-2"]),
+    st.text(max_size=8),
+)
+_FAN_VERBS = ("fan validate", "fan info", "fan aut", "fan cox", "classify fan",
+              "classify surface-real", "cohomology oracle")
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    verb = draw(st.sampled_from(_FAN_VERBS + ("classify projective", "cohomology h1-real")))
+    argv = verb.split()
+    if verb in _FAN_VERBS:
+        for source in draw(st.lists(st.sampled_from(["--stdin", "--file", "--builtin"]), max_size=2)):
+            argv.append(source)
+            if source == "--file":
+                argv.append("FAN")
+            elif source == "--builtin":
+                argv.append(draw(st.sampled_from(
+                    ["hexagon", "surface:C2", "projective:0", "projective:2", "projective:x", "nope"]
+                )))
+    if verb in ("classify fan", "classify projective", "cohomology oracle") and draw(st.booleans()):
+        argv += ["--backend", draw(_BACKEND)]
+    if verb in ("classify fan", "classify projective") and draw(st.booleans()):
+        argv += ["--group", draw(_GROUP)]
+    if verb == "classify projective":
+        argv += ["-n", draw(st.one_of(st.integers(-3, 30).map(str), st.text(max_size=4)))]
+    if verb == "cohomology h1-real":
+        matrix = st.lists(st.lists(_SMALL, max_size=3), max_size=3).map(json.dumps)
+        argv += ["--matrix", draw(st.one_of(matrix, st.text(max_size=6)))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+# a 10 s deadline per input, against ~20 ms typical: it catches hangs only
+@settings(max_examples=150, deadline=10_000)
+@given(argv=_argv(), fan_text=_FAN_TEXT, symbolic_text=_JSON_JUNK.map(json.dumps))
+def test_cli_fuzz_ends_with_a_known_exit_code(tmp_path_factory, argv, fan_text, symbolic_text):
+    """Garbage fans (from --stdin or --file), backends, groups, -n values and
+    matrices end in exit code 0, 1 or 2, without a traceback and in bounded
+    time."""
+    root = tmp_path_factory.getbasetemp()
+    fan_file, symbolic_file = root / "fuzz_fan.json", root / "fuzz_symbolic.json"
+    fan_file.write_text(fan_text)
+    symbolic_file.write_text(symbolic_text)
+    argv = [
+        str(fan_file) if a == "FAN" else a.replace("SYMBOLIC", str(symbolic_file))
+        for a in argv
+    ]
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(fan_text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

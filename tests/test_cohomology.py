@@ -20,7 +20,7 @@ from toricforms.cohomology import (
     _action_tables,
     _cayley_spanning_tree,
     _exact_log,
-    _h1_frobenius,
+    _h1_finite_field_quotient_presentation,
     _h1_real_quotient_presentation,
     _permutation_matrix,
     brute_force_h1_finite,
@@ -32,6 +32,9 @@ from toricforms.cohomology import (
 from toricforms.exact_linalg import (
     FGAbelianGroup,
     IntMatrix,
+    _snf_memo_scope,
+    basis_mod,
+    congruence_kernel_basis,
     image_basis,
     kernel_basis,
     lattice_subquotient,
@@ -655,6 +658,130 @@ def test_symbolic_backend_needs_degree_one_profile():
 
 
 # ---------------------------------------------------------------------------
+# the finite-field norm route against the intersection route it replaced
+
+
+def _fixed_lattice_and_norm_op(fan: Fan, hom, backend) -> tuple[IntMatrix, IntMatrix]:
+    """Y^G + c Z^rays in `basis_mod` form and N = sum of (qP)^j, built as
+    the production route builds them."""
+    q, d, c = backend.q, backend.d, backend.mult_order
+    ident = IntMatrix.identity(fan.num_rays)
+    qp = _permutation_matrix(hom.ray_permutation(1)).scaled(q)
+    norm_op = functools.reduce(lambda acc, _: acc @ qp + ident, range(d - 1), ident)
+    fixed_lattice = congruence_kernel_basis(fan.ray_columns.vstack(qp - ident), c)
+    return fixed_lattice, norm_op
+
+
+def _h1_finite_field_intersection_route(fan: Fan, hom, backend) -> FGAbelianGroup:
+    """The finite-field norm route before it dropped its intersection with
+    N X, kept as its reference: H^1 = (Y^G meet N X) / N Y, all mod c.
+
+    The numerator is the kernel of Hhat^0(G, Y) -> Hhat^0(G, X) without
+    using Hhat^0(G, X) = 0.  The intersection is taken through a congruence
+    kernel mod c: z lies in both lattices iff z = Bx with Bx == B'y (mod c),
+    because the c Z^rays slack stays inside either lattice.
+    """
+    c = backend.mult_order
+    fixed_lattice, norm_op = _fixed_lattice_and_norm_op(fan, hom, backend)
+    norm_image = basis_mod(norm_op, c)
+    pair = congruence_kernel_basis(fixed_lattice.hstack(norm_image.scaled(-1)), c)
+    coeffs = IntMatrix(tuple(pair.rows[: fan.num_rays]), pair.ncols)
+    numerator = basis_mod(fixed_lattice @ coeffs, c)
+    y_lattice = congruence_kernel_basis(fan.ray_columns, c)
+    denominator = basis_mod(norm_op @ y_lattice, c)
+    return lattice_subquotient(numerator, denominator)
+
+
+def _assert_fixed_points_are_norms(fan: Fan, hom, backend) -> None:
+    """Y^G lies in N X + c Z^rays: Hhat^0(G, X) = 0, the fact that lets the
+    production route skip the intersection.  lattice_subquotient raises
+    MembershipError when a fixed vector is no norm."""
+    fixed_lattice, norm_op = _fixed_lattice_and_norm_op(fan, hom, backend)
+    lattice_subquotient(basis_mod(norm_op, backend.mult_order), fixed_lattice)
+
+
+FF_ROUTE_BACKENDS = tuple(
+    FiniteFieldBackend(q, d) for q, d in ((5, 4), (3, 6), (7, 2), (2, 6), (4, 3), (2, 12))
+)
+FF_ROUTE_FAN_NAMES = (
+    list(BUILTIN_NAMES) + [f"projective:{n}" for n in range(1, 6)] + list(PRODUCT_FAN_NAMES)
+)
+
+
+def _ff_route_values(fan: Fan, backends) -> tuple[tuple[str, ...] | None, ...]:
+    """Every nontrivial class of `fan` over each backend: the production
+    route, the public entry point and the intersection reference agree, and
+    the fixed points of Y are norms from X.  Per backend, returns the sorted
+    values (all trivial, as Lang's theorem demands), or None when the class
+    group has torsion the units do not invert."""
+    aut = automorphism_group(fan)
+    out = []
+    for backend in backends:
+        values = []
+        with _snf_memo_scope():  # the routes share their fixed and Y lattices
+            for cls in enumerate_hom_classes(backend.group, aut):
+                group, hom, _ = kernel_reduction(cls)
+                if group.order == 1:
+                    continue
+                reduced = reduce_backend(backend, len(cls.kernel))
+                try:
+                    public = h1_cyclic_norm_formula(fan, hom, reduced)
+                except AssumptionViolated:
+                    values = None
+                    break
+                expected = _h1_finite_field_intersection_route(fan, hom, reduced)
+                assert _h1_finite_field_quotient_presentation(fan, hom, reduced) == expected
+                assert public == expected
+                _assert_fixed_points_are_norms(fan, hom, reduced)
+                values.append(str(expected))
+        out.append(None if values is None else tuple(sorted(values)))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _ff_route_values_by_name(fan_name: str) -> tuple[tuple[str, ...] | None, ...]:
+    return _ff_route_values(named_fan(fan_name), FF_ROUTE_BACKENDS)
+
+
+@pytest.mark.parametrize("fan_name", FF_ROUTE_FAN_NAMES)
+def test_ff_route_matches_intersection_reference(fan_name):
+    assert len(_ff_route_values_by_name(fan_name)) == len(FF_ROUTE_BACKENDS)
+
+
+def test_ff_route_reference_covers_many_twists():
+    per_backend = [_ff_route_values_by_name(name) for name in FF_ROUTE_FAN_NAMES]
+    assert all(None not in values for values in per_backend)
+    classes = [v for values in per_backend for per in values for v in per]
+    assert len(classes) > 300
+    assert set(classes) == {"1"}
+
+
+@pytest.mark.parametrize(
+    "fan",
+    [TORSION_TRIANGLE, TORSION_SQUARE, TORSION_PRISM, TORSION_FAN, OPEN_TORSION_TRIANGLE, A2, A1XP1],
+    ids=["torsion-triangle", "torsion-square", "torsion-prism", "torsion-rays",
+         "open-torsion-triangle", "A2", "A1xP1"],
+)
+def test_ff_route_matches_intersection_reference_with_torsion_and_open_fans(fan):
+    torsion = class_group(fan).invariant_factors
+    for backend, values in zip(FF_ROUTE_BACKENDS, _ff_route_values(fan, FF_ROUTE_BACKENDS)):
+        # the torsion is Z/2 or nothing: q odd makes 2 divide q^d - 1
+        assert (values is None) == (bool(torsion) and backend.q % 2 == 1)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_ff_route_matches_intersection_reference_on_transformed_fans(data):
+    name = data.draw(st.sampled_from(FF_ROUTE_FAN_NAMES))
+    index = data.draw(st.integers(0, len(FF_ROUTE_BACKENDS) - 1))
+    base = named_fan(name)
+    g = data.draw(unimodular(base.rank))
+    fan = Fan.make(base.rank, [g.apply(r) for r in base.rays], base.max_cones)
+    (values,) = _ff_route_values(fan, FF_ROUTE_BACKENDS[index : index + 1])
+    assert values == _ff_route_values_by_name(name)[index]
+
+
+# ---------------------------------------------------------------------------
 # orbitwise Hilbert 90 bookkeeping
 
 
@@ -676,11 +803,15 @@ def shapiro_orbit_h1(fan: Fan, hom, backend) -> tuple[FGAbelianGroup, ...]:
             else:
                 h1 = FGAbelianGroup.trivial()
         elif isinstance(backend, FiniteFieldBackend):
-            h = len(stab)
-            e = backend.d // h
-            # q**e may exceed what `h1_finite_field_torus` factors; the
-            # backend already checked q, so q**e is a prime power too
-            h1 = _h1_frobenius(backend.q**e, h, IntMatrix.identity(1))
+            # Shapiro in the other direction: H^1(stabilizer, K*) is H^1 of
+            # the whole group on the orbit's induced torus, Frobenius times
+            # the cyclic shift of the orbit's coordinates.  This keeps q
+            # itself; the stabilizer's fixed field has q**len(orbit)
+            # elements, which can exceed what `h1_finite_field_torus`
+            # factors.
+            e = len(orbit)
+            shift = _permutation_matrix([(i + 1) % e for i in range(e)])
+            h1 = h1_finite_field_torus(backend.q, backend.d, shift)
         else:
             raise BackendUnsupported("orbitwise check needs a concrete field backend")
         assert h1.is_trivial(), "Hilbert 90 must hold on every orbit"

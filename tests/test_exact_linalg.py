@@ -613,4 +613,6 @@ def test_classify_fan_factors_each_matrix_once(count_decompositions):
     report = classify_fan(fan, be.group, be)
     assert report.total is not None
     assert len(count_decompositions) == len(set(count_decompositions))
-    assert len(count_decompositions) <= 45
+    assert len(count_decompositions) <= 40
+    # the largest is the 20 x 38 kernel behind the fixed lattice of Y
+    assert max(m.nrows * m.ncols for m in count_decompositions) <= 20 * 38

@@ -133,6 +133,14 @@ def test_rays_not_full_rank_names_span():
     assert "rank-2" in str(err.value)
 
 
+@pytest.mark.parametrize("cones", [[], [()]])
+def test_fan_without_rays_is_not_full_rank(cones):
+    """No rays span the zero sublattice; the symmetry search, which frames
+    the lattice by rays, never sees such a fan."""
+    with pytest.raises(RaysNotFullRank, match="no rays"):
+        validate_fan(Fan.make(1, [], cones))
+
+
 def test_overlapping_cones_rank2():
     fan = Fan.make(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2)])
     with pytest.raises(BadFaceIntersection):
