@@ -153,7 +153,7 @@ def _parse_matrix(text: str) -> IntMatrix:
         not isinstance(data, list)
         or not data
         or not all(
-            isinstance(row, list) and all(isinstance(x, int) for x in row)
+            isinstance(row, list) and all(type(x) is int for x in row)
             for row in data
         )
         or len({len(row) for row in data}) != 1

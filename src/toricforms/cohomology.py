@@ -329,8 +329,10 @@ def brute_force_h1_finite(module: FiniteModule, guard: int = 10_000_000) -> FGAb
     Every assignment of module elements to the group generators is extended
     along the Cayley graph and then checked against the cocycle identity on
     all pairs; coboundaries are enumerated directly.  The quotient's
-    structure is read off by counting torsion elements.  Raises TooLarge if
-    the assignment space exceeds `guard`, before anything is enumerated.
+    structure is read off by counting torsion elements.  Each assignment
+    costs up to |G|^2 cocycle checks, so the work is bounded by assignments
+    times |G|^2; raises TooLarge if that exceeds `guard`, before anything is
+    enumerated.
 
     Each group element's action is looked up in a table built once per call
     (`_action_tables`), so the enumeration itself does no matrix arithmetic.
@@ -338,8 +340,11 @@ def brute_force_h1_finite(module: FiniteModule, guard: int = 10_000_000) -> FGAb
     group = module.group
     gens = group.generators if group.generators else ()
     count = module.size ** len(gens)
-    if count > guard:
-        raise TooLarge(f"{count} candidate assignments exceed the guard {guard}")
+    if count * group.order**2 > guard:
+        raise TooLarge(
+            f"{count} candidate assignments times {group.order}^2 group pairs"
+            f" exceed the guard {guard}"
+        )
     elements = tuple(module.elements())
     position = {v: i for i, v in enumerate(elements)}
     tree = _cayley_spanning_tree(group, gens)

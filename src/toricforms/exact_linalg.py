@@ -532,25 +532,6 @@ def saturation_basis(m: IntMatrix) -> IntMatrix:
     return dec.u_inv.submatrix_cols(list(range(dec.rank)))
 
 
-def solve_integer(m: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
-    """One integer solution x of m @ x = b, or None if none exists."""
-    assert len(b) == m.nrows
-    dec = smith_normal_form(m)
-    c = dec.u.apply(b)
-    y = [0] * m.ncols
-    for i in range(m.nrows):
-        di = dec.diagonal[i] if i < len(dec.diagonal) else 0
-        if di == 0:
-            if c[i] != 0:
-                return None
-        else:
-            q, r = divmod(c[i], di)
-            if r:
-                return None
-            y[i] = q
-    return dec.v.apply(y)
-
-
 def lattice_subquotient(sup_basis: IntMatrix, sub_gens: IntMatrix) -> FGAbelianGroup:
     """Quotient of the lattice spanned by sup_basis by the span of sub_gens.
 
@@ -594,11 +575,10 @@ def basis_mod(gens: IntMatrix, modulus: int) -> IntMatrix:
 
     The result is square lower-triangular with positive diagonal entries
     dividing `modulus` and off-diagonal entries in [0, modulus).  Because the
-    lattice
-    contains modulus * Z^nrows, each elimination step may subtract multiples
-    of modulus * e_i, so all intermediate values stay below the modulus; the
-    generic elimination behind `image_basis` offers no such bound and can
-    blow up on inputs of exactly this shape.
+    lattice contains modulus * Z^nrows, each elimination step may subtract
+    multiples of modulus * e_i, so all intermediate values stay below the
+    modulus, whatever the size of the generators; the generic elimination
+    behind `image_basis` offers no such bound.
     """
     assert modulus >= 1
     m = gens.nrows
@@ -644,15 +624,26 @@ def basis_mod(gens: IntMatrix, modulus: int) -> IntMatrix:
 def congruence_kernel_basis(m: IntMatrix, modulus: int) -> IntMatrix:
     """Basis of {x in Z^ncols : m @ x == 0 (mod modulus)}.
 
-    Contains modulus * Z^ncols, so the basis is always square of full rank,
-    and is returned in the bounded triangular form of `basis_mod`.
+    Read off the Smith normal form of m alone: from u @ m @ v == d with u
+    unimodular, m x == 0 (mod c) exactly when y = v_inv @ x has
+    d_j y_j == 0 (mod c) for every j, i.e. y_j in (c / gcd(d_j, c)) Z, with
+    d_j = 0 past the rank (scale 1).  So the kernel is spanned by the
+    columns of v scaled by those factors, plus c Z^ncols.  It contains
+    modulus * Z^ncols, so the basis is always square of full rank, and is
+    returned in the bounded triangular form of `basis_mod`.
     """
     assert modulus >= 1
-    stacked = m.hstack(IntMatrix.diagonal([modulus] * m.nrows))
-    k = kernel_basis(stacked)
-    proj = IntMatrix(tuple(k.rows[: m.ncols]), k.ncols)
-    basis = basis_mod(proj, modulus)
-    assert basis.ncols == m.ncols
+    dec = smith_normal_form(m)
+    scales = [modulus // math.gcd(dj, modulus) for dj in dec.diagonal]
+    scales += [1] * (m.ncols - len(scales))
+    gens = IntMatrix._trusted(
+        tuple(tuple(map(operator.mul, row, scales)) for row in dec.v.rows), m.ncols
+    )
+    basis = basis_mod(gens, modulus)
+    # certificate: every basis column is a solution, and the index of the
+    # lattice in Z^ncols is that of the solution set
+    assert all(x % modulus == 0 for row in (m @ basis).rows for x in row)
+    assert math.prod(basis.rows[i][i] for i in range(m.ncols)) == math.prod(scales)
     return basis
 
 

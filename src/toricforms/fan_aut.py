@@ -77,13 +77,6 @@ class FanAutGroup:
     def identity_index(self) -> int:
         return self._perm_index[tuple(range(self.fan.num_rays))]
 
-    @cached_property
-    def _index(self) -> dict[IntMatrix, int]:
-        return {m: i for i, m in enumerate(self.matrices)}
-
-    def index(self, m: IntMatrix) -> int:
-        return self._index[m]
-
     def mult_index(self, i: int, j: int) -> int:
         """Index of matrices[i] @ matrices[j]: the composed ray permutation."""
         perms = self.ray_permutations

@@ -27,7 +27,6 @@ from .exact_linalg import (
     _snf_memo_scope,
     cokernel_presentation,
     det,
-    kernel_basis,
     rational_solve,
     saturation_basis,
     smith_normal_form,
@@ -139,17 +138,17 @@ class Fan:
         if missing:
             raise FanFormatError(f"fan JSON missing keys: {sorted(missing)}")
         rank = data["rank"]
-        if not isinstance(rank, int) or rank < 1:
+        if type(rank) is not int or rank < 1:
             raise FanFormatError("rank must be a positive integer")
         rays = data["rays"]
         cones = data["cones"]
         if not isinstance(rays, list) or not all(
-            isinstance(r, list) and len(r) == rank and all(isinstance(x, int) for x in r)
+            isinstance(r, list) and len(r) == rank and all(type(x) is int for x in r)
             for r in rays
         ):
             raise FanFormatError("rays must be a list of integer vectors of length rank")
         if not isinstance(cones, list) or not all(
-            isinstance(c, list) and all(isinstance(i, int) for i in c) for c in cones
+            isinstance(c, list) and all(type(i) is int for i in c) for c in cones
         ):
             raise FanFormatError("cones must be a list of lists of ray indices")
         return cls.make(rank, rays, cones)
@@ -194,18 +193,25 @@ def _span_planes(fan: Fan, cone: tuple[int, ...]) -> list[list[tuple[int, ...]]]
     return []
 
 
-def _line_intersection(rank: int, p1: list[tuple[int, ...]], p2: list[tuple[int, ...]]) -> tuple[int, ...] | None:
-    """Primitive generator of span(p1) & span(p2) when that meet is a line."""
-    m1 = IntMatrix.from_cols(p1, rank)
-    m2 = IntMatrix.from_cols(p2, rank)
-    # x in both spans: x = m1 a = m2 b  =>  (m1 | -m2) kernel
-    k = kernel_basis(m1.hstack(-m2))
-    coeffs = IntMatrix(tuple(k.rows[: m1.ncols]), k.ncols)
-    meet = m1 @ coeffs
-    sat = saturation_basis(meet)
-    if sat.ncols != 1:
+def _cross3(a: Sequence[int], b: Sequence[int]) -> tuple[int, int, int]:
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def _line_intersection(p1: list[tuple[int, ...]], p2: list[tuple[int, ...]]) -> tuple[int, ...] | None:
+    """Primitive generator of span(p1) & span(p2) for two planes in rank 3,
+    up to sign; None when the planes coincide.
+
+    Each plane is spanned by two independent rays, so its normal is their
+    cross product, and the planes meet along the cross product of normals.
+    """
+    line = _cross3(_cross3(*p1), _cross3(*p2))
+    if not any(line):
         return None
-    return primitive_vector(sat.col(0))
+    return primitive_vector(line)
 
 
 def _check_face_intersection(fan: Fan, ca: tuple[int, ...], cb: tuple[int, ...]) -> None:
@@ -237,7 +243,7 @@ def _check_face_intersection(fan: Fan, ca: tuple[int, ...], cb: tuple[int, ...])
     if fan.rank == 3:
         for p1 in _span_planes(fan, ca):
             for p2 in _span_planes(fan, cb):
-                g = _line_intersection(fan.rank, p1, p2)
+                g = _line_intersection(p1, p2)
                 if g is None:
                     continue
                 for cand in (g, tuple(-x for x in g)):

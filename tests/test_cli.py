@@ -319,8 +319,10 @@ def test_h1_real_rejects_non_involution(capsys):
 
 
 def test_h1_real_malformed_matrix(capsys):
-    code, _, _ = invoke(capsys, "cohomology", "h1-real", "--matrix", "[[1,2")
-    assert code == 2
+    for matrix in ("[[1,2", "[[true]]"):  # a JSON boolean is no integer
+        code, out, err = invoke(capsys, "cohomology", "h1-real", "--matrix", matrix)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: --matrix expects")
 
 
 def test_cohomology_oracle(capsys):
@@ -364,6 +366,18 @@ def test_cohomology_oracle_json_marks_a_guarded_brute_force(capsys):
     assert skipped in [c["brute_force"] for c in json.loads(out)["classes"]]
 
 
+def test_cohomology_oracle_guard_bounds_the_work(capsys):
+    """A 5.76 M-assignment brute force over C4 (92 M units of work with the
+    16 group pairs per assignment) is refused before it starts."""
+    start = time.perf_counter()
+    code, out, _ = invoke(
+        capsys, "cohomology", "oracle", "--builtin", "surface:C4", "--backend", "ff:7,4"
+    )
+    assert time.perf_counter() - start < 10.0
+    assert code == 0
+    assert "brute force skipped (guard)" in out and out.endswith("all routes agree\n")
+
+
 def test_cohomology_oracle_disagreement_exits_one_with_json(capsys, monkeypatch):
     from toricforms import cli
     from toricforms.exact_linalg import FGAbelianGroup
@@ -386,6 +400,27 @@ def test_fan_without_rays_is_a_domain_error(capsys, monkeypatch, verb):
     code, out, err = invoke(capsys, "fan", verb, "--stdin")
     assert code == 1 and out == ""
     assert err.startswith("error: no rays")
+
+
+_BOOLEAN_FAN = '{"rank": true, "rays": [[true], [-1]], "cones": [[0], [1]]}'
+
+
+def test_fan_json_booleans_are_a_format_error(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(_BOOLEAN_FAN))
+    code, out, err = invoke(capsys, "fan", "validate", "--stdin", "--json")
+    assert (code, out, err) == (1, "", "error: rank must be a positive integer\n")
+    # the check is no assert: it still fires under python -O
+    script = "import sys\nfrom toricforms.cli import run\nsys.exit(run(sys.argv[1:]))\n"
+    child = subprocess.run(
+        [sys.executable, "-O", "-c", script, "fan", "validate", "--stdin", "--json"],
+        input=_BOOLEAN_FAN,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={"PYTHONPATH": str(Path(toricforms.__file__).resolve().parents[1])},
+    )
+    assert (child.returncode, child.stdout) == (1, "")
+    assert child.stderr == "error: rank must be a positive integer\n"
 
 
 def test_cohomology_oracle_needs_ff(capsys):

@@ -507,6 +507,12 @@ def test_brute_force_guard(monkeypatch):
         with pytest.raises(TooLarge):
             brute_force_h1_finite(big, guard=4000)
         assert time.perf_counter() - start < 0.1
+    # the guard bounds work: 10 assignments of Z/10 under C4, 16 pairs each
+    small = FiniteModule(GroupSpec.cyclic(4), (10,), tuple(M([[1]]) for _ in range(4)))
+    with pytest.raises(TooLarge, match="10 candidate assignments times 4\\^2 group pairs"):
+        brute_force_h1_finite(small, guard=159)
+    monkeypatch.undo()
+    assert brute_force_h1_finite(small, guard=160) == FGAbelianGroup.cyclic(2)
 
 
 def _surface_oracle_modules(q: int, d: int) -> list[FiniteModule]:

@@ -26,7 +26,6 @@ from toricforms.exact_linalg import (
     rational_solve,
     saturation_basis,
     smith_normal_form,
-    solve_integer,
 )
 from toricforms.galois import BackendUnsupported, FiniteFieldBackend, GroupSpec
 
@@ -198,16 +197,6 @@ def test_image_and_saturation():
     assert lattice_subquotient(sat, im) == FGAbelianGroup.from_factors([2, 4])
 
 
-def test_solve_integer():
-    a = M([[2, 0], [0, 3]])
-    assert solve_integer(a, (4, 9)) == (2, 3)
-    assert solve_integer(a, (1, 1)) is None
-    x = solve_integer(M([[1, 1]]), (5,))
-    assert x is not None and sum(x) == 5
-    assert solve_integer(M([[2], [3]]), (2, 3)) == (1,)
-    assert solve_integer(M([[2], [3]]), (2, 2)) is None
-
-
 def test_lattice_subquotient_frozen():
     i2 = IntMatrix.identity(2)
     assert lattice_subquotient(i2, M([[2, 0], [0, 3]])) == FGAbelianGroup.cyclic(6)
@@ -232,6 +221,12 @@ def test_congruence_kernel():
     assert abs(det(basis)) == 2
     for j in range(2):
         assert sum(basis.col(j)) % 2 == 0
+    # d = (2, 6) mod 12: y_0 in 6Z, y_1 in 2Z, index 12
+    basis = congruence_kernel_basis(M([[2, 0], [0, 6]]), 12)
+    assert det(basis) == 12 and _lattices_equal(basis, M([[6, 0], [0, 2]]))
+    assert congruence_kernel_basis(IntMatrix.zero(0, 3), 12) == IntMatrix.identity(3)
+    assert congruence_kernel_basis(IntMatrix.zero(3, 0), 12) == IntMatrix.zero(0, 0)
+    assert congruence_kernel_basis(M([[5, 0], [0, 7]]), 1) == IntMatrix.identity(2)
 
 
 def test_basis_mod_frozen():
@@ -274,6 +269,41 @@ def test_basis_mod_matches_unbounded_route(nrows, ncols, modulus, data):
                 assert 0 <= b.rows[i][j] < modulus
     slack = gens.hstack(IntMatrix.diagonal([modulus] * nrows))
     assert _lattices_equal(b, image_basis(slack))
+
+
+def _congruence_kernel_by_stacking(m: IntMatrix, modulus: int) -> IntMatrix:
+    """The route `congruence_kernel_basis` replaced, kept as its reference:
+    x with m x == 0 (mod c) are the first coordinates of the integer kernel
+    of [m | c I]."""
+    stacked = m.hstack(IntMatrix.diagonal([modulus] * m.nrows))
+    k = kernel_basis(stacked)
+    return basis_mod(IntMatrix(tuple(k.rows[: m.ncols]), k.ncols), modulus)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 5),
+    st.integers(0, 5),
+    st.integers(0, 5),
+    st.sampled_from([1, 2, 12, 63, 728, 2400]),
+    st.data(),
+)
+def test_congruence_kernel_matches_stacked_route(nrows, ncols, inner, modulus, data):
+    # a product through an inner dimension below both sides is rank deficient
+    entries = st.integers(-30, 30)
+    a = IntMatrix.from_rows(
+        [[data.draw(entries) for _ in range(inner)] for _ in range(nrows)], ncols=inner
+    )
+    b = IntMatrix.from_rows(
+        [[data.draw(entries) for _ in range(ncols)] for _ in range(inner)], ncols=ncols
+    )
+    m = a @ b if data.draw(st.booleans()) else IntMatrix.from_rows(
+        [[data.draw(entries) for _ in range(ncols)] for _ in range(nrows)], ncols=ncols
+    )
+    basis = congruence_kernel_basis(m, modulus)
+    assert basis.shape == (ncols, ncols)
+    assert all(0 <= x <= modulus for row in basis.rows for x in row)
+    assert _lattices_equal(basis, _congruence_kernel_by_stacking(m, modulus))
 
 
 def test_congruence_kernel_entries_bounded():
@@ -500,10 +530,28 @@ def test_matmul_degenerate_shapes():
 # --- one decomposition per lattice -------------------------------------------
 
 
+def _solve_integer(m: IntMatrix, b) -> tuple[int, ...] | None:
+    """One integer solution x of m @ x = b, or None if none exists."""
+    dec = smith_normal_form(m)
+    c = dec.u.apply(b)
+    y = [0] * m.ncols
+    for i in range(m.nrows):
+        di = dec.diagonal[i] if i < len(dec.diagonal) else 0
+        if di == 0:
+            if c[i] != 0:
+                return None
+        else:
+            q, r = divmod(c[i], di)
+            if r:
+                return None
+            y[i] = q
+    return dec.v.apply(y)
+
+
 def _subquotient_by_column_solves(sup_basis: IntMatrix, sub_gens: IntMatrix):
     coords = []
     for j in range(sub_gens.ncols):
-        x = solve_integer(sup_basis, sub_gens.col(j))
+        x = _solve_integer(sup_basis, sub_gens.col(j))
         if x is None:
             return None
         coords.append(x)
@@ -613,6 +661,7 @@ def test_classify_fan_factors_each_matrix_once(count_decompositions):
     report = classify_fan(fan, be.group, be)
     assert report.total is not None
     assert len(count_decompositions) == len(set(count_decompositions))
-    assert len(count_decompositions) <= 40
-    # the largest is the 20 x 38 kernel behind the fixed lattice of Y
-    assert max(m.nrows * m.ncols for m in count_decompositions) <= 20 * 38
+    assert len(count_decompositions) <= 37
+    # the largest is R over qP - I (20 x 18), whose congruence kernel is the
+    # fixed lattice of Y; no congruence kernel factors a wider matrix
+    assert max(m.nrows * m.ncols for m in count_decompositions) <= 20 * 18

@@ -255,8 +255,9 @@ def test_search_matches_reference_on_transformed_fans(data):
 
 
 def _assert_products_match(group: FanAutGroup, pairs) -> None:
+    index = {m: i for i, m in enumerate(group.matrices)}
     for i, j in pairs:
-        assert group.mult_index(i, j) == group.index(group.matrices[i] @ group.matrices[j])
+        assert group.mult_index(i, j) == index[group.matrices[i] @ group.matrices[j]]
 
 
 @pytest.mark.parametrize("fan_name", SEARCH_FAN_NAMES)

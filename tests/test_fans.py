@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricforms.classify import BUILTIN_NAMES, builtin_fan
-from toricforms.exact_linalg import FGAbelianGroup, IntMatrix, _snf_memo_scope
+from toricforms.exact_linalg import (
+    FGAbelianGroup,
+    IntMatrix,
+    _snf_memo_scope,
+    kernel_basis,
+    saturation_basis,
+    smith_normal_form,
+)
 from toricforms.fans import (
     BadFaceIntersection,
     DuplicateRay,
@@ -24,6 +31,7 @@ from toricforms.fans import (
     RedundantCone,
     _check_face_intersection,
     _check_rays_and_cones,
+    _line_intersection,
     _wall_crossing_certificate,
     a_sequence,
     boundary_word,
@@ -347,6 +355,47 @@ def test_json_errors():
         Fan.from_json('{"rank": 2, "rays": [[1, 0, 0]], "cones": []}')
     with pytest.raises(FanFormatError):
         Fan.from_json('{"rank": 2, "rays": [[1, 0]], "cones": [["a"]]}')
+    # JSON booleans are not integers, wherever an integer is wanted
+    for text, bad in (
+        ('{"rank": true, "rays": [[true], [-1]], "cones": [[0], [1]]}', "rank"),
+        ('{"rank": 1, "rays": [[true], [-1]], "cones": [[0], [1]]}', "rays"),
+        ('{"rank": 1, "rays": [[1], [-1]], "cones": [[false], [1]]}', "cones"),
+    ):
+        with pytest.raises(FanFormatError, match=f"^{bad} must be"):
+            Fan.from_json(text)
+
+
+def _line_intersection_by_kernel(p1, p2):
+    """The route `_line_intersection` replaced, kept as its reference: the
+    meet of the spans from the kernel of [m1 | -m2], then saturated."""
+    m1 = IntMatrix.from_cols(p1, 3)
+    m2 = IntMatrix.from_cols(p2, 3)
+    k = kernel_basis(m1.hstack(-m2))
+    meet = m1 @ IntMatrix(tuple(k.rows[: m1.ncols]), k.ncols)
+    sat = saturation_basis(meet)
+    if sat.ncols != 1:
+        return None
+    return primitive_vector(sat.col(0))
+
+
+_PLANE = st.lists(st.tuples(*[st.integers(-4, 4)] * 3), min_size=2, max_size=2).filter(
+    lambda pair: smith_normal_form(IntMatrix.from_cols(pair, 3)).rank == 2
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PLANE, _PLANE, st.integers(-2, 2), st.booleans())
+def test_line_intersection_matches_kernel_route(p1, p2, k, same_plane):
+    if same_plane:  # p1's plane, spanned by other vectors
+        p2 = [tuple(a + k * b for a, b in zip(*p1)), p1[1]]
+    got = _line_intersection(p1, p2)
+    want = _line_intersection_by_kernel(p1, p2)
+    if want is None:
+        assert got is None
+    else:
+        assert got in (want, tuple(-x for x in want))
+    if same_plane:
+        assert got is None
 
 
 @settings(max_examples=30, deadline=None)

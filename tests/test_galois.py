@@ -431,6 +431,23 @@ def test_symbolic_monotonicity_enforced():
                 (frozenset(range(4)), IntMatrix.identity(1)),
             ),
         )
+    # containment is read in Q = Z/4: <6> lies in <2>, <4> = 0 in the
+    # trivial image, and <1> not in <2>
+    for small, large, holds in (
+        ([(2,)], [(6,)], True),
+        ([], [(4,)], True),
+        ([(2,)], [(2,), (0,)], True),
+        ([(2,)], [(1,)], False),
+    ):
+        images = (
+            (half, IntMatrix.from_cols(small, nrows=1)),
+            (frozenset(range(4)), IntMatrix.from_cols(large, nrows=1)),
+        )
+        if holds:
+            SymbolicBrauerBackend(4, (4,), images)
+        else:
+            with pytest.raises(AssumptionViolated, match="not contained"):
+                SymbolicBrauerBackend(4, (4,), images)
 
 
 def test_symbolic_from_json():
