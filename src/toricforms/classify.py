@@ -43,7 +43,6 @@ from .galois import (
     FieldBackend,
     GroupSpec,
     HomClass,
-    NonCyclicGroup,
     RealComplexBackend,
     _prime_factors,
     enumerate_hom_classes,
@@ -743,7 +742,8 @@ def classify_projective(n: int, backend: FieldBackend) -> ClassificationReport:
     degree.  A partition with a part equal to 1 fixes a homogeneous
     coordinate and contributes a single form; every other partition
     contributes the norm quotient cut out by its parts' stabilizer
-    subgroups.  The enumeration is purely combinatorial — the symmetry group
+    subgroups; a part m is an orbit of m coordinates, so its stabilizer has
+    order d // m.  The enumeration is purely combinatorial — the symmetry group
     of the fan (all coordinate permutations) is never materialised.
     Raises ``TooLarge`` before building anything when the partition
     matrices would hold more than ``MAX_PROJECTIVE_CELLS`` entries.
@@ -751,8 +751,6 @@ def classify_projective(n: int, backend: FieldBackend) -> ClassificationReport:
     if n < 1:
         raise ValueError("projective space classification needs n >= 1")
     group = backend.group
-    if not group.is_cyclic:
-        raise NonCyclicGroup("projective classification requires a cyclic extension")
     d = group.order
     # one n x n matrix per partition; n * n alone bounds the counting cost
     if n * n > MAX_PROJECTIVE_CELLS or (
@@ -763,15 +761,11 @@ def classify_projective(n: int, backend: FieldBackend) -> ClassificationReport:
             f" partition, more than {MAX_PROJECTIVE_CELLS} matrix cells in all"
         )
     parts = partitions_dividing(n + 1, d)
-    stabilizer_of = {
-        m: group.subgroup_closure([m % d]) for m in {m for p in parts.all for m in p}
-    }
     verdict = descent_status(n, d, quasiprojective=True)
     entries = []
     for partition in parts.all:
         matrix = partition_cocharacter_matrix(partition, n + 1)
-        stabilizers = [stabilizer_of[m] for m in partition]
-        value = norm_quotient(backend, stabilizers)
+        value = norm_quotient(backend, [d // m for m in partition])
         if partition[-1] == 1:
             assert value.is_trivial(), "a fixed coordinate must force triviality"
         entries.append(

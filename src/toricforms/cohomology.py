@@ -227,8 +227,9 @@ def h1_cyclic_norm_formula(
         "element 1 must be the distinguished Galois generator"
     )
     if _diagonal_degree(fan):
-        stabs = [hom.orbit_stabilizer(orbit) for orbit in hom.ray_orbits]
-        return norm_quotient(backend, stabs)
+        # orbit-stabilizer: an orbit of r rays has a stabilizer of order |G| / r
+        orders = [group.order // len(orbit) for orbit in hom.ray_orbits]
+        return norm_quotient(backend, orders)
     if isinstance(backend, SymbolicBrauerBackend):
         raise BackendUnsupported(
             "symbolic norm data supports only fans with class group Z in degree one"

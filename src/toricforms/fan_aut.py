@@ -107,21 +107,6 @@ class FanAutGroup:
             assert n <= self.order
         return n
 
-    def subgroup_closure(self, gens: Iterable[int]) -> frozenset[int]:
-        seen = {self.identity_index}
-        frontier = list(seen)
-        gens = list(gens)
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for h in gens:
-                    x = self.mult_index(g, h)
-                    if x not in seen:
-                        seen.add(x)
-                        nxt.append(x)
-            frontier = nxt
-        return frozenset(seen)
-
 
 def _ray_invariants(fan: Fan) -> dict[int, tuple]:
     """Conjugation-invariant fingerprint per ray, used only to prune."""

@@ -11,9 +11,9 @@ three coefficient backends:
 * FiniteFieldBackend -- F_{q^d}/F_q with K* cyclic of order q^d - 1 and
   Frobenius acting as multiplication by q;
 * SymbolicBrauerBackend -- no field at all, just the finite group
-  Q = k*/N(K*) together with, for each subgroup H of the Galois group, the
-  image in Q of the norms from the H-fixed subfield.  Enough to evaluate
-  norm quotients symbolically.
+  Q = k*/N(K*) together with, for each subgroup H of the Galois group (named
+  by its order, a divisor of the degree), the image in Q of the norms from
+  the H-fixed subfield.  Enough to evaluate norm quotients symbolically.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Sequence
 
 from .exact_linalg import (
     FGAbelianGroup,
@@ -36,6 +36,7 @@ from .exact_linalg import (
 from .fan_aut import FanAutGroup
 
 MAX_GROUP_ORDER = 10_000
+MAX_HOM_GROUP_ORDER = 1000  # enumerate_hom_classes is meant for small acting groups
 _MAX_FACTORED = 2**40  # trial division then needs at most 2**20 divisors
 
 
@@ -308,9 +309,14 @@ def enumerate_hom_classes(group: GroupSpec, aut: FanAutGroup) -> tuple[HomClass,
     """All homomorphisms group -> aut, up to conjugation in aut.
 
     Returned sorted by canonical representative.  The trivial homomorphism is
-    always present.
+    always present.  Raises ValueError, before any candidate image is listed,
+    when the group has more than MAX_HOM_GROUP_ORDER elements.
     """
-    assert group.order <= 1000, "hom enumeration is meant for small acting groups"
+    if group.order > MAX_HOM_GROUP_ORDER:
+        raise ValueError(
+            f"hom enumeration needs an acting group of order at most"
+            f" {MAX_HOM_GROUP_ORDER}, got {group.order}"
+        )
     gen_orders = [group.element_order(g) for g in group.generators]
     slots = [
         [h for h in range(aut.order) if gen_orders[k] % aut.element_order(h) == 0]
@@ -449,16 +455,15 @@ class FiniteFieldBackend:
     def describe(self) -> str:
         return f"F_{self.q}^{self.d}/F_{self.q}"
 
-    def norm_image_generator(self, subgroup: frozenset[int]) -> int:
-        """Generator of the image of the norm to the fixed field of `subgroup`.
+    def norm_image_generator(self, order: int) -> int:
+        """Generator of the image of the norm to the fixed field of the
+        subgroup of the Galois group Z/d whose order h = `order` divides d.
 
-        Subgroups of the cyclic Galois group are subgroups of Z/d; the fixed
-        field of a subgroup of order h is F_{q^(d/h)}, and the norm image in
+        The fixed field is F_{q^(d/h)}, and the norm image in
         K* = Z/(q^d - 1) is generated by (q^d - 1)/(q^(d/h) - 1).
         """
-        h = len(subgroup)
-        assert self.d % h == 0
-        e = self.d // h
+        assert self.d % order == 0
+        e = self.d // order
         return (self.q**self.d - 1) // (self.q**e - 1)
 
 
@@ -467,43 +472,44 @@ class SymbolicBrauerBackend:
     """Norm data of an abstract cyclic extension K/k of degree d.
 
     quotient_factors presents the finite group Q = k*/N_{K/k}(K*); images
-    maps each subgroup H of Z/d to generators (columns) of the subgroup
+    maps the order h of each subgroup H of Z/d (h divides d, and H is the
+    only subgroup of that order) to generators (columns) of the subgroup
     (k* intersect N_{K/K^H}(K*)) / N_{K/k}(K*) of Q.
     """
 
     degree: int
     quotient_factors: tuple[int, ...]
-    images: tuple[tuple[frozenset[int], IntMatrix], ...]
+    images: tuple[tuple[int, IntMatrix], ...]
 
     def __post_init__(self) -> None:
-        group = self.group  # GroupSpec.cyclic rejects a degree below 1
+        self.group  # GroupSpec.cyclic rejects a degree below 1
         if any(f < 2 for f in self.quotient_factors):
             raise ValueError(
                 f"invariant factors of Q must be at least 2, got {list(self.quotient_factors)}"
             )
         t = len(self.quotient_factors)
         listed = dict(self.images)
-        for sub, gens in self.images:
-            if not all(0 <= x < self.degree for x in sub) or group.subgroup_closure(sub) != sub:
-                raise ValueError(f"{sorted(sub)} is not a subgroup of Z/{self.degree}")
+        for h, gens in self.images:
+            if type(h) is not int or h < 1 or self.degree % h:
+                raise ValueError(f"{h!r} is not the order of a subgroup of Z/{self.degree}")
             if gens.nrows != t:
                 raise ValueError(
-                    f"norm image of subgroup {sorted(sub)} needs {t} rows, one per factor"
-                    f" of Q, got {gens.nrows}"
+                    f"norm image of the subgroup of order {h} needs {t} rows, one per"
+                    f" factor of Q, got {gens.nrows}"
                 )
         # monotonicity: larger subgroup of the Galois group means a smaller
         # subfield tower step, hence a larger norm image is *not* possible:
-        # H inside H' forces image(H') inside image(H).  Z^t / big is finite,
-        # so adding gb's columns leaves the cokernel unchanged exactly when
-        # they already lie in big.
+        # ha dividing hb (H_a inside H_b) forces image(hb) inside image(ha).
+        # Z^t / big is finite, so adding gb's columns leaves the cokernel
+        # unchanged exactly when they already lie in big.
         for ha, ga in listed.items():
             for hb, gb in listed.items():
-                if ha < hb:
+                if ha != hb and hb % ha == 0:
                     big = ga.hstack(self._modulus_cols())
                     if cokernel_presentation(big) != cokernel_presentation(big.hstack(gb)):
                         raise AssumptionViolated(
-                            f"norm image of subgroup {sorted(hb)} is not contained in "
-                            f"that of {sorted(ha)}"
+                            f"norm image of the subgroup of order {hb} is not contained"
+                            f" in that of the subgroup of order {ha}"
                         )
 
     def _modulus_cols(self) -> IntMatrix:
@@ -516,17 +522,18 @@ class SymbolicBrauerBackend:
     def describe(self) -> str:
         return f"symbolic cyclic degree {self.degree}, Q = {FGAbelianGroup.from_factors(self.quotient_factors)}"
 
-    def image_subgroup(self, subgroup: frozenset[int]) -> IntMatrix:
+    def image_subgroup(self, order: int) -> IntMatrix:
+        """Norm-image generators for the subgroup of Z/d of order `order`."""
         t = len(self.quotient_factors)
-        for sub, gens in self.images:
-            if sub == subgroup:
+        for h, gens in self.images:
+            if h == order:
                 return gens
-        if len(subgroup) == self.degree:
+        if order == self.degree:
             return IntMatrix.from_cols([], nrows=t)  # norms from K to k: zero in Q
-        if subgroup == frozenset({0}):
+        if order == 1:
             return IntMatrix.identity(t)  # no norm condition at all
         raise BackendUnsupported(
-            f"no norm-image data for subgroup {sorted(subgroup)} of Z/{self.degree}"
+            f"no norm-image data for the subgroup of order {order} of Z/{self.degree}"
         )
 
     @classmethod
@@ -534,8 +541,9 @@ class SymbolicBrauerBackend:
         """Read ``{"Q": {"invariant_factors": [...]}, "images": [...]}``.
 
         Each image is ``{"subgroup_gens": [...], "subgroup_of_Q": [[...], ...]}``
-        with columns of length len(invariant_factors).  A missing or ill-typed
-        key raises ValueError naming it.
+        with columns of length len(invariant_factors); the generators g_i
+        span the subgroup of Z/degree of order degree / gcd(degree, g_i...).
+        A missing or ill-typed key raises ValueError naming it.
         """
         data = json.loads(text)
         q_data = _json_key(data, "Q", dict)
@@ -545,10 +553,10 @@ class SymbolicBrauerBackend:
                 f"symbolic backend JSON: 'invariant_factors' must be at least 2, got {list(factors)}"
             )
         images = []
-        group = GroupSpec.cyclic(degree)
+        GroupSpec.cyclic(degree)  # rejects a degree below 1 before it divides
         for item in _json_key(data, "images", list):
             gens = _json_ints(_json_key(item, "subgroup_gens", list), "'subgroup_gens'")
-            sub = group.subgroup_closure(x % degree for x in gens)
+            order = degree // math.gcd(degree, *gens)
             cols = [
                 _json_ints(col, "each column of 'subgroup_of_Q'")
                 for col in _json_key(item, "subgroup_of_Q", list)
@@ -557,7 +565,7 @@ class SymbolicBrauerBackend:
                 raise ValueError(
                     f"symbolic backend JSON: 'subgroup_of_Q' columns must have length {len(factors)}"
                 )
-            images.append((sub, IntMatrix.from_cols(cols, nrows=len(factors))))
+            images.append((order, IntMatrix.from_cols(cols, nrows=len(factors))))
         return cls(degree, factors, tuple(images))
 
 
@@ -621,22 +629,19 @@ def torsion_factor_invertible(backend: FieldBackend, factor: int) -> bool:
 # norm quotients
 
 
-def norm_quotient(
-    backend: FieldBackend, stabilizers: Sequence[frozenset[int]]
-) -> FGAbelianGroup:
+def norm_quotient(backend: FieldBackend, stabilizer_orders: Sequence[int]) -> FGAbelianGroup:
     """The group (k* meet the norm images from all fixed fields) / N_{K/k}(k*).
 
-    `stabilizers` lists, per ray orbit, the stabilizer subgroup of the Galois
-    group; the fixed field of each stabilizer is the field of definition of
-    that orbit's coordinate.
+    `stabilizer_orders` lists, per ray orbit, the order h of the orbit's
+    stabilizer in the cyclic Galois group Z/d.  h divides d and names the
+    subgroup, the only one of that order; its fixed field, of degree d/h
+    over k, is the field of definition of that orbit's coordinate.
     """
-    group = backend.group
-    for sub in set(stabilizers):
-        assert all(0 <= g < group.order for g in sub) and 0 in sub
-        assert group.subgroup_closure(sub) == frozenset(sub), "stabilizer is not a subgroup"
+    d = backend.group.order
+    assert all(h > 0 and d % h == 0 for h in stabilizer_orders), "orders must divide d"
 
     if isinstance(backend, RealComplexBackend):
-        if any(len(sub) == 2 for sub in stabilizers):
+        if 2 in stabilizer_orders:
             # some coordinate is defined over R: its positive reals are norms
             return FGAbelianGroup.trivial()
         return FGAbelianGroup.cyclic(2)
@@ -647,7 +652,7 @@ def norm_quotient(
         # multiples-of-lcm(a, b)
         c = backend.mult_order
         base_units = c // (backend.q - 1)  # generator of k* inside Z/c
-        gens = [base_units] + [backend.norm_image_generator(sub) for sub in stabilizers]
+        gens = [base_units] + [backend.norm_image_generator(h) for h in stabilizer_orders]
         assert all(c % g == 0 for g in gens)
         meet_gen = math.lcm(*gens)
         # numerator = <meet_gen>, denominator = k* = <base_units>
@@ -663,8 +668,8 @@ def norm_quotient(
         if t == 0:
             return FGAbelianGroup.trivial()
         current = IntMatrix.identity(t)
-        for sub in stabilizers:
-            pre = backend.image_subgroup(frozenset(sub)).hstack(moduli)
+        for h in stabilizer_orders:
+            pre = backend.image_subgroup(h).hstack(moduli)
             current = lattice_intersection(current, pre)
         return lattice_subquotient(image_basis(current), moduli)
 

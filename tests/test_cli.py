@@ -430,6 +430,14 @@ def test_cohomology_oracle_needs_ff(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("verb", ["classify fan", "cohomology oracle"])
+def test_galois_group_above_the_hom_bound_is_a_domain_error(capsys, verb):
+    """Degree 1001 exceeds the hom-enumeration bound: exit 1 with one line."""
+    code, out, err = invoke(capsys, *verb.split(), "--builtin", "hexagon", "--backend", "ff:2,1001")
+    assert (code, out) == (1, "")
+    assert err == "error: hom enumeration needs an acting group of order at most 1000, got 1001\n"
+
+
 # ---------------------------------------------------------------------------
 # table verb
 # ---------------------------------------------------------------------------
@@ -675,19 +683,29 @@ _JSON_JUNK = st.recursive(
 )
 
 
+_EDITS = ["drop cone", "change ray", "add ray", "grow cone", "add cone", "rank"]
+_BOOLEAN_EDITS = ["boolean ray entry", "boolean rank"]
+
+
 @st.composite
-def _edited_fan(draw) -> dict:
-    """A builtin fan's JSON after up to three small edits."""
+def _edited_fan(draw, with_boolean: bool = False) -> dict:
+    """A builtin fan's JSON after up to three small edits; `with_boolean`
+    makes the last one put a JSON boolean into a ray or the rank."""
     fan = json.loads(json.dumps(draw(st.sampled_from(_FUZZ_BASES))))
     rays, cones = fan["rays"], fan["cones"]
-    for _ in range(draw(st.integers(0, 3))):
-        edit = draw(st.sampled_from(["drop cone", "change ray", "add ray", "grow cone", "add cone", "rank"]))
+    edits = draw(st.lists(st.sampled_from(_EDITS + _BOOLEAN_EDITS), max_size=3))
+    if with_boolean:
+        edits.append(draw(st.sampled_from(_BOOLEAN_EDITS)))
+    for edit in edits:
+        filled = [ray for ray in rays if ray]
         if edit == "drop cone" and cones:
             cones.pop(draw(st.integers(0, len(cones) - 1)))
-        elif edit == "change ray" and rays:
-            ray = draw(st.sampled_from(rays))
-            ray[draw(st.integers(0, len(ray) - 1))] = draw(_SMALL)
-        elif edit == "add ray":
+        elif edit in ("change ray", "boolean ray entry") and filled:
+            ray = draw(st.sampled_from(filled))
+            ray[draw(st.integers(0, len(ray) - 1))] = draw(
+                _SMALL if edit == "change ray" else st.booleans()
+            )
+        elif edit == "add ray" and type(fan["rank"]) is int:
             rays.append(draw(st.lists(_SMALL, min_size=fan["rank"], max_size=fan["rank"])))
         elif edit == "grow cone" and cones:
             draw(st.sampled_from(cones)).append(draw(st.integers(0, len(rays))))
@@ -695,7 +713,13 @@ def _edited_fan(draw) -> dict:
             cones.append(draw(st.lists(st.integers(0, len(rays)), max_size=3)))
         elif edit == "rank":
             fan["rank"] = draw(st.integers(0, 3))
+        elif edit in _BOOLEAN_EDITS:  # also a boolean ray entry with no entry to take it
+            fan["rank"] = draw(st.booleans())
     return fan
+
+
+def _has_boolean(fan: dict) -> bool:
+    return type(fan["rank"]) is bool or any(type(x) is bool for ray in fan["rays"] for x in ray)
 
 
 _FAN_TEXT = st.one_of(
@@ -712,7 +736,9 @@ _FAN_TEXT = st.one_of(
 )
 # (q^d - 1)^rank stays small, so a brute force the guard lets through is quick
 _BACKEND = st.one_of(
-    st.sampled_from(["real", "ff:2,3", "ff:4,3", "symbolic:SYMBOLIC", "ff:", "ff:2", "ff:a,b"]),
+    st.sampled_from(
+        ["real", "ff:2,3", "ff:4,3", "ff:2,1001", "symbolic:SYMBOLIC", "ff:", "ff:2", "ff:a,b"]
+    ),
     st.builds("ff:{},{}".format, st.integers(-2, 7), st.integers(-2, 2)),
     st.text(max_size=8),
 )
@@ -777,3 +803,21 @@ def test_cli_fuzz_ends_with_a_known_exit_code(tmp_path_factory, argv, fan_text, 
         sys.stdin = stdin
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=40, deadline=10_000)
+@given(fan=_edited_fan(with_boolean=True), verb=st.sampled_from(_FAN_VERBS))
+def test_cli_fuzz_boolean_fans_exit_one(tmp_path_factory, fan, verb):
+    """An edited fan with a JSON boolean as a ray entry or as the rank is a
+    format error (exit 1) for every verb that reads a fan."""
+    assert _has_boolean(fan)
+    fan_file = tmp_path_factory.getbasetemp() / "fuzz_boolean_fan.json"
+    fan_file.write_text(json.dumps(fan))
+    argv = verb.split() + ["--file", str(fan_file)]
+    if verb in ("classify fan", "cohomology oracle"):
+        argv += ["--backend", "ff:2,3"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert (code, out.getvalue()) == (1, "")
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

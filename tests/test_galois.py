@@ -1,20 +1,31 @@
 """Group specs, hom classes, backends, and norm quotients."""
 
 import itertools
+import json
+import math
 import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 
 import toricforms
-from toricforms.exact_linalg import FGAbelianGroup, IntMatrix
+from toricforms.classify import BUILTIN_NAMES, builtin_fan
+from toricforms.exact_linalg import (
+    FGAbelianGroup,
+    IntMatrix,
+    image_basis,
+    lattice_intersection,
+    lattice_subquotient,
+)
 from toricforms.fan_aut import automorphism_group
 from toricforms.galois import (
     AssumptionViolated,
     BackendUnsupported,
     MAX_GROUP_ORDER,
+    MAX_HOM_GROUP_ORDER,
     FiniteFieldBackend,
     GroupSpec,
     HomClass,
@@ -93,8 +104,9 @@ def test_backend_validation_survives_optimized_mode():
         "             lambda: IntMatrix.from_rows([[1, 2], [3]]),\n"
         "             lambda: SymbolicBrauerBackend.from_json('{\"Q\": {}}', 2),\n"
         "             lambda: SymbolicBrauerBackend(2, (1,), ()),\n"
-        "             lambda: SymbolicBrauerBackend(2, (2, 3), ((frozenset({0, 1}), I1),)),\n"
-        "             lambda: SymbolicBrauerBackend(4, (2,), ((frozenset({0, 1}), I1),)),\n"
+        "             lambda: SymbolicBrauerBackend(2, (2, 3), ((2, I1),)),\n"
+        "             lambda: SymbolicBrauerBackend(4, (2,), ((3, I1),)),\n"
+        "             lambda: SymbolicBrauerBackend(4, (2,), ((0, I1),)),\n"
         "             lambda: GroupSpec.explicit([[0, 1], [1, 1]]),\n"
         "             lambda: GroupSpec('g', ((1, 0), (0, 1)), ()),\n"
         "             lambda: GroupSpec('g', ((0, 1), (1, 0)), (5,)),\n"
@@ -131,8 +143,9 @@ def test_backend_validation_survives_optimized_mode():
         "ValueError ragged rows: [1, 2]",
         "ValueError symbolic backend JSON: missing key 'invariant_factors'",
         "ValueError invariant factors of Q must be at least 2, got [1]",
-        "ValueError norm image of subgroup [0, 1] needs 2 rows, one per factor of Q, got 1",
-        "ValueError [0, 1] is not a subgroup of Z/4",
+        "ValueError norm image of the subgroup of order 2 needs 2 rows, one per factor of Q, got 1",
+        "ValueError 3 is not the order of a subgroup of Z/4",
+        "ValueError 0 is not the order of a subgroup of Z/4",
         "ValueError row 1 is not a permutation",
         "ValueError element 0 must be neutral",
         "ValueError generator 5 is not an element of a group of order 2",
@@ -161,19 +174,20 @@ def test_backend_group_is_built_once(backend, degree):
 
 
 def test_projective_proves_each_stabilizer_once(monkeypatch):
-    """classify_projective builds one stabilizer per distinct part and
-    norm_quotient proves each distinct stabilizer once per call."""
-    from toricforms.classify import classify_projective, partitions_dividing
+    """Stabilizers are named by their orders: neither classifier builds or
+    proves a subgroup set."""
+    from toricforms.classify import classify_fan, classify_projective
 
     calls = []
     closure = GroupSpec.subgroup_closure
     monkeypatch.setattr(
         GroupSpec, "subgroup_closure", lambda self, gens: calls.append(1) or closure(self, gens)
     )
-    parts = partitions_dividing(9, 12).all
     classify_projective(8, FiniteFieldBackend(2, 12))
-    distinct_parts = {m for p in parts for m in p}
-    assert len(calls) <= len(distinct_parts) + sum(len(set(p)) for p in parts)
+    backend = FiniteFieldBackend(2, 4)
+    classify_fan(builtin_fan("projective:3"), backend.group, backend)
+    assert calls == []
+
 
 def test_dihedral_group():
     g = GroupSpec.dihedral(12)
@@ -265,6 +279,58 @@ def test_dihedral_homs_into_hexagon():
     assert len(stab) == 2  # a reflection fixes ray 0
 
 
+@pytest.mark.parametrize(
+    "group",
+    [GroupSpec.cyclic(2), GroupSpec.cyclic(3), GroupSpec.cyclic(4), GroupSpec.dihedral(12)],
+    ids=lambda group: group.name,
+)
+def test_orbit_stabilizer_has_group_order_over_orbit_length(group):
+    """The norm route names each stabilizer by |G| / |orbit|; here the
+    enumerated stabilizer of every orbit of every hom class has that order."""
+    for name in list(BUILTIN_NAMES) + [f"projective:{n}" for n in range(1, 5)]:
+        aut = automorphism_group(builtin_fan(name))
+        for hom in enumerate_hom_classes(group, aut):
+            for orbit in hom.ray_orbits:
+                assert group.order % len(orbit) == 0
+                assert len(hom.orbit_stabilizer(orbit)) == group.order // len(orbit)
+
+
+def test_hom_enumeration_refuses_large_groups_before_listing_images(monkeypatch):
+    """Above MAX_HOM_GROUP_ORDER elements, a typed error before any slot of
+    candidate images is built, also under python -O."""
+    aut = automorphism_group(HEXAGON)
+    big = GroupSpec.cyclic(MAX_HOM_GROUP_ORDER + 1)
+    calls = []
+    order_of = type(aut).element_order
+    monkeypatch.setattr(type(aut), "element_order", lambda self, i: calls.append(i) or order_of(self, i))
+    with pytest.raises(ValueError, match=f"order at most {MAX_HOM_GROUP_ORDER}, got 1001"):
+        enumerate_hom_classes(big, aut)
+    assert calls == []
+    assert len(enumerate_hom_classes(GroupSpec.cyclic(MAX_HOM_GROUP_ORDER), automorphism_group(P1))) == 2
+    script = (
+        "from toricforms.classify import builtin_fan\n"
+        "from toricforms.fan_aut import automorphism_group\n"
+        "from toricforms.galois import GroupSpec, enumerate_hom_classes\n"
+        "try:\n"
+        "    enumerate_hom_classes(GroupSpec.cyclic(1001), automorphism_group(builtin_fan('hexagon')))\n"
+        "except ValueError as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+    )
+    src = str(Path(toricforms.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={"PYTHONPATH": src},
+        check=True,
+    ).stdout
+    assert out == (
+        f"ValueError hom enumeration needs an acting group of order at most"
+        f" {MAX_HOM_GROUP_ORDER}, got 1001\n"
+    )
+
+
 def test_kernel_reduction():
     aut = automorphism_group(P1XP1)
     classes = enumerate_hom_classes(GroupSpec.cyclic(4), aut)
@@ -320,26 +386,116 @@ def test_torsion_factor_invertible():
     assert not torsion_factor_invertible(ff, 3)
 
 
+def _divisors(d: int) -> list[int]:
+    return [h for h in range(1, d + 1) if d % h == 0]
+
+
 def test_norm_quotient_real():
+    # stabilizer orders: 2 is the whole group, 1 the trivial subgroup
     real = RealComplexBackend()
-    full = frozenset({0, 1})
-    triv = frozenset({0})
-    assert norm_quotient(real, [full]) == FGAbelianGroup.trivial()
-    assert norm_quotient(real, [triv, full]) == FGAbelianGroup.trivial()
-    assert norm_quotient(real, [triv]) == FGAbelianGroup.cyclic(2)
-    assert norm_quotient(real, [triv, triv, triv]) == FGAbelianGroup.cyclic(2)
+    assert norm_quotient(real, [2]) == FGAbelianGroup.trivial()
+    assert norm_quotient(real, [1, 2]) == FGAbelianGroup.trivial()
+    assert norm_quotient(real, [1]) == FGAbelianGroup.cyclic(2)
+    assert norm_quotient(real, [1, 1, 1]) == FGAbelianGroup.cyclic(2)
 
 
 def test_norm_quotient_finite_field_always_trivial():
     for q, d in [(2, 2), (3, 2), (2, 3), (5, 3), (4, 2)]:
         backend = FiniteFieldBackend(q, d)
-        group = backend.group
-        subgroup_list = [
-            frozenset(group.subgroup_closure([g])) for g in range(d)
+        orders = _divisors(d)
+        for h in orders:
+            assert norm_quotient(backend, [h]) == FGAbelianGroup.trivial()
+        assert norm_quotient(backend, orders) == FGAbelianGroup.trivial()
+
+
+def _norm_quotient_by_subgroups(backend, stabilizers) -> FGAbelianGroup:
+    """Reference: the norm quotient with each stabilizer given as the set of
+    its group elements and proved closed, the former `norm_quotient` body.
+    Symbolic data is looked up by the subgroup set that each listed order h
+    names, the closure of d // h."""
+    group = backend.group
+    d = group.order
+    for sub in set(stabilizers):
+        assert all(0 <= g < d for g in sub) and 0 in sub
+        assert group.subgroup_closure(sub) == frozenset(sub), "stabilizer is not a subgroup"
+    if isinstance(backend, RealComplexBackend):
+        if any(len(sub) == 2 for sub in stabilizers):
+            return FGAbelianGroup.trivial()
+        return FGAbelianGroup.cyclic(2)
+    if isinstance(backend, FiniteFieldBackend):
+        q, c = backend.q, backend.mult_order
+        base_units = c // (q - 1)
+        gens = [base_units] + [c // (q ** (d // len(sub)) - 1) for sub in stabilizers]
+        assert all(c % g == 0 for g in gens)
+        meet_gen = math.lcm(*gens)
+        assert base_units % meet_gen == 0
+        return FGAbelianGroup.cyclic(base_units // meet_gen)
+    t = len(backend.quotient_factors)
+    moduli = IntMatrix.diagonal(list(backend.quotient_factors))
+    if t == 0:
+        return FGAbelianGroup.trivial()
+    listed: dict[frozenset[int], IntMatrix] = {}
+    for h, gens in backend.images:
+        listed.setdefault(group.subgroup_closure([(d // h) % d]), gens)
+
+    def image_subgroup(sub):
+        if sub in listed:
+            return listed[sub]
+        if len(sub) == d:
+            return IntMatrix.from_cols([], nrows=t)
+        if sub == frozenset({0}):
+            return IntMatrix.identity(t)
+        raise BackendUnsupported(f"no norm-image data for subgroup {sorted(sub)}")
+
+    current = IntMatrix.identity(t)
+    for sub in stabilizers:
+        current = lattice_intersection(current, image_subgroup(sub).hstack(moduli))
+    return lattice_subquotient(image_basis(current), moduli)
+
+
+def _multiples_backend(d: int, listed: Sequence[int]) -> SymbolicBrauerBackend:
+    """Q = Z/d, and the norms from the fixed field of the subgroup of order h
+    hit the multiples of h (so ha | hb gives image(hb) inside image(ha))."""
+    return SymbolicBrauerBackend(d, (d,), tuple((h, IntMatrix.from_cols([(h,)])) for h in listed))
+
+
+def test_norm_quotient_orders_match_subgroup_reference():
+    """Orders against subgroup sets, on every multiset of at most three
+    subgroups: C/R, F_q^d for q in 2..5 and d <= 12, and symbolic chains."""
+    chain8 = SymbolicBrauerBackend(
+        8, (2, 8), ((2, IntMatrix.from_cols([(1, 0), (0, 2)])), (4, IntMatrix.from_cols([(0, 4)])))
+    )
+    backends = (
+        [RealComplexBackend()]
+        + [FiniteFieldBackend(q, d) for q in (2, 3, 4, 5) for d in range(1, 13)]
+        + [
+            chain8,
+            _multiples_backend(12, (2, 3, 4, 6)),
+            _multiples_backend(12, (2, 4)),  # no data for orders 3 and 6
+            _multiples_backend(9, (3,)),
+            SymbolicBrauerBackend(4, (2, 4), ((2, IntMatrix.from_cols([(1, 0), (0, 2)])),)),
+            SymbolicBrauerBackend(3, (), ()),
         ]
-        for sub in subgroup_list:
-            assert norm_quotient(backend, [sub]) == FGAbelianGroup.trivial()
-        assert norm_quotient(backend, subgroup_list) == FGAbelianGroup.trivial()
+    )
+    compared = unsupported = 0
+    for backend in backends:
+        group = backend.group
+        d = group.order
+        subgroup_of = {h: group.subgroup_closure([(d // h) % d]) for h in _divisors(d)}
+        assert all(len(sub) == h for h, sub in subgroup_of.items())
+        assert len(set(subgroup_of.values())) == len(subgroup_of)
+        for r in range(4):
+            for orders in itertools.combinations_with_replacement(_divisors(d), r):
+                try:
+                    want = _norm_quotient_by_subgroups(backend, [subgroup_of[h] for h in orders])
+                except BackendUnsupported:
+                    with pytest.raises(BackendUnsupported):
+                        norm_quotient(backend, orders)
+                    unsupported += 1
+                    continue
+                assert norm_quotient(backend, list(orders)) == want, (backend, orders)
+                compared += 1
+    assert (compared, unsupported) == (1346, 49)
 
 
 def test_prime_factors():
@@ -386,7 +542,7 @@ def test_closed_forms_match_residue_enumeration():
         norm_images = {sub: image(sum(q**h for h in sub)) for sub in subgroups}
         for sub in subgroups:
             e = d // len(sub)
-            assert norm_images[sub] == fixed(e) == image(backend.norm_image_generator(sub))
+            assert norm_images[sub] == fixed(e) == image(backend.norm_image_generator(len(sub)))
         for factor in range(1, 13):
             assert torsion_factor_invertible(backend, factor) == (len(image(factor)) == c)
         k_units = fixed(1)
@@ -396,39 +552,40 @@ def test_closed_forms_match_residue_enumeration():
                 numerator = k_units.intersection(*(norm_images[s] for s in stabilizers))
                 assert full_norms <= numerator
                 order = len(numerator) // len(full_norms)
-                assert norm_quotient(backend, stabilizers).order() == order
+                orders = [len(s) for s in stabilizers]
+                assert norm_quotient(backend, orders).order() == order
 
 
 def test_norm_quotient_symbolic_mirrors_real():
     # degree 2, Q = Z/2 with only the implicit subgroup data: behaves like C/R
     sym = SymbolicBrauerBackend(2, (2,), ())
-    assert norm_quotient(sym, [frozenset({0, 1})]) == FGAbelianGroup.trivial()
-    assert norm_quotient(sym, [frozenset({0})]) == FGAbelianGroup.cyclic(2)
+    assert norm_quotient(sym, [2]) == FGAbelianGroup.trivial()
+    assert norm_quotient(sym, [1]) == FGAbelianGroup.cyclic(2)
 
 
 def test_norm_quotient_symbolic_partial_subgroup():
     # degree 4, Q = Z/2 + Z/4; norms from the quadratic subfield hit the
-    # subgroup generated by (1,0) and (0,2)
-    half = frozenset({0, 2})
+    # subgroup generated by (1,0) and (0,2); that subfield is fixed by the
+    # subgroup {0, 2} of order 2
     gens = IntMatrix.from_cols([(1, 0), (0, 2)])
-    sym = SymbolicBrauerBackend(4, (2, 4), ((half, gens),))
-    got = norm_quotient(sym, [half])
+    sym = SymbolicBrauerBackend(4, (2, 4), ((2, gens),))
+    got = norm_quotient(sym, [2])
     assert got == FGAbelianGroup.from_factors([2, 2])
     # combining with a trivial stabilizer (no condition) changes nothing
-    assert norm_quotient(sym, [half, frozenset({0})]) == got
+    assert norm_quotient(sym, [2, 1]) == got
     # the full-group stabilizer kills everything
-    assert norm_quotient(sym, [half, frozenset(range(4))]) == FGAbelianGroup.trivial()
+    assert norm_quotient(sym, [2, 4]) == FGAbelianGroup.trivial()
 
 
 def test_symbolic_monotonicity_enforced():
-    half = frozenset({0, 2})
+    # subgroup orders 2 and 4 of Z/4: 2 divides 4
     with pytest.raises(AssumptionViolated):
         SymbolicBrauerBackend(
             4,
             (2,),
             (
-                (half, IntMatrix.from_cols([], nrows=1)),
-                (frozenset(range(4)), IntMatrix.identity(1)),
+                (2, IntMatrix.from_cols([], nrows=1)),
+                (4, IntMatrix.identity(1)),
             ),
         )
     # containment is read in Q = Z/4: <6> lies in <2>, <4> = 0 in the
@@ -440,8 +597,8 @@ def test_symbolic_monotonicity_enforced():
         ([(2,)], [(1,)], False),
     ):
         images = (
-            (half, IntMatrix.from_cols(small, nrows=1)),
-            (frozenset(range(4)), IntMatrix.from_cols(large, nrows=1)),
+            (2, IntMatrix.from_cols(small, nrows=1)),
+            (4, IntMatrix.from_cols(large, nrows=1)),
         )
         if holds:
             SymbolicBrauerBackend(4, (4,), images)
@@ -461,8 +618,15 @@ def test_symbolic_from_json():
     """
     sym = SymbolicBrauerBackend.from_json(text, degree=4)
     assert sym.quotient_factors == (2, 4)
-    assert sym.images[0][0] == frozenset({0, 2})
-    assert norm_quotient(sym, [frozenset({0, 2})]) == FGAbelianGroup.from_factors([2, 2])
+    assert sym.images[0][0] == 2  # <2> = {0, 2} in Z/4
+    assert norm_quotient(sym, [2]) == FGAbelianGroup.from_factors([2, 2])
+    # any generators: the order of the subgroup they span, as the closure has it
+    for degree in (1, 4, 6, 12):
+        for gens in ([], [0], [2], [3], [-3], [4, 6], [5, 9], [6, 8], [degree]):
+            text = json.dumps({"Q": {"invariant_factors": [2]}, "images": [
+                {"subgroup_gens": gens, "subgroup_of_Q": [[0]]}]})
+            closure = GroupSpec.cyclic(degree).subgroup_closure(x % degree for x in gens)
+            assert SymbolicBrauerBackend.from_json(text, degree).images[0][0] == len(closure)
 
 
 def test_backend_descriptions():
