@@ -814,7 +814,7 @@ def classify_fan(
     homomorphism's kernel.
     """
     aut = automorphism_group(fan)  # validates the fan first
-    if backend.group.table != group.table:
+    if backend.group != group:
         raise BackendUnsupported(
             f"backend Galois group {backend.group.name} does not match"
             f" the requested group {group.name}"

@@ -106,18 +106,12 @@ def _load_fan(args: argparse.Namespace) -> tuple[Fan, str]:
 
 def _parse_group(text: str) -> GroupSpec:
     kind, sep, tail = text.partition(":")
-    if not sep or not tail.isdigit():
-        raise UsageError("--group expects cyclic:d or dihedral:2m")
+    if kind != "cyclic" or not sep or not tail.isdigit():
+        raise UsageError("--group expects cyclic:d")
     order = int(tail)
-    if kind == "cyclic":
-        if order < 1:
-            raise UsageError("cyclic group order must be at least 1")
-        return GroupSpec.cyclic(order)
-    if kind == "dihedral":
-        if order < 2 or order % 2:
-            raise UsageError("dihedral group order must be even and at least 2")
-        return GroupSpec.dihedral(order)
-    raise UsageError(f"unknown group kind {kind!r}; expected cyclic or dihedral")
+    if order < 1:
+        raise UsageError("cyclic group order must be at least 1")
+    return GroupSpec.cyclic(order)
 
 
 def _parse_backend(text: str, group: GroupSpec | None) -> FieldBackend:
@@ -136,8 +130,6 @@ def _parse_backend(text: str, group: GroupSpec | None) -> FieldBackend:
                 "--backend symbolic:path.json needs --group cyclic:d"
                 " to fix the extension degree"
             )
-        if not group.is_cyclic:
-            raise UsageError("the symbolic backend models cyclic extensions only")
         return SymbolicBrauerBackend.from_json(Path(path).read_text(), group.order)
     raise UsageError(
         f"unrecognized backend {text!r}; expected real, ff:q,d, or symbolic:path.json"
@@ -283,7 +275,7 @@ def _group_and_backend(args: argparse.Namespace) -> tuple[GroupSpec, FieldBacken
     backend = _parse_backend(args.backend, group)
     if group is None:
         group = backend.group
-    elif backend.group.table != group.table:
+    elif backend.group != group:
         raise BackendUnsupported(
             f"backend Galois group {backend.group.name} does not match"
             f" the requested group {group.name}"

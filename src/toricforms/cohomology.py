@@ -44,7 +44,6 @@ from .galois import (
     FiniteFieldBackend,
     GroupSpec,
     HomClass,
-    NonCyclicGroup,
     RealComplexBackend,
     SymbolicBrauerBackend,
     _prime_factors,
@@ -209,22 +208,17 @@ def h1_cyclic_norm_formula(
 ) -> FGAbelianGroup:
     """H^1 of the twisted dense torus, computed on the ray-coordinate side.
 
-    Requires a cyclic acting group (NonCyclicGroup otherwise) and, for
-    concrete backends, that every class-group torsion factor act invertibly
-    on the units of the splitting field (AssumptionViolated otherwise).
+    Requires, for concrete backends, that every class-group torsion factor
+    act invertibly on the units of the splitting field (AssumptionViolated
+    otherwise).
 
     When the class group is Z with all ray degrees equal to one, the answer
     is the pure norm quotient over the ray-orbit stabilizers, which is also
     the only shape of input the symbolic backend can evaluate.
     """
     group = hom.group
-    if not group.is_cyclic:
-        raise NonCyclicGroup(f"{group.name} of order {group.order} is not cyclic")
     assert group.order == backend.group.order, (
         "the twisting group must be the Galois group of the backend extension"
-    )
-    assert group.order == 1 or group.element_order(1) == group.order, (
-        "element 1 must be the distinguished Galois generator"
     )
     if _diagonal_degree(fan):
         # orbit-stabilizer: an orbit of r rays has a stabilizer of order |G| / r
@@ -248,7 +242,12 @@ def h1_cyclic_norm_formula(
 
 @dataclass(frozen=True)
 class FiniteModule:
-    """Finite abelian group prod Z/moduli[i] with a linear group action."""
+    """Finite abelian group prod Z/moduli[i] with a linear group action.
+
+    The acting group is read only through `order`, `generators` and `mult`
+    (element 0 the identity), so any finite group given that way can act,
+    not only the cyclic `GroupSpec`.
+    """
 
     group: GroupSpec
     moduli: tuple[int, ...]
@@ -314,7 +313,7 @@ def finite_field_torus_module(backend: FiniteFieldBackend, hom: HomClass) -> Fin
     matrix of the fan automorphism it maps to.
     """
     group = hom.group
-    assert group.is_cyclic and group.order == backend.d
+    assert group.order == backend.d
     c = backend.mult_order
     n = hom.aut.fan.rank
     mats = []
@@ -351,10 +350,9 @@ def brute_force_h1_finite(module: FiniteModule, guard: int = 10_000_000) -> FGAb
     tree = _cayley_spanning_tree(group, gens)
     act = _action_tables(module, elements, position, tree)
     add = module.add
-    table = group.table
     order = group.order
-    edges = [(a, g, table[a][g]) for a in range(order) for g in gens]
-    pairs = [(a, b, table[a][b]) for a in range(order) for b in range(order)]
+    edges = [(a, g, group.mult(a, g)) for a in range(order) for g in gens]
+    pairs = [(a, b, group.mult(a, b)) for a in range(order) for b in range(order)]
 
     cocycles: set[tuple[tuple[int, ...], ...]] = set()
     # an assignment gives each generator the position of its module element

@@ -15,10 +15,10 @@ ray permutation.  The found set is certified to be a group at every order:
 greedily chosen generators are closed breadth-first by permutation products,
 each product must lie in the set, and the closure must be all of it.  The
 exhaustive frame product that the pruned search replaced is kept in the
-tests as its reference.  For smooth complete surface fans the boundary word
-gives an independent shortcut: rotational symmetries of the word produce
-determinant +1 automorphisms, mirror symmetries determinant -1, and these
-exhaust the group.
+tests as its reference.  For smooth complete surface fans the tests also
+rebuild the group from the boundary word, an independent route: rotational
+symmetries of the word produce determinant +1 automorphisms, mirror
+symmetries determinant -1, and these exhaust the group.
 
 Finite subgroups of GL(2, Z) are classified up to conjugacy by thirteen
 classes; `identify_gl2_class` names the class of a given finite matrix group
@@ -33,7 +33,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .exact_linalg import IntMatrix, _snf_memo_scope, det, kernel_basis, rational_solve
-from .fans import Fan, NotSmoothComplete, boundary_word, is_complete_surface, is_smooth, validate_fan
+from .fans import Fan, boundary_word, is_complete_surface, is_smooth, validate_fan
 
 
 class UnidentifiedClass(ValueError):
@@ -247,46 +247,6 @@ def automorphism_group(fan: Fan) -> FanAutGroup:
     group = FanAutGroup(fan, matrices, tuple(perm for _, perm in found))
     assert _is_group(group.ray_permutations), "automorphism set not closed"
     assert group.matrices[group.identity_index] == IntMatrix.identity(fan.rank)
-    return group
-
-
-def aut_via_sequence(fan: Fan) -> FanAutGroup:
-    """Automorphisms of a smooth complete surface fan from its boundary word.
-
-    A rotation of the word by k steps lifts to the matrix sending the first
-    two boundary rays to the pair k steps along (determinant +1); a mirror
-    symmetry about position j lifts to the matrix reversing the boundary
-    (determinant -1).  Raises NotSmoothComplete when the shortcut is not
-    available.
-    """
-    bw = boundary_word(fan)  # raises for unsupported fans
-    order = bw.ccw_indices
-    w = bw.word
-    m = len(w)
-    rays = [fan.rays[i] for i in order]
-    base_inv, den = _scaled_inverse(IntMatrix.from_cols([rays[0], rays[1]], 2))
-
-    def lift(target0: tuple[int, ...], target1: tuple[int, ...]) -> IntMatrix:
-        s = _divided(IntMatrix.from_cols([target0, target1], 2) @ base_inv, den)
-        assert s is not None, "boundary bases are unimodular, lift must be integral"
-        return s
-
-    found = []
-    for k in range(m):
-        if w[k:] + w[:k] == w:
-            s = lift(rays[k], rays[(k + 1) % m])
-            assert det(s) == 1
-            for i in range(m):
-                assert s.apply(rays[i]) == rays[(i + k) % m]
-            found.append(s)
-    for j in range(m):
-        if all(w[(j - i) % m] == w[i] for i in range(m)):
-            s = lift(rays[j], rays[(j - 1) % m])
-            assert det(s) == -1
-            for i in range(m):
-                assert s.apply(rays[i]) == rays[(j - i) % m]
-            found.append(s)
-    group = FanAutGroup(fan, tuple(sorted(set(found), key=lambda x: x.rows)))
     return group
 
 

@@ -544,22 +544,6 @@ def a_sequence(fan: Fan) -> tuple[int, ...]:
     return boundary_word(fan).word
 
 
-def dihedral_variants(word: Sequence[int]) -> set[tuple[int, ...]]:
-    """All rotations of the word and of its reversal."""
-    w = tuple(word)
-    out = set()
-    for k in range(len(w)):
-        out.add(w[k:] + w[:k])
-    r = w[::-1]
-    for k in range(len(w)):
-        out.add(r[k:] + r[:k])
-    return out
-
-
-def sequences_equivalent(w1: Sequence[int], w2: Sequence[int]) -> bool:
-    return tuple(w2) in dihedral_variants(w1)
-
-
 def fan_from_boundary_word(word: Sequence[int]) -> Fan:
     """Realize a boundary word as a fan, starting from rays (1,0), (0,1).
 

@@ -1,11 +1,13 @@
-"""Galois descent data: acting groups, field backends, twisting homomorphisms.
+"""Galois descent data: the cyclic Galois group, field backends, twisting
+homomorphisms.
 
 A twisted form of a split toric variety is governed by a homomorphism from
 the Galois group of a splitting extension into the fan's automorphism group.
-This module models the group side: finite groups by multiplication table,
-homomorphisms into a fan automorphism group up to conjugacy (with the ray
-orbit/stabilizer/coset bookkeeping the cohomology formulas consume), and the
-three coefficient backends:
+Every extension here is cyclic, so the group is Z/d (`GroupSpec`) and a
+homomorphism is fixed by the image of the generator 1: its classes up to
+conjugacy are the conjugacy classes of fan automorphisms whose order divides
+d, with the ray-orbit bookkeeping the cohomology formulas consume.  The
+three coefficient backends are:
 
 * RealComplexBackend -- the extension C/R;
 * FiniteFieldBackend -- F_{q^d}/F_q with K* cyclic of order q^d - 1 and
@@ -18,12 +20,11 @@ three coefficient backends:
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from .exact_linalg import (
     FGAbelianGroup,
@@ -44,168 +45,51 @@ class BackendUnsupported(ValueError):
     """The requested computation needs data this backend does not carry."""
 
 
-class NonCyclicGroup(ValueError):
-    """A cyclic-only code path received a non-cyclic group."""
-
-
 class AssumptionViolated(ValueError):
     """A hypothesis of the norm formula fails for these inputs."""
 
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """Finite group given by its multiplication table; element 0 is identity."""
+    """The cyclic group Z/d of order d: elements 0..d-1 under addition mod d.
 
-    name: str
-    table: tuple[tuple[int, ...], ...]
-    generators: tuple[int, ...]
+    Element 1 is the distinguished generator (complex conjugation, or
+    Frobenius).  Construction raises ValueError unless 1 <= d <=
+    MAX_GROUP_ORDER.
+    """
+
+    order: int
 
     def __post_init__(self) -> None:
-        # input checks raise ValueError, so they also hold under python -O
-        n = self.order
-        if not 1 <= n <= MAX_GROUP_ORDER:
-            raise ValueError(f"group order must be in 1..{MAX_GROUP_ORDER}, got {n}")
-        for i, row in enumerate(self.table):
-            if len(row) != n or not all(0 <= x < n for x in row):
-                raise ValueError(f"table row {i} is not {n} entries in 0..{n - 1}")
-        for i in range(n):
-            if self.table[0][i] != i or self.table[i][0] != i:
-                raise ValueError("element 0 must be neutral")
-        for g in self.generators:
-            if not 0 <= g < n:
-                raise ValueError(f"generator {g} is not an element of a group of order {n}")
-
-    @property
-    def order(self) -> int:
-        return len(self.table)
-
-    def mult(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    @cached_property
-    def inverses(self) -> tuple[int, ...]:
-        out = []
-        for a in range(self.order):
-            inv = next(b for b in range(self.order) if self.table[a][b] == 0)
-            out.append(inv)
-        return tuple(out)
-
-    def inverse(self, a: int) -> int:
-        return self.inverses[a]
-
-    def power(self, a: int, k: int) -> int:
-        x = 0
-        k %= self.element_order(a)
-        for _ in range(k):
-            x = self.table[x][a]
-        return x
-
-    def element_order(self, a: int) -> int:
-        n, x = 1, a
-        while x != 0:
-            x = self.table[x][a]
-            n += 1
-            assert n <= self.order
-        return n
-
-    @cached_property
-    def cyclic_generator(self) -> int | None:
-        for a in range(self.order):
-            if self.element_order(a) == self.order:
-                return a
-        return None
-
-    @property
-    def is_cyclic(self) -> bool:
-        return self.cyclic_generator is not None
-
-    def subgroup_closure(self, gens: Iterable[int]) -> frozenset[int]:
-        seen = {0}
-        frontier = [0]
-        gens = list(gens)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    x = self.table[a][g]
-                    if x not in seen:
-                        seen.add(x)
-                        nxt.append(x)
-            frontier = nxt
-        return frozenset(seen)
+        # a ValueError, so the check also holds under python -O
+        if not 1 <= self.order <= MAX_GROUP_ORDER:
+            raise ValueError(
+                f"cyclic group order must be in 1..{MAX_GROUP_ORDER}, got {self.order}"
+            )
 
     @classmethod
     def cyclic(cls, d: int) -> "GroupSpec":
-        # checked before the d x d table is built
-        if not 1 <= d <= MAX_GROUP_ORDER:
-            raise ValueError(f"cyclic group order must be in 1..{MAX_GROUP_ORDER}, got {d}")
-        table = tuple(tuple((i + j) % d for j in range(d)) for i in range(d))
-        return cls(f"C{d}", table, (1,) if d > 1 else ())
+        return cls(d)
 
-    @classmethod
-    def dihedral(cls, order: int) -> "GroupSpec":
-        """Dihedral group of the given (even) order 2m, m >= 1.
+    @property
+    def name(self) -> str:
+        return f"C{self.order}"
 
-        Elements 0..m-1 are rotations r^i, elements m..2m-1 are reflections
-        s r^i.
-        """
-        # checked before the table is built
-        if not (2 <= order <= MAX_GROUP_ORDER and order % 2 == 0):
-            raise ValueError(
-                f"dihedral group order must be even and in 2..{MAX_GROUP_ORDER}, got {order}"
-            )
-        m = order // 2
+    @property
+    def generators(self) -> tuple[int, ...]:
+        return (1,) if self.order > 1 else ()
 
-        def mult(a: int, b: int) -> int:
-            fa, ia = divmod(a, m)
-            fb, ib = divmod(b, m)
-            if fa == 0 and fb == 0:
-                return (ia + ib) % m
-            if fa == 0 and fb == 1:
-                return m + (ib - ia) % m
-            if fa == 1 and fb == 0:
-                return m + (ia + ib) % m
-            return (ib - ia) % m
+    def mult(self, a: int, b: int) -> int:
+        return (a + b) % self.order
 
-        table = tuple(tuple(mult(a, b) for b in range(order)) for a in range(order))
-        gens = (1, m) if m > 1 else (m,)
-        return cls(f"D{order}", table, gens)
+    def element_order(self, a: int) -> int:
+        return self.order // math.gcd(a, self.order)
 
-    @classmethod
-    def explicit(cls, table: Sequence[Sequence[int]], name: str = "G") -> "GroupSpec":
-        """Wrap a raw multiplication table, checking the group axioms.
 
-        Associativity is checked in full for orders up to 100 and spot-checked
-        beyond that (cubic cost).
-        """
-        t = tuple(tuple(int(x) for x in row) for row in table)
-        n = len(t)
-        if any(len(row) != n for row in t):
-            raise ValueError(f"table of {n} rows is not square")
-        everything = set(range(n))
-        for a in range(n):
-            if set(t[a]) != everything:
-                raise ValueError(f"row {a} is not a permutation")
-            if {t[b][a] for b in range(n)} != everything:
-                raise ValueError(f"column {a} is not a permutation")
-        order_cap = min(n, 100)
-        for a in range(order_cap):
-            for b in range(order_cap):
-                for c in range(order_cap):
-                    if t[t[a][b]][c] != t[a][t[b][c]]:
-                        raise ValueError("multiplication not associative")
-        gens: list[int] = []
-        spec = cls(name, t, tuple(range(n)))
-        reached = {0}
-        for a in range(n):
-            if a not in spec.subgroup_closure(gens):
-                gens.append(a)
-                reached = spec.subgroup_closure(gens)
-            if len(reached) == n:
-                break
-        if spec.subgroup_closure(gens) != frozenset(range(n)):
-            raise ValueError("table is not generated")
-        return cls(name, t, tuple(gens))
+def _check_subgroup_order(h: object, d: int) -> None:
+    """ValueError unless h is the order of a subgroup of Z/d: a positive divisor."""
+    if type(h) is not int or h < 1 or d % h:
+        raise ValueError(f"{h!r} is not the order of a subgroup of Z/{d}")
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +98,12 @@ class GroupSpec:
 
 @dataclass(frozen=True)
 class HomClass:
-    """Conjugacy class of homomorphisms group -> fan automorphisms.
+    """Conjugacy class of homomorphisms Z/d -> fan automorphisms.
 
-    `images[g]` is the index in `aut.matrices` of the image of group element
-    g, for the canonical representative (lexicographically least image tuple
-    in its conjugation orbit).
+    A homomorphism sends the generator 1 to some h whose order divides d.
+    `images[g]` is the index in `aut.matrices` of h^g, for the canonical
+    representative: the h of least index in its conjugacy class.
+    `orbit_size` is the number of conjugates of h.
     """
 
     group: GroupSpec
@@ -247,137 +132,69 @@ class HomClass:
 
     @cached_property
     def ray_orbits(self) -> tuple[tuple[int, ...], ...]:
-        """Orbits of the induced ray action, each sorted, ordered by minimum."""
-        num_rays = self.aut.fan.num_rays
-        seen = [False] * num_rays
+        """Orbits of the induced ray action, each sorted, ordered by minimum:
+        the cycles of the generator's ray permutation."""
+        perm = self.ray_permutation(1 % self.group.order)
+        seen: set[int] = set()
         orbits = []
-        for start in range(num_rays):
-            if seen[start]:
+        for start in range(len(perm)):
+            if start in seen:
                 continue
-            orbit = set()
-            frontier = [start]
-            seen[start] = True
-            while frontier:
-                r = frontier.pop()
-                orbit.add(r)
-                for g in range(self.group.order):
-                    img = self.ray_permutation(g)[r]
-                    if not seen[img]:
-                        seen[img] = True
-                        frontier.append(img)
-            orbits.append(tuple(sorted(orbit)))
-        return tuple(sorted(orbits))
-
-    def orbit_stabilizer(self, orbit: Sequence[int]) -> frozenset[int]:
-        """Stabilizer subgroup of the orbit's minimal ray."""
-        rep = min(orbit)
-        return frozenset(
-            g for g in range(self.group.order) if self.ray_permutation(g)[rep] == rep
-        )
-
-
-def _extend_to_hom(
-    group: GroupSpec, aut: FanAutGroup, gen_images: Sequence[int]
-) -> tuple[int, ...] | None:
-    """Build the full image tuple from generator images, or None if not a hom."""
-    images: dict[int, int] = {0: aut.identity_index}
-    frontier = [0]
-    gens = list(zip(group.generators, gen_images))
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g, hg in gens:
-                b = group.mult(a, g)
-                img = aut.mult_index(images[a], hg)
-                if b not in images:
-                    images[b] = img
-                    nxt.append(b)
-                elif images[b] != img:
-                    return None
-        frontier = nxt
-    if len(images) != group.order:
-        return None
-    out = tuple(images[a] for a in range(group.order))
-    for a in range(group.order):
-        for b in range(group.order):
-            if out[group.mult(a, b)] != aut.mult_index(out[a], out[b]):
-                return None
-    return out
+            cycle = [start]
+            while perm[cycle[-1]] != start:
+                cycle.append(perm[cycle[-1]])
+            seen.update(cycle)
+            orbits.append(tuple(sorted(cycle)))
+        return tuple(orbits)
 
 
 def enumerate_hom_classes(group: GroupSpec, aut: FanAutGroup) -> tuple[HomClass, ...]:
-    """All homomorphisms group -> aut, up to conjugation in aut.
+    """All homomorphisms Z/d -> aut, up to conjugation in aut.
 
-    Returned sorted by canonical representative.  The trivial homomorphism is
-    always present.  Raises ValueError, before any candidate image is listed,
-    when the group has more than MAX_HOM_GROUP_ORDER elements.
+    One class per conjugacy class of elements h whose order divides d, found
+    in one pass over the elements: the first element met of each class is its
+    least, and the representative has images h^0, ..., h^(d-1).  So the
+    classes come sorted by their images (images[1] is h when d > 1); the
+    trivial homomorphism is always present.
+    Raises ValueError, before any element order is taken, when d exceeds
+    MAX_HOM_GROUP_ORDER.
     """
-    if group.order > MAX_HOM_GROUP_ORDER:
+    d = group.order
+    if d > MAX_HOM_GROUP_ORDER:
         raise ValueError(
             f"hom enumeration needs an acting group of order at most"
-            f" {MAX_HOM_GROUP_ORDER}, got {group.order}"
+            f" {MAX_HOM_GROUP_ORDER}, got {d}"
         )
-    gen_orders = [group.element_order(g) for g in group.generators]
-    slots = [
-        [h for h in range(aut.order) if gen_orders[k] % aut.element_order(h) == 0]
-        for k in range(len(group.generators))
-    ]
-    homs: set[tuple[int, ...]] = set()
-    for gen_images in itertools.product(*slots):
-        full = _extend_to_hom(group, aut, gen_images)
-        if full is not None:
-            homs.add(full)
-    if not group.generators:
-        homs.add((aut.identity_index,))
+    inverse = aut.inverse_indices
+    seen: set[int] = set()
     classes = []
-    remaining = set(homs)
-    while remaining:
-        rep = min(remaining)
-        orbit = set()
-        for c in range(aut.order):
-            cinv = aut.inverse_indices[c]
-            conj = tuple(aut.mult_index(aut.mult_index(c, x), cinv) for x in rep)
-            orbit.add(conj)
-        assert orbit <= remaining
-        remaining -= orbit
-        classes.append(HomClass(group, aut, min(orbit), len(orbit)))
-    return tuple(sorted(classes, key=lambda c: c.images))
+    for h in range(aut.order):
+        if h in seen or d % aut.element_order(h):
+            continue
+        conjugates = {aut.mult_index(aut.mult_index(c, h), inverse[c]) for c in range(aut.order)}
+        seen |= conjugates
+        powers = [aut.identity_index]
+        for _ in range(d - 1):
+            powers.append(aut.mult_index(powers[-1], h))
+        classes.append(HomClass(group, aut, tuple(powers), len(conjugates)))
+    return tuple(classes)
 
 
 def kernel_reduction(hom: HomClass) -> tuple[GroupSpec, HomClass, tuple[int, ...]]:
-    """Factor a homomorphism through its kernel.
+    """Factor a homomorphism Z/d -> aut through its kernel.
 
-    Returns (quotient group, induced injective hom class, projection) where
-    projection[g] is the index of g's coset in the quotient.  The induced hom
-    has the same image subgroup of the fan automorphisms, so all orbit data
+    The generator's image h has order e dividing d, the kernel is the
+    multiples of e, and the quotient is Z/e with g mapping to g mod e.
+    Returns (Z/e, the induced injective hom class with images h^0, ...,
+    h^(e-1), projection) where projection[g] = g mod e.  The induced hom has
+    the same image subgroup of the fan automorphisms, so all orbit data
     agrees with the original.
     """
-    group = hom.group
-    kernel = hom.kernel
-    reps: list[int] = []
-    coset_of: dict[int, int] = {}
-    for g in range(group.order):
-        if g in coset_of:
-            continue
-        idx = len(reps)
-        for k in kernel:
-            coset_of[group.mult(g, k)] = idx
-        reps.append(g)
-    n = len(reps)
-    table = tuple(
-        tuple(coset_of[group.mult(reps[a], reps[b])] for b in range(n)) for a in range(n)
-    )
-    gens = []
-    for g in group.generators:
-        c = coset_of[g]
-        if c != 0 and c not in gens:
-            gens.append(c)
-    quotient = GroupSpec(f"{group.name}/ker", table, tuple(gens))
-    images = tuple(hom.images[reps[a]] for a in range(n))
-    induced = HomClass(quotient, hom.aut, images, hom.orbit_size)
-    assert induced.is_injective
-    projection = tuple(coset_of[g] for g in range(group.order))
-    return quotient, induced, projection
+    d = hom.group.order
+    e = d // len(hom.kernel)
+    quotient = GroupSpec.cyclic(e)
+    induced = HomClass(quotient, hom.aut, hom.images[:e], hom.orbit_size)
+    return quotient, induced, tuple(g % e for g in range(d))
 
 
 # ---------------------------------------------------------------------------
@@ -460,9 +277,10 @@ class FiniteFieldBackend:
         subgroup of the Galois group Z/d whose order h = `order` divides d.
 
         The fixed field is F_{q^(d/h)}, and the norm image in
-        K* = Z/(q^d - 1) is generated by (q^d - 1)/(q^(d/h) - 1).
+        K* = Z/(q^d - 1) is generated by (q^d - 1)/(q^(d/h) - 1).  Raises
+        ValueError unless `order` divides d.
         """
-        assert self.d % order == 0
+        _check_subgroup_order(order, self.d)
         e = self.d // order
         return (self.q**self.d - 1) // (self.q**e - 1)
 
@@ -474,7 +292,8 @@ class SymbolicBrauerBackend:
     quotient_factors presents the finite group Q = k*/N_{K/k}(K*); images
     maps the order h of each subgroup H of Z/d (h divides d, and H is the
     only subgroup of that order) to generators (columns) of the subgroup
-    (k* intersect N_{K/K^H}(K*)) / N_{K/k}(K*) of Q.
+    (k* intersect N_{K/K^H}(K*)) / N_{K/k}(K*) of Q.  Each order is listed
+    at most once.
     """
 
     degree: int
@@ -488,15 +307,19 @@ class SymbolicBrauerBackend:
                 f"invariant factors of Q must be at least 2, got {list(self.quotient_factors)}"
             )
         t = len(self.quotient_factors)
-        listed = dict(self.images)
+        listed: dict[int, IntMatrix] = {}
         for h, gens in self.images:
-            if type(h) is not int or h < 1 or self.degree % h:
-                raise ValueError(f"{h!r} is not the order of a subgroup of Z/{self.degree}")
+            _check_subgroup_order(h, self.degree)
+            if h in listed:
+                raise ValueError(
+                    f"two norm images for the subgroup of order {h} of Z/{self.degree}"
+                )
             if gens.nrows != t:
                 raise ValueError(
                     f"norm image of the subgroup of order {h} needs {t} rows, one per"
                     f" factor of Q, got {gens.nrows}"
                 )
+            listed[h] = gens
         # monotonicity: larger subgroup of the Galois group means a smaller
         # subfield tower step, hence a larger norm image is *not* possible:
         # ha dividing hb (H_a inside H_b) forces image(hb) inside image(ha).
@@ -635,10 +458,12 @@ def norm_quotient(backend: FieldBackend, stabilizer_orders: Sequence[int]) -> FG
     `stabilizer_orders` lists, per ray orbit, the order h of the orbit's
     stabilizer in the cyclic Galois group Z/d.  h divides d and names the
     subgroup, the only one of that order; its fixed field, of degree d/h
-    over k, is the field of definition of that orbit's coordinate.
+    over k, is the field of definition of that orbit's coordinate.  Raises
+    ValueError unless every order divides d.
     """
     d = backend.group.order
-    assert all(h > 0 and d % h == 0 for h in stabilizer_orders), "orders must divide d"
+    for h in stabilizer_orders:
+        _check_subgroup_order(h, d)
 
     if isinstance(backend, RealComplexBackend):
         if 2 in stabilizer_orders:

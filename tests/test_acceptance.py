@@ -35,7 +35,6 @@ from toricforms.cohomology import (
 )
 from toricforms.exact_linalg import FGAbelianGroup, IntMatrix
 from toricforms.fan_aut import (
-    aut_via_sequence,
     automorphism_group,
     identify_gl2_class,
 )
@@ -44,7 +43,6 @@ from toricforms.fans import (
     a_sequence,
     is_complete_surface,
     is_smooth,
-    sequences_equivalent,
     surface_blowup,
     validate_fan,
 )
@@ -57,6 +55,9 @@ from toricforms.galois import (
     norm_quotient,
     reduce_backend,
 )
+
+from test_fan_aut import aut_via_sequence
+from test_fans import sequences_equivalent
 
 TRIVIAL = FGAbelianGroup.trivial()
 Z2 = FGAbelianGroup.cyclic(2)

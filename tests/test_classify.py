@@ -18,12 +18,10 @@ from toricforms.fans import (
     a_sequence,
     is_complete_surface,
     is_smooth,
-    sequences_equivalent,
     validate_fan,
 )
 from toricforms.fan_aut import (
     automorphism_group,
-    aut_via_sequence,
     identify_gl2_class,
     involution_type,
 )
@@ -67,6 +65,9 @@ from toricforms.classify import (
 from toricforms.cohomology import TooLarge, h1_real_involution
 from toricforms.exact_linalg import IntMatrix
 from toricforms import classify
+
+from test_fan_aut import aut_via_sequence
+from test_fans import sequences_equivalent
 
 TRIVIAL = FGAbelianGroup.trivial()
 Z2 = FGAbelianGroup.cyclic(2)

@@ -239,7 +239,9 @@ def test_classify_fan_group_mismatch(capsys):
 
 
 def test_classify_fan_dihedral_group_mismatch(capsys):
-    code, _, _ = invoke(
+    """Every Galois group is cyclic: --group accepts cyclic:d only, and any
+    other kind is a usage error."""
+    code, out, err = invoke(
         capsys,
         "classify",
         "fan",
@@ -250,7 +252,8 @@ def test_classify_fan_dihedral_group_mismatch(capsys):
         "--group",
         "dihedral:12",
     )
-    assert code == 1
+    assert (code, out) == (2, "")
+    assert err == "usage error: --group expects cyclic:d\n"
 
 
 def test_classify_fan_quasiprojective_flag(capsys):

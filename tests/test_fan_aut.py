@@ -24,13 +24,12 @@ from toricforms.fan_aut import (
     _is_group,
     _ray_invariants,
     _scaled_inverse,
-    aut_via_sequence,
     automorphism_group,
     gl2_class_elements,
     identify_gl2_class,
     involution_type,
 )
-from toricforms.fans import Fan, NotSmoothComplete, surface_blowup, validate_fan
+from toricforms.fans import Fan, NotSmoothComplete, boundary_word, surface_blowup, validate_fan
 
 from test_fans import (
     HEXAGON,
@@ -43,6 +42,46 @@ from test_fans import (
     random_smooth_complete_fan,
     unimodular,
 )
+
+def aut_via_sequence(fan: Fan) -> FanAutGroup:
+    """Automorphisms of a smooth complete surface fan from its boundary word.
+
+    A rotation of the word by k steps lifts to the matrix sending the first
+    two boundary rays to the pair k steps along (determinant +1); a mirror
+    symmetry about position j lifts to the matrix reversing the boundary
+    (determinant -1).  Raises NotSmoothComplete when the shortcut is not
+    available.
+    """
+    bw = boundary_word(fan)  # raises for unsupported fans
+    order = bw.ccw_indices
+    w = bw.word
+    m = len(w)
+    rays = [fan.rays[i] for i in order]
+    base_inv, den = _scaled_inverse(IntMatrix.from_cols([rays[0], rays[1]], 2))
+
+    def lift(target0: tuple[int, ...], target1: tuple[int, ...]) -> IntMatrix:
+        s = _divided(IntMatrix.from_cols([target0, target1], 2) @ base_inv, den)
+        assert s is not None, "boundary bases are unimodular, lift must be integral"
+        return s
+
+    found = []
+    for k in range(m):
+        if w[k:] + w[:k] == w:
+            s = lift(rays[k], rays[(k + 1) % m])
+            assert det(s) == 1
+            for i in range(m):
+                assert s.apply(rays[i]) == rays[(i + k) % m]
+            found.append(s)
+    for j in range(m):
+        if all(w[(j - i) % m] == w[i] for i in range(m)):
+            s = lift(rays[j], rays[(j - 1) % m])
+            assert det(s) == -1
+            for i in range(m):
+                assert s.apply(rays[i]) == rays[(j - i) % m]
+            found.append(s)
+    group = FanAutGroup(fan, tuple(sorted(set(found), key=lambda x: x.rows)))
+    return group
+
 
 EXPECTED_CLASS_ORDERS = {
     "C1": 1, "C2": 2, "C3": 3, "C4": 4, "C6": 6,

@@ -3,6 +3,7 @@
 import itertools
 import random
 import warnings
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -38,15 +39,30 @@ from toricforms.fans import (
     ccw_ray_order,
     class_group,
     cox_data,
-    dihedral_variants,
     fan_from_boundary_word,
     is_complete_surface,
     is_smooth,
     primitive_vector,
-    sequences_equivalent,
     surface_blowup,
     validate_fan,
 )
+
+def dihedral_variants(word: Sequence[int]) -> set[tuple[int, ...]]:
+    """All rotations of the word and of its reversal."""
+    w = tuple(word)
+    out = set()
+    for k in range(len(w)):
+        out.add(w[k:] + w[:k])
+    r = w[::-1]
+    for k in range(len(w)):
+        out.add(r[k:] + r[:k])
+    return out
+
+
+def sequences_equivalent(w1: Sequence[int], w2: Sequence[int]) -> bool:
+    return tuple(w2) in dihedral_variants(w1)
+
+
 
 P2 = Fan.make(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (0, 2), (1, 2)])
 P1XP1 = Fan.make(2, [(1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 1), (1, 2), (2, 3), (0, 3)])

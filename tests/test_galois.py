@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from typing import Sequence
 
@@ -39,13 +40,8 @@ from toricforms.galois import (
     torsion_factor_invertible,
 )
 
+from table_groups import TableGroup, hom_classes, orbit_stabilizer, reduce_kernel
 from test_fans import HEXAGON, P1, P1XP1, P2
-
-
-def _is_abelian(g: GroupSpec) -> bool:
-    return all(
-        g.table[a][b] == g.table[b][a] for a in range(g.order) for b in range(a + 1, g.order)
-    )
 
 
 def _coset_representatives(hom, orbit) -> dict[int, int]:
@@ -60,14 +56,36 @@ def _coset_representatives(hom, orbit) -> dict[int, int]:
 
 def test_cyclic_group():
     g = GroupSpec.cyclic(6)
-    assert g.order == 6
-    assert _is_abelian(g) and g.is_cyclic
-    assert g.cyclic_generator == 1
-    assert g.element_order(2) == 3
-    assert g.inverse(2) == 4
-    assert g.power(1, 4) == 4
-    assert g.subgroup_closure([2]) == frozenset({0, 2, 4})
-    assert g.subgroup_closure([3]) == frozenset({0, 3})
+    assert (g.order, g.name, g.generators) == (6, "C6", (1,))
+    assert g.mult(4, 5) == 3
+    assert [g.element_order(a) for a in range(6)] == [1, 6, 3, 2, 3, 6]
+    assert GroupSpec.cyclic(1).generators == ()
+    assert g == GroupSpec(6) and g != GroupSpec.cyclic(3)
+    # the table-group reference agrees on every product and element order
+    for d in (1, 2, 5, 6, 12):
+        group, table = GroupSpec.cyclic(d), TableGroup.cyclic(d)
+        assert (group.name, group.generators) == (table.name, table.generators)
+        assert all(group.mult(a, b) == table.mult(a, b) for a in range(d) for b in range(d))
+        assert all(group.element_order(a) == table.element_order(a) for a in range(d))
+
+
+def test_cyclic_group_holds_no_table():
+    """Z/d is stored by its order: building the largest group the budget
+    admits, or a backend's group at degree 2000, allocates under 64 KB (a
+    d x d table was about 136 MB at d = 2000)."""
+    tracemalloc.start()
+    try:
+        for make in (
+            lambda: GroupSpec.cyclic(MAX_GROUP_ORDER),
+            lambda: FiniteFieldBackend(2, 2000).group,
+            lambda: SymbolicBrauerBackend(2000, (2,), ()).group,
+        ):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            assert make().order in (2000, MAX_GROUP_ORDER)
+            assert tracemalloc.get_traced_memory()[1] - before < 64 * 1024
+    finally:
+        tracemalloc.stop()
 
 
 def test_group_order_budget_checked_before_allocating():
@@ -77,10 +95,13 @@ def test_group_order_budget_checked_before_allocating():
         with pytest.raises(ValueError, match="cyclic group order"):
             GroupSpec.cyclic(order)
         assert time.perf_counter() - start < 1.0
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match="dihedral group order"):
-        GroupSpec.dihedral(10**12)
-    assert time.perf_counter() - start < 1.0
+
+
+# two images naming the subgroup {0, 2} of Z/4, by generators 2 and 6
+_REPEATED_ORDER_JSON = json.dumps({"Q": {"invariant_factors": [4]}, "images": [
+    {"subgroup_gens": [2], "subgroup_of_Q": [[2]]},
+    {"subgroup_gens": [6], "subgroup_of_Q": [[6]]},
+]})
 
 
 def test_backend_validation_survives_optimized_mode():
@@ -88,11 +109,13 @@ def test_backend_validation_survives_optimized_mode():
     script = (
         "from toricforms.cohomology import FiniteModule, h1_finite_field_torus\n"
         "from toricforms.exact_linalg import IntMatrix\n"
-        "from toricforms.galois import FiniteFieldBackend, GroupSpec, SymbolicBrauerBackend\n"
+        "from toricforms.galois import FiniteFieldBackend, GroupSpec, RealComplexBackend,"
+        " SymbolicBrauerBackend, norm_quotient\n"
         "M, C2, I1 = IntMatrix.from_rows, GroupSpec.cyclic(2), IntMatrix.identity(1)\n"
         "swap = M([[0, 1], [1, 0]])\n"
+        f"MAX_GROUP_ORDER, REPEATED = {MAX_GROUP_ORDER}, {_REPEATED_ORDER_JSON!r}\n"
         "for make in (lambda: FiniteFieldBackend(6, 2), lambda: FiniteFieldBackend(2, 0),\n"
-        "             lambda: GroupSpec.cyclic(0), lambda: GroupSpec.dihedral(3),\n"
+        "             lambda: GroupSpec.cyclic(0), lambda: GroupSpec(MAX_GROUP_ORDER + 1),\n"
         "             lambda: h1_finite_field_torus(6, 2, I1),\n"
         "             lambda: h1_finite_field_torus(2, 0, I1),\n"
         "             lambda: FiniteModule(C2, (5,), (I1, M([[2]]))),\n"
@@ -107,9 +130,11 @@ def test_backend_validation_survives_optimized_mode():
         "             lambda: SymbolicBrauerBackend(2, (2, 3), ((2, I1),)),\n"
         "             lambda: SymbolicBrauerBackend(4, (2,), ((3, I1),)),\n"
         "             lambda: SymbolicBrauerBackend(4, (2,), ((0, I1),)),\n"
-        "             lambda: GroupSpec.explicit([[0, 1], [1, 1]]),\n"
-        "             lambda: GroupSpec('g', ((1, 0), (0, 1)), ()),\n"
-        "             lambda: GroupSpec('g', ((0, 1), (1, 0)), (5,)),\n"
+        "             lambda: SymbolicBrauerBackend(4, (4,), ((2, M([[2]])), (2, M([[6]])))),\n"
+        "             lambda: SymbolicBrauerBackend.from_json(REPEATED, 4),\n"
+        "             lambda: norm_quotient(RealComplexBackend(), [3]),\n"
+        "             lambda: norm_quotient(FiniteFieldBackend(2, 4), [3]),\n"
+        "             lambda: FiniteFieldBackend(2, 4).norm_image_generator(3),\n"
         "             lambda: FiniteModule(C2, (5,), (I1, M([[-1]])))):\n"
         "    try:\n"
         "        make()\n"
@@ -131,7 +156,7 @@ def test_backend_validation_survives_optimized_mode():
         "ValueError finite-field backend needs a prime power, got q=6",
         "ValueError finite-field backend needs degree d >= 1, got d=0",
         f"ValueError cyclic group order must be in 1..{MAX_GROUP_ORDER}, got 0",
-        f"ValueError dihedral group order must be even and in 2..{MAX_GROUP_ORDER}, got 3",
+        f"ValueError cyclic group order must be in 1..{MAX_GROUP_ORDER}, got {MAX_GROUP_ORDER + 1}",
         "ValueError finite-field backend needs a prime power, got q=6",
         "ValueError finite-field torus needs degree d >= 1, got d=0",
         "ValueError action is not a homomorphism",
@@ -146,9 +171,11 @@ def test_backend_validation_survives_optimized_mode():
         "ValueError norm image of the subgroup of order 2 needs 2 rows, one per factor of Q, got 1",
         "ValueError 3 is not the order of a subgroup of Z/4",
         "ValueError 0 is not the order of a subgroup of Z/4",
-        "ValueError row 1 is not a permutation",
-        "ValueError element 0 must be neutral",
-        "ValueError generator 5 is not an element of a group of order 2",
+        "ValueError two norm images for the subgroup of order 2 of Z/4",
+        "ValueError two norm images for the subgroup of order 2 of Z/4",
+        "ValueError 3 is not the order of a subgroup of Z/2",
+        "ValueError 3 is not the order of a subgroup of Z/4",
+        "ValueError 3 is not the order of a subgroup of Z/4",
         "accepted",
     ]
 
@@ -173,52 +200,6 @@ def test_backend_group_is_built_once(backend, degree):
     assert twin.group is not group
 
 
-def test_projective_proves_each_stabilizer_once(monkeypatch):
-    """Stabilizers are named by their orders: neither classifier builds or
-    proves a subgroup set."""
-    from toricforms.classify import classify_fan, classify_projective
-
-    calls = []
-    closure = GroupSpec.subgroup_closure
-    monkeypatch.setattr(
-        GroupSpec, "subgroup_closure", lambda self, gens: calls.append(1) or closure(self, gens)
-    )
-    classify_projective(8, FiniteFieldBackend(2, 12))
-    backend = FiniteFieldBackend(2, 4)
-    classify_fan(builtin_fan("projective:3"), backend.group, backend)
-    assert calls == []
-
-
-def test_dihedral_group():
-    g = GroupSpec.dihedral(12)
-    assert g.order == 12
-    assert not _is_abelian(g) and not g.is_cyclic
-    m = 6
-    # s * r = s r^1,  r * s = s r^{-1}
-    assert g.mult(m, 1) == m + 1
-    assert g.mult(1, m) == m + 5
-    assert g.mult(m + 1, m + 1) == 0
-    orders = sorted(g.element_order(a) for a in range(12))
-    assert orders == [1, 2, 2, 2, 2, 2, 2, 2, 3, 3, 6, 6]
-    assert GroupSpec.dihedral(2).order == 2
-
-
-def test_explicit_group_validation():
-    klein = [
-        [0, 1, 2, 3],
-        [1, 0, 3, 2],
-        [2, 3, 0, 1],
-        [3, 2, 1, 0],
-    ]
-    g = GroupSpec.explicit(klein, name="V4")
-    assert g.order == 4 and _is_abelian(g) and not g.is_cyclic
-    assert g.subgroup_closure(g.generators) == frozenset(range(4))
-    with pytest.raises(ValueError, match="row 1 is not a permutation"):
-        GroupSpec.explicit([[0, 1], [1, 1]])
-    with pytest.raises(ValueError, match="not square"):
-        GroupSpec.explicit([[0, 1, 2], [1, 2, 0], [2]])
-
-
 def test_hom_classes_c2_into_p1():
     aut = automorphism_group(P1)
     classes = enumerate_hom_classes(GroupSpec.cyclic(2), aut)
@@ -228,7 +209,7 @@ def test_hom_classes_c2_into_p1():
     assert swap.is_injective
     assert swap.matrix(1) == IntMatrix.from_rows([[-1]])
     assert swap.ray_orbits == ((0, 1),)
-    assert swap.orbit_stabilizer((0, 1)) == frozenset({0})
+    assert orbit_stabilizer(swap, (0, 1)) == frozenset({0})
     assert _coset_representatives(swap, (0, 1)) == {0: 0, 1: 1}
 
 
@@ -250,7 +231,7 @@ def test_hom_classes_c4_into_square():
     rot = injective[0]
     assert rot.matrix(1).power(4) == IntMatrix.identity(2)
     assert rot.ray_orbits == ((0, 1, 2, 3),)
-    assert rot.orbit_stabilizer((0, 1, 2, 3)) == frozenset({0})
+    assert orbit_stabilizer(rot, (0, 1, 2, 3)) == frozenset({0})
 
 
 def test_hom_classes_c2_into_hexagon():
@@ -268,20 +249,9 @@ def test_hom_classes_trivial_group():
     assert classes[0].ray_orbits == ((0,), (1,), (2,))
 
 
-def test_dihedral_homs_into_hexagon():
-    aut = automorphism_group(HEXAGON)
-    classes = enumerate_hom_classes(GroupSpec.dihedral(12), aut)
-    injective = [c for c in classes if c.is_injective]
-    assert len(injective) >= 1
-    full = injective[0]
-    assert full.ray_orbits == ((0, 1, 2, 3, 4, 5),)
-    stab = full.orbit_stabilizer((0, 1, 2, 3, 4, 5))
-    assert len(stab) == 2  # a reflection fixes ray 0
-
-
 @pytest.mark.parametrize(
     "group",
-    [GroupSpec.cyclic(2), GroupSpec.cyclic(3), GroupSpec.cyclic(4), GroupSpec.dihedral(12)],
+    [GroupSpec.cyclic(2), GroupSpec.cyclic(3), GroupSpec.cyclic(4)],
     ids=lambda group: group.name,
 )
 def test_orbit_stabilizer_has_group_order_over_orbit_length(group):
@@ -292,12 +262,42 @@ def test_orbit_stabilizer_has_group_order_over_orbit_length(group):
         for hom in enumerate_hom_classes(group, aut):
             for orbit in hom.ray_orbits:
                 assert group.order % len(orbit) == 0
-                assert len(hom.orbit_stabilizer(orbit)) == group.order // len(orbit)
+                assert len(orbit_stabilizer(hom, orbit)) == group.order // len(orbit)
+
+
+REFERENCE_FAN_NAMES = list(BUILTIN_NAMES) + [f"projective:{n}" for n in range(1, 5)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 8, 12])
+def test_hom_classes_match_table_reference(d):
+    """The conjugacy-class enumeration against the table-group route that
+    extends generator images along the Cayley graph: the same classes in
+    the same order, with the same kernel reductions and ray orbits."""
+    group, table = GroupSpec.cyclic(d), TableGroup.cyclic(d)
+    for name in REFERENCE_FAN_NAMES:
+        aut = automorphism_group(builtin_fan(name))
+        got, want = enumerate_hom_classes(group, aut), hom_classes(table, aut)
+        assert [(c.images, c.orbit_size) for c in got] == [
+            (c.images, c.orbit_size) for c in want
+        ], (name, d)
+        assert sum(c.orbit_size for c in got) == sum(
+            1 for h in range(aut.order) if d % aut.element_order(h) == 0
+        )
+        for cls, ref in zip(got, want):
+            assert cls.ray_orbits == ref.ray_orbits
+            assert cls.kernel == ref.kernel
+            quotient, induced, projection = kernel_reduction(cls)
+            ref_quotient, ref_induced, ref_projection = reduce_kernel(ref)
+            assert quotient == GroupSpec.cyclic(ref_quotient.order)
+            assert induced.images == ref_induced.images and induced.is_injective
+            assert induced.orbit_size == ref_induced.orbit_size
+            assert projection == ref_projection
+            assert induced.ray_orbits == cls.ray_orbits
 
 
 def test_hom_enumeration_refuses_large_groups_before_listing_images(monkeypatch):
-    """Above MAX_HOM_GROUP_ORDER elements, a typed error before any slot of
-    candidate images is built, also under python -O."""
+    """Above MAX_HOM_GROUP_ORDER elements, a typed error before the order of
+    any fan symmetry is taken, also under python -O."""
     aut = automorphism_group(HEXAGON)
     big = GroupSpec.cyclic(MAX_HOM_GROUP_ORDER + 1)
     calls = []
@@ -413,8 +413,8 @@ def _norm_quotient_by_subgroups(backend, stabilizers) -> FGAbelianGroup:
     its group elements and proved closed, the former `norm_quotient` body.
     Symbolic data is looked up by the subgroup set that each listed order h
     names, the closure of d // h."""
-    group = backend.group
-    d = group.order
+    d = backend.group.order
+    group = TableGroup.cyclic(d)
     for sub in set(stabilizers):
         assert all(0 <= g < d for g in sub) and 0 in sub
         assert group.subgroup_closure(sub) == frozenset(sub), "stabilizer is not a subgroup"
@@ -479,8 +479,8 @@ def test_norm_quotient_orders_match_subgroup_reference():
     )
     compared = unsupported = 0
     for backend in backends:
-        group = backend.group
-        d = group.order
+        d = backend.group.order
+        group = TableGroup.cyclic(d)
         subgroup_of = {h: group.subgroup_closure([(d // h) % d]) for h in _divisors(d)}
         assert all(len(sub) == h for h, sub in subgroup_of.items())
         assert len(set(subgroup_of.values())) == len(subgroup_of)
@@ -537,7 +537,7 @@ def test_closed_forms_match_residue_enumeration():
             return frozenset(x for x in units if (q**e - 1) * x % c == 0)
 
         subgroups = sorted(
-            {backend.group.subgroup_closure([g]) for g in range(d)}, key=len
+            {TableGroup.cyclic(d).subgroup_closure([g]) for g in range(d)}, key=len
         )
         norm_images = {sub: image(sum(q**h for h in sub)) for sub in subgroups}
         for sub in subgroups:
@@ -607,6 +607,28 @@ def test_symbolic_monotonicity_enforced():
                 SymbolicBrauerBackend(4, (4,), images)
 
 
+def test_symbolic_rejects_repeated_orders():
+    """An order listed twice is refused: monotonicity would be checked on one
+    entry while `image_subgroup` evaluates the other."""
+    two, one = IntMatrix.from_cols([(2,)]), IntMatrix.from_cols([(1,)])
+    with pytest.raises(ValueError, match="two norm images for the subgroup of order 2 of Z/4"):
+        SymbolicBrauerBackend(4, (4,), ((2, two), (2, one), (4, one)))
+    with pytest.raises(ValueError, match="two norm images for the subgroup of order 2 of Z/4"):
+        SymbolicBrauerBackend.from_json(_REPEATED_ORDER_JSON, 4)
+    assert SymbolicBrauerBackend(4, (4,), ((2, one), (4, two))).image_subgroup(2) == one
+
+
+def test_norm_quotient_rejects_non_divisors():
+    for backend in (RealComplexBackend(), FiniteFieldBackend(2, 4), _multiples_backend(4, (2,))):
+        d = backend.group.order
+        for bad in (0, -2, 3, d + 1, 2 * d, True, 2.0):
+            with pytest.raises(ValueError, match=f"is not the order of a subgroup of Z/{d}"):
+                norm_quotient(backend, [1, bad])
+    with pytest.raises(ValueError, match="3 is not the order of a subgroup of Z/4"):
+        FiniteFieldBackend(2, 4).norm_image_generator(3)
+    assert FiniteFieldBackend(2, 4).norm_image_generator(2) == 5
+
+
 def test_symbolic_from_json():
     text = """
     {
@@ -625,7 +647,7 @@ def test_symbolic_from_json():
         for gens in ([], [0], [2], [3], [-3], [4, 6], [5, 9], [6, 8], [degree]):
             text = json.dumps({"Q": {"invariant_factors": [2]}, "images": [
                 {"subgroup_gens": gens, "subgroup_of_Q": [[0]]}]})
-            closure = GroupSpec.cyclic(degree).subgroup_closure(x % degree for x in gens)
+            closure = TableGroup.cyclic(degree).subgroup_closure(x % degree for x in gens)
             assert SymbolicBrauerBackend.from_json(text, degree).images[0][0] == len(closure)
 
 
