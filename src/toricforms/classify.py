@@ -28,7 +28,7 @@ from typing import Mapping, Sequence, Union
 
 from . import _jsonout
 from .cohomology import TooLarge, h1_cyclic_norm_formula
-from .exact_linalg import FGAbelianGroup, IntMatrix, _snf_memo_scope
+from .exact_linalg import FGAbelianGroup, IntMatrix
 from .fans import (
     Fan,
     RankUnsupported,
@@ -621,7 +621,7 @@ def builtin_fan(name: str) -> Fan:
         return _surface_fan(label)
     if name.startswith("projective:"):
         tail = name[len("projective:") :]
-        if not tail.isdigit() or int(tail) < 1:
+        if not (tail.isascii() and tail.isdigit()) or int(tail) < 1:
             raise UnknownName(
                 f"projective fans need a dimension of at least 1, got {tail!r}"
             )
@@ -734,7 +734,6 @@ def _report_total(entries: Sequence[ReportEntry]) -> int | None:
 MAX_PROJECTIVE_CELLS = 14_000_000
 
 
-@_snf_memo_scope()
 def classify_projective(n: int, backend: FieldBackend) -> ClassificationReport:
     """Forms of projective n-space split by a cyclic extension.
 
@@ -797,7 +796,6 @@ def hom_class_h1(fan: Fan, hom: HomClass, backend: FieldBackend) -> FGAbelianGro
     return h1_cyclic_norm_formula(fan, reduced_hom, reduced_backend)
 
 
-@_snf_memo_scope()
 def classify_fan(
     fan: Fan,
     group: GroupSpec,

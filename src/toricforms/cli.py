@@ -43,7 +43,7 @@ from .cohomology import (
     h1_finite_field_torus,
     h1_real_involution,
 )
-from .exact_linalg import FGAbelianGroup, IntMatrix, _snf_memo_scope
+from .exact_linalg import FGAbelianGroup, IntMatrix
 from .fans import (
     Fan,
     FanError,
@@ -106,7 +106,8 @@ def _load_fan(args: argparse.Namespace) -> tuple[Fan, str]:
 
 def _parse_group(text: str) -> GroupSpec:
     kind, sep, tail = text.partition(":")
-    if kind != "cyclic" or not sep or not tail.isdigit():
+    # ASCII digits only: `str.isdigit` also takes ² (which `int` refuses) and ٣
+    if kind != "cyclic" or not sep or not (tail.isascii() and tail.isdigit()):
         raise UsageError("--group expects cyclic:d")
     order = int(tail)
     if order < 1:
@@ -119,7 +120,7 @@ def _parse_backend(text: str, group: GroupSpec | None) -> FieldBackend:
         return RealComplexBackend()
     if text.startswith("ff:"):
         parts = text[len("ff:") :].split(",")
-        if len(parts) != 2 or not all(p.lstrip("-").isdigit() for p in parts):
+        if len(parts) != 2 or not all(p.isascii() and p.lstrip("-").isdigit() for p in parts):
             raise UsageError("--backend ff expects the form ff:q,d")
         # raises ValueError unless q is a prime power and d >= 1
         return FiniteFieldBackend(int(parts[0]), int(parts[1]))
@@ -478,7 +479,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@_snf_memo_scope()
 def run(argv: Sequence[str]) -> int:
     parser = _build_parser()
     try:

@@ -35,6 +35,7 @@ from .exact_linalg import (
     image_basis,
     kernel_basis,
     lattice_subquotient,
+    smith_normal_form,
 )
 from .fans import Fan, class_group, degree_data
 from .galois import (
@@ -193,12 +194,12 @@ def _h1_finite_field_quotient_presentation(
     q = backend.q
     c = backend.mult_order
     p = _permutation_matrix(hom.ray_permutation(1))
-    r = fan.ray_columns
     ident = IntMatrix.identity(fan.num_rays)
     qp = p.scaled(q)
     norm_op = reduce(lambda acc, _: acc @ qp + ident, range(d - 1), ident)
-    fixed_lattice = congruence_kernel_basis(r.vstack(qp - ident), c)
-    y_lattice = congruence_kernel_basis(r, c)
+    stacked = smith_normal_form(fan.ray_columns.vstack(qp - ident))
+    fixed_lattice = congruence_kernel_basis(stacked, c)
+    y_lattice = congruence_kernel_basis(fan.ray_columns_snf, c)
     denominator = basis_mod(norm_op @ y_lattice, c)
     return lattice_subquotient(fixed_lattice, denominator)
 
@@ -483,6 +484,6 @@ def h1_finite_field_torus(q: int, d: int, s: IntMatrix) -> FGAbelianGroup:
     assert s.power(d) == ident, "twisting matrix order must divide the field degree"
     sigma = s.scaled(q)
     norm_op = reduce(lambda acc, _: acc @ sigma + ident, range(d - 1), ident)
-    ker = congruence_kernel_basis(norm_op, c)
+    ker = congruence_kernel_basis(smith_normal_form(norm_op), c)
     im_gens = (sigma - ident).hstack(ident.scaled(c))
     return lattice_subquotient(ker, im_gens)

@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import math
 import operator
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class MembershipError(ValueError):
@@ -222,6 +220,8 @@ class SmithDecomposition:
     `d` is diagonal with nonnegative entries in a divisibility chain
     d[0] | d[1] | ... ; `u_inv` and `v_inv` are the exact inverses, carried
     along so callers can read off image and saturation bases without a solve.
+    `smith_normal_form` keeps nothing: a caller asking twice about one
+    matrix keeps the decomposition (a `Fan` keeps its cones' and rays').
     """
 
     matrix: IntMatrix
@@ -244,50 +244,13 @@ class SmithDecomposition:
         """Diagonal entries that are neither 0 nor 1 (the torsion factors)."""
         return tuple(x for x in self.diagonal if x not in (0, 1))
 
-
-# Decompositions computed inside the open `_snf_memo_scope`, keyed by matrix;
-# None outside every scope, where nothing is kept.
-_SNF_MEMO: ContextVar[dict[IntMatrix, SmithDecomposition] | None] = ContextVar(
-    "_SNF_MEMO", default=None
-)
-
-
-@contextmanager
-def _snf_memo_scope() -> Iterator[None]:
-    """Share Smith decompositions among all calls made inside the block.
-
-    The library's top-level entry points run inside this scope, so each
-    distinct matrix is factored (and its certificate checked) once per call.
-    A nested scope reuses the enclosing one; the memo is dropped when the
-    outermost scope exits.  Usable as a decorator.
-    """
-    if _SNF_MEMO.get() is not None:
-        yield
-        return
-    token = _SNF_MEMO.set({})
-    try:
-        yield
-    finally:
-        _SNF_MEMO.reset(token)
+    @cached_property
+    def cokernel(self) -> "FGAbelianGroup":
+        """Z^nrows modulo the column span of the matrix, in canonical form."""
+        return FGAbelianGroup(self.matrix.nrows - self.rank, self.nonunit_factors)
 
 
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
-    """Smith normal form of an integer matrix, shared within a memo scope.
-
-    Inside `_snf_memo_scope` a matrix equal to one already factored gets the
-    decomposition (certified when it was built) back; otherwise it is
-    computed by `_compute_smith_normal_form`.
-    """
-    memo = _SNF_MEMO.get()
-    if memo is None:
-        return _compute_smith_normal_form(m)
-    dec = memo.get(m)
-    if dec is None:
-        dec = memo[m] = _compute_smith_normal_form(m)
-    return dec
-
-
-def _compute_smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     """Compute and certify the Smith normal form of an integer matrix.
 
     Deterministic pivot rule: among nonzero entries of the active submatrix,
@@ -501,8 +464,7 @@ class FGAbelianGroup:
 
 def cokernel_presentation(m: IntMatrix) -> FGAbelianGroup:
     """Z^nrows modulo the column span of m, in canonical form."""
-    dec = smith_normal_form(m)
-    return FGAbelianGroup(m.nrows - dec.rank, dec.nonunit_factors)
+    return smith_normal_form(m).cokernel
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -526,9 +488,9 @@ def image_basis(m: IntMatrix) -> IntMatrix:
     return IntMatrix.from_cols(cols, m.nrows)
 
 
-def saturation_basis(m: IntMatrix) -> IntMatrix:
-    """Basis of the saturation (Q-span intersected with Z^nrows) of col span."""
-    dec = smith_normal_form(m)
+def saturation_basis(dec: SmithDecomposition) -> IntMatrix:
+    """Basis of the saturation (Q-span intersected with Z^nrows) of the
+    column span of the matrix `dec` factors."""
     return dec.u_inv.submatrix_cols(list(range(dec.rank)))
 
 
@@ -621,8 +583,8 @@ def basis_mod(gens: IntMatrix, modulus: int) -> IntMatrix:
     return result
 
 
-def congruence_kernel_basis(m: IntMatrix, modulus: int) -> IntMatrix:
-    """Basis of {x in Z^ncols : m @ x == 0 (mod modulus)}.
+def congruence_kernel_basis(dec: SmithDecomposition, modulus: int) -> IntMatrix:
+    """Basis of {x in Z^ncols : m @ x == 0 (mod modulus)} for m = dec.matrix.
 
     Read off the Smith normal form of m alone: from u @ m @ v == d with u
     unimodular, m x == 0 (mod c) exactly when y = v_inv @ x has
@@ -633,7 +595,7 @@ def congruence_kernel_basis(m: IntMatrix, modulus: int) -> IntMatrix:
     returned in the bounded triangular form of `basis_mod`.
     """
     assert modulus >= 1
-    dec = smith_normal_form(m)
+    m = dec.matrix
     scales = [modulus // math.gcd(dj, modulus) for dj in dec.diagonal]
     scales += [1] * (m.ncols - len(scales))
     gens = IntMatrix._trusted(
@@ -651,8 +613,9 @@ def congruence_kernel_basis(m: IntMatrix, modulus: int) -> IntMatrix:
 # rational solves, kept integral
 
 
-def rational_solve(a: IntMatrix, b: IntMatrix) -> tuple[IntMatrix, int] | None:
-    """Solve a @ x = b over Q as integers: (x, den) with a @ x == den * b.
+def rational_solve(dec: SmithDecomposition, b: IntMatrix) -> tuple[IntMatrix, int] | None:
+    """Solve a @ x = b over Q as integers, for a = dec.matrix: (x, den) with
+    a @ x == den * b.
 
     From u @ a @ v == d the system reads d @ y == den * (u @ b) in y =
     v_inv @ x.  `den` is the last nonzero invariant factor of a (1 when a is
@@ -661,8 +624,8 @@ def rational_solve(a: IntMatrix, b: IntMatrix) -> tuple[IntMatrix, int] | None:
     zero.  None when a row of u @ b beyond the rank is nonzero, i.e. the
     system is inconsistent over Q.
     """
+    a = dec.matrix
     assert b.nrows == a.nrows
-    dec = smith_normal_form(a)
     r = dec.rank
     den = dec.diagonal[r - 1] if r else 1
     c = dec.u @ b

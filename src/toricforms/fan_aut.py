@@ -32,7 +32,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .exact_linalg import IntMatrix, _snf_memo_scope, det, kernel_basis, rational_solve
+from .exact_linalg import (
+    IntMatrix, SmithDecomposition, det, kernel_basis, rational_solve, smith_normal_form
+)
 from .fans import Fan, boundary_word, is_complete_surface, is_smooth, validate_fan
 
 
@@ -120,24 +122,31 @@ def _ray_invariants(fan: Fan) -> dict[int, tuple]:
     return keys
 
 
-def _frame(fan: Fan) -> list[int]:
-    """First ray subset (greedy by index) spanning Q^rank."""
-    from .exact_linalg import smith_normal_form
+def _frame(fan: Fan) -> tuple[list[int], SmithDecomposition]:
+    """Rays spanning Q^rank, and the Smith decomposition of their matrix.
 
-    chosen: list[int] = []
+    Starts from the rays of a largest maximal cone, independent in a
+    validated fan, and adds rays greedily by index while they stay
+    independent; the decomposition is that of the last accepted trial.
+    """
+    chosen = list(max(fan.max_cones, key=len, default=()))
+    dec = fan.cone_snf(tuple(chosen))
     for i in range(fan.num_rays):
+        if len(chosen) == fan.rank:
+            break
+        if i in chosen:
+            continue
         trial = chosen + [i]
-        m = IntMatrix.from_cols([fan.rays[j] for j in trial], fan.rank)
-        if smith_normal_form(m).rank == len(trial):
-            chosen = trial
-            if len(chosen) == fan.rank:
-                return chosen
-    raise AssertionError("validated fan must have full-rank rays")
+        trial_dec = smith_normal_form(IntMatrix.from_cols([fan.rays[j] for j in trial], fan.rank))
+        if trial_dec.rank == len(trial):
+            chosen, dec = trial, trial_dec
+    assert len(chosen) == fan.rank, "validated fan must have full-rank rays"
+    return chosen, dec
 
 
-def _scaled_inverse(m: IntMatrix) -> tuple[IntMatrix, int]:
-    """(g, den) with m @ g == den * identity, for a nonsingular square m."""
-    sol = rational_solve(m, IntMatrix.identity(m.nrows))
+def _scaled_inverse(dec: SmithDecomposition) -> tuple[IntMatrix, int]:
+    """(g, den) with m @ g == den * identity, for nonsingular square m = dec.matrix."""
+    sol = rational_solve(dec, IntMatrix.identity(dec.matrix.nrows))
     assert sol is not None, "matrix is singular"
     return sol
 
@@ -214,7 +223,6 @@ def _is_group(perms: Sequence[Perm]) -> bool:
     return len(reached) == len(members)
 
 
-@_snf_memo_scope()
 def automorphism_group(fan: Fan) -> FanAutGroup:
     """All GL(rank, Z) matrices mapping rays to rays and cones to cones.
 
@@ -226,8 +234,8 @@ def automorphism_group(fan: Fan) -> FanAutGroup:
     are certified to form a group.
     """
     validate_fan(fan)
-    frame = _frame(fan)
-    frame_inv, den = _scaled_inverse(IntMatrix.from_cols([fan.rays[j] for j in frame], fan.rank))
+    frame, frame_dec = _frame(fan)
+    frame_inv, den = _scaled_inverse(frame_dec)
     ray_lookup = {r: i for i, r in enumerate(fan.rays)}
     cone_set = set(fan.max_cones)
     found: list[tuple[IntMatrix, Perm]] = []
@@ -334,7 +342,7 @@ class GL2ClassIdentification:
 
     def verify(self, elements: Iterable[IntMatrix]) -> bool:
         p = self.conjugator
-        pinv = _divided(*_scaled_inverse(p))
+        pinv = _divided(*_scaled_inverse(smith_normal_form(p)))
         assert pinv is not None
         conj = {p @ g @ pinv for g in gl2_class_elements(self.label)}
         return conj == set(elements)

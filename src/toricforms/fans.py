@@ -24,8 +24,7 @@ from . import _jsonout
 from .exact_linalg import (
     FGAbelianGroup,
     IntMatrix,
-    _snf_memo_scope,
-    cokernel_presentation,
+    SmithDecomposition,
     det,
     rational_solve,
     saturation_basis,
@@ -83,7 +82,11 @@ def primitive_vector(v: Sequence[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Fan:
-    """Simplicial fan: rank, ordered primitive rays, maximal cones by index."""
+    """Simplicial fan: rank, ordered primitive rays, maximal cones by index.
+
+    The fan owns the Smith decompositions of its cones and of its ray matrix
+    in both orientations; each is built on first use and kept with the fan.
+    """
 
     rank: int
     rays: tuple[tuple[int, ...], ...]
@@ -114,6 +117,34 @@ class Fan:
     def ray_columns(self) -> IntMatrix:
         """rank x num_rays matrix whose columns are the rays."""
         return self.ray_rows.transpose
+
+    @cached_property
+    def ray_rows_snf(self) -> SmithDecomposition:
+        """Smith decomposition of `ray_rows`: the presentation Cl = Z^rays / im R."""
+        return smith_normal_form(self.ray_rows)
+
+    @cached_property
+    def ray_columns_snf(self) -> SmithDecomposition:
+        """Smith decomposition of `ray_columns`, factored in its own right:
+        the transpose of `ray_rows_snf` is another valid decomposition, with
+        other transforms, and the degree rows are read off those."""
+        return smith_normal_form(self.ray_columns)
+
+    @cached_property
+    def _cone_snfs(self) -> dict[tuple[int, ...], SmithDecomposition]:
+        return {}
+
+    def cone_snf(self, cone: tuple[int, ...]) -> SmithDecomposition:
+        """Smith decomposition of the rank x len(cone) matrix of the cone's rays.
+
+        Built on the first request for that cone, so validation factors a
+        cone only after its indices have passed their checks.
+        """
+        dec = self._cone_snfs.get(cone)
+        if dec is None:
+            gens = IntMatrix.from_cols([self.rays[i] for i in cone], self.rank)
+            dec = self._cone_snfs[cone] = smith_normal_form(gens)
+        return dec
 
     def cones_containing(self, ray_index: int) -> tuple[tuple[int, ...], ...]:
         return tuple(c for c in self.max_cones if ray_index in c)
@@ -166,15 +197,14 @@ class Fan:
 # validation
 
 
-def _cone_coords(fan: Fan, cone: Sequence[int], v: Sequence[int]) -> tuple[int, ...] | None:
+def _cone_coords(fan: Fan, cone: tuple[int, ...], v: Sequence[int]) -> tuple[int, ...] | None:
     """Coordinates of v in the rays of a simplicial cone, times a positive
     common denominator, when v lies in that cone; None when it does not.
 
     The rays of a simplicial cone are independent, so the coordinates are
     unique and their signs decide membership exactly.
     """
-    gens = IntMatrix.from_cols([fan.rays[i] for i in cone], fan.rank)
-    sol = rational_solve(gens, IntMatrix.from_cols([v], fan.rank))
+    sol = rational_solve(fan.cone_snf(cone), IntMatrix.from_cols([v], fan.rank))
     if sol is None:
         return None
     x = sol[0].col(0)
@@ -317,12 +347,10 @@ def _check_rays_and_cones(fan: Fan) -> None:
                 raise FanError(f"cone {cone} references missing ray {i}")
         if len(set(cone)) != len(cone):
             raise NonSimplicialCone(f"cone {cone} repeats a ray index")
-        if cone:
-            sub = IntMatrix.from_cols([fan.rays[i] for i in cone], fan.rank)
-            if smith_normal_form(sub).rank != len(cone):
-                raise NonSimplicialCone(
-                    f"cone {cone} is not simplicial: its rays are linearly dependent"
-                )
+        if cone and fan.cone_snf(cone).rank != len(cone):
+            raise NonSimplicialCone(
+                f"cone {cone} is not simplicial: its rays are linearly dependent"
+            )
     cone_sets = [frozenset(c) for c in fan.max_cones]
     for a, sa in zip(fan.max_cones, cone_sets):
         if cone_sets.count(sa) > 1:
@@ -333,7 +361,7 @@ def _check_rays_and_cones(fan: Fan) -> None:
 
     if not fan.num_rays:
         raise RaysNotFullRank("no rays: they span the zero sublattice")
-    sat = saturation_basis(fan.ray_columns)
+    sat = saturation_basis(fan.ray_columns_snf)
     if sat.ncols != fan.rank:
         basis = [sat.col(j) for j in range(sat.ncols)]
         raise RaysNotFullRank(
@@ -341,7 +369,6 @@ def _check_rays_and_cones(fan: Fan) -> None:
         )
 
 
-@_snf_memo_scope()
 def validate_fan(fan: Fan) -> None:
     """Full structural validation; raises a FanError subclass on failure.
 
@@ -382,7 +409,7 @@ def validate_fan(fan: Fan) -> None:
 
 def class_group(fan: Fan) -> FGAbelianGroup:
     """Divisor class group: Z^rays modulo characters u -> (<u, ray>)_rays."""
-    return cokernel_presentation(fan.ray_rows)
+    return fan.ray_rows_snf.cokernel
 
 
 @dataclass(frozen=True)
@@ -400,7 +427,7 @@ class DegreeData:
 
 
 def degree_data(fan: Fan) -> DegreeData:
-    dec = smith_normal_form(fan.ray_rows)
+    dec = fan.ray_rows_snf
     tor_idx = [i for i, x in enumerate(dec.diagonal) if x not in (0, 1)]
     free_idx = [i for i in range(fan.num_rays) if i >= len(dec.diagonal) or dec.diagonal[i] == 0]
     tor = IntMatrix.from_rows([dec.u.row(i) for i in tor_idx], fan.num_rays)
@@ -427,23 +454,12 @@ class CoxData:
 
 
 def cox_data(fan: Fan) -> CoxData:
-    degrees = degree_data(fan)
+    """Degrees and irrelevant-ideal generators.  The maximal cones suffice:
+    a face's monomial is a multiple of the monomial of a cone containing it."""
     comps = tuple(
         tuple(i for i in range(fan.num_rays) if i not in cone) for cone in fan.max_cones
     )
-    # the irrelevant ideal from maximal cones must equal the one from all
-    # faces: every face monomial is divisible by a maximal-cone monomial
-    faces: set[tuple[int, ...]] = set()
-    for cone in fan.max_cones:
-        n = len(cone)
-        for mask in range(1 << n):
-            faces.add(tuple(cone[k] for k in range(n) if mask >> k & 1))
-    for face in faces:
-        comp_face = set(range(fan.num_rays)) - set(face)
-        assert any(set(c) <= comp_face for c in comps), (
-            f"face {face} monomial not generated by maximal-cone monomials"
-        )
-    return CoxData(fan, degrees, comps)
+    return CoxData(fan, degree_data(fan), comps)
 
 
 def is_smooth(fan: Fan) -> bool:
@@ -451,8 +467,7 @@ def is_smooth(fan: Fan) -> bool:
     for cone in fan.max_cones:
         if not cone:
             continue
-        sub = IntMatrix.from_cols([fan.rays[i] for i in cone], fan.rank)
-        dec = smith_normal_form(sub)
+        dec = fan.cone_snf(cone)
         if dec.rank != len(cone) or any(x != 1 for x in dec.diagonal[: len(cone)]):
             return False
     return True

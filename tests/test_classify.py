@@ -363,7 +363,11 @@ def test_builtin_projective():
 
 @pytest.mark.parametrize(
     "bad",
-    ["surface:C5", "projective:0", "projective:-1", "projective:x", "", "proj:2", "hexagon2"],
+    [
+        "surface:C5", "projective:0", "projective:-1", "projective:x", "", "proj:2", "hexagon2",
+        # digits `str.isdigit` accepts: one `int` refuses, one it reads as 3
+        "projective:\u00b2", "projective:\u0663",
+    ],
 )
 def test_builtin_unknown_name(bad):
     with pytest.raises(UnknownName):

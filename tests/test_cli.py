@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toricforms
+from toricforms import _jsonout
 from toricforms.classify import builtin_fan
 from toricforms.cli import run
 
@@ -157,6 +158,75 @@ def test_fan_cox_json(capsys):
     payload = json.loads(out)
     assert payload["num_variables"] == 3
     assert payload["free_degree_rows"] == [[1, 1, 1]]
+
+
+# Custom fans with torsion in the class group, and `fan cox --json` for each.
+# The degree rows are read off the transforms of the Smith decomposition of
+# the ray rows; the transpose of the ray columns' decomposition is another
+# valid one with other transforms, so these payloads pin which one is read.
+_COX_PINNED = [
+    (
+        {"rank": 2, "rays": [[2, 3], [4, -5], [-3, 1], [1, -4]], "cones": [[3, 1], [1, 0], [0, 2]]},
+        {
+            "class_group": "Z + Z + Z/11",
+            "free_degree_rows": [[1, 1, 2, 0], [0, -1, -1, 1]],
+            "torsion_degree_rows": [[0, -1, -5, 0]],
+            "torsion_moduli": [11],
+            "irrelevant_complements": [[2, 3], [1, 3], [0, 2]],
+        },
+    ),
+    (
+        {
+            "rank": 2,
+            "rays": [[-1, 0], [-1, -2], [3, 4], [-3, 2], [5, -6], [-3, -4]],
+            "cones": [[5, 1], [1, 4], [4, 2], [2, 3], [3, 0], [0, 5]],
+        },
+        {
+            "class_group": "Z + Z + Z + Z + Z/2",
+            "free_degree_rows": [
+                [1, 2, 1, 0, 0, 0], [-4, 1, 0, 1, 0, 0], [8, -3, 0, 0, 1, 0], [-1, -2, 0, 0, 0, 1]
+            ],
+            "torsion_degree_rows": [[1, -1, 0, 0, 0, 0]],
+            "torsion_moduli": [2],
+            "irrelevant_complements": [
+                [1, 2, 4, 5], [1, 2, 3, 4], [0, 2, 3, 5], [0, 2, 3, 4], [0, 1, 4, 5], [0, 1, 3, 5]
+            ],
+        },
+    ),
+    (
+        {"rank": 2, "rays": [[-5, -2], [5, -3], [5, 4], [-5, 2]], "cones": [[0, 1], [1, 2], [3, 0]]},
+        {
+            "class_group": "Z + Z + Z/5",
+            "free_degree_rows": [[2, -2, 1, -3], [1, -4, 0, -5]],
+            "torsion_degree_rows": [[-1, 2, 0, 2]],
+            "torsion_moduli": [5],
+            "irrelevant_complements": [[2, 3], [1, 2], [0, 3]],
+        },
+    ),
+    (
+        {
+            "rank": 3,
+            "rays": [[1, 0, 0], [0, 1, 0], [1, 1, 2], [-1, -1, -1]],
+            "cones": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
+        },
+        {
+            "class_group": "Z",
+            "free_degree_rows": [[1, 1, 1, 2]],
+            "torsion_degree_rows": [],
+            "torsion_moduli": [],
+            "irrelevant_complements": [[3], [2], [1], [0]],
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("fan, payload", _COX_PINNED)
+def test_fan_cox_json_pinned_on_custom_fans(capsys, monkeypatch, fan, payload):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(fan)))
+    code, out, err = invoke(capsys, "fan", "cox", "--stdin", "--json")
+    assert code == 0 and err == ""
+    want = {"name": "stdin", "num_variables": len(fan["rays"]), **payload}
+    assert out == _jsonout.dumps(want) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +560,30 @@ def test_backend_syntax_errors(capsys):
         capsys, "classify", "projective", "-n", "1", "--backend", "ff:2"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--group", "cyclic:\u00b2", "--group expects cyclic:d"),
+        ("--group", "cyclic:\u0663", "--group expects cyclic:d"),
+        ("--backend", "ff:\u00b2,2", "--backend ff expects the form ff:q,d"),
+        ("--backend", "ff:3,\u0663", "--backend ff expects the form ff:q,d"),
+    ],
+)
+def test_non_ascii_digits_are_usage_errors(capsys, option, value, message):
+    """`str.isdigit` accepts digits `int` refuses (superscript two) and
+    digits of other scripts (Arabic-Indic three); only ASCII ones count."""
+    backend = [] if option == "--backend" else ["--backend", "real"]
+    code, out, err = invoke(capsys, "classify", "projective", "-n", "1", *backend, option, value)
+    assert code == 2
+    assert out == "" and err == f"usage error: {message}\n"
+
+
+def test_non_ascii_digits_name_no_builtin(capsys):
+    code, out, err = invoke(capsys, "fan", "validate", "--builtin", "projective:\u00b2")
+    assert code == 1
+    assert out == "" and err == "error: projective fans need a dimension of at least 1, got '\u00b2'\n"
 
 
 def test_backend_ff_requires_prime_power(capsys):

@@ -32,7 +32,6 @@ from toricforms.cohomology import (
 from toricforms.exact_linalg import (
     FGAbelianGroup,
     IntMatrix,
-    _snf_memo_scope,
     basis_mod,
     congruence_kernel_basis,
     image_basis,
@@ -40,6 +39,7 @@ from toricforms.exact_linalg import (
     lattice_subquotient,
     rational_solve,
     saturation_basis,
+    smith_normal_form,
 )
 from toricforms.fan_aut import automorphism_group
 from toricforms.fans import Fan, class_group, validate_fan
@@ -126,8 +126,9 @@ class TorusSubgroup:
     def from_congruence(cls, c: IntMatrix) -> "TorusSubgroup":
         """The subgroup {z : c z = 0 in (R/Z)^rows} for an integer matrix c."""
         v = kernel_basis(c)
-        sat = saturation_basis(c)
-        sol = rational_solve(c, sat)
+        dec = smith_normal_form(c)
+        sat = saturation_basis(dec)
+        sol = rational_solve(dec, sat)
         assert sol is not None, "saturation basis must be attainable"
         x, den = sol
         gens = tuple(tuple(Fraction(t, den) for t in x.col(j)) for j in range(sat.ncols))
@@ -136,7 +137,7 @@ class TorusSubgroup:
     def image(self, b: IntMatrix) -> "TorusSubgroup":
         assert b.ncols == self.ambient_dim
         mapped = b @ self.component_basis
-        v = saturation_basis(mapped)
+        v = saturation_basis(smith_normal_form(mapped))
         gens = tuple(
             tuple(sum(x * t for x, t in zip(row, g)) for row in b.rows) for g in self.lattice_gens
         )
@@ -163,7 +164,8 @@ class TorusSubgroup:
         """
         assert self.ambient_dim == other.ambient_dim
         assert self.dim == other.dim, "quotient would not be finite"
-        assert rational_solve(self.component_basis, other.component_basis) is not None, (
+        solved = rational_solve(smith_normal_form(self.component_basis), other.component_basis)
+        assert solved is not None, (
             "identity components differ"
         )
         w = self._projector()
@@ -667,7 +669,9 @@ def _fixed_lattice_and_norm_op(fan: Fan, hom, backend) -> tuple[IntMatrix, IntMa
     ident = IntMatrix.identity(fan.num_rays)
     qp = _permutation_matrix(hom.ray_permutation(1)).scaled(q)
     norm_op = functools.reduce(lambda acc, _: acc @ qp + ident, range(d - 1), ident)
-    fixed_lattice = congruence_kernel_basis(fan.ray_columns.vstack(qp - ident), c)
+    fixed_lattice = congruence_kernel_basis(
+        smith_normal_form(fan.ray_columns.vstack(qp - ident)), c
+    )
     return fixed_lattice, norm_op
 
 
@@ -683,10 +687,12 @@ def _h1_finite_field_intersection_route(fan: Fan, hom, backend) -> FGAbelianGrou
     c = backend.mult_order
     fixed_lattice, norm_op = _fixed_lattice_and_norm_op(fan, hom, backend)
     norm_image = basis_mod(norm_op, c)
-    pair = congruence_kernel_basis(fixed_lattice.hstack(norm_image.scaled(-1)), c)
+    pair = congruence_kernel_basis(
+        smith_normal_form(fixed_lattice.hstack(norm_image.scaled(-1))), c
+    )
     coeffs = IntMatrix(tuple(pair.rows[: fan.num_rays]), pair.ncols)
     numerator = basis_mod(fixed_lattice @ coeffs, c)
-    y_lattice = congruence_kernel_basis(fan.ray_columns, c)
+    y_lattice = congruence_kernel_basis(fan.ray_columns_snf, c)
     denominator = basis_mod(norm_op @ y_lattice, c)
     return lattice_subquotient(numerator, denominator)
 
@@ -717,22 +723,21 @@ def _ff_route_values(fan: Fan, backends) -> tuple[tuple[str, ...] | None, ...]:
     out = []
     for backend in backends:
         values = []
-        with _snf_memo_scope():  # the routes share their fixed and Y lattices
-            for cls in enumerate_hom_classes(backend.group, aut):
-                group, hom, _ = kernel_reduction(cls)
-                if group.order == 1:
-                    continue
-                reduced = reduce_backend(backend, len(cls.kernel))
-                try:
-                    public = h1_cyclic_norm_formula(fan, hom, reduced)
-                except AssumptionViolated:
-                    values = None
-                    break
-                expected = _h1_finite_field_intersection_route(fan, hom, reduced)
-                assert _h1_finite_field_quotient_presentation(fan, hom, reduced) == expected
-                assert public == expected
-                _assert_fixed_points_are_norms(fan, hom, reduced)
-                values.append(str(expected))
+        for cls in enumerate_hom_classes(backend.group, aut):
+            group, hom, _ = kernel_reduction(cls)
+            if group.order == 1:
+                continue
+            reduced = reduce_backend(backend, len(cls.kernel))
+            try:
+                public = h1_cyclic_norm_formula(fan, hom, reduced)
+            except AssumptionViolated:
+                values = None
+                break
+            expected = _h1_finite_field_intersection_route(fan, hom, reduced)
+            assert _h1_finite_field_quotient_presentation(fan, hom, reduced) == expected
+            assert public == expected
+            _assert_fixed_points_are_norms(fan, hom, reduced)
+            values.append(str(expected))
         out.append(None if values is None else tuple(sorted(values)))
     return tuple(out)
 

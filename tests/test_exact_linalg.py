@@ -1,6 +1,7 @@
 """Integer linear algebra: frozen oracle values and structural properties."""
 
 import ast
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from toricforms import exact_linalg
 from toricforms.classify import builtin_fan, classify_fan
-from toricforms.cli import run
+from toricforms.fans import Fan, validate_fan
 from toricforms.exact_linalg import (
     FGAbelianGroup,
     IntMatrix,
@@ -27,7 +28,7 @@ from toricforms.exact_linalg import (
     saturation_basis,
     smith_normal_form,
 )
-from toricforms.galois import BackendUnsupported, FiniteFieldBackend, GroupSpec
+from toricforms.galois import FiniteFieldBackend
 
 M = IntMatrix.from_rows
 
@@ -193,7 +194,7 @@ def test_image_and_saturation():
     im = image_basis(m)
     assert im.ncols == 2
     assert lattice_subquotient(im, m) == FGAbelianGroup.trivial()
-    sat = saturation_basis(m)
+    sat = saturation_basis(smith_normal_form(m))
     assert lattice_subquotient(sat, im) == FGAbelianGroup.from_factors([2, 4])
 
 
@@ -216,17 +217,20 @@ def test_lattice_intersection_frozen():
 
 
 def test_congruence_kernel():
-    basis = congruence_kernel_basis(M([[1, 1]]), 2)
+    basis = congruence_kernel_basis(smith_normal_form(M([[1, 1]])), 2)
     assert basis.shape == (2, 2)
     assert abs(det(basis)) == 2
     for j in range(2):
         assert sum(basis.col(j)) % 2 == 0
     # d = (2, 6) mod 12: y_0 in 6Z, y_1 in 2Z, index 12
-    basis = congruence_kernel_basis(M([[2, 0], [0, 6]]), 12)
+    basis = congruence_kernel_basis(smith_normal_form(M([[2, 0], [0, 6]])), 12)
     assert det(basis) == 12 and _lattices_equal(basis, M([[6, 0], [0, 2]]))
-    assert congruence_kernel_basis(IntMatrix.zero(0, 3), 12) == IntMatrix.identity(3)
-    assert congruence_kernel_basis(IntMatrix.zero(3, 0), 12) == IntMatrix.zero(0, 0)
-    assert congruence_kernel_basis(M([[5, 0], [0, 7]]), 1) == IntMatrix.identity(2)
+    for m, modulus, want in (
+        (IntMatrix.zero(0, 3), 12, IntMatrix.identity(3)),
+        (IntMatrix.zero(3, 0), 12, IntMatrix.zero(0, 0)),
+        (M([[5, 0], [0, 7]]), 1, IntMatrix.identity(2)),
+    ):
+        assert congruence_kernel_basis(smith_normal_form(m), modulus) == want
 
 
 def test_basis_mod_frozen():
@@ -300,7 +304,7 @@ def test_congruence_kernel_matches_stacked_route(nrows, ncols, inner, modulus, d
     m = a @ b if data.draw(st.booleans()) else IntMatrix.from_rows(
         [[data.draw(entries) for _ in range(ncols)] for _ in range(nrows)], ncols=ncols
     )
-    basis = congruence_kernel_basis(m, modulus)
+    basis = congruence_kernel_basis(smith_normal_form(m), modulus)
     assert basis.shape == (ncols, ncols)
     assert all(0 <= x <= modulus for row in basis.rows for x in row)
     assert _lattices_equal(basis, _congruence_kernel_by_stacking(m, modulus))
@@ -308,7 +312,7 @@ def test_congruence_kernel_matches_stacked_route(nrows, ncols, inner, modulus, d
 
 def test_congruence_kernel_entries_bounded():
     m = M([[3, 1, 4, 1], [5, 9, 2, 6]])
-    basis = congruence_kernel_basis(m, 63)
+    basis = congruence_kernel_basis(smith_normal_form(m), 63)
     assert all(0 <= x <= 63 for row in basis.rows for x in row)
     for j in range(basis.ncols):
         col = basis.col(j)
@@ -394,17 +398,20 @@ def _gauss_jordan_solve(a: IntMatrix, b: IntMatrix) -> list[list[Fraction]] | No
 
 
 def test_rational_solve_and_inverse():
+    def solve(a, b):
+        return rational_solve(smith_normal_form(a), b)
+
     a = M([[2, 1], [1, 1]])
-    assert rational_solve(a, IntMatrix.identity(2)) == (M([[1, -1], [-1, 2]]), 1)
-    x, den = rational_solve(M([[2, 0], [0, 4]]), IntMatrix.from_cols([(1, 2)]))
+    assert solve(a, IntMatrix.identity(2)) == (M([[1, -1], [-1, 2]]), 1)
+    x, den = solve(M([[2, 0], [0, 4]]), IntMatrix.from_cols([(1, 2)]))
     assert (x, den) == (IntMatrix.from_cols([(2, 2)]), 4)
     assert [Fraction(t, den) for t in x.col(0)] == [Fraction(1, 2), Fraction(1, 2)]
-    assert rational_solve(M([[1, 1], [1, 1]]), IntMatrix.from_cols([(0, 1)])) is None
+    assert solve(M([[1, 1], [1, 1]]), IntMatrix.from_cols([(0, 1)])) is None
     # degenerate shapes: 0xn is always solvable, nx0 only for b == 0
-    assert rational_solve(IntMatrix.zero(0, 3), IntMatrix.zero(0, 2)) == (IntMatrix.zero(3, 2), 1)
-    assert rational_solve(IntMatrix.zero(2, 0), IntMatrix.zero(2, 1)) == (IntMatrix.zero(0, 1), 1)
-    assert rational_solve(IntMatrix.zero(2, 0), IntMatrix.from_cols([(0, 1)])) is None
-    assert rational_solve(IntMatrix.zero(2, 3), IntMatrix.from_cols([(1, 0)])) is None
+    assert solve(IntMatrix.zero(0, 3), IntMatrix.zero(0, 2)) == (IntMatrix.zero(3, 2), 1)
+    assert solve(IntMatrix.zero(2, 0), IntMatrix.zero(2, 1)) == (IntMatrix.zero(0, 1), 1)
+    assert solve(IntMatrix.zero(2, 0), IntMatrix.from_cols([(0, 1)])) is None
+    assert solve(IntMatrix.zero(2, 3), IntMatrix.from_cols([(1, 0)])) is None
 
 
 def _draw_matrix(data, nrows: int, ncols: int) -> IntMatrix:
@@ -427,13 +434,13 @@ def test_rational_solve_matches_gauss_jordan(nrows, ncols, inner, nrhs, consiste
     else:
         b = _draw_matrix(data, nrows, nrhs)
     want = _gauss_jordan_solve(a, b)
-    got = rational_solve(a, b)
+    dec = smith_normal_form(a)
+    got = rational_solve(dec, b)
     if want is None:
         assert got is None
         return
     assert got is not None
     x, den = got
-    dec = smith_normal_form(a)
     assert den == (dec.diagonal[dec.rank - 1] if dec.rank else 1)
     assert x.shape == (ncols, nrhs)
     assert a @ x == b.scaled(den)
@@ -445,11 +452,11 @@ def test_rational_solve_matches_gauss_jordan(nrows, ncols, inner, nrhs, consiste
         assert [[Fraction(t, den) for t in row] for row in x.rows] == want
 
 
-def test_library_imports_no_rational_arithmetic():
-    """Every solve goes through the Smith normal form in integers: no module
-    of the library imports `fractions`."""
+def _library_imports() -> list[tuple[str, int, str]]:
+    """(file name, line, top-level module) of every import in the library."""
     sources = sorted(Path(exact_linalg.__file__).parent.glob("*.py"))
     assert len(sources) >= 8
+    found = []
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
@@ -458,9 +465,22 @@ def test_library_imports_no_rational_arithmetic():
                 names = [node.module or ""]
             else:
                 continue
-            assert not any(n.split(".")[0] == "fractions" for n in names), (
-                f"{path.name}:{node.lineno} imports fractions"
-            )
+            found += [(path.name, node.lineno, n.split(".")[0]) for n in names]
+    return found
+
+
+def test_library_imports_no_rational_arithmetic():
+    """Every solve goes through the Smith normal form in integers: no module
+    of the library imports `fractions`."""
+    bad = [(f, line) for f, line, module in _library_imports() if module == "fractions"]
+    assert not bad, f"imports of fractions at {bad}"
+
+
+def test_library_keeps_no_call_scoped_state():
+    """Decompositions are owned by the objects they describe, not by a
+    context-local memo: no module of the library imports `contextvars`."""
+    bad = [(f, line) for f, line, module in _library_imports() if module == "contextvars"]
+    assert not bad, f"imports of contextvars at {bad}"
 
 
 def test_library_writes_indented_json_only_through_the_emitter():
@@ -601,67 +621,70 @@ def test_lattice_subquotient_names_first_non_member_column():
             lattice_subquotient(sup, sub)
 
 
-# --- call-scoped SNF memo ----------------------------------------------------
+# --- no SNF memo: the fan owns its decompositions ---------------------------
 
 
 @pytest.fixture
 def count_decompositions(monkeypatch):
-    """Count the decompositions actually computed (memo misses)."""
+    """Record the matrix of every `smith_normal_form` call, in each library
+    module that binds the function by name."""
     computed = []
-    worker = exact_linalg._compute_smith_normal_form
+    original = exact_linalg.smith_normal_form
 
     def counting(m):
         computed.append(m)
-        return worker(m)
+        return original(m)
 
-    monkeypatch.setattr(exact_linalg, "_compute_smith_normal_form", counting)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("toricforms") and getattr(module, "smith_normal_form", None) is original:
+            monkeypatch.setattr(module, "smith_normal_form", counting)
     return computed
 
 
-def test_snf_outside_any_scope_computes_afresh(count_decompositions):
-    m = M([[2, 4], [6, 8]])
-    assert exact_linalg._SNF_MEMO.get() is None
-    first = smith_normal_form(m)
-    second = smith_normal_form(m)
-    assert len(count_decompositions) == 2
+def test_smith_normal_form_keeps_no_state():
+    first = smith_normal_form(M([[2, 4], [6, 8]]))
+    second = smith_normal_form(M([[2, 4], [6, 8]]))
     assert first is not second
     assert (first.u, first.d, first.v) == (second.u, second.d, second.v)
+    containers = [
+        name
+        for name, value in vars(exact_linalg).items()
+        if not name.startswith("__") and isinstance(value, (dict, list, set))
+    ]
+    assert containers == []
 
 
-def test_snf_memo_scope_shares_and_nests(count_decompositions):
-    m = M([[2, 4], [6, 8]])
-    with exact_linalg._snf_memo_scope():
-        first = smith_normal_form(m)
-        with exact_linalg._snf_memo_scope():
-            assert smith_normal_form(M([[2, 4], [6, 8]])) is first
-        assert exact_linalg._SNF_MEMO.get() == {m: first}
-        assert smith_normal_form(m) is first
-    assert len(count_decompositions) == 1
-    assert exact_linalg._SNF_MEMO.get() is None
-    smith_normal_form(m)
-    assert len(count_decompositions) == 2
-
-
-def test_snf_memo_dropped_after_entry_points(capsys):
-    assert run(["classify", "fan", "--builtin", "hexagon", "--backend", "real"]) == 0
-    assert "total forms" in capsys.readouterr().out
-    assert exact_linalg._SNF_MEMO.get() is None
-    be = FiniteFieldBackend(5, 2)
-    classify_fan(builtin_fan("surface:C2"), be.group, be)
-    assert exact_linalg._SNF_MEMO.get() is None
-    with pytest.raises(BackendUnsupported):  # leaves the scope by an exception
-        classify_fan(builtin_fan("hexagon"), GroupSpec.cyclic(3), be)
-    assert exact_linalg._SNF_MEMO.get() is None
+def _fresh_builtin(name: str) -> Fan:
+    """An equal fan that has factored nothing yet (builtins are cached)."""
+    fan = builtin_fan(name)
+    return Fan(fan.rank, fan.rays, fan.max_cones)
 
 
 def test_classify_fan_factors_each_matrix_once(count_decompositions):
     be = FiniteFieldBackend(3, 6)
-    fan = builtin_fan("surface:C6")
-    count_decompositions.clear()  # builtin construction is not the subject
+    fan = _fresh_builtin("surface:C6")
+    validate_fan(fan)
+    count_decompositions.clear()  # validation is not the subject
     report = classify_fan(fan, be.group, be)
     assert report.total is not None
     assert len(count_decompositions) == len(set(count_decompositions))
-    assert len(count_decompositions) <= 37
+    # the ray rows once, then per nontrivial class (5) the fixed lattice and
+    # the two square factorizations of its subquotient
+    assert len(count_decompositions) <= 16
     # the largest is R over qP - I (20 x 18), whose congruence kernel is the
     # fixed lattice of Y; no congruence kernel factors a wider matrix
     assert max(m.nrows * m.ncols for m in count_decompositions) <= 20 * 18
+
+
+@pytest.mark.parametrize("name", ["surface:C6", "surface:D4", "projective:3"])
+def test_second_classification_factors_no_cone_or_ray_matrix(count_decompositions, name):
+    be = FiniteFieldBackend(3, 2)
+    fan = _fresh_builtin(name)
+    first = classify_fan(fan, be.group, be)
+    owned = {fan.ray_rows, fan.ray_columns} | {
+        IntMatrix.from_cols([fan.rays[i] for i in cone], fan.rank) for cone in fan.max_cones
+    }
+    assert owned <= set(count_decompositions)
+    count_decompositions.clear()
+    assert classify_fan(fan, be.group, be) == first
+    assert not owned & set(count_decompositions)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricforms.classify import BUILTIN_NAMES
-from toricforms.exact_linalg import IntMatrix, det, rational_solve
+from toricforms.exact_linalg import IntMatrix, det, rational_solve, smith_normal_form
 from toricforms.fan_aut import (
     GEN_MIRROR_DIAG,
     GEN_MIRROR_SWAP,
@@ -57,7 +57,7 @@ def aut_via_sequence(fan: Fan) -> FanAutGroup:
     w = bw.word
     m = len(w)
     rays = [fan.rays[i] for i in order]
-    base_inv, den = _scaled_inverse(IntMatrix.from_cols([rays[0], rays[1]], 2))
+    base_inv, den = _scaled_inverse(smith_normal_form(IntMatrix.from_cols([rays[0], rays[1]], 2)))
 
     def lift(target0: tuple[int, ...], target1: tuple[int, ...]) -> IntMatrix:
         s = _divided(IntMatrix.from_cols([target0, target1], 2) @ base_inv, den)
@@ -119,7 +119,7 @@ def test_classes_identified_on_themselves():
 
 def test_classes_identified_after_conjugation():
     q = IntMatrix.from_rows([[2, 1], [1, 1]])
-    qinv, den = rational_solve(q, IntMatrix.identity(2))
+    qinv, den = rational_solve(smith_normal_form(q), IntMatrix.identity(2))
     assert den == 1
     for label in GL2_CLASS_LABELS:
         conj = [q @ g @ qinv for g in gl2_class_elements(label)]
@@ -241,8 +241,8 @@ def _frame_product_automorphisms(fan: Fan) -> tuple[IntMatrix, ...]:
     the result is sorted by rows, as `FanAutGroup.matrices` is.
     """
     validate_fan(fan)
-    frame = _frame(fan)
-    frame_inv, den = _scaled_inverse(IntMatrix.from_cols([fan.rays[j] for j in frame], fan.rank))
+    frame, frame_dec = _frame(fan)
+    frame_inv, den = _scaled_inverse(frame_dec)
     invariants = _ray_invariants(fan)
     ray_lookup = {r: i for i, r in enumerate(fan.rays)}
     cone_set = set(fan.max_cones)
@@ -286,7 +286,7 @@ def test_search_matches_reference_on_transformed_fans(data):
     group = automorphism_group(fan)
     assert group.matrices == _frame_product_automorphisms(fan)
     # conjugating by g carries the symmetries of the base fan onto these
-    g_inv, den = rational_solve(g, IntMatrix.identity(g.nrows))
+    g_inv, den = rational_solve(smith_normal_form(g), IntMatrix.identity(g.nrows))
     assert den == 1
     assert set(group.matrices) == {g @ s @ g_inv for s in automorphism_group(base).matrices}
 

@@ -13,7 +13,6 @@ from toricforms.classify import BUILTIN_NAMES, builtin_fan
 from toricforms.exact_linalg import (
     FGAbelianGroup,
     IntMatrix,
-    _snf_memo_scope,
     kernel_basis,
     saturation_basis,
     smith_normal_form,
@@ -254,6 +253,35 @@ def test_cox_data_torsion_class_group():
     assert cox.degrees.free_rows.nrows == 0
 
 
+@pytest.mark.parametrize(
+    "name",
+    list(BUILTIN_NAMES) + [f"projective:{n}" for n in range(1, 5)] + list(PRODUCT_FAN_NAMES),
+)
+def test_irrelevant_ideal_of_maximal_cones_is_that_of_all_faces(name):
+    """Reference for `cox_data` listing maximal cones only: the monomial of
+    every face of every cone is a multiple of a maximal-cone monomial.  The
+    2^rank faces per cone are enumerated, so only fans of rank <= 4."""
+    fan = named_fan(name)
+    assert fan.rank <= 4
+    validate_fan(fan)
+    comps = [set(c) for c in cox_data(fan).irrelevant_complements]
+    for cone in fan.max_cones:
+        for mask in range(1 << len(cone)):
+            face = {i for k, i in enumerate(cone) if mask >> k & 1}
+            assert any(c <= set(range(fan.num_rays)) - face for c in comps), (name, face)
+
+
+def test_cone_is_factored_only_after_its_index_checks():
+    """Each cone's Smith decomposition is built on its first use, so an
+    out-of-range index in a later cone stays a FanError, not an IndexError,
+    also on a fan that has factored its earlier cones already."""
+    fan = Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 7)))
+    assert fan.cone_snf((0, 1)).diagonal == (1, 1)
+    with pytest.raises(FanError, match=r"^cone \(2, 7\) references missing ray 7$") as info:
+        validate_fan(fan)
+    assert type(info.value) is FanError
+
+
 def test_smooth_and_complete():
     assert is_smooth(P2) and is_complete_surface(P2)
     assert is_smooth(P1XP1) and is_complete_surface(P1XP1)
@@ -388,7 +416,7 @@ def _line_intersection_by_kernel(p1, p2):
     m2 = IntMatrix.from_cols(p2, 3)
     k = kernel_basis(m1.hstack(-m2))
     meet = m1 @ IntMatrix(tuple(k.rows[: m1.ncols]), k.ncols)
-    sat = saturation_basis(meet)
+    sat = saturation_basis(smith_normal_form(meet))
     if sat.ncols != 1:
         return None
     return primitive_vector(sat.col(0))
@@ -438,10 +466,9 @@ VALIDATION_FAN_NAMES = (
 def pairwise_validate(fan: Fan) -> None:
     """Reference route: the same ray and cone checks, then the pairwise
     face-intersection check on every two maximal cones (exact in rank <= 3)."""
-    with _snf_memo_scope():
-        _check_rays_and_cones(fan)
-        for ca, cb in itertools.combinations(fan.max_cones, 2):
-            _check_face_intersection(fan, ca, cb)
+    _check_rays_and_cones(fan)
+    for ca, cb in itertools.combinations(fan.max_cones, 2):
+        _check_face_intersection(fan, ca, cb)
 
 
 def _verdict(check, fan: Fan) -> type | None:
