@@ -567,7 +567,7 @@ def _surface_fan(label: str) -> Fan:
     fan = _build_surface_fan(label)
     aut = automorphism_group(fan)  # validates the fan
     assert is_smooth(fan) and is_complete_surface(fan)
-    found = identify_gl2_class(aut).label
+    found = identify_gl2_class(aut)
     assert found == label, f"surface fan for {label} identified as {found}"
     return fan
 
@@ -788,8 +788,8 @@ def hom_class_h1(fan: Fan, hom: HomClass, backend: FieldBackend) -> FGAbelianGro
     The homomorphism's kernel is factored out first, so the computation runs
     over the faithful quotient group and the correspondingly reduced backend.
     """
-    reduced_group, reduced_hom, _ = kernel_reduction(hom)
-    if reduced_group.order == 1:
+    reduced_hom = kernel_reduction(hom)
+    if reduced_hom.group.order == 1:
         return FGAbelianGroup.trivial()
     reduced_backend = reduce_backend(backend, len(hom.kernel))
     assert reduced_backend is not None
@@ -849,7 +849,7 @@ def classify_surface_real(fan: Fan, *, fan_name: str = "custom") -> Classificati
         kind = involution_type(matrix)
         identity = IntMatrix.identity(2)
         subgroup = [identity] if matrix == identity else [identity, matrix]
-        sublabel = identify_gl2_class(subgroup).label
+        sublabel = identify_gl2_class(subgroup)
         expected = surface_table(sublabel, REAL_TOWER)
         assert expected == entry.value, (
             f"surface table row {sublabel} disagrees with the computed group"

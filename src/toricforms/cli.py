@@ -54,7 +54,7 @@ from .fans import (
     is_smooth,
     validate_fan,
 )
-from .fan_aut import UnidentifiedClass, automorphism_group, identify_gl2_class
+from .fan_aut import automorphism_group, identify_gl2_class
 from .galois import (
     BackendUnsupported,
     FieldBackend,
@@ -183,7 +183,8 @@ def _completeness(fan: Fan) -> tuple[str, bool | None]:
         flag = is_complete_surface(fan)
         return str(flag).lower(), flag
     if fan.rank == 1:
-        flag = set(fan.rays) == {(1,), (-1,)}
+        # the rays are +-1 and each spans a cone, so the half-lines cover R
+        flag = set(fan.rays) == {(1,), (-1,)} and {(0,), (1,)} <= set(fan.max_cones)
         return str(flag).lower(), flag
     return "not checked (rank > 2)", None
 
@@ -222,12 +223,7 @@ def _cmd_fan_info(args: argparse.Namespace) -> int:
 def _cmd_fan_aut(args: argparse.Namespace) -> int:
     fan, _ = _load_fan(args)
     aut = automorphism_group(fan)  # validates the fan
-    label = None
-    if fan.rank == 2:
-        try:
-            label = identify_gl2_class(aut).label
-        except UnidentifiedClass:
-            label = None
+    label = identify_gl2_class(aut) if fan.rank == 2 else None
     payload = {
         "order": aut.order,
         "label": label,
@@ -340,8 +336,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     all_agree = True
     for index, cls in enumerate(classes):
         # the norm route of hom_class_h1, on the one kernel reduction
-        reduced_group, reduced_hom, _ = kernel_reduction(cls)
-        if reduced_group.order == 1:
+        reduced_hom = kernel_reduction(cls)
+        if reduced_hom.group.order == 1:
             norm_route = closed = FGAbelianGroup.trivial()
             brute_json = {"kind": "skipped", "text": "trivial class"}
             agree = True

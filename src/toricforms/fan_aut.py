@@ -22,18 +22,24 @@ symmetries determinant -1, and these exhaust the group.
 
 Finite subgroups of GL(2, Z) are classified up to conjugacy by thirteen
 classes; `identify_gl2_class` names the class of a given finite matrix group
-and returns an explicit unimodular conjugator as a checkable witness.
+by conjugacy invariants (order, element orders and coinvariants), which
+tell the thirteen apart.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .exact_linalg import (
-    IntMatrix, SmithDecomposition, det, kernel_basis, rational_solve, smith_normal_form
+    IntMatrix,
+    SmithDecomposition,
+    cokernel_presentation,
+    det,
+    kernel_basis,
+    rational_solve,
+    smith_normal_form,
 )
 from .fans import Fan, boundary_word, is_complete_surface, is_smooth, validate_fan
 
@@ -49,21 +55,14 @@ Perm = tuple[int, ...]
 class FanAutGroup:
     """Finite matrix group acting on a fan, matrices sorted for determinism.
 
-    `ray_permutations[i]` is the permutation k -> index of matrices[i] @ ray_k.
-    Group arithmetic runs on these permutations.  When not given they are
-    computed from the matrices; `automorphism_group` passes the ones its
-    checks produced.
+    `ray_permutations[i]` is the permutation k -> index of matrices[i] @ ray_k,
+    as `automorphism_group`'s checks produced it.  Group arithmetic runs on
+    these permutations.
     """
 
     fan: Fan
     matrices: tuple[IntMatrix, ...]
-    ray_permutations: tuple[Perm, ...] = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.ray_permutations is None:
-            lookup = {r: i for i, r in enumerate(self.fan.rays)}
-            perms = tuple(tuple(lookup[m.apply(r)] for r in self.fan.rays) for m in self.matrices)
-            object.__setattr__(self, "ray_permutations", perms)
+    ray_permutations: tuple[Perm, ...] = field(compare=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -316,83 +315,52 @@ def gl2_class_elements(label: str) -> tuple[IntMatrix, ...]:
     return _closure(_CLASS_GENERATORS[label])
 
 
-def _intertwiner_lattice(pairs: Sequence[tuple[IntMatrix, IntMatrix]]) -> IntMatrix:
-    """Basis of {P : P @ g == h @ P for all pairs (g, h)}, P flattened row-major."""
-    rows = []
-    for g, h in pairs:
-        for i in range(2):
-            for j in range(2):
-                row = [0, 0, 0, 0]
-                for a in range(2):
-                    for b in range(2):
-                        coeff = 0
-                        if a == i:
-                            coeff += g.entry(b, j)
-                        if b == j:
-                            coeff -= h.entry(i, a)
-                        row[2 * a + b] += coeff
-                rows.append(row)
-    return kernel_basis(IntMatrix.from_rows(rows, 4))
-
-
-@dataclass(frozen=True)
-class GL2ClassIdentification:
-    label: str
-    conjugator: IntMatrix
-
-    def verify(self, elements: Iterable[IntMatrix]) -> bool:
-        p = self.conjugator
-        pinv = _divided(*_scaled_inverse(smith_normal_form(p)))
-        assert pinv is not None
-        conj = {p @ g @ pinv for g in gl2_class_elements(self.label)}
-        return conj == set(elements)
-
-
-def identify_gl2_class(group: FanAutGroup | Sequence[IntMatrix]) -> GL2ClassIdentification:
-    """Name the conjugacy class of a finite subgroup of GL(2, Z).
-
-    The class is certified, not guessed: candidate classes are filtered by
-    order and element-order statistics (both conjugacy invariants), and the
-    answer is the first candidate for which an explicit unimodular P with
-    P * class * P^-1 == group is found.  The search space for P is the
-    integer intertwiner lattice of a generator assignment, scanned over small
-    coordinates; this is exhaustive enough for all finite classes because a
-    conjugator can be normalized to have entries of magnitude at most a few.
-    """
-    matrices = tuple(group.matrices) if isinstance(group, FanAutGroup) else tuple(group)
+def _check_closed_set(matrices: Sequence[IntMatrix]) -> None:
+    """Typed checks, so they survive `python -O`: the set is non-empty, of at
+    most 12 distinct 2x2 matrices (the largest finite class has 12), and
+    closed under products."""
     if not matrices:
         raise UnidentifiedClass("empty group")
-    n = len(matrices)
-    order_stats = tuple(sorted(_matrix_order(m) for m in matrices))
-    for label in GL2_CLASS_LABELS:
-        elems = gl2_class_elements(label)
-        if len(elems) != n:
-            continue
-        if tuple(sorted(_matrix_order(m) for m in elems)) != order_stats:
-            continue
-        gens = _CLASS_GENERATORS[label]
-        gen_orders = [_matrix_order(g) for g in gens]
-        slots = [
-            [h for h in matrices if _matrix_order(h) == o] for o in gen_orders
-        ]
-        target_set = set(matrices)
-        for images in itertools.product(*slots):
-            basis = _intertwiner_lattice(list(zip(gens, images)))
-            if basis.ncols == 0:
-                continue
-            for coeffs in itertools.product(range(-5, 6), repeat=basis.ncols):
-                if all(c == 0 for c in coeffs):
-                    continue
-                flat = basis.apply(coeffs)
-                p = IntMatrix.from_rows([[flat[0], flat[1]], [flat[2], flat[3]]])
-                if abs(det(p)) != 1:
-                    continue
-                ident = GL2ClassIdentification(label, p)
-                if ident.verify(target_set):
-                    return ident
-    raise UnidentifiedClass(
-        f"group of order {n} with element orders {order_stats} matches no finite GL(2,Z) class"
-    )
+    if any((m.nrows, m.ncols) != (2, 2) for m in matrices):
+        raise UnidentifiedClass("finite GL(2,Z) groups consist of 2x2 matrices")
+    members = set(matrices)
+    if len(members) != len(matrices):
+        raise UnidentifiedClass("group elements must be distinct")
+    if len(members) > 12:
+        raise UnidentifiedClass(
+            f"finite GL(2,Z) groups have at most 12 elements, got {len(members)}"
+        )
+    if any(a @ b not in members for a in matrices for b in matrices):
+        raise UnidentifiedClass("matrix set is not closed under products")
+
+
+def _class_key(matrices: Sequence[IntMatrix]) -> tuple:
+    """Conjugacy invariants of a finite subgroup G of GL(2, Z): its order, its
+    sorted element orders and its coinvariants Z^2 / sum of (g - 1)Z^2.
+    Raises UnidentifiedClass for an element of infinite order."""
+    ident = IntMatrix.identity(2)
+    moved = IntMatrix.from_cols([c for m in matrices for c in (m - ident).cols()], 2)
+    orders = tuple(sorted(_matrix_order(m) for m in matrices))
+    return len(matrices), orders, cokernel_presentation(moved)
+
+
+_LABEL_BY_KEY = {_class_key(gl2_class_elements(label)): label for label in GL2_CLASS_LABELS}
+assert len(_LABEL_BY_KEY) == len(GL2_CLASS_LABELS), "class keys must be distinct"
+
+
+def identify_gl2_class(group: FanAutGroup | Sequence[IntMatrix]) -> str:
+    """Label of the conjugacy class of a finite subgroup of GL(2, Z).
+
+    Every finite subgroup of GL(2, Z) is conjugate to exactly one of the
+    thirteen classes (Voskresenskii, Algebraic Groups and Their Birational
+    Invariants, 4.9), and their keys -- order, sorted element orders and
+    coinvariants, all conjugacy invariants -- are pairwise distinct, so the
+    key names the class.  A closed set of matrices of finite order is a
+    group; any other input raises UnidentifiedClass.
+    """
+    matrices = tuple(group.matrices) if isinstance(group, FanAutGroup) else tuple(group)
+    _check_closed_set(matrices)
+    return _LABEL_BY_KEY[_class_key(matrices)]
 
 
 def involution_type(s: IntMatrix) -> str:

@@ -180,21 +180,17 @@ def enumerate_hom_classes(group: GroupSpec, aut: FanAutGroup) -> tuple[HomClass,
     return tuple(classes)
 
 
-def kernel_reduction(hom: HomClass) -> tuple[GroupSpec, HomClass, tuple[int, ...]]:
+def kernel_reduction(hom: HomClass) -> HomClass:
     """Factor a homomorphism Z/d -> aut through its kernel.
 
     The generator's image h has order e dividing d, the kernel is the
     multiples of e, and the quotient is Z/e with g mapping to g mod e.
-    Returns (Z/e, the induced injective hom class with images h^0, ...,
-    h^(e-1), projection) where projection[g] = g mod e.  The induced hom has
-    the same image subgroup of the fan automorphisms, so all orbit data
-    agrees with the original.
+    Returns the induced injective hom class from Z/e, with images h^0, ...,
+    h^(e-1).  It has the same image subgroup of the fan automorphisms, so
+    all orbit data agrees with the original.
     """
-    d = hom.group.order
-    e = d // len(hom.kernel)
-    quotient = GroupSpec.cyclic(e)
-    induced = HomClass(quotient, hom.aut, hom.images[:e], hom.orbit_size)
-    return quotient, induced, tuple(g % e for g in range(d))
+    e = hom.group.order // len(hom.kernel)
+    return HomClass(GroupSpec.cyclic(e), hom.aut, hom.images[:e], hom.orbit_size)
 
 
 # ---------------------------------------------------------------------------

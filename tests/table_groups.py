@@ -189,8 +189,8 @@ def hom_classes(group: TableGroup, aut: FanAutGroup) -> tuple[TableHom, ...]:
     return tuple(sorted(classes, key=lambda c: c.images))
 
 
-def reduce_kernel(hom: TableHom) -> tuple[TableGroup, TableHom, tuple[int, ...]]:
-    """(quotient group, induced injective hom, projection) by cosets."""
+def reduce_kernel(hom: TableHom) -> TableHom:
+    """The induced injective hom from the quotient group, built by cosets."""
     group = hom.group
     reps: list[int] = []
     coset_of: dict[int, int] = {}
@@ -210,5 +210,4 @@ def reduce_kernel(hom: TableHom) -> tuple[TableGroup, TableHom, tuple[int, ...]]
         if c != 0 and c not in gens:
             gens.append(c)
     quotient = TableGroup(f"{group.name}/ker", table, tuple(gens))
-    induced = TableHom(quotient, hom.aut, tuple(hom.images[r] for r in reps), hom.orbit_size)
-    return quotient, induced, tuple(coset_of[g] for g in range(group.order))
+    return TableHom(quotient, hom.aut, tuple(hom.images[r] for r in reps), hom.orbit_size)

@@ -329,7 +329,7 @@ def test_builtin_surface_fans(name):
     aut = automorphism_group(fan)
     assert aut.order == aut_order
     assert aut_via_sequence(fan).order == aut_order
-    assert identify_gl2_class(aut).label == label
+    assert identify_gl2_class(aut) == label
 
 
 def test_hexagon_alias():

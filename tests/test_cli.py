@@ -23,6 +23,7 @@ import toricforms
 from toricforms import _jsonout
 from toricforms.classify import builtin_fan
 from toricforms.cli import run
+from toricforms.exact_linalg import IntMatrix
 
 P2_JSON = json.dumps(
     {"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "cones": [[0, 1], [1, 2], [0, 2]]}
@@ -143,6 +144,60 @@ def test_fan_aut_json(capsys):
     assert payload["order"] == 12
     assert payload["label"] == "D12"
     assert len(payload["matrices"]) == 12
+
+
+#: Builtin surfaces moved by a unimodular map; their symmetry groups are
+#: conjugate to the builtin's only by matrices with large entries.
+TRANSFORMED_SURFACES = [
+    ("surface:C4", [[8, 7], [1, 1]], "C4"),
+    ("surface:D2p", [[8, 7], [1, 1]], "D2'"),
+    ("surface:D4p", [[8, 7], [1, 1]], "D4'"),
+    ("surface:C6", [[15, 7], [2, 1]], "C6"),
+]
+
+
+@pytest.mark.parametrize("name, rows, label", TRANSFORMED_SURFACES)
+def test_transformed_surface_keeps_its_class(tmp_path, capsys, name, rows, label):
+    fan, g = builtin_fan(name), IntMatrix.from_rows(rows)
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({
+        "rank": 2,
+        "rays": [list(g.apply(r)) for r in fan.rays],
+        "cones": [list(c) for c in fan.max_cones],
+    }))
+    code, out, err = invoke(capsys, "fan", "aut", "--file", str(path), "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["label"] == label
+    code, out, err = invoke(capsys, "classify", "surface-real", "--file", str(path), "--json")
+    assert (code, err) == (0, "")
+    moved = json.loads(out)
+    code, out, _ = invoke(capsys, "classify", "surface-real", "--builtin", name, "--json")
+    assert code == 0
+    builtin = json.loads(out)
+    # the same forms with the same cohomology; only the involution matrices move
+    assert [(e["label"], e["h1"]) for e in moved["entries"]] == [
+        (e["label"], e["h1"]) for e in builtin["entries"]
+    ]
+
+
+@pytest.mark.parametrize(
+    "rays, cones, complete",
+    [
+        ([[1], [-1]], [[0], [1]], True),
+        ([[-1], [1]], [[1], [0]], True),
+        ([[1], [-1]], [[0]], False),
+        ([[1], [-1]], [[1]], False),
+        ([[1]], [[0]], False),
+    ],
+)
+def test_fan_info_rank1_complete_only_when_both_rays_are_cones(
+    capsys, monkeypatch, rays, cones, complete
+):
+    fan_json = json.dumps({"rank": 1, "rays": rays, "cones": cones})
+    monkeypatch.setattr("sys.stdin", io.StringIO(fan_json))
+    code, out, _ = invoke(capsys, "fan", "info", "--stdin", "--json")
+    assert code == 0
+    assert json.loads(out)["complete"] is complete
 
 
 def test_fan_cox(capsys):

@@ -516,8 +516,8 @@ def _surface_oracle_modules(q: int, d: int) -> list[FiniteModule]:
     modules: dict[FiniteModule, None] = {}
     for name in BUILTIN_SURFACE_NAMES:
         for cls in enumerate_hom_classes(backend.group, automorphism_group(builtin_fan(name))):
-            reduced_group, reduced_hom, _ = kernel_reduction(cls)
-            if reduced_group.order > 1:
+            reduced_hom = kernel_reduction(cls)
+            if reduced_hom.group.order > 1:
                 reduced = reduce_backend(backend, len(cls.kernel))
                 modules[finite_field_torus_module(reduced, reduced_hom)] = None
     return list(modules)
@@ -724,8 +724,8 @@ def _ff_route_values(fan: Fan, backends) -> tuple[tuple[str, ...] | None, ...]:
     for backend in backends:
         values = []
         for cls in enumerate_hom_classes(backend.group, aut):
-            group, hom, _ = kernel_reduction(cls)
-            if group.order == 1:
+            hom = kernel_reduction(cls)
+            if hom.group.order == 1:
                 continue
             reduced = reduce_backend(backend, len(cls.kernel))
             try:

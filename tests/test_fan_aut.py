@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricforms.classify import BUILTIN_NAMES
-from toricforms.exact_linalg import IntMatrix, det, rational_solve, smith_normal_form
+from toricforms.exact_linalg import IntMatrix, det, kernel_basis, rational_solve, smith_normal_form
 from toricforms.fan_aut import (
     GEN_MIRROR_DIAG,
     GEN_MIRROR_SWAP,
@@ -17,8 +17,10 @@ from toricforms.fan_aut import (
     GEN_ROT4,
     GEN_ROT6,
     GL2_CLASS_LABELS,
+    _CLASS_GENERATORS,
     FanAutGroup,
     UnidentifiedClass,
+    _LABEL_BY_KEY,
     _divided,
     _frame,
     _is_group,
@@ -42,6 +44,13 @@ from test_fans import (
     random_smooth_complete_fan,
     unimodular,
 )
+
+
+def _ray_permutations(fan: Fan, matrices) -> tuple[tuple[int, ...], ...]:
+    """Each matrix's permutation k -> index of m @ ray_k, read off the matrices."""
+    lookup = {r: i for i, r in enumerate(fan.rays)}
+    return tuple(tuple(lookup[m.apply(r)] for r in fan.rays) for m in matrices)
+
 
 def aut_via_sequence(fan: Fan) -> FanAutGroup:
     """Automorphisms of a smooth complete surface fan from its boundary word.
@@ -79,8 +88,8 @@ def aut_via_sequence(fan: Fan) -> FanAutGroup:
             for i in range(m):
                 assert s.apply(rays[i]) == rays[(j - i) % m]
             found.append(s)
-    group = FanAutGroup(fan, tuple(sorted(set(found), key=lambda x: x.rows)))
-    return group
+    matrices = tuple(sorted(set(found), key=lambda x: x.rows))
+    return FanAutGroup(fan, matrices, _ray_permutations(fan, matrices))
 
 
 EXPECTED_CLASS_ORDERS = {
@@ -94,45 +103,155 @@ def test_canonical_class_orders():
         assert len(gl2_class_elements(label)) == n, label
 
 
-def test_canonical_generator_orders():
-    def order(m):
-        p, n = m, 1
-        while p != IntMatrix.identity(2):
-            p, n = p @ m, n + 1
-        return n
+def _order(m: IntMatrix) -> int:
+    p, n = m, 1
+    while p != IntMatrix.identity(2):
+        p, n = p @ m, n + 1
+    return n
 
-    assert order(GEN_ROT6) == 6
-    assert order(GEN_ROT4) == 4
-    assert order(GEN_ROT3) == 3
-    assert order(GEN_NEG) == 2
-    assert order(GEN_MIRROR_DIAG) == 2
-    assert order(GEN_MIRROR_SWAP) == 2
+
+def test_canonical_generator_orders():
+    assert _order(GEN_ROT6) == 6
+    assert _order(GEN_ROT4) == 4
+    assert _order(GEN_ROT3) == 3
+    assert _order(GEN_NEG) == 2
+    assert _order(GEN_MIRROR_DIAG) == 2
+    assert _order(GEN_MIRROR_SWAP) == 2
     assert det(GEN_ROT6) == 1 and det(GEN_MIRROR_SWAP) == -1
+
+
+# ---------------------------------------------------------------------------
+# the invariant lookup against an explicit conjugator search
+
+
+def _matrix_inverse(p: IntMatrix) -> IntMatrix:
+    inv, den = rational_solve(smith_normal_form(p), IntMatrix.identity(p.nrows))
+    assert den == 1, "unimodular matrix expected"
+    return inv
+
+
+def _intertwiner_lattice(pairs) -> IntMatrix:
+    """Basis of {P : P @ g == h @ P for all pairs (g, h)}, P flattened row-major."""
+    rows = []
+    for g, h in pairs:
+        for i in range(2):
+            for j in range(2):
+                row = [0, 0, 0, 0]
+                for a in range(2):
+                    for b in range(2):
+                        coeff = 0
+                        if a == i:
+                            coeff += g.entry(b, j)
+                        if b == j:
+                            coeff -= h.entry(i, a)
+                        row[2 * a + b] += coeff
+                rows.append(row)
+    return kernel_basis(IntMatrix.from_rows(rows, 4))
+
+
+def reference_conjugator(matrices) -> tuple[str, IntMatrix] | None:
+    """(label, P) with P @ class @ P^-1 == the group, found by search, or None.
+
+    Candidate classes are filtered by order and element orders; for each
+    assignment of the class generators to same-order elements, P runs over
+    the intertwiner lattice with coordinates in [-5, 5].  The box is not
+    exhaustive: a conjugator with larger coordinates is missed.
+    """
+    matrices = tuple(matrices)
+    target = set(matrices)
+    order_stats = sorted(_order(m) for m in matrices)
+    for label in GL2_CLASS_LABELS:
+        elems = gl2_class_elements(label)
+        if sorted(_order(m) for m in elems) != order_stats:
+            continue
+        gens = _CLASS_GENERATORS[label]
+        slots = [[h for h in matrices if _order(h) == _order(g)] for g in gens]
+        for images in itertools.product(*slots):
+            basis = _intertwiner_lattice(list(zip(gens, images)))
+            if basis.ncols == 0:
+                continue
+            for coeffs in itertools.product(range(-5, 6), repeat=basis.ncols):
+                flat = basis.apply(coeffs)
+                p = IntMatrix.from_rows([[flat[0], flat[1]], [flat[2], flat[3]]])
+                if abs(det(p)) != 1:
+                    continue
+                pinv = _matrix_inverse(p)
+                if {p @ g @ pinv for g in elems} == target:
+                    return label, p
+    return None
+
+
+def _conjugate(label: str, q: IntMatrix) -> list[IntMatrix]:
+    qinv = _matrix_inverse(q)
+    return [q @ g @ qinv for g in gl2_class_elements(label)]
 
 
 def test_classes_identified_on_themselves():
     for label in GL2_CLASS_LABELS:
-        ident = identify_gl2_class(gl2_class_elements(label))
-        assert ident.label == label
-        assert ident.verify(gl2_class_elements(label))
+        assert identify_gl2_class(gl2_class_elements(label)) == label
+        found, p = reference_conjugator(gl2_class_elements(label))
+        assert found == label
+        assert set(_conjugate(label, p)) == set(gl2_class_elements(label))
 
 
 def test_classes_identified_after_conjugation():
     q = IntMatrix.from_rows([[2, 1], [1, 1]])
-    qinv, den = rational_solve(smith_normal_form(q), IntMatrix.identity(2))
-    assert den == 1
     for label in GL2_CLASS_LABELS:
-        conj = [q @ g @ qinv for g in gl2_class_elements(label)]
-        ident = identify_gl2_class(conj)
-        assert ident.label == label, f"{label} misidentified as {ident.label}"
-        assert ident.verify(conj)
+        conj = _conjugate(label, q)
+        assert identify_gl2_class(conj) == label
+        found, p = reference_conjugator(conj)
+        assert found == label, f"{label} found as {found}"
+        assert set(_conjugate(label, p)) == set(conj)
+
+
+@pytest.mark.parametrize("name", [n for n in BUILTIN_NAMES if named_fan(n).rank == 2])
+def test_builtin_surface_class_matches_reference_conjugator(name):
+    group = automorphism_group(named_fan(name))
+    found, p = reference_conjugator(group.matrices)
+    assert identify_gl2_class(group) == found
+    assert set(_conjugate(found, p)) == set(group.matrices)
+
+
+#: Conjugators with entries past the reference's coefficient box.
+FAR_CONJUGATORS = ([[8, 7], [1, 1]], [[15, 7], [2, 1]], [[201, 100], [2, 1]])
+
+
+@pytest.mark.parametrize("rows", FAR_CONJUGATORS)
+def test_classes_identified_after_far_conjugation(rows):
+    q = IntMatrix.from_rows(rows)
+    for label in GL2_CLASS_LABELS:
+        conj = _conjugate(label, q)
+        assert identify_gl2_class(conj) == label
+        # the same group, listed in another order
+        assert identify_gl2_class(conj[::-1]) == label
+
+
+def test_class_keys_are_distinct():
+    assert sorted(_LABEL_BY_KEY.values()) == sorted(GL2_CLASS_LABELS)
+    # order and coinvariants alone do not separate the classes
+    assert len({(key[0], key[2]) for key in _LABEL_BY_KEY}) < len(GL2_CLASS_LABELS)
+    # nor do order and element orders
+    assert len({key[:2] for key in _LABEL_BY_KEY}) < len(GL2_CLASS_LABELS)
 
 
 def test_identify_rejects_non_groups():
-    with pytest.raises(UnidentifiedClass):
-        identify_gl2_class([IntMatrix.identity(2), IntMatrix.from_rows([[1, 1], [0, 1]])])
-    with pytest.raises(UnidentifiedClass):
-        identify_gl2_class([])
+    shear = IntMatrix.from_rows([[1, 1], [0, 1]])
+    for bad in (
+        [],
+        [IntMatrix.identity(2), shear],  # not closed, and the shear has infinite order
+        [IntMatrix.identity(2), GEN_ROT4],  # not closed
+        [GEN_NEG, GEN_NEG, IntMatrix.identity(2)],  # repeated element
+        [IntMatrix.identity(3)],
+        [IntMatrix.identity(2), IntMatrix.from_rows([[1, 0]])],
+        gl2_class_elements("D12") + (shear,),  # too many elements for a finite group
+    ):
+        with pytest.raises(UnidentifiedClass):
+            identify_gl2_class(bad)
+    # closed under products, but no power of the projection is the identity
+    projection = IntMatrix.from_rows([[1, 0], [0, 0]])
+    for bad in ([projection], [IntMatrix.identity(2), projection]):
+        with pytest.raises(UnidentifiedClass, match="order > 12"):
+            identify_gl2_class(bad)
 
 
 def test_involution_types_frozen():
@@ -157,9 +276,10 @@ def test_aut_p1():
 def test_aut_p2_is_triangle_symmetry():
     group = automorphism_group(P2)
     assert group.order == 6
-    ident = identify_gl2_class(group)
-    assert ident.label == "D6"
-    assert ident.verify(group.matrices)
+    assert identify_gl2_class(group) == "D6"
+    found, p = reference_conjugator(group.matrices)
+    assert found == "D6"
+    assert set(_conjugate("D6", p)) == set(group.matrices)
     # the basis swap fixes the fan, the 3-cycle is visible as an order-3 element
     assert GEN_MIRROR_SWAP in group.matrices
     assert sorted(group.element_order(i) for i in range(6)) == [1, 2, 2, 2, 3, 3]
@@ -168,7 +288,7 @@ def test_aut_p2_is_triangle_symmetry():
 def test_aut_p1xp1_is_square_symmetry():
     group = automorphism_group(P1XP1)
     assert group.order == 8
-    assert identify_gl2_class(group).label == "D8"
+    assert identify_gl2_class(group) == "D8"
     assert GEN_ROT4 in group.matrices
     assert GEN_MIRROR_SWAP in group.matrices
     assert GEN_MIRROR_DIAG in group.matrices
@@ -177,7 +297,7 @@ def test_aut_p1xp1_is_square_symmetry():
 def test_aut_hexagon_is_full_dihedral():
     group = automorphism_group(HEXAGON)
     assert group.order == 12
-    assert identify_gl2_class(group).label == "D12"
+    assert identify_gl2_class(group) == "D12"
     # the 60-degree rotation in these coordinates
     assert IntMatrix.from_rows([[1, -1], [1, 0]]) in group.matrices
     assert GEN_MIRROR_SWAP in group.matrices
@@ -273,7 +393,7 @@ def test_search_matches_frame_product_reference(fan_name):
     group = automorphism_group(fan)
     assert group.matrices == _frame_product_automorphisms(fan)
     # the permutations the search stored are the matrices' own
-    assert group.ray_permutations == FanAutGroup(fan, group.matrices).ray_permutations
+    assert group.ray_permutations == _ray_permutations(fan, group.matrices)
 
 
 @settings(max_examples=25, deadline=None)
@@ -355,7 +475,7 @@ def test_asymmetric_blowup_has_trivial_group():
     fan = surface_blowup(fan, (0, 3))      # ray (2,1): breaks all symmetry
     group = automorphism_group(fan)
     assert group.order == 1
-    assert identify_gl2_class(group).label == "C1"
+    assert identify_gl2_class(group) == "C1"
 
 
 def test_single_blowup_of_p2():
@@ -363,6 +483,6 @@ def test_single_blowup_of_p2():
     group = automorphism_group(fan)
     # word (0,1,0,-1): one mirror symmetry survives
     assert group.order == 2
-    labels = identify_gl2_class(group).label
+    labels = identify_gl2_class(group)
     assert labels in ("D2", "D2'")
     assert aut_via_sequence(fan) == group

@@ -109,6 +109,7 @@ def test_backend_validation_survives_optimized_mode():
     script = (
         "from toricforms.cohomology import FiniteModule, h1_finite_field_torus\n"
         "from toricforms.exact_linalg import IntMatrix\n"
+        "from toricforms.fan_aut import identify_gl2_class\n"
         "from toricforms.galois import FiniteFieldBackend, GroupSpec, RealComplexBackend,"
         " SymbolicBrauerBackend, norm_quotient\n"
         "M, C2, I1 = IntMatrix.from_rows, GroupSpec.cyclic(2), IntMatrix.identity(1)\n"
@@ -135,6 +136,10 @@ def test_backend_validation_survives_optimized_mode():
         "             lambda: norm_quotient(RealComplexBackend(), [3]),\n"
         "             lambda: norm_quotient(FiniteFieldBackend(2, 4), [3]),\n"
         "             lambda: FiniteFieldBackend(2, 4).norm_image_generator(3),\n"
+        "             lambda: identify_gl2_class([M([[1, 0], [0, 0]])]),\n"
+        "             lambda: identify_gl2_class([IntMatrix.identity(2), M([[0, -1], [1, 0]])]),\n"
+        "             lambda: identify_gl2_class([]),\n"
+        "             lambda: identify_gl2_class([IntMatrix.identity(3)]),\n"
         "             lambda: FiniteModule(C2, (5,), (I1, M([[-1]])))):\n"
         "    try:\n"
         "        make()\n"
@@ -176,6 +181,10 @@ def test_backend_validation_survives_optimized_mode():
         "ValueError 3 is not the order of a subgroup of Z/2",
         "ValueError 3 is not the order of a subgroup of Z/4",
         "ValueError 3 is not the order of a subgroup of Z/4",
+        "UnidentifiedClass matrix [1 0; 0 0] has order > 12, not in a finite GL(2,Z) group",
+        "UnidentifiedClass matrix set is not closed under products",
+        "UnidentifiedClass empty group",
+        "UnidentifiedClass finite GL(2,Z) groups consist of 2x2 matrices",
         "accepted",
     ]
 
@@ -286,12 +295,11 @@ def test_hom_classes_match_table_reference(d):
         for cls, ref in zip(got, want):
             assert cls.ray_orbits == ref.ray_orbits
             assert cls.kernel == ref.kernel
-            quotient, induced, projection = kernel_reduction(cls)
-            ref_quotient, ref_induced, ref_projection = reduce_kernel(ref)
-            assert quotient == GroupSpec.cyclic(ref_quotient.order)
+            induced = kernel_reduction(cls)
+            ref_induced = reduce_kernel(ref)
+            assert induced.group == GroupSpec.cyclic(ref_induced.group.order)
             assert induced.images == ref_induced.images and induced.is_injective
             assert induced.orbit_size == ref_induced.orbit_size
-            assert projection == ref_projection
             assert induced.ray_orbits == cls.ray_orbits
 
 
@@ -338,10 +346,9 @@ def test_kernel_reduction():
     factoring = [c for c in classes if len(c.kernel) == 2]
     assert factoring
     hom = factoring[0]
-    quotient, induced, projection = kernel_reduction(hom)
-    assert quotient.order == 2
+    induced = kernel_reduction(hom)
+    assert induced.group.order == 2
     assert induced.is_injective
-    assert projection == (0, 1, 0, 1)
     assert induced.matrix(1) == hom.matrix(1)
     assert induced.ray_orbits == hom.ray_orbits
 
@@ -349,9 +356,9 @@ def test_kernel_reduction():
 def test_kernel_reduction_trivial_hom():
     aut = automorphism_group(P2)
     trivial = next(c for c in enumerate_hom_classes(GroupSpec.cyclic(2), aut) if c.is_trivial)
-    quotient, induced, projection = kernel_reduction(trivial)
-    assert quotient.order == 1
-    assert projection == (0, 0)
+    induced = kernel_reduction(trivial)
+    assert induced.group.order == 1
+    assert induced.images == (trivial.images[0],)
 
 
 def test_finite_field_backend_validation():
