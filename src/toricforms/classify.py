@@ -27,7 +27,12 @@ from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
 from . import _jsonout
-from .cohomology import TooLarge, h1_cyclic_norm_formula
+from .cohomology import (
+    TooLarge,
+    _h1_finite_field_torus,
+    h1_cyclic_norm_formula,
+    h1_real_involution,
+)
 from .exact_linalg import FGAbelianGroup, IntMatrix
 from .fans import (
     Fan,
@@ -41,14 +46,13 @@ from .fan_aut import automorphism_group, identify_gl2_class, involution_type
 from .galois import (
     BackendUnsupported,
     FieldBackend,
+    FiniteFieldBackend,
     GroupSpec,
     HomClass,
     RealComplexBackend,
     _prime_factors,
     enumerate_hom_classes,
-    kernel_reduction,
     norm_quotient,
-    reduce_backend,
 )
 
 
@@ -785,15 +789,19 @@ def classify_projective(n: int, backend: FieldBackend) -> ClassificationReport:
 def hom_class_h1(fan: Fan, hom: HomClass, backend: FieldBackend) -> FGAbelianGroup:
     """Cohomology of the torus twisted by one homomorphism class.
 
-    The homomorphism's kernel is factored out first, so the computation runs
-    over the faithful quotient group and the correspondingly reduced backend.
+    Over C/R and F_q it is read off the generator's rank x rank cocharacter
+    matrix s: the involution formula, and ker N / im(q s - 1) over F_{q^e},
+    the field the kernel fixes (e = d / |kernel| is the order of s).
+    Symbolic data gets the norm quotient over the hom's ray-orbit stabilizers.
     """
-    reduced_hom = kernel_reduction(hom)
-    if reduced_hom.group.order == 1:
+    if hom.is_trivial:
         return FGAbelianGroup.trivial()
-    reduced_backend = reduce_backend(backend, len(hom.kernel))
-    assert reduced_backend is not None
-    return h1_cyclic_norm_formula(fan, reduced_hom, reduced_backend)
+    s = hom.matrix(1)
+    if isinstance(backend, RealComplexBackend):
+        return h1_real_involution(s)
+    if isinstance(backend, FiniteFieldBackend):
+        return _h1_finite_field_torus(backend.q, hom.group.order // len(hom.kernel), s)
+    return h1_cyclic_norm_formula(fan, hom, backend)
 
 
 def classify_fan(
@@ -808,8 +816,7 @@ def classify_fan(
 
     One entry per conjugacy class of homomorphisms from the Galois group into
     the fan symmetry group; each entry carries the cohomology of the
-    correspondingly twisted torus, computed after factoring out the
-    homomorphism's kernel.
+    correspondingly twisted torus, from `hom_class_h1`.
     """
     aut = automorphism_group(fan)  # validates the fan first
     if backend.group != group:

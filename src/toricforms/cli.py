@@ -64,7 +64,6 @@ from .galois import (
     SymbolicBrauerBackend,
     enumerate_hom_classes,
     kernel_reduction,
-    reduce_backend,
 )
 
 
@@ -335,19 +334,17 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     class_payloads = []
     all_agree = True
     for index, cls in enumerate(classes):
-        # the norm route of hom_class_h1, on the one kernel reduction
+        # every route runs on the one kernel reduction, over F_{q^e}
         reduced_hom = kernel_reduction(cls)
-        if reduced_hom.group.order == 1:
+        e = reduced_hom.group.order
+        if e == 1:
             norm_route = closed = FGAbelianGroup.trivial()
             brute_json = {"kind": "skipped", "text": "trivial class"}
             agree = True
         else:
-            reduced_backend = reduce_backend(backend, len(cls.kernel))
-            assert isinstance(reduced_backend, FiniteFieldBackend)
+            reduced_backend = FiniteFieldBackend(backend.q, e)
             norm_route = h1_cyclic_norm_formula(fan, reduced_hom, reduced_backend)
-            closed = h1_finite_field_torus(
-                reduced_backend.q, reduced_backend.d, reduced_hom.matrix(1)
-            )
+            closed = h1_finite_field_torus(backend.q, e, reduced_hom.matrix(1))
             agree = norm_route == closed
             try:
                 brute = brute_force_h1_finite(

@@ -4,18 +4,20 @@ All computations are exact.  The module implements:
 
 * the involution formula for real tori (conjugation acting on the
   cocharacter lattice by an integer involution);
+* the kernel-of-norm / image-of-(Frobenius - 1) computation for tori over
+  finite fields;
 * the norm-formula route for cyclic Galois groups, which works on the fan's
   ray coordinates and never touches the cocharacter action directly: over
   R it is one subquotient of Z^rays read off the class-group presentation
   Cl = Z^rays / (ray coordinates), over finite fields the fixed points
   modulo norms Y^G / N Y of Y = Hom(Cl, K*) inside (K*)^rays, mod q^d - 1;
-* a literal cocycle brute force over finite modules;
-* the kernel-of-norm / image-of-(Frobenius - 1) computation for tori over
-  finite fields.
+* a literal cocycle brute force over finite modules.
 
-Having genuinely independent routes is the point: they cross-check each
-other on every example, so a bug in one presentation cannot silently agree
-with the same bug in another.
+`classify` reports the first two, on the rank x rank cocharacter matrix,
+and the norm formula only for symbolic norm data.  Having genuinely
+independent routes is the point: they cross-check each other on every
+example, so a bug in one presentation cannot silently agree with the same
+bug in another.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .exact_linalg import (
     lattice_subquotient,
     smith_normal_form,
 )
+from .fan_aut import NotInvolution
 from .fans import Fan, class_group, degree_data
 from .galois import (
     AssumptionViolated,
@@ -52,10 +55,6 @@ from .galois import (
     norm_quotient,
     torsion_factor_invertible,
 )
-
-
-class NotInvolution(ValueError):
-    pass
 
 
 class TooLarge(ValueError):
@@ -209,6 +208,7 @@ def h1_cyclic_norm_formula(
 ) -> FGAbelianGroup:
     """H^1 of the twisted dense torus, computed on the ray-coordinate side.
 
+    `classify` calls it for symbolic data only; elsewhere it is the reference.
     Requires, for concrete backends, that every class-group torsion factor
     act invertibly on the units of the splitting field (AssumptionViolated
     otherwise).
@@ -474,14 +474,23 @@ def h1_finite_field_torus(q: int, d: int, s: IntMatrix) -> FGAbelianGroup:
     Frobenius; it must satisfy s^d = 1.  On the finite module
     (Z/(q^d - 1))^n the generator acts by sigma = q s, and for a cyclic
     group H^1 = ker(Norm) / im(sigma - 1) with Norm the sum of sigma^j.
+    Raises ValueError, also under python -O, unless q is a prime power,
+    d >= 1, s is square and s^d = 1.
     """
     _prime_power_base(q)  # raises ValueError unless q is a prime power
     if d < 1:
         raise ValueError(f"finite-field torus needs degree d >= 1, got d={d}")
+    if s.ncols != s.nrows:
+        raise ValueError(f"twisting matrix s must be square, got shape {s.shape}")
+    if s.power(d) != IntMatrix.identity(s.nrows):
+        raise ValueError(f"twisting matrix s must satisfy s^d = 1 for d={d}")
+    return _h1_finite_field_torus(q, d, s)
+
+
+def _h1_finite_field_torus(q: int, d: int, s: IntMatrix) -> FGAbelianGroup:
+    """`h1_finite_field_torus` for a checked q and an s of order dividing d."""
     c = q**d - 1
-    n = s.nrows
-    ident = IntMatrix.identity(n)
-    assert s.power(d) == ident, "twisting matrix order must divide the field degree"
+    ident = IntMatrix.identity(s.nrows)
     sigma = s.scaled(q)
     norm_op = reduce(lambda acc, _: acc @ sigma + ident, range(d - 1), ident)
     ker = congruence_kernel_basis(smith_normal_form(norm_op), c)

@@ -48,6 +48,10 @@ class UnidentifiedClass(ValueError):
     """The given group matched no finite GL(2, Z) conjugacy class."""
 
 
+class NotInvolution(ValueError):
+    """The given matrix is not square or does not square to the identity."""
+
+
 Perm = tuple[int, ...]
 
 
@@ -369,11 +373,13 @@ def involution_type(s: IntMatrix) -> str:
     For 2x2 matrices the four outcomes are "identity", "minus_identity",
     "split_reflection" (conjugate to diag(1, -1); the +1/-1 eigenlattices
     span everything), and "swap_reflection" (conjugate to the basis swap;
-    the eigenlattices have index 2).
+    the eigenlattices have index 2).  Raises NotInvolution, also under
+    python -O, unless s is square with s @ s = 1.
     """
     n = s.nrows
     ident = IntMatrix.identity(n)
-    assert s @ s == ident, "involution expected"
+    if s.ncols != n or s @ s != ident:
+        raise NotInvolution(f"matrix {s} is not an involution")
     if s == ident:
         return "identity"
     if s == -ident:

@@ -408,26 +408,6 @@ def _json_ints(value: object, what: str) -> tuple[int, ...]:
 FieldBackend = RealComplexBackend | FiniteFieldBackend | SymbolicBrauerBackend
 
 
-def reduce_backend(backend: FieldBackend, kernel_order: int) -> FieldBackend | None:
-    """Backend for the extension fixed by the kernel of a twisting hom.
-
-    Returns None when the reduced extension is trivial (full kernel), in
-    which case the cohomology vanishes outright.
-    """
-    if kernel_order == 1:
-        return backend
-    if isinstance(backend, RealComplexBackend):
-        assert kernel_order == 2
-        return None
-    if isinstance(backend, FiniteFieldBackend):
-        assert backend.d % kernel_order == 0
-        d2 = backend.d // kernel_order
-        return None if d2 == 1 else FiniteFieldBackend(backend.q, d2)
-    raise BackendUnsupported(
-        "symbolic norm data cannot be restricted to a proper subextension"
-    )
-
-
 def torsion_factor_invertible(backend: FieldBackend, factor: int) -> bool:
     """Is multiplication by `factor` invertible on the coefficient units?
 

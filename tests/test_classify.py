@@ -48,6 +48,7 @@ from toricforms.classify import (
     UnresolvedExtension,
     UnresolvedValue,
     builtin_fan,
+    BUILTIN_NAMES,
     BUILTIN_SURFACE_NAMES,
     classify_fan,
     classify_projective,
@@ -62,9 +63,9 @@ from toricforms.classify import (
     render,
     surface_table,
 )
-from toricforms.cohomology import TooLarge, h1_real_involution
+from toricforms.cohomology import TooLarge, h1_cyclic_norm_formula, h1_real_involution
 from toricforms.exact_linalg import IntMatrix
-from toricforms import classify
+from toricforms import classify, cohomology, galois
 
 from test_fan_aut import aut_via_sequence
 from test_fans import sequences_equivalent
@@ -527,6 +528,37 @@ def test_classify_fan_trivial_class_entry():
 def test_classify_fan_group_backend_mismatch():
     with pytest.raises(ValueError):
         classify_fan(P1, GroupSpec.cyclic(3), RealComplexBackend())
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [RealComplexBackend(), FiniteFieldBackend(5, 4), FiniteFieldBackend(3, 6)],
+    ids=["real", "ff:5,4", "ff:3,6"],
+)
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_classify_fan_matches_the_norm_route(name, backend):
+    """classify_fan reads each class off the generator's cocharacter
+    matrix; the paper's route on ray coordinates gives the same group,
+    class by class."""
+    fan = builtin_fan(name)
+    report = classify_fan(fan, backend.group, backend)
+    classes = enumerate_hom_classes(backend.group, automorphism_group(fan))
+    assert len(report.entries) == len(classes)
+    for entry, cls in zip(report.entries, classes):
+        assert entry.value == h1_cyclic_norm_formula(fan, cls, backend), entry.label
+
+
+def test_classify_fan_factors_no_number_for_a_built_backend(monkeypatch):
+    """A backend checks q when it is built; classifying never factors again."""
+    backends = [FiniteFieldBackend(5, 4), FiniteFieldBackend(3, 6), FiniteFieldBackend(1099511627689, 2)]
+    factored = []
+    original = galois._prime_factors
+    for module in (galois, cohomology, classify):
+        monkeypatch.setattr(module, "_prime_factors", lambda n: factored.append(n) or original(n))
+    for backend in backends:
+        for name in ("surface:D12", "surface:C6", "projective:3"):
+            assert classify_fan(builtin_fan(name), backend.group, backend).total is not None
+    assert factored == []
 
 
 # ---------------------------------------------------------------------------

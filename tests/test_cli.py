@@ -696,6 +696,50 @@ def test_symbolic_backend(tmp_path, capsys):
     assert json.loads(out)["total"] == 3
 
 
+# Q = k*/N(K*) = Z/4, and the norms from the fixed field of the order-2
+# subgroup of Z/4, the quadratic subfield, are 2 Z/4 in Q
+Z4_NORM_DATA = {
+    "Q": {"invariant_factors": [4]},
+    "images": [{"subgroup_gens": [2], "subgroup_of_Q": [[2]]}],
+}
+
+
+@pytest.mark.parametrize("n, total", [(1, 3), (2, 2), (3, 8)])
+def test_symbolic_classify_fan_agrees_with_classify_projective(tmp_path, capsys, n, total):
+    """Twists that factor through Z/2 get the norm quotient over their
+    orbit stabilizers in Z/4, as the partitions of classify projective do."""
+    path = tmp_path / "z4.json"
+    path.write_text(json.dumps(Z4_NORM_DATA))
+    backend = ("--backend", f"symbolic:{path}", "--group", "cyclic:4", "--json")
+    code, out, err = invoke(capsys, "classify", "fan", "--builtin", f"projective:{n}", *backend)
+    assert (code, err) == (0, "")
+    by_fan = json.loads(out)
+    code, out, _ = invoke(capsys, "classify", "projective", "-n", str(n), *backend)
+    assert code == 0
+    by_partition = json.loads(out)
+    assert by_fan["total"] == by_partition["total"] == total
+    values = [sorted(e["h1"]["text"] for e in r["entries"]) for r in (by_fan, by_partition)]
+    assert values[0] == values[1]
+
+
+# Cl = Z + Z/3, and 3 divides q^d - 1 for each backend below
+TORSION_FAN_JSON = json.dumps(
+    {"rank": 2, "rays": [[2, -1], [-1, 2], [-1, -1]], "cones": [[0, 1], [1, 2], [0, 2]]}
+)
+
+
+@pytest.mark.parametrize("backend", ["ff:2,2", "ff:5,2", "ff:7,2", "ff:4,3"])
+def test_classify_fan_over_finite_fields_with_class_group_torsion(tmp_path, capsys, backend):
+    """H^1 of a connected group over a finite field vanishes (Lang), whatever
+    torsion the class group has."""
+    path = tmp_path / "torsion.json"
+    path.write_text(TORSION_FAN_JSON)
+    code, out, err = invoke(capsys, "classify", "fan", "--file", str(path), "--backend", backend, "--json")
+    assert (code, err) == (0, "")
+    entries = json.loads(out)["entries"]
+    assert len(entries) == 2 and all(e["h1"]["text"] == "1" for e in entries)
+
+
 def test_symbolic_backend_needs_group(tmp_path, capsys):
     path = tmp_path / "tower.json"
     path.write_text(json.dumps({"Q": {"invariant_factors": [2]}, "images": []}))

@@ -53,7 +53,6 @@ from toricforms.galois import (
     _prime_factors,
     enumerate_hom_classes,
     kernel_reduction,
-    reduce_backend,
 )
 
 from table_groups import TableGroup, orbit_stabilizer
@@ -518,7 +517,7 @@ def _surface_oracle_modules(q: int, d: int) -> list[FiniteModule]:
         for cls in enumerate_hom_classes(backend.group, automorphism_group(builtin_fan(name))):
             reduced_hom = kernel_reduction(cls)
             if reduced_hom.group.order > 1:
-                reduced = reduce_backend(backend, len(cls.kernel))
+                reduced = FiniteFieldBackend(q, reduced_hom.group.order)
                 modules[finite_field_torus_module(reduced, reduced_hom)] = None
     return list(modules)
 
@@ -664,7 +663,7 @@ def test_symbolic_backend_needs_degree_one_profile():
 
 def _fixed_lattice_and_norm_op(fan: Fan, hom, backend) -> tuple[IntMatrix, IntMatrix]:
     """Y^G + c Z^rays in `basis_mod` form and N = sum of (qP)^j, built as
-    the production route builds them."""
+    the norm route builds them."""
     q, d, c = backend.q, backend.d, backend.mult_order
     ident = IntMatrix.identity(fan.num_rays)
     qp = _permutation_matrix(hom.ray_permutation(1)).scaled(q)
@@ -699,7 +698,7 @@ def _h1_finite_field_intersection_route(fan: Fan, hom, backend) -> FGAbelianGrou
 
 def _assert_fixed_points_are_norms(fan: Fan, hom, backend) -> None:
     """Y^G lies in N X + c Z^rays: Hhat^0(G, X) = 0, the fact that lets the
-    production route skip the intersection.  lattice_subquotient raises
+    norm route skip the intersection.  lattice_subquotient raises
     MembershipError when a fixed vector is no norm."""
     fixed_lattice, norm_op = _fixed_lattice_and_norm_op(fan, hom, backend)
     lattice_subquotient(basis_mod(norm_op, backend.mult_order), fixed_lattice)
@@ -714,9 +713,10 @@ FF_ROUTE_FAN_NAMES = (
 
 
 def _ff_route_values(fan: Fan, backends) -> tuple[tuple[str, ...] | None, ...]:
-    """Every nontrivial class of `fan` over each backend: the production
-    route, the public entry point and the intersection reference agree, and
-    the fixed points of Y are norms from X.  Per backend, returns the sorted
+    """Every nontrivial class of `fan` over each backend: the norm route's
+    quotient presentation, its public entry point and the intersection
+    reference agree, and the fixed points of Y are norms from X.  Per
+    backend, returns the sorted
     values (all trivial, as Lang's theorem demands), or None when the class
     group has torsion the units do not invert."""
     aut = automorphism_group(fan)
@@ -727,7 +727,7 @@ def _ff_route_values(fan: Fan, backends) -> tuple[tuple[str, ...] | None, ...]:
             hom = kernel_reduction(cls)
             if hom.group.order == 1:
                 continue
-            reduced = reduce_backend(backend, len(cls.kernel))
+            reduced = FiniteFieldBackend(backend.q, hom.group.order)
             try:
                 public = h1_cyclic_norm_formula(fan, hom, reduced)
             except AssumptionViolated:

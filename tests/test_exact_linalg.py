@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricforms import exact_linalg
-from toricforms.classify import builtin_fan, classify_fan
+from toricforms.classify import BUILTIN_NAMES, builtin_fan, classify_fan
+from toricforms.cohomology import h1_cyclic_norm_formula
+from toricforms.fan_aut import automorphism_group
 from toricforms.fans import Fan, validate_fan
 from toricforms.exact_linalg import (
     FGAbelianGroup,
@@ -28,7 +30,7 @@ from toricforms.exact_linalg import (
     saturation_basis,
     smith_normal_form,
 )
-from toricforms.galois import FiniteFieldBackend
+from toricforms.galois import FiniteFieldBackend, RealComplexBackend, enumerate_hom_classes
 
 M = IntMatrix.from_rows
 
@@ -668,23 +670,50 @@ def test_classify_fan_factors_each_matrix_once(count_decompositions):
     report = classify_fan(fan, be.group, be)
     assert report.total is not None
     assert len(count_decompositions) == len(set(count_decompositions))
-    # the ray rows once, then per nontrivial class (5) the fixed lattice and
-    # the two square factorizations of its subquotient
-    assert len(count_decompositions) <= 16
-    # the largest is R over qP - I (20 x 18), whose congruence kernel is the
-    # fixed lattice of Y; no congruence kernel factors a wider matrix
-    assert max(m.nrows * m.ncols for m in count_decompositions) <= 20 * 18
+    # per nontrivial class (5), on the cocharacter side: the norm operator,
+    # then the two factorizations of its subquotient
+    assert len(count_decompositions) == 15
+    # the widest is sigma - 1 beside c times the identity (2 x 4); the ray
+    # matrix (18 x 2) and its stacks are never factored
+    assert max(m.nrows * m.ncols for m in count_decompositions) <= 2 * fan.rank**2
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [RealComplexBackend(), FiniteFieldBackend(5, 4), FiniteFieldBackend(3, 6)],
+    ids=["real", "ff:5,4", "ff:3,6"],
+)
+def test_classify_fan_factors_only_cocharacter_sized_matrices(count_decompositions, backend):
+    """After validation, over C/R and F_q, no factored matrix has more than
+    2 rank^2 cells: every H^1 comes from the generator's rank x rank
+    matrix, never from the ray coordinates."""
+    for name in BUILTIN_NAMES + tuple(f"projective:{n}" for n in (1, 2, 3, 4)):
+        fan = _fresh_builtin(name)
+        validate_fan(fan)
+        count_decompositions.clear()
+        classify_fan(fan, backend.group, backend)
+        cells = [m.nrows * m.ncols for m in count_decompositions]
+        assert max(cells, default=0) <= 2 * fan.rank**2, name
+
+
+def _norm_route_values(fan: Fan, backend: FiniteFieldBackend) -> list[FGAbelianGroup]:
+    classes = enumerate_hom_classes(backend.group, automorphism_group(fan))
+    return [h1_cyclic_norm_formula(fan, cls, backend) for cls in classes]
 
 
 @pytest.mark.parametrize("name", ["surface:C6", "surface:D4", "projective:3"])
 def test_second_classification_factors_no_cone_or_ray_matrix(count_decompositions, name):
     be = FiniteFieldBackend(3, 2)
     fan = _fresh_builtin(name)
-    first = classify_fan(fan, be.group, be)
+    # the ray-coordinate norm route factors what the fan owns; classify_fan,
+    # on the cocharacter side, needs only the validation's cones
+    first = _norm_route_values(fan, be)
     owned = {fan.ray_rows, fan.ray_columns} | {
         IntMatrix.from_cols([fan.rays[i] for i in cone], fan.rank) for cone in fan.max_cones
     }
     assert owned <= set(count_decompositions)
     count_decompositions.clear()
-    assert classify_fan(fan, be.group, be) == first
+    assert _norm_route_values(fan, be) == first
+    report = classify_fan(fan, be.group, be)
+    assert [entry.value for entry in report.entries] == first
     assert not owned & set(count_decompositions)

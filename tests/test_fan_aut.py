@@ -29,6 +29,7 @@ from toricforms.fan_aut import (
     automorphism_group,
     gl2_class_elements,
     identify_gl2_class,
+    NotInvolution,
     involution_type,
 )
 from toricforms.fans import Fan, NotSmoothComplete, boundary_word, surface_blowup, validate_fan
@@ -263,7 +264,7 @@ def test_involution_types_frozen():
     assert involution_type(-GEN_MIRROR_SWAP) == "swap_reflection"
     # reflection fixing a ray of the triangle fan: odd boundary value, swap type
     assert involution_type(IntMatrix.from_rows([[1, 1], [0, -1]])) == "swap_reflection"
-    with pytest.raises(AssertionError):
+    with pytest.raises(NotInvolution, match="is not an involution"):
         involution_type(GEN_ROT4)
 
 

@@ -36,7 +36,6 @@ from toricforms.galois import (
     enumerate_hom_classes,
     kernel_reduction,
     norm_quotient,
-    reduce_backend,
     torsion_factor_invertible,
 )
 
@@ -109,7 +108,7 @@ def test_backend_validation_survives_optimized_mode():
     script = (
         "from toricforms.cohomology import FiniteModule, h1_finite_field_torus\n"
         "from toricforms.exact_linalg import IntMatrix\n"
-        "from toricforms.fan_aut import identify_gl2_class\n"
+        "from toricforms.fan_aut import identify_gl2_class, involution_type\n"
         "from toricforms.galois import FiniteFieldBackend, GroupSpec, RealComplexBackend,"
         " SymbolicBrauerBackend, norm_quotient\n"
         "M, C2, I1 = IntMatrix.from_rows, GroupSpec.cyclic(2), IntMatrix.identity(1)\n"
@@ -140,6 +139,11 @@ def test_backend_validation_survives_optimized_mode():
         "             lambda: identify_gl2_class([IntMatrix.identity(2), M([[0, -1], [1, 0]])]),\n"
         "             lambda: identify_gl2_class([]),\n"
         "             lambda: identify_gl2_class([IntMatrix.identity(3)]),\n"
+        "             lambda: h1_finite_field_torus(3, 2, M([[1, 0, 0], [0, 1, 0]])),\n"
+        "             lambda: h1_finite_field_torus(3, 2, M([[0, -1], [1, 0]])),\n"
+        "             lambda: involution_type(M([[0, -1], [1, 0]])),\n"
+        "             lambda: involution_type(M([[1, 1], [0, 1]])),\n"
+        "             lambda: involution_type(M([[1, 0, 0], [0, 1, 0]])),\n"
         "             lambda: FiniteModule(C2, (5,), (I1, M([[-1]])))):\n"
         "    try:\n"
         "        make()\n"
@@ -185,6 +189,11 @@ def test_backend_validation_survives_optimized_mode():
         "UnidentifiedClass matrix set is not closed under products",
         "UnidentifiedClass empty group",
         "UnidentifiedClass finite GL(2,Z) groups consist of 2x2 matrices",
+        "ValueError twisting matrix s must be square, got shape (2, 3)",
+        "ValueError twisting matrix s must satisfy s^d = 1 for d=2",
+        "NotInvolution matrix [0 -1; 1 0] is not an involution",
+        "NotInvolution matrix [1 1; 0 1] is not an involution",
+        "NotInvolution matrix [1 0 0; 0 1 0] is not an involution",
         "accepted",
     ]
 
@@ -373,17 +382,6 @@ def test_finite_field_backend_validation():
         FiniteFieldBackend(3, 0)
     assert FiniteFieldBackend(3, 2).mult_order == 8
     assert FiniteFieldBackend(2, 3).group.order == 3
-
-
-def test_reduce_backend():
-    assert reduce_backend(FiniteFieldBackend(2, 2), 1) == FiniteFieldBackend(2, 2)
-    assert reduce_backend(FiniteFieldBackend(2, 2), 2) is None
-    assert reduce_backend(FiniteFieldBackend(2, 6), 2) == FiniteFieldBackend(2, 3)
-    assert reduce_backend(RealComplexBackend(), 2) is None
-    sym = SymbolicBrauerBackend(2, (2,), ())
-    assert reduce_backend(sym, 1) == sym
-    with pytest.raises(BackendUnsupported):
-        reduce_backend(sym, 2)
 
 
 def test_torsion_factor_invertible():
