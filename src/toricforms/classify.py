@@ -348,7 +348,10 @@ def partition_permutation(partition: Sequence[int], n_plus_1: int) -> tuple[int,
     """Permutation of the homogeneous indices 0..n with the partition's cycle type.
 
     The parts act on consecutive index blocks, each block cycled by one step.
+    Raises ValueError unless the parts are positive and sum to n + 1.
     """
+    if any(m < 1 for m in partition):
+        raise ValueError(f"partition parts must be positive, got {tuple(partition)}")
     if sum(partition) != n_plus_1:
         raise ValueError("partition parts must sum to the number of coordinates")
     perm = list(range(n_plus_1))

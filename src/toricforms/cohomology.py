@@ -123,6 +123,16 @@ def _diagonal_degree(fan: Fan) -> bool:
     return all(x == 1 for x in row) or all(x == -1 for x in row)
 
 
+def _check_degree(degree: int, hom: HomClass) -> None:
+    """ValueError naming `backend` unless its extension degree is the order of
+    the group `hom` twists by; a check that holds under python -O."""
+    if degree != hom.group.order:
+        raise ValueError(
+            f"backend: extension degree {degree} differs from the order"
+            f" {hom.group.order} of the twisting group of hom"
+        )
+
+
 def _check_torsion_assumption(backend: FieldBackend, fan: Fan) -> None:
     cl = class_group(fan)
     for f in cl.invariant_factors:
@@ -211,16 +221,15 @@ def h1_cyclic_norm_formula(
     `classify` calls it for symbolic data only; elsewhere it is the reference.
     Requires, for concrete backends, that every class-group torsion factor
     act invertibly on the units of the splitting field (AssumptionViolated
-    otherwise).
+    otherwise).  Raises ValueError unless the backend's Galois group has the
+    order of the group `hom` twists by.
 
     When the class group is Z with all ray degrees equal to one, the answer
     is the pure norm quotient over the ray-orbit stabilizers, which is also
     the only shape of input the symbolic backend can evaluate.
     """
     group = hom.group
-    assert group.order == backend.group.order, (
-        "the twisting group must be the Galois group of the backend extension"
-    )
+    _check_degree(backend.group.order, hom)
     if _diagonal_degree(fan):
         # orbit-stabilizer: an orbit of r rays has a stabilizer of order |G| / r
         orders = [group.order // len(orbit) for orbit in hom.ray_orbits]
@@ -311,10 +320,11 @@ def finite_field_torus_module(backend: FiniteFieldBackend, hom: HomClass) -> Fin
     """The dense-torus module (Z/(q^d-1))^rank with the twisted Frobenius.
 
     Group element j (a power of Frobenius) acts by q^j times the cocharacter
-    matrix of the fan automorphism it maps to.
+    matrix of the fan automorphism it maps to.  Raises ValueError unless d is the
+    order of the group `hom` twists by.
     """
     group = hom.group
-    assert group.order == backend.d
+    _check_degree(backend.d, hom)
     c = backend.mult_order
     n = hom.aut.fan.rank
     mats = []

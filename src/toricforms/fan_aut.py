@@ -4,18 +4,24 @@ An automorphism is a GL(rank, Z) matrix permuting the rays and the maximal
 cones.  The rays of a validated fan span, so an automorphism is determined by
 its ray permutation, and `FanAutGroup` computes with those: a product is a
 composition of permutation tuples and one dict lookup.  The matrices are the
-report format and each one's certificate.
+report format.
 
 The general search assigns images to a frame of independent rays one ray at
-a time, by backtracking, and prunes a partial assignment when a ray invariant
-differs, an image repeats, or cone incidence breaks (two frame rays share a
-maximal cone exactly when their images do).  Each complete assignment is
-solved for its matrix and kept only by exact criteria, which also yield its
-ray permutation.  The found set is certified to be a group at every order:
-greedily chosen generators are closed breadth-first by permutation products,
-each product must lie in the set, and the closure must be all of it.  The
-exhaustive frame product that the pruned search replaced is kept in the
-tests as its reference.  For smooth complete surface fans the tests also
+a time, by backtracking.  It prunes a partial assignment when a ray
+invariant differs, an image repeats, cone incidence breaks (two frame rays
+share a maximal cone exactly when their images do), or a ray relation fails:
+every other ray is a rational combination of the frame rays, so its image is
+the same combination of their images and must be a ray.  Each leaf then
+carries its full ray permutation.  Only generators are tested as matrices:
+a leaf the group found so far already holds is skipped, and any other is
+solved for its matrix and kept, as a new generator, only by exact criteria.
+The group found so far is the closure of the generators under permutation
+products, so it is a group by construction, and every other element's
+matrix is a product of generator matrices.  A group of more than
+MAX_AUT_ORDER elements is refused before any such product is built.  The
+search that tested every element as a matrix and certified the found set
+to be a group, and the exhaustive frame product before it, are kept in the
+tests as references.  For smooth complete surface fans the tests also
 rebuild the group from the boundary word, an independent route: rotational
 symmetries of the word produce determinant +1 automorphisms, mirror
 symmetries determinant -1, and these exhaust the group.
@@ -28,6 +34,7 @@ tell the thirteen apart.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -52,7 +59,21 @@ class NotInvolution(ValueError):
     """The given matrix is not square or does not square to the identity."""
 
 
+class AutGroupTooLarge(ValueError):
+    """The fan has more symmetries than `automorphism_group` builds."""
+
+
+#: Most elements `automorphism_group` builds: projective:7 has 8! = 40,320.
+MAX_AUT_ORDER = 50_000
+
 Perm = tuple[int, ...]
+
+
+def _inverse_perm(perm: Perm) -> Perm:
+    out = [0] * len(perm)
+    for k, image in enumerate(perm):
+        out[image] = k
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -60,13 +81,15 @@ class FanAutGroup:
     """Finite matrix group acting on a fan, matrices sorted for determinism.
 
     `ray_permutations[i]` is the permutation k -> index of matrices[i] @ ray_k,
-    as `automorphism_group`'s checks produced it.  Group arithmetic runs on
-    these permutations.
+    as `automorphism_group`'s search produced it.  Group arithmetic runs on
+    these permutations.  `generators` are indices of elements that generate
+    the group.
     """
 
     fan: Fan
     matrices: tuple[IntMatrix, ...]
     ray_permutations: tuple[Perm, ...] = field(compare=False, repr=False)
+    generators: tuple[int, ...] = field(compare=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -95,13 +118,35 @@ class FanAutGroup:
         """
         out = []
         for i, perm in enumerate(self.ray_permutations):
-            inv_perm = [0] * len(perm)
-            for k, image in enumerate(perm):
-                inv_perm[image] = k
-            j = self._perm_index[tuple(inv_perm)]
+            j = self._perm_index[_inverse_perm(perm)]
             assert self.mult_index(i, j) == self.identity_index
             out.append(j)
         return tuple(out)
+
+    def conjugacy_class(self, h: int) -> frozenset[int]:
+        """Indices of the conjugates of matrices[h].
+
+        The class is the orbit of h under conjugation by the generators, all
+        of it since they generate the finite group, found breadth-first:
+        g h g^-1 as a permutation is k -> g[h[g^-1[k]]].
+        It costs (class size) x (number of generators) conjugations.
+        """
+        conjugators = [
+            (self.ray_permutations[g].__getitem__, _inverse_perm(self.ray_permutations[g]))
+            for g in self.generators
+        ]
+        start = self.ray_permutations[h]
+        orbit, frontier = {start}, [start]
+        while frontier:
+            nxt = []
+            for p in frontier:
+                for g_at, g_inv in conjugators:
+                    y = tuple(map(g_at, map(p.__getitem__, g_inv)))
+                    if y not in orbit:
+                        orbit.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        return frozenset(map(self._perm_index.__getitem__, orbit))
 
     def element_order(self, i: int) -> int:
         n = 1
@@ -161,103 +206,134 @@ def _divided(m: IntMatrix, den: int) -> IntMatrix | None:
     return IntMatrix._trusted(tuple(tuple(x // den for x in row) for row in m.rows), m.ncols)
 
 
-def _frame_images(fan: Fan, frame: Sequence[int], invariants: dict[int, tuple]) -> Iterator[Perm]:
-    """Candidate images of the frame rays, one slot at a time by backtracking.
+def _frame_images(
+    fan: Fan, frame: Sequence[int], frame_inv: IntMatrix, den: int, invariants: dict[int, tuple]
+) -> Iterator[Perm]:
+    """Ray permutations forced by candidate images of the frame rays, found
+    one frame slot at a time by backtracking.
 
     Each slot takes a ray with its frame ray's invariant.  A ray is pruned
     when it is already used or when cone incidence breaks with an earlier
     slot: an automorphism permutes the maximal cones, so two rays share one
-    exactly when their images do.  No automorphism's frame image is pruned.
+    exactly when their images do.  Every other ray r is (sum_j c_j f_j) / den
+    over the frame rays f_j, with c = frame_inv @ r, so an automorphism
+    sends it to (sum_j c_j image_j) / den, which must be a ray: that is
+    checked as soon as the last slot in c's support is assigned, and the
+    branch is pruned otherwise.  No automorphism's frame image is pruned,
+    and each leaf yields the ray permutation its frame images force.
     """
+    rays = fan.rays
     near: list[set[int]] = [set() for _ in range(fan.num_rays)]
     for cone in fan.max_cones:
         for i in cone:
             near[i].update(cone)
     candidates = [[i for i in range(fan.num_rays) if invariants[i] == invariants[f]] for f in frame]
+    scaled_rays = {tuple(den * x for x in r): i for i, r in enumerate(rays)}
+    # due[k]: (ray, frame slots of its support, coefficients) checked once slot k is set
+    due: list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]] = [[] for _ in frame]
+    for i, r in enumerate(rays):
+        if i not in frame:
+            slots, coeffs = zip(*((j, c) for j, c in enumerate(frame_inv.apply(r)) if c))
+            due[slots[-1]].append((i, slots, coeffs))
     images: list[int] = []
+    perm = list(range(fan.num_rays))
+    mul = operator.mul
 
     def extend(k: int) -> Iterator[Perm]:
         if k == len(frame):
-            yield tuple(images)
+            yield tuple(perm)
             return
         incident = [frame[l] in near[frame[k]] for l in range(k)]
         for c in candidates[k]:
             if c in images or any((images[l] in near[c]) != incident[l] for l in range(k)):
                 continue
             images.append(c)
-            yield from extend(k + 1)
+            perm[frame[k]] = c
+            for i, slots, coeffs in due[k]:
+                cols = zip(*(rays[images[j]] for j in slots))
+                image = scaled_rays.get(tuple(sum(map(mul, coeffs, col)) for col in cols))
+                if image is None:
+                    break
+                perm[i] = image
+            else:
+                yield from extend(k + 1)
             images.pop()
 
     return extend(0)
 
 
-def _is_group(perms: Sequence[Perm]) -> bool:
-    """Is the set of permutations a group?  Certified by generating it.
+def _extend_closure(closure: dict[Perm, tuple[Perm, int] | None], gens: Sequence[Perm]) -> None:
+    """Close the group `closure` under the last of `gens` as well, breadth-first.
 
-    Generators are picked greedily, each one not yet reached by the earlier
-    ones, and their closure is built breadth-first by products: an element
-    reached before a generator joins needs only the product with it, a newly
-    reached one the products with every generator.  Every product must lie
-    in the set, and the closure, a group, must be the whole set.  That costs
-    order x (number of generators) products.
+    An element reached before that generator joins needs only the product
+    with it, a newly reached one the products with every generator; the
+    result is closed under all of `gens`.  A new element x is stored with
+    (a, j) such that x = a * gens[j].  Raises AutGroupTooLarge as soon as the
+    closure holds more than MAX_AUT_ORDER elements.
     """
-    members = set(perms)
-    identity = tuple(range(len(perms[0])))
-    if identity not in members:
-        return False
-    reached = {identity}
-    gens: list[Perm] = []
-    for p in perms:
-        if p in reached:
-            continue
-        gens.append(p)
-        frontier, step = list(reached), [p]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in step:
-                    x = tuple(map(a.__getitem__, g))
-                    if x not in reached:
-                        if x not in members:
-                            return False
-                        reached.add(x)
-                        nxt.append(x)
-            frontier, step = nxt, gens
-    return len(reached) == len(members)
+    frontier, step = list(closure), [(len(gens) - 1, gens[-1])]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for j, g in step:
+                x = tuple(map(a.__getitem__, g))
+                if x not in closure:
+                    closure[x] = (a, j)
+                    nxt.append(x)
+                    if len(closure) > MAX_AUT_ORDER:
+                        raise AutGroupTooLarge(
+                            f"the fan has more than {MAX_AUT_ORDER} symmetries"
+                        )
+        frontier, step = nxt, list(enumerate(gens))
 
 
 def automorphism_group(fan: Fan) -> FanAutGroup:
     """All GL(rank, Z) matrices mapping rays to rays and cones to cones.
 
-    Backtracking search over images of a ray frame (`_frame_images`); the
-    frame is inverted once over Q as (g, den), and each candidate matrix
-    (images @ g) / den is kept only if it is integral, unimodular, maps the
-    ray set onto itself, and permutes the maximal cones.  The last two
-    checks yield the element's ray permutation, and the permutations found
-    are certified to form a group.
+    Backtracking search over images of a ray frame (`_frame_images`), which
+    yields the ray permutation each frame image forces.  A leaf whose
+    permutation the group generated so far already holds is skipped.  Any
+    other leaf is kept only if its permutation is a
+    bijection permuting the maximal cones and its matrix (images @ g) / den,
+    with the frame inverted once over Q as (g, den), is integral and
+    unimodular; it then becomes a generator, and the group found so far is
+    closed under it by permutation products.  Every other element's matrix
+    is a product of generator matrices.  Raises AutGroupTooLarge, before any
+    such product, when the group has more than MAX_AUT_ORDER elements.
     """
     validate_fan(fan)
     frame, frame_dec = _frame(fan)
     frame_inv, den = _scaled_inverse(frame_dec)
-    ray_lookup = {r: i for i, r in enumerate(fan.rays)}
     cone_set = set(fan.max_cones)
-    found: list[tuple[IntMatrix, Perm]] = []
-    for images in _frame_images(fan, frame, _ray_invariants(fan)):
-        img_cols = IntMatrix.from_cols([fan.rays[i] for i in images], fan.rank)
+    closure: dict[Perm, tuple[Perm, int] | None] = {tuple(range(fan.num_rays)): None}
+    gen_perms: list[Perm] = []
+    gen_matrices: list[IntMatrix] = []
+    for perm in _frame_images(fan, frame, frame_inv, den, _ray_invariants(fan)):
+        if perm in closure:
+            continue
+        if len(set(perm)) < len(perm) or any(
+            tuple(sorted(perm[i] for i in c)) not in cone_set for c in fan.max_cones
+        ):
+            continue
+        img_cols = IntMatrix.from_cols([fan.rays[perm[f]] for f in frame], fan.rank)
         s = _divided(img_cols @ frame_inv, den)
         if s is None or abs(det(s)) != 1:
             continue
-        perm = tuple(ray_lookup.get(s.apply(r)) for r in fan.rays)
-        if None in perm:
-            continue
-        if all(tuple(sorted(perm[i] for i in c)) in cone_set for c in fan.max_cones):
-            found.append((s, perm))
-    found.sort(key=lambda pair: pair[0].rows)
-    matrices = tuple(s for s, _ in found)
-    assert len(set(matrices)) == len(matrices)
-    group = FanAutGroup(fan, matrices, tuple(perm for _, perm in found))
-    assert _is_group(group.ray_permutations), "automorphism set not closed"
-    assert group.matrices[group.identity_index] == IntMatrix.identity(fan.rank)
+        gen_perms.append(perm)
+        gen_matrices.append(s)
+        _extend_closure(closure, gen_perms)
+    matrices: dict[Perm, IntMatrix] = {}
+    for perm, via in closure.items():  # in insertion order: via[0] comes first
+        if via is None:
+            matrices[perm] = IntMatrix.identity(fan.rank)
+        else:
+            matrices[perm] = matrices[via[0]] @ gen_matrices[via[1]]
+    perms = sorted(closure, key=lambda p: matrices[p].rows)
+    index = {p: i for i, p in enumerate(perms)}
+    group = FanAutGroup(
+        fan, tuple(matrices[p] for p in perms), tuple(perms), tuple(index[g] for g in gen_perms)
+    )
+    assert len(set(group.matrices)) == group.order, "the ray action must be faithful"
     return group
 
 

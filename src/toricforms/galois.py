@@ -153,9 +153,10 @@ def enumerate_hom_classes(group: GroupSpec, aut: FanAutGroup) -> tuple[HomClass,
 
     One class per conjugacy class of elements h whose order divides d, found
     in one pass over the elements: the first element met of each class is its
-    least, and the representative has images h^0, ..., h^(d-1).  So the
-    classes come sorted by their images (images[1] is h when d > 1); the
-    trivial homomorphism is always present.
+    least, the class is its orbit under conjugation by the generators of aut
+    (`FanAutGroup.conjugacy_class`), and the representative has images h^0,
+    ..., h^(d-1).  So the classes come sorted by their images (images[1] is h
+    when d > 1); the trivial homomorphism is always present.
     Raises ValueError, before any element order is taken, when d exceeds
     MAX_HOM_GROUP_ORDER.
     """
@@ -165,13 +166,12 @@ def enumerate_hom_classes(group: GroupSpec, aut: FanAutGroup) -> tuple[HomClass,
             f"hom enumeration needs an acting group of order at most"
             f" {MAX_HOM_GROUP_ORDER}, got {d}"
         )
-    inverse = aut.inverse_indices
     seen: set[int] = set()
     classes = []
     for h in range(aut.order):
         if h in seen or d % aut.element_order(h):
             continue
-        conjugates = {aut.mult_index(aut.mult_index(c, h), inverse[c]) for c in range(aut.order)}
+        conjugates = aut.conjugacy_class(h)
         seen |= conjugates
         powers = [aut.identity_index]
         for _ in range(d - 1):

@@ -740,6 +740,73 @@ def test_classify_fan_over_finite_fields_with_class_group_torsion(tmp_path, caps
     assert len(entries) == 2 and all(e["h1"]["text"] == "1" for e in entries)
 
 
+_TORSION_ORACLE_ROWS = (
+    "class 0: norm route skipped (assumption) | closed form 1 | brute force 1\n"
+    "class 1: norm route 1 | closed form 1 | brute force trivial class\n"
+)
+
+
+@pytest.mark.parametrize("backend", ["ff:2,2", "ff:5,2", "ff:7,2", "ff:4,3"])
+def test_oracle_skips_the_norm_route_on_class_group_torsion(tmp_path, capsys, backend):
+    """The norm route assumes the torsion factor 3 invertible on the units,
+    which fails here: it is reported skipped, and the closed form and the
+    brute force still check each other."""
+    path = tmp_path / "torsion.json"
+    path.write_text(TORSION_FAN_JSON)
+    code, out, err = invoke(capsys, "cohomology", "oracle", "--file", str(path), "--backend", backend)
+    assert (code, out, err) == (0, _TORSION_ORACLE_ROWS + "all routes agree\n", "")
+
+
+def test_oracle_with_a_single_route_exits_one(tmp_path, capsys):
+    """Over F_4099, the brute force is guarded and the norm route's torsion
+    assumption fails: only the closed form runs for class 0, so nothing is
+    checked."""
+    path = tmp_path / "torsion.json"
+    path.write_text(TORSION_FAN_JSON)
+    argv = ["cohomology", "oracle", "--file", str(path), "--backend", "ff:4099,2"]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert out == (
+        "class 0: norm route skipped (assumption) | closed form 1 | brute force skipped (guard)\n"
+        "class 1: norm route 1 | closed form 1 | brute force trivial class\n"
+        "UNCHECKED: only the closed form ran, for class 0\n"
+    )
+    code, out, _ = invoke(capsys, *argv, "--json")
+    assert code == 1
+    first = json.loads(out)["classes"][0]
+    assert first["norm_route"] == {"kind": "skipped", "text": "skipped (assumption)"}
+    assert first["brute_force"] == {"kind": "skipped", "text": "skipped (guard)"}
+
+
+_BUDGET_ERROR = (
+    "error: the fan has more than 50000 symmetries\n"
+    "hint: `toricforms classify projective -n N` classifies the forms of projective"
+    " space without building its symmetry group\n"
+)
+
+
+@pytest.mark.parametrize(
+    "verb", [["fan", "aut"], ["classify", "fan", "--backend", "real"]], ids=" ".join
+)
+def test_symmetry_budget_refuses_projective_8(capsys, verb):
+    """S_9 has 362,880 elements, past the symmetry budget: exit 1 with a hint,
+    in bounded time (about 1.3 s on a 2-core container), also under python -O."""
+    argv = [*verb, "--builtin", "projective:8"]
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv)
+    assert time.perf_counter() - start < 10.0
+    assert (code, out, err) == (1, "", _BUDGET_ERROR)
+    script = "import sys\nfrom toricforms.cli import run\nsys.exit(run(sys.argv[1:]))\n"
+    child = subprocess.run(
+        [sys.executable, "-O", "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={"PYTHONPATH": str(Path(toricforms.__file__).resolve().parents[1])},
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (1, "", _BUDGET_ERROR)
+
+
 def test_symbolic_backend_needs_group(tmp_path, capsys):
     path = tmp_path / "tower.json"
     path.write_text(json.dumps({"Q": {"invariant_factors": [2]}, "images": []}))

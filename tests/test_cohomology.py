@@ -3,16 +3,25 @@
 import functools
 import itertools
 import math
+import subprocess
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import toricforms
 from toricforms import cohomology
-from toricforms.classify import BUILTIN_NAMES, BUILTIN_SURFACE_NAMES, builtin_fan
+from toricforms.classify import (
+    BUILTIN_NAMES,
+    BUILTIN_SURFACE_NAMES,
+    builtin_fan,
+    partition_cocharacter_matrix,
+)
 from toricforms.cohomology import (
     FiniteModule,
     NotInvolution,
@@ -839,3 +848,58 @@ def test_shapiro_orbits_finite_field():
                 parts = shapiro_orbit_h1(fan, cls, backend)
                 assert len(parts) == len(cls.ray_orbits)
                 assert all(p.is_trivial() for p in parts)
+
+
+# ---------------------------------------------------------------------------
+# typed preconditions
+
+
+_PRECONDITION_SCRIPT = """
+from toricforms.classify import builtin_fan, partition_cocharacter_matrix
+from toricforms.cohomology import finite_field_torus_module, h1_cyclic_norm_formula
+from toricforms.fan_aut import automorphism_group
+from toricforms.galois import FiniteFieldBackend, GroupSpec, enumerate_hom_classes
+
+fan = builtin_fan("surface:C6")
+hom = enumerate_hom_classes(GroupSpec.cyclic(6), automorphism_group(fan))[1]
+backend = FiniteFieldBackend(2, 2)
+for call in (
+    lambda: h1_cyclic_norm_formula(fan, hom, backend),
+    lambda: finite_field_torus_module(backend, hom),
+    lambda: partition_cocharacter_matrix((0, 3), 3),
+):
+    try:
+        print("returned", call())
+    except ValueError as exc:
+        print(type(exc).__name__, exc)
+"""
+
+_PRECONDITION_ERRORS = (
+    "ValueError backend: extension degree 2 differs from the order 6 of the twisting group of hom\n"
+    * 2
+    + "ValueError partition parts must be positive, got (0, 3)\n"
+)
+
+
+def test_degree_and_partition_preconditions_survive_optimized_mode():
+    """A backend whose degree is not the twisting group's order, and a partition
+    with a part 0, are refused with ValueError, also under python -O."""
+    fan = builtin_fan("surface:C6")
+    hom = enumerate_hom_classes(GroupSpec.cyclic(6), automorphism_group(fan))[1]
+    backend = FiniteFieldBackend(2, 2)
+    with pytest.raises(ValueError, match="^backend: extension degree 2 differs"):
+        h1_cyclic_norm_formula(fan, hom, backend)
+    with pytest.raises(ValueError, match="^backend: extension degree 2 differs"):
+        finite_field_torus_module(backend, hom)
+    for parts in ((0, 3), (-1, 4), (4, -1, 0)):
+        with pytest.raises(ValueError, match="partition parts must be positive"):
+            partition_cocharacter_matrix(parts, 3)
+    child = subprocess.run(
+        [sys.executable, "-O", "-c", _PRECONDITION_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={"PYTHONPATH": str(Path(toricforms.__file__).resolve().parents[1])},
+        check=True,
+    )
+    assert child.stdout == _PRECONDITION_ERRORS

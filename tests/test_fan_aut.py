@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from typing import Iterator, Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -18,12 +19,13 @@ from toricforms.fan_aut import (
     GEN_ROT6,
     GL2_CLASS_LABELS,
     _CLASS_GENERATORS,
+    AutGroupTooLarge,
     FanAutGroup,
     UnidentifiedClass,
     _LABEL_BY_KEY,
     _divided,
     _frame,
-    _is_group,
+    _frame_images,
     _ray_invariants,
     _scaled_inverse,
     automorphism_group,
@@ -90,7 +92,8 @@ def aut_via_sequence(fan: Fan) -> FanAutGroup:
                 assert s.apply(rays[i]) == rays[(j - i) % m]
             found.append(s)
     matrices = tuple(sorted(set(found), key=lambda x: x.rows))
-    return FanAutGroup(fan, matrices, _ray_permutations(fan, matrices))
+    everything = tuple(range(len(matrices)))
+    return FanAutGroup(fan, matrices, _ray_permutations(fan, matrices), everything)
 
 
 EXPECTED_CLASS_ORDERS = {
@@ -410,6 +413,206 @@ def test_search_matches_reference_on_transformed_fans(data):
     g_inv, den = rational_solve(smith_normal_form(g), IntMatrix.identity(g.nrows))
     assert den == 1
     assert set(group.matrices) == {g @ s @ g_inv for s in automorphism_group(base).matrices}
+
+
+# ---------------------------------------------------------------------------
+# the generator search against the reference that tests every element
+
+
+def _is_group(perms: Sequence[tuple[int, ...]]) -> bool:
+    """Is the set of permutations a group?  Certified by generating it.
+
+    Generators are picked greedily, each one not yet reached by the earlier
+    ones, and their closure is built breadth-first by products: an element
+    reached before a generator joins needs only the product with it, a newly
+    reached one the products with every generator.  Every product must lie
+    in the set, and the closure, a group, must be the whole set.  That costs
+    order x (number of generators) products.
+    """
+    members = set(perms)
+    identity = tuple(range(len(perms[0])))
+    if identity not in members:
+        return False
+    reached = {identity}
+    gens: list[tuple[int, ...]] = []
+    for p in perms:
+        if p in reached:
+            continue
+        gens.append(p)
+        frontier, step = list(reached), [p]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for g in step:
+                    x = tuple(map(a.__getitem__, g))
+                    if x not in reached:
+                        if x not in members:
+                            return False
+                        reached.add(x)
+                        nxt.append(x)
+            frontier, step = nxt, gens
+    return len(reached) == len(members)
+
+
+def _incidence_frame_images(
+    fan: Fan, frame: Sequence[int], invariants: dict[int, tuple]
+) -> Iterator[tuple[int, ...]]:
+    """Candidate images of the frame rays, pruned by invariants and cone
+    incidence only: two rays share a maximal cone exactly when their images do."""
+    near: list[set[int]] = [set() for _ in range(fan.num_rays)]
+    for cone in fan.max_cones:
+        for i in cone:
+            near[i].update(cone)
+    candidates = [[i for i in range(fan.num_rays) if invariants[i] == invariants[f]] for f in frame]
+    images: list[int] = []
+
+    def extend(k: int) -> Iterator[tuple[int, ...]]:
+        if k == len(frame):
+            yield tuple(images)
+            return
+        incident = [frame[l] in near[frame[k]] for l in range(k)]
+        for c in candidates[k]:
+            if c in images or any((images[l] in near[c]) != incident[l] for l in range(k)):
+                continue
+            images.append(c)
+            yield from extend(k + 1)
+            images.pop()
+
+    return extend(0)
+
+
+def reference_automorphism_group(fan: Fan) -> FanAutGroup:
+    """Every frame image the incidence search yields gets the full matrix test.
+
+    Each candidate matrix (images @ g) / den is kept only if it is integral,
+    unimodular, maps the ray set onto itself and permutes the maximal cones,
+    which also yields its ray permutation; the kept set must be a group.
+    Every element counts as a generator.
+    """
+    validate_fan(fan)
+    frame, frame_dec = _frame(fan)
+    frame_inv, den = _scaled_inverse(frame_dec)
+    ray_lookup = {r: i for i, r in enumerate(fan.rays)}
+    cone_set = set(fan.max_cones)
+    found = []
+    for images in _incidence_frame_images(fan, frame, _ray_invariants(fan)):
+        img_cols = IntMatrix.from_cols([fan.rays[i] for i in images], fan.rank)
+        s = _divided(img_cols @ frame_inv, den)
+        if s is None or abs(det(s)) != 1:
+            continue
+        perm = tuple(ray_lookup.get(s.apply(r)) for r in fan.rays)
+        if None in perm:
+            continue
+        if all(tuple(sorted(perm[i] for i in c)) in cone_set for c in fan.max_cones):
+            found.append((s, perm))
+    found.sort(key=lambda pair: pair[0].rows)
+    perms = tuple(perm for _, perm in found)
+    assert _is_group(perms)
+    return FanAutGroup(fan, tuple(s for s, _ in found), perms, tuple(range(len(found))))
+
+
+#: The search fans, plus the hyperoctahedral group of order 3840 and S_7.
+REFERENCE_FAN_NAMES = SEARCH_FAN_NAMES + ["P1xP1xP1xP1xP1", "projective:6"]
+
+
+def _generated(group: FanAutGroup) -> set[tuple[int, ...]]:
+    """Ray permutations reached from the identity by products with the generators."""
+    gens = [group.ray_permutations[g] for g in group.generators]
+    reached = {group.ray_permutations[group.identity_index]}
+    frontier = list(reached)
+    while frontier:
+        frontier = {tuple(map(a.__getitem__, g)) for a in frontier for g in gens} - reached
+        reached |= frontier
+    return reached
+
+
+@pytest.mark.parametrize("fan_name", REFERENCE_FAN_NAMES)
+def test_generator_search_matches_full_test_reference(fan_name):
+    fan = named_fan(fan_name)
+    group = automorphism_group(fan)
+    reference = reference_automorphism_group(fan)
+    assert group.matrices == reference.matrices
+    assert group.ray_permutations == reference.ray_permutations
+    assert _is_group(group.ray_permutations)
+    # the generators generate the whole group, so conjugacy orbits under them are classes
+    assert _generated(group) == set(group.ray_permutations)
+    assert group.matrices[group.identity_index] == IntMatrix.identity(fan.rank)
+
+
+def _matrix_tests(monkeypatch) -> list:
+    """Records the candidate matrix of every leaf that reaches the matrix test
+    (None when it is not integral)."""
+    import toricforms.fan_aut as fan_aut
+
+    tested = []
+
+    def recording(m, den):
+        tested.append(_divided(m, den))
+        return tested[-1]
+
+    monkeypatch.setattr(fan_aut, "_divided", recording)
+    return tested
+
+
+@pytest.mark.parametrize("fan_name", SEARCH_FAN_NAMES)
+def test_only_generators_pass_the_matrix_test(fan_name, monkeypatch):
+    """A leaf reaching the matrix test either becomes a generator or fails the
+    test: no element reached by products is tested as a matrix."""
+    tested = _matrix_tests(monkeypatch)
+    group = automorphism_group(named_fan(fan_name))
+    members = set(group.matrices)
+    passed = [s for s in tested if s is not None and s in members]
+    assert passed == [group.matrices[g] for g in group.generators]
+    # each generator lies outside the group the earlier ones generate, so it
+    # at least doubles that group (Lagrange)
+    assert 2 ** len(group.generators) <= group.order
+
+
+#: Complete, with ray relations that admit permutations no lattice map induces.
+SKEW_FAN = Fan.make(2, [(-1, -1), (2, -3), (1, 1), (-2, 3)], [(0, 1), (1, 2), (2, 3), (0, 3)])
+
+
+def test_leaves_failing_the_matrix_test_are_dropped(monkeypatch):
+    tested = _matrix_tests(monkeypatch)
+    group = automorphism_group(SKEW_FAN)
+    reference = reference_automorphism_group(SKEW_FAN)
+    assert group.matrices == reference.matrices
+    assert group.ray_permutations == reference.ray_permutations
+    assert group.order == 4
+    failed = [s for s in tested if s is None or abs(det(s)) != 1]
+    assert len(failed) == 4 and len(tested) == 4 + len(group.generators)
+
+
+def test_ray_relations_leave_one_leaf_per_symmetry():
+    """On P2 x P2 cone incidence leaves 360 frame images; the ray relations
+    prune all but the 72 symmetries."""
+    fan = named_fan("P2xP2")
+    frame, frame_dec = _frame(fan)
+    frame_inv, den = _scaled_inverse(frame_dec)
+    invariants = _ray_invariants(fan)
+    assert sum(1 for _ in _incidence_frame_images(fan, frame, invariants)) == 360
+    leaves = list(_frame_images(fan, frame, frame_inv, den, invariants))
+    assert len(leaves) == 72
+    assert sorted(leaves) == sorted(automorphism_group(fan).ray_permutations)
+
+
+def test_symmetry_budget_stops_the_closure(monkeypatch):
+    """Past the budget the search raises before it builds any element's matrix."""
+    import toricforms.fan_aut as fan_aut
+
+    products = []
+    matmul = IntMatrix.__matmul__
+    monkeypatch.setattr(IntMatrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
+    monkeypatch.setattr(fan_aut, "MAX_AUT_ORDER", 384)
+    # a fresh fan each time, so both runs validate it
+    assert automorphism_group(named_fan("P1xP1xP1xP1")).order == 384
+    built = len(products)
+    products.clear()
+    monkeypatch.setattr(fan_aut, "MAX_AUT_ORDER", 383)
+    with pytest.raises(AutGroupTooLarge, match="more than 383 symmetries"):
+        automorphism_group(named_fan("P1xP1xP1xP1"))
+    # the same search up to the last generator, then none of the 383 element products
+    assert built - len(products) == 383
 
 
 def _assert_products_match(group: FanAutGroup, pairs) -> None:

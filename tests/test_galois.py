@@ -40,7 +40,8 @@ from toricforms.galois import (
 )
 
 from table_groups import TableGroup, hom_classes, orbit_stabilizer, reduce_kernel
-from test_fans import HEXAGON, P1, P1XP1, P2
+from test_fan_aut import REFERENCE_FAN_NAMES as AUT_REFERENCE_FAN_NAMES
+from test_fans import HEXAGON, P1, P1XP1, P2, named_fan
 
 
 def _coset_representatives(hom, orbit) -> dict[int, int]:
@@ -310,6 +311,36 @@ def test_hom_classes_match_table_reference(d):
             assert induced.images == ref_induced.images and induced.is_injective
             assert induced.orbit_size == ref_induced.orbit_size
             assert induced.ray_orbits == cls.ray_orbits
+
+
+def reference_hom_classes(group: GroupSpec, aut) -> list[tuple[tuple[int, ...], int]]:
+    """(images, orbit size) per class: each class found by conjugating its
+    least element by every element of aut."""
+    d = group.order
+    inverse = aut.inverse_indices
+    seen: set[int] = set()
+    out = []
+    for h in range(aut.order):
+        if h in seen or d % aut.element_order(h):
+            continue
+        conjugates = {aut.mult_index(aut.mult_index(c, h), inverse[c]) for c in range(aut.order)}
+        seen |= conjugates
+        powers = [aut.identity_index]
+        for _ in range(d - 1):
+            powers.append(aut.mult_index(powers[-1], h))
+        out.append((tuple(powers), len(conjugates)))
+    return out
+
+
+@pytest.mark.parametrize("name", AUT_REFERENCE_FAN_NAMES)
+def test_hom_classes_are_generator_orbits(name):
+    """Conjugacy classes as orbits under the generators, against conjugation
+    by every element: the same classes in the same order and sizes."""
+    aut = automorphism_group(named_fan(name))
+    for d in (1, 2, 3, 4, 6):
+        group = GroupSpec.cyclic(d)
+        got = [(c.images, c.orbit_size) for c in enumerate_hom_classes(group, aut)]
+        assert got == reference_hom_classes(group, aut), d
 
 
 def test_hom_enumeration_refuses_large_groups_before_listing_images(monkeypatch):
