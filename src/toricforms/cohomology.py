@@ -221,14 +221,16 @@ def h1_cyclic_norm_formula(
     `classify` calls it for symbolic data only; elsewhere it is the reference.
     Requires, for concrete backends, that every class-group torsion factor
     act invertibly on the units of the splitting field (AssumptionViolated
-    otherwise).  Raises ValueError unless the backend's Galois group has the
-    order of the group `hom` twists by.
+    otherwise).  Raises ValueError unless `hom` is a hom class of `fan` and
+    the backend's Galois group has the order of the group `hom` twists by.
 
     When the class group is Z with all ray degrees equal to one, the answer
     is the pure norm quotient over the ray-orbit stabilizers, which is also
     the only shape of input the symbolic backend can evaluate.
     """
     group = hom.group
+    if hom.aut.fan != fan:
+        raise ValueError("hom: a hom class of another fan")
     _check_degree(backend.group.order, hom)
     if _diagonal_degree(fan):
         # orbit-stabilizer: an orbit of r rays has a stabilizer of order |G| / r
@@ -338,15 +340,20 @@ def brute_force_h1_finite(module: FiniteModule, guard: int = 10_000_000) -> FGAb
     """H^1 by literal enumeration of cocycles.
 
     Every assignment of module elements to the group generators is extended
-    along the Cayley graph and then checked against the cocycle identity on
-    all pairs; coboundaries are enumerated directly.  The quotient's
-    structure is read off by counting torsion elements.  Each assignment
-    costs up to |G|^2 cocycle checks, so the work is bounded by assignments
-    times |G|^2; raises TooLarge if that exceeds `guard`, before anything is
-    enumerated.
+    along a breadth-first spanning tree of the Cayley graph, filtered by the
+    cocycle condition on every Cayley edge, and the survivors are checked
+    against the identity c(ab) = c(a) + a c(b) on all pairs (a, b);
+    coboundaries are enumerated directly.  The quotient's structure is read
+    off by counting torsion elements.  Each assignment costs up to |G|^2
+    cocycle checks, so the work is bounded by assignments times |G|^2;
+    raises TooLarge if that exceeds `guard`, before anything is enumerated,
+    and ValueError if the group's generators do not generate it.
 
-    Each group element's action is looked up in a table built once per call
-    (`_action_tables`), so the enumeration itself does no matrix arithmetic.
+    The enumeration runs on element indices (`_IndexedModule`): group
+    elements act through index tables (`_action_tables`), and a cochain is
+    one column per group element, holding its value for every candidate
+    value of the last generator at once.  An outer loop runs over the values
+    of the other generators, so at most |M| candidates are live at a time.
     """
     group = module.group
     gens = group.generators if group.generators else ()
@@ -356,41 +363,43 @@ def brute_force_h1_finite(module: FiniteModule, guard: int = 10_000_000) -> FGAb
             f"{count} candidate assignments times {group.order}^2 group pairs"
             f" exceed the guard {guard}"
         )
-    elements = tuple(module.elements())
-    position = {v: i for i, v in enumerate(elements)}
     tree = _cayley_spanning_tree(group, gens)
-    act = _action_tables(module, elements, position, tree)
-    add = module.add
+    index = _IndexedModule(module.moduli)
+    act = _action_tables(module, index, tree)
+    add = index.add
     order = group.order
     edges = [(a, g, group.mult(a, g)) for a in range(order) for g in gens]
     pairs = [(a, b, group.mult(a, b)) for a in range(order) for b in range(order)]
 
-    cocycles: set[tuple[tuple[int, ...], ...]] = set()
-    # an assignment gives each generator the position of its module element
-    for assignment in itertools.product(range(len(elements)), repeat=len(gens)):
-        by_gen = dict(zip(gens, assignment))
-        c: list[tuple[int, ...]] = [module.zero()] * order
-        for b, a, g in tree:
-            c[b] = add(c[a], act[a][by_gen[g]])
-        if any(c[b] != add(c[a], act[a][by_gen[g]]) for a, g, b in edges):
-            continue
-        if all(c[ab] == add(c[a], act[a][position[c[b]]]) for a, b, ab in pairs):
-            cocycles.add(tuple(c))
+    def acted(a: int, column: list[int]) -> list[int]:
+        return list(map(act[a].__getitem__, column))
 
-    moduli = module.moduli
-    mod, sub = operator.mod, operator.sub
-    boundaries = {
-        tuple(tuple(map(mod, map(sub, act_a[i], v), moduli)) for act_a in act)
-        for i, v in enumerate(elements)
-    }
+    cocycles: set[tuple[int, ...]] = set()
+    width = index.size if gens else 1
+    for fixed in itertools.product(range(index.size), repeat=max(len(gens) - 1, 0)):
+        # each generator's value as a column: fixed by the outer loop, except
+        # the last generator, which takes the value x in candidate column x
+        value = {g: [x] * width for g, x in zip(gens, fixed)}
+        if gens:
+            value[gens[-1]] = list(range(width))
+        c: list[list[int]] = [[0] * width] * order  # all but c[0] set along the tree
+        for b, a, g in tree:
+            c[b] = add(c[a], acted(a, value[g]))
+        c = _agreeing(c, ((c[b], add(c[a], acted(a, value[g]))) for a, g, b in edges))
+        c = _agreeing(c, ((c[ab], add(c[a], acted(a, c[b]))) for a, b, ab in pairs))
+        cocycles.update(zip(*c))
+
+    minus = index.multiple(-1)
+    boundaries = set(zip(*(add(table, minus) for table in act)))
     assert boundaries <= cocycles
     h_order = len(cocycles) // len(boundaries)
     if h_order == 1:
         return FGAbelianGroup.trivial()
 
-    def scaled_in_boundaries(z, k: int) -> bool:
-        scaled = tuple(module.scale(k, row) for row in z)
-        return scaled in boundaries
+    def killed(k: int) -> int:
+        """The number of cocycles whose k-th multiple is a coboundary."""
+        times_k = index.multiple(k).__getitem__
+        return sum(1 for z in cocycles if tuple(map(times_k, z)) in boundaries)
 
     factors: list[int] = []
     for p in _prime_factors(h_order):
@@ -398,10 +407,7 @@ def brute_force_h1_finite(module: FiniteModule, guard: int = 10_000_000) -> FGAb
         # of cyclic factors of order at least p^k is logs[k] - logs[k-1]
         logs = [0]
         while True:
-            killed = sum(
-                1 for z in cocycles if scaled_in_boundaries(z, p ** len(logs))
-            )
-            logs.append(_exact_log(killed // len(boundaries), p))
+            logs.append(_exact_log(killed(p ** len(logs)) // len(boundaries), p))
             if logs[-1] == logs[-2]:
                 break
         for k in range(1, len(logs) - 1):
@@ -412,6 +418,20 @@ def brute_force_h1_finite(module: FiniteModule, guard: int = 10_000_000) -> FGAb
     return result
 
 
+def _agreeing(columns: list[list[int]], checks) -> list[list[int]]:
+    """`columns` cut down to the candidates on which every check (lhs, rhs)
+    has equal columns; the checks are read before anything is cut."""
+    agree = None
+    for lhs, rhs in checks:
+        if lhs != rhs:
+            same = map(operator.eq, lhs, rhs)
+            agree = list(same) if agree is None else list(map(operator.and_, agree, same))
+    if agree is None:
+        return columns
+    keep = list(itertools.compress(range(len(agree)), agree))
+    return [list(map(column.__getitem__, keep)) for column in columns]
+
+
 def _cayley_spanning_tree(
     group: GroupSpec, gens: Sequence[int]
 ) -> list[tuple[int, int, int]]:
@@ -419,6 +439,7 @@ def _cayley_spanning_tree(
 
     Returns edges (b, a, g) with b = a g in visiting order, so every a is
     the identity or an earlier b; there is one edge per non-identity element.
+    Raises ValueError, also under python -O, unless `gens` generate `group`.
     """
     tree = []
     seen = {0}
@@ -433,34 +454,82 @@ def _cayley_spanning_tree(
                     tree.append((b, a, g))
                     nxt.append(b)
         frontier = nxt
-    assert len(seen) == group.order, "generators fail to generate"
+    if len(seen) != group.order:
+        raise ValueError(
+            f"generators {tuple(gens)} reach {len(seen)} of the {group.order}"
+            " elements of the acting group"
+        )
     return tree
 
 
-def _action_tables(
-    module: FiniteModule,
-    elements: Sequence[tuple[int, ...]],
-    position: dict[tuple[int, ...], int],
-    tree: Sequence[tuple[int, int, int]],
-) -> list[list[tuple[int, ...]]]:
-    """tables[a][i] = a . elements[i] for every group element a.
+class _IndexedModule:
+    """The elements of prod Z/moduli[k] as indices: element i is the i-th
+    tuple of `itertools.product(range(m_0), ...)`, so coordinate k has the
+    place value stride_k = m_{k+1} ... m_{n-1}.
 
-    `position` inverts `elements`.  The generators' tables come from
-    `FiniteModule.act`; every other element b = a g of the spanning tree is
-    composed as tables[b][i] = tables[a][position of tables[g][i]].  That
-    equals `act(b, elements[i])` because the module checked that its action
-    is a homomorphism mod the moduli and preserves them.  Every entry is one
-    of the `elements` tuples, so the tables hold no copies.
+    `digits[k][i]` is coordinate k of element i, and `wraps[k][s]` is
+    (s mod m_k) stride_k for s < 2 m_k, so a sum of two index lists is one
+    lookup pass per coordinate and no tuple is built.
     """
-    tables: list[list | None] = [None] * module.group.order
-    tables[0] = list(elements)
+
+    def __init__(self, moduli: Sequence[int]) -> None:
+        self.moduli = tuple(moduli)
+        self.size = math.prod(self.moduli)
+        self.strides = tuple(math.prod(self.moduli[k + 1 :]) for k in range(len(self.moduli)))
+        self.digits = [
+            [i // s % m for i in range(self.size)] for m, s in zip(self.moduli, self.strides)
+        ]
+        self.wraps = [
+            [(x % m) * s for x in range(2 * m)] for m, s in zip(self.moduli, self.strides)
+        ]
+
+    def add(self, u: Sequence[int], v: Sequence[int]) -> list[int]:
+        """The index list of the elementwise sums of two index lists."""
+        total = None
+        for digit, wrap in zip(self.digits, self.wraps):
+            part = map(
+                wrap.__getitem__,
+                map(operator.add, map(digit.__getitem__, u), map(digit.__getitem__, v)),
+            )
+            total = part if total is None else map(operator.add, total, part)
+        return list(total) if total is not None else [0] * len(u)
+
+    def table(self, mat: IntMatrix) -> list[int]:
+        """table[i] = the index of mat . (element i), reduced mod the moduli;
+        built one coordinate row at a time, in element order."""
+        total = [0] * self.size
+        for row, m, stride in zip(mat.rows, self.moduli, self.strides):
+            values = [0]
+            for x, mj in zip(row, self.moduli):
+                steps = [x * d % m for d in range(mj)]
+                values = [v + s for v in values for s in steps]
+            total = list(map(operator.add, total, [(v % m) * stride for v in values]))
+        return total
+
+    def multiple(self, k: int) -> list[int]:
+        """multiple[i] = the index of k times element i."""
+        return self.table(IntMatrix.identity(len(self.moduli)).scaled(k))
+
+
+def _action_tables(
+    module: FiniteModule, index: _IndexedModule, tree: Sequence[tuple[int, int, int]]
+) -> list[list[int]]:
+    """tables[a][i] = the index of a . (element i) for every group element a.
+
+    The generators' tables come from their action matrices
+    (`_IndexedModule.table`); every other element b = a g of the spanning
+    tree is composed as tables[b][i] = tables[a][tables[g][i]].  That is
+    b's action because the module checked that its action is a
+    homomorphism mod the moduli and preserves them.
+    """
+    tables: list[list[int] | None] = [None] * module.group.order
+    tables[0] = list(range(index.size))
     for g in module.group.generators:
         if tables[g] is None:
-            tables[g] = [elements[position[module.act(g, v)]] for v in elements]
+            tables[g] = index.table(module.action[g])
     for b, a, g in tree:
         if tables[b] is None:
-            outer = tables[a]
-            tables[b] = [outer[position[w]] for w in tables[g]]
+            tables[b] = list(map(tables[a].__getitem__, tables[g]))
     return tables
 
 
