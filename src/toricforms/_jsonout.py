@@ -3,8 +3,17 @@
 ``json.dumps`` takes the C encoder only when ``indent`` is None, so indented
 output goes through the pure-Python encoder, one generator step per token.
 ``dumps`` builds the same text from the C leaf primitives instead
-(``encode_basestring_ascii`` for strings, ``int.__repr__`` for ints) with one
-``str.join`` per container; a list of plain ints is joined in one call.
+(``encode_basestring_ascii`` for strings, ``int.__repr__`` for ints).  Every
+piece is appended to one list that is joined once at the end, so each byte
+is copied once, however deep it sits; a sequence of plain ints is written by
+one ``str.join``.
+
+Payloads repeat such sequences heavily (a report's matrix rows each hold at
+most one 1 and one -1), so one ``dumps`` call memoizes the text of each
+all-int sequence by its items and indent.  The memo is a local of the call
+and is consulted only after the all-int type check: ``(True, False)`` and
+``(1.0, 0)`` hash and compare equal to ``(1, 0)``, so a lookup first would
+print a bool row as ``1``/``0`` and a float row instead of raising.
 
 It accepts exactly the types the library emits: dicts with str keys, lists,
 tuples, str, int, bool and None.  Anything else raises ``TypeError``.
@@ -20,38 +29,55 @@ _INT_ONLY = {int}
 
 def dumps(obj: object) -> str:
     """``json.dumps(obj, indent=2)`` for the library's payload types."""
-    return _encode(obj, "\n")
+    out: list[str] = []
+    _encode(obj, "\n", out, {})
+    return "".join(out)
 
 
-def _encode(obj: object, newline: str) -> str:
-    # `newline` is a line break plus the indent of the line `obj` starts on
-    if isinstance(obj, str):
-        return _quote(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return _int_repr(obj)
+def _encode(obj: object, newline: str, out: list[str], memo: dict) -> None:
+    # `newline` is a line break plus the indent of the line `obj` starts on;
+    # `memo` maps (int items, newline) to the text of that sequence
     if isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
+            out.append("[]")
+            return
         inner = newline + "  "
+        # the type check must come first: (True, False) == (1.0, 0) == (1, 0)
         if set(map(type, obj)) == _INT_ONLY:
-            items = map(_int_repr, obj)
-        else:
-            items = [_encode(item, inner) for item in obj]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(obj, dict):
+            key = (tuple(obj), newline)
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = "[" + inner + ("," + inner).join(map(_int_repr, obj)) + newline + "]"
+            out.append(text)
+            return
+        lead, sep = "[" + inner, "," + inner
+        for item in obj:
+            out.append(lead)
+            lead = sep
+            _encode(item, inner, out, memo)
+        out.append(newline + "]")
+    elif isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(_int_repr(obj))
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
+            out.append("{}")
+            return
         inner = newline + "  "
-        items = []
+        lead, sep = "{" + inner, "," + inner
         for key, value in obj.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(_quote(key) + ": " + _encode(value, inner))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+            out.append(lead + _quote(key) + ": ")
+            lead = sep
+            _encode(value, inner, out, memo)
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

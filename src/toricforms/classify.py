@@ -693,7 +693,7 @@ class ClassificationReport:
             "entries": [
                 {
                     "label": entry.label,
-                    "phi": [[list(row) for row in mat.rows] for mat in entry.phi_images],
+                    "phi": [mat.rows for mat in entry.phi_images],
                     "h1": h1_value_json(entry.value),
                     "descent": {
                         "status": entry.descent.status,

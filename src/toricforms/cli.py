@@ -227,7 +227,7 @@ def _cmd_fan_aut(args: argparse.Namespace) -> int:
     payload = {
         "order": aut.order,
         "label": label,
-        "matrices": [[list(row) for row in m.rows] for m in aut.matrices],
+        "matrices": [m.rows for m in aut.matrices],
     }
     lines = [f"order {aut.order}, label {label or '-'}"]
     for m in aut.matrices:
@@ -244,8 +244,8 @@ def _cmd_fan_cox(args: argparse.Namespace) -> int:
         "name": name,
         "num_variables": fan.num_rays,
         "class_group": str(class_group(fan)),
-        "free_degree_rows": [list(row) for row in degrees.free_rows.rows],
-        "torsion_degree_rows": [list(row) for row in degrees.torsion_rows.rows],
+        "free_degree_rows": degrees.free_rows.rows,
+        "torsion_degree_rows": degrees.torsion_rows.rows,
         "torsion_moduli": list(degrees.torsion_moduli),
         "irrelevant_complements": [list(c) for c in data.irrelevant_complements],
     }
@@ -317,7 +317,7 @@ def _cmd_h1_real(args: argparse.Namespace) -> int:
     matrix = _parse_matrix(args.matrix)
     group = h1_real_involution(matrix)
     payload = {
-        "matrix": [list(row) for row in matrix.rows],
+        "matrix": matrix.rows,
         "h1": h1_value_json(group),
     }
     return _emit(args, f"H^1 = {group}", payload)

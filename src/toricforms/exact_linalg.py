@@ -130,7 +130,8 @@ class IntMatrix:
         return all(x == 0 for r in self.rows for x in r)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        assert self.ncols == other.nrows, f"shape mismatch {self.shape} @ {other.shape}"
+        if self.ncols != other.nrows:
+            raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
         ocols = other.ncols
         # columns of `other`; with no rows, each of its columns is empty
         cols = tuple(zip(*other.rows)) if other.rows else ((),) * ocols
@@ -138,7 +139,8 @@ class IntMatrix:
         return IntMatrix._trusted(tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in self.rows), ocols)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        assert self.shape == other.shape
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch: {self.shape} + {other.shape}")
         return IntMatrix(
             tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)),
             self.ncols,
@@ -155,25 +157,31 @@ class IntMatrix:
 
     def apply(self, v: Sequence[int]) -> tuple[int, ...]:
         """Matrix-vector product."""
-        assert len(v) == self.ncols
+        if len(v) != self.ncols:
+            raise ValueError(f"shape mismatch: {self.shape} @ vector of length {len(v)}")
         mul = operator.mul
         return tuple(sum(map(mul, r, v)) for r in self.rows)
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        assert self.nrows == other.nrows
+        if self.nrows != other.nrows:
+            raise ValueError(f"shape mismatch: {self.shape} beside {other.shape}")
         return IntMatrix(
             tuple(ra + rb for ra, rb in zip(self.rows, other.rows)), self.ncols + other.ncols
         )
 
     def vstack(self, other: "IntMatrix") -> "IntMatrix":
-        assert self.ncols == other.ncols, f"{self.shape} over {other.shape}"
+        if self.ncols != other.ncols:
+            raise ValueError(f"shape mismatch: {self.shape} over {other.shape}")
         return IntMatrix(self.rows + other.rows, self.ncols)
 
     def submatrix_cols(self, js: Sequence[int]) -> "IntMatrix":
         return IntMatrix(tuple(tuple(r[j] for j in js) for r in self.rows), len(js))
 
     def power(self, k: int) -> "IntMatrix":
-        assert self.nrows == self.ncols and k >= 0
+        if self.nrows != self.ncols:
+            raise ValueError(f"power of a non-square {self.shape} matrix")
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
         result = IntMatrix.identity(self.nrows)
         base = self
         while k:
@@ -189,7 +197,8 @@ class IntMatrix:
 
 def det(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
-    assert m.nrows == m.ncols
+    if m.nrows != m.ncols:
+        raise ValueError(f"det of a non-square {m.shape} matrix")
     n = m.nrows
     if n == 0:
         return 1

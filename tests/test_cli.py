@@ -887,6 +887,7 @@ def test_projective_answers_do_not_depend_on_asserts(capsys):
         ["fan", "aut", "--builtin", "hexagon", "--json"],
         ["fan", "cox", "--builtin", "surface:D4p", "--json"],
         ["classify", "projective", "-n", "5", "--backend", "ff:2,12", "--json"],
+        ["classify", "projective", "-n", "16", "--backend", "ff:2,12", "--json"],
         ["classify", "fan", "--builtin", "surface:C6", "--backend", "ff:3,6", "--json"],
         ["classify", "fan", "--builtin", "projective:3", "--backend", "real", "--json"],
         ["classify", "surface-real", "--builtin", "surface:D6", "--json"],

@@ -1,6 +1,7 @@
 """Integer linear algebra: frozen oracle values and structural properties."""
 
 import ast
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -543,10 +544,60 @@ def test_matmul_degenerate_shapes():
     assert (M([[1, 2]]) @ IntMatrix.zero(2, 0)).shape == (1, 0)
     assert IntMatrix.zero(2, 0).apply(()) == (0, 0)
     assert IntMatrix.zero(0, 2).apply((1, 2)) == ()
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match=r"^shape mismatch: \(1, 2\) @ \(1, 2\)$"):
         M([[1, 2]]) @ M([[1, 2]])
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match=r"^shape mismatch: \(1, 2\) @ vector of length 1$"):
         M([[1, 2]]).apply((1,))
+
+
+_SHAPE_SCRIPT = """
+from toricforms.exact_linalg import IntMatrix, det
+
+a, b = IntMatrix.from_rows([[1, 2]]), IntMatrix.from_rows([[1, 2], [3, 4]])
+for call in (
+    lambda: a @ a,
+    lambda: a + b,
+    lambda: a - b,
+    lambda: a.apply((1,)),
+    lambda: b.hstack(IntMatrix.from_rows([[1]])),
+    lambda: b.vstack(IntMatrix.from_rows([[1]])),
+    lambda: a.power(2),
+    lambda: b.power(-1),
+    lambda: det(a),
+):
+    try:
+        print("returned", call())
+    except ValueError as exc:
+        print(type(exc).__name__, exc)
+"""
+
+_SHAPE_ERRORS = """\
+ValueError shape mismatch: (1, 2) @ (1, 2)
+ValueError shape mismatch: (1, 2) + (2, 2)
+ValueError shape mismatch: (1, 2) + (2, 2)
+ValueError shape mismatch: (1, 2) @ vector of length 1
+ValueError shape mismatch: (2, 2) beside (1, 1)
+ValueError shape mismatch: (2, 2) over (1, 1)
+ValueError power of a non-square (1, 2) matrix
+ValueError k must be >= 0, got -1
+ValueError det of a non-square (1, 2) matrix
+"""
+
+
+def test_shape_preconditions_survive_optimized_mode():
+    """`IntMatrix` is exported: a product, sum, stack, power or determinant of
+    ill-shaped matrices raises ValueError naming both shapes (or k), also
+    under python -O, where an assert would let `[1 2] @ [1 2]` return `[1 2]`
+    and a short hstack truncate silently."""
+    child = subprocess.run(
+        [sys.executable, "-O", "-c", _SHAPE_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={"PYTHONPATH": str(Path(exact_linalg.__file__).resolve().parents[1])},
+        check=True,
+    )
+    assert child.stdout == _SHAPE_ERRORS
 
 
 # --- one decomposition per lattice -------------------------------------------

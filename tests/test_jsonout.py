@@ -2,17 +2,23 @@
 
 Random nested payloads of every supported type must come out byte for byte
 as the stdlib writes them; every other type must raise ``TypeError``.
+Payloads that repeat rows, and rows that compare equal to int rows but are
+not (``(True, False)``, ``(1.0, 0)``), hold the per-call row memo to the
+same oracle.
 """
 
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricforms import _jsonout
+from toricforms.classify import classify_projective
+from toricforms.galois import FiniteFieldBackend
 
 # every code point, surrogates and control characters included
 _TEXT = st.text(st.characters(blacklist_categories=()), max_size=12)
@@ -58,6 +64,12 @@ def test_emitter_matches_json_dumps(obj):
         -(2**200),
         [2**64, -(2**64), 0],
         {"a": [[1, 0], [0, -1]], "b": [{"c": None}]},
+        # rows that hash equal to an int row met earlier or later
+        [(1, 0), (True, False)],
+        [(True, False), (1, 0)],
+        # one row at two depths, and as a list and a tuple
+        [(1, 2), [(1, 2)]],
+        [[1, 0], (1, 0)],
     ],
 )
 def test_emitter_matches_json_dumps_on_edge_cases(obj):
@@ -72,6 +84,7 @@ def test_emitter_matches_json_dumps_on_edge_cases(obj):
         b"bytes",
         object(),
         [1, 2, 0.5],
+        [(1, 0), (1.0, 0)],
         {"a": [None, {"b": frozenset()}]},
         {1: "int key"},
         {None: "None key"},
@@ -82,3 +95,58 @@ def test_emitter_rejects_unsupported_types(obj):
     with pytest.raises(TypeError):
         _jsonout.dumps(obj)
 
+
+def _has_float(obj) -> bool:
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return any(map(_has_float, obj))
+    return isinstance(obj, float)
+
+
+def _repeating(rows):
+    """Payloads that place each drawn child several times, at one depth and
+    at several, so the row memo gets hits."""
+
+    def extend(children):
+        repeated = st.lists(children, min_size=1, max_size=3).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), max_size=6)
+        )
+        return repeated | repeated.map(tuple) | st.dictionaries(st.sampled_from("ab"), children)
+
+    return st.recursive(rows, extend, max_leaves=30)
+
+
+# few distinct rows, so that equal ones of different types meet often
+_BOOL_ROWS = st.sampled_from([(1, 0), (True, False), (0,), (False,)])
+_FLOAT_ROWS = st.sampled_from([(1, 0), (1.0, 0), (0,)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_repeating(_BOOL_ROWS | _BOOL_ROWS.map(list)))
+def test_emitter_matches_json_dumps_on_repeated_bool_and_int_rows(obj):
+    assert _jsonout.dumps(obj) == json.dumps(obj, indent=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_repeating(_FLOAT_ROWS))
+def test_emitter_rejects_float_rows_equal_to_int_rows(obj):
+    if _has_float(obj):
+        with pytest.raises(TypeError):
+            _jsonout.dumps(obj)
+    else:
+        assert _jsonout.dumps(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_report_json_peaks_below_twice_its_length(n):
+    """The writer copies each byte once: no nested copy per container level
+    (a phi row sits six levels deep)."""
+    report = classify_projective(n, FiniteFieldBackend(2, 12))
+    tracemalloc.start()
+    try:
+        text = report.to_json()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(text), (peak, len(text))
