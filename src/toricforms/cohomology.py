@@ -34,7 +34,6 @@ from .exact_linalg import (
     IntMatrix,
     basis_mod,
     congruence_kernel_basis,
-    image_basis,
     kernel_basis,
     lattice_subquotient,
     smith_normal_form,
@@ -174,7 +173,7 @@ def _h1_real_quotient_presentation(fan: Fan, hom: HomClass) -> FGAbelianGroup:
     ident = IntMatrix.identity(m)
     # (x, u) with (I - P) x = R u: the lifts x are the numerator
     pairs = kernel_basis((ident - p).hstack(-r))
-    lifts = image_basis(IntMatrix(tuple(pairs.rows[:m]), pairs.ncols))
+    lifts = IntMatrix(pairs.rows[:m], pairs.ncols)
     return lattice_subquotient(lifts, kernel_basis(ident - p).hstack(r))
 
 

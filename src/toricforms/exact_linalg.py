@@ -2,7 +2,7 @@
 
 Everything here runs on arbitrary-precision Python ints.  The centerpiece is
 a deterministic Smith normal form with unimodular transform witnesses, and it
-is the only solver: on top of it sit kernels, images, saturations, cokernel
+is the only solver: on top of it sit kernels, saturations, cokernel
 presentations, subquotients of integer lattices and rational solves (answered
 as an integer solution over one common denominator), plus a canonical value
 type for finitely generated abelian groups.
@@ -227,8 +227,8 @@ class SmithDecomposition:
     """Smith normal form u @ m @ v == d with unimodular u, v.
 
     `d` is diagonal with nonnegative entries in a divisibility chain
-    d[0] | d[1] | ... ; `u_inv` and `v_inv` are the exact inverses, carried
-    along so callers can read off image and saturation bases without a solve.
+    d[0] | d[1] | ... ; `u_inv` and `v_inv` are the exact inverses, and in
+    the library only the certificate in `smith_normal_form` reads them.
     `smith_normal_form` keeps nothing: a caller asking twice about one
     matrix keeps the decomposition (a `Fan` keeps its cones' and rays').
     """
@@ -397,7 +397,7 @@ class FGAbelianGroup:
 
     free_rank copies of Z plus cyclic factors Z/f for the invariant factors,
     each >= 2 and dividing the next.  Two values are equal iff the groups are
-    isomorphic.
+    isomorphic.  Any other input raises ValueError, also under python -O.
 
     >>> FGAbelianGroup.from_factors([2, 3])
     FGAbelianGroup(free_rank=0, invariant_factors=(6,))
@@ -409,11 +409,13 @@ class FGAbelianGroup:
     invariant_factors: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        assert self.free_rank >= 0
-        for f in self.invariant_factors:
-            assert f >= 2, f"invariant factor {f} out of canonical range"
-        for x, y in zip(self.invariant_factors, self.invariant_factors[1:]):
-            assert y % x == 0, f"non-chain invariant factors {self.invariant_factors}"
+        if self.free_rank < 0:
+            raise ValueError(f"free_rank must be >= 0, got {self.free_rank}")
+        factors = self.invariant_factors
+        if any(f < 2 or f % x for x, f in zip((1,) + factors, factors)):
+            raise ValueError(
+                f"invariant_factors must be >= 2, each dividing the next, got {factors}"
+            )
 
     @classmethod
     def trivial(cls) -> "FGAbelianGroup":
@@ -425,7 +427,8 @@ class FGAbelianGroup:
 
     @classmethod
     def cyclic(cls, n: int) -> "FGAbelianGroup":
-        assert n >= 1
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
         return cls(0, ()) if n == 1 else cls(0, (n,))
 
     @classmethod
@@ -434,11 +437,12 @@ class FGAbelianGroup:
 
         Zeros count toward the free rank; the rest are merged into a proper
         divisibility chain (so [2, 3] becomes (6,), and [4, 2, 4] -> (2, 4, 4)).
+        Raises ValueError on a negative factor.
         """
+        if any(f < 0 for f in factors):
+            raise ValueError(f"factors must be >= 0, got {list(factors)}")
         free = free_rank + sum(1 for f in factors if f == 0)
         finite = [f for f in factors if f not in (0, 1)]
-        for f in finite:
-            assert f >= 2
         if not finite:
             return cls(free, ())
         dec = smith_normal_form(IntMatrix.diagonal(finite))
@@ -487,58 +491,52 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     return dec.v.submatrix_cols(js)
 
 
-def image_basis(m: IntMatrix) -> IntMatrix:
-    """Basis (as columns) of the lattice generated by the columns of m."""
-    dec = smith_normal_form(m)
-    cols = []
-    for j in range(dec.rank):
-        dj = dec.diagonal[j]
-        cols.append(tuple(dj * x for x in dec.u_inv.col(j)))
-    return IntMatrix.from_cols(cols, m.nrows)
-
-
 def saturation_basis(dec: SmithDecomposition) -> IntMatrix:
     """Basis of the saturation (Q-span intersected with Z^nrows) of the
-    column span of the matrix `dec` factors."""
-    return dec.u_inv.submatrix_cols(list(range(dec.rank)))
+    column span of the matrix `dec` factors: the first rank columns of the
+    unimodular u^-1, read off m @ v, whose column j is d_j u^-1[:, j]."""
+    r = dec.rank
+    image = dec.matrix @ dec.v.submatrix_cols(list(range(r)))
+    return IntMatrix._trusted(
+        tuple(tuple(map(operator.floordiv, row, dec.diagonal)) for row in image.rows), r
+    )
 
 
-def lattice_subquotient(sup_basis: IntMatrix, sub_gens: IntMatrix) -> FGAbelianGroup:
-    """Quotient of the lattice spanned by sup_basis by the span of sub_gens.
+def lattice_subquotient(sup_gens: IntMatrix, sub_gens: IntMatrix) -> FGAbelianGroup:
+    """Quotient of the lattice L spanned by the columns of sup_gens, which may
+    be dependent, by the span of sub_gens.
 
-    sup_basis must have independent columns; every column of sub_gens must be
-    an integer combination of them, else MembershipError.
+    Every column of sub_gens must be an integer combination of the columns of
+    sup_gens, else MembershipError.
     """
-    dec = smith_normal_form(sup_basis)
-    n = sup_basis.ncols
-    assert dec.rank == n, "sup_basis columns are dependent"
-    # u @ sup_basis @ v == d with d[i][i] != 0 exactly for i < n, so column j
-    # lies in the lattice iff row i of u @ sub_gens is divisible by d[i][i]
-    # for i < n and zero below; the quotients, mapped back by v, are its
-    # coordinates.
+    dec = smith_normal_form(sup_gens)
+    r = dec.rank
+    # u @ sup_gens @ v == d, so the columns d_i * u^-1[:, i] for i < r are a
+    # basis of L.  Column j of sub_gens lies in L iff row i of u @ sub_gens
+    # is divisible by d_i for i < r and zero from row r on; the quotients
+    # are its coordinates in that basis.
     c = dec.u @ sub_gens
-    bad = {j for row in c.rows[n:] for j, x in enumerate(row) if x}
+    bad = {j for row in c.rows[r:] for j, x in enumerate(row) if x}
     y = []
-    for di, row in zip(dec.diagonal, c.rows):
+    for di, row in zip(dec.diagonal[:r], c.rows):
         bad.update(j for j, x in enumerate(row) if x % di)
         y.append(tuple(x // di for x in row))
     if bad:
         raise MembershipError(
             f"column {min(bad)} of the subgroup generators is not in the ambient lattice"
         )
-    return cokernel_presentation(dec.v @ IntMatrix(tuple(y), sub_gens.ncols))
+    return cokernel_presentation(IntMatrix(tuple(y), sub_gens.ncols))
 
 
 def lattice_intersection(gens_a: IntMatrix, gens_b: IntMatrix) -> IntMatrix:
-    """Basis of the intersection of the two column-span lattices."""
-    assert gens_a.nrows == gens_b.nrows
-    ba = image_basis(gens_a)
-    bb = image_basis(gens_b)
-    if ba.ncols == 0 or bb.ncols == 0:
-        return IntMatrix.from_cols([], gens_a.nrows)
-    k = kernel_basis(ba.hstack(-bb))
-    coeffs_a = IntMatrix(tuple(k.rows[: ba.ncols]), k.ncols)
-    return image_basis(ba @ coeffs_a)
+    """Generators (as columns) of the intersection of the two column-span
+    lattices: a @ s for (s, t) over a basis of the integer kernel of [a | -b]."""
+    if gens_a.nrows != gens_b.nrows:
+        raise ValueError(
+            f"gens_b must have the {gens_a.nrows} rows of gens_a, got shape {gens_b.shape}"
+        )
+    k = kernel_basis(gens_a.hstack(-gens_b))
+    return gens_a @ IntMatrix(k.rows[: gens_a.ncols], k.ncols)
 
 
 def basis_mod(gens: IntMatrix, modulus: int) -> IntMatrix:
@@ -548,10 +546,11 @@ def basis_mod(gens: IntMatrix, modulus: int) -> IntMatrix:
     dividing `modulus` and off-diagonal entries in [0, modulus).  Because the
     lattice contains modulus * Z^nrows, each elimination step may subtract
     multiples of modulus * e_i, so all intermediate values stay below the
-    modulus, whatever the size of the generators; the generic elimination
-    behind `image_basis` offers no such bound.
+    modulus, whatever the size of the generators; the generic elimination of
+    the Smith normal form offers no such bound.
     """
-    assert modulus >= 1
+    if modulus < 1:
+        raise ValueError(f"modulus must be >= 1, got {modulus}")
     m = gens.nrows
     active = [[x % modulus for x in gens.col(j)] for j in range(gens.ncols)]
     basis_cols: list[list[int]] = []
@@ -603,7 +602,8 @@ def congruence_kernel_basis(dec: SmithDecomposition, modulus: int) -> IntMatrix:
     modulus * Z^ncols, so the basis is always square of full rank, and is
     returned in the bounded triangular form of `basis_mod`.
     """
-    assert modulus >= 1
+    if modulus < 1:
+        raise ValueError(f"modulus must be >= 1, got {modulus}")
     m = dec.matrix
     scales = [modulus // math.gcd(dj, modulus) for dj in dec.diagonal]
     scales += [1] * (m.ncols - len(scales))
@@ -634,7 +634,8 @@ def rational_solve(dec: SmithDecomposition, b: IntMatrix) -> tuple[IntMatrix, in
     system is inconsistent over Q.
     """
     a = dec.matrix
-    assert b.nrows == a.nrows
+    if b.nrows != a.nrows:
+        raise ValueError(f"b must have the {a.nrows} rows of the matrix, got shape {b.shape}")
     r = dec.rank
     den = dec.diagonal[r - 1] if r else 1
     c = dec.u @ b

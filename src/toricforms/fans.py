@@ -361,11 +361,10 @@ def _check_rays_and_cones(fan: Fan) -> None:
 
     if not fan.num_rays:
         raise RaysNotFullRank("no rays: they span the zero sublattice")
-    sat = saturation_basis(fan.ray_columns_snf)
-    if sat.ncols != fan.rank:
-        basis = [sat.col(j) for j in range(sat.ncols)]
+    if fan.ray_columns_snf.rank != fan.rank:
+        sat = saturation_basis(fan.ray_columns_snf)
         raise RaysNotFullRank(
-            f"rays span a rank-{sat.ncols} sublattice; saturated span basis: {basis}"
+            f"rays span a rank-{sat.ncols} sublattice; saturated span basis: {sat.cols()}"
         )
 
 

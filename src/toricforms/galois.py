@@ -30,7 +30,6 @@ from .exact_linalg import (
     FGAbelianGroup,
     IntMatrix,
     cokernel_presentation,
-    image_basis,
     lattice_intersection,
     lattice_subquotient,
 )
@@ -472,6 +471,6 @@ def norm_quotient(backend: FieldBackend, stabilizer_orders: Sequence[int]) -> FG
         for h in stabilizer_orders:
             pre = backend.image_subgroup(h).hstack(moduli)
             current = lattice_intersection(current, pre)
-        return lattice_subquotient(image_basis(current), moduli)
+        return lattice_subquotient(current, moduli)
 
     raise BackendUnsupported(f"unknown backend {backend!r}")

@@ -45,7 +45,6 @@ from toricforms.exact_linalg import (
     IntMatrix,
     basis_mod,
     congruence_kernel_basis,
-    image_basis,
     kernel_basis,
     lattice_subquotient,
     rational_solve,
@@ -185,8 +184,9 @@ class TorusSubgroup:
                 scale = math.lcm(scale, x.denominator)
         ours = self._projected_lattice(w, scale)
         theirs = other._projected_lattice(w, scale)
-        num = image_basis(IntMatrix.from_cols(ours, w.nrows))
-        return lattice_subquotient(num, IntMatrix.from_cols(theirs, w.nrows))
+        return lattice_subquotient(
+            IntMatrix.from_cols(ours, w.nrows), IntMatrix.from_cols(theirs, w.nrows)
+        )
 
 
 def _torus_subgroup_real_route(fan: Fan, hom) -> FGAbelianGroup:

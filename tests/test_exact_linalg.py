@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricforms import exact_linalg
-from toricforms.classify import BUILTIN_NAMES, builtin_fan, classify_fan
+from toricforms.classify import BUILTIN_NAMES, builtin_fan, classify_fan, classify_projective
 from toricforms.cohomology import h1_cyclic_norm_formula
 from toricforms.fan_aut import automorphism_group
 from toricforms.fans import Fan, validate_fan
@@ -23,7 +23,6 @@ from toricforms.exact_linalg import (
     cokernel_presentation,
     congruence_kernel_basis,
     det,
-    image_basis,
     kernel_basis,
     lattice_intersection,
     lattice_subquotient,
@@ -31,7 +30,12 @@ from toricforms.exact_linalg import (
     saturation_basis,
     smith_normal_form,
 )
-from toricforms.galois import FiniteFieldBackend, RealComplexBackend, enumerate_hom_classes
+from toricforms.galois import (
+    FiniteFieldBackend,
+    RealComplexBackend,
+    SymbolicBrauerBackend,
+    enumerate_hom_classes,
+)
 
 M = IntMatrix.from_rows
 
@@ -122,6 +126,7 @@ def _check_snf_contract(m: IntMatrix) -> None:
     assert abs(det(dec.v)) == 1
     assert dec.u @ dec.u_inv == IntMatrix.identity(m.nrows)
     assert dec.v @ dec.v_inv == IntMatrix.identity(m.ncols)
+    assert saturation_basis(dec) == dec.u_inv.submatrix_cols(list(range(dec.rank)))
     diag = dec.diagonal
     assert all(x >= 0 for x in diag)
     for x, y in zip(diag, diag[1:]):
@@ -194,11 +199,8 @@ def test_kernel_is_saturated():
 
 def test_image_and_saturation():
     m = M([[2, 0], [0, 4], [0, 0]])
-    im = image_basis(m)
-    assert im.ncols == 2
-    assert lattice_subquotient(im, m) == FGAbelianGroup.trivial()
     sat = saturation_basis(smith_normal_form(m))
-    assert lattice_subquotient(sat, im) == FGAbelianGroup.from_factors([2, 4])
+    assert lattice_subquotient(sat, m) == FGAbelianGroup.from_factors([2, 4])
 
 
 def test_lattice_subquotient_frozen():
@@ -275,7 +277,7 @@ def test_basis_mod_matches_unbounded_route(nrows, ncols, modulus, data):
             elif j < i:
                 assert 0 <= b.rows[i][j] < modulus
     slack = gens.hstack(IntMatrix.diagonal([modulus] * nrows))
-    assert _lattices_equal(b, image_basis(slack))
+    assert _lattices_equal(b, slack)
 
 
 def _congruence_kernel_by_stacking(m: IntMatrix, modulus: int) -> IntMatrix:
@@ -479,6 +481,25 @@ def test_library_imports_no_rational_arithmetic():
     assert not bad, f"imports of fractions at {bad}"
 
 
+def test_library_reads_smith_inverses_only_in_the_certificate():
+    """No library code outside `smith_normal_form` reads `u_inv` or `v_inv`:
+    bases come from m @ v, subquotients from u alone, so the inverses serve
+    only the certificate `u @ u_inv == I`, `v @ v_inv == I`."""
+    sources = sorted(Path(exact_linalg.__file__).parent.glob("*.py"))
+    assert len(sources) >= 8
+    bad = []
+    for path in sources:
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if path.name == "exact_linalg.py" and getattr(top, "name", "") == "smith_normal_form":
+                continue
+            bad += [
+                (path.name, node.lineno)
+                for node in ast.walk(top)
+                if isinstance(node, ast.Attribute) and node.attr in ("u_inv", "v_inv")
+            ]
+    assert not bad, f"u_inv or v_inv read at {bad}"
+
+
 def test_library_keeps_no_call_scoped_state():
     """Decompositions are owned by the objects they describe, not by a
     context-local memo: no module of the library imports `contextvars`."""
@@ -551,7 +572,10 @@ def test_matmul_degenerate_shapes():
 
 
 _SHAPE_SCRIPT = """
-from toricforms.exact_linalg import IntMatrix, det
+from toricforms.exact_linalg import (
+    FGAbelianGroup, IntMatrix, basis_mod, congruence_kernel_basis, det,
+    lattice_intersection, lattice_subquotient, rational_solve, smith_normal_form,
+)
 
 a, b = IntMatrix.from_rows([[1, 2]]), IntMatrix.from_rows([[1, 2], [3, 4]])
 for call in (
@@ -564,6 +588,17 @@ for call in (
     lambda: a.power(2),
     lambda: b.power(-1),
     lambda: det(a),
+    lambda: basis_mod(b, 0),
+    lambda: congruence_kernel_basis(smith_normal_form(b), 0),
+    lambda: rational_solve(smith_normal_form(b), a),
+    lambda: lattice_intersection(b, a),
+    lambda: FGAbelianGroup(0, (3, 2)),
+    lambda: FGAbelianGroup(-1, (1,)),
+    lambda: FGAbelianGroup.cyclic(-2),
+    lambda: FGAbelianGroup.from_factors([-3, 2]),
+    lambda: lattice_subquotient(
+        IntMatrix.from_cols([(2, 0), (3, 0), (0, 4)]), IntMatrix.from_cols([(2, 0), (0, 8)])
+    ),
 ):
     try:
         print("returned", call())
@@ -581,14 +616,26 @@ ValueError shape mismatch: (2, 2) over (1, 1)
 ValueError power of a non-square (1, 2) matrix
 ValueError k must be >= 0, got -1
 ValueError det of a non-square (1, 2) matrix
+ValueError modulus must be >= 1, got 0
+ValueError modulus must be >= 1, got 0
+ValueError b must have the 2 rows of the matrix, got shape (1, 2)
+ValueError gens_b must have the 2 rows of gens_a, got shape (1, 2)
+ValueError invariant_factors must be >= 2, each dividing the next, got (3, 2)
+ValueError free_rank must be >= 0, got -1
+ValueError n must be >= 1, got -2
+ValueError factors must be >= 0, got [-3, 2]
+returned Z/2 + Z/2
 """
 
 
 def test_shape_preconditions_survive_optimized_mode():
-    """`IntMatrix` is exported: a product, sum, stack, power or determinant of
-    ill-shaped matrices raises ValueError naming both shapes (or k), also
-    under python -O, where an assert would let `[1 2] @ [1 2]` return `[1 2]`
-    and a short hstack truncate silently."""
+    """`IntMatrix` and `FGAbelianGroup` are exported: a product, sum, stack,
+    power or determinant of ill-shaped matrices raises ValueError naming both
+    shapes (or k); lattice operations and group constructors raise ValueError
+    naming the bad argument.  All of it holds under python -O, where an
+    assert would let `[1 2] @ [1 2]` return `[1 2]`, a short hstack truncate
+    silently and `FGAbelianGroup(0, (3, 2))` pass as a group unequal to Z/6.
+    Subquotients take dependent ambient generators there too."""
     child = subprocess.run(
         [sys.executable, "-O", "-c", _SHAPE_SCRIPT],
         capture_output=True,
@@ -634,14 +681,16 @@ def _subquotient_by_column_solves(sup_basis: IntMatrix, sub_gens: IntMatrix):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 4), st.data())
 def test_lattice_subquotient_matches_column_solves(nrows, ngens, data):
-    ncols = data.draw(st.integers(0, nrows))
-    while True:
-        sup = IntMatrix.from_rows(
-            [[data.draw(st.integers(-6, 6)) for _ in range(ncols)] for _ in range(nrows)],
-            ncols=ncols,
-        )
-        if smith_normal_form(sup).rank == ncols:
-            break
+    # ambient generators, dependent whenever there are more than the rank
+    ncols = data.draw(st.integers(0, nrows + 2))
+    sup = IntMatrix.from_rows(
+        [[data.draw(st.integers(-6, 6)) for _ in range(ncols)] for _ in range(nrows)],
+        ncols=ncols,
+    )
+    # the reference needs a basis: the first rank columns of sup @ v are
+    # d_j times columns of the unimodular u^-1
+    dec = smith_normal_form(sup)
+    basis = (sup @ dec.v).submatrix_cols(list(range(dec.rank)))
     # members of the lattice, plus sometimes an arbitrary column
     coeffs = IntMatrix.from_rows(
         [[data.draw(st.integers(-4, 4)) for _ in range(ngens)] for _ in range(ncols)],
@@ -654,7 +703,7 @@ def test_lattice_subquotient_matches_column_solves(nrows, ngens, data):
         cols = sub.cols()
         cols[j] = tuple(col)
         sub = IntMatrix.from_cols(cols, nrows)
-    want = _subquotient_by_column_solves(sup, sub)
+    want = _subquotient_by_column_solves(basis, sub)
     if want is None:
         with pytest.raises(MembershipError):
             lattice_subquotient(sup, sub)
@@ -663,15 +712,17 @@ def test_lattice_subquotient_matches_column_solves(nrows, ngens, data):
 
 
 def test_lattice_subquotient_names_first_non_member_column():
-    sup = IntMatrix.from_cols([(2, 0, 0), (0, 3, 0)])
+    basis = IntMatrix.from_cols([(2, 0, 0), (0, 3, 0)])
+    dependent = basis.hstack(IntMatrix.from_cols([(4, -3, 0), (0, 0, 0)]))
     members = [(4, 3, 0), (2, 0, 0)]
     off_span = (0, 0, 1)  # outside even the rational span
     off_lattice = (1, 0, 0)  # in the rational span, not in the lattice
-    assert lattice_subquotient(sup, IntMatrix.from_cols(members)) == FGAbelianGroup.trivial()
-    for bad in (off_span, off_lattice):
-        sub = IntMatrix.from_cols([members[0], bad, members[1], bad])
-        with pytest.raises(MembershipError, match="column 1 "):
-            lattice_subquotient(sup, sub)
+    for sup in (basis, dependent):
+        assert lattice_subquotient(sup, IntMatrix.from_cols(members)) == FGAbelianGroup.trivial()
+        for bad in (off_span, off_lattice):
+            sub = IntMatrix.from_cols([members[0], bad, members[1], bad])
+            with pytest.raises(MembershipError, match="column 1 "):
+                lattice_subquotient(sup, sub)
 
 
 # --- no SNF memo: the fan owns its decompositions ---------------------------
@@ -745,6 +796,34 @@ def test_classify_fan_factors_only_cocharacter_sized_matrices(count_decompositio
         classify_fan(fan, backend.group, backend)
         cells = [m.nrows * m.ncols for m in count_decompositions]
         assert max(cells, default=0) <= 2 * fan.rank**2, name
+
+
+def test_symbolic_projective_classification_factor_count(count_decompositions):
+    """Symbolic norm quotients intersect and divide lattices as generators,
+    never re-based first: projective:10 over the Z/4 norm data of the CLI
+    tests factors at most 111 matrices (381 when every lattice got one Smith
+    form more to become a basis)."""
+    backend = SymbolicBrauerBackend(4, (4,), ((2, IntMatrix.from_cols([(2,)])),))
+    assert classify_projective(10, backend).total is not None
+    assert len(count_decompositions) <= 111
+
+
+def test_real_norm_route_factor_count(count_decompositions):
+    """The ray-coordinate norm route over C/R takes its subquotient straight
+    from the lifts' generators: at most 141 Smith forms for every class of
+    the 13 surfaces (173 when the lifts were first re-based)."""
+    backend = RealComplexBackend()
+    total = 0
+    for name in BUILTIN_NAMES:
+        if not name.startswith("surface:"):
+            continue
+        fan = _fresh_builtin(name)
+        classes = enumerate_hom_classes(backend.group, automorphism_group(fan))
+        count_decompositions.clear()
+        for cls in classes:
+            h1_cyclic_norm_formula(fan, cls, backend)
+        total += len(count_decompositions)
+    assert total <= 141
 
 
 def _norm_route_values(fan: Fan, backend: FiniteFieldBackend) -> list[FGAbelianGroup]:

@@ -17,7 +17,6 @@ from toricforms.classify import BUILTIN_NAMES, builtin_fan
 from toricforms.exact_linalg import (
     FGAbelianGroup,
     IntMatrix,
-    image_basis,
     lattice_intersection,
     lattice_subquotient,
 )
@@ -486,7 +485,7 @@ def _norm_quotient_by_subgroups(backend, stabilizers) -> FGAbelianGroup:
     current = IntMatrix.identity(t)
     for sub in stabilizers:
         current = lattice_intersection(current, image_subgroup(sub).hstack(moduli))
-    return lattice_subquotient(image_basis(current), moduli)
+    return lattice_subquotient(current, moduli)
 
 
 def _multiples_backend(d: int, listed: Sequence[int]) -> SymbolicBrauerBackend:
