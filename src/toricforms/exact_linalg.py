@@ -222,13 +222,43 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _unimodular_inverse(m: IntMatrix) -> IntMatrix:
+    """Exact inverse of a square integer matrix with det ±1.
+
+    Fraction-free (Bareiss) Gauss-Jordan elimination of [m | I]: every
+    division is exact, and it ends at [d I | R] with d = ±det m and
+    R = d m^-1, so the inverse is d * R when d = ±1.
+    """
+    n = m.nrows
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m.rows)]
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                raise ValueError(f"matrix is singular, not unimodular: {m}")
+            a[k], a[swap] = a[swap], a[k]
+        rk = a[k]
+        p = rk[k]
+        for i in range(n):
+            if i != k:
+                ri = a[i]
+                f = ri[k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(ri, rk)]
+        prev = p
+    if n and prev not in (1, -1):
+        raise ValueError(f"det is {prev}, not ±1: {m}")
+    return IntMatrix._trusted(tuple(tuple(prev * x for x in r[n:]) for r in a), n)
+
+
 @dataclass(frozen=True)
 class SmithDecomposition:
     """Smith normal form u @ m @ v == d with unimodular u, v.
 
     `d` is diagonal with nonnegative entries in a divisibility chain
-    d[0] | d[1] | ... ; `u_inv` and `v_inv` are the exact inverses, and in
-    the library only the certificate in `smith_normal_form` reads them.
+    d[0] | d[1] | ... ; `smith_normal_form` certifies u @ m @ v == d and
+    |det u| == |det v| == 1.  The exact inverses `u_inv` and `v_inv` are
+    computed on first read; no library code reads them.
     `smith_normal_form` keeps nothing: a caller asking twice about one
     matrix keeps the decomposition (a `Fan` keeps its cones' and rays').
     """
@@ -237,8 +267,14 @@ class SmithDecomposition:
     u: IntMatrix
     d: IntMatrix
     v: IntMatrix
-    u_inv: IntMatrix
-    v_inv: IntMatrix
+
+    @cached_property
+    def u_inv(self) -> IntMatrix:
+        return _unimodular_inverse(self.u)
+
+    @cached_property
+    def v_inv(self) -> IntMatrix:
+        return _unimodular_inverse(self.v)
 
     @cached_property
     def diagonal(self) -> tuple[int, ...]:
@@ -271,22 +307,25 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
 
     Returns:
         SmithDecomposition with u @ m @ v == d, |det u| == |det v| == 1,
-        d diagonal, nonnegative, each entry dividing the next.
+        d diagonal, nonnegative, each entry dividing the next.  These are
+        what the certificate asserts; the elimination tracks only u and v,
+        and their inverses are computed on first read.
+
+    Raises:
+        TypeError: `m` is not an IntMatrix.
     """
+    if not isinstance(m, IntMatrix):
+        raise TypeError(f"m must be an IntMatrix, got {type(m).__name__}")
     nr, nc = m.shape
     a = [list(r) for r in m.rows]
     u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    uinv = [[int(i == j) for j in range(nr)] for i in range(nr)]
     v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-    vinv = [[int(i == j) for j in range(nc)] for i in range(nc)]
 
     def swap_rows(i: int, k: int) -> None:
         if i == k:
             return
         a[i], a[k] = a[k], a[i]
         u[i], u[k] = u[k], u[i]
-        for r in uinv:  # inverse picks up the inverse op on columns
-            r[i], r[k] = r[k], r[i]
 
     def swap_cols(j: int, k: int) -> None:
         if j == k:
@@ -295,7 +334,6 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
             r[j], r[k] = r[k], r[j]
         for r in v:
             r[j], r[k] = r[k], r[j]
-        vinv[j], vinv[k] = vinv[k], vinv[j]
 
     def row_sub(i: int, k: int, q: int) -> None:
         # row_i -= q * row_k
@@ -303,8 +341,6 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
             return
         a[i] = [x - q * y for x, y in zip(a[i], a[k])]
         u[i] = [x - q * y for x, y in zip(u[i], u[k])]
-        for r in uinv:
-            r[k] += q * r[i]
 
     def col_sub(j: int, k: int, q: int) -> None:
         # col_j -= q * col_k
@@ -314,13 +350,10 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
             r[j] -= q * r[k]
         for r in v:
             r[j] -= q * r[k]
-        vinv[k] = [x + q * y for x, y in zip(vinv[k], vinv[j])]
 
     def negate_row(i: int) -> None:
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
-        for r in uinv:
-            r[i] = -r[i]
 
     t = 0
     bound = min(nr, nc)
@@ -374,12 +407,9 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
         u=IntMatrix.from_rows(u, nr),
         d=IntMatrix.from_rows(a, nc),
         v=IntMatrix.from_rows(v, nc),
-        u_inv=IntMatrix.from_rows(uinv, nr),
-        v_inv=IntMatrix.from_rows(vinv, nc),
     )
     assert dec.u @ m @ dec.v == dec.d
-    assert dec.u @ dec.u_inv == IntMatrix.identity(nr)
-    assert dec.v @ dec.v_inv == IntMatrix.identity(nc)
+    assert abs(det(dec.u)) == 1 and abs(det(dec.v)) == 1
     diag = dec.diagonal
     assert all(x >= 0 for x in diag)
     for x, y in zip(diag, diag[1:]):
