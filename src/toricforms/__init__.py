@@ -33,7 +33,7 @@ from .cohomology import (
 )
 from .exact_linalg import FGAbelianGroup, IntMatrix, smith_normal_form
 from .fan_aut import automorphism_group, identify_gl2_class, involution_type
-from .fans import Fan, class_group, cox_data, validate_fan
+from .fans import Fan, class_group, cox_data, is_complete, validate_fan
 from .galois import (
     FiniteFieldBackend,
     GroupSpec,
@@ -76,6 +76,7 @@ __all__ = [
     "hom_class_h1",
     "identify_gl2_class",
     "involution_type",
+    "is_complete",
     "norm_quotient",
     "partition_cocharacter_matrix",
     "partitions_dividing",

@@ -38,7 +38,7 @@ from .fans import (
     Fan,
     RankUnsupported,
     fan_from_boundary_word,
-    is_complete_surface,
+    is_complete,
     is_smooth,
     surface_blowup,
 )
@@ -573,7 +573,7 @@ def _build_surface_fan(label: str) -> Fan:
 def _surface_fan(label: str) -> Fan:
     fan = _build_surface_fan(label)
     aut = automorphism_group(fan)  # validates the fan
-    assert is_smooth(fan) and is_complete_surface(fan)
+    assert is_smooth(fan) and is_complete(fan)
     found = identify_gl2_class(aut)
     assert found == label, f"surface fan for {label} identified as {found}"
     return fan

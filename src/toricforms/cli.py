@@ -50,7 +50,7 @@ from .fans import (
     a_sequence,
     class_group,
     cox_data,
-    is_complete_surface,
+    is_complete,
     is_smooth,
     validate_fan,
 )
@@ -178,22 +178,10 @@ def _cmd_fan_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _completeness(fan: Fan) -> tuple[str, bool | None]:
-    if fan.rank == 2:
-        flag = is_complete_surface(fan)
-        return str(flag).lower(), flag
-    if fan.rank == 1:
-        # the rays are +-1 and each spans a cone, so the half-lines cover R
-        flag = set(fan.rays) == {(1,), (-1,)} and {(0,), (1,)} <= set(fan.max_cones)
-        return str(flag).lower(), flag
-    return "not checked (rank > 2)", None
-
-
 def _cmd_fan_info(args: argparse.Namespace) -> int:
     fan, name = _load_fan(args)
-    validate_fan(fan)
+    complete = is_complete(fan)  # validates the fan
     smooth = is_smooth(fan)
-    complete_text, complete = _completeness(fan)
     payload = {
         "name": name,
         "rank": fan.rank,
@@ -210,7 +198,7 @@ def _cmd_fan_info(args: argparse.Namespace) -> int:
             fan.num_rays, " ".join(str(tuple(r)) for r in fan.rays)
         ),
         f"smooth: {str(smooth).lower()}",
-        f"complete: {complete_text}",
+        f"complete: {str(complete).lower()}",
         f"class group: {class_group(fan)}",
     ]
     if fan.rank == 2 and smooth and complete:
@@ -237,8 +225,7 @@ def _cmd_fan_aut(args: argparse.Namespace) -> int:
 
 def _cmd_fan_cox(args: argparse.Namespace) -> int:
     fan, name = _load_fan(args)
-    validate_fan(fan)
-    data = cox_data(fan)
+    data = cox_data(fan)  # validates the fan
     degrees = data.degrees
     payload = {
         "name": name,

@@ -36,6 +36,17 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def _int_tuples(vectors: Iterable[Sequence[int]], name: str) -> tuple[tuple[int, ...], ...]:
+    """The vectors as tuples; TypeError naming `name` for an entry that is
+    not exactly an int (a float, bool or str is refused, never converted)."""
+    vectors = tuple(map(tuple, vectors))
+    for v in vectors:
+        for x in v:
+            if type(x) is not int:
+                raise TypeError(f"{name} must have int entries, got {type(x).__name__} {x!r}")
+    return vectors
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable integer matrix with exact equality.
@@ -83,11 +94,11 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], ncols: int = -1) -> "IntMatrix":
-        return cls(tuple(tuple(int(x) for x in r) for r in rows), ncols)
+        return cls(_int_tuples(rows, "rows"), ncols)
 
     @classmethod
     def from_cols(cls, cols: Iterable[Sequence[int]], nrows: int = -1) -> "IntMatrix":
-        cols = [tuple(int(x) for x in c) for c in cols]
+        cols = _int_tuples(cols, "cols")
         if not cols:
             return cls(tuple(() for _ in range(max(nrows, 0))), 0)
         height = len(cols[0])
@@ -404,9 +415,9 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
 
     dec = SmithDecomposition(
         matrix=m,
-        u=IntMatrix.from_rows(u, nr),
-        d=IntMatrix.from_rows(a, nc),
-        v=IntMatrix.from_rows(v, nc),
+        u=IntMatrix._trusted(tuple(map(tuple, u)), nr),
+        d=IntMatrix._trusted(tuple(map(tuple, a)), nc),
+        v=IntMatrix._trusted(tuple(map(tuple, v)), nc),
     )
     assert dec.u @ m @ dec.v == dec.d
     assert abs(det(dec.u)) == 1 and abs(det(dec.v)) == 1

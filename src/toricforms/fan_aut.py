@@ -48,7 +48,7 @@ from .exact_linalg import (
     rational_solve,
     smith_normal_form,
 )
-from .fans import Fan, boundary_word, is_complete_surface, is_smooth, validate_fan
+from .fans import Fan, boundary_word, is_complete, is_smooth, validate_fan
 
 
 class UnidentifiedClass(ValueError):
@@ -160,14 +160,13 @@ class FanAutGroup:
 
 def _ray_invariants(fan: Fan) -> dict[int, tuple]:
     """Conjugation-invariant fingerprint per ray, used only to prune."""
-    if fan.rank == 2 and is_smooth(fan) and is_complete_surface(fan):
+    if fan.rank == 2 and is_complete(fan) and is_smooth(fan):
         bw = boundary_word(fan)
         return {i: ("a", bw.value_at_ray(i)) for i in range(fan.num_rays)}
-    keys = {}
-    for i in range(fan.num_rays):
-        sizes = tuple(sorted(len(c) for c in fan.cones_containing(i)))
-        keys[i] = ("cones", sizes)
-    return keys
+    return {
+        i: ("cones", tuple(sorted(len(c) for c in fan.max_cones if i in c)))
+        for i in range(fan.num_rays)
+    }
 
 
 def _frame(fan: Fan) -> tuple[list[int], SmithDecomposition]:

@@ -5,18 +5,22 @@ primitive ray generators, and the maximal cones as sets of ray indices.
 Validation covers primitivity, simpliciality, full-rank ray span, and the
 face-intersection axiom: complete fans are proved by wall crossing in every
 rank, other fans are checked pair of cones by pair (exactly in rank up to
-three, spot-checked above).  On top of the raw structure: divisor class
-groups, Cox presentations, completeness and smoothness tests, and for smooth
-complete surfaces the cyclic boundary word (the integers a_i with
-r_{i-1} + r_{i+1} = a_i * r_i around the boundary).
+three, spot-checked above).  A `Fan` validates itself once, on first need,
+and keeps the verdict: complete or not (the certificate's answer, in every
+rank), or the FanError it fails with.  Every invariant reads that verdict,
+so none answers on a non-fan: divisor class groups, Cox presentations,
+completeness and smoothness tests, and for smooth complete surfaces the
+cyclic boundary word (the integers a_i with r_{i-1} + r_{i+1} = a_i * r_i
+around the boundary), read by walking cone adjacency counterclockwise.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -25,6 +29,7 @@ from .exact_linalg import (
     FGAbelianGroup,
     IntMatrix,
     SmithDecomposition,
+    _int_tuples,
     det,
     rational_solve,
     saturation_basis,
@@ -84,8 +89,8 @@ def primitive_vector(v: Sequence[int]) -> tuple[int, ...]:
 class Fan:
     """Simplicial fan: rank, ordered primitive rays, maximal cones by index.
 
-    The fan owns the Smith decompositions of its cones and of its ray matrix
-    in both orientations; each is built on first use and kept with the fan.
+    The fan owns its validation verdict and the Smith decompositions of its
+    cones and ray matrix; each is computed on first use and kept with it.
     """
 
     rank: int
@@ -99,9 +104,12 @@ class Fan:
         rays: Iterable[Sequence[int]],
         max_cones: Iterable[Iterable[int]],
     ) -> "Fan":
-        """Build a fan, normalizing cone order (indices sorted, cones sorted)."""
-        rays_t = tuple(tuple(int(x) for x in r) for r in rays)
-        cones_t = tuple(sorted(tuple(sorted(int(i) for i in c)) for c in max_cones))
+        """Build a fan, normalizing cone order (indices sorted, cones sorted).
+        A rank, ray entry or cone index that is not an int raises TypeError."""
+        if type(rank) is not int:
+            raise TypeError(f"rank must be an int, got {type(rank).__name__} {rank!r}")
+        rays_t = _int_tuples(rays, "rays")
+        cones_t = tuple(sorted(tuple(sorted(c)) for c in _int_tuples(max_cones, "max_cones")))
         return cls(rank, rays_t, cones_t)
 
     @property
@@ -125,10 +133,10 @@ class Fan:
 
     @cached_property
     def ray_columns_snf(self) -> SmithDecomposition:
-        """Smith decomposition of `ray_columns`, factored in its own right:
-        the transpose of `ray_rows_snf` is another valid decomposition, with
-        other transforms, and the degree rows are read off those."""
-        return smith_normal_form(self.ray_columns)
+        """Smith decomposition of `ray_columns`: the transpose of
+        `ray_rows_snf`, since u R v = d gives v^T R^T u^T = d^T."""
+        dec = self.ray_rows_snf
+        return SmithDecomposition(self.ray_columns, dec.v.transpose, dec.d.transpose, dec.u.transpose)
 
     @cached_property
     def _cone_snfs(self) -> dict[tuple[int, ...], SmithDecomposition]:
@@ -146,8 +154,22 @@ class Fan:
             dec = self._cone_snfs[cone] = smith_normal_form(gens)
         return dec
 
-    def cones_containing(self, ray_index: int) -> tuple[tuple[int, ...], ...]:
-        return tuple(c for c in self.max_cones if ray_index in c)
+    @cached_property
+    def _verdict(self) -> bool | FanError:
+        """Validation, run on first read and kept: whether the fan is
+        complete, or the FanError it fails with.  `validate_fan` reads it."""
+        try:
+            _check_rays_and_cones(self)
+            if _wall_crossing_certificate(self):  # a fan; complete if every ray is used
+                return len(set().union(*self.max_cones)) == self.num_rays
+            if self.rank > 3:
+                warnings.warn(f"rank {self.rank} fan: face intersections only spot-checked"
+                              " on the cones' rays (the fan is not complete)")
+            for ca, cb in itertools.combinations(self.max_cones, 2):
+                _check_face_intersection(self, ca, cb)
+        except FanError as exc:
+            return exc.with_traceback(None)
+        return False
 
     # -- JSON ---------------------------------------------------------------
 
@@ -368,8 +390,18 @@ def _check_rays_and_cones(fan: Fan) -> None:
         )
 
 
+def is_complete(fan: Fan) -> bool:
+    """Whether the cones cover the space, by the wall-crossing certificate
+    in any rank (see `validate_fan`), and every listed ray lies in a cone.
+    Validates the fan first."""
+    validate_fan(fan)
+    return fan._verdict
+
+
 def validate_fan(fan: Fan) -> None:
     """Full structural validation; raises a FanError subclass on failure.
+    The checks run once per Fan object, which keeps the verdict: a fan that
+    fails raises its FanError on every call.
 
     When every maximal cone has rank rays, a wall-crossing certificate
     proves the cones form a complete fan, in any rank, with three checks:
@@ -386,20 +418,11 @@ def validate_fan(fan: Fan) -> None:
 
     A fan failing (a) is not complete.  Its face intersections are checked
     pair by pair: exactly in rank <= 3; in higher rank only on the cones'
-    rays, and a warning says so.
+    rays, and a warning says so, once per Fan object.
     """
-    _check_rays_and_cones(fan)
-    if _wall_crossing_certificate(fan):
-        return
-    if fan.rank > 3:
-        warnings.warn(
-            f"rank {fan.rank} fan: face intersections only spot-checked on the cones' rays"
-            " (the fan is not complete)",
-            stacklevel=2,
-        )
-    for ai in range(len(fan.max_cones)):
-        for bi in range(ai + 1, len(fan.max_cones)):
-            _check_face_intersection(fan, fan.max_cones[ai], fan.max_cones[bi])
+    verdict = fan._verdict
+    if isinstance(verdict, FanError):
+        raise verdict.with_traceback(None)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +431,7 @@ def validate_fan(fan: Fan) -> None:
 
 def class_group(fan: Fan) -> FGAbelianGroup:
     """Divisor class group: Z^rays modulo characters u -> (<u, ray>)_rays."""
+    validate_fan(fan)
     return fan.ray_rows_snf.cokernel
 
 
@@ -426,12 +450,13 @@ class DegreeData:
 
 
 def degree_data(fan: Fan) -> DegreeData:
+    validate_fan(fan)
     dec = fan.ray_rows_snf
-    tor_idx = [i for i, x in enumerate(dec.diagonal) if x not in (0, 1)]
-    free_idx = [i for i in range(fan.num_rays) if i >= len(dec.diagonal) or dec.diagonal[i] == 0]
-    tor = IntMatrix.from_rows([dec.u.row(i) for i in tor_idx], fan.num_rays)
-    free = IntMatrix.from_rows([dec.u.row(i) for i in free_idx], fan.num_rays)
-    moduli = tuple(dec.diagonal[i] for i in tor_idx)
+    # the rays of a valid fan span the lattice up to finite index, so the
+    # first rank invariant factors are nonzero, the units among them first
+    moduli = dec.nonunit_factors
+    tor = IntMatrix(dec.u.rows[fan.rank - len(moduli) : fan.rank], fan.num_rays)
+    free = IntMatrix(dec.u.rows[fan.rank :], fan.num_rays)
     # the projection must kill every character row
     prod_free = free @ fan.ray_rows
     assert prod_free.is_zero()
@@ -455,65 +480,26 @@ class CoxData:
 def cox_data(fan: Fan) -> CoxData:
     """Degrees and irrelevant-ideal generators.  The maximal cones suffice:
     a face's monomial is a multiple of the monomial of a cone containing it."""
+    degrees = degree_data(fan)
     comps = tuple(
         tuple(i for i in range(fan.num_rays) if i not in cone) for cone in fan.max_cones
     )
-    return CoxData(fan, degree_data(fan), comps)
+    return CoxData(fan, degrees, comps)
 
 
 def is_smooth(fan: Fan) -> bool:
-    """Every maximal cone is generated by part of a lattice basis."""
-    for cone in fan.max_cones:
-        if not cone:
-            continue
-        dec = fan.cone_snf(cone)
-        if dec.rank != len(cone) or any(x != 1 for x in dec.diagonal[: len(cone)]):
-            return False
-    return True
+    """Every maximal cone is generated by part of a lattice basis.  The
+    cones of a valid fan are simplicial, so that is a unit Smith diagonal."""
+    validate_fan(fan)
+    return all(all(x == 1 for x in fan.cone_snf(c).diagonal) for c in fan.max_cones)
 
 
 # ---------------------------------------------------------------------------
-# rank-2 angular structure
-
-
-def _half(v: tuple[int, ...]) -> int:
-    x, y = v
-    return 0 if (y > 0 or (y == 0 and x > 0)) else 1
+# surfaces
 
 
 def _cross(u: tuple[int, ...], v: tuple[int, ...]) -> int:
     return u[0] * v[1] - u[1] * v[0]
-
-
-def _angle_cmp(u: tuple[int, ...], v: tuple[int, ...]) -> int:
-    """Exact counterclockwise comparison from the positive x-axis."""
-    hu, hv = _half(u), _half(v)
-    if hu != hv:
-        return -1 if hu < hv else 1
-    c = _cross(u, v)
-    assert c != 0 or u == v, f"parallel distinct rays {u}, {v} in one half-plane"
-    return 0 if c == 0 else (-1 if c > 0 else 1)
-
-
-def ccw_ray_order(fan: Fan) -> tuple[int, ...]:
-    """Ray indices sorted counterclockwise starting from the positive x-axis."""
-    if fan.rank != 2:
-        raise RankUnsupported(f"angular order needs rank 2, got rank {fan.rank}")
-    return tuple(
-        sorted(range(fan.num_rays), key=cmp_to_key(lambda i, j: _angle_cmp(fan.rays[i], fan.rays[j])))
-    )
-
-
-def is_complete_surface(fan: Fan) -> bool:
-    """Rank-2 completeness: consecutive rays span exactly the maximal cones."""
-    if fan.rank != 2:
-        raise RankUnsupported(f"completeness test implemented for rank 2, got {fan.rank}")
-    m = fan.num_rays
-    if m < 3:
-        return False
-    order = ccw_ray_order(fan)
-    wanted = {tuple(sorted((order[k], order[(k + 1) % m]))) for k in range(m)}
-    return wanted == set(fan.max_cones)
 
 
 @dataclass(frozen=True)
@@ -533,15 +519,28 @@ class BoundaryWord:
 
 
 def boundary_word(fan: Fan) -> BoundaryWord:
-    """Compute the boundary word; fan must be rank 2, smooth, and complete."""
+    """Compute the boundary word; fan must be rank 2, smooth, and complete.
+
+    The rays are taken counterclockwise by walking cone adjacency from the
+    lexicographically smallest ray.  In a complete surface fan every ray
+    lies in two cones, one on each side of it, and the cones close up into
+    one cycle around the origin; each step goes to the neighbour r with
+    cross(current, r) > 0.
+    """
     if fan.rank != 2:
         raise RankUnsupported(f"boundary word needs rank 2, got rank {fan.rank}")
-    if not is_smooth(fan) or not is_complete_surface(fan):
+    if not is_complete(fan) or not is_smooth(fan):
         raise NotSmoothComplete("boundary word is defined for smooth complete surface fans")
-    order = list(ccw_ray_order(fan))
-    start = min(range(len(order)), key=lambda k: fan.rays[order[k]])
-    order = order[start:] + order[:start]
-    m = len(order)
+    ccw_next = {}
+    for i, j in fan.max_cones:
+        if _cross(fan.rays[i], fan.rays[j]) > 0:
+            ccw_next[i] = j
+        else:
+            ccw_next[j] = i
+    m = fan.num_rays
+    order = [min(range(m), key=fan.rays.__getitem__)]
+    while len(order) < m:
+        order.append(ccw_next[order[-1]])
     word = []
     for k in range(m):
         prev = fan.rays[order[k - 1]]

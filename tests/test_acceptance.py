@@ -41,7 +41,7 @@ from toricforms.fan_aut import (
 from toricforms.fans import (
     Fan,
     a_sequence,
-    is_complete_surface,
+    is_complete,
     is_smooth,
     surface_blowup,
     validate_fan,
@@ -155,7 +155,7 @@ def test_05_builtin_fan_symmetry_suite():
         fan = builtin_fan(name)
         rays, aut_order, label = SURFACE_EXPECT[name]
         validate_fan(fan)
-        assert is_smooth(fan) and is_complete_surface(fan)
+        assert is_smooth(fan) and is_complete(fan)
         assert fan.num_rays == rays
         aut = automorphism_group(fan)
         assert aut.order == aut_order

@@ -16,7 +16,7 @@ from toricforms.exact_linalg import FGAbelianGroup
 from toricforms.fans import (
     Fan,
     a_sequence,
-    is_complete_surface,
+    is_complete,
     is_smooth,
     validate_fan,
 )
@@ -326,7 +326,7 @@ def test_builtin_surface_fans(name):
     validate_fan(fan)
     assert fan.num_rays == rays
     assert is_smooth(fan)
-    assert is_complete_surface(fan)
+    assert is_complete(fan)
     aut = automorphism_group(fan)
     assert aut.order == aut_order
     assert aut_via_sequence(fan).order == aut_order

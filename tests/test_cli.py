@@ -129,6 +129,31 @@ def test_fan_info_rank3(capsys):
     code, out, _ = invoke(capsys, "fan", "info", "--builtin", "projective:3")
     assert code == 0
     assert "rank: 3" in out
+    assert "complete: true" in out
+
+
+_P3_RAYS = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]
+_P3_CONES = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+_P1_CUBED_RAYS = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
+_P1_CUBED_CONES = [[a, b, c] for a in (0, 1) for b in (2, 3) for c in (4, 5)]
+
+
+@pytest.mark.parametrize(
+    "rays, cones, complete",
+    [
+        (_P3_RAYS, _P3_CONES, True),
+        (_P1_CUBED_RAYS, _P1_CUBED_CONES, True),
+        (_P3_RAYS, _P3_CONES[:-1], False),
+    ],
+    ids=["P3", "P1xP1xP1", "P3 minus a cone"],
+)
+def test_fan_info_reports_completeness_in_rank_3(capsys, monkeypatch, rays, cones, complete):
+    """Completeness is the wall-crossing certificate's verdict, in every rank."""
+    fan_json = json.dumps({"rank": 3, "rays": rays, "cones": cones})
+    monkeypatch.setattr("sys.stdin", io.StringIO(fan_json))
+    code, out, _ = invoke(capsys, "fan", "info", "--stdin", "--json")
+    assert code == 0
+    assert json.loads(out)["complete"] is complete
 
 
 def test_fan_aut(capsys):

@@ -726,6 +726,9 @@ for call in (
         IntMatrix.from_cols([(2, 0), (3, 0), (0, 4)]), IntMatrix.from_cols([(2, 0), (0, 8)])
     ),
     lambda: smith_normal_form([[1, 2]]),
+    lambda: smith_normal_form(IntMatrix.from_rows([[2.9, 0], [0, 1]])),
+    lambda: IntMatrix.from_rows([[1, True]]),
+    lambda: IntMatrix.from_cols([(1, 0), ("2", 1)]),
 ):
     try:
         print("returned", call())
@@ -753,6 +756,9 @@ ValueError n must be >= 1, got -2
 ValueError factors must be >= 0, got [-3, 2]
 returned Z/2 + Z/2
 TypeError m must be an IntMatrix, got list
+TypeError rows must have int entries, got float 2.9
+TypeError rows must have int entries, got bool True
+TypeError cols must have int entries, got str '2'
 """
 
 
@@ -761,7 +767,9 @@ def test_shape_preconditions_survive_optimized_mode():
     power or determinant of ill-shaped matrices raises ValueError naming both
     shapes (or k); lattice operations and group constructors raise ValueError
     naming the bad argument, and a Smith form of a non-matrix raises
-    TypeError naming `m`.  All of it holds under python -O, where an
+    TypeError naming `m`.  The checked constructors refuse any entry that is
+    not exactly an int, naming their argument, where they used to truncate
+    2.9 to 2 and take True as 1.  All of it holds under python -O, where an
     assert would let `[1 2] @ [1 2]` return `[1 2]`, a short hstack truncate
     silently and `FGAbelianGroup(0, (3, 2))` pass as a group unequal to Z/6.
     Subquotients take dependent ambient generators there too."""
@@ -965,12 +973,14 @@ def test_second_classification_factors_no_cone_or_ray_matrix(count_decomposition
     be = FiniteFieldBackend(3, 2)
     fan = _fresh_builtin(name)
     # the ray-coordinate norm route factors what the fan owns; classify_fan,
-    # on the cocharacter side, needs only the validation's cones
+    # on the cocharacter side, needs only the validation's cones.  The ray
+    # matrix is factored once: its columns' decomposition is the transpose.
     first = _norm_route_values(fan, be)
-    owned = {fan.ray_rows, fan.ray_columns} | {
+    owned = {fan.ray_rows} | {
         IntMatrix.from_cols([fan.rays[i] for i in cone], fan.rank) for cone in fan.max_cones
     }
     assert owned <= set(count_decompositions)
+    assert fan.ray_columns not in count_decompositions
     count_decompositions.clear()
     assert _norm_route_values(fan, be) == first
     report = classify_fan(fan, be.group, be)

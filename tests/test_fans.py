@@ -2,13 +2,18 @@
 
 import itertools
 import random
+import subprocess
+import sys
 import warnings
+from functools import cmp_to_key
+from pathlib import Path
 from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricforms import fans
 from toricforms.classify import BUILTIN_NAMES, builtin_fan
 from toricforms.exact_linalg import (
     FGAbelianGroup,
@@ -17,6 +22,7 @@ from toricforms.exact_linalg import (
     saturation_basis,
     smith_normal_form,
 )
+from toricforms.fan_aut import automorphism_group
 from toricforms.fans import (
     BadFaceIntersection,
     DuplicateRay,
@@ -35,11 +41,11 @@ from toricforms.fans import (
     _wall_crossing_certificate,
     a_sequence,
     boundary_word,
-    ccw_ray_order,
     class_group,
     cox_data,
+    degree_data,
     fan_from_boundary_word,
-    is_complete_surface,
+    is_complete,
     is_smooth,
     primitive_vector,
     surface_blowup,
@@ -212,9 +218,15 @@ def test_rank4_warns_partial_check():
         warnings.simplefilter("error")
         validate_fan(p4)
         validate_fan(product_fan((1, 1, 1, 1)))
-    # a fan that is not complete still gets only the partial check
+    # a fan that is not complete still gets only the partial check, and
+    # says so once: the verdict is kept with the Fan object
+    incomplete = Fan.make(4, p4.rays, p4.max_cones[1:])
     with pytest.warns(UserWarning, match="rank 4 fan: face intersections"):
-        validate_fan(Fan.make(4, p4.rays, p4.max_cones[1:]))
+        validate_fan(incomplete)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        validate_fan(incomplete)
+        assert not is_complete(incomplete)
 
 
 def test_class_groups_frozen():
@@ -226,6 +238,84 @@ def test_class_groups_frozen():
     validate_fan(torsion)
     assert class_group(torsion) == FGAbelianGroup.cyclic(2)
     assert not is_smooth(torsion)
+
+
+def test_validation_runs_once_per_fan_object(monkeypatch):
+    """The verdict is a fact the Fan keeps: a second read of any invariant
+    runs neither the ray and cone checks nor the certificate's determinants,
+    and a bad fan raises its FanError on every read."""
+    counts = {"checks": 0, "det": 0}
+
+    def counted(name, func):
+        def wrapper(*args):
+            counts[name] += 1
+            return func(*args)
+        return wrapper
+
+    monkeypatch.setattr(fans, "_check_rays_and_cones", counted("checks", fans._check_rays_and_cones))
+    monkeypatch.setattr(fans, "det", counted("det", fans.det))
+    fan = Fan.make(2, HEXAGON.rays, HEXAGON.max_cones)  # a fresh object
+    reads = (validate_fan, automorphism_group, class_group, is_complete, is_smooth, cox_data)
+    for read in reads:
+        read(fan)
+    assert counts == {"checks": 1, "det": 6}
+    for read in reads + (boundary_word,):
+        read(fan)
+    assert counts == {"checks": 1, "det": 6}
+    bad = Fan.make(2, [(1, 0), (2, 0)], [(0,), (1,)])
+    for read in reads + (degree_data, boundary_word):
+        with pytest.raises(NonPrimitiveRay, match=r"^ray 1 = \(2, 0\) is not primitive$"):
+            read(bad)
+    assert counts["checks"] == 2
+
+
+_PRECONDITION_SCRIPT = """
+from toricforms.fans import Fan, class_group, cox_data, degree_data, is_smooth, validate_fan
+
+bad = Fan.make(2, [(1, 0), (2, 0)], [(0,), (1,)])
+for call in (
+    lambda: class_group(bad),
+    lambda: cox_data(bad),
+    lambda: degree_data(bad),
+    lambda: is_smooth(bad),
+    lambda: validate_fan(bad),
+    lambda: Fan.make(2, [(1.7, 0), (0, 1)], [(0, 1)]),
+    lambda: Fan.make(2, [(True, 0), (0, 1)], [(0, 1)]),
+    lambda: Fan.make(2, [(1, 0), (0, 1)], [(0, 1.0)]),
+    lambda: Fan.make(2.0, [(1, 0), (0, 1)], [(0, 1)]),
+):
+    try:
+        print("returned", call())
+    except (ValueError, TypeError) as exc:
+        print(type(exc).__name__, exc)
+"""
+
+_PRECONDITION_ERRORS = """\
+NonPrimitiveRay ray 1 = (2, 0) is not primitive
+NonPrimitiveRay ray 1 = (2, 0) is not primitive
+NonPrimitiveRay ray 1 = (2, 0) is not primitive
+NonPrimitiveRay ray 1 = (2, 0) is not primitive
+NonPrimitiveRay ray 1 = (2, 0) is not primitive
+TypeError rays must have int entries, got float 1.7
+TypeError rays must have int entries, got bool True
+TypeError max_cones must have int entries, got float 1.0
+TypeError rank must be an int, got float 2.0
+"""
+
+
+def test_invariants_refuse_invalid_fans_under_optimized_mode():
+    """No invariant answers on a non-fan (the class group of the fan above
+    used to come out as Z), and Fan.make converts nothing: both hold under
+    python -O."""
+    child = subprocess.run(
+        [sys.executable, "-O", "-c", _PRECONDITION_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={"PYTHONPATH": str(Path(fans.__file__).resolve().parents[1])},
+        check=True,
+    )
+    assert child.stdout == _PRECONDITION_ERRORS
 
 
 def _monomial_exponents(cox) -> list[tuple[int, ...]]:
@@ -283,19 +373,26 @@ def test_cone_is_factored_only_after_its_index_checks():
 
 
 def test_smooth_and_complete():
-    assert is_smooth(P2) and is_complete_surface(P2)
-    assert is_smooth(P1XP1) and is_complete_surface(P1XP1)
-    assert is_smooth(HEXAGON) and is_complete_surface(HEXAGON)
+    assert is_smooth(P2) and is_complete(P2)
+    assert is_smooth(P1XP1) and is_complete(P1XP1)
+    assert is_smooth(HEXAGON) and is_complete(HEXAGON)
     incomplete = Fan.make(2, [(1, 0), (0, 1)], [(0, 1)])
-    assert is_smooth(incomplete) and not is_complete_surface(incomplete)
-    with pytest.raises(RankUnsupported):
-        is_complete_surface(P1)
+    assert is_smooth(incomplete) and not is_complete(incomplete)
+    assert is_complete(P1) is True
+    # every rank: the certificate's verdict
+    p3 = named_fan("projective:3")
+    assert is_complete(p3) and is_complete(named_fan("P1xP1xP1"))
+    assert not is_complete(Fan.make(3, p3.rays, p3.max_cones[1:]))
+    # the cones cover the plane, but (1, 1) spans none of them
+    assert not is_complete(Fan.make(2, P2.rays + ((1, 1),), P2.max_cones))
 
 
 def test_ccw_order():
     assert ccw_ray_order(P1XP1) == (0, 1, 2, 3)
     shuffled = Fan.make(2, [(0, -1), (1, 0), (-1, 0), (0, 1)], [(1, 3), (2, 3), (0, 2), (0, 1)])
     assert ccw_ray_order(shuffled) == (1, 3, 2, 0)
+    # the walk starts at the lexicographically smallest ray, (-1, 0)
+    assert boundary_word(shuffled).ccw_indices == (2, 0, 1, 3)
 
 
 def test_boundary_words_frozen():
@@ -449,7 +546,7 @@ def test_random_blowups_stay_valid(extra, seed):
     fan = random_smooth_complete_fan(rng, extra)
     assert assert_routes_agree(fan) is None
     assert is_smooth(fan)
-    assert is_complete_surface(fan)
+    assert is_complete(fan)
     assert class_group(fan) == FGAbelianGroup.free(fan.num_rays - 2)
     for bad in corrupted_fans(fan, rng):
         assert_routes_agree(bad)
@@ -479,9 +576,63 @@ def _verdict(check, fan: Fan) -> type | None:
     return None
 
 
+# ---------------------------------------------------------------------------
+# the angular references for completeness and the counterclockwise walk
+
+
+def _half(v: tuple[int, ...]) -> int:
+    x, y = v
+    return 0 if (y > 0 or (y == 0 and x > 0)) else 1
+
+
+def _angle_cmp(u: tuple[int, ...], v: tuple[int, ...]) -> int:
+    """Exact counterclockwise comparison from the positive x-axis."""
+    hu, hv = _half(u), _half(v)
+    if hu != hv:
+        return -1 if hu < hv else 1
+    c = u[0] * v[1] - u[1] * v[0]
+    assert c != 0 or u == v, f"parallel distinct rays {u}, {v} in one half-plane"
+    return 0 if c == 0 else (-1 if c > 0 else 1)
+
+
+def ccw_ray_order(fan: Fan) -> tuple[int, ...]:
+    """Reference: ray indices sorted by angle from the positive x-axis."""
+    assert fan.rank == 2
+    return tuple(
+        sorted(range(fan.num_rays), key=cmp_to_key(lambda i, j: _angle_cmp(fan.rays[i], fan.rays[j])))
+    )
+
+
+def is_complete_reference(fan: Fan) -> bool:
+    """Reference completeness for rank <= 2.  Rank 1: the rays are +-1 and
+    each spans a cone.  Rank 2: consecutive rays in angular order span
+    exactly the maximal cones."""
+    if fan.rank == 1:
+        return set(fan.rays) == {(1,), (-1,)} and {(0,), (1,)} <= set(fan.max_cones)
+    m = fan.num_rays
+    if m < 3:
+        return False
+    order = ccw_ray_order(fan)
+    wanted = {tuple(sorted((order[k], order[(k + 1) % m]))) for k in range(m)}
+    return wanted == set(fan.max_cones)
+
+
+def assert_matches_angular_reference(fan: Fan) -> None:
+    """On a valid fan of rank <= 2, is_complete agrees with the angular
+    reference, and on a smooth complete surface the boundary word's walk is
+    the angular order rotated to start at the lexicographically smallest ray."""
+    complete = is_complete(fan)
+    assert complete is is_complete_reference(fan)
+    if fan.rank == 2 and complete and is_smooth(fan):
+        order = ccw_ray_order(fan)
+        start = order.index(min(range(fan.num_rays), key=fan.rays.__getitem__))
+        assert boundary_word(fan).ccw_indices == order[start:] + order[:start]
+
+
 def assert_routes_agree(fan: Fan) -> type | None:
     """validate_fan and the pairwise reference accept or reject the fan alike,
     with the same exception class; returns that class, None for accepted.
+    An accepted fan of rank <= 2 is also held to the angular references.
 
     The warning for fans that are not complete in rank >= 4 is ignored;
     every other warning fails the test.
@@ -491,6 +642,8 @@ def assert_routes_agree(fan: Fan) -> type | None:
         warnings.simplefilter("error")
         warnings.filterwarnings("ignore", message=r"rank \d+ fan: face intersections")
         assert _verdict(validate_fan, fan) is expected
+    if expected is None and fan.rank <= 2:
+        assert_matches_angular_reference(fan)
     return expected
 
 
