@@ -117,6 +117,10 @@ EDGE_OPS: dict[str, tuple[str, ...]] = {
     "edge classify fan P4 minus a cone": (
         "classify", "fan", "--file", _file("p4_minus_cone.json"), "--backend", "ff:2,2", "--json",
     ),
+    # q just below 2**40: every lattice step of the oracle's routes runs mod q^2 - 1
+    "edge oracle surface:C2 large q": (
+        "cohomology", "oracle", "--builtin", "surface:C2", "--backend", "ff:1099511627689,2",
+    ),
 }
 
 

@@ -33,10 +33,10 @@ from .exact_linalg import (
     FGAbelianGroup,
     IntMatrix,
     basis_mod,
-    congruence_kernel_basis,
+    congruence_kernel,
     kernel_basis,
     lattice_subquotient,
-    smith_normal_form,
+    triangular_subquotient,
 )
 from .fan_aut import NotInvolution
 from .fans import Fan, class_group, degree_data
@@ -196,20 +196,27 @@ def _h1_finite_field_quotient_presentation(
       denominator N {z : R z = 0}  +  c Z^rays
 
     Both lattices contain c Z^rays, so both bases are kept in the bounded
-    triangular form of `basis_mod`, every entry below c.
+    triangular form of `basis_mod`, no entry above c: the kernels come
+    from `congruence_kernel`, the norms are summed mod c, and
+    `triangular_subquotient` divides the two with no Smith form unless the
+    quotient is nontrivial.
     """
-    d = backend.d
     q = backend.q
     c = backend.mult_order
-    p = _permutation_matrix(hom.ray_permutation(1))
+    perm = hom.ray_permutation(1)
     ident = IntMatrix.identity(fan.num_rays)
-    qp = p.scaled(q)
-    norm_op = reduce(lambda acc, _: acc @ qp + ident, range(d - 1), ident)
-    stacked = smith_normal_form(fan.ray_columns.vstack(qp - ident))
-    fixed_lattice = congruence_kernel_basis(stacked, c)
-    y_lattice = congruence_kernel_basis(fan.ray_columns_snf, c)
-    denominator = basis_mod(norm_op @ y_lattice, c)
-    return lattice_subquotient(fixed_lattice, denominator)
+    qp = _permutation_matrix(perm).scaled(q)
+    fixed_lattice = congruence_kernel(fan.ray_columns.vstack(qp - ident), c)
+    y_rows = congruence_kernel(fan.ray_columns, c).rows
+    # N Y = sum of (qP)^j Y mod c by Horner's rule; P moves row i to row perm[i]
+    norms = y_rows
+    for _ in range(backend.d - 1):
+        moved = dict(zip(perm, norms))
+        norms = tuple(
+            tuple((y + q * x) % c for y, x in zip(row, moved[i])) for i, row in enumerate(y_rows)
+        )
+    denominator = basis_mod(IntMatrix._trusted(norms, fan.num_rays), c)
+    return triangular_subquotient(fixed_lattice, denominator)
 
 
 def h1_cyclic_norm_formula(
@@ -571,6 +578,5 @@ def _h1_finite_field_torus(q: int, d: int, s: IntMatrix) -> FGAbelianGroup:
     ident = IntMatrix.identity(s.nrows)
     sigma = s.scaled(q)
     norm_op = reduce(lambda acc, _: acc @ sigma + ident, range(d - 1), ident)
-    ker = congruence_kernel_basis(smith_normal_form(norm_op), c)
-    im_gens = (sigma - ident).hstack(ident.scaled(c))
-    return lattice_subquotient(ker, im_gens)
+    ker = congruence_kernel(norm_op, c)
+    return triangular_subquotient(ker, basis_mod(sigma - ident, c))

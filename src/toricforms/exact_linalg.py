@@ -1,11 +1,14 @@
 """Exact linear algebra over the integers.
 
 Everything here runs on arbitrary-precision Python ints.  The centerpiece is
-a deterministic Smith normal form with unimodular transform witnesses, and it
-is the only solver: on top of it sit kernels, saturations, cokernel
-presentations, subquotients of integer lattices and rational solves (answered
-as an integer solution over one common denominator), plus a canonical value
-type for finitely generated abelian groups.
+a deterministic Smith normal form with unimodular transform witnesses: on
+top of it sit kernels, saturations, cokernel presentations, subquotients of
+integer lattices and rational solves (answered as an integer solution over
+one common denominator), plus a canonical value type for finitely generated
+abelian groups.  Lattices that contain c Z^n are handled mod c instead, in
+the triangular form of `basis_mod`: congruence kernels and subquotients of
+such bases take no Smith form unless the quotient is nontrivial, and then
+only of a matrix with entries below its order.
 """
 
 from __future__ import annotations
@@ -36,14 +39,19 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _int_tuples(vectors: Iterable[Sequence[int]], name: str) -> tuple[tuple[int, ...], ...]:
-    """The vectors as tuples; TypeError naming `name` for an entry that is
-    not exactly an int (a float, bool or str is refused, never converted)."""
-    vectors = tuple(map(tuple, vectors))
+def _check_int_entries(vectors: Iterable[Sequence[int]], name: str) -> None:
+    """TypeError naming `name` for an entry that is not exactly an int (a
+    float, bool or str is refused, never converted)."""
     for v in vectors:
         for x in v:
             if type(x) is not int:
                 raise TypeError(f"{name} must have int entries, got {type(x).__name__} {x!r}")
+
+
+def _int_tuples(vectors: Iterable[Sequence[int]], name: str) -> tuple[tuple[int, ...], ...]:
+    """The vectors as tuples, checked by `_check_int_entries`."""
+    vectors = tuple(map(tuple, vectors))
+    _check_int_entries(vectors, name)
     return vectors
 
 
@@ -323,10 +331,12 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
         and their inverses are computed on first read.
 
     Raises:
-        TypeError: `m` is not an IntMatrix.
+        TypeError: `m` is not an IntMatrix, or has an entry that is not an
+            int (the bare constructor keeps what it is given).
     """
     if not isinstance(m, IntMatrix):
         raise TypeError(f"m must be an IntMatrix, got {type(m).__name__}")
+    _check_int_entries(m.rows, "m")
     nr, nc = m.shape
     a = [list(r) for r in m.rows]
     u = [[int(i == j) for j in range(nr)] for i in range(nr)]
@@ -593,18 +603,19 @@ def basis_mod(gens: IntMatrix, modulus: int) -> IntMatrix:
     if modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
     m = gens.nrows
+    # an active column holds only its rows from i on: those above are zero
     active = [[x % modulus for x in gens.col(j)] for j in range(gens.ncols)]
     basis_cols: list[list[int]] = []
     for i in range(m):
         piv: list[int] | None = None
         rest: list[list[int]] = []
         for col in active:
-            if col[i] == 0:
+            if col[0] == 0:
                 rest.append(col)
             elif piv is None:
                 piv = col
             else:
-                a, b = piv[i], col[i]
+                a, b = piv[0], col[0]
                 g, s, t = _ext_gcd(a, b)
                 u, v = a // g, b // g
                 # unimodular on the pair: det [[s, t], [-v, u]] = s*u + t*v = 1
@@ -612,51 +623,95 @@ def basis_mod(gens: IntMatrix, modulus: int) -> IntMatrix:
                     [(s * x + t * y) % modulus for x, y in zip(piv, col)],
                     [(u * y - v * x) % modulus for x, y in zip(piv, col)],
                 )
-                piv[i] = g  # s*a + t*b exactly; % modulus would keep it anyway
+                piv[0] = g  # s*a + t*b exactly; % modulus would keep it anyway
                 rest.append(demoted)
         if piv is None:
-            piv = [0] * m
-            piv[i] = modulus
+            piv = [modulus] + [0] * (m - i - 1)
         else:
             # fold in the implicit generator modulus * e_i the same way
-            a = piv[i]
-            g, s, _ = _ext_gcd(a, modulus)
+            g, s, _ = _ext_gcd(piv[0], modulus)
             rest.append([(-(modulus // g) * x) % modulus for x in piv])
             piv = [(s * x) % modulus for x in piv]
-            piv[i] = g
-        basis_cols.append(piv)
-        active = rest
+            piv[0] = g
+        basis_cols.append([0] * i + piv)
+        active = [tail for col in rest if any(tail := col[1:])]
     result = IntMatrix.from_cols(basis_cols, m)
     assert all(result.rows[i][j] == 0 for i in range(m) for j in range(i + 1, m))
     assert all(modulus % result.rows[i][i] == 0 for i in range(m))
     return result
 
 
-def congruence_kernel_basis(dec: SmithDecomposition, modulus: int) -> IntMatrix:
-    """Basis of {x in Z^ncols : m @ x == 0 (mod modulus)} for m = dec.matrix.
+def congruence_kernel(m: IntMatrix, modulus: int) -> IntMatrix:
+    """Basis of {x in Z^ncols : m @ x == 0 (mod modulus)}, in the bounded
+    triangular form of `basis_mod`.
 
-    Read off the Smith normal form of m alone: from u @ m @ v == d with u
-    unimodular, m x == 0 (mod c) exactly when y = v_inv @ x has
-    d_j y_j == 0 (mod c) for every j, i.e. y_j in (c / gcd(d_j, c)) Z, with
-    d_j = 0 past the rank (scale 1).  So the kernel is spanned by the
-    columns of v scaled by those factors, plus c Z^ncols.  It contains
-    modulus * Z^ncols, so the basis is always square of full rank, and is
-    returned in the bounded triangular form of `basis_mod`.
+    With k = m.nrows, the graph lattice {(a, x) : a == m @ x (mod c)} is
+    spanned by the columns of [m; I] and c Z^(k + ncols).  Its `basis_mod`
+    form is lower triangular, so its columns from k on have zero a-part, and
+    by triangularity every (0, x) in the graph lattice is a combination of
+    them alone: the trailing ncols x ncols block is a basis of the kernel.
+    Every step runs mod c, so no entry exceeds c, and no Smith form is taken.
     """
-    if modulus < 1:
-        raise ValueError(f"modulus must be >= 1, got {modulus}")
-    m = dec.matrix
-    scales = [modulus // math.gcd(dj, modulus) for dj in dec.diagonal]
-    scales += [1] * (m.ncols - len(scales))
-    gens = IntMatrix._trusted(
-        tuple(tuple(map(operator.mul, row, scales)) for row in dec.v.rows), m.ncols
+    k, n = m.shape
+    graph = basis_mod(m.vstack(IntMatrix.identity(n)), modulus)
+    x_rows = graph.rows[k:]
+    # certificate: every column of `graph` lies in the graph lattice, whose
+    # index in Z^(k + n) is c^k, so `graph` spans all of it
+    assert all(
+        (a - b) % modulus == 0
+        for top, image in zip(graph.rows, (m @ IntMatrix._trusted(x_rows, k + n)).rows)
+        for a, b in zip(top, image)
     )
-    basis = basis_mod(gens, modulus)
-    # certificate: every basis column is a solution, and the index of the
-    # lattice in Z^ncols is that of the solution set
-    assert all(x % modulus == 0 for row in (m @ basis).rows for x in row)
-    assert math.prod(basis.rows[i][i] for i in range(m.ncols)) == math.prod(scales)
-    return basis
+    assert math.prod(graph.rows[i][i] for i in range(k + n)) == modulus**k
+    return IntMatrix._trusted(tuple(row[k:] for row in x_rows), n)
+
+
+def triangular_subquotient(sup: IntMatrix, sub: IntMatrix) -> FGAbelianGroup:
+    """Quotient of the lattice with basis `sup` by its sublattice with basis
+    `sub`, both square lower triangular with positive diagonals, as
+    `basis_mod` returns them.
+
+    The coordinates y of sub in sup (sup @ y == sub) come from forward
+    substitution with exact division; a column that does not divide is not
+    in the lattice, and raises MembershipError naming the first such
+    column.  y is lower triangular, so the quotient has order
+    D = prod diag(sub) / prod diag(sup) = det y.  It is trivial when D = 1;
+    otherwise a group of order D is killed by D, so D Z^n lies in y Z^n and
+    the quotient is the cokernel of `basis_mod(y, D)`, whose entries stay
+    below D.  y itself is exact and may have entries above those of either
+    basis.  Raises ValueError unless both bases have that shape.
+    """
+    n = sup.nrows
+    for name, basis in (("sup", sup), ("sub", sub)):
+        rows = basis.rows
+        if basis.shape != (n, n) or any(rows[i][i] <= 0 or any(rows[i][i + 1 :]) for i in range(n)):
+            raise ValueError(
+                f"{name} must be a {n} x {n} lower-triangular basis with positive"
+                f" diagonal, got shape {basis.shape}"
+            )
+    mul = operator.mul
+    cols = []
+    for j in range(n):
+        # rows above j of sub's column j are zero, hence so are its coordinates
+        coords = [0] * n
+        for i in range(j, n):
+            row = sup.rows[i]
+            coords[i], rest = divmod(
+                sub.rows[i][j] - sum(map(mul, row[j:i], coords[j:i])), row[i]
+            )
+            if rest:
+                raise MembershipError(
+                    f"column {j} of the subgroup generators is not in the ambient lattice"
+                )
+        cols.append(coords)
+    y = IntMatrix.from_cols(cols, n)
+    assert sup @ y == sub
+    order = math.prod(cols[i][i] for i in range(n))
+    if order == 1:
+        return FGAbelianGroup.trivial()
+    result = cokernel_presentation(basis_mod(y, order))
+    assert result.order() == order
+    return result
 
 
 # ---------------------------------------------------------------------------

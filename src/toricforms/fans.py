@@ -65,6 +65,10 @@ class RedundantCone(FanError):
     pass
 
 
+class UnusedRay(FanError):
+    pass
+
+
 class RankUnsupported(FanError):
     pass
 
@@ -160,8 +164,8 @@ class Fan:
         complete, or the FanError it fails with.  `validate_fan` reads it."""
         try:
             _check_rays_and_cones(self)
-            if _wall_crossing_certificate(self):  # a fan; complete if every ray is used
-                return len(set().union(*self.max_cones)) == self.num_rays
+            if _wall_crossing_certificate(self):
+                return True
             if self.rank > 3:
                 warnings.warn(f"rank {self.rank} fan: face intersections only spot-checked"
                               " on the cones' rays (the fan is not complete)")
@@ -348,7 +352,9 @@ def _wall_crossing_certificate(fan: Fan) -> bool:
 def _check_rays_and_cones(fan: Fan) -> None:
     """The checks that precede the face-intersection axiom: rank, primitive
     distinct rays, independent ray sets, no listed cone repeated or a face of
-    another, and rays spanning the lattice up to finite index."""
+    another, rays spanning the lattice up to finite index, and every ray in
+    a maximal cone (a ray in none is no ray of the fan, yet every invariant
+    would count it as a divisor)."""
     if fan.rank < 1:
         raise FanError(f"rank must be >= 1, got {fan.rank}")
     seen: dict[tuple[int, ...], int] = {}
@@ -388,12 +394,14 @@ def _check_rays_and_cones(fan: Fan) -> None:
         raise RaysNotFullRank(
             f"rays span a rank-{sat.ncols} sublattice; saturated span basis: {sat.cols()}"
         )
+    unused = set(range(fan.num_rays)).difference(*fan.max_cones)
+    if unused:
+        raise UnusedRay(f"ray {min(unused)} = {fan.rays[min(unused)]} lies in no maximal cone")
 
 
 def is_complete(fan: Fan) -> bool:
     """Whether the cones cover the space, by the wall-crossing certificate
-    in any rank (see `validate_fan`), and every listed ray lies in a cone.
-    Validates the fan first."""
+    in any rank (see `validate_fan`).  Validates the fan first."""
     validate_fan(fan)
     return fan._verdict
 

@@ -210,19 +210,24 @@ def test_transformed_surface_keeps_its_class(tmp_path, capsys, name, rows, label
     [
         ([[1], [-1]], [[0], [1]], True),
         ([[-1], [1]], [[1], [0]], True),
-        ([[1], [-1]], [[0]], False),
-        ([[1], [-1]], [[1]], False),
+        ([[1], [-1]], [[0]], None),
+        ([[1], [-1]], [[1]], None),
         ([[1]], [[0]], False),
     ],
 )
 def test_fan_info_rank1_complete_only_when_both_rays_are_cones(
     capsys, monkeypatch, rays, cones, complete
 ):
+    """None: a listed ray lies in no cone, so the input is no fan (exit 1)."""
     fan_json = json.dumps({"rank": 1, "rays": rays, "cones": cones})
     monkeypatch.setattr("sys.stdin", io.StringIO(fan_json))
-    code, out, _ = invoke(capsys, "fan", "info", "--stdin", "--json")
-    assert code == 0
-    assert json.loads(out)["complete"] is complete
+    code, out, err = invoke(capsys, "fan", "info", "--stdin", "--json")
+    if complete is None:
+        assert (code, out) == (1, "")
+        assert "lies in no maximal cone" in err
+    else:
+        assert code == 0
+        assert json.loads(out)["complete"] is complete
 
 
 def test_fan_cox(capsys):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toricforms
-from toricforms import cohomology
+from toricforms import cli, cohomology, exact_linalg
 from toricforms.classify import (
     BUILTIN_NAMES,
     BUILTIN_SURFACE_NAMES,
@@ -44,7 +44,6 @@ from toricforms.exact_linalg import (
     FGAbelianGroup,
     IntMatrix,
     basis_mod,
-    congruence_kernel_basis,
     kernel_basis,
     lattice_subquotient,
     rational_solve,
@@ -66,6 +65,7 @@ from toricforms.galois import (
 )
 
 from table_groups import TableGroup, orbit_stabilizer
+from test_exact_linalg import congruence_kernel_basis
 from test_fans import HEXAGON, P1, P1XP1, P2, PRODUCT_FAN_NAMES, named_fan, unimodular
 
 M = IntMatrix.from_rows
@@ -830,6 +830,60 @@ def test_ff_route_reference_covers_many_twists():
     classes = [v for values in per_backend for per in values for v in per]
     assert len(classes) > 300
     assert set(classes) == {"1"}
+
+
+# q below 2**40, the largest the backend factors: c = q^2 - 1 has 80 bits
+LARGE_Q = 1099511627689
+
+
+def test_large_q_oracle_ends_within_a_second(capsys):
+    """Both lattice routes work mod c, so at LARGE_Q the oracle op agrees
+    within a second in process; it took 86 s when the norm route took
+    integer Smith forms of its `basis_mod` lattices."""
+    start = time.perf_counter()
+    code = cli.run(
+        ["cohomology", "oracle", "--builtin", "surface:C2", "--backend", f"ff:{LARGE_Q},2"]
+    )
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "all routes agree" in out
+    assert elapsed < 1.0
+
+
+def test_large_q_ff_routes_keep_every_entry_below_c(monkeypatch):
+    """No entry of the finite-field routes exceeds c: every `basis_mod`
+    result has its off-diagonal entries below c and its diagonal dividing c
+    (a diagonal c is the generator c e_i itself), and no Smith form is taken,
+    since every index is 1."""
+    bases, factored = [], []
+    basis_mod, smith_normal_form = exact_linalg.basis_mod, exact_linalg.smith_normal_form
+
+    def recording_basis_mod(gens, modulus):
+        bases.append(basis_mod(gens, modulus))
+        return bases[-1]
+
+    def recording_smith_normal_form(m):
+        factored.append(m)
+        return smith_normal_form(m)
+
+    fan = builtin_fan("surface:C2")
+    backend = FiniteFieldBackend(LARGE_Q, 2)
+    classes = enumerate_hom_classes(backend.group, automorphism_group(fan))
+    hom = kernel_reduction(next(c for c in classes if not c.is_trivial))
+    assert hom.group.order == 2
+    monkeypatch.setattr(exact_linalg, "basis_mod", recording_basis_mod)
+    monkeypatch.setattr(cohomology, "basis_mod", recording_basis_mod)
+    monkeypatch.setattr(exact_linalg, "smith_normal_form", recording_smith_normal_form)
+    assert h1_cyclic_norm_formula(fan, hom, backend).is_trivial()
+    assert h1_finite_field_torus(LARGE_Q, 2, hom.matrix(1)).is_trivial()
+    assert factored == []
+    c = backend.mult_order
+    assert len(bases) == 5
+    for basis in bases:
+        for i, row in enumerate(basis.rows):
+            assert c % row[i] == 0
+            assert all(0 <= x < c for x in row[:i])
 
 
 @pytest.mark.parametrize(

@@ -35,6 +35,7 @@ from toricforms.fans import (
     RankUnsupported,
     RaysNotFullRank,
     RedundantCone,
+    UnusedRay,
     _check_face_intersection,
     _check_rays_and_cones,
     _line_intersection,
@@ -273,12 +274,15 @@ _PRECONDITION_SCRIPT = """
 from toricforms.fans import Fan, class_group, cox_data, degree_data, is_smooth, validate_fan
 
 bad = Fan.make(2, [(1, 0), (2, 0)], [(0,), (1,)])
+unused = Fan.make(2, [(1, 0), (0, 1), (-1, -1), (1, 1)], [(0, 1), (1, 2), (0, 2)])
 for call in (
     lambda: class_group(bad),
     lambda: cox_data(bad),
     lambda: degree_data(bad),
     lambda: is_smooth(bad),
     lambda: validate_fan(bad),
+    lambda: class_group(unused),
+    lambda: cox_data(unused),
     lambda: Fan.make(2, [(1.7, 0), (0, 1)], [(0, 1)]),
     lambda: Fan.make(2, [(True, 0), (0, 1)], [(0, 1)]),
     lambda: Fan.make(2, [(1, 0), (0, 1)], [(0, 1.0)]),
@@ -296,6 +300,8 @@ NonPrimitiveRay ray 1 = (2, 0) is not primitive
 NonPrimitiveRay ray 1 = (2, 0) is not primitive
 NonPrimitiveRay ray 1 = (2, 0) is not primitive
 NonPrimitiveRay ray 1 = (2, 0) is not primitive
+UnusedRay ray 3 = (1, 1) lies in no maximal cone
+UnusedRay ray 3 = (1, 1) lies in no maximal cone
 TypeError rays must have int entries, got float 1.7
 TypeError rays must have int entries, got bool True
 TypeError max_cones must have int entries, got float 1.0
@@ -305,8 +311,8 @@ TypeError rank must be an int, got float 2.0
 
 def test_invariants_refuse_invalid_fans_under_optimized_mode():
     """No invariant answers on a non-fan (the class group of the fan above
-    used to come out as Z), and Fan.make converts nothing: both hold under
-    python -O."""
+    used to come out as Z, and that of P^2 with an unused ray (1, 1) as
+    Z + Z), and Fan.make converts nothing: both hold under python -O."""
     child = subprocess.run(
         [sys.executable, "-O", "-c", _PRECONDITION_SCRIPT],
         capture_output=True,
@@ -383,8 +389,9 @@ def test_smooth_and_complete():
     p3 = named_fan("projective:3")
     assert is_complete(p3) and is_complete(named_fan("P1xP1xP1"))
     assert not is_complete(Fan.make(3, p3.rays, p3.max_cones[1:]))
-    # the cones cover the plane, but (1, 1) spans none of them
-    assert not is_complete(Fan.make(2, P2.rays + ((1, 1),), P2.max_cones))
+    # the cones cover the plane, but (1, 1) spans none of them: not a fan
+    with pytest.raises(UnusedRay, match=r"^ray 3 = \(1, 1\) lies in no maximal cone$"):
+        is_complete(Fan.make(2, P2.rays + ((1, 1),), P2.max_cones))
 
 
 def test_ccw_order():
