@@ -66,6 +66,28 @@ INPUT_FILES = {
         "rays": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, -1, -1, -1]],
         "cones": [[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 3, 4], [0, 2, 3, 4]],
     },
+    # two 2-ray cones in rank 3, one of index 2; the symmetry frame takes a
+    # ray outside every cone
+    "low_dim_cones.json": {
+        "rank": 3,
+        "rays": [[1, 0, 0], [1, 2, 0], [0, 0, 1], [-1, -1, -1]],
+        "cones": [[0, 1], [2, 3]],
+    },
+    # two rank-3 cones that share no ray and overlap along (2, -3, 3)
+    "overlap_rank3.json": {
+        "rank": 3,
+        "rays": [[0, 2, 1], [-2, -1, 1], [2, -1, 1], [0, -2, 1], [-2, 1, 1], [2, 1, 1]],
+        "cones": [[0, 1, 2], [3, 4, 5]],
+    },
+    # 135-degree cones around the square: every wall has two sides, but the
+    # cones cover the plane three times
+    "winding_square.json": {
+        "rank": 2,
+        "rays": [[1, 0], [1, 1], [0, 1], [-1, 1], [-1, 0], [-1, -1], [0, -1], [1, -1]],
+        "cones": [[0, 3], [3, 6], [6, 1], [1, 4], [4, 7], [7, 2], [2, 5], [5, 0]],
+    },
+    # three rays in one rank-2 cone
+    "non_simplicial.json": {"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "cones": [[0, 1, 2]]},
     # norm data with Q = Z/4 and the quadratic subfield's norms 2 Z/4
     "z4.json": {
         "Q": {"invariant_factors": [4]},
@@ -116,6 +138,13 @@ EDGE_OPS: dict[str, tuple[str, ...]] = {
     "edge fan info P4 minus a cone json": ("fan", "info", "--file", _file("p4_minus_cone.json"), "--json"),
     "edge classify fan P4 minus a cone": (
         "classify", "fan", "--file", _file("p4_minus_cone.json"), "--backend", "ff:2,2", "--json",
+    ),
+    "edge fan info low-dimensional cones": ("fan", "info", "--file", _file("low_dim_cones.json")),
+    "edge fan aut low-dimensional cones": ("fan", "aut", "--file", _file("low_dim_cones.json")),
+    "edge fan validate rank-3 overlap": ("fan", "validate", "--file", _file("overlap_rank3.json")),
+    "edge fan validate winding square": ("fan", "validate", "--file", _file("winding_square.json")),
+    "edge fan validate non-simplicial cone": (
+        "fan", "validate", "--file", _file("non_simplicial.json"),
     ),
     # q just below 2**40: every lattice step of the oracle's routes runs mod q^2 - 1
     "edge oracle surface:C2 large q": (
