@@ -778,7 +778,7 @@ def classify_projective(n: int, backend: FieldBackend) -> ClassificationReport:
             ReportEntry(f"partition {partition}", (matrix,), value, verdict)
         )
     total = _report_total(entries)
-    if _prime_factors(d) == [d]:
+    if _prime_factors(d) == (d,):
         relative_brauer = norm_quotient(backend, [])
         expected = len(parts.fixed) + (
             relative_brauer.order() if (n + 1) % d == 0 else 0

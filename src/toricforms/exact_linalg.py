@@ -1,12 +1,13 @@
 """Exact linear algebra over the integers.
 
-Everything here runs on arbitrary-precision Python ints.  The centerpiece is
-a deterministic Smith normal form with unimodular transform witnesses: on
-top of it sit kernels, saturations, cokernel presentations, subquotients of
-integer lattices and rational solves (answered as an integer solution over
-one common denominator), plus a canonical value type for finitely generated
-abelian groups.  Lattices that contain c Z^n are handled mod c instead, in
-the triangular form of `basis_mod`: congruence kernels and subquotients of
+Everything here runs on arbitrary-precision Python ints.  Independence,
+determinants, coordinates over Q and inverses come from one fraction-free
+elimination, `fraction_free_solve`.  Lattice questions rest on a
+deterministic Smith normal form with unimodular transform witnesses:
+kernels, saturations, cokernel presentations and subquotients of integer
+lattices, plus a canonical value type for finitely generated abelian
+groups.  Lattices that contain c Z^n are handled mod c instead, in the
+triangular form of `basis_mod`: congruence kernels and subquotients of
 such bases take no Smith form unless the quotient is nontrivial, and then
 only of a matrix with entries below its order.
 """
@@ -214,60 +215,80 @@ class IntMatrix:
         return "[" + "; ".join(" ".join(str(x) for x in r) for r in self.rows) + "]"
 
 
+def fraction_free_solve(a: IntMatrix, b: IntMatrix | None = None) -> tuple[int, IntMatrix | None]:
+    """(den, x) with a @ x == den * b, by one forward Bareiss elimination
+    (Math. Comp. 22, 1968) of [a | b] with row pivoting, then a fraction-free
+    back substitution; every division is exact.
+
+    den is 0 when the columns of a are dependent (x is then None), else up
+    to sign the maximal minor of a on the pivot rows: exactly det a when a
+    is square.  x is then the unique solution, or None when a column of b
+    lies outside the column span of a; without b, den alone is computed and
+    x is None.  Raises ValueError when b has not the rows of a.
+    """
+    n, m = len(a.rows), a.ncols
+    if b is None:
+        k, rows = 0, [list(r) for r in a.rows]
+    elif b.nrows != n:
+        raise ValueError(f"b must have the {n} rows of a, got shape {b.shape}")
+    else:
+        k, rows = b.ncols, [list(r + s) for r, s in zip(a.rows, b.rows)]
+    width = m + k
+    sign = prev = 1
+    for t in range(m):
+        if not (t < n and rows[t][t]):
+            i = next((i for i in range(t + 1, n) if rows[i][t]), None)
+            if i is None:
+                return 0, None
+            rows[t], rows[i] = rows[i], rows[t]
+            sign = -sign
+        pivot = rows[t]
+        p = pivot[t]
+        # only the columns right of the pivot change; below it, column t is
+        # never read again
+        for r in rows[t + 1 :]:
+            f = r[t]
+            if f:
+                for j in range(t + 1, width):
+                    r[j] = (p * r[j] - f * pivot[j]) // prev
+            elif p != prev:  # the row is only rescaled, by p / prev
+                for j in range(t + 1, width):
+                    r[j] = p * r[j] // prev
+        prev = p
+    den = sign * prev
+    if b is None:
+        return den, None
+    if any(any(r[m:]) for r in rows[m:]):  # the right-hand sides of rows without a pivot
+        return den, None
+    # den * y for the solution y over Q of the pivot rows, integral by
+    # Cramer's rule, so every division below is exact
+    xs: list[list[int]] = [[]] * m
+    for t in range(m - 1, -1, -1):
+        r = rows[t]
+        acc = [den * c for c in r[m:]]
+        for j in range(t + 1, m):
+            if r[j]:
+                acc = [s - r[j] * y for s, y in zip(acc, xs[j])]
+        xs[t] = [s // r[t] for s in acc]
+    x = IntMatrix._trusted(tuple(map(tuple, xs)), k)
+    assert a @ x == b.scaled(den)
+    return den, x
+
+
 def det(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant: `fraction_free_solve` with no right-hand side."""
     if m.nrows != m.ncols:
         raise ValueError(f"det of a non-square {m.shape} matrix")
-    n = m.nrows
-    if n == 0:
-        return 1
-    a = [list(r) for r in m.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return fraction_free_solve(m)[0]
 
 
 def _unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a square integer matrix with det ±1.
-
-    Fraction-free (Bareiss) Gauss-Jordan elimination of [m | I]: every
-    division is exact, and it ends at [d I | R] with d = ±det m and
-    R = d m^-1, so the inverse is d * R when d = ±1.
-    """
-    n = m.nrows
-    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m.rows)]
-    prev = 1
-    for k in range(n):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                raise ValueError(f"matrix is singular, not unimodular: {m}")
-            a[k], a[swap] = a[swap], a[k]
-        rk = a[k]
-        p = rk[k]
-        for i in range(n):
-            if i != k:
-                ri = a[i]
-                f = ri[k]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(ri, rk)]
-        prev = p
-    if n and prev not in (1, -1):
-        raise ValueError(f"det is {prev}, not ±1: {m}")
-    return IntMatrix._trusted(tuple(tuple(prev * x for x in r[n:]) for r in a), n)
+    """Exact inverse of a square integer matrix with det ±1: the solution x
+    of m @ x == d * I, times d = det m."""
+    d, x = fraction_free_solve(m, IntMatrix.identity(m.nrows))
+    if d not in (1, -1):
+        raise ValueError(f"det is {d}, not ±1: {m}")
+    return x if d == 1 else -x
 
 
 @dataclass(frozen=True)
@@ -277,7 +298,8 @@ class SmithDecomposition:
     `d` is diagonal with nonnegative entries in a divisibility chain
     d[0] | d[1] | ... ; `smith_normal_form` certifies u @ m @ v == d and
     |det u| == |det v| == 1.  The exact inverses `u_inv` and `v_inv` are
-    computed on first read; no library code reads them.
+    computed on first read, each by one `fraction_free_solve` against the
+    identity; no library code reads them.
     `smith_normal_form` keeps nothing: a caller asking twice about one
     matrix keeps the decomposition (a `Fan` keeps its cones' and rays').
     """
@@ -712,32 +734,3 @@ def triangular_subquotient(sup: IntMatrix, sub: IntMatrix) -> FGAbelianGroup:
     result = cokernel_presentation(basis_mod(y, order))
     assert result.order() == order
     return result
-
-
-# ---------------------------------------------------------------------------
-# rational solves, kept integral
-
-
-def rational_solve(dec: SmithDecomposition, b: IntMatrix) -> tuple[IntMatrix, int] | None:
-    """Solve a @ x = b over Q as integers, for a = dec.matrix: (x, den) with
-    a @ x == den * b.
-
-    From u @ a @ v == d the system reads d @ y == den * (u @ b) in y =
-    v_inv @ x.  `den` is the last nonzero invariant factor of a (1 when a is
-    zero); every d_i divides it, so y_i = (den / d_i) * (u @ b)_i is integral
-    for i below the rank, and the free coordinates beyond it are pinned to
-    zero.  None when a row of u @ b beyond the rank is nonzero, i.e. the
-    system is inconsistent over Q.
-    """
-    a = dec.matrix
-    if b.nrows != a.nrows:
-        raise ValueError(f"b must have the {a.nrows} rows of the matrix, got shape {b.shape}")
-    r = dec.rank
-    den = dec.diagonal[r - 1] if r else 1
-    c = dec.u @ b
-    if any(any(row) for row in c.rows[r:]):
-        return None
-    y = tuple(tuple(den // di * t for t in row) for di, row in zip(dec.diagonal, c.rows[:r]))
-    x = dec.v @ IntMatrix(y + ((0,) * b.ncols,) * (a.ncols - r), b.ncols)
-    assert a @ x == b.scaled(den)
-    return x, den

@@ -41,12 +41,10 @@ from typing import Iterator, Sequence
 
 from .exact_linalg import (
     IntMatrix,
-    SmithDecomposition,
     cokernel_presentation,
     det,
+    fraction_free_solve,
     kernel_basis,
-    rational_solve,
-    smith_normal_form,
 )
 from .fans import Fan, boundary_word, is_complete, is_smooth, validate_fan
 
@@ -169,33 +167,24 @@ def _ray_invariants(fan: Fan) -> dict[int, tuple]:
     }
 
 
-def _frame(fan: Fan) -> tuple[list[int], SmithDecomposition]:
-    """Rays spanning Q^rank, and the Smith decomposition of their matrix.
+def _frame(fan: Fan) -> tuple[list[int], IntMatrix, int]:
+    """Rays spanning Q^rank, and (g, den) with f @ g == den * identity for
+    their matrix f, den = det f.
 
     Starts from the rays of a largest maximal cone, independent in a
     validated fan, and adds rays greedily by index while they stay
-    independent; the decomposition is that of the last accepted trial.
+    independent (a nonzero `fraction_free_solve` den); g is one more solve,
+    of f against the identity.
     """
     chosen = list(max(fan.max_cones, key=len, default=()))
-    dec = fan.cone_snf(tuple(chosen))
     for i in range(fan.num_rays):
         if len(chosen) == fan.rank:
             break
-        if i in chosen:
-            continue
-        trial = chosen + [i]
-        trial_dec = smith_normal_form(IntMatrix.from_cols([fan.rays[j] for j in trial], fan.rank))
-        if trial_dec.rank == len(trial):
-            chosen, dec = trial, trial_dec
+        if i not in chosen and fraction_free_solve(fan.cone_matrix(chosen + [i]))[0]:
+            chosen.append(i)
     assert len(chosen) == fan.rank, "validated fan must have full-rank rays"
-    return chosen, dec
-
-
-def _scaled_inverse(dec: SmithDecomposition) -> tuple[IntMatrix, int]:
-    """(g, den) with m @ g == den * identity, for nonsingular square m = dec.matrix."""
-    sol = rational_solve(dec, IntMatrix.identity(dec.matrix.nrows))
-    assert sol is not None, "matrix is singular"
-    return sol
+    den, inverse = fraction_free_solve(fan.cone_matrix(chosen), IntMatrix.identity(fan.rank))
+    return chosen, inverse, den
 
 
 def _divided(m: IntMatrix, den: int) -> IntMatrix | None:
@@ -301,8 +290,7 @@ def automorphism_group(fan: Fan) -> FanAutGroup:
     such product, when the group has more than MAX_AUT_ORDER elements.
     """
     validate_fan(fan)
-    frame, frame_dec = _frame(fan)
-    frame_inv, den = _scaled_inverse(frame_dec)
+    frame, frame_inv, den = _frame(fan)
     cone_set = set(fan.max_cones)
     closure: dict[Perm, tuple[Perm, int] | None] = {tuple(range(fan.num_rays)): None}
     gen_perms: list[Perm] = []

@@ -30,8 +30,7 @@ from .exact_linalg import (
     IntMatrix,
     SmithDecomposition,
     _int_tuples,
-    det,
-    rational_solve,
+    fraction_free_solve,
     saturation_basis,
     smith_normal_form,
 )
@@ -93,8 +92,9 @@ def primitive_vector(v: Sequence[int]) -> tuple[int, ...]:
 class Fan:
     """Simplicial fan: rank, ordered primitive rays, maximal cones by index.
 
-    The fan owns its validation verdict and the Smith decompositions of its
-    cones and ray matrix; each is computed on first use and kept with it.
+    The fan owns its validation verdict, the Smith decomposition of its ray
+    matrix (the lattice questions) and the `fraction_free_solve` den of each
+    cone (the cone questions); each is computed on first use and kept.
     """
 
     rank: int
@@ -142,21 +142,23 @@ class Fan:
         dec = self.ray_rows_snf
         return SmithDecomposition(self.ray_columns, dec.v.transpose, dec.d.transpose, dec.u.transpose)
 
+    def cone_matrix(self, cone: Sequence[int]) -> IntMatrix:
+        """rank x len(cone) matrix whose columns are the cone's rays."""
+        return IntMatrix.from_cols([self.rays[i] for i in cone], self.rank)
+
     @cached_property
-    def _cone_snfs(self) -> dict[tuple[int, ...], SmithDecomposition]:
+    def _cone_dens(self) -> dict[tuple[int, ...], int]:
         return {}
 
-    def cone_snf(self, cone: tuple[int, ...]) -> SmithDecomposition:
-        """Smith decomposition of the rank x len(cone) matrix of the cone's rays.
-
-        Built on the first request for that cone, so validation factors a
-        cone only after its indices have passed their checks.
-        """
-        dec = self._cone_snfs.get(cone)
-        if dec is None:
-            gens = IntMatrix.from_cols([self.rays[i] for i in cone], self.rank)
-            dec = self._cone_snfs[cone] = smith_normal_form(gens)
-        return dec
+    def cone_den(self, cone: tuple[int, ...]) -> int:
+        """`fraction_free_solve`'s den of the cone's matrix: 0 when its rays
+        are dependent, its determinant when it has rank rays.  Built on the
+        first request for that cone, so validation eliminates a cone only
+        after its indices have passed their checks."""
+        den = self._cone_dens.get(cone)
+        if den is None:
+            den = self._cone_dens[cone] = fraction_free_solve(self.cone_matrix(cone))[0]
+        return den
 
     @cached_property
     def _verdict(self) -> bool | FanError:
@@ -227,14 +229,14 @@ def _cone_coords(fan: Fan, cone: tuple[int, ...], v: Sequence[int]) -> tuple[int
     """Coordinates of v in the rays of a simplicial cone, times a positive
     common denominator, when v lies in that cone; None when it does not.
 
-    The rays of a simplicial cone are independent, so the coordinates are
-    unique and their signs decide membership exactly.
+    The rays of a simplicial cone are independent, so the coordinates x / den
+    of the solve are unique, and their signs decide membership exactly.
     """
-    sol = rational_solve(fan.cone_snf(cone), IntMatrix.from_cols([v], fan.rank))
-    if sol is None:
+    den, x = fraction_free_solve(fan.cone_matrix(cone), IntMatrix.from_cols([v], fan.rank))
+    if x is None:
         return None
-    x = sol[0].col(0)
-    return x if all(t >= 0 for t in x) else None
+    coords = x.col(0) if den > 0 else tuple(-t for t in x.col(0))
+    return coords if all(t >= 0 for t in coords) else None
 
 
 def _span_planes(fan: Fan, cone: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
@@ -316,7 +318,8 @@ def _wall_crossing_certificate(fan: Fan) -> bool:
     listed cones: the fan is then not complete, and the caller checks it
     pair by pair.  Raises BadFaceIntersection when two cones meet a common
     facet from the same side, or when the cones wind around the origin more
-    than once.  One determinant and one cone-membership solve per cone.
+    than once.  It reads the sign of each cone's den (its determinant), and
+    makes one cone-membership solve per cone.
     """
     n = fan.rank
     cones = [tuple(sorted(c)) for c in fan.max_cones]
@@ -328,9 +331,7 @@ def _wall_crossing_certificate(fan: Fan) -> bool:
             walls.setdefault(cone[:k] + cone[k + 1 :], []).append((cone, k))
     if any(len(sides) != 2 for sides in walls.values()):
         return False
-    positive = {
-        cone: det(IntMatrix.from_rows([fan.rays[i] for i in cone], n)) > 0 for cone in cones
-    }
+    positive = {cone: fan.cone_den(cone) > 0 for cone in cones}
     for facet, ((ca, ka), (cb, kb)) in walls.items():
         # moving the apex ray (position k) last takes n - 1 - k transpositions,
         # so the apex-last determinant sign is that parity flip of the cone's
@@ -375,7 +376,7 @@ def _check_rays_and_cones(fan: Fan) -> None:
                 raise FanError(f"cone {cone} references missing ray {i}")
         if len(set(cone)) != len(cone):
             raise NonSimplicialCone(f"cone {cone} repeats a ray index")
-        if cone and fan.cone_snf(cone).rank != len(cone):
+        if cone and not fan.cone_den(cone):
             raise NonSimplicialCone(
                 f"cone {cone} is not simplicial: its rays are linearly dependent"
             )
@@ -496,10 +497,16 @@ def cox_data(fan: Fan) -> CoxData:
 
 
 def is_smooth(fan: Fan) -> bool:
-    """Every maximal cone is generated by part of a lattice basis.  The
-    cones of a valid fan are simplicial, so that is a unit Smith diagonal."""
+    """Every maximal cone is generated by part of a lattice basis: a cone of
+    rank rays has determinant ±1, a smaller one (its rays independent in a
+    valid fan) spans a saturated sublattice, a unit Smith diagonal."""
     validate_fan(fan)
-    return all(all(x == 1 for x in fan.cone_snf(c).diagonal) for c in fan.max_cones)
+    return all(
+        abs(fan.cone_den(c)) == 1
+        if len(c) == fan.rank
+        else all(x == 1 for x in smith_normal_form(fan.cone_matrix(c)).diagonal)
+        for c in fan.max_cones
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Any, Sequence
 
 from .exact_linalg import (
@@ -208,10 +208,12 @@ class RealComplexBackend:
         return "C/R"
 
 
-def _prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n in ascending order; [] when n < 2.
+@lru_cache(maxsize=64)
+def _prime_factors(n: int) -> tuple[int, ...]:
+    """Distinct prime factors of n in ascending order; () when n < 2.
 
     Trial division, so n is checked against 2**40 first: ValueError above it.
+    Kept for the last 64 n, since one op checks its q in several places.
     """
     if n > _MAX_FACTORED:
         raise ValueError(f"cannot factor {n}: only numbers up to 2**40 are factored")
@@ -225,7 +227,7 @@ def _prime_factors(n: int) -> list[int]:
         p += 1
     if n > 1:
         out.append(n)
-    return out
+    return tuple(out)
 
 
 def _prime_power_base(q: int) -> int:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toricforms
-from toricforms import cli, cohomology, exact_linalg
+from toricforms import classify, cli, cohomology, exact_linalg, galois
 from toricforms.classify import (
     BUILTIN_NAMES,
     BUILTIN_SURFACE_NAMES,
@@ -46,7 +46,6 @@ from toricforms.exact_linalg import (
     basis_mod,
     kernel_basis,
     lattice_subquotient,
-    rational_solve,
     saturation_basis,
     smith_normal_form,
 )
@@ -65,7 +64,7 @@ from toricforms.galois import (
 )
 
 from table_groups import TableGroup, orbit_stabilizer
-from test_exact_linalg import congruence_kernel_basis
+from test_exact_linalg import congruence_kernel_basis, rational_solve
 from test_fans import HEXAGON, P1, P1XP1, P2, PRODUCT_FAN_NAMES, named_fan, unimodular
 
 M = IntMatrix.from_rows
@@ -849,6 +848,22 @@ def test_large_q_oracle_ends_within_a_second(capsys):
     assert code == 0
     assert "all routes agree" in out
     assert elapsed < 1.0
+
+
+def test_large_q_oracle_factors_q_once(monkeypatch, capsys):
+    """The backend parser, each class's backend and the torus route all
+    check that q is a prime power; the memo on `_prime_factors` runs the
+    trial division of each number once per op (three times q before, about
+    0.2 s each at this q)."""
+    factored = galois._prime_factors
+    factored.cache_clear()
+    asked = []
+    for module in (galois, cohomology, classify):
+        monkeypatch.setattr(module, "_prime_factors", lambda n: asked.append(n) or factored(n))
+    code = cli.run(["cohomology", "oracle", "--builtin", "surface:C2", "--backend", f"ff:{LARGE_Q},2"])
+    assert code == 0 and "all routes agree" in capsys.readouterr().out
+    assert asked.count(LARGE_Q) >= 3
+    assert factored.cache_info().misses == len(set(asked))
 
 
 def test_large_q_ff_routes_keep_every_entry_below_c(monkeypatch):

@@ -26,10 +26,10 @@ from toricforms.exact_linalg import (
     cokernel_presentation,
     congruence_kernel,
     det,
+    fraction_free_solve,
     kernel_basis,
     lattice_intersection,
     lattice_subquotient,
-    rational_solve,
     saturation_basis,
     smith_normal_form,
     triangular_subquotient,
@@ -305,8 +305,9 @@ def test_snf_inverses_do_not_call_smith_normal_form(monkeypatch):
 def test_unimodular_inverse_refuses_other_determinants():
     with pytest.raises(ValueError, match="det is 2"):
         exact_linalg._unimodular_inverse(M([[2, 0], [0, 1]]))
-    with pytest.raises(ValueError, match="singular"):
+    with pytest.raises(ValueError, match=r"^det is 0, not ±1: \[1 1; 1 1\]$"):
         exact_linalg._unimodular_inverse(M([[1, 1], [1, 1]]))
+    assert exact_linalg._unimodular_inverse(M([[0, 1], [1, 0]])) == M([[0, 1], [1, 0]])
     assert exact_linalg._unimodular_inverse(IntMatrix.zero(0, 0)) == IntMatrix.zero(0, 0)
 
 
@@ -569,6 +570,125 @@ def test_direct_sum_matches_factor_concatenation(xs, ys):
 # --- rational solves ---------------------------------------------------------
 
 
+def rational_solve(dec: SmithDecomposition, b: IntMatrix) -> tuple[IntMatrix, int] | None:
+    """The solve `fraction_free_solve` replaced, kept as its reference:
+    a @ x = b over Q as integers, for a = dec.matrix: (x, den) with
+    a @ x == den * b.
+
+    From u @ a @ v == d the system reads d @ y == den * (u @ b) in y =
+    v_inv @ x.  `den` is the last nonzero invariant factor of a (1 when a is
+    zero); every d_i divides it, so y_i = (den / d_i) * (u @ b)_i is integral
+    for i below the rank, and the free coordinates beyond it are pinned to
+    zero.  None when a row of u @ b beyond the rank is nonzero, i.e. the
+    system is inconsistent over Q.
+    """
+    a = dec.matrix
+    if b.nrows != a.nrows:
+        raise ValueError(f"b must have the {a.nrows} rows of the matrix, got shape {b.shape}")
+    r = dec.rank
+    den = dec.diagonal[r - 1] if r else 1
+    c = dec.u @ b
+    if any(any(row) for row in c.rows[r:]):
+        return None
+    y = tuple(tuple(den // di * t for t in row) for di, row in zip(dec.diagonal, c.rows[:r]))
+    x = dec.v @ IntMatrix(y + ((0,) * b.ncols,) * (a.ncols - r), b.ncols)
+    assert a @ x == b.scaled(den)
+    return x, den
+
+
+def _bareiss_det(m: IntMatrix) -> int:
+    """The determinant `det` replaced, kept as its reference: a forward
+    Bareiss elimination of m alone."""
+    n = m.nrows
+    if n == 0:
+        return 1
+    a = [list(r) for r in m.rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def test_fraction_free_solve_frozen():
+    cols = IntMatrix.from_cols
+    assert fraction_free_solve(M([[2, 1], [1, 1]]), IntMatrix.identity(2)) == (1, M([[1, -1], [-1, 2]]))
+    # den is det a, sign included, and x solves a @ x == den * b
+    assert fraction_free_solve(M([[0, 1], [1, 0]]), cols([(2, 3)])) == (-1, cols([(-3, -2)]))
+    assert fraction_free_solve(M([[2, 0], [0, 4]]), cols([(1, 2)])) == (8, cols([(4, 4)]))
+    # more rows than columns: den is a nonzero maximal minor, up to sign
+    assert fraction_free_solve(M([[2], [4]]), cols([(1, 2)])) == (2, M([[1]]))
+    assert fraction_free_solve(M([[0], [3]]), cols([(0, 1)])) == (-3, M([[-1]]))
+    # dependent columns, and a right-hand side outside the span
+    assert fraction_free_solve(M([[1, 1], [1, 1]]), cols([(1, 1)])) == (0, None)
+    assert fraction_free_solve(M([[1], [1]]), cols([(0, 1)])) == (1, None)
+    # no right-hand side: den alone
+    assert fraction_free_solve(M([[1, 2], [3, 4]])) == (-2, None)
+    assert fraction_free_solve(M([[1, 2], [2, 4]])) == (0, None)
+    # degenerate shapes: no columns are independent, no rows leave any column dependent
+    assert fraction_free_solve(IntMatrix.zero(0, 0), IntMatrix.zero(0, 1)) == (1, IntMatrix.zero(0, 1))
+    assert fraction_free_solve(IntMatrix.zero(2, 0), IntMatrix.zero(2, 1)) == (1, IntMatrix.zero(0, 1))
+    assert fraction_free_solve(IntMatrix.zero(2, 0), cols([(0, 1)])) == (1, None)
+    assert fraction_free_solve(IntMatrix.zero(0, 3), IntMatrix.zero(0, 2)) == (0, None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.integers(0, 2),
+    st.booleans(), st.booleans(), st.data(),
+)
+def test_fraction_free_solve_matches_smith_reference(
+    nrows, ncols, inner, nrhs, low_rank, consistent, data
+):
+    def draw(r: int, c: int) -> IntMatrix:
+        return IntMatrix.from_rows([[data.draw(_entries) for _ in range(c)] for _ in range(r)], ncols=c)
+
+    # a product through a small inner dimension has dependent columns
+    a = draw(nrows, inner) @ draw(inner, ncols) if low_rank else draw(nrows, ncols)
+    b = a @ draw(ncols, nrhs) if consistent else draw(nrows, nrhs)
+    den, x = fraction_free_solve(a, b)
+    dec = smith_normal_form(a)
+    if dec.rank < ncols:
+        assert (den, x) == (0, None)
+        return
+    # den is, up to sign, a maximal minor, so the gcd of all of them divides it
+    assert den and den % math.prod(dec.diagonal) == 0
+    if nrows == ncols:
+        assert den == _bareiss_det(a) == det(a)
+    ref = rational_solve(dec, b)
+    assert (x is None) == (ref is None)
+    if x is not None:
+        ref_x, ref_den = ref
+        assert a @ x == b.scaled(den)
+        assert x.scaled(ref_den) == ref_x.scaled(den)  # the unique solution
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5), st.booleans(), st.data())
+def test_det_matches_bareiss_reference(n, singular, data):
+    rows = [[data.draw(_entries) for _ in range(n)] for _ in range(n)]
+    singular = singular and n >= 2
+    if singular:  # two equal rows
+        rows[-1] = list(rows[0])
+    m = IntMatrix.from_rows(rows, ncols=n)
+    assert det(m) == _bareiss_det(m)
+    if singular:
+        assert det(m) == 0
+
+
+
 def _gauss_jordan_solve(a: IntMatrix, b: IntMatrix) -> list[list[Fraction]] | None:
     """Reference solver: a @ x = b over Q by Fraction Gauss-Jordan elimination.
 
@@ -676,8 +796,8 @@ def _library_imports() -> list[tuple[str, int, str]]:
 
 
 def test_library_imports_no_rational_arithmetic():
-    """Every solve goes through the Smith normal form in integers: no module
-    of the library imports `fractions`."""
+    """Every solve stays in integers, by a fraction-free elimination or a
+    Smith normal form: no module of the library imports `fractions`."""
     bad = [(f, line) for f, line, module in _library_imports() if module == "fractions"]
     assert not bad, f"imports of fractions at {bad}"
 
@@ -770,9 +890,8 @@ def test_matmul_degenerate_shapes():
 
 _SHAPE_SCRIPT = """
 from toricforms.exact_linalg import (
-    FGAbelianGroup, IntMatrix, basis_mod, congruence_kernel, det,
-    lattice_intersection, lattice_subquotient, rational_solve, smith_normal_form,
-    triangular_subquotient,
+    FGAbelianGroup, IntMatrix, basis_mod, congruence_kernel, det, fraction_free_solve,
+    lattice_intersection, lattice_subquotient, smith_normal_form, triangular_subquotient,
 )
 
 a, b = IntMatrix.from_rows([[1, 2]]), IntMatrix.from_rows([[1, 2], [3, 4]])
@@ -790,7 +909,7 @@ for call in (
     lambda: congruence_kernel(b, 0),
     lambda: triangular_subquotient(b, IntMatrix.identity(2)),
     lambda: triangular_subquotient(IntMatrix.identity(2), a),
-    lambda: rational_solve(smith_normal_form(b), a),
+    lambda: fraction_free_solve(b, a),
     lambda: lattice_intersection(b, a),
     lambda: FGAbelianGroup(0, (3, 2)),
     lambda: FGAbelianGroup(-1, (1,)),
@@ -825,7 +944,7 @@ ValueError modulus must be >= 1, got 0
 ValueError modulus must be >= 1, got 0
 ValueError sup must be a 2 x 2 lower-triangular basis with positive diagonal, got shape (2, 2)
 ValueError sub must be a 2 x 2 lower-triangular basis with positive diagonal, got shape (1, 2)
-ValueError b must have the 2 rows of the matrix, got shape (1, 2)
+ValueError b must have the 2 rows of a, got shape (1, 2)
 ValueError gens_b must have the 2 rows of gens_a, got shape (1, 2)
 ValueError invariant_factors must be >= 2, each dividing the next, got (3, 2)
 ValueError free_rank must be >= 0, got -1
@@ -1049,17 +1168,18 @@ def _norm_route_values(fan: Fan, backend: FiniteFieldBackend) -> list[FGAbelianG
 def test_second_classification_factors_no_cone_or_ray_matrix(count_decompositions, name):
     be = FiniteFieldBackend(3, 2)
     fan = _fresh_builtin(name)
-    # the ray-coordinate norm route factors what the fan owns; classify_fan,
-    # on the cocharacter side, needs only the validation's cones.  The ray
-    # matrix is factored once: its columns' decomposition is the transpose.
+    # the ray-coordinate norm route factors the ray matrix the fan owns,
+    # once: its columns' decomposition is the transpose.  No cone matrix is
+    # ever factored: cones are asked cone questions, answered by their
+    # fraction-free dens.
     first = _norm_route_values(fan, be)
-    owned = {fan.ray_rows} | {
-        IntMatrix.from_cols([fan.rays[i] for i in cone], fan.rank) for cone in fan.max_cones
-    }
-    assert owned <= set(count_decompositions)
+    cones = {fan.cone_matrix(cone) for cone in fan.max_cones}
+    assert fan.ray_rows in count_decompositions
     assert fan.ray_columns not in count_decompositions
+    assert not cones & set(count_decompositions)
     count_decompositions.clear()
     assert _norm_route_values(fan, be) == first
     report = classify_fan(fan, be.group, be)
     assert [entry.value for entry in report.entries] == first
-    assert not owned & set(count_decompositions)
+    assert fan.ray_rows not in count_decompositions
+    assert not cones & set(count_decompositions)

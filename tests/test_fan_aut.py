@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricforms.classify import BUILTIN_NAMES
-from toricforms.exact_linalg import IntMatrix, det, kernel_basis, rational_solve, smith_normal_form
+from toricforms.exact_linalg import IntMatrix, det, kernel_basis, smith_normal_form
 from toricforms.fan_aut import (
     GEN_MIRROR_DIAG,
     GEN_MIRROR_SWAP,
@@ -27,7 +27,6 @@ from toricforms.fan_aut import (
     _frame,
     _frame_images,
     _ray_invariants,
-    _scaled_inverse,
     automorphism_group,
     gl2_class_elements,
     identify_gl2_class,
@@ -36,6 +35,7 @@ from toricforms.fan_aut import (
 )
 from toricforms.fans import Fan, NotSmoothComplete, boundary_word, surface_blowup, validate_fan
 
+from test_exact_linalg import rational_solve
 from test_fans import (
     HEXAGON,
     P1,
@@ -47,6 +47,14 @@ from test_fans import (
     random_smooth_complete_fan,
     unimodular,
 )
+
+
+def _scaled_inverse(m: IntMatrix) -> tuple[IntMatrix, int]:
+    """The references' inverse, from the Smith form: (g, den) with
+    m @ g == den * identity, for a nonsingular square m."""
+    sol = rational_solve(smith_normal_form(m), IntMatrix.identity(m.nrows))
+    assert sol is not None, "matrix is singular"
+    return sol
 
 
 def _ray_permutations(fan: Fan, matrices) -> tuple[tuple[int, ...], ...]:
@@ -69,7 +77,7 @@ def aut_via_sequence(fan: Fan) -> FanAutGroup:
     w = bw.word
     m = len(w)
     rays = [fan.rays[i] for i in order]
-    base_inv, den = _scaled_inverse(smith_normal_form(IntMatrix.from_cols([rays[0], rays[1]], 2)))
+    base_inv, den = _scaled_inverse(IntMatrix.from_cols([rays[0], rays[1]], 2))
 
     def lift(target0: tuple[int, ...], target1: tuple[int, ...]) -> IntMatrix:
         s = _divided(IntMatrix.from_cols([target0, target1], 2) @ base_inv, den)
@@ -365,8 +373,8 @@ def _frame_product_automorphisms(fan: Fan) -> tuple[IntMatrix, ...]:
     the result is sorted by rows, as `FanAutGroup.matrices` is.
     """
     validate_fan(fan)
-    frame, frame_dec = _frame(fan)
-    frame_inv, den = _scaled_inverse(frame_dec)
+    frame = _frame(fan)[0]
+    frame_inv, den = _scaled_inverse(fan.cone_matrix(frame))
     invariants = _ray_invariants(fan)
     ray_lookup = {r: i for i, r in enumerate(fan.rays)}
     cone_set = set(fan.max_cones)
@@ -490,8 +498,8 @@ def reference_automorphism_group(fan: Fan) -> FanAutGroup:
     Every element counts as a generator.
     """
     validate_fan(fan)
-    frame, frame_dec = _frame(fan)
-    frame_inv, den = _scaled_inverse(frame_dec)
+    frame = _frame(fan)[0]
+    frame_inv, den = _scaled_inverse(fan.cone_matrix(frame))
     ray_lookup = {r: i for i, r in enumerate(fan.rays)}
     cone_set = set(fan.max_cones)
     found = []
@@ -587,8 +595,7 @@ def test_ray_relations_leave_one_leaf_per_symmetry():
     """On P2 x P2 cone incidence leaves 360 frame images; the ray relations
     prune all but the 72 symmetries."""
     fan = named_fan("P2xP2")
-    frame, frame_dec = _frame(fan)
-    frame_inv, den = _scaled_inverse(frame_dec)
+    frame, frame_inv, den = _frame(fan)
     invariants = _ray_invariants(fan)
     assert sum(1 for _ in _incidence_frame_images(fan, frame, invariants)) == 360
     leaves = list(_frame_images(fan, frame, frame_inv, den, invariants))

@@ -243,9 +243,10 @@ def test_class_groups_frozen():
 
 def test_validation_runs_once_per_fan_object(monkeypatch):
     """The verdict is a fact the Fan keeps: a second read of any invariant
-    runs neither the ray and cone checks nor the certificate's determinants,
-    and a bad fan raises its FanError on every read."""
-    counts = {"checks": 0, "det": 0}
+    runs neither the ray and cone checks nor the eliminations of validation
+    (one den per cone, one membership solve per cone but the first), and a
+    bad fan raises its FanError on every read."""
+    counts = {"checks": 0, "solves": 0}
 
     def counted(name, func):
         def wrapper(*args):
@@ -254,15 +255,15 @@ def test_validation_runs_once_per_fan_object(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(fans, "_check_rays_and_cones", counted("checks", fans._check_rays_and_cones))
-    monkeypatch.setattr(fans, "det", counted("det", fans.det))
+    monkeypatch.setattr(fans, "fraction_free_solve", counted("solves", fans.fraction_free_solve))
     fan = Fan.make(2, HEXAGON.rays, HEXAGON.max_cones)  # a fresh object
     reads = (validate_fan, automorphism_group, class_group, is_complete, is_smooth, cox_data)
     for read in reads:
         read(fan)
-    assert counts == {"checks": 1, "det": 6}
+    assert counts == {"checks": 1, "solves": 6 + 5}
     for read in reads + (boundary_word,):
         read(fan)
-    assert counts == {"checks": 1, "det": 6}
+    assert counts == {"checks": 1, "solves": 6 + 5}
     bad = Fan.make(2, [(1, 0), (2, 0)], [(0,), (1,)])
     for read in reads + (degree_data, boundary_word):
         with pytest.raises(NonPrimitiveRay, match=r"^ray 1 = \(2, 0\) is not primitive$"):
@@ -368,11 +369,12 @@ def test_irrelevant_ideal_of_maximal_cones_is_that_of_all_faces(name):
 
 
 def test_cone_is_factored_only_after_its_index_checks():
-    """Each cone's Smith decomposition is built on its first use, so an
-    out-of-range index in a later cone stays a FanError, not an IndexError,
-    also on a fan that has factored its earlier cones already."""
+    """Each cone's den is computed on its first use, so an out-of-range
+    index in a later cone stays a FanError, not an IndexError, also on a
+    fan that has eliminated its earlier cones already."""
     fan = Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 7)))
-    assert fan.cone_snf((0, 1)).diagonal == (1, 1)
+    assert fan.cone_den((0, 1)) == 1
+    assert fan.cone_den((1, 2)) == 1  # det [0 -1; 1 -1]
     with pytest.raises(FanError, match=r"^cone \(2, 7\) references missing ray 7$") as info:
         validate_fan(fan)
     assert type(info.value) is FanError
