@@ -256,9 +256,8 @@ def fraction_free_solve(a: IntMatrix, b: IntMatrix | None = None) -> tuple[int, 
                     r[j] = p * r[j] // prev
         prev = p
     den = sign * prev
-    if b is None:
-        return den, None
-    if any(any(r[m:]) for r in rows[m:]):  # the right-hand sides of rows without a pivot
+    # b, if given, is in the span when no row without a pivot has a right-hand side left
+    if b is None or any(any(r[m:]) for r in rows[m:]):
         return den, None
     # den * y for the solution y over Q of the pivot rows, integral by
     # Cramer's rule, so every division below is exact
@@ -301,7 +300,7 @@ class SmithDecomposition:
     computed on first read, each by one `fraction_free_solve` against the
     identity; no library code reads them.
     `smith_normal_form` keeps nothing: a caller asking twice about one
-    matrix keeps the decomposition (a `Fan` keeps its cones' and rays').
+    matrix keeps the decomposition (a `Fan` keeps its ray matrix's).
     """
 
     matrix: IntMatrix
