@@ -60,7 +60,7 @@ INPUT_FILES = {
         "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
         "cones": [[0, 1, 2], [0, 1, 3], [0, 2, 3]],
     },
-    # P^4 without its last maximal cone: validated with a warning
+    # P^4 without its last maximal cone: not complete, so checked pair by pair
     "p4_minus_cone.json": {
         "rank": 4,
         "rays": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, -1, -1, -1]],
@@ -78,6 +78,23 @@ INPUT_FILES = {
         "rank": 3,
         "rays": [[0, 2, 1], [-2, -1, 1], [2, -1, 1], [0, -2, 1], [-2, 1, 1], [2, 1, 1]],
         "cones": [[0, 1, 2], [3, 4, 5]],
+    },
+    # the rank-3 overlap lifted by a shared ray e_4: not complete, so only
+    # the pairwise check sees it
+    "overlap_rank4.json": {
+        "rank": 4,
+        "rays": [
+            [0, 2, 1, 0], [-2, -1, 1, 0], [2, -1, 1, 0], [0, -2, 1, 0], [-2, 1, 1, 0], [2, 1, 1, 0],
+            [0, 0, 0, 1],
+        ],
+        "cones": [[0, 1, 2, 6], [3, 4, 5, 6]],
+    },
+    # cone(e_1, ..., e_10) and its negative: a fan, but the pairwise check
+    # would take 184,756 determinants, past its budget
+    "disjoint_rank10.json": {
+        "rank": 10,
+        "rays": [[s * int(i == j) for j in range(10)] for s in (1, -1) for i in range(10)],
+        "cones": [list(range(10)), list(range(10, 20))],
     },
     # 135-degree cones around the square: every wall has two sides, but the
     # cones cover the plane three times
@@ -142,6 +159,8 @@ EDGE_OPS: dict[str, tuple[str, ...]] = {
     "edge fan info low-dimensional cones": ("fan", "info", "--file", _file("low_dim_cones.json")),
     "edge fan aut low-dimensional cones": ("fan", "aut", "--file", _file("low_dim_cones.json")),
     "edge fan validate rank-3 overlap": ("fan", "validate", "--file", _file("overlap_rank3.json")),
+    "edge fan validate rank-4 overlap": ("fan", "validate", "--file", _file("overlap_rank4.json")),
+    "edge fan validate face-check budget": ("fan", "validate", "--file", _file("disjoint_rank10.json")),
     "edge fan validate winding square": ("fan", "validate", "--file", _file("winding_square.json")),
     "edge fan validate non-simplicial cone": (
         "fan", "validate", "--file", _file("non_simplicial.json"),

@@ -28,7 +28,6 @@ from typing import Mapping, Sequence, Union
 
 from . import _jsonout
 from .cohomology import (
-    TooLarge,
     _h1_finite_field_torus,
     h1_cyclic_norm_formula,
     h1_real_involution,
@@ -37,6 +36,7 @@ from .exact_linalg import FGAbelianGroup, IntMatrix
 from .fans import (
     Fan,
     RankUnsupported,
+    TooLarge,
     fan_from_boundary_word,
     is_complete,
     is_smooth,

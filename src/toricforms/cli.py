@@ -36,7 +36,6 @@ from .classify import (
     surface_table,
 )
 from .cohomology import (
-    TooLarge,
     brute_force_h1_finite,
     finite_field_torus_module,
     h1_cyclic_norm_formula,
@@ -47,6 +46,7 @@ from .exact_linalg import FGAbelianGroup, IntMatrix
 from .fans import (
     Fan,
     FanError,
+    TooLarge,
     a_sequence,
     class_group,
     cox_data,

@@ -39,7 +39,7 @@ from .exact_linalg import (
     triangular_subquotient,
 )
 from .fan_aut import NotInvolution
-from .fans import Fan, class_group, degree_data
+from .fans import Fan, TooLarge, class_group, degree_data
 from .galois import (
     AssumptionViolated,
     BackendUnsupported,
@@ -54,11 +54,6 @@ from .galois import (
     norm_quotient,
     torsion_factor_invertible,
 )
-
-
-class TooLarge(ValueError):
-    """A computation would exceed its size guard (brute-force enumeration,
-    the partition matrices of a projective classification)."""
 
 
 # ---------------------------------------------------------------------------

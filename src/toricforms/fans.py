@@ -4,24 +4,24 @@ A fan is stored combinatorially: the ambient lattice rank, the ordered list of
 primitive ray generators, and the maximal cones as sets of ray indices.
 Validation covers primitivity, simpliciality, full-rank ray span, and the
 face-intersection axiom: complete fans are proved by wall crossing in every
-rank, other fans are checked pair of cones by pair (exactly in rank up to
-three, spot-checked above).  A `Fan` validates itself once, on first need,
-and keeps the verdict: complete or not (the certificate's answer, in every
-rank), or the FanError it fails with.  Every invariant reads that verdict,
-so none answers on a non-fan: divisor class groups, Cox presentations,
-completeness and smoothness tests, and for smooth complete surfaces the
-cyclic boundary word (the integers a_i with r_{i-1} + r_{i+1} = a_i * r_i
-around the boundary), read by walking cone adjacency counterclockwise.
+rank, other fans are checked exactly pair of cones by pair, or refused with
+TooLarge when that would take too many determinants.  A `Fan` validates
+itself once, on first need, and keeps the verdict: complete or not (the
+certificate's answer, in every rank), or the FanError it fails with.  Every
+invariant reads that verdict, so none answers on a non-fan: divisor class
+groups, Cox presentations, completeness and smoothness tests, and for smooth
+complete surfaces the cyclic boundary word (the integers a_i with
+r_{i-1} + r_{i+1} = a_i * r_i around the boundary), read by walking cone
+adjacency counterclockwise.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import warnings
 from dataclasses import dataclass
-from functools import cached_property
-from math import gcd
+from functools import cache, cached_property
+from math import comb, gcd
 from typing import Iterable, Sequence
 
 from . import _jsonout
@@ -30,6 +30,7 @@ from .exact_linalg import (
     IntMatrix,
     SmithDecomposition,
     _int_tuples,
+    det,
     fraction_free_solve,
     saturation_basis,
     smith_normal_form,
@@ -78,6 +79,17 @@ class NotSmoothComplete(FanError):
 
 class FanFormatError(ValueError):
     """Malformed fan JSON."""
+
+
+class TooLarge(ValueError):
+    """A computation would exceed its size guard (the pairwise
+    face-intersection check, brute-force cocycle enumeration, the partition
+    matrices of a projective classification)."""
+
+
+#: Most n x n determinants the pairwise face-intersection check computes, over
+#: all pairs; two rank-8 cones with no shared ray take 12,870, rank-9 ones 48,620.
+MAX_FACE_MINORS = 20_000
 
 
 def primitive_vector(v: Sequence[int]) -> tuple[int, ...]:
@@ -163,16 +175,13 @@ class Fan:
     @cached_property
     def _verdict(self) -> bool | FanError:
         """Validation, run on first read and kept: whether the fan is
-        complete, or the FanError it fails with.  `validate_fan` reads it."""
+        complete, or the FanError it fails with.  `validate_fan` reads it.
+        TooLarge is raised, not kept: it says no verdict was reached."""
         try:
             _check_rays_and_cones(self)
             if _wall_crossing_certificate(self):
                 return True
-            if self.rank > 3:
-                warnings.warn(f"rank {self.rank} fan: face intersections only spot-checked"
-                              " on the cones' rays (the fan is not complete)")
-            for ca, cb in itertools.combinations(self.max_cones, 2):
-                _check_face_intersection(self, ca, cb)
+            _check_face_intersections(self)
         except FanError as exc:
             return exc.with_traceback(None)
         return False
@@ -239,75 +248,69 @@ def _cone_coords(fan: Fan, cone: tuple[int, ...], v: Sequence[int]) -> tuple[int
     return coords if all(t >= 0 for t in coords) else None
 
 
-def _span_planes(fan: Fan, cone: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
-    """Codimension-one face spans of a simplicial cone, as ray-generator lists."""
-    if len(cone) >= 2:
-        if len(cone) == 2:
-            return [[fan.rays[cone[0]], fan.rays[cone[1]]]]
-        return [
-            [fan.rays[i] for i in cone[:k] + cone[k + 1 :]]
-            for k in range(len(cone))
-        ]
-    return []
-
-
-def _cross3(a: Sequence[int], b: Sequence[int]) -> tuple[int, int, int]:
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-def _line_intersection(p1: list[tuple[int, ...]], p2: list[tuple[int, ...]]) -> tuple[int, ...] | None:
-    """Primitive generator of span(p1) & span(p2) for two planes in rank 3,
-    up to sign; None when the planes coincide.
-
-    Each plane is spanned by two independent rays, so its normal is their
-    cross product, and the planes meet along the cross product of normals.
-    """
-    line = _cross3(_cross3(*p1), _cross3(*p2))
-    if not any(line):
-        return None
-    return primitive_vector(line)
+def _check_face_intersections(fan: Fan) -> None:
+    """The face-intersection axiom, pair of cones by pair; TooLarge, before any
+    minor is computed, when all pairs take more than MAX_FACE_MINORS."""
+    pairs = list(itertools.combinations(fan.max_cones, 2))
+    count = 0
+    for ca, cb in pairs:
+        columns = len(set(ca) ^ set(cb)) + fan.rank * (fan.rank not in (len(ca), len(cb)))
+        count += comb(columns, fan.rank - len(set(ca) & set(cb)))
+    if count > MAX_FACE_MINORS:
+        raise TooLarge(
+            f"the fan is not complete, and checking its face intersections pair by pair"
+            f" would take {count} determinants, more than {MAX_FACE_MINORS}"
+        )
+    for ca, cb in pairs:
+        _check_face_intersection(fan, ca, cb)
 
 
 def _check_face_intersection(fan: Fan, ca: tuple[int, ...], cb: tuple[int, ...]) -> None:
-    """Check that cone(ca) & cone(cb) equals the common face cone(ca&cb).
+    """Check that cone(ca) & cone(cb) equals their common face cone(S), S the
+    shared rays; exact in every rank.
 
-    Enumerates candidate extreme rays of the intersection: generators of one
-    cone lying in the other, plus (in rank 3) primitive generators of
-    pairwise intersections of facet planes.  That is exact for rank <= 3; in
-    higher rank only the generators are tested.  Every candidate lies in
-    cone(ca), so it lies in the common face exactly when its coordinates in
-    the rays of ca vanish off the shared rays.
+    Write N and M for the other rays of ca and of cb, and U and W for their
+    images in Z^n / span(S), of rank d = n - |S|; each image is independent.
+    A point of both cones outside cone(S) maps to Ua = Wb != 0 with a, b >= 0;
+    conversely Na - Mb = -Sg then gives the point Na + max(0, g) S of both
+    cones.  The (a, b) form a pointed cone, nonzero exactly when it has an
+    extreme ray: a circuit of [U | -W] whose coefficients have one sign
+    (Rockafellar, The elementary vectors of a subspace of R^N, 1969).  A
+    circuit joined by other columns to d + 1 columns of rank d is their one
+    relation, by Cramer's rule the signed n x n minors of [S | those
+    columns]; so the check reads the relation of every d + 1 columns, each
+    minor computed once.  When neither cone has n rays, unit columns, which
+    no witness may use, make the columns span.
     """
-    shared = tuple(sorted(set(ca) & set(cb)))
+    n = fan.rank
+    shared = tuple(i for i in ca if i in cb)
+    others = [i for i in ca if i not in shared] + [j for j in cb if j not in shared]
+    sides = len(ca) - len(shared)  # others[:sides] are N, the rest M
+    cols = [fan.rays[i] if p < sides else tuple(-t for t in fan.rays[i]) for p, i in enumerate(others)]
+    if n not in (len(ca), len(cb)):
+        cols += IntMatrix.identity(n).rows
 
-    def check(cand: tuple[int, ...], coords: Sequence[int]) -> None:
-        if any(t for t, i in zip(coords, ca) if i not in shared):
-            raise BadFaceIntersection(
-                f"cones {ca} and {cb} overlap beyond their common face: "
-                f"direction {cand} lies in both but not in the face spanned by {shared}"
-            )
+    @cache
+    def minor(sub: tuple[int, ...], skip: int = -1) -> int:
+        """det [S | the columns sub], the shared ray at position skip left out."""
+        s_part = [fan.rays[i] for j, i in enumerate(shared) if j != skip]
+        return det(IntMatrix._trusted(tuple(zip(*s_part, *(cols[p] for p in sub))), n))
 
-    for i in ca:
-        if _cone_coords(fan, cb, fan.rays[i]) is not None:
-            check(fan.rays[i], [int(j == i) for j in ca])
-    for i in cb:
-        coords = _cone_coords(fan, ca, fan.rays[i])
-        if coords is not None:
-            check(fan.rays[i], coords)
-    if fan.rank == 3:
-        for p1 in _span_planes(fan, ca):
-            for p2 in _span_planes(fan, cb):
-                g = _line_intersection(p1, p2)
-                if g is None:
-                    continue
-                for cand in (g, tuple(-x for x in g)):
-                    coords = _cone_coords(fan, ca, cand)
-                    if coords is not None and _cone_coords(fan, cb, cand) is not None:
-                        check(cand, coords)
+    for sup in itertools.combinations(range(len(cols)), n - len(shared) + 1):
+        # the relation of the columns [S | sup], on sup, up to its sign
+        x = [(-1) ** t * minor(sup[:t] + sup[t + 1 :]) for t in range(len(sup))]
+        if not any(x) or min(x) < 0 < max(x) or any(t for t, p in zip(x, sup) if p >= len(others)):
+            continue
+        sign = 1 if max(x) > 0 else -1
+        terms = [(sign * t, others[p]) for t, p in zip(x, sup) if p < sides]
+        # the relation on S is g; the point N a + max(0, g) S lies in both cones
+        g = [(-1) ** (j + len(shared)) * sign * minor(sup, j) for j in range(len(shared))]
+        terms += [(max(0, t), i) for t, i in zip(g, shared)]
+        point = tuple(sum(w * fan.rays[i][r] for w, i in terms) for r in range(n))
+        raise BadFaceIntersection(
+            f"cones {ca} and {cb} overlap beyond their common face: direction"
+            f" {primitive_vector(point)} lies in both but not in the face spanned by {shared}"
+        )
 
 
 def _wall_crossing_certificate(fan: Fan) -> bool:
@@ -426,8 +429,9 @@ def validate_fan(fan: Fan) -> None:
     or (c) means cones overlap (BadFaceIntersection).
 
     A fan failing (a) is not complete.  Its face intersections are checked
-    pair by pair: exactly in rank <= 3; in higher rank only on the cones'
-    rays, and a warning says so, once per Fan object.
+    pair by pair, exactly in every rank (`_check_face_intersection`).  When
+    all pairs together would take more than MAX_FACE_MINORS determinants,
+    it raises TooLarge instead: validation answers exactly or not at all.
     """
     verdict = fan._verdict
     if isinstance(verdict, FanError):

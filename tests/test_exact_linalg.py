@@ -802,6 +802,13 @@ def test_library_imports_no_rational_arithmetic():
     assert not bad, f"imports of fractions at {bad}"
 
 
+def test_library_imports_no_warnings():
+    """Validation answers exactly or refuses with an exception; no verdict
+    is partial, so no module of the library imports `warnings`."""
+    bad = [(f, line) for f, line, module in _library_imports() if module == "warnings"]
+    assert not bad, f"imports of warnings at {bad}"
+
+
 def test_library_never_reads_smith_inverses():
     """No library code reads `u_inv` or `v_inv`: bases come from m @ v,
     subquotients from u alone, and the certificate checks |det u| and

@@ -2,8 +2,10 @@
 
 import itertools
 import random
+import re
 import subprocess
 import sys
+import time
 import warnings
 from functools import cmp_to_key
 from pathlib import Path
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from toricforms import fans
 from toricforms.classify import BUILTIN_NAMES, builtin_fan
+from toricforms.cli import run
 from toricforms.exact_linalg import (
     FGAbelianGroup,
     IntMatrix,
@@ -35,10 +38,11 @@ from toricforms.fans import (
     RankUnsupported,
     RaysNotFullRank,
     RedundantCone,
+    TooLarge,
     UnusedRay,
     _check_face_intersection,
     _check_rays_and_cones,
-    _line_intersection,
+    _cone_coords,
     _wall_crossing_certificate,
     a_sequence,
     boundary_word,
@@ -208,26 +212,87 @@ def test_rank3_plane_crossing_detected():
         validate_fan(fan)
 
 
-def test_rank4_warns_partial_check():
+def test_rank4_incomplete_fan_validates_without_warning():
+    """Complete or not, a fan of any rank gets an exact verdict, and no
+    warning: P^4 and (P^1)^4 by the certificate, P^4 minus a cone pair by
+    pair."""
     p4 = Fan.make(
         4,
         [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -1, -1)],
         [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4), (1, 2, 3, 4)],
     )
-    # complete fans are proved by wall crossing, in any rank, without a warning
+    incomplete = Fan.make(4, p4.rays, p4.max_cones[1:])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         validate_fan(p4)
         validate_fan(product_fan((1, 1, 1, 1)))
-    # a fan that is not complete still gets only the partial check, and
-    # says so once: the verdict is kept with the Fan object
-    incomplete = Fan.make(4, p4.rays, p4.max_cones[1:])
-    with pytest.warns(UserWarning, match="rank 4 fan: face intersections"):
-        validate_fan(incomplete)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
         validate_fan(incomplete)
         assert not is_complete(incomplete)
+
+
+#: The two rank-3 cones that overlap along (2, -3, 3), lifted by a shared
+#: ray e_4.  The fan is not complete, so only the pairwise check sees it.
+OVERLAP_RANK4 = Fan.make(
+    4,
+    [(0, 2, 1, 0), (-2, -1, 1, 0), (2, -1, 1, 0), (0, -2, 1, 0), (-2, 1, 1, 0), (2, 1, 1, 0), (0, 0, 0, 1)],
+    [(0, 1, 2, 6), (3, 4, 5, 6)],
+)
+
+
+def test_rank4_overlap_is_rejected():
+    with pytest.raises(BadFaceIntersection) as err:
+        validate_fan(OVERLAP_RANK4)
+    assert str(err.value) == (
+        "cones (0, 1, 2, 6) and (3, 4, 5, 6) overlap beyond their common face:"
+        " direction (-4, 0, 3, 0) lies in both but not in the face spanned by (6,)"
+    )
+    # the witness lies in both cones and off their common face
+    for cone in OVERLAP_RANK4.max_cones:
+        coords = _cone_coords(OVERLAP_RANK4, cone, (-4, 0, 3, 0))
+        assert coords is not None and any(coords[:3])
+
+
+def test_rank4_overlap_fails_fan_validate_under_optimized_mode(tmp_path, capsys):
+    path = tmp_path / "overlap.json"
+    path.write_text(OVERLAP_RANK4.to_json())
+    argv = ["fan", "validate", "--file", str(path)]
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cones (0, 1, 2, 6) and (3, 4, 5, 6) overlap beyond their common face")
+    script = "import sys\nfrom toricforms.cli import run\nsys.exit(run(sys.argv[1:]))\n"
+    child = subprocess.run(
+        [sys.executable, "-O", "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={"PYTHONPATH": str(Path(fans.__file__).resolve().parents[1])},
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (1, "", err)
+
+
+def _disjoint_cones(rank: int) -> Fan:
+    """cone(e_1, ..., e_n) and cone(-e_1, ..., -e_n): a fan, not complete."""
+    unit = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    rays = unit + [tuple(-x for x in e) for e in unit]
+    return Fan.make(rank, rays, [range(rank), range(rank, 2 * rank)])
+
+
+def test_face_check_budget(tmp_path, capsys):
+    """Two rank-10 cones with no shared ray would take 184,756 determinants:
+    the count alone refuses them, with exit 1 on the command line.  Two
+    rank-8 cones, 12,870 determinants, are within the budget."""
+    fan = _disjoint_cones(10)
+    path = tmp_path / "disjoint.json"
+    path.write_text(fan.to_json())
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match=r"would take 184756 determinants, more than 20000$"):
+        validate_fan(fan)
+    assert run(["fan", "validate", "--file", str(path)]) == 1
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: the fan is not complete")
+    assert not is_complete(_disjoint_cones(8))
 
 
 def test_class_groups_frozen():
@@ -515,6 +580,82 @@ def test_json_errors():
             Fan.from_json(text)
 
 
+# ---------------------------------------------------------------------------
+# the pairwise check that `_check_face_intersection` replaced, kept as its
+# reference: exact in rank <= 3, only on the cones' rays above
+
+
+def _span_planes(fan: Fan, cone: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
+    """Codimension-one face spans of a simplicial cone, as ray-generator lists."""
+    if len(cone) >= 2:
+        if len(cone) == 2:
+            return [[fan.rays[cone[0]], fan.rays[cone[1]]]]
+        return [
+            [fan.rays[i] for i in cone[:k] + cone[k + 1 :]]
+            for k in range(len(cone))
+        ]
+    return []
+
+
+def _cross3(a: Sequence[int], b: Sequence[int]) -> tuple[int, int, int]:
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def _line_intersection(p1: list[tuple[int, ...]], p2: list[tuple[int, ...]]) -> tuple[int, ...] | None:
+    """Primitive generator of span(p1) & span(p2) for two planes in rank 3,
+    up to sign; None when the planes coincide.
+
+    Each plane is spanned by two independent rays, so its normal is their
+    cross product, and the planes meet along the cross product of normals.
+    """
+    line = _cross3(_cross3(*p1), _cross3(*p2))
+    if not any(line):
+        return None
+    return primitive_vector(line)
+
+
+def reference_face_intersection(fan: Fan, ca: tuple[int, ...], cb: tuple[int, ...]) -> None:
+    """Check that cone(ca) & cone(cb) equals the common face cone(ca&cb).
+
+    Enumerates candidate extreme rays of the intersection: generators of one
+    cone lying in the other, plus (in rank 3) primitive generators of
+    pairwise intersections of facet planes.  That is exact for rank <= 3; in
+    higher rank only the generators are tested.  Every candidate lies in
+    cone(ca), so it lies in the common face exactly when its coordinates in
+    the rays of ca vanish off the shared rays.
+    """
+    shared = tuple(sorted(set(ca) & set(cb)))
+
+    def check(cand: tuple[int, ...], coords: Sequence[int]) -> None:
+        if any(t for t, i in zip(coords, ca) if i not in shared):
+            raise BadFaceIntersection(
+                f"cones {ca} and {cb} overlap beyond their common face: "
+                f"direction {cand} lies in both but not in the face spanned by {shared}"
+            )
+
+    for i in ca:
+        if _cone_coords(fan, cb, fan.rays[i]) is not None:
+            check(fan.rays[i], [int(j == i) for j in ca])
+    for i in cb:
+        coords = _cone_coords(fan, ca, fan.rays[i])
+        if coords is not None:
+            check(fan.rays[i], coords)
+    if fan.rank == 3:
+        for p1 in _span_planes(fan, ca):
+            for p2 in _span_planes(fan, cb):
+                g = _line_intersection(p1, p2)
+                if g is None:
+                    continue
+                for cand in (g, tuple(-x for x in g)):
+                    coords = _cone_coords(fan, ca, cand)
+                    if coords is not None and _cone_coords(fan, cb, cand) is not None:
+                        check(cand, coords)
+
+
 def _line_intersection_by_kernel(p1, p2):
     """The route `_line_intersection` replaced, kept as its reference: the
     meet of the spans from the kernel of [m1 | -m2], then saturated."""
@@ -569,12 +710,18 @@ VALIDATION_FAN_NAMES = (
 )
 
 
-def pairwise_validate(fan: Fan) -> None:
-    """Reference route: the same ray and cone checks, then the pairwise
-    face-intersection check on every two maximal cones (exact in rank <= 3)."""
+def pairwise_validate(fan: Fan, check=_check_face_intersection) -> None:
+    """Reference route: the same ray and cone checks, then a pairwise
+    face-intersection check on every two maximal cones, with no budget:
+    by default the library's, exact in every rank."""
     _check_rays_and_cones(fan)
     for ca, cb in itertools.combinations(fan.max_cones, 2):
-        _check_face_intersection(fan, ca, cb)
+        check(fan, ca, cb)
+
+
+def reference_validate(fan: Fan) -> None:
+    """`pairwise_validate` with the old pairwise check, exact in rank <= 3."""
+    pairwise_validate(fan, reference_face_intersection)
 
 
 def _verdict(check, fan: Fan) -> type | None:
@@ -638,18 +785,18 @@ def assert_matches_angular_reference(fan: Fan) -> None:
         assert boundary_word(fan).ccw_indices == order[start:] + order[:start]
 
 
-def assert_routes_agree(fan: Fan) -> type | None:
+def assert_routes_agree(fan: Fan, old_check: bool = True) -> type | None:
     """validate_fan and the pairwise reference accept or reject the fan alike,
-    with the same exception class; returns that class, None for accepted.
-    An accepted fan of rank <= 2 is also held to the angular references.
-
-    The warning for fans that are not complete in rank >= 4 is ignored;
-    every other warning fails the test.
+    with the same exception class, and so does the old pairwise check in
+    rank <= 3, where it is exact, unless old_check is False; returns that
+    class, None for accepted.  An accepted fan of rank <= 2 is also held to
+    the angular references.  Any warning fails the test.
     """
     expected = _verdict(pairwise_validate, fan)
+    if old_check and fan.rank <= 3:
+        assert _verdict(reference_validate, fan) is expected
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        warnings.filterwarnings("ignore", message=r"rank \d+ fan: face intersections")
         assert _verdict(validate_fan, fan) is expected
     if expected is None and fan.rank <= 2:
         assert_matches_angular_reference(fan)
@@ -709,9 +856,75 @@ def test_routes_agree_on_transformed_fans(data):
     g = data.draw(unimodular(base.rank))
     fan = Fan.make(base.rank, [g.apply(r) for r in base.rays], base.max_cones)
     assert assert_routes_agree(fan) is None
-    if fan.rank <= 3:  # where the reference is exact
-        for bad in corrupted_fans(fan, random.Random(data.draw(st.integers(0, 2**30)))):
-            assert_routes_agree(bad)
+    # the corrupted-fan suites hold the old check to the new one; here it
+    # would double the time
+    for bad in corrupted_fans(fan, random.Random(data.draw(st.integers(0, 2**30)))):
+        assert_routes_agree(bad, old_check=False)
+
+
+def lifted(fan: Fan) -> Fan:
+    """The fan times a ray: 0 appended to every ray, the ray e_{n+1} added,
+    and e_{n+1} put in every cone.  Two cones overlap beyond their common
+    face exactly when their lifts do, and no lift is complete."""
+    rays = [r + (0,) for r in fan.rays] + [(0,) * fan.rank + (1,)]
+    return Fan.make(fan.rank + 1, rays, [c + (fan.num_rays,) for c in fan.max_cones])
+
+
+def test_lifted_rank3_verdicts_hold_in_rank4():
+    """Every rank-3 fan of the corrupted-fan suites (five seeds) that the old
+    pairwise check rejects with BadFaceIntersection is still rejected after
+    the lift to rank 4, where only the pairwise check can see it; every
+    valid one stays valid."""
+    fans3 = []
+    for name in VALIDATION_FAN_NAMES:
+        fan = named_fan(name)
+        if fan.rank == 3:
+            fans3.append(fan)
+            for seed in range(5):
+                fans3 += corrupted_fans(fan, random.Random(f"{name}{seed}"))
+    verdicts = [_verdict(reference_validate, f) for f in fans3]
+    assert verdicts.count(BadFaceIntersection) >= 20
+    for f, verdict in zip(fans3, verdicts):
+        if verdict is BadFaceIntersection:
+            with pytest.raises(BadFaceIntersection):
+                validate_fan(lifted(f))
+        elif verdict is None:
+            assert not is_complete(lifted(f))
+
+
+def _assert_witness(fan: Fan, err: BadFaceIntersection, ca: tuple[int, ...], cb: tuple[int, ...]) -> None:
+    """The direction the error names lies in both cones, off their common face."""
+    found = re.search(r"direction \(([-\d, ]+?),?\) lies in both", str(err))
+    v = tuple(int(t) for t in found.group(1).split(","))
+    coords = _cone_coords(fan, ca, v)
+    assert coords is not None and _cone_coords(fan, cb, v) is not None
+    assert any(t for t, i in zip(coords, ca) if i not in cb)
+
+
+def test_pairwise_check_matches_old_check_on_random_cones():
+    """Random pairs of cones of 1 to rank rays, in ranks 2 and 3 where the old
+    check is exact: the same verdict, and every witness lies in both cones.
+    Pairs where neither cone has rank rays take the unit columns."""
+    rng = random.Random(11)
+    seen = {None: 0, BadFaceIntersection: 0}
+    while min(seen.values()) < 150:
+        n = rng.choice((2, 3))
+        rays = sorted({primitive_vector(v) for v in (
+            tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(2 * n)) if any(v)})
+        ca, cb = (tuple(sorted(rng.sample(range(len(rays)), rng.randint(1, min(n, len(rays))))))
+                  for _ in range(2))
+        fan = Fan.make(n, rays, [ca, cb])
+        if set(ca) <= set(cb) or set(cb) <= set(ca) or not (fan.cone_den(ca) and fan.cone_den(cb)):
+            continue
+        expected = _verdict(lambda f: reference_face_intersection(f, ca, cb), fan)
+        try:
+            _check_face_intersection(fan, ca, cb)
+        except BadFaceIntersection as err:
+            assert expected is BadFaceIntersection
+            _assert_witness(fan, err, ca, cb)
+        else:
+            assert expected is None
+        seen[expected] += 1
 
 
 def test_certificate_rejects_overlaps_that_pair_every_facet():
