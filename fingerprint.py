@@ -169,6 +169,20 @@ EDGE_OPS: dict[str, tuple[str, ...]] = {
     "edge oracle surface:C2 large q": (
         "cohomology", "oracle", "--builtin", "surface:C2", "--backend", "ff:1099511627689,2",
     ),
+    # one op per size budget, each refused before its work
+    "edge classify fan hom-group budget": (
+        "classify", "fan", "--builtin", "hexagon", "--backend", "ff:2,1001",
+    ),
+    "edge classify projective group-order budget": (
+        "classify", "projective", "-n", "2", "--backend", "ff:2,10001",
+    ),
+    "edge classify projective factoring budget": (
+        "classify", "projective", "-n", "2", "--backend", "ff:2199023255579,2",
+    ),
+    "edge classify projective cells budget": ("classify", "projective", "-n", "1000", "--backend", "real"),
+    "edge oracle brute-force budget": (
+        "cohomology", "oracle", "--builtin", "surface:C2", "--backend", "ff:4099,2",
+    ),
 }
 
 
