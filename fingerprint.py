@@ -183,6 +183,7 @@ EDGE_OPS: dict[str, tuple[str, ...]] = {
     "edge oracle brute-force budget": (
         "cohomology", "oracle", "--builtin", "surface:C2", "--backend", "ff:4099,2",
     ),
+    "edge fan validate fan-size budget": ("fan", "validate", "--builtin", "projective:1000"),
 }
 
 

@@ -38,7 +38,7 @@ from .exact_linalg import (
     lattice_subquotient,
     triangular_subquotient,
 )
-from .fan_aut import NotInvolution
+from .fan_aut import _check_involution
 from .fans import Fan, TooLarge, class_group, degree_data
 from .galois import (
     AssumptionViolated,
@@ -78,10 +78,7 @@ def h1_real_involution(s: IntMatrix) -> FGAbelianGroup:
 
     The result is always 2-torsion.
     """
-    n = s.nrows
-    ident = IntMatrix.identity(n)
-    if s.ncols != n or s @ s != ident:
-        raise NotInvolution(f"matrix {s} is not an involution")
+    ident = _check_involution(s)
     fixed = kernel_basis(s + ident)
     result = lattice_subquotient(fixed, ident - s)
     assert all(f == 2 for f in result.invariant_factors)
@@ -337,7 +334,11 @@ def finite_field_torus_module(backend: FiniteFieldBackend, hom: HomClass) -> Fin
     return FiniteModule(group, (c,) * n, tuple(mats))
 
 
-def brute_force_h1_finite(module: FiniteModule, guard: int = 10_000_000) -> FGAbelianGroup:
+#: Most assignments times |G|^2 cocycle checks `brute_force_h1_finite` makes.
+MAX_COCYCLE_CHECKS = 10_000_000
+
+
+def brute_force_h1_finite(module: FiniteModule) -> FGAbelianGroup:
     """H^1 by literal enumeration of cocycles.
 
     Every assignment of module elements to the group generators is extended
@@ -347,8 +348,8 @@ def brute_force_h1_finite(module: FiniteModule, guard: int = 10_000_000) -> FGAb
     coboundaries are enumerated directly.  The quotient's structure is read
     off by counting torsion elements.  Each assignment costs up to |G|^2
     cocycle checks, so the work is bounded by assignments times |G|^2;
-    raises TooLarge if that exceeds `guard`, before anything is enumerated,
-    and ValueError if the group's generators do not generate it.
+    raises TooLarge if that exceeds MAX_COCYCLE_CHECKS, before anything is
+    enumerated, and ValueError if the group's generators do not generate it.
 
     The enumeration runs on element indices (`_IndexedModule`): group
     elements act through index tables (`_action_tables`), and a cochain is
@@ -359,10 +360,10 @@ def brute_force_h1_finite(module: FiniteModule, guard: int = 10_000_000) -> FGAb
     group = module.group
     gens = group.generators if group.generators else ()
     count = module.size ** len(gens)
-    if count * group.order**2 > guard:
+    if count * group.order**2 > MAX_COCYCLE_CHECKS:
         raise TooLarge(
             f"{count} candidate assignments times {group.order}^2 group pairs"
-            f" exceed the guard {guard}"
+            f" exceed {MAX_COCYCLE_CHECKS} cocycle checks"
         )
     tree = _cayley_spanning_tree(group, gens)
     index = _IndexedModule(module.moduli)

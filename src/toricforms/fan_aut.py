@@ -46,7 +46,7 @@ from .exact_linalg import (
     fraction_free_solve,
     kernel_basis,
 )
-from .fans import Fan, boundary_word, is_complete, is_smooth, validate_fan
+from .fans import Fan, TooLarge, boundary_word, is_complete, is_smooth, validate_fan
 
 
 class UnidentifiedClass(ValueError):
@@ -55,10 +55,6 @@ class UnidentifiedClass(ValueError):
 
 class NotInvolution(ValueError):
     """The given matrix is not square or does not square to the identity."""
-
-
-class AutGroupTooLarge(ValueError):
-    """The fan has more symmetries than `automorphism_group` builds."""
 
 
 #: Most elements `automorphism_group` builds: projective:7 has 8! = 40,320.
@@ -256,8 +252,9 @@ def _extend_closure(closure: dict[Perm, tuple[Perm, int] | None], gens: Sequence
     An element reached before that generator joins needs only the product
     with it, a newly reached one the products with every generator; the
     result is closed under all of `gens`.  A new element x is stored with
-    (a, j) such that x = a * gens[j].  Raises AutGroupTooLarge as soon as the
-    closure holds more than MAX_AUT_ORDER elements.
+    (a, j) such that x = a * gens[j].  Raises TooLarge, with a hint towards
+    `classify projective` on its second line, as soon as the closure holds
+    more than MAX_AUT_ORDER elements.
     """
     frontier, step = list(closure), [(len(gens) - 1, gens[-1])]
     while frontier:
@@ -269,8 +266,10 @@ def _extend_closure(closure: dict[Perm, tuple[Perm, int] | None], gens: Sequence
                     closure[x] = (a, j)
                     nxt.append(x)
                     if len(closure) > MAX_AUT_ORDER:
-                        raise AutGroupTooLarge(
-                            f"the fan has more than {MAX_AUT_ORDER} symmetries"
+                        raise TooLarge(
+                            f"the fan has more than {MAX_AUT_ORDER} symmetries\nhint:"
+                            " `toricforms classify projective -n N` classifies the forms"
+                            " of projective space without building its symmetry group"
                         )
         frontier, step = nxt, list(enumerate(gens))
 
@@ -286,7 +285,7 @@ def automorphism_group(fan: Fan) -> FanAutGroup:
     with the frame inverted once over Q as (g, den), is integral and
     unimodular; it then becomes a generator, and the group found so far is
     closed under it by permutation products.  Every other element's matrix
-    is a product of generator matrices.  Raises AutGroupTooLarge, before any
+    is a product of generator matrices.  Raises TooLarge, before any
     such product, when the group has more than MAX_AUT_ORDER elements.
     """
     validate_fan(fan)
@@ -430,6 +429,15 @@ def identify_gl2_class(group: FanAutGroup | Sequence[IntMatrix]) -> str:
     return _LABEL_BY_KEY[_class_key(matrices)]
 
 
+def _check_involution(s: IntMatrix) -> IntMatrix:
+    """The identity of s's size; NotInvolution, also under python -O, unless
+    s is square with s @ s equal to it."""
+    ident = IntMatrix.identity(s.nrows)
+    if s.ncols != s.nrows or s @ s != ident:
+        raise NotInvolution(f"matrix {s} is not an involution")
+    return ident
+
+
 def involution_type(s: IntMatrix) -> str:
     """Type of an order-<=2 element of GL(n, Z), by its eigenlattice split.
 
@@ -440,9 +448,7 @@ def involution_type(s: IntMatrix) -> str:
     python -O, unless s is square with s @ s = 1.
     """
     n = s.nrows
-    ident = IntMatrix.identity(n)
-    if s.ncols != n or s @ s != ident:
-        raise NotInvolution(f"matrix {s} is not an involution")
+    ident = _check_involution(s)
     if s == ident:
         return "identity"
     if s == -ident:

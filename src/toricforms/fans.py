@@ -29,6 +29,7 @@ from .exact_linalg import (
     FGAbelianGroup,
     IntMatrix,
     SmithDecomposition,
+    _check_int_entries,
     _int_tuples,
     det,
     fraction_free_solve,
@@ -82,10 +83,16 @@ class FanFormatError(ValueError):
 
 
 class TooLarge(ValueError):
-    """A computation would exceed its size guard (the pairwise
-    face-intersection check, brute-force cocycle enumeration, the partition
-    matrices of a projective classification)."""
+    """A computation would exceed a size budget, one of the module constants
+    MAX_* or `galois._MAX_FACTORED`: the only way the library refuses work
+    for size.  Each is checked before its work, the symmetry budget as the
+    group grows."""
 
+
+#: Most rank x (rays + cones)^2 of a fan that validation takes on, checked
+#: before any elimination: it grows with the pairs of cones validation compares
+#: and with the matrices it eliminates.  projective:60 has 893,040.
+MAX_FAN_SIZE = 1_000_000
 
 #: Most n x n determinants the pairwise face-intersection check computes, over
 #: all pairs; two rank-8 cones with no shared ray take 12,870, rank-9 ones 48,620.
@@ -134,8 +141,9 @@ class Fan:
 
     @cached_property
     def ray_rows(self) -> IntMatrix:
-        """num_rays x rank matrix whose rows are the rays."""
-        return IntMatrix.from_rows(self.rays, self.rank)
+        """num_rays x rank matrix whose rows are the rays, which validation
+        checked to be int vectors of length rank."""
+        return IntMatrix._trusted(tuple(self.rays), self.rank)
 
     @cached_property
     def ray_columns(self) -> IntMatrix:
@@ -155,8 +163,11 @@ class Fan:
         return SmithDecomposition(self.ray_columns, dec.v.transpose, dec.d.transpose, dec.u.transpose)
 
     def cone_matrix(self, cone: Sequence[int]) -> IntMatrix:
-        """rank x len(cone) matrix whose columns are the cone's rays."""
-        return IntMatrix.from_cols([self.rays[i] for i in cone], self.rank)
+        """rank x len(cone) matrix whose columns are the cone's rays, which
+        validation checked to be int vectors of length rank."""
+        if not cone:
+            return IntMatrix._trusted(((),) * self.rank, 0)
+        return IntMatrix._trusted(tuple(zip(*(self.rays[i] for i in cone))), len(cone))
 
     @cached_property
     def _cone_dens(self) -> dict[tuple[int, ...], int]:
@@ -241,7 +252,7 @@ def _cone_coords(fan: Fan, cone: tuple[int, ...], v: Sequence[int]) -> tuple[int
     The rays of a simplicial cone are independent, so the coordinates x / den
     of the solve are unique, and their signs decide membership exactly.
     """
-    den, x = fraction_free_solve(fan.cone_matrix(cone), IntMatrix.from_cols([v], fan.rank))
+    den, x = fraction_free_solve(fan.cone_matrix(cone), IntMatrix._trusted(tuple((t,) for t in v), 1))
     if x is None:
         return None
     coords = x.col(0) if den > 0 else tuple(-t for t in x.col(0))
@@ -358,7 +369,16 @@ def _check_rays_and_cones(fan: Fan) -> None:
     distinct rays, independent ray sets, no listed cone repeated or a face of
     another, rays spanning the lattice up to finite index, and every ray in
     a maximal cone (a ray in none is no ray of the fan, yet every invariant
-    would count it as a divisor)."""
+    would count it as a divisor).  First the ray entries are checked to be
+    ints (TypeError naming `rays`), and the fan's size against MAX_FAN_SIZE
+    (TooLarge), before any elimination."""
+    _check_int_entries(fan.rays, "rays")
+    size = fan.rank * (fan.num_rays + len(fan.max_cones)) ** 2
+    if size > MAX_FAN_SIZE:
+        raise TooLarge(
+            f"the fan has {fan.num_rays} rays and {len(fan.max_cones)} maximal cones in rank"
+            f" {fan.rank}: rank x (rays + cones)^2 is {size}, more than {MAX_FAN_SIZE}"
+        )
     if fan.rank < 1:
         raise FanError(f"rank must be >= 1, got {fan.rank}")
     seen: dict[tuple[int, ...], int] = {}

@@ -34,6 +34,7 @@ from .exact_linalg import (
     lattice_subquotient,
 )
 from .fan_aut import FanAutGroup
+from .fans import TooLarge
 
 MAX_GROUP_ORDER = 10_000
 MAX_HOM_GROUP_ORDER = 1000  # enumerate_hom_classes is meant for small acting groups
@@ -53,16 +54,16 @@ class GroupSpec:
     """The cyclic group Z/d of order d: elements 0..d-1 under addition mod d.
 
     Element 1 is the distinguished generator (complex conjugation, or
-    Frobenius).  Construction raises ValueError unless 1 <= d <=
-    MAX_GROUP_ORDER.
+    Frobenius).  Construction raises ValueError when d < 1 and TooLarge
+    when d > MAX_GROUP_ORDER.
     """
 
     order: int
 
     def __post_init__(self) -> None:
-        # a ValueError, so the check also holds under python -O
+        # typed errors, so the check also holds under python -O
         if not 1 <= self.order <= MAX_GROUP_ORDER:
-            raise ValueError(
+            raise (ValueError if self.order < 1 else TooLarge)(
                 f"cyclic group order must be in 1..{MAX_GROUP_ORDER}, got {self.order}"
             )
 
@@ -156,12 +157,16 @@ def enumerate_hom_classes(group: GroupSpec, aut: FanAutGroup) -> tuple[HomClass,
     (`FanAutGroup.conjugacy_class`), and the representative has images h^0,
     ..., h^(d-1).  So the classes come sorted by their images (images[1] is h
     when d > 1); the trivial homomorphism is always present.
-    Raises ValueError, before any element order is taken, when d exceeds
-    MAX_HOM_GROUP_ORDER.
+    Raises TypeError naming the argument unless group is a GroupSpec and aut
+    a FanAutGroup, and TooLarge, before any element order is taken, when d
+    exceeds MAX_HOM_GROUP_ORDER.
     """
+    for name, value, kind in (("group", group, GroupSpec), ("aut", aut, FanAutGroup)):
+        if not isinstance(value, kind):
+            raise TypeError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
     d = group.order
     if d > MAX_HOM_GROUP_ORDER:
-        raise ValueError(
+        raise TooLarge(
             f"hom enumeration needs an acting group of order at most"
             f" {MAX_HOM_GROUP_ORDER}, got {d}"
         )
@@ -212,11 +217,11 @@ class RealComplexBackend:
 def _prime_factors(n: int) -> tuple[int, ...]:
     """Distinct prime factors of n in ascending order; () when n < 2.
 
-    Trial division, so n is checked against 2**40 first: ValueError above it.
+    Trial division, so n is checked against 2**40 first: TooLarge above it.
     Kept for the last 64 n, since one op checks its q in several places.
     """
     if n > _MAX_FACTORED:
-        raise ValueError(f"cannot factor {n}: only numbers up to 2**40 are factored")
+        raise TooLarge(f"cannot factor {n}: only numbers up to 2**40 are factored")
     out = []
     p = 2
     while p * p <= n:
@@ -243,11 +248,11 @@ class FiniteFieldBackend:
     """The extension F_{q^d} / F_q.
 
     K* is cyclic of order q^d - 1 with Frobenius acting as multiplication by
-    q.  Construction raises ValueError unless q is a prime power at most
-    2**40 and d >= 1.  The norm onto F_{q^e} for e | d is multiplication by
-    t = (q^d - 1)/(q^e - 1) on Z/(q^d - 1); t divides q^d - 1, so the image
-    has order (q^d - 1)/t = q^e - 1: every intermediate norm is onto, and
-    there is nothing to check per divisor of d.
+    q.  Construction raises TooLarge when q exceeds 2**40, and ValueError
+    unless q is a prime power and d >= 1.  The norm onto F_{q^e} for e | d
+    is multiplication by t = (q^d - 1)/(q^e - 1) on Z/(q^d - 1); t divides
+    q^d - 1, so the image has order (q^d - 1)/t = q^e - 1: every
+    intermediate norm is onto, and there is nothing to check per divisor of d.
     """
 
     q: int

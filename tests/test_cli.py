@@ -20,10 +20,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toricforms
-from toricforms import _jsonout
-from toricforms.classify import builtin_fan
+from toricforms import _jsonout, fan_aut
+from toricforms.classify import builtin_fan, classify_projective
 from toricforms.cli import run
+from toricforms.cohomology import FiniteModule, brute_force_h1_finite
 from toricforms.exact_linalg import IntMatrix
+from toricforms.fan_aut import automorphism_group
+from toricforms.fans import TooLarge, validate_fan
+from toricforms.galois import FiniteFieldBackend, GroupSpec, RealComplexBackend, enumerate_hom_classes
+
+from test_fans import _disjoint_cones
 
 P2_JSON = json.dumps(
     {"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "cones": [[0, 1], [1, 2], [0, 2]]}
@@ -835,6 +841,76 @@ def test_symmetry_budget_refuses_projective_8(capsys, verb):
         env={"PYTHONPATH": str(Path(toricforms.__file__).resolve().parents[1])},
     )
     assert (child.returncode, child.stdout, child.stderr) == (1, "", _BUDGET_ERROR)
+
+
+# budget -> (library call past it, argv past it, fan JSON on stdin)
+_BUDGETS = {
+    "fans.MAX_FAN_SIZE": (
+        lambda: validate_fan(builtin_fan("projective:100")),
+        ["fan", "validate", "--builtin", "projective:100"],
+        None,
+    ),
+    "fans.MAX_FACE_MINORS": (
+        lambda: validate_fan(_disjoint_cones(10)),
+        ["fan", "validate", "--stdin"],
+        _disjoint_cones(10).to_json(),
+    ),
+    "fan_aut.MAX_AUT_ORDER": (
+        lambda: automorphism_group(builtin_fan("hexagon")),
+        ["fan", "aut", "--builtin", "hexagon"],
+        None,
+    ),
+    "galois.MAX_GROUP_ORDER": (
+        lambda: GroupSpec.cyclic(10_001),
+        ["classify", "projective", "-n", "2", "--backend", "ff:2,10001"],
+        None,
+    ),
+    "galois.MAX_HOM_GROUP_ORDER": (
+        lambda: enumerate_hom_classes(GroupSpec.cyclic(1001), automorphism_group(builtin_fan("hexagon"))),
+        ["classify", "fan", "--builtin", "hexagon", "--backend", "ff:2,1001"],
+        None,
+    ),
+    "galois._MAX_FACTORED": (
+        lambda: FiniteFieldBackend(2199023255579, 2),
+        ["classify", "projective", "-n", "2", "--backend", "ff:2199023255579,2"],
+        None,
+    ),
+    "cohomology.MAX_COCYCLE_CHECKS": (
+        lambda: brute_force_h1_finite(
+            FiniteModule(GroupSpec.cyclic(2), (2_500_001,), (IntMatrix.identity(1),) * 2)
+        ),
+        ["cohomology", "oracle", "--builtin", "surface:C2", "--backend", "ff:4099,2"],
+        None,
+    ),
+    "classify.MAX_PROJECTIVE_CELLS": (
+        lambda: classify_projective(1000, RealComplexBackend()),
+        ["classify", "projective", "-n", "1000", "--backend", "real"],
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("budget", list(_BUDGETS))
+def test_every_budget_raises_too_large(budget, monkeypatch, capsys):
+    """Past any size budget the library raises fans.TooLarge itself, within
+    1 s (the symmetry budget with a small patched limit).  The command line
+    prints its message after `error: ` and exits 1; the oracle alone catches
+    the brute force's TooLarge and reports that route as skipped."""
+    call, argv, stdin = _BUDGETS[budget]
+    if budget == "fan_aut.MAX_AUT_ORDER":
+        monkeypatch.setattr(fan_aut, "MAX_AUT_ORDER", 11)  # the hexagon has 12
+    start = time.perf_counter()
+    with pytest.raises(TooLarge) as refused:
+        call()
+    assert time.perf_counter() - start < 1.0
+    assert refused.type is TooLarge
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = invoke(capsys, *argv)
+    if budget == "cohomology.MAX_COCYCLE_CHECKS":
+        assert (code, err) == (0, "") and "brute force skipped (guard)" in out
+    else:
+        assert (code, out, err) == (1, "", f"error: {refused.value}\n")
 
 
 def test_symbolic_backend_needs_group(tmp_path, capsys):

@@ -25,7 +25,6 @@ from toricforms.classify import (
 )
 from toricforms.cohomology import (
     FiniteModule,
-    NotInvolution,
     TooLarge,
     _IndexedModule,
     _action_tables,
@@ -49,7 +48,7 @@ from toricforms.exact_linalg import (
     saturation_basis,
     smith_normal_form,
 )
-from toricforms.fan_aut import automorphism_group
+from toricforms.fan_aut import NotInvolution, automorphism_group
 from toricforms.fans import Fan, class_group, validate_fan
 from toricforms.galois import (
     AssumptionViolated,
@@ -364,14 +363,14 @@ def test_real_routes_agree_on_transformed_fans(data):
 # brute force oracles
 
 
-def _literal_brute_force_h1(module: FiniteModule, guard: int = 10_000_000) -> FGAbelianGroup:
+def _literal_brute_force_h1(module: FiniteModule) -> FGAbelianGroup:
     """The enumeration `brute_force_h1_finite` replaced, kept as its reference:
     every action is one `module.act` call, nothing is tabulated."""
     group = module.group
     gens = group.generators if group.generators else ()
     count = module.size ** len(gens)
-    if count > guard:
-        raise TooLarge(f"{count} candidate assignments exceed the guard {guard}")
+    if count > cohomology.MAX_COCYCLE_CHECKS:
+        raise TooLarge(f"{count} candidate assignments exceed {cohomology.MAX_COCYCLE_CHECKS}")
 
     # breadth-first spanning of the Cayley graph, fixed once
     parent: dict[int, tuple[int, int]] = {}
@@ -503,21 +502,24 @@ def test_brute_force_guard(monkeypatch):
     def untouchable(*_args, **_kwargs):
         raise AssertionError("the guard must refuse before any element is enumerated")
 
-    monkeypatch.setattr(cohomology, "_action_tables", untouchable)
-    monkeypatch.setattr(cohomology, "_IndexedModule", untouchable)
-    monkeypatch.setattr(FiniteModule, "elements", untouchable)
-    for size in (4001, 10**7):
-        big = FiniteModule(GroupSpec.cyclic(2), (size,), (M([[1]]), M([[1]])))
-        start = time.perf_counter()
-        with pytest.raises(TooLarge):
-            brute_force_h1_finite(big, guard=4000)
-        assert time.perf_counter() - start < 0.1
-    # the guard bounds work: 10 assignments of Z/10 under C4, 16 pairs each
-    small = FiniteModule(GroupSpec.cyclic(4), (10,), tuple(M([[1]]) for _ in range(4)))
-    with pytest.raises(TooLarge, match="10 candidate assignments times 4\\^2 group pairs"):
-        brute_force_h1_finite(small, guard=159)
-    monkeypatch.undo()
-    assert brute_force_h1_finite(small, guard=160) == FGAbelianGroup.cyclic(2)
+    with monkeypatch.context() as patch:
+        patch.setattr(cohomology, "_action_tables", untouchable)
+        patch.setattr(cohomology, "_IndexedModule", untouchable)
+        patch.setattr(FiniteModule, "elements", untouchable)
+        patch.setattr(cohomology, "MAX_COCYCLE_CHECKS", 4000)
+        for size in (4001, 10**7):
+            big = FiniteModule(GroupSpec.cyclic(2), (size,), (M([[1]]), M([[1]])))
+            start = time.perf_counter()
+            with pytest.raises(TooLarge):
+                brute_force_h1_finite(big)
+            assert time.perf_counter() - start < 0.1
+        # the guard bounds work: 10 assignments of Z/10 under C4, 16 pairs each
+        small = FiniteModule(GroupSpec.cyclic(4), (10,), tuple(M([[1]]) for _ in range(4)))
+        patch.setattr(cohomology, "MAX_COCYCLE_CHECKS", 159)
+        with pytest.raises(TooLarge, match="10 candidate assignments times 4\\^2 group pairs"):
+            brute_force_h1_finite(small)
+    monkeypatch.setattr(cohomology, "MAX_COCYCLE_CHECKS", 160)
+    assert brute_force_h1_finite(small) == FGAbelianGroup.cyclic(2)
 
 
 _NON_GENERATING_SCRIPT = """

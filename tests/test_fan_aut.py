@@ -19,7 +19,6 @@ from toricforms.fan_aut import (
     GEN_ROT6,
     GL2_CLASS_LABELS,
     _CLASS_GENERATORS,
-    AutGroupTooLarge,
     FanAutGroup,
     UnidentifiedClass,
     _LABEL_BY_KEY,
@@ -33,7 +32,14 @@ from toricforms.fan_aut import (
     NotInvolution,
     involution_type,
 )
-from toricforms.fans import Fan, NotSmoothComplete, boundary_word, surface_blowup, validate_fan
+from toricforms.fans import (
+    Fan,
+    NotSmoothComplete,
+    TooLarge,
+    boundary_word,
+    surface_blowup,
+    validate_fan,
+)
 
 from test_exact_linalg import rational_solve
 from test_fans import (
@@ -616,7 +622,7 @@ def test_symmetry_budget_stops_the_closure(monkeypatch):
     built = len(products)
     products.clear()
     monkeypatch.setattr(fan_aut, "MAX_AUT_ORDER", 383)
-    with pytest.raises(AutGroupTooLarge, match="more than 383 symmetries"):
+    with pytest.raises(TooLarge, match="more than 383 symmetries"):
         automorphism_group(named_fan("P1xP1xP1xP1"))
     # the same search up to the last generator, then none of the 383 element products
     assert built - len(products) == 383

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricforms import fans
+from toricforms import exact_linalg, fans
 from toricforms.classify import BUILTIN_NAMES, builtin_fan
 from toricforms.cli import run
 from toricforms.exact_linalg import (
@@ -295,6 +295,67 @@ def test_face_check_budget(tmp_path, capsys):
     assert not is_complete(_disjoint_cones(8))
 
 
+def test_validation_checks_ray_entries_once(monkeypatch):
+    """A bare Fan's ray entries are checked once, by validation, and every
+    cone matrix is then built from them unchecked; the ray matrix's Smith
+    form checks its own input."""
+    p20 = builtin_fan("projective:20")
+    names = []
+    check = fans._check_int_entries
+
+    def counting(vectors, name):
+        names.append(name)
+        check(vectors, name)
+
+    monkeypatch.setattr(fans, "_check_int_entries", counting)
+    monkeypatch.setattr(exact_linalg, "_check_int_entries", counting)
+    validate_fan(Fan(20, p20.rays, p20.max_cones))
+    assert names == ["rays", "m"]
+
+
+def test_fan_size_budget(monkeypatch, capsys):
+    """rank x (rays + cones)^2 above MAX_FAN_SIZE refuses a fan before any
+    elimination; P^2 has 2 x 6^2 = 72, and projective:60 (893,040) is
+    admitted.  `fan validate --builtin projective:1000` exits 1 in under
+    1 s, also under python -O."""
+
+    def untouchable(*_args, **_kwargs):
+        raise AssertionError("the size budget must refuse before any elimination")
+
+    assert fans.MAX_FAN_SIZE >= 60 * 122**2
+    with monkeypatch.context() as patch:
+        patch.setattr(fans, "MAX_FAN_SIZE", 72)
+        validate_fan(Fan.make(2, P2.rays, P2.max_cones))
+        patch.setattr(fans, "MAX_FAN_SIZE", 71)
+        patch.setattr(fans, "fraction_free_solve", untouchable)
+        patch.setattr(fans, "smith_normal_form", untouchable)
+        with pytest.raises(TooLarge, match=r"^the fan has 3 rays and 3 maximal cones in rank 2:"
+                           r" rank x \(rays \+ cones\)\^2 is 72, more than 71$"):
+            validate_fan(Fan.make(2, P2.rays, P2.max_cones))
+    argv = ["fan", "validate", "--builtin", "projective:1000"]
+    err = (
+        "error: the fan has 1001 rays and 1001 maximal cones in rank 1000:"
+        " rank x (rays + cones)^2 is 4008004000, more than 1000000\n"
+    )
+    start = time.perf_counter()
+    assert run(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == ("", err)
+    script = (
+        "import sys, time\nfrom toricforms.cli import run\n"
+        "start = time.perf_counter()\ncode = run(sys.argv[1:])\n"
+        "print(code, time.perf_counter() - start < 1.0)\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-O", "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={"PYTHONPATH": str(Path(fans.__file__).resolve().parents[1])},
+    )
+    assert (child.stdout, child.stderr) == ("1 True\n", err)
+
+
 def test_class_groups_frozen():
     assert class_group(P2) == FGAbelianGroup.free(1)
     assert class_group(P1XP1) == FGAbelianGroup.free(2)
@@ -353,6 +414,7 @@ for call in (
     lambda: Fan.make(2, [(True, 0), (0, 1)], [(0, 1)]),
     lambda: Fan.make(2, [(1, 0), (0, 1)], [(0, 1.0)]),
     lambda: Fan.make(2.0, [(1, 0), (0, 1)], [(0, 1)]),
+    lambda: validate_fan(Fan(2, ((True, 0), (0, 1)), ((0, 1),))),
 ):
     try:
         print("returned", call())
@@ -372,6 +434,7 @@ TypeError rays must have int entries, got float 1.7
 TypeError rays must have int entries, got bool True
 TypeError max_cones must have int entries, got float 1.0
 TypeError rank must be an int, got float 2.0
+TypeError rays must have int entries, got bool True
 """
 
 

@@ -108,10 +108,12 @@ def test_backend_validation_survives_optimized_mode():
     script = (
         "from toricforms.cohomology import FiniteModule, h1_finite_field_torus\n"
         "from toricforms.exact_linalg import IntMatrix\n"
-        "from toricforms.fan_aut import identify_gl2_class, involution_type\n"
+        "from toricforms.fan_aut import automorphism_group, identify_gl2_class, involution_type\n"
+        "from toricforms.fans import Fan\n"
         "from toricforms.galois import FiniteFieldBackend, GroupSpec, RealComplexBackend,"
-        " SymbolicBrauerBackend, norm_quotient\n"
+        " SymbolicBrauerBackend, enumerate_hom_classes, norm_quotient\n"
         "M, C2, I1 = IntMatrix.from_rows, GroupSpec.cyclic(2), IntMatrix.identity(1)\n"
+        "P1_AUT = automorphism_group(Fan.make(1, [[1], [-1]], [[0], [1]]))\n"
         "swap = M([[0, 1], [1, 0]])\n"
         f"MAX_GROUP_ORDER, REPEATED = {MAX_GROUP_ORDER}, {_REPEATED_ORDER_JSON!r}\n"
         "for make in (lambda: FiniteFieldBackend(6, 2), lambda: FiniteFieldBackend(2, 0),\n"
@@ -144,10 +146,12 @@ def test_backend_validation_survives_optimized_mode():
         "             lambda: involution_type(M([[0, -1], [1, 0]])),\n"
         "             lambda: involution_type(M([[1, 1], [0, 1]])),\n"
         "             lambda: involution_type(M([[1, 0, 0], [0, 1, 0]])),\n"
+        "             lambda: enumerate_hom_classes(C2, None),\n"
+        "             lambda: enumerate_hom_classes(None, P1_AUT),\n"
         "             lambda: FiniteModule(C2, (5,), (I1, M([[-1]])))):\n"
         "    try:\n"
         "        make()\n"
-        "    except ValueError as exc:\n"
+        "    except (TypeError, ValueError) as exc:\n"
         "        print(type(exc).__name__, exc)\n"
         "    else:\n"
         "        print('accepted')\n"
@@ -165,7 +169,7 @@ def test_backend_validation_survives_optimized_mode():
         "ValueError finite-field backend needs a prime power, got q=6",
         "ValueError finite-field backend needs degree d >= 1, got d=0",
         f"ValueError cyclic group order must be in 1..{MAX_GROUP_ORDER}, got 0",
-        f"ValueError cyclic group order must be in 1..{MAX_GROUP_ORDER}, got {MAX_GROUP_ORDER + 1}",
+        f"TooLarge cyclic group order must be in 1..{MAX_GROUP_ORDER}, got {MAX_GROUP_ORDER + 1}",
         "ValueError finite-field backend needs a prime power, got q=6",
         "ValueError finite-field torus needs degree d >= 1, got d=0",
         "ValueError action is not a homomorphism",
@@ -194,6 +198,8 @@ def test_backend_validation_survives_optimized_mode():
         "NotInvolution matrix [0 -1; 1 0] is not an involution",
         "NotInvolution matrix [1 1; 0 1] is not an involution",
         "NotInvolution matrix [1 0 0; 0 1 0] is not an involution",
+        "TypeError aut must be a FanAutGroup, got NoneType",
+        "TypeError group must be a GroupSpec, got NoneType",
         "accepted",
     ]
 
@@ -373,7 +379,7 @@ def test_hom_enumeration_refuses_large_groups_before_listing_images(monkeypatch)
         check=True,
     ).stdout
     assert out == (
-        f"ValueError hom enumeration needs an acting group of order at most"
+        f"TooLarge hom enumeration needs an acting group of order at most"
         f" {MAX_HOM_GROUP_ORDER}, got 1001\n"
     )
 
