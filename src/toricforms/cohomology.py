@@ -282,8 +282,17 @@ class FiniteModule:
                 raise ValueError(f"action matrix {mat} does not descend to the moduli {m}")
         if self.action[0] != IntMatrix.identity(n):
             raise ValueError("group element 0 must act as the identity")
+        # with action[0] = 1, action[a g] = action[a] action[g] for every a and
+        # every generator g makes the action multiplicative, by induction on
+        # the length of a word in the generators; generators that do not
+        # generate the group leave every pair to check
+        right = self.group.generators
+        try:
+            _cayley_spanning_tree(self.group, right)
+        except ValueError:
+            right = range(self.group.order)
         for a in range(self.group.order):
-            for b in range(self.group.order):
+            for b in right:
                 prod = self.action[a] @ self.action[b]
                 expect = self.action[self.group.mult(a, b)]
                 if self._reduce_matrix(prod) != self._reduce_matrix(expect):

@@ -6,25 +6,29 @@ its ray permutation, and `FanAutGroup` computes with those: a product is a
 composition of permutation tuples and one dict lookup.  The matrices are the
 report format.
 
-The general search assigns images to a frame of independent rays one ray at
-a time, by backtracking.  It prunes a partial assignment when a ray
-invariant differs, an image repeats, cone incidence breaks (two frame rays
-share a maximal cone exactly when their images do), or a ray relation fails:
-every other ray is a rational combination of the frame rays, so its image is
-the same combination of their images and must be a ray.  Each leaf then
-carries its full ray permutation.  Only generators are tested as matrices:
-a leaf the group found so far already holds is skipped, and any other is
-solved for its matrix and kept, as a new generator, only by exact criteria.
-The group found so far is the closure of the generators under permutation
-products, so it is a group by construction, and every other element's
-matrix is a product of generator matrices.  A group of more than
-MAX_AUT_ORDER elements is refused before any such product is built.  The
-search that tested every element as a matrix and certified the found set
-to be a group, and the exhaustive frame product before it, are kept in the
-tests as references.  For smooth complete surface fans the tests also
-rebuild the group from the boundary word, an independent route: rotational
-symmetries of the word produce determinant +1 automorphisms, mirror
-symmetries determinant -1, and these exhaust the group.
+The search assigns images to a frame of independent rays one ray at a
+time, by backtracking.  It prunes a partial assignment when a ray invariant
+differs, an image repeats, cone incidence breaks (two frame rays share a
+maximal cone exactly when their images do), or a ray relation fails: every
+other ray is a rational combination of the frame rays, so its image is the
+same combination of their images and must be a ray.  Each leaf then
+carries its full ray permutation.  The frame is a base of the group, since
+only the identity fixes rays that span, so the group has a stabilizer
+chain and its order is the product of the basic orbits (Sims 1970; Seress,
+Permutation Group Algorithms, 2003, ch. 4).  The search fills the chain
+from the last frame ray to the first: at level k it searches only below
+frame images that fix the earlier frame rays, skips an image of frame ray
+k already in its orbit under the generators found so far, and below any
+other takes the first leaf that passes exact matrix criteria as a new
+generator.  The order is held to MAX_AUT_ORDER before any element is
+listed; the elements are products of transversal elements, one per level,
+and each matrix is read off its permutation with the frame's inverse.  The
+search with one leaf per element and its closure, the search that tested
+every element as a matrix, and the exhaustive frame product before it are
+kept in the tests as references.  For smooth complete surface fans the
+tests also rebuild the group from the boundary word, an independent route:
+rotational symmetries of the word produce determinant +1 automorphisms,
+mirror symmetries determinant -1, and these exhaust the group.
 
 Finite subgroups of GL(2, Z) are classified up to conjugacy by thirteen
 classes; `identify_gl2_class` names the class of a given finite matrix group
@@ -34,10 +38,11 @@ tell the thirteen apart.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .exact_linalg import (
     IntMatrix,
@@ -77,7 +82,8 @@ class FanAutGroup:
     `ray_permutations[i]` is the permutation k -> index of matrices[i] @ ray_k,
     as `automorphism_group`'s search produced it.  Group arithmetic runs on
     these permutations.  `generators` are indices of elements that generate
-    the group.
+    the group: the search's strong generators, those fixing the first k
+    frame rays generating the subgroup that fixes them.
     """
 
     fan: Fan
@@ -143,13 +149,20 @@ class FanAutGroup:
         return frozenset(map(self._perm_index.__getitem__, orbit))
 
     def element_order(self, i: int) -> int:
-        n = 1
-        j = i
-        while j != self.identity_index:
-            j = self.mult_index(j, i)
-            n += 1
-            assert n <= self.order
-        return n
+        """Order of matrices[i]: the lcm of its ray permutation's cycle
+        lengths, the ray action being faithful."""
+        perm = self.ray_permutations[i]
+        seen = [False] * len(perm)
+        order = 1
+        for start in range(len(perm)):
+            n, k = 0, start
+            while not seen[k]:
+                seen[k] = True
+                k = perm[k]
+                n += 1
+            if n:
+                order = math.lcm(order, n)
+        return order
 
 
 def _ray_invariants(fan: Fan) -> dict[int, tuple]:
@@ -191,27 +204,28 @@ def _divided(m: IntMatrix, den: int) -> IntMatrix | None:
 
 
 def _frame_images(
-    fan: Fan, frame: Sequence[int], frame_inv: IntMatrix, den: int, invariants: dict[int, tuple]
-) -> Iterator[Perm]:
-    """Ray permutations forced by candidate images of the frame rays, found
-    one frame slot at a time by backtracking.
+    fan: Fan, frame: Sequence[int], frame_inv: IntMatrix, den: int, candidates: list[list[int]]
+) -> Callable[[Sequence[int]], Iterator[Perm]]:
+    """`leaves(prefix)`: the ray permutations forced by candidate images of
+    the frame rays whose first images are `prefix`, found one frame slot at a
+    time by backtracking.
 
-    Each slot takes a ray with its frame ray's invariant.  A ray is pruned
-    when it is already used or when cone incidence breaks with an earlier
-    slot: an automorphism permutes the maximal cones, so two rays share one
-    exactly when their images do.  Every other ray r is (sum_j c_j f_j) / den
-    over the frame rays f_j, with c = frame_inv @ r, so an automorphism
-    sends it to (sum_j c_j image_j) / den, which must be a ray: that is
-    checked as soon as the last slot in c's support is assigned, and the
-    branch is pruned otherwise.  No automorphism's frame image is pruned,
-    and each leaf yields the ray permutation its frame images force.
+    Slot k takes a ray of `candidates[k]` (a prefix image must be one of its
+    slot's).  A ray is pruned when it is already used or when cone incidence
+    breaks with an earlier slot: an automorphism permutes the maximal cones,
+    so two rays share one exactly when their images do.  Every other ray r
+    is (sum_j c_j f_j) / den over the frame rays f_j, with c = frame_inv @ r,
+    so an automorphism sends it to (sum_j c_j image_j) / den, which must be
+    a ray: that is checked as soon as the last slot in c's support is
+    assigned, and the branch is pruned otherwise.  No automorphism's frame
+    image is pruned, and each leaf yields the ray permutation its frame
+    images force.  The pruning data is built once, for every prefix.
     """
     rays = fan.rays
     near: list[set[int]] = [set() for _ in range(fan.num_rays)]
     for cone in fan.max_cones:
         for i in cone:
             near[i].update(cone)
-    candidates = [[i for i in range(fan.num_rays) if invariants[i] == invariants[f]] for f in frame]
     scaled_rays = {tuple(den * x for x in r): i for i, r in enumerate(rays)}
     # due[k]: (ray, frame slots of its support, coefficients) checked once slot k is set
     due: list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]] = [[] for _ in frame]
@@ -219,106 +233,149 @@ def _frame_images(
         if i not in frame:
             slots, coeffs = zip(*((j, c) for j, c in enumerate(frame_inv.apply(r)) if c))
             due[slots[-1]].append((i, slots, coeffs))
-    images: list[int] = []
-    perm = list(range(fan.num_rays))
     mul = operator.mul
 
-    def extend(k: int) -> Iterator[Perm]:
-        if k == len(frame):
-            yield tuple(perm)
-            return
-        incident = [frame[l] in near[frame[k]] for l in range(k)]
-        for c in candidates[k]:
-            if c in images or any((images[l] in near[c]) != incident[l] for l in range(k)):
-                continue
-            images.append(c)
-            perm[frame[k]] = c
-            for i, slots, coeffs in due[k]:
-                cols = zip(*(rays[images[j]] for j in slots))
-                image = scaled_rays.get(tuple(sum(map(mul, coeffs, col)) for col in cols))
-                if image is None:
-                    break
-                perm[i] = image
-            else:
-                yield from extend(k + 1)
-            images.pop()
+    def leaves(prefix: Sequence[int]) -> Iterator[Perm]:
+        options = [[c] if c in cands else [] for c, cands in zip(prefix, candidates)]
+        options += candidates[len(prefix):]
+        images: list[int] = []
+        perm = list(range(fan.num_rays))
 
-    return extend(0)
+        def extend(k: int) -> Iterator[Perm]:
+            if k == len(frame):
+                yield tuple(perm)
+                return
+            incident = [frame[l] in near[frame[k]] for l in range(k)]
+            for c in options[k]:
+                if c in images or any((images[l] in near[c]) != incident[l] for l in range(k)):
+                    continue
+                images.append(c)
+                perm[frame[k]] = c
+                for i, slots, coeffs in due[k]:
+                    cols = zip(*(rays[images[j]] for j in slots))
+                    image = scaled_rays.get(tuple(sum(map(mul, coeffs, col)) for col in cols))
+                    if image is None:
+                        break
+                    perm[i] = image
+                else:
+                    yield from extend(k + 1)
+                images.pop()
+
+        return extend(0)
+
+    return leaves
 
 
-def _extend_closure(closure: dict[Perm, tuple[Perm, int] | None], gens: Sequence[Perm]) -> None:
-    """Close the group `closure` under the last of `gens` as well, breadth-first.
+def _transversal(point: int, gens: Sequence[Perm], identity: Perm) -> dict[int, Perm]:
+    """The orbit of `point` under the group `gens` generate, each orbit point
+    p with an element u of that group taking `point` to p.
 
-    An element reached before that generator joins needs only the product
-    with it, a newly reached one the products with every generator; the
-    result is closed under all of `gens`.  A new element x is stored with
-    (a, j) such that x = a * gens[j].  Raises TooLarge, with a hint towards
-    `classify projective` on its second line, as soon as the closure holds
-    more than MAX_AUT_ORDER elements.
+    Breadth-first, as a Schreier tree: a point q = g[p] reached first from p
+    gets u_q = g o u_p.
     """
-    frontier, step = list(closure), [(len(gens) - 1, gens[-1])]
+    tree = {point: identity}
+    frontier = [point]
     while frontier:
         nxt = []
-        for a in frontier:
-            for j, g in step:
-                x = tuple(map(a.__getitem__, g))
-                if x not in closure:
-                    closure[x] = (a, j)
-                    nxt.append(x)
-                    if len(closure) > MAX_AUT_ORDER:
-                        raise TooLarge(
-                            f"the fan has more than {MAX_AUT_ORDER} symmetries\nhint:"
-                            " `toricforms classify projective -n N` classifies the forms"
-                            " of projective space without building its symmetry group"
-                        )
-        frontier, step = nxt, list(enumerate(gens))
+        for p in frontier:
+            for g in gens:
+                q = g[p]
+                if q not in tree:
+                    tree[q] = tuple(map(g.__getitem__, tree[p]))
+                    nxt.append(q)
+        frontier = nxt
+    return tree
+
+
+def _perm_matrices(
+    fan: Fan, frame: Sequence[int], frame_inv: IntMatrix, den: int, perms: Sequence[Perm]
+) -> list[IntMatrix]:
+    """The matrix of each automorphism, read off its ray permutation.
+
+    The matrix s sends the frame matrix f to the matrix of the frame's
+    images, and f @ frame_inv == den * identity, so column j of s is
+    sum_k frame_inv[k][j] * ray[perm[f_k]] / den.  The division is exact for
+    an automorphism, and zero coefficients are skipped.  A column depends
+    only on the images of the frame rays in its support, so each distinct
+    column is computed once.
+    """
+    rays = fan.rays
+    columns = []
+    for col in frame_inv.cols():
+        support = [(f, c) for f, c in zip(frame, col) if c]
+        keys = list(map(operator.itemgetter(*(f for f, _ in support)), perms))
+        known = {}
+        for key, perm in dict(zip(keys, perms)).items():
+            terms = ([c * x for x in rays[perm[f]]] for f, c in support)
+            known[key] = tuple(sum(xs) // den for xs in zip(*terms))
+        columns.append(map(known.__getitem__, keys))
+    return [IntMatrix._trusted(tuple(zip(*cols)), fan.rank) for cols in zip(*columns)]
 
 
 def automorphism_group(fan: Fan) -> FanAutGroup:
     """All GL(rank, Z) matrices mapping rays to rays and cones to cones.
 
-    Backtracking search over images of a ray frame (`_frame_images`), which
-    yields the ray permutation each frame image forces.  A leaf whose
-    permutation the group generated so far already holds is skipped.  Any
-    other leaf is kept only if its permutation is a
-    bijection permuting the maximal cones and its matrix (images @ g) / den,
-    with the frame inverted once over Q as (g, den), is integral and
-    unimodular; it then becomes a generator, and the group found so far is
-    closed under it by permutation products.  Every other element's matrix
-    is a product of generator matrices.  Raises TooLarge, before any
-    such product, when the group has more than MAX_AUT_ORDER elements.
+    The frame f_0..f_{n-1} (`_frame`) is a base: an automorphism fixing
+    rays that span is the identity.  So the group has the stabilizer chain
+    G = G_0 >= G_1 >= ... >= G_n = 1, G_k fixing f_0..f_{k-1}, and
+    |G| is the product of the basic orbits Delta_k = G_k f_k (Sims).  Level
+    k, from last to first, searches frame images that fix f_0..f_{k-1}
+    (`_frame_images`).  The generators found at later levels lie in G_k;
+    a candidate image c of f_k already in the orbit of f_k under all found
+    so far is skipped.  Below any other, the first leaf whose permutation is
+    a bijection permuting the maximal cones, and whose matrix
+    (images @ g) / den, with the frame inverted once over Q as (g, den), is
+    integral and unimodular, becomes a generator, and the orbit grows.  Raises
+    TooLarge once the product of the orbits found passes MAX_AUT_ORDER,
+    before any element is listed.  The elements are the products
+    u_0 o ... o u_{n-1} of transversal elements u_k, one per point of
+    Delta_k, and each matrix is read off its permutation (`_perm_matrices`).
     """
     validate_fan(fan)
     frame, frame_inv, den = _frame(fan)
+    invariants = _ray_invariants(fan)
+    candidates = [[i for i in range(fan.num_rays) if invariants[i] == invariants[f]] for f in frame]
+    leaves = _frame_images(fan, frame, frame_inv, den, candidates)
     cone_set = set(fan.max_cones)
-    closure: dict[Perm, tuple[Perm, int] | None] = {tuple(range(fan.num_rays)): None}
-    gen_perms: list[Perm] = []
-    gen_matrices: list[IntMatrix] = []
-    for perm in _frame_images(fan, frame, frame_inv, den, _ray_invariants(fan)):
-        if perm in closure:
-            continue
+
+    def is_automorphism(perm: Perm) -> bool:
         if len(set(perm)) < len(perm) or any(
             tuple(sorted(perm[i] for i in c)) not in cone_set for c in fan.max_cones
         ):
-            continue
+            return False
         img_cols = IntMatrix.from_cols([fan.rays[perm[f]] for f in frame], fan.rank)
         s = _divided(img_cols @ frame_inv, den)
-        if s is None or abs(det(s)) != 1:
-            continue
-        gen_perms.append(perm)
-        gen_matrices.append(s)
-        _extend_closure(closure, gen_perms)
-    matrices: dict[Perm, IntMatrix] = {}
-    for perm, via in closure.items():  # in insertion order: via[0] comes first
-        if via is None:
-            matrices[perm] = IntMatrix.identity(fan.rank)
-        else:
-            matrices[perm] = matrices[via[0]] @ gen_matrices[via[1]]
-    perms = sorted(closure, key=lambda p: matrices[p].rows)
+        return s is not None and abs(det(s)) == 1
+
+    identity = tuple(range(fan.num_rays))
+    gens: list[Perm] = []
+    transversals: list[dict[int, Perm]] = []
+    order = 1
+    for k in reversed(range(len(frame))):
+        tree = {frame[k]: identity}
+        for c in candidates[k]:
+            if c in tree:
+                continue
+            perm = next(filter(is_automorphism, leaves([*frame[:k], c])), None)
+            if perm is not None:
+                gens.append(perm)
+                tree = _transversal(frame[k], gens, identity)
+        transversals.append(tree)
+        order *= len(tree)
+        if order > MAX_AUT_ORDER:
+            raise TooLarge(
+                f"the fan has more than {MAX_AUT_ORDER} symmetries\nhint:"
+                " `toricforms classify projective -n N` classifies the forms"
+                " of projective space without building its symmetry group"
+            )
+    elements = [identity]
+    for tree in transversals:  # G_k = T_k o G_{k+1}, from k = n-1 down
+        elements = [tuple(map(u.__getitem__, h)) for u in tree.values() for h in elements]
+    matrices = _perm_matrices(fan, frame, frame_inv, den, elements)
+    pairs = sorted(zip(matrices, elements), key=lambda pair: pair[0].rows)
+    perms = tuple(perm for _, perm in pairs)
     index = {p: i for i, p in enumerate(perms)}
-    group = FanAutGroup(
-        fan, tuple(matrices[p] for p in perms), tuple(perms), tuple(index[g] for g in gen_perms)
-    )
+    group = FanAutGroup(fan, tuple(m for m, _ in pairs), perms, tuple(index[g] for g in gens))
     assert len(set(group.matrices)) == group.order, "the ray action must be faithful"
     return group
 

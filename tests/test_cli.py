@@ -826,11 +826,13 @@ _BUDGET_ERROR = (
 )
 def test_symmetry_budget_refuses_projective_8(capsys, verb):
     """S_9 has 362,880 elements, past the symmetry budget: exit 1 with a hint,
-    in bounded time (about 1.3 s on a 2-core container), also under python -O."""
+    in bounded time (about 5 ms on a 2-core container: the basic orbits of
+    the stabilizer chain pass the budget before any element is listed), also
+    under python -O."""
     argv = [*verb, "--builtin", "projective:8"]
     start = time.perf_counter()
     code, out, err = invoke(capsys, *argv)
-    assert time.perf_counter() - start < 10.0
+    assert time.perf_counter() - start < 1.0
     assert (code, out, err) == (1, "", _BUDGET_ERROR)
     script = "import sys\nfrom toricforms.cli import run\nsys.exit(run(sys.argv[1:]))\n"
     child = subprocess.run(

@@ -1,6 +1,7 @@
 """Fan automorphism groups and GL(2,Z) class identification."""
 
 import itertools
+import math
 import random
 from typing import Iterator, Sequence
 
@@ -587,6 +588,8 @@ SKEW_FAN = Fan.make(2, [(-1, -1), (2, -3), (1, 1), (-2, 3)], [(0, 1), (1, 2), (2
 
 
 def test_leaves_failing_the_matrix_test_are_dropped(monkeypatch):
+    """The ray relations of SKEW_FAN let through frame images that no lattice
+    map induces; the matrix test drops them, and only generators pass it."""
     tested = _matrix_tests(monkeypatch)
     group = automorphism_group(SKEW_FAN)
     reference = reference_automorphism_group(SKEW_FAN)
@@ -594,38 +597,208 @@ def test_leaves_failing_the_matrix_test_are_dropped(monkeypatch):
     assert group.ray_permutations == reference.ray_permutations
     assert group.order == 4
     failed = [s for s in tested if s is None or abs(det(s)) != 1]
-    assert len(failed) == 4 and len(tested) == 4 + len(group.generators)
+    assert len(failed) == 2 and len(tested) == 2 + len(group.generators)
+
+
+def _candidates(fan: Fan, frame: Sequence[int]) -> list[list[int]]:
+    invariants = _ray_invariants(fan)
+    return [[i for i in range(fan.num_rays) if invariants[i] == invariants[f]] for f in frame]
 
 
 def test_ray_relations_leave_one_leaf_per_symmetry():
     """On P2 x P2 cone incidence leaves 360 frame images; the ray relations
-    prune all but the 72 symmetries."""
+    prune all but the 72 symmetries.  Below a prefix f_0..f_{k-1} the leaves
+    are the symmetries fixing those frame rays."""
     fan = named_fan("P2xP2")
     frame, frame_inv, den = _frame(fan)
-    invariants = _ray_invariants(fan)
-    assert sum(1 for _ in _incidence_frame_images(fan, frame, invariants)) == 360
-    leaves = list(_frame_images(fan, frame, frame_inv, den, invariants))
-    assert len(leaves) == 72
-    assert sorted(leaves) == sorted(automorphism_group(fan).ray_permutations)
+    assert sum(1 for _ in _incidence_frame_images(fan, frame, _ray_invariants(fan))) == 360
+    leaves = _frame_images(fan, frame, frame_inv, den, _candidates(fan, frame))
+    perms = automorphism_group(fan).ray_permutations
+    assert len(list(leaves(()))) == 72
+    for k in range(len(frame) + 1):
+        fixing = [p for p in perms if all(p[f] == f for f in frame[:k])]
+        assert sorted(leaves(frame[:k])) == sorted(fixing)
 
 
-def test_symmetry_budget_stops_the_closure(monkeypatch):
-    """Past the budget the search raises before it builds any element's matrix."""
+def test_symmetry_budget_refuses_before_listing(monkeypatch):
+    """Past the budget the search raises before it lists any element or
+    builds any element's matrix.  No element matrix is a product: the run
+    that lists all 384 elements makes exactly the matrix products of the
+    refused one, those of validation and of the matrix tests."""
     import toricforms.fan_aut as fan_aut
 
+    listed = []
+    perm_matrices = fan_aut._perm_matrices
+    monkeypatch.setattr(
+        fan_aut, "_perm_matrices", lambda *args: listed.extend(args[-1]) or perm_matrices(*args)
+    )
     products = []
     matmul = IntMatrix.__matmul__
     monkeypatch.setattr(IntMatrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
     monkeypatch.setattr(fan_aut, "MAX_AUT_ORDER", 384)
     # a fresh fan each time, so both runs validate it
     assert automorphism_group(named_fan("P1xP1xP1xP1")).order == 384
+    assert len(listed) == 384
     built = len(products)
+    listed.clear()
     products.clear()
     monkeypatch.setattr(fan_aut, "MAX_AUT_ORDER", 383)
     with pytest.raises(TooLarge, match="more than 383 symmetries"):
         automorphism_group(named_fan("P1xP1xP1xP1"))
-    # the same search up to the last generator, then none of the 383 element products
-    assert built - len(products) == 383
+    assert listed == []
+    assert len(products) == built
+
+
+# ---------------------------------------------------------------------------
+# the stabilizer-chain search against the search with one leaf per element
+
+
+def _all_frame_images(
+    fan: Fan, frame: Sequence[int], frame_inv: IntMatrix, den: int, invariants: dict[int, tuple]
+) -> Iterator[tuple[int, ...]]:
+    """Every frame image that survives invariants, cone incidence and ray
+    relations, with the ray permutation it forces: one leaf per symmetry,
+    and the leaves the matrix test drops."""
+    rays = fan.rays
+    near: list[set[int]] = [set() for _ in range(fan.num_rays)]
+    for cone in fan.max_cones:
+        for i in cone:
+            near[i].update(cone)
+    candidates = [[i for i in range(fan.num_rays) if invariants[i] == invariants[f]] for f in frame]
+    scaled_rays = {tuple(den * x for x in r): i for i, r in enumerate(rays)}
+    # due[k]: (ray, frame slots of its support, coefficients) checked once slot k is set
+    due: list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]] = [[] for _ in frame]
+    for i, r in enumerate(rays):
+        if i not in frame:
+            slots, coeffs = zip(*((j, c) for j, c in enumerate(frame_inv.apply(r)) if c))
+            due[slots[-1]].append((i, slots, coeffs))
+    images: list[int] = []
+    perm = list(range(fan.num_rays))
+
+    def extend(k: int) -> Iterator[tuple[int, ...]]:
+        if k == len(frame):
+            yield tuple(perm)
+            return
+        incident = [frame[l] in near[frame[k]] for l in range(k)]
+        for c in candidates[k]:
+            if c in images or any((images[l] in near[c]) != incident[l] for l in range(k)):
+                continue
+            images.append(c)
+            perm[frame[k]] = c
+            for i, slots, coeffs in due[k]:
+                cols = zip(*(rays[images[j]] for j in slots))
+                image = scaled_rays.get(
+                    tuple(sum(a * b for a, b in zip(coeffs, col)) for col in cols)
+                )
+                if image is None:
+                    break
+                perm[i] = image
+            else:
+                yield from extend(k + 1)
+            images.pop()
+
+    return extend(0)
+
+
+def _extend_closure(closure: dict, gens: Sequence[tuple[int, ...]]) -> None:
+    """Close the group `closure` under the last of `gens` as well, breadth-first.
+
+    An element reached before that generator joins needs only the product
+    with it, a newly reached one the products with every generator.  A new
+    element x is stored with (a, j) such that x = a * gens[j].
+    """
+    frontier, step = list(closure), [(len(gens) - 1, gens[-1])]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for j, g in step:
+                x = tuple(map(a.__getitem__, g))
+                if x not in closure:
+                    closure[x] = (a, j)
+                    nxt.append(x)
+        frontier, step = nxt, list(enumerate(gens))
+
+
+def leaf_per_element_automorphism_group(fan: Fan) -> FanAutGroup:
+    """The search with one leaf per element, and its closure.
+
+    A leaf whose permutation the group generated so far already holds is
+    skipped; any other that passes the matrix test becomes a generator, and
+    the group is closed under it by permutation products.  Every other
+    element's matrix is the product of generator matrices along the closure,
+    not read off its permutation.
+    """
+    validate_fan(fan)
+    frame, frame_inv, den = _frame(fan)
+    cone_set = set(fan.max_cones)
+    closure: dict = {tuple(range(fan.num_rays)): None}
+    gen_perms: list[tuple[int, ...]] = []
+    gen_matrices: list[IntMatrix] = []
+    for perm in _all_frame_images(fan, frame, frame_inv, den, _ray_invariants(fan)):
+        if perm in closure:
+            continue
+        if len(set(perm)) < len(perm) or any(
+            tuple(sorted(perm[i] for i in c)) not in cone_set for c in fan.max_cones
+        ):
+            continue
+        img_cols = IntMatrix.from_cols([fan.rays[perm[f]] for f in frame], fan.rank)
+        s = _divided(img_cols @ frame_inv, den)
+        if s is None or abs(det(s)) != 1:
+            continue
+        gen_perms.append(perm)
+        gen_matrices.append(s)
+        _extend_closure(closure, gen_perms)
+    matrices: dict = {}
+    for perm, via in closure.items():  # in insertion order: via[0] comes first
+        if via is None:
+            matrices[perm] = IntMatrix.identity(fan.rank)
+        else:
+            matrices[perm] = matrices[via[0]] @ gen_matrices[via[1]]
+    perms = sorted(closure, key=lambda p: matrices[p].rows)
+    index = {p: i for i, p in enumerate(perms)}
+    return FanAutGroup(
+        fan, tuple(matrices[p] for p in perms), tuple(perms), tuple(index[g] for g in gen_perms)
+    )
+
+
+def _basic_orbits(group: FanAutGroup) -> list[set[int]]:
+    """Delta_k: the images of frame ray f_k under the elements fixing
+    f_0..f_{k-1}, read off the listed group."""
+    frame = _frame(group.fan)[0]
+    return [
+        {p[f] for p in group.ray_permutations if all(p[g] == g for g in frame[:k])}
+        for k, f in enumerate(frame)
+    ]
+
+
+#: Every builtin, every product fan of the high-rank benchmark, the fan whose
+#: ray relations admit non-lattice permutations, and (P^1)^5.
+CHAIN_FANS = {name: named_fan(name) for name in SEARCH_FAN_NAMES + ["P1xP1xP1xP1xP1"]}
+CHAIN_FANS["skew"] = SKEW_FAN
+
+
+@pytest.mark.parametrize("fan_name", CHAIN_FANS)
+def test_stabilizer_chain_matches_leaf_per_element_search(fan_name):
+    fan = CHAIN_FANS[fan_name]
+    group = automorphism_group(fan)
+    reference = leaf_per_element_automorphism_group(fan)
+    assert group.matrices == reference.matrices
+    assert group.ray_permutations == reference.ray_permutations
+    # the listed elements number the product of the basic orbits
+    assert group.order == math.prod(map(len, _basic_orbits(group)))
+
+
+def test_stabilizer_chain_matrix_tests_bounded_by_candidates(monkeypatch):
+    """(P^1)^5: the search reaches the matrix test at most as often as there
+    are candidate images, summed over the frame rays, though it has 3840
+    elements."""
+    tested = _matrix_tests(monkeypatch)
+    fan = product_fan((1, 1, 1, 1, 1))
+    frame = _frame(fan)[0]
+    assert automorphism_group(fan).order == 3840
+    bound = sum(map(len, _candidates(fan, frame)))
+    assert bound == 50
+    assert len(tested) <= bound
 
 
 def _assert_products_match(group: FanAutGroup, pairs) -> None:
