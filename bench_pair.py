@@ -6,13 +6,12 @@ work directory; the two directories' paths have equal length, because
 so into the per-layer ``cli.output_bytes``.  For every workload and seed
 the script runs ``python3 perfbench/run.py --workload W --seed S --trace 0``
 in both checkouts, one after the other, alternating which side goes first,
-and keeps the last stdout line of each run (its JSON result).
+and keeps the last stdout line of each run (its JSON result).  Every
+workload runs PAIRS pairs, at seeds FIRST_SEED, FIRST_SEED + 1, ...
 
 Run from the repository root::
 
     python3 bench_pair.py --parent HEAD~1 --change HEAD --out BENCH.json
-    python3 bench_pair.py --parent HEAD~1 --change HEAD --pairs highrank_aut=10 \\
-        --pairs surface_norm=2 --out BENCH.json
 
 The output lists every run, and per workload and end-to-end metric each
 side's median and quartiles and how many pairs the change won.
@@ -30,6 +29,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent
 SIDES = ("parent", "change")
+FIRST_SEED = 11
+PAIRS = 10  # enough pairs per workload to back a claimed gain
 
 
 def _benchmark() -> tuple[tuple[str, ...], dict[str, bool]]:
@@ -108,22 +109,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git ref of the parent side")
     parser.add_argument("--change", required=True, help="git ref of the change side")
-    parser.add_argument(
-        "--pairs", action="append", default=[], metavar="WORKLOAD=N",
-        help="pairs to run for a workload (default: 2 for every workload)",
-    )
-    parser.add_argument("--first-seed", type=int, default=1, help="seed of pair 0")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
     workloads, metrics = _benchmark()
-    counts = dict.fromkeys(workloads, 2)
-    if args.pairs:
-        counts = {}
-        for item in args.pairs:
-            workload, _, n = item.partition("=")
-            if workload not in workloads or not n.isdigit():
-                parser.error(f"--pairs expects WORKLOAD=N with a known workload, got {item!r}")
-            counts[workload] = int(n)
     refs = {"parent": args.parent, "change": args.change}
     commits = {side: _git("rev-parse", f"{ref}^{{commit}}") for side, ref in refs.items()}
     report: dict = {
@@ -137,9 +125,9 @@ def main(argv: list[str] | None = None) -> int:
         checkouts = {side: Path(work) / f"side_{side[0]}" for side in SIDES}
         for side in SIDES:
             _extract(commits[side], checkouts[side])
-        for workload, n in counts.items():
-            for pair in range(n):
-                seed = args.first_seed + pair
+        for workload in workloads:
+            for pair in range(PAIRS):
+                seed = FIRST_SEED + pair
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
                 for side in order:
                     result = _run(checkouts[side], workload, seed)

@@ -284,19 +284,28 @@ class FiniteModule:
             raise ValueError("group element 0 must act as the identity")
         # with action[0] = 1, action[a g] = action[a] action[g] for every a and
         # every generator g makes the action multiplicative, by induction on
-        # the length of a word in the generators; generators that do not
-        # generate the group leave every pair to check
-        right = self.group.generators
-        try:
-            _cayley_spanning_tree(self.group, right)
-        except ValueError:
-            right = range(self.group.order)
-        for a in range(self.group.order):
-            for b in right:
-                prod = self.action[a] @ self.action[b]
-                expect = self.action[self.group.mult(a, b)]
-                if self._reduce_matrix(prod) != self._reduce_matrix(expect):
-                    raise ValueError("action is not a homomorphism")
+        # the length of a word in the generators; the elements a are visited
+        # from the identity along generators, and generators that do not
+        # reach every element leave every pair to check
+        group = self.group
+        reached = {0}
+        frontier = [0]
+        for a in frontier:
+            for g in group.generators:
+                ag = group.mult(a, g)
+                self._check_product(a, g, ag)
+                if ag not in reached:
+                    reached.add(ag)
+                    frontier.append(ag)
+        if len(reached) != group.order:
+            for a in range(group.order):
+                for b in range(group.order):
+                    self._check_product(a, b, group.mult(a, b))
+
+    def _check_product(self, a: int, b: int, ab: int) -> None:
+        prod = self.action[a] @ self.action[b]
+        if self._reduce_matrix(prod) != self._reduce_matrix(self.action[ab]):
+            raise ValueError("action is not a homomorphism")
 
     def _reduce_matrix(self, mat: IntMatrix) -> IntMatrix:
         return IntMatrix._trusted(
