@@ -13,8 +13,11 @@ Run from the repository root::
 
     python3 bench_pair.py --parent HEAD~1 --change HEAD --out BENCH.json
 
-The output lists every run, and per workload and end-to-end metric each
-side's median and quartiles and how many pairs the change won.
+The output lists every run, and per workload each side's failed and
+attempted ops and, per end-to-end metric, each side's median and quartiles
+and how many pairs the change won.  ``perfbench/run.py`` exits 0 even when
+an op fails, so the script reads each run's ``correct`` flag itself: it
+exits 1, after writing the file, if any run was not correct.
 """
 
 from __future__ import annotations
@@ -79,18 +82,24 @@ def _quartiles(values: list[float]) -> list[float]:
 
 
 def summarize(runs: list[dict], metrics: dict[str, bool]) -> dict:
-    """Per workload and metric: each side's [q1, median, q3] and the pairs the
-    change won (ties count for neither side)."""
+    """Per workload: each side's failed/attempted ops over all its runs, and
+    per metric each side's [q1, median, q3] over the complete pairs and the
+    pairs the change won (ties count for neither side)."""
     out: dict = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         pairs: dict[int, dict[str, dict]] = {}
+        ops = {side: [0, 0] for side in SIDES}
         for run in runs:
             if run["workload"] == workload:
                 pairs.setdefault(run["pair"], {})[run["side"]] = run["result"]["metrics"]
+                ops[run["side"]][0] += run["result"]["failed"]
+                ops[run["side"]][1] += run["result"]["attempted"]
+        rows = out[workload] = {
+            "failed_ops": {side: f"{f}/{a}" for side, (f, a) in ops.items()}
+        }
         complete = [p for p in pairs.values() if len(p) == 2]
         if not complete:
             continue
-        rows = {}
         for metric, higher in metrics.items():
             values = {side: [p[side][metric]["value"] for p in complete] for side in SIDES}
             wins = sum(
@@ -101,7 +110,6 @@ def summarize(runs: list[dict], metrics: dict[str, bool]) -> dict:
                 **{side: _quartiles(values[side]) for side in SIDES},
                 "change_wins": f"{wins}/{len(complete)}",
             }
-        out[workload] = rows
     return out
 
 
@@ -139,7 +147,10 @@ def main(argv: list[str] | None = None) -> int:
                     # rewritten after every run, so an interrupted run keeps the pairs done so far
                     report["summary"] = summarize(report["runs"], metrics)
                     args.out.write_text(json.dumps(report, indent=2) + "\n")
-    return 0
+    incorrect = [run for run in report["runs"] if not run["result"]["correct"]]
+    for run in incorrect:
+        print(f"not correct: {run['workload']} seed {run['seed']} {run['side']}", file=sys.stderr)
+    return 1 if incorrect else 0
 
 
 if __name__ == "__main__":

@@ -222,22 +222,23 @@ def h1_cyclic_norm_formula(
     otherwise).  Raises ValueError unless `hom` is a hom class of `fan` and
     the backend's Galois group has the order of the group `hom` twists by.
 
-    When the class group is Z with all ray degrees equal to one, the answer
-    is the pure norm quotient over the ray-orbit stabilizers, which is also
-    the only shape of input the symbolic backend can evaluate.
+    Symbolic norm data can evaluate only a fan whose class group is Z with
+    all ray degrees equal to one, where the answer is the pure norm quotient
+    over the ray-orbit stabilizers.  Concrete backends take the quotient
+    presentation on every fan, so on projective spaces this route stays
+    independent of the `norm_quotient` that `classify projective` reports.
     """
-    group = hom.group
     if hom.aut.fan != fan:
         raise ValueError("hom: a hom class of another fan")
     _check_degree(backend.group.order, hom)
-    if _diagonal_degree(fan):
-        # orbit-stabilizer: an orbit of r rays has a stabilizer of order |G| / r
-        orders = [group.order // len(orbit) for orbit in hom.ray_orbits]
-        return norm_quotient(backend, orders)
     if isinstance(backend, SymbolicBrauerBackend):
-        raise BackendUnsupported(
-            "symbolic norm data supports only fans with class group Z in degree one"
-        )
+        if not _diagonal_degree(fan):
+            raise BackendUnsupported(
+                "symbolic norm data supports only fans with class group Z in degree one"
+            )
+        # orbit-stabilizer: an orbit of r rays has a stabilizer of order |G| / r
+        orders = [hom.group.order // len(orbit) for orbit in hom.ray_orbits]
+        return norm_quotient(backend, orders)
     _check_torsion_assumption(backend, fan)
     if isinstance(backend, RealComplexBackend):
         return _h1_real_quotient_presentation(fan, hom)
@@ -252,11 +253,10 @@ def h1_cyclic_norm_formula(
 
 @dataclass(frozen=True)
 class FiniteModule:
-    """Finite abelian group prod Z/moduli[i] with a linear group action.
+    """Finite abelian group prod Z/moduli[i] with a linear action of Z/d.
 
-    The acting group is read only through `order`, `generators` and `mult`
-    (element 0 the identity), so any finite group given that way can act,
-    not only the cyclic `GroupSpec`.
+    `action[a]` is the matrix by which group element a acts; element 1 is
+    the generator sigma, so action[a] is sigma^a mod the moduli.
     """
 
     group: GroupSpec
@@ -268,12 +268,11 @@ class FiniteModule:
         # `brute_force_h1_finite` composes action tables relying on them
         m = self.moduli
         n = len(m)
+        d = self.group.order
         if not all(mi >= 1 for mi in m):
             raise ValueError(f"moduli must be at least 1, got {m}")
-        if len(self.action) != self.group.order:
-            raise ValueError(
-                f"{len(self.action)} action matrices for a group of order {self.group.order}"
-            )
+        if len(self.action) != d:
+            raise ValueError(f"{len(self.action)} action matrices for a group of order {d}")
         for mat in self.action:
             if mat.shape != (n, n):
                 raise ValueError(f"action matrix of shape {mat.shape}, expected {(n, n)}")
@@ -282,30 +281,14 @@ class FiniteModule:
                 raise ValueError(f"action matrix {mat} does not descend to the moduli {m}")
         if self.action[0] != IntMatrix.identity(n):
             raise ValueError("group element 0 must act as the identity")
-        # with action[0] = 1, action[a g] = action[a] action[g] for every a and
-        # every generator g makes the action multiplicative, by induction on
-        # the length of a word in the generators; the elements a are visited
-        # from the identity along generators, and generators that do not
-        # reach every element leave every pair to check
-        group = self.group
-        reached = {0}
-        frontier = [0]
-        for a in frontier:
-            for g in group.generators:
-                ag = group.mult(a, g)
-                self._check_product(a, g, ag)
-                if ag not in reached:
-                    reached.add(ag)
-                    frontier.append(ag)
-        if len(reached) != group.order:
-            for a in range(group.order):
-                for b in range(group.order):
-                    self._check_product(a, b, group.mult(a, b))
-
-    def _check_product(self, a: int, b: int, ab: int) -> None:
-        prod = self.action[a] @ self.action[b]
-        if self._reduce_matrix(prod) != self._reduce_matrix(self.action[ab]):
-            raise ValueError("action is not a homomorphism")
+        # action[0] = 1 and action[a + 1] = action[a] sigma for every a mod d
+        # make action[a] = sigma^a with sigma^d = 1, so the action is
+        # multiplicative: one product per element
+        sigma = self.action[1 % d]
+        for a in range(d):
+            prod = self.action[a] @ sigma
+            if self._reduce_matrix(prod) != self._reduce_matrix(self.action[(a + 1) % d]):
+                raise ValueError("action is not a homomorphism")
 
     def _reduce_matrix(self, mat: IntMatrix) -> IntMatrix:
         return IntMatrix._trusted(
@@ -357,57 +340,48 @@ MAX_COCYCLE_CHECKS = 10_000_000
 
 
 def brute_force_h1_finite(module: FiniteModule) -> FGAbelianGroup:
-    """H^1 by literal enumeration of cocycles.
+    """H^1 of Z/d by literal enumeration of cocycles.
 
-    Every assignment of module elements to the group generators is extended
-    along a breadth-first spanning tree of the Cayley graph, filtered by the
-    cocycle condition on every Cayley edge, and the survivors are checked
-    against the identity c(ab) = c(a) + a c(b) on all pairs (a, b);
-    coboundaries are enumerated directly.  The quotient's structure is read
-    off by counting torsion elements.  Each assignment costs up to |G|^2
-    cocycle checks, so the work is bounded by assignments times |G|^2;
-    raises TooLarge if that exceeds MAX_COCYCLE_CHECKS, before anything is
-    enumerated, and ValueError if the group's generators do not generate it.
+    A cocycle c is fixed by its value x = c(1) on the generator sigma:
+    c(a + 1) = c(a) + sigma^a x.  Every module element x is extended along
+    0 -> 1 -> ... -> d-1, filtered by the closing edge c(0) = c(d-1) +
+    sigma^(d-1) x, and the survivors are checked against the identity
+    c(a + b) = c(a) + a c(b) on all pairs (a, b); coboundaries are enumerated
+    directly.  The quotient's structure is read off by counting torsion
+    elements.  Each assignment costs up to d^2 cocycle checks, so the work
+    is bounded by assignments times d^2; raises TooLarge if that exceeds
+    MAX_COCYCLE_CHECKS, before anything is enumerated.
 
     The enumeration runs on element indices (`_IndexedModule`): group
     elements act through index tables (`_action_tables`), and a cochain is
     one column per group element, holding its value for every candidate
-    value of the last generator at once.  An outer loop runs over the values
-    of the other generators, so at most |M| candidates are live at a time.
+    x at once.
     """
     group = module.group
-    gens = group.generators if group.generators else ()
-    count = module.size ** len(gens)
-    if count * group.order**2 > MAX_COCYCLE_CHECKS:
+    d = group.order
+    count = module.size ** len(group.generators)
+    if count * d**2 > MAX_COCYCLE_CHECKS:
         raise TooLarge(
-            f"{count} candidate assignments times {group.order}^2 group pairs"
+            f"{count} candidate assignments times {d}^2 group pairs"
             f" exceed {MAX_COCYCLE_CHECKS} cocycle checks"
         )
-    tree = _cayley_spanning_tree(group, gens)
     index = _IndexedModule(module.moduli)
-    act = _action_tables(module, index, tree)
+    act = _action_tables(module, index)
     add = index.add
-    order = group.order
-    edges = [(a, g, group.mult(a, g)) for a in range(order) for g in gens]
-    pairs = [(a, b, group.mult(a, b)) for a in range(order) for b in range(order)]
 
     def acted(a: int, column: list[int]) -> list[int]:
         return list(map(act[a].__getitem__, column))
 
-    cocycles: set[tuple[int, ...]] = set()
-    width = index.size if gens else 1
-    for fixed in itertools.product(range(index.size), repeat=max(len(gens) - 1, 0)):
-        # each generator's value as a column: fixed by the outer loop, except
-        # the last generator, which takes the value x in candidate column x
-        value = {g: [x] * width for g, x in zip(gens, fixed)}
-        if gens:
-            value[gens[-1]] = list(range(width))
-        c: list[list[int]] = [[0] * width] * order  # all but c[0] set along the tree
-        for b, a, g in tree:
-            c[b] = add(c[a], acted(a, value[g]))
-        c = _agreeing(c, ((c[b], add(c[a], acted(a, value[g]))) for a, g, b in edges))
-        c = _agreeing(c, ((c[ab], add(c[a], acted(a, c[b]))) for a, b, ab in pairs))
-        cocycles.update(zip(*c))
+    # candidate column x holds c(1) = element x (only c(1) = 0 when d = 1)
+    x = list(range(count))
+    c = [[0] * count]
+    for a in range(d - 1):
+        c.append(add(c[a], acted(a, x)))
+    c = _agreeing(c, [(c[0], add(c[-1], acted(d - 1, x)))])
+    c = _agreeing(
+        c, ((c[(a + b) % d], add(c[a], acted(a, c[b]))) for a in range(d) for b in range(d))
+    )
+    cocycles = set(zip(*c))
 
     minus = index.multiple(-1)
     boundaries = set(zip(*(add(table, minus) for table in act)))
@@ -450,36 +424,6 @@ def _agreeing(columns: list[list[int]], checks) -> list[list[int]]:
         return columns
     keep = list(itertools.compress(range(len(agree)), agree))
     return [list(map(column.__getitem__, keep)) for column in columns]
-
-
-def _cayley_spanning_tree(
-    group: GroupSpec, gens: Sequence[int]
-) -> list[tuple[int, int, int]]:
-    """Breadth-first spanning tree of the Cayley graph from the identity.
-
-    Returns edges (b, a, g) with b = a g in visiting order, so every a is
-    the identity or an earlier b; there is one edge per non-identity element.
-    Raises ValueError, also under python -O, unless `gens` generate `group`.
-    """
-    tree = []
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = group.mult(a, g)
-                if b not in seen:
-                    seen.add(b)
-                    tree.append((b, a, g))
-                    nxt.append(b)
-        frontier = nxt
-    if len(seen) != group.order:
-        raise ValueError(
-            f"generators {tuple(gens)} reach {len(seen)} of the {group.order}"
-            " elements of the acting group"
-        )
-    return tree
 
 
 class _IndexedModule:
@@ -531,25 +475,19 @@ class _IndexedModule:
         return self.table(IntMatrix.identity(len(self.moduli)).scaled(k))
 
 
-def _action_tables(
-    module: FiniteModule, index: _IndexedModule, tree: Sequence[tuple[int, int, int]]
-) -> list[list[int]]:
+def _action_tables(module: FiniteModule, index: _IndexedModule) -> list[list[int]]:
     """tables[a][i] = the index of a . (element i) for every group element a.
 
-    The generators' tables come from their action matrices
-    (`_IndexedModule.table`); every other element b = a g of the spanning
-    tree is composed as tables[b][i] = tables[a][tables[g][i]].  That is
-    b's action because the module checked that its action is a
-    homomorphism mod the moduli and preserves them.
+    The generator's table comes from its action matrix
+    (`_IndexedModule.table`), and tables[a + 1][i] = tables[a][tables[1][i]]
+    is its power.  That is a's action because the module checked that
+    action[a] is sigma^a mod the moduli and preserves them.
     """
-    tables: list[list[int] | None] = [None] * module.group.order
-    tables[0] = list(range(index.size))
-    for g in module.group.generators:
-        if tables[g] is None:
-            tables[g] = index.table(module.action[g])
-    for b, a, g in tree:
-        if tables[b] is None:
-            tables[b] = list(map(tables[a].__getitem__, tables[g]))
+    tables = [list(range(index.size))]
+    if module.group.order > 1:
+        tables.append(index.table(module.action[1]))
+    while len(tables) < module.group.order:
+        tables.append(list(map(tables[-1].__getitem__, tables[1])))
     return tables
 
 

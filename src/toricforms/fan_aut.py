@@ -75,6 +75,22 @@ def _inverse_perm(perm: Perm) -> Perm:
     return tuple(out)
 
 
+def _cycles(perm: Perm) -> list[list[int]]:
+    """The cycles of `perm`, each starting at its least point, ordered by it."""
+    seen = [False] * len(perm)
+    cycles = []
+    for start in range(len(perm)):
+        cycle = []
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            cycle.append(k)
+            k = perm[k]
+        if cycle:
+            cycles.append(cycle)
+    return cycles
+
+
 @dataclass(frozen=True)
 class FanAutGroup:
     """Finite matrix group acting on a fan, matrices sorted for determinism.
@@ -151,18 +167,7 @@ class FanAutGroup:
     def element_order(self, i: int) -> int:
         """Order of matrices[i]: the lcm of its ray permutation's cycle
         lengths, the ray action being faithful."""
-        perm = self.ray_permutations[i]
-        seen = [False] * len(perm)
-        order = 1
-        for start in range(len(perm)):
-            n, k = 0, start
-            while not seen[k]:
-                seen[k] = True
-                k = perm[k]
-                n += 1
-            if n:
-                order = math.lcm(order, n)
-        return order
+        return math.lcm(*map(len, _cycles(self.ray_permutations[i])))
 
 
 def _ray_invariants(fan: Fan) -> dict[int, tuple]:

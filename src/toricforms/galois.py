@@ -33,7 +33,7 @@ from .exact_linalg import (
     lattice_intersection,
     lattice_subquotient,
 )
-from .fan_aut import FanAutGroup
+from .fan_aut import FanAutGroup, _cycles
 from .fans import TooLarge
 
 MAX_GROUP_ORDER = 10_000
@@ -78,12 +78,6 @@ class GroupSpec:
     @property
     def generators(self) -> tuple[int, ...]:
         return (1,) if self.order > 1 else ()
-
-    def mult(self, a: int, b: int) -> int:
-        return (a + b) % self.order
-
-    def element_order(self, a: int) -> int:
-        return self.order // math.gcd(a, self.order)
 
 
 def _check_subgroup_order(h: object, d: int) -> None:
@@ -135,17 +129,7 @@ class HomClass:
         """Orbits of the induced ray action, each sorted, ordered by minimum:
         the cycles of the generator's ray permutation."""
         perm = self.ray_permutation(1 % self.group.order)
-        seen: set[int] = set()
-        orbits = []
-        for start in range(len(perm)):
-            if start in seen:
-                continue
-            cycle = [start]
-            while perm[cycle[-1]] != start:
-                cycle.append(perm[cycle[-1]])
-            seen.update(cycle)
-            orbits.append(tuple(sorted(cycle)))
-        return tuple(orbits)
+        return tuple(tuple(sorted(cycle)) for cycle in _cycles(perm))
 
 
 def enumerate_hom_classes(group: GroupSpec, aut: FanAutGroup) -> tuple[HomClass, ...]:

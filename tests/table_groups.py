@@ -2,9 +2,9 @@
 that `galois.enumerate_hom_classes` replaced, kept as its reference.
 
 `TableGroup` is the former general `GroupSpec`: any finite group, element 0
-the identity.  It exposes `order`, `generators` and `mult`, all that
-`cohomology.FiniteModule` and the brute force read, so the brute-force tests
-can act by non-cyclic groups (the Klein four group, S3).  `hom_classes`
+the identity, stored as its full table.  The tests build only the cyclic
+one, `TableGroup.cyclic(d)`, to check `GroupSpec`, `HomClass` and kernel
+reduction against a route that reads nothing but the table.  `hom_classes`
 finds every homomorphism by extending each tuple of generator images along
 the Cayley graph and checking all |G|^2 products, then groups them into
 conjugation orbits; `reduce_kernel` builds the quotient table coset by coset.
@@ -61,26 +61,6 @@ class TableGroup:
     def cyclic(cls, d: int) -> "TableGroup":
         table = tuple(tuple((i + j) % d for j in range(d)) for i in range(d))
         return cls(f"C{d}", table, (1,) if d > 1 else ())
-
-    @classmethod
-    def dihedral(cls, order: int) -> "TableGroup":
-        """Dihedral group of even order 2m: elements 0..m-1 are rotations
-        r^i, elements m..2m-1 are reflections s r^i."""
-        m = order // 2
-
-        def mult(a: int, b: int) -> int:
-            fa, ia = divmod(a, m)
-            fb, ib = divmod(b, m)
-            if fa == 0 and fb == 0:
-                return (ia + ib) % m
-            if fa == 0 and fb == 1:
-                return m + (ib - ia) % m
-            if fa == 1 and fb == 0:
-                return m + (ia + ib) % m
-            return (ib - ia) % m
-
-        table = tuple(tuple(mult(a, b) for b in range(order)) for a in range(order))
-        return cls(f"D{order}", table, (1, m) if m > 1 else (m,))
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from toricforms.galois import (
     RealComplexBackend,
     SymbolicBrauerBackend,
     enumerate_hom_classes,
+    norm_quotient,
 )
 from toricforms.classify import (
     CannotEvaluate,
@@ -65,7 +66,7 @@ from toricforms.classify import (
 )
 from toricforms.cohomology import TooLarge, h1_cyclic_norm_formula, h1_real_involution
 from toricforms.exact_linalg import IntMatrix
-from toricforms import classify, cohomology, galois
+from toricforms import classify, cli, cohomology, galois
 
 from test_fan_aut import aut_via_sequence
 from test_fans import sequences_equivalent
@@ -530,22 +531,34 @@ def test_classify_fan_group_backend_mismatch():
         classify_fan(P1, GroupSpec.cyclic(3), RealComplexBackend())
 
 
-@pytest.mark.parametrize(
-    "backend",
-    [RealComplexBackend(), FiniteFieldBackend(5, 4), FiniteFieldBackend(3, 6)],
-    ids=["real", "ff:5,4", "ff:3,6"],
-)
-@pytest.mark.parametrize("name", BUILTIN_NAMES)
-def test_classify_fan_matches_the_norm_route(name, backend):
+NORM_ROUTE_CASES = [
+    pytest.param(name, spec, id=f"{name}-{spec}")
+    for spec in ("real", "ff:5,4", "ff:3,6")
+    for name in BUILTIN_NAMES
+] + [
+    pytest.param(f"projective:{n}", spec, id=f"projective:{n}-{spec}")
+    for spec in ("real", "ff:2,2", "ff:2,3", "ff:3,4", "ff:7,2", "ff:2,6")
+    for n in range(1, 5)
+]
+
+
+@pytest.mark.parametrize("name,spec", NORM_ROUTE_CASES)
+def test_classify_fan_matches_the_norm_route(name, spec):
     """classify_fan reads each class off the generator's cocharacter
     matrix; the paper's route on ray coordinates gives the same group,
-    class by class."""
+    class by class.  On projective spaces both also equal the norm quotient
+    over the ray-orbit stabilizers that classify projective reports."""
     fan = builtin_fan(name)
+    backend = cli._parse_backend(spec, None)
     report = classify_fan(fan, backend.group, backend)
     classes = enumerate_hom_classes(backend.group, automorphism_group(fan))
     assert len(report.entries) == len(classes)
+    d = backend.group.order
     for entry, cls in zip(report.entries, classes):
         assert entry.value == h1_cyclic_norm_formula(fan, cls, backend), entry.label
+        if name.startswith("projective:"):
+            orders = [d // len(orbit) for orbit in cls.ray_orbits]
+            assert entry.value == norm_quotient(backend, orders), entry.label
 
 
 def test_classify_fan_factors_no_number_for_a_built_backend(monkeypatch):

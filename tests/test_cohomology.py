@@ -6,8 +6,7 @@ import math
 import subprocess
 import sys
 import time
-import tracemalloc
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +27,6 @@ from toricforms.cohomology import (
     TooLarge,
     _IndexedModule,
     _action_tables,
-    _cayley_spanning_tree,
     _exact_log,
     _h1_finite_field_quotient_presentation,
     _h1_real_quotient_presentation,
@@ -62,7 +60,7 @@ from toricforms.galois import (
     kernel_reduction,
 )
 
-from table_groups import TableGroup, orbit_stabilizer
+from table_groups import orbit_stabilizer
 from test_exact_linalg import congruence_kernel_basis, rational_solve
 from test_fans import HEXAGON, P1, P1XP1, P2, PRODUCT_FAN_NAMES, named_fan, unimodular
 
@@ -244,9 +242,8 @@ def _c2_classes(fan):
 def test_real_route_p1_swap_gives_two_classes():
     swap = next(c for c in _c2_classes(P1) if not c.is_trivial)
     assert h1_cyclic_norm_formula(P1, swap, REAL) == Z2
-    # the quotient-presentation route agrees even though the public entry
-    # point takes the degree-one shortcut on this fan
-    assert _h1_real_quotient_presentation(P1, swap) == Z2
+    # the norm quotient over the stabilizer of the one orbit of two rays agrees
+    assert galois.norm_quotient(REAL, [1]) == Z2
 
 
 def test_real_route_trivial_class_is_trivial():
@@ -366,67 +363,31 @@ def test_real_routes_agree_on_transformed_fans(data):
 def _literal_brute_force_h1(module: FiniteModule) -> FGAbelianGroup:
     """The enumeration `brute_force_h1_finite` replaced, kept as its reference:
     every action is one `module.act` call, nothing is tabulated."""
-    group = module.group
-    gens = group.generators if group.generators else ()
-    count = module.size ** len(gens)
+    d = module.group.order
+    count = module.size ** len(module.group.generators)
     if count > cohomology.MAX_COCYCLE_CHECKS:
         raise TooLarge(f"{count} candidate assignments exceed {cohomology.MAX_COCYCLE_CHECKS}")
 
-    # breadth-first spanning of the Cayley graph, fixed once
-    parent: dict[int, tuple[int, int]] = {}
-    order_of_visit = [0]
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = group.mult(a, g)
-                if b not in seen:
-                    seen.add(b)
-                    parent[b] = (a, g)
-                    order_of_visit.append(b)
-                    nxt.append(b)
-        frontier = nxt
-    assert len(seen) == group.order, "generators fail to generate"
-
     cocycles: set[tuple[tuple[int, ...], ...]] = set()
-    for assignment in itertools.product(module.elements(), repeat=len(gens)):
-        by_gen = dict(zip(gens, assignment))
-        c: list[tuple[int, ...] | None] = [None] * group.order
-        c[0] = module.zero()
-        ok = True
-        for b in order_of_visit[1:]:
-            a, g = parent[b]
-            c[b] = module.add(c[a], module.act(a, by_gen[g]))
-        for a in range(group.order):
-            if not ok:
-                break
-            for g in gens:
-                b = group.mult(a, g)
-                if c[b] != module.add(c[a], module.act(a, by_gen[g])):
-                    ok = False
-                    break
-        if ok:
-            full = True
-            for a in range(group.order):
-                for b in range(group.order):
-                    lhs = c[group.mult(a, b)]
-                    rhs = module.add(c[a], module.act(a, c[b]))
-                    if lhs != rhs:
-                        full = False
-                        break
-                if not full:
-                    break
-            if full:
-                cocycles.add(tuple(c))
+    for assignment in itertools.product(module.elements(), repeat=len(module.group.generators)):
+        # c(1) is the assignment to the generator, and c(a + 1) = c(a) + a c(1)
+        x = assignment[0] if assignment else module.zero()
+        c = [module.zero()]
+        for a in range(d - 1):
+            c.append(module.add(c[a], module.act(a, x)))
+        if all(
+            c[(a + b) % d] == module.add(c[a], module.act(a, c[b]))
+            for a in range(d)
+            for b in range(d)
+        ):
+            cocycles.add(tuple(c))
 
     boundaries: set[tuple[tuple[int, ...], ...]] = set()
     for v in module.elements():
         boundaries.add(
             tuple(
                 tuple((x - y) % mi for x, y, mi in zip(module.act(a, v), v, module.moduli))
-                for a in range(group.order)
+                for a in range(d)
             )
         )
     assert boundaries <= cocycles
@@ -461,8 +422,7 @@ def _assert_matches_literal(module: FiniteModule) -> None:
     to `act` on every group element and every module element."""
     assert brute_force_h1_finite(module) == _literal_brute_force_h1(module)
     elements = list(module.elements())
-    tree = _cayley_spanning_tree(module.group, module.group.generators)
-    tables = _action_tables(module, _IndexedModule(module.moduli), tree)
+    tables = _action_tables(module, _IndexedModule(module.moduli))
     assert len(tables) == module.group.order
     for a, table in enumerate(tables):
         assert [elements[i] for i in table] == [module.act(a, v) for v in elements]
@@ -490,14 +450,6 @@ def test_brute_force_trivial_action_on_z2():
     _assert_matches_literal(mod)
 
 
-def test_brute_force_klein_four_homs():
-    klein = TableGroup.dihedral(4)
-    ident = [[1]]
-    mod = FiniteModule(klein, (2,), tuple(M(ident) for _ in range(4)))
-    assert brute_force_h1_finite(mod) == Z2Z2
-    _assert_matches_literal(mod)
-
-
 def test_brute_force_guard(monkeypatch):
     def untouchable(*_args, **_kwargs):
         raise AssertionError("the guard must refuse before any element is enumerated")
@@ -522,47 +474,6 @@ def test_brute_force_guard(monkeypatch):
     assert brute_force_h1_finite(small) == FGAbelianGroup.cyclic(2)
 
 
-_NON_GENERATING_SCRIPT = """
-import dataclasses
-from table_groups import TableGroup
-from toricforms.cohomology import FiniteModule, brute_force_h1_finite
-from toricforms.exact_linalg import IntMatrix
-
-klein = TableGroup.dihedral(4)
-for gens in ((1,), (2,), ()):
-    group = dataclasses.replace(klein, generators=gens)
-    module = FiniteModule(group, (2,), (IntMatrix.identity(1),) * 4)
-    try:
-        print("returned", brute_force_h1_finite(module))
-    except ValueError as exc:
-        print(type(exc).__name__, exc)
-"""
-
-
-def test_brute_force_refuses_generators_that_do_not_generate():
-    """A proper subset of the Klein four group's generators is refused with
-    ValueError, also under python -O, and not with a bare AssertionError or
-    TypeError."""
-    klein = TableGroup.dihedral(4)
-    module = FiniteModule(replace(klein, generators=(1,)), (2,), (IntMatrix.identity(1),) * 4)
-    with pytest.raises(ValueError, match="^generators \\(1,\\) reach 2 of the 4 elements"):
-        brute_force_h1_finite(module)
-    tests_dir = Path(__file__).resolve().parent
-    child = subprocess.run(
-        [sys.executable, "-O", "-c", _NON_GENERATING_SCRIPT],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env={"PYTHONPATH": f"{Path(toricforms.__file__).resolve().parents[1]}:{tests_dir}"},
-        check=True,
-    )
-    assert child.stdout == (
-        "ValueError generators (1,) reach 2 of the 4 elements of the acting group\n"
-        "ValueError generators (2,) reach 2 of the 4 elements of the acting group\n"
-        "ValueError generators () reach 1 of the 4 elements of the acting group\n"
-    )
-
-
 _LARGE_TRIVIAL_MODULE_SCRIPT = """
 import time
 from toricforms.cohomology import FiniteModule
@@ -576,9 +487,9 @@ print(time.perf_counter() - start)
 
 
 def test_module_checks_one_product_per_element_and_generator(monkeypatch):
-    """The homomorphism check makes d x |generators| products, not d^2: the
-    trivial action of C1000 builds in under a second under python -O (10.7 s
-    when every pair was checked)."""
+    """The homomorphism check makes d products, one per element and the
+    generator, not d^2: the trivial action of C1000 builds in under a second
+    under python -O (10.7 s when every pair was checked)."""
     products = []
     matmul = IntMatrix.__matmul__
     with monkeypatch.context() as patch:
@@ -601,34 +512,9 @@ def test_module_refuses_an_action_wrong_at_a_non_generator():
     FiniteModule(GroupSpec.cyclic(4), (5,), tuple(M([[x]]) for x in (1, 2, 4, 3)))
     with pytest.raises(ValueError, match="not a homomorphism"):
         FiniteModule(GroupSpec.cyclic(4), (5,), tuple(M([[x]]) for x in (1, 2, 1, 3)))
-    # the Klein four group {1, r, s, rs}: r -> 1, s -> 4 acts, s -> 3 does
-    # not (3^2 = 4 mod 5), which no product a * r shows, so when the
-    # generators reach only {1, r} every pair is checked
-    klein = TableGroup.dihedral(4)  # generators r = 1 and s = 2; 3 = r s
-    FiniteModule(klein, (5,), tuple(M([[x]]) for x in (1, 1, 4, 4)))
-    wrong_at_s = tuple(M([[x]]) for x in (1, 1, 3, 3))
-    for gens in ((1, 2), (1,)):
-        with pytest.raises(ValueError, match="not a homomorphism"):
-            FiniteModule(replace(klein, generators=gens), (5,), wrong_at_s)
-
-
-def test_brute_force_memory_stays_bounded_with_two_generators():
-    """The Klein four group acting on (Z/12)^2 by diag(-1, 1) and diag(1, -1):
-    144^2 assignments of the two generators, of which at most 144 are live at
-    once.  The bound is twice the peak of the tuple-based enumeration this
-    one replaced, 0.34 MB measured on the same module."""
-    klein = TableGroup.dihedral(4)  # generators r = 1 and s = 2; 3 = r s
-    module = _module_from_generators(klein, (12, 12), [M([[-1, 0], [0, 1]]), M([[1, 0], [0, -1]])])
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        result = brute_force_h1_finite(module)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert result == FGAbelianGroup.from_factors([2, 2, 2, 2])
-    assert peak <= 2 * 340_000
+    # C2 with the generator acting by 2, whose square 4 is not the identity
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        FiniteModule(GroupSpec.cyclic(2), (5,), (M([[1]]), M([[2]])))
 
 
 def _surface_oracle_modules(q: int, d: int) -> list[FiniteModule]:
@@ -652,39 +538,26 @@ def test_table_driven_brute_force_matches_literal_on_surface_classes(q, d):
         _assert_matches_literal(module)
 
 
-def _module_from_generators(group, moduli, gen_mats) -> FiniteModule:
-    """The module on which each generator acts by the given matrix."""
-    n = len(moduli)
-    mats = {0: IntMatrix.identity(n)}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g, mat in zip(group.generators, gen_mats):
-                b = group.mult(a, g)
-                if b not in mats:
-                    prod = mats[a] @ mat
-                    mats[b] = M([[x % moduli[i] for x in row] for i, row in enumerate(prod.rows)])
-                    nxt.append(b)
-        frontier = nxt
-    return FiniteModule(group, tuple(moduli), tuple(mats[a] for a in range(group.order)))
+def _module_from_generator(order, moduli, gen_mat) -> FiniteModule:
+    """The module on which the generator of Z/order acts by `gen_mat`."""
+    mats = [IntMatrix.identity(len(moduli))]
+    for _ in range(order - 1):
+        prod = mats[-1] @ gen_mat
+        mats.append(M([[x % moduli[i] for x in row] for i, row in enumerate(prod.rows)]))
+    return FiniteModule(GroupSpec.cyclic(order), tuple(moduli), tuple(mats))
 
 
 @st.composite
 def _diagonal_modules(draw):
-    """Cyclic groups of order 1-4 and the Klein four group acting diagonally."""
-    groups = [GroupSpec.cyclic(k) for k in range(1, 5)] + [TableGroup.dihedral(4)]
-    group = draw(st.sampled_from(groups))
-    n = draw(st.integers(1, 2 if len(group.generators) > 1 else 3))
+    """Cyclic groups of order 1-4 acting diagonally."""
+    order = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 3))
     moduli = draw(st.lists(st.integers(1, 7), min_size=n, max_size=n))
-    gen_mats = []
-    for g in group.generators:
-        k = group.element_order(g)
-        units = [
-            [u for u in range(m) if math.gcd(u, m) == 1 and pow(u, k, m) == 1 % m] for m in moduli
-        ]
-        gen_mats.append(IntMatrix.diagonal([draw(st.sampled_from(us)) for us in units]))
-    return _module_from_generators(group, moduli, gen_mats)
+    units = [
+        [u for u in range(m) if math.gcd(u, m) == 1 and pow(u, order, m) == 1 % m] for m in moduli
+    ]
+    gen_mat = IntMatrix.diagonal([draw(st.sampled_from(us)) for us in units])
+    return _module_from_generator(order, moduli, gen_mat)
 
 
 @st.composite
@@ -696,21 +569,11 @@ def _permutation_modules(draw):
     modulus = {cycle: draw(st.integers(1, 7)) for cycle in sorted(set(cycles), key=min)}
     order = math.lcm(*map(len, cycles)) * draw(st.integers(1, 2))
     moduli = [modulus[cycle] for cycle in cycles]
-    return _module_from_generators(GroupSpec.cyclic(order), moduli, [_permutation_matrix(perm)])
-
-
-@st.composite
-def _symmetric_modules(draw):
-    """The non-abelian D6 = S3 permuting three coordinates: a rotation by a
-    3-cycle, a reflection by a transposition."""
-    cycle = draw(st.sampled_from([(1, 2, 0), (2, 0, 1)]))
-    swap = draw(st.sampled_from([(1, 0, 2), (0, 2, 1), (2, 1, 0)]))
-    gen_mats = [_permutation_matrix(cycle), _permutation_matrix(swap)]
-    return _module_from_generators(TableGroup.dihedral(6), (draw(st.integers(1, 3)),) * 3, gen_mats)
+    return _module_from_generator(order, moduli, _permutation_matrix(perm))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(_diagonal_modules(), _permutation_modules(), _symmetric_modules()))
+@given(st.one_of(_diagonal_modules(), _permutation_modules()))
 def test_table_driven_brute_force_matches_literal_on_random_actions(module):
     _assert_matches_literal(module)
 
