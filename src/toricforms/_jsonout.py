@@ -8,12 +8,19 @@ piece is appended to one list that is joined once at the end, so each byte
 is copied once, however deep it sits; a sequence of plain ints is written by
 one ``str.join``.
 
-Payloads repeat such sequences heavily (a report's matrix rows each hold at
-most one 1 and one -1), so one ``dumps`` call memoizes the text of each
-all-int sequence by its items and indent.  The memo is a local of the call
-and is consulted only after the all-int type check: ``(True, False)`` and
-``(1.0, 0)`` hash and compare equal to ``(1, 0)``, so a lookup first would
-print a bool row as ``1``/``0`` and a float row instead of raising.
+Payloads repeat such sequences heavily (a projective report's matrices
+share their rows), so one ``dumps`` call memoizes the text of each all-int
+sequence, by identity first and by items second, each with its indent.  A
+sequence looks each item up by identity before anything else, and a hit is
+appended with no type check, no hash and no recursive call: the payload
+stays alive and unchanged for the call, so an object written once has the
+same text.  An object enters the identity memo when it is met a second
+time, so equal rows that are distinct objects (a symmetry group's) add no
+entry per row.  Every object not yet in it takes the all-int type check
+before its items are looked up: ``(True, False)`` and ``(1.0, 0)`` hash and
+compare equal to ``(1, 0)``, so an items lookup first would print a bool row
+as ``1``/``0`` and a float row instead of raising.  Both memos are locals
+of the call, so a sequence edited between calls is written afresh.
 
 It accepts exactly the types the library emits: dicts with str keys, lists,
 tuples, str, int, bool and None.  Anything else raises ``TypeError``.
@@ -30,31 +37,43 @@ _INT_ONLY = {int}
 def dumps(obj: object) -> str:
     """``json.dumps(obj, indent=2)`` for the library's payload types."""
     out: list[str] = []
-    _encode(obj, "\n", out, {})
+    _encode(obj, "\n", out, {}, {})
     return "".join(out)
 
 
-def _encode(obj: object, newline: str, out: list[str], memo: dict) -> None:
+def _encode(obj: object, newline: str, out: list[str], memo: dict, shared: dict) -> None:
     # `newline` is a line break plus the indent of the line `obj` starts on;
-    # `memo` maps (int items, newline) to the text of that sequence
+    # `memo` maps (int items, newline) to (the first sequence written with
+    # them, their text); `shared` maps (id, newline) to the text of each
+    # all-int sequence written twice so far
     if isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
             return
         inner = newline + "  "
-        # the type check must come first: (True, False) == (1.0, 0) == (1, 0)
+        # the type check must precede the items key: (True, False) == (1.0, 0) == (1, 0)
         if set(map(type, obj)) == _INT_ONLY:
             key = (tuple(obj), newline)
-            text = memo.get(key)
-            if text is None:
-                text = memo[key] = "[" + inner + ("," + inner).join(map(_int_repr, obj)) + newline + "]"
+            hit = memo.get(key)
+            if hit is None:
+                text = "[" + inner + ("," + inner).join(map(_int_repr, obj)) + newline + "]"
+                memo[key] = (obj, text)
+            else:
+                first, text = hit
+                if first is obj:  # this very object, met again
+                    shared[id(obj), newline] = text
             out.append(text)
             return
         lead, sep = "[" + inner, "," + inner
         for item in obj:
             out.append(lead)
             lead = sep
-            _encode(item, inner, out, memo)
+            # nothing is looked up by identity until some object repeats
+            text = shared.get((id(item), inner)) if shared else None
+            if text is None:
+                _encode(item, inner, out, memo, shared)
+            else:
+                out.append(text)
         out.append(newline + "]")
     elif isinstance(obj, str):
         out.append(_quote(obj))
@@ -77,7 +96,7 @@ def _encode(obj: object, newline: str, out: list[str], memo: dict) -> None:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             out.append(lead + _quote(key) + ": ")
             lead = sep
-            _encode(value, inner, out, memo)
+            _encode(value, inner, out, memo, shared)
         out.append(newline + "}")
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

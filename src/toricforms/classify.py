@@ -371,17 +371,38 @@ def partition_cocharacter_matrix(partition: Sequence[int], n_plus_1: int) -> Int
     column of the index sent to 0 is all -1, and every other index j sent to
     perm[j] puts a 1 in row perm[j] - 1 of column j - 1.
     """
+    return _pooled_cocharacter_matrix(partition, n_plus_1, {})
+
+
+def _pooled_cocharacter_matrix(
+    partition: Sequence[int], n_plus_1: int, pool: dict[tuple[int, int], tuple[int, ...]]
+) -> IntMatrix:
+    """`partition_cocharacter_matrix` with its rows drawn from ``pool``.
+
+    Row r is fixed by two indices: j, the one sent to r + 1 (a 1 in column
+    j - 1 unless j = 0), and to_zero, the one sent to 0 (a -1 in column
+    to_zero - 1 unless to_zero = 0).  ``pool`` maps (j, to_zero) to that row,
+    so matrices built from one pool share their equal rows, at most
+    n_plus_1 ** 2 of them.
+    """
     perm = partition_permutation(partition, n_plus_1)
     n = n_plus_1 - 1
-    template = [0] * n
     to_zero = perm.index(0)
-    if to_zero:
-        template[to_zero - 1] = -1
-    rows = [template.copy() for _ in range(n)]
-    for j in range(1, n_plus_1):
-        if perm[j]:
-            rows[perm[j] - 1][j - 1] = 1
-    return IntMatrix._trusted(tuple(map(tuple, rows)), n)
+    source = [0] * n_plus_1  # source[perm[j]] = j
+    for j, image in enumerate(perm):
+        source[image] = j
+    rows = []
+    for j in source[1:]:
+        row = pool.get((j, to_zero))
+        if row is None:
+            cells = [0] * n
+            if to_zero:
+                cells[to_zero - 1] = -1
+            if j:
+                cells[j - 1] = 1
+            row = pool[j, to_zero] = tuple(cells)
+        rows.append(row)
+    return IntMatrix._trusted(tuple(rows), n)
 
 
 # ---------------------------------------------------------------------------
@@ -736,8 +757,10 @@ def _report_total(entries: Sequence[ReportEntry]) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-#: Largest number of matrix cells (partitions times n * n) that
-#: ``classify_projective`` builds; ``-n 300`` over C/R needs 13.6 million.
+#: Largest number of matrix cells (partitions times n * n) in one
+#: ``classify_projective`` report; ``-n 300`` over C/R needs 13.6 million.
+#: The matrices share their rows, so this bounds the output rather than the
+#: matrix memory: about 15 bytes of ``--json`` per cell (205 MB at -n 300).
 MAX_PROJECTIVE_CELLS = 14_000_000
 
 
@@ -751,6 +774,11 @@ def classify_projective(n: int, backend: FieldBackend) -> ClassificationReport:
     subgroups; a part m is an orbit of m coordinates, so its stabilizer has
     order d // m.  The enumeration is purely combinatorial — the symmetry group
     of the fan (all coordinate permutations) is never materialised.
+
+    A matrix row is fixed by where its 1 and its -1 sit, so the call keeps
+    one pool of rows and every matrix of the report points into it: at most
+    (n+1)**2 row objects in all.  The norm quotient depends on the set of
+    parts alone, so it is computed once per set.
     Raises ``TooLarge`` before building anything when the partition
     matrices would hold more than ``MAX_PROJECTIVE_CELLS`` entries.
     """
@@ -769,9 +797,16 @@ def classify_projective(n: int, backend: FieldBackend) -> ClassificationReport:
     parts = partitions_dividing(n + 1, d)
     verdict = descent_status(n, d, quasiprojective=True)
     entries = []
+    rows: dict[tuple[int, int], tuple[int, ...]] = {}
+    # the quotient meets one norm image per stabilizer order, so repeated
+    # parts change nothing: it depends on the set of parts alone
+    quotients: dict[frozenset[int], FGAbelianGroup] = {}
     for partition in parts.all:
-        matrix = partition_cocharacter_matrix(partition, n + 1)
-        value = norm_quotient(backend, [d // m for m in partition])
+        matrix = _pooled_cocharacter_matrix(partition, n + 1, rows)
+        key = frozenset(partition)
+        value = quotients.get(key)
+        if value is None:
+            value = quotients[key] = norm_quotient(backend, [d // m for m in partition])
         if partition[-1] == 1:
             assert value.is_trivial(), "a fixed coordinate must force triviality"
         entries.append(

@@ -192,7 +192,18 @@ def _cocharacter_matrix_from_cols(partition, n_plus_1: int) -> IntMatrix:
     return IntMatrix.from_cols(cols, nrows=n)
 
 
+_PROJECTIVE_BACKENDS = (
+    RealComplexBackend(),
+    FiniteFieldBackend(2, 12),
+    FiniteFieldBackend(3, 4),
+    SymbolicBrauerBackend(4, (2, 4), ((2, IntMatrix.from_cols([(1, 0), (0, 2)])),)),
+)
+
+
 def test_partition_matrix_matches_column_reference():
+    """Every partition on its own, then every report entry for n <= 12: the
+    entry's matrix against the column build, its value against a norm
+    quotient of that partition alone, and its rows shared report-wide."""
     checked = 0
     for n_plus_1 in range(1, 13):
         every_part = math.lcm(*range(1, n_plus_1 + 1))
@@ -203,6 +214,22 @@ def test_partition_matrix_matches_column_reference():
                 assert got.shape == (n_plus_1 - 1, n_plus_1 - 1)
                 checked += 1
     assert checked > 77 + 56  # partitions of 12 and of 11, plus their reversals
+    for backend in _PROJECTIVE_BACKENDS:
+        d = backend.group.order
+        for n in range(1, 13):
+            report = classify_projective(n, backend)
+            partitions = partitions_dividing(n + 1, d).all
+            assert len(report.entries) == len(partitions)
+            rows = []
+            for entry, partition in zip(report.entries, partitions):
+                assert entry.label == f"partition {partition}"
+                (phi,) = entry.phi_images
+                assert phi == _cocharacter_matrix_from_cols(partition, n + 1), partition
+                assert entry.value == norm_quotient(backend, [d // m for m in partition])
+                rows.extend(phi.rows)
+            # one object per distinct row, fixed by where its 1 and its -1 sit
+            distinct = len({id(row) for row in rows})
+            assert distinct == len(set(rows)) <= (n + 1) ** 2, (backend.describe(), n)
 
 
 def test_partition_matrix_smallest():

@@ -2,13 +2,14 @@
 
 Random nested payloads of every supported type must come out byte for byte
 as the stdlib writes them; every other type must raise ``TypeError``.
-Payloads that repeat rows, and rows that compare equal to int rows but are
-not (``(True, False)``, ``(1.0, 0)``), hold the per-call row memo to the
-same oracle.
+Payloads that repeat rows, by value or as one object, and rows that compare
+equal to int rows but are not (``(True, False)``, ``(1.0, 0)``), hold the
+per-call row memos to the same oracle.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import tracemalloc
 
@@ -45,6 +46,18 @@ def test_emitter_matches_json_dumps(obj):
     assert _jsonout.dumps(obj) == json.dumps(obj, indent=2)
 
 
+# objects built at run time, so that equal literals folded into one constant
+# cannot stand in for them: each one is placed more than once on purpose
+_ROW = tuple([1, 0, -1])
+_INT_PAIR = tuple([1, 0])
+_FLAGS = tuple([True, False])
+_INT_LIST = [1, 0]
+_FLOAT_LIST = [1.0, 0]
+# items no other case writes: a memo kept from an earlier call could not
+# stop this list from being shared, and would print it stale once edited
+_EDITED = [5, -5, 2**64]
+
+
 @pytest.mark.parametrize(
     "obj",
     [
@@ -70,10 +83,36 @@ def test_emitter_matches_json_dumps(obj):
         # one row at two depths, and as a list and a tuple
         [(1, 2), [(1, 2)]],
         [[1, 0], (1, 0)],
+        # one row object twice at one depth and once at another
+        [_ROW, _ROW, [_ROW]],
+        [[_ROW], _ROW, {"a": _ROW}, _ROW, [_ROW]],
+        # one bool row object twice beside an equal int row, itself repeated
+        [_INT_PAIR, _FLAGS, _INT_PAIR, _FLAGS],
+        [_FLAGS, _FLAGS, [_INT_PAIR, _INT_PAIR, _FLAGS]],
+        # one list twice, mutated below between two calls
+        [_EDITED, _EDITED, [_EDITED]],
     ],
 )
 def test_emitter_matches_json_dumps_on_edge_cases(obj):
+    obj = copy.deepcopy(obj)  # keeps which objects are shared
     assert _jsonout.dumps(obj) == json.dumps(obj, indent=2)
+    # the memo lives for one call: a list changed in place prints anew
+    _append_to_lists(obj, set())
+    assert _jsonout.dumps(obj) == json.dumps(obj, indent=2)
+
+
+def _append_to_lists(obj, seen: set) -> None:
+    """Append 7 to every list in ``obj``, once per list object."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    elif isinstance(obj, list):
+        obj.append(7)
+    if isinstance(obj, (list, tuple)):
+        for item in obj:
+            _append_to_lists(item, seen)
 
 
 @pytest.mark.parametrize(
@@ -89,6 +128,8 @@ def test_emitter_matches_json_dumps_on_edge_cases(obj):
         {1: "int key"},
         {None: "None key"},
         {(1, 2): "tuple key"},
+        # one float list twice, after an int list met twice
+        [_INT_LIST, _INT_LIST, _FLOAT_LIST, _FLOAT_LIST],
     ],
 )
 def test_emitter_rejects_unsupported_types(obj):
