@@ -71,6 +71,30 @@ class UsageError(Exception):
     """Bad command-line shape; reported with exit code 2."""
 
 
+#: Longest text `_write_out` hands the text stream in one write; every
+#: report of the builtin catalog (3.7 MB at most) is written whole.
+WRITE_WHOLE = 8 * 1024 * 1024
+#: Characters in each write of a longer text.
+WRITE_SLICE = 64 * 1024
+
+
+def _write_out(text: str) -> None:
+    """`print(text)`, with a text longer than WRITE_WHOLE characters
+    written in slices of WRITE_SLICE.
+
+    The text stream encodes each write into a bytes copy, so one print of a
+    large report's whole text held two copies of it; a small slice's copy
+    is small, and its memory is reused by the next.
+    """
+    write = sys.stdout.write
+    if len(text) <= WRITE_WHOLE:
+        write(text)
+    else:
+        for start in range(0, len(text), WRITE_SLICE):
+            write(text[start : start + WRITE_SLICE])
+    write("\n")
+
+
 # ---------------------------------------------------------------------------
 # argument helpers
 # ---------------------------------------------------------------------------
@@ -155,7 +179,7 @@ def _parse_matrix(text: str) -> IntMatrix:
 
 
 def _emit(args: argparse.Namespace, human: str, payload: dict) -> int:
-    print(_jsonout.dumps(payload) if args.json else human)
+    _write_out(_jsonout.dumps(payload) if args.json else human)
     return 0
 
 
@@ -267,7 +291,7 @@ def _group_and_backend(args: argparse.Namespace) -> tuple[GroupSpec, FieldBacken
 
 
 def _print_report(args: argparse.Namespace, report) -> int:
-    print(report.to_json() if args.json else str(report))
+    _write_out(report.to_json() if args.json else str(report))
     return 0
 
 

@@ -27,7 +27,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .exact_linalg import (
     FGAbelianGroup,
@@ -38,7 +38,7 @@ from .exact_linalg import (
     lattice_subquotient,
     triangular_subquotient,
 )
-from .fan_aut import _check_involution
+from .fan_aut import _check_involution, _cycles
 from .fans import Fan, TooLarge, class_group, degree_data
 from .galois import (
     AssumptionViolated,
@@ -187,18 +187,26 @@ def _h1_finite_field_quotient_presentation(
       numerator   {z : R z = 0, (qP - I) z = 0}  +  c Z^rays
       denominator N {z : R z = 0}  +  c Z^rays
 
+    The fixed lattice is read off the ray orbits.  (qP - I) z = 0 mod c says
+    z[perm[i]] = q z[i]: on a cycle i_0 -> i_1 -> ... of length L this gives
+    z[i_k] = q^k z[i_0] and (q^L - 1) z[i_0] = 0.  L divides d, so q^L - 1
+    divides c, and ker(qP - I) is c Z^rays plus one generator per orbit,
+
+      b_O  =  (c / (q^L - 1)) (e_{i_0} + q e_{i_1} + ... + q^(L-1) e_{i_(L-1)})  mod c.
+
+    With B the rays x orbits matrix of these generators, the numerator is
+    B K + c Z^rays for K the congruence kernel of R B mod c.
+
     Both lattices contain c Z^rays, so both bases are kept in the bounded
     triangular form of `basis_mod`, no entry above c: the kernels come
-    from `congruence_kernel`, the norms are summed mod c, and
+    from `congruence_kernel`, B K and the norms are reduced mod c, and
     `triangular_subquotient` divides the two with no Smith form unless the
     quotient is nontrivial.
     """
     q = backend.q
     c = backend.mult_order
     perm = hom.ray_permutation(1)
-    ident = IntMatrix.identity(fan.num_rays)
-    qp = _permutation_matrix(perm).scaled(q)
-    fixed_lattice = congruence_kernel(fan.ray_columns.vstack(qp - ident), c)
+    fixed_lattice = _fixed_ray_lattice(fan, perm, q, c)
     y_rows = congruence_kernel(fan.ray_columns, c).rows
     # N Y = sum of (qP)^j Y mod c by Horner's rule; P moves row i to row perm[i]
     norms = y_rows
@@ -209,6 +217,23 @@ def _h1_finite_field_quotient_presentation(
         )
     denominator = basis_mod(IntMatrix._trusted(norms, fan.num_rays), c)
     return triangular_subquotient(fixed_lattice, denominator)
+
+
+def _fixed_ray_lattice(fan: Fan, perm: Sequence[int], q: int, c: int) -> IntMatrix:
+    """{z : R z = 0, (qP - I) z = 0} + c Z^rays in `basis_mod` form, from
+    one generator per cycle of `perm` (see the caller)."""
+    m = fan.num_rays
+    cycles = _cycles(perm)
+    gens = [[0] * m for _ in cycles]
+    for gen, cycle in zip(gens, cycles):
+        scale, rest = divmod(c, q ** len(cycle) - 1)
+        assert rest == 0, "a cycle length that does not divide d"
+        for k, i in enumerate(cycle):
+            gen[i] = scale * pow(q, k, c) % c
+    orbit_gens = IntMatrix.from_cols(gens, m)
+    weights = congruence_kernel(fan.ray_columns @ orbit_gens, c)
+    fixed = tuple(tuple(x % c for x in row) for row in (orbit_gens @ weights).rows)
+    return basis_mod(IntMatrix._trusted(fixed, weights.ncols), c)
 
 
 def h1_cyclic_norm_formula(
@@ -352,10 +377,12 @@ def brute_force_h1_finite(module: FiniteModule) -> FGAbelianGroup:
     is bounded by assignments times d^2; raises TooLarge if that exceeds
     MAX_COCYCLE_CHECKS, before anything is enumerated.
 
-    The enumeration runs on element indices (`_IndexedModule`): group
-    elements act through index tables (`_action_tables`), and a cochain is
-    one column per group element, holding its value for every candidate
-    x at once.
+    The enumeration runs on element indices (`_IndexedModule`): a cochain
+    is one column per group element, holding its value for every candidate
+    x at once.  Group elements act through spread-valued tables
+    (`_action_tables`), so u + a v over whole columns is
+    index.reduced(spread[u] + sact[a][v]): one lookup per element in the
+    module's sum table, or one per block of coordinates above rank 2.
     """
     group = module.group
     d = group.order
@@ -366,25 +393,37 @@ def brute_force_h1_finite(module: FiniteModule) -> FGAbelianGroup:
             f" exceed {MAX_COCYCLE_CHECKS} cocycle checks"
         )
     index = _IndexedModule(module.moduli)
-    act = _action_tables(module, index)
-    add = index.add
+    sact = _action_tables(module, index)
+    spread = index.spread.__getitem__
 
-    def acted(a: int, column: list[int]) -> list[int]:
-        return list(map(act[a].__getitem__, column))
+    def spread_of(column: list[int]) -> list[int]:
+        return list(map(spread, column))
+
+    def plus_acted(spread_u: list[int], a: int, v: list[int]) -> list[int]:
+        """The column u + a v, for u given by its spread codes."""
+        return index.reduced(map(operator.add, spread_u, map(sact[a].__getitem__, v)))
 
     # candidate column x holds c(1) = element x (only c(1) = 0 when d = 1)
-    x = list(range(count))
+    x = index.pool[:count]
     c = [[0] * count]
     for a in range(d - 1):
-        c.append(add(c[a], acted(a, x)))
-    c = _agreeing(c, [(c[0], add(c[-1], acted(d - 1, x)))])
-    c = _agreeing(
-        c, ((c[(a + b) % d], add(c[a], acted(a, c[b]))) for a in range(d) for b in range(d))
-    )
+        c.append(plus_acted(spread_of(c[a]), a, x))
+    c = _agreeing(c, [(c[0], plus_acted(spread_of(c[-1]), d - 1, x))])
+
+    def pair_checks(c: list[list[int]]):
+        """(c(a + b), c(a) + a c(b)) for every pair, c(a) spread once per a."""
+        for a in range(d):
+            spread_c = spread_of(c[a])
+            for b in range(d):
+                yield c[(a + b) % d], plus_acted(spread_c, a, c[b])
+
+    c = _agreeing(c, pair_checks(c))
     cocycles = set(zip(*c))
 
-    minus = index.multiple(-1)
-    boundaries = set(zip(*(add(table, minus) for table in act)))
+    # the coboundary of v is a v + (-v) at every a
+    boundaries = set(
+        zip(*(index.reduced(map(operator.add, table, index.negative)) for table in sact))
+    )
     assert boundaries <= cocycles
     h_order = len(cocycles) // len(boundaries)
     if h_order == 1:
@@ -426,68 +465,111 @@ def _agreeing(columns: list[list[int]], checks) -> list[list[int]]:
     return [list(map(column.__getitem__, keep)) for column in columns]
 
 
+#: A block's sum table (`_IndexedModule`) holds at most this many entries
+#: per module element; 4 keeps every module of rank 2 in one block.
+_SUM_TABLE_SPAN = 4
+
+
 class _IndexedModule:
     """The elements of prod Z/moduli[k] as indices: element i is the i-th
     tuple of `itertools.product(range(m_0), ...)`, so coordinate k has the
     place value stride_k = m_{k+1} ... m_{n-1}.
 
-    `digits[k][i]` is coordinate k of element i, and `wraps[k][s]` is
-    (s mod m_k) stride_k for s < 2 m_k, so a sum of two index lists is one
-    lookup pass per coordinate and no tuple is built.
+    Element i also has a spread code, `spread[i]`, with coordinate k at the
+    place value w_{k+1} ... w_{n-1}, where w_j = 2 m_j - 1: each coordinate
+    has room for the sum of two, so two codes add with no carry between
+    coordinates, and `reduced` turns such sums into indices.  One table
+    over every sum would hold prod w_k entries, nearly 2^n |M|, so the
+    coordinates fall into blocks, runs of consecutive coordinates whose
+    table of block sums holds at most _SUM_TABLE_SPAN |M| entries.  A
+    module of rank 2 is one block, and a sum is one lookup; a larger rank
+    takes a few blocks, and a sum is one lookup per block, added.
+    `negative[i]` is the spread code of -(element i).  Every index these
+    tables and the columns read off them hold is an entry of `pool` =
+    list(range(|M|)), so an index is one shared int object, however many
+    tables and columns hold it.
     """
 
     def __init__(self, moduli: Sequence[int]) -> None:
-        self.moduli = tuple(moduli)
-        self.size = math.prod(self.moduli)
-        self.strides = tuple(math.prod(self.moduli[k + 1 :]) for k in range(len(self.moduli)))
-        self.digits = [
-            [i // s % m for i in range(self.size)] for m, s in zip(self.moduli, self.strides)
-        ]
-        self.wraps = [
-            [(x % m) * s for x in range(2 * m)] for m, s in zip(self.moduli, self.strides)
-        ]
+        self.moduli = m = tuple(moduli)
+        self.size = math.prod(m)
+        self.strides = tuple(math.prod(m[k + 1 :]) for k in range(len(m)))
+        self.pool = pool = list(range(self.size))
+        widths = [2 * mk - 1 for mk in m]
+        places = [math.prod(widths[k + 1 :]) for k in range(len(m))]
+        self.span = math.prod(widths)
+        self.spread = _place_sums([[x * p for x in range(mk)] for mk, p in zip(m, places)])
+        self.negative = _place_sums([[-x % mk * p for x in range(mk)] for mk, p in zip(m, places)])
+        runs: list[list[int]] = []  # [start, end) of each block, the top one first
+        for k in range(len(m)):
+            if runs and math.prod(widths[runs[-1][0] : k + 1]) <= _SUM_TABLE_SPAN * self.size:
+                runs[-1][1] = k + 1
+            else:
+                runs.append([k, k + 1])
+        # (place, sums): sums[t] is the index of the reduced block code t,
+        # and every partial sum is an index, read off the pool
+        self.blocks = []
+        for start, end in runs or [[0, 0]]:
+            sums = [0]
+            for mk, wk, stride in zip(m[start:end], widths[start:end], self.strides[start:end]):
+                wrapped = [y % mk * stride for y in range(wk)]
+                sums = [pool[v + w] for v in sums for w in wrapped]
+            self.blocks.append((math.prod(widths[end:]), sums))
 
-    def add(self, u: Sequence[int], v: Sequence[int]) -> list[int]:
-        """The index list of the elementwise sums of two index lists."""
-        total = None
-        for digit, wrap in zip(self.digits, self.wraps):
-            part = map(
-                wrap.__getitem__,
-                map(operator.add, map(digit.__getitem__, u), map(digit.__getitem__, v)),
-            )
-            total = part if total is None else map(operator.add, total, part)
-        return list(total) if total is not None else [0] * len(u)
+    def reduced(self, codes: Iterable[int]) -> list[int]:
+        """The indices of the elements that the sums of two spread codes
+        `codes` stand for."""
+        if len(self.blocks) == 1:
+            return list(map(self.blocks[0][1].__getitem__, codes))
+        codes = list(codes)
+        parts = []
+        for place, sums in self.blocks:
+            block_codes = codes
+            if place * len(sums) < self.span:
+                block_codes = map(operator.mod, block_codes, itertools.repeat(place * len(sums)))
+            if place > 1:
+                block_codes = map(operator.floordiv, block_codes, itertools.repeat(place))
+            parts.append(map(sums.__getitem__, block_codes))
+        total = reduce(lambda acc, part: map(operator.add, acc, part), parts)
+        return list(map(self.pool.__getitem__, total))
 
     def table(self, mat: IntMatrix) -> list[int]:
         """table[i] = the index of mat . (element i), reduced mod the moduli;
         built one coordinate row at a time, in element order."""
         total = [0] * self.size
-        for row, m, stride in zip(mat.rows, self.moduli, self.strides):
-            values = [0]
-            for x, mj in zip(row, self.moduli):
-                steps = [x * d % m for d in range(mj)]
-                values = [v + s for v in values for s in steps]
-            total = list(map(operator.add, total, [(v % m) * stride for v in values]))
-        return total
+        for row, mk, stride in zip(mat.rows, self.moduli, self.strides):
+            steps = [[x * j % mk for j in range(mj)] for x, mj in zip(row, self.moduli)]
+            total = list(map(operator.add, total, [v % mk * stride for v in _place_sums(steps)]))
+        return list(map(self.pool.__getitem__, total))
 
     def multiple(self, k: int) -> list[int]:
         """multiple[i] = the index of k times element i."""
         return self.table(IntMatrix.identity(len(self.moduli)).scaled(k))
 
 
-def _action_tables(module: FiniteModule, index: _IndexedModule) -> list[list[int]]:
-    """tables[a][i] = the index of a . (element i) for every group element a.
+def _place_sums(parts: Sequence[Sequence[int]]) -> list[int]:
+    """[a_0 + a_1 + ... for a_0 in parts[0] for a_1 in parts[1] ...], in
+    `itertools.product` order."""
+    values = [0]
+    for part in parts:
+        values = [v + a for v in values for a in part]
+    return values
 
-    The generator's table comes from its action matrix
-    (`_IndexedModule.table`), and tables[a + 1][i] = tables[a][tables[1][i]]
-    is its power.  That is a's action because the module checked that
-    action[a] is sigma^a mod the moduli and preserves them.
+
+def _action_tables(module: FiniteModule, index: _IndexedModule) -> list[list[int]]:
+    """tables[a][i] = the spread code of a . (element i) for every group
+    element a.
+
+    tables[0] is `index.spread`, and tables[a + 1][i] = tables[a][g[i]] with
+    g the generator's index table (`_IndexedModule.table`), so tables[a] is
+    the action of sigma^a.  That is a's action because the module checked
+    that action[a] is sigma^a mod the moduli and preserves them.
     """
-    tables = [list(range(index.size))]
+    tables = [index.spread]
     if module.group.order > 1:
-        tables.append(index.table(module.action[1]))
-    while len(tables) < module.group.order:
-        tables.append(list(map(tables[-1].__getitem__, tables[1])))
+        generator = index.table(module.action[1])
+        while len(tables) < module.group.order:
+            tables.append(list(map(tables[-1].__getitem__, generator)))
     return tables
 
 

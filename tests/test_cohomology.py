@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import operator
 import subprocess
 import sys
 import time
@@ -28,6 +29,7 @@ from toricforms.cohomology import (
     _IndexedModule,
     _action_tables,
     _exact_log,
+    _fixed_ray_lattice,
     _h1_finite_field_quotient_presentation,
     _h1_real_quotient_presentation,
     _permutation_matrix,
@@ -41,10 +43,12 @@ from toricforms.exact_linalg import (
     FGAbelianGroup,
     IntMatrix,
     basis_mod,
+    congruence_kernel,
     kernel_basis,
     lattice_subquotient,
     saturation_basis,
     smith_normal_form,
+    triangular_subquotient,
 )
 from toricforms.fan_aut import NotInvolution, automorphism_group
 from toricforms.fans import Fan, class_group, validate_fan
@@ -417,15 +421,74 @@ def _literal_brute_force_h1(module: FiniteModule) -> FGAbelianGroup:
     return result
 
 
+#: Most pairs of elements whose sum `_assert_matches_literal` looks up.
+SUM_TABLE_PAIRS = 200_000
+
+
 def _assert_matches_literal(module: FiniteModule) -> None:
-    """Same answer as the literal enumeration, and index tables that decode
-    to `act` on every group element and every module element."""
+    """Same answer as the literal enumeration, a sum table that adds every
+    pair of elements (on modules of at most SUM_TABLE_PAIRS pairs), and
+    spread-valued tables that decode to `act` on every group element and
+    every module element, and to negation."""
     assert brute_force_h1_finite(module) == _literal_brute_force_h1(module)
     elements = list(module.elements())
-    tables = _action_tables(module, _IndexedModule(module.moduli))
+    index = _IndexedModule(module.moduli)
+    assert index.pool == list(range(len(elements)))
+    decode = dict(zip(index.spread, elements))
+    assert len(decode) == len(elements)
+    if len(elements) ** 2 <= SUM_TABLE_PAIRS:
+        for u, su in zip(elements, index.spread):
+            assert [elements[i] for i in index.reduced(su + sv for sv in index.spread)] == [
+                module.add(u, v) for v in elements
+            ]
+    assert [decode[s] for s in index.negative] == [module.scale(-1, v) for v in elements]
+    tables = _action_tables(module, index)
     assert len(tables) == module.group.order
     for a, table in enumerate(tables):
-        assert [elements[i] for i in table] == [module.act(a, v) for v in elements]
+        assert [decode[s] for s in table] == [module.act(a, v) for v in elements]
+
+
+def test_index_tables_share_the_pool():
+    """Every index the sum tables, an index table and a reduced column hold
+    is the pool's own int object (indices above 256 are not cached by the
+    interpreter), with one block of coordinates and with two."""
+    for moduli, mat in (((40, 30), [[1, 2], [0, 7]]), ((40, 30, 7), [[1, 2, 0], [0, 7, 0], [0, 0, 3]])):
+        index = _IndexedModule(moduli)
+        assert len(index.blocks) == len(moduli) - 1
+        pool = index.pool
+        sums = index.reduced(map(operator.add, index.spread, reversed(index.spread)))
+        tables = [table for _, table in index.blocks]
+        for table in (*tables, sums, index.table(M(mat)), index.multiple(-1)):
+            assert all(x is pool[x] for x in table)
+
+
+def test_sum_tables_are_split_into_blocks_within_their_budget(monkeypatch):
+    """One table over every sum of two spread codes would hold nearly
+    2^n |M| entries, 43 |M| on (Z/8)^6; the blocks' tables hold at most
+    _SUM_TABLE_SPAN |M| each.  Split any way, from one table to one block
+    per coordinate, the blocks add as the module does and the enumeration
+    on a rank-6 module under a permuting action agrees with the literal one."""
+    index = _IndexedModule((8,) * 6)
+    assert index.span > 43 * index.size
+    assert len(index.blocks) == 2
+    assert sum(len(table) for _, table in index.blocks) <= cohomology._SUM_TABLE_SPAN * index.size
+    swap = [
+        [0, 1, 0, 0, 0, 0],
+        [1, 0, 0, 0, 0, 0],
+        [0, 0, -1, 0, 0, 0],
+        [0, 0, 0, 1, 0, 0],
+        [0, 0, 0, 0, 0, -1],
+        [0, 0, 0, 0, -1, 0],
+    ]
+    module = _cyclic_module(2, (3, 3, 2, 1, 3, 3), [IntMatrix.identity(6).rows, swap])
+    blocks = set()
+    for span in (0, 1, 2, cohomology._SUM_TABLE_SPAN, 10**6):
+        monkeypatch.setattr(cohomology, "_SUM_TABLE_SPAN", span)
+        index = _IndexedModule(module.moduli)
+        assert all(len(table) <= max(span * index.size, 5) for _, table in index.blocks)
+        blocks.add(len(index.blocks))
+        _assert_matches_literal(module)
+    assert {1, 2, 6} <= blocks
 
 
 def _cyclic_module(order, moduli, mats):
@@ -572,8 +635,31 @@ def _permutation_modules(draw):
     return _module_from_generator(order, moduli, _permutation_matrix(perm))
 
 
+@st.composite
+def _monomial_modules(draw):
+    """A permutation matrix times a diagonal of units, one modulus per cycle
+    (modulus 1 included), so mixed place values under a non-diagonal
+    action; the group order is a multiple of the generator's order."""
+    n = draw(st.integers(1, 3))
+    perm = draw(st.permutations(range(n)))
+    cycles = [frozenset((i, perm[i], perm[perm[i]])) for i in range(n)]  # lengths <= 3
+    modulus = {cycle: draw(st.integers(1, 6)) for cycle in sorted(set(cycles), key=min)}
+    moduli = [modulus[cycle] for cycle in cycles]
+    units = [draw(st.sampled_from([u for u in range(m) if math.gcd(u, m) == 1])) for m in moduli]
+    gen_mat = _permutation_matrix(perm) @ IntMatrix.diagonal(units)
+
+    def reduced(mat: IntMatrix) -> IntMatrix:
+        return M([[x % moduli[i] for x in row] for i, row in enumerate(mat.rows)])
+
+    ident = reduced(IntMatrix.identity(n))
+    order, power = 1, gen_mat
+    while reduced(power) != ident:
+        order, power = order + 1, power @ gen_mat
+    return _module_from_generator(order * draw(st.integers(1, 2)), moduli, gen_mat)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(_diagonal_modules(), _permutation_modules()))
+@given(st.one_of(_diagonal_modules(), _permutation_modules(), _monomial_modules()))
 def test_table_driven_brute_force_matches_literal_on_random_actions(module):
     _assert_matches_literal(module)
 
@@ -679,6 +765,47 @@ def _h1_finite_field_intersection_route(fan: Fan, hom, backend) -> FGAbelianGrou
     y_lattice = congruence_kernel_basis(fan.ray_columns_snf, c)
     denominator = basis_mod(norm_op @ y_lattice, c)
     return lattice_subquotient(numerator, denominator)
+
+
+def _stacked_fixed_lattice(fan: Fan, hom, backend) -> IntMatrix:
+    """Y^G + c Z^rays as the norm route built it before reading it off the
+    ray orbits: the congruence kernel of the stack [R; qP - I]."""
+    ident = IntMatrix.identity(fan.num_rays)
+    qp = _permutation_matrix(hom.ray_permutation(1)).scaled(backend.q)
+    return congruence_kernel(fan.ray_columns.vstack(qp - ident), backend.mult_order)
+
+
+def _assert_orbit_fixed_lattice_is_stacked_kernel(fan: Fan, hom, backend) -> None:
+    """The orbit-built fixed lattice and the stacked kernel span one lattice:
+    each lies in the other (triangular_subquotient raises MembershipError
+    when it does not)."""
+    orbit_built = _fixed_ray_lattice(fan, hom.ray_permutation(1), backend.q, backend.mult_order)
+    stacked = _stacked_fixed_lattice(fan, hom, backend)
+    assert triangular_subquotient(orbit_built, stacked).is_trivial()
+    assert triangular_subquotient(stacked, orbit_built).is_trivial()
+
+
+def _assert_orbit_fixed_lattices(fan: Fan, backends) -> int:
+    """`_assert_orbit_fixed_lattice_is_stacked_kernel` on every nontrivial
+    class of `fan` over each backend, whatever its class-group torsion;
+    returns the number of classes checked."""
+    aut = automorphism_group(fan)
+    checked = 0
+    for backend in backends:
+        for cls in enumerate_hom_classes(backend.group, aut):
+            hom = kernel_reduction(cls)
+            if hom.group.order > 1:
+                reduced = FiniteFieldBackend(backend.q, hom.group.order)
+                _assert_orbit_fixed_lattice_is_stacked_kernel(fan, hom, reduced)
+                checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("q,d", [(2, 2), (3, 2), (7, 2), (2, 6)])
+def test_orbit_fixed_lattice_is_stacked_kernel_on_surface_classes(q, d):
+    backend = FiniteFieldBackend(q, d)
+    fans = [builtin_fan(name) for name in BUILTIN_SURFACE_NAMES]
+    assert sum(_assert_orbit_fixed_lattices(fan, [backend]) for fan in fans)
 
 
 def _assert_fixed_points_are_norms(fan: Fan, hom, backend) -> None:
@@ -808,7 +935,7 @@ def test_large_q_ff_routes_keep_every_entry_below_c(monkeypatch):
     assert h1_finite_field_torus(LARGE_Q, 2, hom.matrix(1)).is_trivial()
     assert factored == []
     c = backend.mult_order
-    assert len(bases) == 5
+    assert len(bases) == 6
     for basis in bases:
         for i, row in enumerate(basis.rows):
             assert c % row[i] == 0
@@ -826,6 +953,7 @@ def test_ff_route_matches_intersection_reference_with_torsion_and_open_fans(fan)
     for backend, values in zip(FF_ROUTE_BACKENDS, _ff_route_values(fan, FF_ROUTE_BACKENDS)):
         # the torsion is Z/2 or nothing: q odd makes 2 divide q^d - 1
         assert (values is None) == (bool(torsion) and backend.q % 2 == 1)
+    assert _assert_orbit_fixed_lattices(fan, FF_ROUTE_BACKENDS)
 
 
 @settings(max_examples=15, deadline=None)
