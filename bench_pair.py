@@ -3,7 +3,11 @@
 Each side is extracted with ``git archive`` into its own directory under a
 work directory; the two directories' paths have equal length, because
 ``classify fan --file`` writes the path it was given into its report and
-so into the per-layer ``cli.output_bytes``.  For every workload and seed
+so into the per-layer ``cli.output_bytes``.  Both trees are then compiled
+with ``python -m compileall -q src`` before the first run: an archive
+holds no bytecode, and where ``PYTHONDONTWRITEBYTECODE`` is set no run
+writes any, so ``setup_s`` would otherwise include compiling the sources
+in every set-up.  For every workload and seed
 the script runs ``python3 perfbench/run.py --workload W --seed S --trace 0``
 in both checkouts, one after the other, alternating which side goes first,
 and keeps the last stdout line of each run (its JSON result).  Every
@@ -56,6 +60,12 @@ def _extract(ref: str, dest: Path) -> None:
         ["git", "archive", "--format=tar", ref], cwd=ROOT, check=True, capture_output=True
     ).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def _compile(checkout: Path) -> None:
+    subprocess.run(
+        [sys.executable, "-m", "compileall", "-q", "src"], cwd=checkout, check=True
+    )
 
 
 def _run(checkout: Path, workload: str, seed: int) -> dict:
@@ -133,6 +143,7 @@ def main(argv: list[str] | None = None) -> int:
         checkouts = {side: Path(work) / f"side_{side[0]}" for side in SIDES}
         for side in SIDES:
             _extract(commits[side], checkouts[side])
+            _compile(checkouts[side])
         for workload in workloads:
             for pair in range(PAIRS):
                 seed = FIRST_SEED + pair

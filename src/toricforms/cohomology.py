@@ -253,7 +253,7 @@ def h1_cyclic_norm_formula(
     presentation on every fan, so on projective spaces this route stays
     independent of the `norm_quotient` that `classify projective` reports.
     """
-    if hom.aut.fan != fan:
+    if hom.aut.fan_key != (fan.rank, fan.rays, fan.max_cones):
         raise ValueError("hom: a hom class of another fan")
     _check_degree(backend.group.order, hom)
     if isinstance(backend, SymbolicBrauerBackend):
@@ -352,7 +352,7 @@ def finite_field_torus_module(backend: FiniteFieldBackend, hom: HomClass) -> Fin
     group = hom.group
     _check_degree(backend.d, hom)
     c = backend.mult_order
-    n = hom.aut.fan.rank
+    n = hom.matrix(0).nrows
     mats = []
     for j in range(group.order):
         s = hom.matrix(j)
@@ -393,6 +393,46 @@ def brute_force_h1_finite(module: FiniteModule) -> FGAbelianGroup:
             f" exceed {MAX_COCYCLE_CHECKS} cocycle checks"
         )
     index = _IndexedModule(module.moduli)
+    c, boundaries = _cocycle_columns(module, index)
+    cocycles = set(zip(*c))
+    assert boundaries <= cocycles
+    h_order = len(cocycles) // len(boundaries)
+    if h_order == 1:
+        return FGAbelianGroup.trivial()
+    # a cocycle is fixed by its value at the generator (d > 1 here), so k z
+    # is a coboundary exactly when k z(1) is a coboundary's value there
+    at_generator = {b[1] for b in boundaries}
+
+    def killed(k: int) -> int:
+        """The number of cocycles whose k-th multiple is a coboundary,
+        counted over the generator's column."""
+        return sum(map(at_generator.__contains__, map(index.multiple(k).__getitem__, c[1])))
+
+    factors: list[int] = []
+    for p in _prime_factors(h_order):
+        # logs[k] = log_p of the size of the p^k-torsion subgroup; the count
+        # of cyclic factors of order at least p^k is logs[k] - logs[k-1]
+        logs = [0]
+        while True:
+            logs.append(_exact_log(killed(p ** len(logs)) // len(boundaries), p))
+            if logs[-1] == logs[-2]:
+                break
+        for k in range(1, len(logs) - 1):
+            multiplicity = (logs[k] - logs[k - 1]) - (logs[k + 1] - logs[k])
+            factors.extend([p**k] * multiplicity)
+    result = FGAbelianGroup.from_factors(factors)
+    assert result.order() == h_order
+    return result
+
+
+def _cocycle_columns(
+    module: FiniteModule, index: _IndexedModule
+) -> tuple[list[list[int]], set[tuple[int, ...]]]:
+    """(c, boundaries) for `brute_force_h1_finite`: c[a] is the column of
+    cocycle values at group element a, one entry per cocycle, and
+    boundaries the set of coboundaries, each a tuple of element indices."""
+    d = module.group.order
+    count = module.size ** len(module.group.generators)
     sact = _action_tables(module, index)
     spread = index.spread.__getitem__
 
@@ -417,38 +457,11 @@ def brute_force_h1_finite(module: FiniteModule) -> FGAbelianGroup:
             for b in range(d):
                 yield c[(a + b) % d], plus_acted(spread_c, a, c[b])
 
-    c = _agreeing(c, pair_checks(c))
-    cocycles = set(zip(*c))
-
     # the coboundary of v is a v + (-v) at every a
     boundaries = set(
         zip(*(index.reduced(map(operator.add, table, index.negative)) for table in sact))
     )
-    assert boundaries <= cocycles
-    h_order = len(cocycles) // len(boundaries)
-    if h_order == 1:
-        return FGAbelianGroup.trivial()
-
-    def killed(k: int) -> int:
-        """The number of cocycles whose k-th multiple is a coboundary."""
-        times_k = index.multiple(k).__getitem__
-        return sum(1 for z in cocycles if tuple(map(times_k, z)) in boundaries)
-
-    factors: list[int] = []
-    for p in _prime_factors(h_order):
-        # logs[k] = log_p of the size of the p^k-torsion subgroup; the count
-        # of cyclic factors of order at least p^k is logs[k] - logs[k-1]
-        logs = [0]
-        while True:
-            logs.append(_exact_log(killed(p ** len(logs)) // len(boundaries), p))
-            if logs[-1] == logs[-2]:
-                break
-        for k in range(1, len(logs) - 1):
-            multiplicity = (logs[k] - logs[k - 1]) - (logs[k + 1] - logs[k])
-            factors.extend([p**k] * multiplicity)
-    result = FGAbelianGroup.from_factors(factors)
-    assert result.order() == h_order
-    return result
+    return _agreeing(c, pair_checks(c)), boundaries
 
 
 def _agreeing(columns: list[list[int]], checks) -> list[list[int]]:

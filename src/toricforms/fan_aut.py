@@ -23,6 +23,8 @@ other takes the first leaf that passes exact matrix criteria as a new
 generator.  The order is held to MAX_AUT_ORDER before any element is
 listed; the elements are products of transversal elements, one per level,
 and each matrix is read off its permutation with the frame's inverse.  The
+search runs once per `Fan`, which keeps the group; the group keeps, per d,
+its classes of elements of order dividing d (the twisting classes).  The
 search with one leaf per element and its closure, the search that tested
 every element as a matrix, and the exhaustive frame product before it are
 kept in the tests as references.  For smooth complete surface fans the
@@ -95,14 +97,17 @@ def _cycles(perm: Perm) -> list[list[int]]:
 class FanAutGroup:
     """Finite matrix group acting on a fan, matrices sorted for determinism.
 
-    `ray_permutations[i]` is the permutation k -> index of matrices[i] @ ray_k,
-    as `automorphism_group`'s search produced it.  Group arithmetic runs on
-    these permutations.  `generators` are indices of elements that generate
-    the group: the search's strong generators, those fixing the first k
-    frame rays generating the subgroup that fixes them.
+    `fan_key` is the fan's `(rank, rays, max_cones)`, which `Fan` equality
+    compares: the fan keeps its group, so the group must not point back at
+    it.  `ray_permutations[i]` is the permutation k -> index of
+    matrices[i] @ ray_k, as `automorphism_group`'s search produced it.
+    Group arithmetic runs on these permutations.  `generators` are indices
+    of elements that generate the group: the search's strong generators,
+    those fixing the first k frame rays generating the subgroup that fixes
+    them.
     """
 
-    fan: Fan
+    fan_key: tuple
     matrices: tuple[IntMatrix, ...]
     ray_permutations: tuple[Perm, ...] = field(compare=False, repr=False)
     generators: tuple[int, ...] = field(compare=False, repr=False)
@@ -119,7 +124,7 @@ class FanAutGroup:
 
     @cached_property
     def identity_index(self) -> int:
-        return self._perm_index[tuple(range(self.fan.num_rays))]
+        return self._perm_index[tuple(range(len(self.ray_permutations[0])))]
 
     def mult_index(self, i: int, j: int) -> int:
         """Index of matrices[i] @ matrices[j]: the composed ray permutation."""
@@ -168,6 +173,28 @@ class FanAutGroup:
         """Order of matrices[i]: the lcm of its ray permutation's cycle
         lengths, the ray action being faithful."""
         return math.lcm(*map(len, _cycles(self.ray_permutations[i])))
+
+    @cached_property
+    def _classes_by_d(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        return {}
+
+    def classes_dividing(self, d: int) -> tuple[tuple[int, int], ...]:
+        """(least member, size) of each conjugacy class of elements whose
+        order divides d, by least member: one pass over the elements, the
+        first met of a class being its least, on the first request for d.
+        Kept as integers, so nothing kept points back at the group.
+        """
+        found = self._classes_by_d.get(d)
+        if found is None:
+            seen: set[int] = set()
+            found = []
+            for h in range(self.order):
+                if h not in seen and not d % self.element_order(h):
+                    conjugates = self.conjugacy_class(h)
+                    seen |= conjugates
+                    found.append((h, len(conjugates)))
+            found = self._classes_by_d[d] = tuple(found)
+        return found
 
 
 def _ray_invariants(fan: Fan) -> dict[int, tuple]:
@@ -317,6 +344,15 @@ def _perm_matrices(
     return [IntMatrix._trusted(tuple(zip(*cols)), fan.rank) for cols in zip(*columns)]
 
 
+def _check_aut_order(order: int) -> None:
+    if order > MAX_AUT_ORDER:
+        raise TooLarge(
+            f"the fan has more than {MAX_AUT_ORDER} symmetries\nhint:"
+            " `toricforms classify projective -n N` classifies the forms"
+            " of projective space without building its symmetry group"
+        )
+
+
 def automorphism_group(fan: Fan) -> FanAutGroup:
     """All GL(rank, Z) matrices mapping rays to rays and cones to cones.
 
@@ -335,7 +371,14 @@ def automorphism_group(fan: Fan) -> FanAutGroup:
     before any element is listed.  The elements are the products
     u_0 o ... o u_{n-1} of transversal elements u_k, one per point of
     Delta_k, and each matrix is read off its permutation (`_perm_matrices`).
+    The search runs once per Fan object, which keeps the group; a later call
+    returns it after checking its order against MAX_AUT_ORDER again, as the
+    search would (it raises exactly when the final orbit product passes).
     """
+    group = fan._aut_group
+    if group is not None:
+        _check_aut_order(group.order)
+        return group
     validate_fan(fan)
     frame, frame_inv, den = _frame(fan)
     invariants = _ray_invariants(fan)
@@ -367,12 +410,7 @@ def automorphism_group(fan: Fan) -> FanAutGroup:
                 tree = _transversal(frame[k], gens, identity)
         transversals.append(tree)
         order *= len(tree)
-        if order > MAX_AUT_ORDER:
-            raise TooLarge(
-                f"the fan has more than {MAX_AUT_ORDER} symmetries\nhint:"
-                " `toricforms classify projective -n N` classifies the forms"
-                " of projective space without building its symmetry group"
-            )
+        _check_aut_order(order)
     elements = [identity]
     for tree in transversals:  # G_k = T_k o G_{k+1}, from k = n-1 down
         elements = [tuple(map(u.__getitem__, h)) for u in tree.values() for h in elements]
@@ -380,8 +418,10 @@ def automorphism_group(fan: Fan) -> FanAutGroup:
     pairs = sorted(zip(matrices, elements), key=lambda pair: pair[0].rows)
     perms = tuple(perm for _, perm in pairs)
     index = {p: i for i, p in enumerate(perms)}
-    group = FanAutGroup(fan, tuple(m for m, _ in pairs), perms, tuple(index[g] for g in gens))
+    key = (fan.rank, fan.rays, fan.max_cones)
+    group = FanAutGroup(key, tuple(m for m, _ in pairs), perms, tuple(index[g] for g in gens))
     assert len(set(group.matrices)) == group.order, "the ray action must be faithful"
+    object.__setattr__(fan, "_aut_group", group)
     return group
 
 

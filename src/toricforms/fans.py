@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from math import comb, gcd
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import _jsonout
 from .exact_linalg import (
@@ -36,6 +36,9 @@ from .exact_linalg import (
     saturation_basis,
     smith_normal_form,
 )
+
+if TYPE_CHECKING:
+    from .fan_aut import FanAutGroup
 
 
 class FanError(ValueError):
@@ -112,13 +115,15 @@ class Fan:
     """Simplicial fan: rank, ordered primitive rays, maximal cones by index.
 
     The fan owns its validation verdict, the Smith decomposition of its ray
-    matrix (the lattice questions) and the `fraction_free_solve` den of each
-    cone (the cone questions); each is computed on first use and kept.
+    matrix (the lattice questions), the `fraction_free_solve` den of each
+    cone (the cone questions) and its symmetry group (`_aut_group`, set by
+    `fan_aut.automorphism_group`); each is computed on first use and kept.
     """
 
     rank: int
     rays: tuple[tuple[int, ...], ...]
     max_cones: tuple[tuple[int, ...], ...]
+    _aut_group: FanAutGroup | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def make(

@@ -135,15 +135,14 @@ class HomClass:
 def enumerate_hom_classes(group: GroupSpec, aut: FanAutGroup) -> tuple[HomClass, ...]:
     """All homomorphisms Z/d -> aut, up to conjugation in aut.
 
-    One class per conjugacy class of elements h whose order divides d, found
-    in one pass over the elements: the first element met of each class is its
-    least, the class is its orbit under conjugation by the generators of aut
-    (`FanAutGroup.conjugacy_class`), and the representative has images h^0,
-    ..., h^(d-1).  So the classes come sorted by their images (images[1] is h
-    when d > 1); the trivial homomorphism is always present.
-    Raises TypeError naming the argument unless group is a GroupSpec and aut
-    a FanAutGroup, and TooLarge, before any element order is taken, when d
-    exceeds MAX_HOM_GROUP_ORDER.
+    One class per conjugacy class of elements h whose order divides d, as
+    `FanAutGroup.classes_dividing` lists them once per d and the group
+    keeps them: each class by its least member h and its size.  The
+    representative has images h^0, ..., h^(d-1), so the classes come sorted
+    by their images (images[1] is h when d > 1); the trivial homomorphism
+    is always present.  Raises TypeError naming the argument unless group
+    is a GroupSpec and aut a FanAutGroup, and TooLarge, before any element
+    order is taken, when d exceeds MAX_HOM_GROUP_ORDER.
     """
     for name, value, kind in (("group", group, GroupSpec), ("aut", aut, FanAutGroup)):
         if not isinstance(value, kind):
@@ -154,17 +153,12 @@ def enumerate_hom_classes(group: GroupSpec, aut: FanAutGroup) -> tuple[HomClass,
             f"hom enumeration needs an acting group of order at most"
             f" {MAX_HOM_GROUP_ORDER}, got {d}"
         )
-    seen: set[int] = set()
     classes = []
-    for h in range(aut.order):
-        if h in seen or d % aut.element_order(h):
-            continue
-        conjugates = aut.conjugacy_class(h)
-        seen |= conjugates
+    for h, size in aut.classes_dividing(d):
         powers = [aut.identity_index]
         for _ in range(d - 1):
             powers.append(aut.mult_index(powers[-1], h))
-        classes.append(HomClass(group, aut, tuple(powers), len(conjugates)))
+        classes.append(HomClass(group, aut, tuple(powers), size))
     return tuple(classes)
 
 

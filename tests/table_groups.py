@@ -85,7 +85,7 @@ class TableHom:
     @cached_property
     def ray_orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of the rays under every group element, each sorted."""
-        num_rays = self.aut.fan.num_rays
+        num_rays = len(self.aut.fan_key[1])
         seen = [False] * num_rays
         orbits = []
         for start in range(num_rays):

@@ -60,8 +60,12 @@ def _fake_main(monkeypatch, tmp_path: Path, wrong: tuple[str, int, str] | None) 
     monkeypatch.setattr(bench_pair, "_benchmark", lambda: (("w", "v"), METRICS))
     monkeypatch.setattr(bench_pair, "_git", lambda *args: "0" * 40)
     monkeypatch.setattr(bench_pair, "_extract", lambda ref, dest: None)
+    compiled = []
+    monkeypatch.setattr(bench_pair, "_compile", lambda checkout: compiled.append(checkout.name))
 
     def run(checkout: Path, workload: str, seed: int) -> dict:
+        # both trees hold their bytecode before the first run of either
+        assert sorted(compiled) == ["side_c", "side_p"]
         side = "parent" if checkout.name == "side_p" else "change"
         return _result(10.0, 1.0, failed=int((workload, seed, side) == wrong))
 
@@ -82,3 +86,13 @@ def test_main_exits_one_after_writing_when_a_run_is_not_correct(monkeypatch, tmp
         "change": f"1/{10 * bench_pair.PAIRS}",
     }
     assert f"not correct: w seed {bench_pair.FIRST_SEED} change" in capsys.readouterr().err
+
+
+def test_compile_writes_bytecode_for_every_source(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    for name in ("__init__.py", "mod.py"):
+        (package / name).write_text("X = 1\n")
+    bench_pair._compile(tmp_path)
+    cached = sorted(p.name.split(".")[0] for p in (package / "__pycache__").glob("*.pyc"))
+    assert cached == ["__init__", "mod"]

@@ -916,6 +916,23 @@ def test_every_budget_raises_too_large(budget, monkeypatch, capsys):
         assert (code, out, err) == (1, "", f"error: {refused.value}\n")
 
 
+def test_symmetry_budget_holds_on_a_kept_group(monkeypatch, capsys):
+    """The hexagon's group is searched and kept first; a budget lowered
+    afterwards still refuses it, in the library and on the command line,
+    whichever test searched the hexagon before."""
+    hexagon = builtin_fan("hexagon")
+    assert automorphism_group(hexagon).order == 12
+    assert automorphism_group(hexagon) is automorphism_group(hexagon)
+    monkeypatch.setattr(fan_aut, "MAX_AUT_ORDER", 11)
+    with pytest.raises(TooLarge, match="more than 11 symmetries") as refused:
+        automorphism_group(hexagon)
+    assert refused.type is TooLarge
+    code, out, err = invoke(capsys, "fan", "aut", "--builtin", "hexagon")
+    assert (code, out, err) == (1, "", f"error: {refused.value}\n")
+    code, out, err = invoke(capsys, "classify", "fan", "--builtin", "hexagon", "--backend", "real")
+    assert (code, out, err) == (1, "", f"error: {refused.value}\n")
+
+
 def test_symbolic_backend_needs_group(tmp_path, capsys):
     path = tmp_path / "tower.json"
     path.write_text(json.dumps({"Q": {"invariant_factors": [2]}, "images": []}))

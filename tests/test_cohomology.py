@@ -28,6 +28,7 @@ from toricforms.cohomology import (
     TooLarge,
     _IndexedModule,
     _action_tables,
+    _cocycle_columns,
     _exact_log,
     _fixed_ray_lattice,
     _h1_finite_field_quotient_presentation,
@@ -394,15 +395,21 @@ def _literal_brute_force_h1(module: FiniteModule) -> FGAbelianGroup:
                 for a in range(d)
             )
         )
+    return _read_off_killed(
+        cocycles,
+        boundaries,
+        lambda z, k: tuple(module.scale(k, row) for row in z) in boundaries,
+    )
+
+
+def _read_off_killed(cocycles: set, boundaries: set, scaled_in_boundaries) -> FGAbelianGroup:
+    """H^1 = cocycles / boundaries read off the count of cocycles z with
+    `scaled_in_boundaries(z, k)`, one tuple per cocycle, for k the powers
+    of each prime of the order."""
     assert boundaries <= cocycles
     h_order = len(cocycles) // len(boundaries)
     if h_order == 1:
         return FGAbelianGroup.trivial()
-
-    def scaled_in_boundaries(z, k: int) -> bool:
-        scaled = tuple(module.scale(k, row) for row in z)
-        return scaled in boundaries
-
     factors: list[int] = []
     for p in _prime_factors(h_order):
         logs = [0]
@@ -421,6 +428,20 @@ def _literal_brute_force_h1(module: FiniteModule) -> FGAbelianGroup:
     return result
 
 
+def _per_cocycle_brute_force_h1(module: FiniteModule) -> FGAbelianGroup:
+    """`brute_force_h1_finite` with the torsion count it made before, kept as
+    its reference: the same cocycle columns, and each cocycle's k-th
+    multiple built as a tuple and looked up among the coboundaries."""
+    index = _IndexedModule(module.moduli)
+    c, boundaries = _cocycle_columns(module, index)
+    multiples = functools.cache(index.multiple)
+    return _read_off_killed(
+        set(zip(*c)),
+        boundaries,
+        lambda z, k: tuple(map(multiples(k).__getitem__, z)) in boundaries,
+    )
+
+
 #: Most pairs of elements whose sum `_assert_matches_literal` looks up.
 SUM_TABLE_PAIRS = 200_000
 
@@ -430,7 +451,8 @@ def _assert_matches_literal(module: FiniteModule) -> None:
     pair of elements (on modules of at most SUM_TABLE_PAIRS pairs), and
     spread-valued tables that decode to `act` on every group element and
     every module element, and to negation."""
-    assert brute_force_h1_finite(module) == _literal_brute_force_h1(module)
+    h1 = brute_force_h1_finite(module)
+    assert h1 == _literal_brute_force_h1(module) == _per_cocycle_brute_force_h1(module)
     elements = list(module.elements())
     index = _IndexedModule(module.moduli)
     assert index.pool == list(range(len(elements)))
@@ -511,6 +533,13 @@ def test_brute_force_trivial_action_on_z2():
     mod = _cyclic_module(2, (2,), [[[1]], [[1]]])
     assert brute_force_h1_finite(mod) == Z2
     _assert_matches_literal(mod)
+
+
+def test_generator_column_count_matches_per_cocycle_count_on_a_large_module():
+    """(Z/600)^2 with C2 acting by -1: H^1 = M / 2M, from 360,000 cocycles,
+    counted over the generator's column as the per-cocycle count does."""
+    module = _cyclic_module(2, (600, 600), [[[1, 0], [0, 1]], [[599, 0], [0, 599]]])
+    assert brute_force_h1_finite(module) == _per_cocycle_brute_force_h1(module) == Z2Z2
 
 
 def test_brute_force_guard(monkeypatch):
@@ -1083,30 +1112,40 @@ _FOREIGN_HOM_SCRIPT = """
 from toricforms.classify import builtin_fan
 from toricforms.cohomology import h1_cyclic_norm_formula
 from toricforms.fan_aut import automorphism_group
+from toricforms.fans import Fan
 from toricforms.galois import FiniteFieldBackend, GroupSpec, RealComplexBackend
 from toricforms.galois import enumerate_hom_classes
 
 p2, hexagon = builtin_fan("projective:2"), builtin_fan("surface:D12")
+copy = Fan.make(hexagon.rank, hexagon.rays, hexagon.max_cones)
 for backend in (RealComplexBackend(), FiniteFieldBackend(3, 2)):
-    for cls in enumerate_hom_classes(GroupSpec.cyclic(2), automorphism_group(hexagon)):
+    for cls in enumerate_hom_classes(GroupSpec.cyclic(2), automorphism_group(copy)):
         try:
             print("returned", h1_cyclic_norm_formula(p2, cls, backend))
         except ValueError as exc:
             print(type(exc).__name__, exc)
+        print("equal fan", h1_cyclic_norm_formula(hexagon, cls, backend))
 """
 
 
 def test_norm_route_refuses_a_hom_class_of_another_fan():
     """The hexagon's C2 classes handed to the norm route with P2 are refused
-    with ValueError naming hom, over R and F_9, also under python -O."""
+    with ValueError naming hom, over R and F_9, also under python -O.  A
+    class is of a fan when its group was built on an equal fan: classes of
+    an equal fresh copy of the hexagon are accepted with the hexagon, with
+    the values of the hexagon's own classes."""
     p2, hexagon = builtin_fan("projective:2"), builtin_fan("surface:D12")
-    classes = enumerate_hom_classes(C2, automorphism_group(hexagon))
-    assert len(classes) == 4
+    copy = Fan.make(hexagon.rank, hexagon.rays, hexagon.max_cones)
+    classes = enumerate_hom_classes(C2, automorphism_group(copy))
+    assert automorphism_group(copy) is not automorphism_group(hexagon)
+    own = enumerate_hom_classes(C2, automorphism_group(hexagon))
+    assert len(classes) == len(own) == 4
     for backend in (REAL, FiniteFieldBackend(3, 2)):
-        for cls in classes:
+        for cls, own_cls in zip(classes, own):
             with pytest.raises(ValueError, match="^hom: a hom class of another fan$"):
                 h1_cyclic_norm_formula(p2, cls, backend)
-            assert h1_cyclic_norm_formula(hexagon, cls, backend) is not None
+            value = h1_cyclic_norm_formula(hexagon, cls, backend)
+            assert value == h1_cyclic_norm_formula(hexagon, own_cls, backend)
     child = subprocess.run(
         [sys.executable, "-O", "-c", _FOREIGN_HOM_SCRIPT],
         capture_output=True,
@@ -1115,4 +1154,6 @@ def test_norm_route_refuses_a_hom_class_of_another_fan():
         env={"PYTHONPATH": str(Path(toricforms.__file__).resolve().parents[1])},
         check=True,
     )
-    assert child.stdout == "ValueError hom: a hom class of another fan\n" * 8
+    refused = "ValueError hom: a hom class of another fan\n"
+    values = ["1", "Z/2 + Z/2", "1", "1"] + ["1"] * 4  # over R, then over F_9
+    assert child.stdout == "".join(f"{refused}equal fan {v}\n" for v in values)

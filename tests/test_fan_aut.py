@@ -1,15 +1,17 @@
 """Fan automorphism groups and GL(2,Z) class identification."""
 
+import gc
 import itertools
 import math
 import random
+import weakref
 from typing import Iterator, Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricforms.classify import BUILTIN_NAMES
+from toricforms.classify import BUILTIN_NAMES, classify_fan
 from toricforms.exact_linalg import IntMatrix, det, kernel_basis, smith_normal_form
 from toricforms.fan_aut import (
     GEN_MIRROR_DIAG,
@@ -41,6 +43,7 @@ from toricforms.fans import (
     surface_blowup,
     validate_fan,
 )
+from toricforms.galois import GroupSpec, RealComplexBackend
 
 from test_exact_linalg import rational_solve
 from test_fans import (
@@ -62,6 +65,17 @@ def _scaled_inverse(m: IntMatrix) -> tuple[IntMatrix, int]:
     sol = rational_solve(smith_normal_form(m), IntMatrix.identity(m.nrows))
     assert sol is not None, "matrix is singular"
     return sol
+
+
+def _key(fan: Fan) -> tuple:
+    """The defining tuples a FanAutGroup names its fan by."""
+    return (fan.rank, fan.rays, fan.max_cones)
+
+
+def _fresh(fan: Fan) -> Fan:
+    """An equal copy of `fan` that keeps no symmetry group yet, so that
+    `automorphism_group` searches it."""
+    return Fan.make(fan.rank, fan.rays, fan.max_cones)
 
 
 def _ray_permutations(fan: Fan, matrices) -> tuple[tuple[int, ...], ...]:
@@ -108,7 +122,7 @@ def aut_via_sequence(fan: Fan) -> FanAutGroup:
             found.append(s)
     matrices = tuple(sorted(set(found), key=lambda x: x.rows))
     everything = tuple(range(len(matrices)))
-    return FanAutGroup(fan, matrices, _ray_permutations(fan, matrices), everything)
+    return FanAutGroup(_key(fan), matrices, _ray_permutations(fan, matrices), everything)
 
 
 EXPECTED_CLASS_ORDERS = {
@@ -523,7 +537,7 @@ def reference_automorphism_group(fan: Fan) -> FanAutGroup:
     found.sort(key=lambda pair: pair[0].rows)
     perms = tuple(perm for _, perm in found)
     assert _is_group(perms)
-    return FanAutGroup(fan, tuple(s for s, _ in found), perms, tuple(range(len(found))))
+    return FanAutGroup(_key(fan), tuple(s for s, _ in found), perms, tuple(range(len(found))))
 
 
 #: The search fans, plus the hyperoctahedral group of order 3840 and S_7.
@@ -574,7 +588,7 @@ def test_only_generators_pass_the_matrix_test(fan_name, monkeypatch):
     """A leaf reaching the matrix test either becomes a generator or fails the
     test: no element reached by products is tested as a matrix."""
     tested = _matrix_tests(monkeypatch)
-    group = automorphism_group(named_fan(fan_name))
+    group = automorphism_group(_fresh(named_fan(fan_name)))
     members = set(group.matrices)
     passed = [s for s in tested if s is not None and s in members]
     assert passed == [group.matrices[g] for g in group.generators]
@@ -591,7 +605,7 @@ def test_leaves_failing_the_matrix_test_are_dropped(monkeypatch):
     """The ray relations of SKEW_FAN let through frame images that no lattice
     map induces; the matrix test drops them, and only generators pass it."""
     tested = _matrix_tests(monkeypatch)
-    group = automorphism_group(SKEW_FAN)
+    group = automorphism_group(_fresh(SKEW_FAN))
     reference = reference_automorphism_group(SKEW_FAN)
     assert group.matrices == reference.matrices
     assert group.ray_permutations == reference.ray_permutations
@@ -647,6 +661,49 @@ def test_symmetry_budget_refuses_before_listing(monkeypatch):
         automorphism_group(named_fan("P1xP1xP1xP1"))
     assert listed == []
     assert len(products) == built
+
+
+def test_a_fan_keeps_its_group_and_its_classes(monkeypatch):
+    """The search runs once per Fan object: a second call returns the same
+    group without searching, and an equal fresh copy is searched anew.  The
+    group walks its classes once per order d and keeps them."""
+    import toricforms.fan_aut as fan_aut
+
+    fan = _fresh(named_fan("P1xP1xP1"))
+    group = automorphism_group(fan)
+    frames = []
+    monkeypatch.setattr(fan_aut, "_frame", lambda f: frames.append(f) or _frame(f))
+    assert automorphism_group(fan) is group
+    assert frames == []
+    copy = _fresh(fan)
+    assert automorphism_group(copy) is not group
+    assert automorphism_group(copy) == group and frames == [copy]
+    walks = []
+    conjugacy_class = FanAutGroup.conjugacy_class
+    monkeypatch.setattr(
+        FanAutGroup, "conjugacy_class", lambda g, h: walks.append(h) or conjugacy_class(g, h)
+    )
+    for d in (2, 4, 2, 4):
+        assert group.classes_dividing(d) == group.classes_dividing(d)
+    assert len(walks) == len(group.classes_dividing(2)) + len(group.classes_dividing(4))
+
+
+def test_a_fan_and_its_kept_group_are_freed_without_the_collector():
+    """Nothing the fan keeps points back at it: with the cyclic garbage
+    collector off, a fan, its group and its classification report are freed
+    by reference counting once the caller drops them."""
+    fan = _fresh(named_fan("P1xP1xP1"))
+    fan_ref = weakref.ref(fan)
+    gc.disable()
+    try:
+        report = classify_fan(fan, GroupSpec.cyclic(2), RealComplexBackend())
+        group_ref = weakref.ref(automorphism_group(fan))
+        assert report.entries and group_ref() is not None
+        del fan, report
+        assert fan_ref() is None
+        assert group_ref() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -757,14 +814,17 @@ def leaf_per_element_automorphism_group(fan: Fan) -> FanAutGroup:
     perms = sorted(closure, key=lambda p: matrices[p].rows)
     index = {p: i for i, p in enumerate(perms)}
     return FanAutGroup(
-        fan, tuple(matrices[p] for p in perms), tuple(perms), tuple(index[g] for g in gen_perms)
+        _key(fan),
+        tuple(matrices[p] for p in perms),
+        tuple(perms),
+        tuple(index[g] for g in gen_perms),
     )
 
 
 def _basic_orbits(group: FanAutGroup) -> list[set[int]]:
     """Delta_k: the images of frame ray f_k under the elements fixing
     f_0..f_{k-1}, read off the listed group."""
-    frame = _frame(group.fan)[0]
+    frame = _frame(Fan(*group.fan_key))[0]
     return [
         {p[f] for p in group.ray_permutations if all(p[g] == g for g in frame[:k])}
         for k, f in enumerate(frame)
