@@ -1142,8 +1142,9 @@ def test_norm_route_refuses_a_hom_class_of_another_fan():
     assert len(classes) == len(own) == 4
     for backend in (REAL, FiniteFieldBackend(3, 2)):
         for cls, own_cls in zip(classes, own):
-            with pytest.raises(ValueError, match="^hom: a hom class of another fan$"):
-                h1_cyclic_norm_formula(p2, cls, backend)
+            for foreign in (cls, own_cls):
+                with pytest.raises(ValueError, match="^hom: a hom class of another fan$"):
+                    h1_cyclic_norm_formula(p2, foreign, backend)
             value = h1_cyclic_norm_formula(hexagon, cls, backend)
             assert value == h1_cyclic_norm_formula(hexagon, own_cls, backend)
     child = subprocess.run(
