@@ -2,10 +2,14 @@
 
 All computations are exact.  The module implements:
 
-* the involution formula for real tori (conjugation acting on the
-  cocharacter lattice by an integer involution);
+* the involution formula for real tori: conjugation acts on the
+  cocharacter lattice Z^n by an integer involution s, and Reiner's
+  classification of Z[C_2]-lattices gives H^1 = (Z/2)^b with
+  b = (n - tr s) / 2 - rank over F_2 of (1 + s);
 * the kernel-of-norm / image-of-(Frobenius - 1) computation for tori over
-  finite fields;
+  finite fields, which compares the orders of the two groups, each read
+  off one `basis_mod` diagonal: they agree, since H^1 is trivial by Lang's
+  theorem, and a disagreement raises LangViolated;
 * the norm-formula route for cyclic Galois groups, which works on the fan's
   ray coordinates and never touches the cocharacter action directly: over
   R it is one subquotient of Z^rays read off the class-group presentation
@@ -14,10 +18,11 @@ All computations are exact.  The module implements:
 * a literal cocycle brute force over finite modules.
 
 `classify` reports the first two, on the rank x rank cocharacter matrix,
-and the norm formula only for symbolic norm data.  Having genuinely
-independent routes is the point: they cross-check each other on every
-example, so a bug in one presentation cannot silently agree with the same
-bug in another.
+and the norm formula only for symbolic norm data; the tests keep the
+subquotients the first two once built as their references.  Having
+genuinely independent routes is the point: they cross-check each other on
+every example, so a bug in one presentation cannot silently agree with the
+same bug in another.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .exact_linalg import (
     congruence_kernel,
     kernel_basis,
     lattice_subquotient,
+    rank_mod_2,
     triangular_subquotient,
 )
 from .fan_aut import _check_involution, _cycles
@@ -54,6 +60,11 @@ from .galois import (
     norm_quotient,
     torsion_factor_invertible,
 )
+
+
+class LangViolated(ArithmeticError):
+    """H^1 of a torus over a finite field came out nontrivial, which Lang's
+    theorem rules out: a fault in the arithmetic, never in the input."""
 
 
 # ---------------------------------------------------------------------------
@@ -76,14 +87,17 @@ def h1_real_involution(s: IntMatrix) -> FGAbelianGroup:
 
         H^1  =  ker(s + 1 : Z^n -> Z^n)  /  (1 - s) Z^n.
 
-    The result is always 2-torsion.
+    By Reiner's classification of Z[C_2]-lattices (Proc. AMS 8, 1957), s is
+    conjugate in GL(n, Z) to a sum of a trivial blocks (1), b sign blocks
+    (-1) and c swap blocks ([[0, 1], [1, 0]]), which add 0, Z/2 and 0 to the
+    quotient, so H^1 = (Z/2)^b.  Two invariants give b with no Smith form:
+    b + c = (n - tr s) / 2, the rank of 1 - s, and c is the rank over F_2
+    of 1 + s, which is 2, 0 and [[1, 1], [1, 1]] on the three blocks.
     """
     ident = _check_involution(s)
-    fixed = kernel_basis(s + ident)
-    result = lattice_subquotient(fixed, ident - s)
-    assert all(f == 2 for f in result.invariant_factors)
-    assert result.free_rank == 0
-    return result
+    trace = sum(row[i] for i, row in enumerate(s.rows))
+    signs = (s.nrows - trace) // 2 - rank_mod_2(s + ident)
+    return FGAbelianGroup(0, (2,) * signs)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +420,7 @@ def brute_force_h1_finite(module: FiniteModule) -> FGAbelianGroup:
     def killed(k: int) -> int:
         """The number of cocycles whose k-th multiple is a coboundary,
         counted over the generator's column."""
-        return sum(map(at_generator.__contains__, map(index.multiple(k).__getitem__, c[1])))
+        return sum(map(at_generator.__contains__, index.multiples(k, c[1])))
 
     factors: list[int] = []
     for p in _prime_factors(h_order):
@@ -555,9 +569,16 @@ class _IndexedModule:
             total = list(map(operator.add, total, [v % mk * stride for v in _place_sums(steps)]))
         return list(map(self.pool.__getitem__, total))
 
-    def multiple(self, k: int) -> list[int]:
-        """multiple[i] = the index of k times element i."""
-        return self.table(IntMatrix.identity(len(self.moduli)).scaled(k))
+    def multiples(self, k: int, indices: Sequence[int]) -> list[int]:
+        """The indices of k times the elements `indices`, coordinate by
+        coordinate: element i has coordinate (i // stride_j) mod m_j."""
+        total = itertools.repeat(0, len(indices))
+        for mk, stride in zip(self.moduli, self.strides):
+            times = [k * x % mk * stride for x in range(mk)]
+            quotients = map(operator.floordiv, indices, itertools.repeat(stride))
+            coords = map(operator.mod, quotients, itertools.repeat(mk))
+            total = map(operator.add, total, map(times.__getitem__, coords))
+        return list(total)
 
 
 def _place_sums(parts: Sequence[Sequence[int]]) -> list[int]:
@@ -606,8 +627,10 @@ def h1_finite_field_torus(q: int, d: int, s: IntMatrix) -> FGAbelianGroup:
     Frobenius; it must satisfy s^d = 1.  On the finite module
     (Z/(q^d - 1))^n the generator acts by sigma = q s, and for a cyclic
     group H^1 = ker(Norm) / im(sigma - 1) with Norm the sum of sigma^j.
-    Raises ValueError, also under python -O, unless q is a prime power,
-    d >= 1, s is square and s^d = 1.
+    The result is always trivial (Lang); the route compares the orders of
+    the two groups and raises LangViolated if they differ.  Raises
+    ValueError, also under python -O, unless q is a prime power, d >= 1, s
+    is square and s^d = 1.
     """
     _prime_power_base(q)  # raises ValueError unless q is a prime power
     if d < 1:
@@ -620,10 +643,31 @@ def h1_finite_field_torus(q: int, d: int, s: IntMatrix) -> FGAbelianGroup:
 
 
 def _h1_finite_field_torus(q: int, d: int, s: IntMatrix) -> FGAbelianGroup:
-    """`h1_finite_field_torus` for a checked q and an s of order dividing d."""
+    """`h1_finite_field_torus` for a checked q and an s of order dividing d.
+
+    Modulo c = q^d - 1, sigma^d = q^d s^d = 1, so N (sigma - 1) = sigma^d - 1
+    is zero and im(sigma - 1) lies in ker N: H^1 is trivial exactly when the
+    two have one order.  Each order is read off one `basis_mod` diagonal:
+    for a matrix A, im A + c Z^n has index prod diag basis_mod(A, c) in Z^n,
+    so A's image in (Z/c)^n has c^n / prod diag elements and its kernel
+    prod diag.  Lang's theorem (Amer. J. Math. 78, 1956) makes every torus
+    over a finite field have trivial H^1, so unequal orders are a fault in
+    the arithmetic: LangViolated, also under python -O.
+    """
     c = q**d - 1
-    ident = IntMatrix.identity(s.nrows)
+    n = s.nrows
+    ident = IntMatrix.identity(n)
     sigma = s.scaled(q)
     norm_op = reduce(lambda acc, _: acc @ sigma + ident, range(d - 1), ident)
-    ker = congruence_kernel(norm_op, c)
-    return triangular_subquotient(ker, basis_mod(sigma - ident, c))
+    kernel_order = _diagonal_product(basis_mod(norm_op, c))
+    image_index = _diagonal_product(basis_mod(sigma - ident, c))
+    if kernel_order * image_index != c**n:
+        raise LangViolated(
+            f"q = {q}, d = {d}: |ker N| = {kernel_order} differs from"
+            f" |im(sigma - 1)| = {c**n // image_index}"
+        )
+    return FGAbelianGroup.trivial()
+
+
+def _diagonal_product(basis: IntMatrix) -> int:
+    return math.prod(row[i] for i, row in enumerate(basis.rows))

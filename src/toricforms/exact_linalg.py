@@ -2,8 +2,9 @@
 
 Everything here runs on arbitrary-precision Python ints.  Independence,
 determinants, coordinates over Q and inverses come from one fraction-free
-elimination, `fraction_free_solve`.  Lattice questions rest on a
-deterministic Smith normal form with unimodular transform witnesses:
+elimination, `fraction_free_solve`, and ranks over F_2 from elimination on
+bitmasks, `rank_mod_2`.  Lattice questions rest on a deterministic Smith
+normal form with unimodular transform witnesses:
 kernels, saturations, cokernel presentations and subquotients of integer
 lattices, plus a canonical value type for finitely generated abelian
 groups.  Lattices that contain c Z^n are handled mod c instead, in the
@@ -279,6 +280,22 @@ def det(m: IntMatrix) -> int:
     if m.nrows != m.ncols:
         raise ValueError(f"det of a non-square {m.shape} matrix")
     return fraction_free_solve(m)[0]
+
+
+def rank_mod_2(m: IntMatrix) -> int:
+    """Rank of m over F_2, by elimination on its rows read as bitmasks; each
+    row is cut down by the kept rows until its leading bit is new or it
+    vanishes.  No Smith form."""
+    kept: dict[int, int] = {}  # leading bit -> kept row
+    for row in m.rows:
+        bits = sum(1 << j for j, x in enumerate(row) if x & 1)
+        while bits:
+            lead = bits.bit_length() - 1
+            if lead not in kept:
+                kept[lead] = bits
+                break
+            bits ^= kept[lead]
+    return len(kept)
 
 
 def _unimodular_inverse(m: IntMatrix) -> IntMatrix:

@@ -44,14 +44,14 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .exact_linalg import (
     IntMatrix,
     cokernel_presentation,
     det,
     fraction_free_solve,
-    kernel_basis,
+    rank_mod_2,
 )
 from .fans import Fan, TooLarge, boundary_word, is_complete, is_smooth, validate_fan
 
@@ -235,9 +235,7 @@ def _divided(m: IntMatrix, den: int) -> IntMatrix | None:
     return IntMatrix._trusted(tuple(tuple(x // den for x in row) for row in m.rows), m.ncols)
 
 
-def _frame_images(
-    fan: Fan, frame: Sequence[int], frame_inv: IntMatrix, den: int, candidates: list[list[int]]
-) -> Callable[[Sequence[int]], Iterator[Perm]]:
+class _FrameImages:
     """`leaves(prefix)`: the ray permutations forced by candidate images of
     the frame rays whose first images are `prefix`, found one frame slot at a
     time by backtracking.
@@ -251,51 +249,58 @@ def _frame_images(
     a ray: that is checked as soon as the last slot in c's support is
     assigned, and the branch is pruned otherwise.  No automorphism's frame
     image is pruned, and each leaf yields the ray permutation its frame
-    images force.  The pruning data is built once, for every prefix.
+    images force.  The pruning data is built once, for every prefix.  The
+    backtracking state is passed down explicitly, so a search leaves no
+    reference cycle for the garbage collector.
     """
-    rays = fan.rays
-    near: list[set[int]] = [set() for _ in range(fan.num_rays)]
-    for cone in fan.max_cones:
-        for i in cone:
-            near[i].update(cone)
-    scaled_rays = {tuple(den * x for x in r): i for i, r in enumerate(rays)}
-    # due[k]: (ray, frame slots of its support, coefficients) checked once slot k is set
-    due: list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]] = [[] for _ in frame]
-    for i, r in enumerate(rays):
-        if i not in frame:
-            slots, coeffs = zip(*((j, c) for j, c in enumerate(frame_inv.apply(r)) if c))
-            due[slots[-1]].append((i, slots, coeffs))
-    mul = operator.mul
 
-    def leaves(prefix: Sequence[int]) -> Iterator[Perm]:
-        options = [[c] if c in cands else [] for c, cands in zip(prefix, candidates)]
-        options += candidates[len(prefix):]
-        images: list[int] = []
-        perm = list(range(fan.num_rays))
+    def __init__(
+        self, fan: Fan, frame: Sequence[int], frame_inv: IntMatrix, den: int,
+        candidates: list[list[int]],
+    ) -> None:
+        self.frame = frame
+        self.candidates = candidates
+        self.rays = rays = fan.rays
+        self.near = near = [set() for _ in range(fan.num_rays)]
+        for cone in fan.max_cones:
+            for i in cone:
+                near[i].update(cone)
+        self.scaled_rays = {tuple(den * x for x in r): i for i, r in enumerate(rays)}
+        # due[k]: (ray, frame slots of its support, coefficients) checked once slot k is set
+        self.due: list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]] = [[] for _ in frame]
+        for i, r in enumerate(rays):
+            if i not in frame:
+                slots, coeffs = zip(*((j, c) for j, c in enumerate(frame_inv.apply(r)) if c))
+                self.due[slots[-1]].append((i, slots, coeffs))
 
-        def extend(k: int) -> Iterator[Perm]:
-            if k == len(frame):
-                yield tuple(perm)
-                return
-            incident = [frame[l] in near[frame[k]] for l in range(k)]
-            for c in options[k]:
-                if c in images or any((images[l] in near[c]) != incident[l] for l in range(k)):
-                    continue
-                images.append(c)
-                perm[frame[k]] = c
-                for i, slots, coeffs in due[k]:
-                    cols = zip(*(rays[images[j]] for j in slots))
-                    image = scaled_rays.get(tuple(sum(map(mul, coeffs, col)) for col in cols))
-                    if image is None:
-                        break
-                    perm[i] = image
-                else:
-                    yield from extend(k + 1)
-                images.pop()
+    def leaves(self, prefix: Sequence[int]) -> Iterator[Perm]:
+        options = [[c] if c in cands else [] for c, cands in zip(prefix, self.candidates)]
+        options += self.candidates[len(prefix):]
+        return self._extend(0, options, [], list(range(len(self.rays))))
 
-        return extend(0)
-
-    return leaves
+    def _extend(
+        self, k: int, options: list[list[int]], images: list[int], perm: list[int]
+    ) -> Iterator[Perm]:
+        frame, near, rays = self.frame, self.near, self.rays
+        if k == len(frame):
+            yield tuple(perm)
+            return
+        incident = [frame[l] in near[frame[k]] for l in range(k)]
+        mul = operator.mul
+        for c in options[k]:
+            if c in images or any((images[l] in near[c]) != incident[l] for l in range(k)):
+                continue
+            images.append(c)
+            perm[frame[k]] = c
+            for i, slots, coeffs in self.due[k]:
+                cols = zip(*(rays[images[j]] for j in slots))
+                image = self.scaled_rays.get(tuple(sum(map(mul, coeffs, col)) for col in cols))
+                if image is None:
+                    break
+                perm[i] = image
+            else:
+                yield from self._extend(k + 1, options, images, perm)
+            images.pop()
 
 
 def _transversal(point: int, gens: Sequence[Perm], identity: Perm) -> dict[int, Perm]:
@@ -361,7 +366,7 @@ def automorphism_group(fan: Fan) -> FanAutGroup:
     G = G_0 >= G_1 >= ... >= G_n = 1, G_k fixing f_0..f_{k-1}, and
     |G| is the product of the basic orbits Delta_k = G_k f_k (Sims).  Level
     k, from last to first, searches frame images that fix f_0..f_{k-1}
-    (`_frame_images`).  The generators found at later levels lie in G_k;
+    (`_FrameImages`).  The generators found at later levels lie in G_k;
     a candidate image c of f_k already in the orbit of f_k under all found
     so far is skipped.  Below any other, the first leaf whose permutation is
     a bijection permuting the maximal cones, and whose matrix
@@ -383,7 +388,7 @@ def automorphism_group(fan: Fan) -> FanAutGroup:
     frame, frame_inv, den = _frame(fan)
     invariants = _ray_invariants(fan)
     candidates = [[i for i in range(fan.num_rays) if invariants[i] == invariants[f]] for f in frame]
-    leaves = _frame_images(fan, frame, frame_inv, den, candidates)
+    leaves = _FrameImages(fan, frame, frame_inv, den, candidates).leaves
     cone_set = set(fan.max_cones)
 
     def is_automorphism(perm: Perm) -> bool:
@@ -546,21 +551,20 @@ def involution_type(s: IntMatrix) -> str:
     For 2x2 matrices the four outcomes are "identity", "minus_identity",
     "split_reflection" (conjugate to diag(1, -1); the +1/-1 eigenlattices
     span everything), and "swap_reflection" (conjugate to the basis swap;
-    the eigenlattices have index 2).  Raises NotInvolution, also under
-    python -O, unless s is square with s @ s = 1.
+    the eigenlattices have index 2).  The eigenlattices have index 2^r with
+    r = rank over F_2 of 1 + s: s is conjugate to a sum of trivial, sign and
+    swap blocks (Reiner, Proc. AMS 8, 1957), only a swap block has an
+    eigenlattice index, 2, and 1 + s is 2, 0 and [[1, 1], [1, 1]] on the
+    three.  Raises NotInvolution, also under python -O, unless s is square
+    with s @ s = 1.
     """
-    n = s.nrows
     ident = _check_involution(s)
     if s == ident:
         return "identity"
     if s == -ident:
         return "minus_identity"
-    plus = kernel_basis(s - ident)
-    minus = kernel_basis(s + ident)
-    stacked = plus.hstack(minus)
-    assert stacked.ncols == n, "eigenlattices of an involution must span over Q"
-    idx = abs(det(stacked))
-    if idx == 1:
+    swaps = rank_mod_2(s + ident)
+    if swaps == 0:
         return "split_reflection"
-    assert n > 2 or idx == 2
+    assert s.nrows > 2 or swaps == 1
     return "swap_reflection"

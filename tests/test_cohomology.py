@@ -51,7 +51,7 @@ from toricforms.exact_linalg import (
     smith_normal_form,
     triangular_subquotient,
 )
-from toricforms.fan_aut import NotInvolution, automorphism_group
+from toricforms.fan_aut import NotInvolution, _check_involution, automorphism_group
 from toricforms.fans import Fan, class_group, validate_fan
 from toricforms.galois import (
     AssumptionViolated,
@@ -434,12 +434,17 @@ def _per_cocycle_brute_force_h1(module: FiniteModule) -> FGAbelianGroup:
     multiple built as a tuple and looked up among the coboundaries."""
     index = _IndexedModule(module.moduli)
     c, boundaries = _cocycle_columns(module, index)
-    multiples = functools.cache(index.multiple)
+    multiples = functools.cache(functools.partial(_multiple_table, index))
     return _read_off_killed(
         set(zip(*c)),
         boundaries,
         lambda z, k: tuple(map(multiples(k).__getitem__, z)) in boundaries,
     )
+
+
+def _multiple_table(index: _IndexedModule, k: int) -> list[int]:
+    """table[i] = the index of k times element i, from `_IndexedModule.table`."""
+    return index.table(IntMatrix.identity(len(index.moduli)).scaled(k))
 
 
 #: Most pairs of elements whose sum `_assert_matches_literal` looks up.
@@ -464,6 +469,9 @@ def _assert_matches_literal(module: FiniteModule) -> None:
                 module.add(u, v) for v in elements
             ]
     assert [decode[s] for s in index.negative] == [module.scale(-1, v) for v in elements]
+    for k in (-1, 0, 2, 3):
+        expected = [module.scale(k, v) for v in elements]
+        assert [elements[i] for i in index.multiples(k, index.pool)] == expected
     tables = _action_tables(module, index)
     assert len(tables) == module.group.order
     for a, table in enumerate(tables):
@@ -480,7 +488,7 @@ def test_index_tables_share_the_pool():
         pool = index.pool
         sums = index.reduced(map(operator.add, index.spread, reversed(index.spread)))
         tables = [table for _, table in index.blocks]
-        for table in (*tables, sums, index.table(M(mat)), index.multiple(-1)):
+        for table in (*tables, sums, index.table(M(mat)), _multiple_table(index, -1)):
             assert all(x is pool[x] for x in table)
 
 
@@ -969,6 +977,133 @@ def test_large_q_ff_routes_keep_every_entry_below_c(monkeypatch):
         for i, row in enumerate(basis.rows):
             assert c % row[i] == 0
             assert all(0 <= x < c for x in row[:i])
+
+
+# ---------------------------------------------------------------------------
+# the closed forms `classify` reports against the subquotients they replaced
+
+
+def _subquotient_h1_real_involution(s: IntMatrix) -> FGAbelianGroup:
+    """`h1_real_involution` as it was before Reiner's invariants, kept as its
+    reference: ker(s + 1) / (1 - s) Z^n by `kernel_basis` and
+    `lattice_subquotient`."""
+    ident = _check_involution(s)
+    fixed = kernel_basis(s + ident)
+    result = lattice_subquotient(fixed, ident - s)
+    assert all(f == 2 for f in result.invariant_factors)
+    assert result.free_rank == 0
+    return result
+
+
+def _subquotient_h1_finite_field_torus(q: int, d: int, s: IntMatrix) -> FGAbelianGroup:
+    """`_h1_finite_field_torus` as it was before the order comparison, kept as
+    its reference: ker N / im(sigma - 1) by `congruence_kernel` and
+    `triangular_subquotient`."""
+    c = q**d - 1
+    ident = IntMatrix.identity(s.nrows)
+    sigma = s.scaled(q)
+    norm_op = functools.reduce(lambda acc, _: acc @ sigma + ident, range(d - 1), ident)
+    ker = congruence_kernel(norm_op, c)
+    return triangular_subquotient(ker, basis_mod(sigma - ident, c))
+
+
+CLOSED_FORM_FAN_NAMES = (
+    list(BUILTIN_NAMES) + [f"projective:{n}" for n in range(1, 7)] + list(PRODUCT_FAN_NAMES)
+)
+CLOSED_FORM_BACKENDS = (REAL,) + tuple(
+    FiniteFieldBackend(q, d)
+    for q, d in ((5, 4), (3, 6), (2, 2), (2, 3), (3, 4), (7, 2), (2, 6), (LARGE_Q, 2))
+)
+
+
+@pytest.mark.parametrize("backend", CLOSED_FORM_BACKENDS, ids=lambda b: b.describe())
+def test_closed_forms_match_their_subquotient_references(backend):
+    """On every twisting class of the named builtins, projective:1..6 and
+    the product fans, the closed form and `hom_class_h1`, which reads it,
+    give the subquotient reference's group: (Z/2)^b over R, 1 over F_q."""
+    orders = []
+    for name in CLOSED_FORM_FAN_NAMES:
+        fan = named_fan(name)
+        for cls in enumerate_hom_classes(backend.group, automorphism_group(fan)):
+            s = cls.matrix(1)
+            if backend is REAL:
+                expected = _subquotient_h1_real_involution(s)
+                assert h1_real_involution(s) == expected
+            else:
+                e = cls.group.order // len(cls.kernel)
+                expected = _subquotient_h1_finite_field_torus(backend.q, e, s)
+                assert cohomology._h1_finite_field_torus(backend.q, e, s) == expected
+            assert classify.hom_class_h1(fan, cls, backend) == expected
+            orders.append(expected.order())
+    assert len(orders) > len(CLOSED_FORM_FAN_NAMES)
+    assert set(orders) == ({1, 2, 4, 8, 16} if backend is REAL else {1})
+
+
+@st.composite
+def _reiner_involutions(draw) -> tuple[IntMatrix, int]:
+    """(s, b) for s = U (I_a + -I_b + swap^c) U^-1, n = a + b + 2c <= 6, with
+    swap = [[0, 1], [1, 0]] and U unimodular."""
+    a = draw(st.integers(0, 6))
+    b = draw(st.integers(0, 6 - a))
+    c = draw(st.integers(int(a + b == 0), (6 - a - b) // 2))
+    n = a + b + 2 * c
+    blocks = [[[1]]] * a + [[[-1]]] * b + [[[0, 1], [1, 0]]] * c
+    rows, at = [], 0
+    for block in blocks:
+        for row in block:
+            rows.append([0] * at + row + [0] * (n - at - len(block)))
+        at += len(block)
+    u = draw(unimodular(n))
+    return u @ M(rows) @ exact_linalg._unimodular_inverse(u), b
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_reiner_involutions())
+def test_involution_formula_counts_the_sign_blocks(case):
+    """Reiner: an involution conjugate to I_a + -I_b + swap^c has H^1 =
+    (Z/2)^b, whatever the unimodular conjugation."""
+    s, b = case
+    assert s @ s == IntMatrix.identity(s.nrows)
+    expected = FGAbelianGroup.from_factors([2] * b)
+    assert h1_real_involution(s) == expected == _subquotient_h1_real_involution(s)
+
+
+_WRONG_BASIS_SCRIPT = """
+from toricforms import classify, cohomology
+from toricforms.exact_linalg import IntMatrix
+from toricforms.galois import FiniteFieldBackend, GroupSpec
+
+# the identity is a basis of Z^n, not of the image of the matrix given
+cohomology.basis_mod = lambda gens, modulus: IntMatrix.identity(gens.nrows)
+swap = IntMatrix.from_rows([[0, 1], [1, 0]])
+fan = classify.builtin_fan("projective:1")
+for call in (
+    lambda: cohomology.h1_finite_field_torus(3, 2, swap),
+    lambda: classify.classify_fan(fan, GroupSpec.cyclic(2), FiniteFieldBackend(3, 2)),
+):
+    try:
+        print("returned", call())
+    except cohomology.LangViolated as exc:
+        print(type(exc).__name__, exc)
+"""
+
+
+def test_finite_field_route_refuses_unequal_orders_under_optimized_mode():
+    """A `basis_mod` that returns a wrong basis makes the two orders differ,
+    and the closed form raises LangViolated, from the public route and from
+    `classify_fan`, also under python -O."""
+    child = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_BASIS_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={"PYTHONPATH": str(Path(toricforms.__file__).resolve().parents[1])},
+        check=True,
+    )
+    assert child.stdout == (
+        "LangViolated q = 3, d = 2: |ker N| = 1 differs from |im(sigma - 1)| = 64\n"
+        "LangViolated q = 3, d = 2: |ker N| = 1 differs from |im(sigma - 1)| = 8\n"
+    )
 
 
 @pytest.mark.parametrize(

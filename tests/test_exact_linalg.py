@@ -688,6 +688,15 @@ def test_det_matches_bareiss_reference(n, singular, data):
         assert det(m) == 0
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.data())
+def test_rank_mod_2_counts_the_odd_smith_factors(nrows, ncols, data):
+    """Over F_2 the Smith form keeps its rank: the odd diagonal entries."""
+    m = IntMatrix.from_rows(
+        [[data.draw(_entries) for _ in range(ncols)] for _ in range(nrows)], ncols=ncols
+    )
+    assert exact_linalg.rank_mod_2(m) == sum(x % 2 for x in smith_normal_form(m).diagonal)
+
 
 def _gauss_jordan_solve(a: IntMatrix, b: IntMatrix) -> list[list[Fraction]] | None:
     """Reference solver: a @ x = b over Q by Fraction Gauss-Jordan elimination.

@@ -27,7 +27,8 @@ from toricforms.fan_aut import (
     _LABEL_BY_KEY,
     _divided,
     _frame,
-    _frame_images,
+    _FrameImages,
+    _check_involution,
     _ray_invariants,
     automorphism_group,
     gl2_class_elements,
@@ -298,6 +299,43 @@ def test_involution_types_frozen():
     assert involution_type(IntMatrix.from_rows([[1, 1], [0, -1]])) == "swap_reflection"
     with pytest.raises(NotInvolution, match="is not an involution"):
         involution_type(GEN_ROT4)
+
+
+def _eigenlattice_involution_type(s: IntMatrix) -> str:
+    """`involution_type` as it was before the rank over F_2, kept as its
+    reference: the index of the two eigenlattices from `kernel_basis` and
+    `det`."""
+    n = s.nrows
+    ident = _check_involution(s)
+    if s == ident:
+        return "identity"
+    if s == -ident:
+        return "minus_identity"
+    plus = kernel_basis(s - ident)
+    minus = kernel_basis(s + ident)
+    stacked = plus.hstack(minus)
+    assert stacked.ncols == n, "eigenlattices of an involution must span over Q"
+    idx = abs(det(stacked))
+    if idx == 1:
+        return "split_reflection"
+    assert n > 2 or idx == 2
+    return "swap_reflection"
+
+
+INVOLUTION_FAN_NAMES = list(BUILTIN_NAMES) + [f"projective:{n}" for n in range(1, 7)]
+
+
+def test_involution_type_matches_eigenlattice_reference():
+    """On every involution of every named builtin and of projective:1..6."""
+    kinds = set()
+    for name in INVOLUTION_FAN_NAMES:
+        group = automorphism_group(named_fan(name))
+        for s in group.matrices:
+            if s @ s == IntMatrix.identity(s.nrows):
+                kind = involution_type(s)
+                assert kind == _eigenlattice_involution_type(s)
+                kinds.add(kind)
+    assert kinds == {"identity", "minus_identity", "split_reflection", "swap_reflection"}
 
 
 def test_aut_p1():
@@ -626,7 +664,7 @@ def test_ray_relations_leave_one_leaf_per_symmetry():
     fan = named_fan("P2xP2")
     frame, frame_inv, den = _frame(fan)
     assert sum(1 for _ in _incidence_frame_images(fan, frame, _ray_invariants(fan))) == 360
-    leaves = _frame_images(fan, frame, frame_inv, den, _candidates(fan, frame))
+    leaves = _FrameImages(fan, frame, frame_inv, den, _candidates(fan, frame)).leaves
     perms = automorphism_group(fan).ray_permutations
     assert len(list(leaves(()))) == 72
     for k in range(len(frame) + 1):
@@ -702,6 +740,23 @@ def test_a_fan_and_its_kept_group_are_freed_without_the_collector():
         del fan, report
         assert fan_ref() is None
         assert group_ref() is None
+    finally:
+        gc.enable()
+
+
+def test_the_symmetry_search_leaves_no_reference_cycle():
+    """With the cyclic garbage collector off, neither the symmetry search nor
+    a classification of a fresh (P^1)^4 leaves anything for it to collect:
+    the frame search passes its backtracking state down instead of closing
+    over itself."""
+    base = named_fan("P1xP1xP1xP1")
+    gc.collect()
+    gc.disable()
+    try:
+        automorphism_group(_fresh(base))
+        assert gc.collect() == 0
+        classify_fan(_fresh(base), GroupSpec.cyclic(2), RealComplexBackend())
+        assert gc.collect() == 0
     finally:
         gc.enable()
 
