@@ -44,10 +44,8 @@ from .fans import (
 )
 from .fan_aut import automorphism_group, identify_gl2_class, involution_type
 from .galois import (
-    BackendUnsupported,
     FieldBackend,
     FiniteFieldBackend,
-    GroupSpec,
     HomClass,
     RealComplexBackend,
     _prime_factors,
@@ -829,46 +827,42 @@ def hom_class_h1(fan: Fan, hom: HomClass, backend: FieldBackend) -> FGAbelianGro
 
     Over C/R and F_q it is read off the generator's rank x rank cocharacter
     matrix s: the involution formula, and ker N / im(q s - 1) over F_{q^e},
-    the field the kernel fixes (e = d / |kernel| is the order of s).
+    the field the kernel fixes, where e = `hom.order` is the order of s.
     Symbolic data gets the norm quotient over the hom's ray-orbit stabilizers.
     """
     if hom.is_trivial:
         return FGAbelianGroup.trivial()
-    s = hom.matrix(1)
+    s = hom.matrix
     if isinstance(backend, RealComplexBackend):
         return h1_real_involution(s)
     if isinstance(backend, FiniteFieldBackend):
-        return _h1_finite_field_torus(backend.q, hom.group.order // len(hom.kernel), s)
+        return _h1_finite_field_torus(backend.q, hom.order, s)
     return h1_cyclic_norm_formula(fan, hom, backend)
 
 
 def classify_fan(
     fan: Fan,
-    group: GroupSpec,
     backend: FieldBackend,
     *,
     quasiprojective: bool = False,
     fan_name: str = "custom",
 ) -> ClassificationReport:
-    """Twisted forms of the toric variety of ``fan`` split by ``group``.
+    """Twisted forms of the toric variety of ``fan`` split by ``backend``.
 
-    One entry per conjugacy class of homomorphisms from the Galois group into
-    the fan symmetry group; each entry carries the cohomology of the
-    correspondingly twisted torus, from `hom_class_h1`.
+    One entry per conjugacy class of homomorphisms from the Galois group
+    `backend.group` into the fan symmetry group; each entry carries the
+    generator's image (none when the group is trivial) and the cohomology
+    of the correspondingly twisted torus, from `hom_class_h1`.
     """
     aut = automorphism_group(fan)  # validates the fan first
-    if backend.group != group:
-        raise BackendUnsupported(
-            f"backend Galois group {backend.group.name} does not match"
-            f" the requested group {group.name}"
-        )
+    group = backend.group
     classes = enumerate_hom_classes(group, aut)
     verdict = descent_status(fan.rank, group.order, quasiprojective)
     entries = []
     for index, cls in enumerate(classes):
         value = hom_class_h1(fan, cls, backend)
         label = "trivial" if cls.is_trivial else f"class {index}"
-        images = tuple(cls.matrix(g) for g in group.generators)
+        images = (cls.matrix,) * len(group.generators)
         entries.append(ReportEntry(label, images, value, verdict))
     return ClassificationReport(
         fan_name, group.name, backend.describe(), tuple(entries), _report_total(entries)
@@ -885,9 +879,7 @@ def classify_surface_real(fan: Fan, *, fan_name: str = "custom") -> Classificati
     """
     if fan.rank != 2:
         raise RankUnsupported("the real surface classification needs a rank-2 fan")
-    base = classify_fan(
-        fan, GroupSpec.cyclic(2), RealComplexBackend(), fan_name=fan_name
-    )
+    base = classify_fan(fan, RealComplexBackend(), fan_name=fan_name)
     entries = []
     for entry in base.entries:
         matrix = entry.phi_images[0]

@@ -277,17 +277,16 @@ def _cmd_fan_cox(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _group_and_backend(args: argparse.Namespace) -> tuple[GroupSpec, FieldBackend]:
+def _backend_for_group(args: argparse.Namespace) -> FieldBackend:
+    """The backend of --backend, checked against --group when one is given."""
     group = _parse_group(args.group) if args.group else None
     backend = _parse_backend(args.backend, group)
-    if group is None:
-        group = backend.group
-    elif backend.group != group:
+    if group is not None and backend.group != group:
         raise BackendUnsupported(
             f"backend Galois group {backend.group.name} does not match"
             f" the requested group {group.name}"
         )
-    return group, backend
+    return backend
 
 
 def _print_report(args: argparse.Namespace, report) -> int:
@@ -296,17 +295,14 @@ def _print_report(args: argparse.Namespace, report) -> int:
 
 
 def _cmd_classify_projective(args: argparse.Namespace) -> int:
-    _, backend = _group_and_backend(args)
-    return _print_report(args, classify_projective(args.n, backend))
+    return _print_report(args, classify_projective(args.n, _backend_for_group(args)))
 
 
 def _cmd_classify_fan(args: argparse.Namespace) -> int:
     fan, name = _load_fan(args)
-    group, backend = _group_and_backend(args)
     report = classify_fan(
         fan,
-        group,
-        backend,
+        _backend_for_group(args),
         quasiprojective=args.quasiprojective,
         fan_name=name,
     )
@@ -355,7 +351,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             brute_json = {"kind": "skipped", "text": "trivial class"}
         else:
             reduced_backend = FiniteFieldBackend(backend.q, e)
-            closed = h1_finite_field_torus(backend.q, e, reduced_hom.matrix(1))
+            closed = h1_finite_field_torus(backend.q, e, reduced_hom.matrix)
             checks = []  # the routes that ran beside the closed form
             try:
                 checks.append(h1_cyclic_norm_formula(fan, reduced_hom, reduced_backend))

@@ -174,12 +174,12 @@ def _h1_real_quotient_presentation(fan: Fan, hom: HomClass) -> FGAbelianGroup:
     through ker(I - P).
     """
     m = fan.num_rays
-    p = _permutation_matrix(hom.ray_permutation(1))
+    p = _permutation_matrix(hom.ray_permutation)
     r = fan.ray_rows
     ident = IntMatrix.identity(m)
     # (x, u) with (I - P) x = R u: the lifts x are the numerator
     pairs = kernel_basis((ident - p).hstack(-r))
-    lifts = IntMatrix(pairs.rows[:m], pairs.ncols)
+    lifts = IntMatrix._trusted(pairs.rows[:m], pairs.ncols)
     return lattice_subquotient(lifts, kernel_basis(ident - p).hstack(r))
 
 
@@ -219,7 +219,7 @@ def _h1_finite_field_quotient_presentation(
     """
     q = backend.q
     c = backend.mult_order
-    perm = hom.ray_permutation(1)
+    perm = hom.ray_permutation
     fixed_lattice = _fixed_ray_lattice(fan, perm, q, c)
     y_rows = congruence_kernel(fan.ray_columns, c).rows
     # N Y = sum of (qP)^j Y mod c by Horner's rule; P moves row i to row perm[i]
@@ -294,40 +294,38 @@ def h1_cyclic_norm_formula(
 class FiniteModule:
     """Finite abelian group prod Z/moduli[i] with a linear action of Z/d.
 
-    `action[a]` is the matrix by which group element a acts; element 1 is
-    the generator sigma, so action[a] is sigma^a mod the moduli.
+    `sigma` is the matrix by which the generator 1 acts, so group element a
+    acts by sigma^a mod the moduli.
     """
 
     group: GroupSpec
     moduli: tuple[int, ...]
-    action: tuple[IntMatrix, ...]
+    sigma: IntMatrix
 
     def __post_init__(self) -> None:
-        # input checks raise ValueError, so they also hold under python -O;
-        # `brute_force_h1_finite` composes action tables relying on them
+        # input checks raise ValueError or TypeError, so they also hold under
+        # python -O; `brute_force_h1_finite` composes action tables relying
+        # on them
         m = self.moduli
         n = len(m)
-        d = self.group.order
+        sigma = self.sigma
         if not all(mi >= 1 for mi in m):
             raise ValueError(f"moduli must be at least 1, got {m}")
-        if len(self.action) != d:
-            raise ValueError(f"{len(self.action)} action matrices for a group of order {d}")
-        for mat in self.action:
-            if mat.shape != (n, n):
-                raise ValueError(f"action matrix of shape {mat.shape}, expected {(n, n)}")
-            # column j must map the relation m[j] e_j into the relations
-            if any(x * m[j] % m[i] for i, row in enumerate(mat.rows) for j, x in enumerate(row)):
-                raise ValueError(f"action matrix {mat} does not descend to the moduli {m}")
-        if self.action[0] != IntMatrix.identity(n):
-            raise ValueError("group element 0 must act as the identity")
-        # action[0] = 1 and action[a + 1] = action[a] sigma for every a mod d
-        # make action[a] = sigma^a with sigma^d = 1, so the action is
-        # multiplicative: one product per element
-        sigma = self.action[1 % d]
-        for a in range(d):
-            prod = self.action[a] @ sigma
-            if self._reduce_matrix(prod) != self._reduce_matrix(self.action[(a + 1) % d]):
-                raise ValueError("action is not a homomorphism")
+        if not isinstance(sigma, IntMatrix):
+            raise TypeError(f"sigma must be an IntMatrix, got {type(sigma).__name__}")
+        if sigma.shape != (n, n):
+            raise ValueError(f"action matrix of shape {sigma.shape}, expected {(n, n)}")
+        # column j must map the relation m[j] e_j into the relations
+        if any(x * m[j] % m[i] for i, row in enumerate(sigma.rows) for j, x in enumerate(row)):
+            raise ValueError(f"action matrix {sigma} does not descend to the moduli {m}")
+        # a -> sigma^a is a homomorphism of Z/d exactly when sigma^d = 1 mod
+        # the moduli (a coordinate of modulus 1 compares 0 with 0): d - 1
+        # products
+        power = self._reduce_matrix(sigma)
+        for _ in range(self.group.order - 1):
+            power = self._reduce_matrix(power @ sigma)
+        if power != self._reduce_matrix(IntMatrix.identity(n)):
+            raise ValueError("action is not a homomorphism")
 
     def _reduce_matrix(self, mat: IntMatrix) -> IntMatrix:
         return IntMatrix._trusted(
@@ -343,8 +341,11 @@ class FiniteModule:
         return itertools.product(*[range(mi) for mi in self.moduli])
 
     def act(self, g: int, v: Sequence[int]) -> tuple[int, ...]:
-        raw = self.action[g].apply(v)
-        return tuple(x % mi for x, mi in zip(raw, self.moduli))
+        """sigma^g v: sigma applied g times, reduced mod the moduli."""
+        v = tuple(v)
+        for _ in range(g):
+            v = tuple(x % mi for x, mi in zip(self.sigma.apply(v), self.moduli))
+        return v
 
     def add(self, u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
         return tuple(map(operator.mod, map(operator.add, u, v), self.moduli))
@@ -359,19 +360,15 @@ class FiniteModule:
 def finite_field_torus_module(backend: FiniteFieldBackend, hom: HomClass) -> FiniteModule:
     """The dense-torus module (Z/(q^d-1))^rank with the twisted Frobenius.
 
-    Group element j (a power of Frobenius) acts by q^j times the cocharacter
-    matrix of the fan automorphism it maps to.  Raises ValueError unless d is the
-    order of the group `hom` twists by.
+    Frobenius, the generator, acts by sigma = q s mod q^d - 1, for s the
+    cocharacter matrix of the fan automorphism it maps to.  Raises
+    ValueError unless d is the order of the group `hom` twists by.
     """
-    group = hom.group
     _check_degree(backend.d, hom)
     c = backend.mult_order
-    n = hom.matrix(0).nrows
-    mats = []
-    for j in range(group.order):
-        s = hom.matrix(j)
-        mats.append(IntMatrix.from_rows([[(backend.q**j * x) % c for x in row] for row in s.rows]))
-    return FiniteModule(group, (c,) * n, tuple(mats))
+    s = hom.matrix
+    q_s = tuple(tuple(backend.q * x % c for x in row) for row in s.rows)
+    return FiniteModule(hom.group, (c,) * s.nrows, IntMatrix._trusted(q_s, s.ncols))
 
 
 #: Most assignments times |G|^2 cocycle checks `brute_force_h1_finite` makes.
@@ -596,12 +593,12 @@ def _action_tables(module: FiniteModule, index: _IndexedModule) -> list[list[int
 
     tables[0] is `index.spread`, and tables[a + 1][i] = tables[a][g[i]] with
     g the generator's index table (`_IndexedModule.table`), so tables[a] is
-    the action of sigma^a.  That is a's action because the module checked
-    that action[a] is sigma^a mod the moduli and preserves them.
+    the action of sigma^a.  The module checked that sigma preserves the
+    moduli and that sigma^d = 1 there.
     """
     tables = [index.spread]
     if module.group.order > 1:
-        generator = index.table(module.action[1])
+        generator = index.table(module.sigma)
         while len(tables) < module.group.order:
             tables.append(list(map(tables[-1].__getitem__, generator)))
     return tables

@@ -62,10 +62,11 @@ class IntMatrix:
     """Immutable integer matrix with exact equality.
 
     Rows are tuples of Python ints, so entries never overflow and equality is
-    entry-wise.  Empty matrices keep an explicit column count so shapes stay
-    meaningful through degenerate cases (0xn and nx0 both occur in practice:
-    fans with as many rays as the rank have trivial class group, lattices may
-    have empty bases).
+    entry-wise; the constructor refuses any other entry with a TypeError
+    naming `rows`.  Empty matrices keep an explicit column count so shapes
+    stay meaningful through degenerate cases (0xn and nx0 both occur in
+    practice: fans with as many rays as the rank have trivial class group,
+    lattices may have empty bases).
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -75,6 +76,7 @@ class IntMatrix:
         widths = {len(r) for r in self.rows}
         if len(widths) > 1:
             raise ValueError(f"ragged rows: {sorted(widths)}")
+        _check_int_entries(self.rows, "rows")
         # normalize the hint so dataclass equality/hash see one representation
         object.__setattr__(self, "ncols_hint", len(self.rows[0]) if self.rows else max(self.ncols_hint, 0))
 
@@ -82,9 +84,9 @@ class IntMatrix:
     def _trusted(cls, rows: tuple[tuple[int, ...], ...], ncols: int) -> "IntMatrix":
         """Matrix from int rows that all have length `ncols`, unchecked.
 
-        Only for results whose shape is known by construction (products,
-        transposes, entry-wise maps); everything else goes through the
-        checked constructor.
+        Only for results whose int entries and shape are known by
+        construction (products, sums, stacks, transposes, entry-wise maps);
+        everything else goes through the checked constructor.
         """
         m = object.__new__(cls)
         m.__dict__.update(rows=rows, ncols_hint=ncols)
@@ -104,7 +106,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], ncols: int = -1) -> "IntMatrix":
-        return cls(_int_tuples(rows, "rows"), ncols)
+        return cls(tuple(map(tuple, rows)), ncols)
 
     @classmethod
     def from_cols(cls, cols: Iterable[Sequence[int]], nrows: int = -1) -> "IntMatrix":
@@ -118,11 +120,11 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+        return cls._trusted(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "IntMatrix":
-        return cls(tuple((0,) * ncols for _ in range(nrows)), ncols)
+        return cls._trusted(tuple((0,) * ncols for _ in range(nrows)), ncols)
 
     @classmethod
     def diagonal(cls, entries: Sequence[int]) -> "IntMatrix":
@@ -162,7 +164,7 @@ class IntMatrix:
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} + {other.shape}")
-        return IntMatrix(
+        return IntMatrix._trusted(
             tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)),
             self.ncols,
         )
@@ -171,10 +173,12 @@ class IntMatrix:
         return self + (-other)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(-x for x in r) for r in self.rows), self.ncols)
+        return IntMatrix._trusted(tuple(tuple(-x for x in r) for r in self.rows), self.ncols)
 
     def scaled(self, c: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(c * x for x in r) for r in self.rows), self.ncols)
+        if type(c) is not int:
+            raise TypeError(f"c must be an int, got {type(c).__name__} {c!r}")
+        return IntMatrix._trusted(tuple(tuple(c * x for x in r) for r in self.rows), self.ncols)
 
     def apply(self, v: Sequence[int]) -> tuple[int, ...]:
         """Matrix-vector product."""
@@ -186,17 +190,17 @@ class IntMatrix:
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.nrows != other.nrows:
             raise ValueError(f"shape mismatch: {self.shape} beside {other.shape}")
-        return IntMatrix(
+        return IntMatrix._trusted(
             tuple(ra + rb for ra, rb in zip(self.rows, other.rows)), self.ncols + other.ncols
         )
 
     def vstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.ncols:
             raise ValueError(f"shape mismatch: {self.shape} over {other.shape}")
-        return IntMatrix(self.rows + other.rows, self.ncols)
+        return IntMatrix._trusted(self.rows + other.rows, self.ncols)
 
     def submatrix_cols(self, js: Sequence[int]) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(r[j] for j in js) for r in self.rows), len(js))
+        return IntMatrix._trusted(tuple(tuple(r[j] for j in js) for r in self.rows), len(js))
 
     def power(self, k: int) -> "IntMatrix":
         if self.nrows != self.ncols:
@@ -369,12 +373,10 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
         and their inverses are computed on first read.
 
     Raises:
-        TypeError: `m` is not an IntMatrix, or has an entry that is not an
-            int (the bare constructor keeps what it is given).
+        TypeError: `m` is not an IntMatrix.
     """
     if not isinstance(m, IntMatrix):
         raise TypeError(f"m must be an IntMatrix, got {type(m).__name__}")
-    _check_int_entries(m.rows, "m")
     nr, nc = m.shape
     a = [list(r) for r in m.rows]
     u = [[int(i == j) for j in range(nr)] for i in range(nr)]
@@ -614,7 +616,7 @@ def lattice_subquotient(sup_gens: IntMatrix, sub_gens: IntMatrix) -> FGAbelianGr
         raise MembershipError(
             f"column {min(bad)} of the subgroup generators is not in the ambient lattice"
         )
-    return cokernel_presentation(IntMatrix(tuple(y), sub_gens.ncols))
+    return cokernel_presentation(IntMatrix._trusted(tuple(y), sub_gens.ncols))
 
 
 def lattice_intersection(gens_a: IntMatrix, gens_b: IntMatrix) -> IntMatrix:
@@ -625,7 +627,7 @@ def lattice_intersection(gens_a: IntMatrix, gens_b: IntMatrix) -> IntMatrix:
             f"gens_b must have the {gens_a.nrows} rows of gens_a, got shape {gens_b.shape}"
         )
     k = kernel_basis(gens_a.hstack(-gens_b))
-    return gens_a @ IntMatrix(k.rows[: gens_a.ncols], k.ncols)
+    return gens_a @ IntMatrix._trusted(k.rows[: gens_a.ncols], k.ncols)
 
 
 def basis_mod(gens: IntMatrix, modulus: int) -> IntMatrix:

@@ -493,8 +493,8 @@ def degree_data(fan: Fan) -> DegreeData:
     # the rays of a valid fan span the lattice up to finite index, so the
     # first rank invariant factors are nonzero, the units among them first
     moduli = dec.nonunit_factors
-    tor = IntMatrix(dec.u.rows[fan.rank - len(moduli) : fan.rank], fan.num_rays)
-    free = IntMatrix(dec.u.rows[fan.rank :], fan.num_rays)
+    tor = IntMatrix._trusted(dec.u.rows[fan.rank - len(moduli) : fan.rank], fan.num_rays)
+    free = IntMatrix._trusted(dec.u.rows[fan.rank :], fan.num_rays)
     # the projection must kill every character row
     prod_free = free @ fan.ray_rows
     assert prod_free.is_zero()

@@ -94,42 +94,45 @@ def _check_subgroup_order(h: object, d: int) -> None:
 class HomClass:
     """Conjugacy class of homomorphisms Z/d -> fan automorphisms.
 
-    A homomorphism sends the generator 1 to some h whose order divides d.
-    `images[g]` is the index in `aut.matrices` of h^g, for the canonical
-    representative: the h of least index in its conjugacy class.
-    `orbit_size` is the number of conjugates of h.
+    A homomorphism is fixed by the image h of the generator 1, whose order
+    divides d: element g of Z/d goes to h^g.  `generator` is the index in
+    `aut.matrices` of h for the canonical representative, the h of least
+    index in its conjugacy class, and `orbit_size` the number of conjugates
+    of h.  The kernel is the multiples of `order`, the order of h.
     """
 
     group: GroupSpec
     aut: FanAutGroup
-    images: tuple[int, ...]
+    generator: int
     orbit_size: int
 
-    def matrix(self, g: int) -> IntMatrix:
-        return self.aut.matrices[self.images[g]]
+    @property
+    def matrix(self) -> IntMatrix:
+        """The cocharacter matrix of h."""
+        return self.aut.matrices[self.generator]
 
-    def ray_permutation(self, g: int) -> tuple[int, ...]:
-        return self.aut.ray_permutations[self.images[g]]
+    @property
+    def ray_permutation(self) -> tuple[int, ...]:
+        """The ray permutation of h."""
+        return self.aut.ray_permutations[self.generator]
 
     @cached_property
-    def kernel(self) -> frozenset[int]:
-        ident = self.aut.identity_index
-        return frozenset(g for g in range(self.group.order) if self.images[g] == ident)
+    def order(self) -> int:
+        return self.aut.element_order(self.generator)
 
     @property
     def is_injective(self) -> bool:
-        return len(self.kernel) == 1
+        return self.order == self.group.order
 
     @property
     def is_trivial(self) -> bool:
-        return len(self.kernel) == self.group.order
+        return self.order == 1
 
     @cached_property
     def ray_orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of the induced ray action, each sorted, ordered by minimum:
         the cycles of the generator's ray permutation."""
-        perm = self.ray_permutation(1 % self.group.order)
-        return tuple(tuple(sorted(cycle)) for cycle in _cycles(perm))
+        return tuple(tuple(sorted(cycle)) for cycle in _cycles(self.ray_permutation))
 
 
 def enumerate_hom_classes(group: GroupSpec, aut: FanAutGroup) -> tuple[HomClass, ...]:
@@ -137,9 +140,8 @@ def enumerate_hom_classes(group: GroupSpec, aut: FanAutGroup) -> tuple[HomClass,
 
     One class per conjugacy class of elements h whose order divides d, as
     `FanAutGroup.classes_dividing` lists them once per d and the group
-    keeps them: each class by its least member h and its size.  The
-    representative has images h^0, ..., h^(d-1), so the classes come sorted
-    by their images (images[1] is h when d > 1); the trivial homomorphism
+    keeps them: each class by its least member h, the generator's image,
+    and its size.  The classes come sorted by h; the trivial homomorphism
     is always present.  Raises TypeError naming the argument unless group
     is a GroupSpec and aut a FanAutGroup, and TooLarge, before any element
     order is taken, when d exceeds MAX_HOM_GROUP_ORDER.
@@ -153,13 +155,7 @@ def enumerate_hom_classes(group: GroupSpec, aut: FanAutGroup) -> tuple[HomClass,
             f"hom enumeration needs an acting group of order at most"
             f" {MAX_HOM_GROUP_ORDER}, got {d}"
         )
-    classes = []
-    for h, size in aut.classes_dividing(d):
-        powers = [aut.identity_index]
-        for _ in range(d - 1):
-            powers.append(aut.mult_index(powers[-1], h))
-        classes.append(HomClass(group, aut, tuple(powers), size))
-    return tuple(classes)
+    return tuple(HomClass(group, aut, h, size) for h, size in aut.classes_dividing(d))
 
 
 def kernel_reduction(hom: HomClass) -> HomClass:
@@ -167,12 +163,11 @@ def kernel_reduction(hom: HomClass) -> HomClass:
 
     The generator's image h has order e dividing d, the kernel is the
     multiples of e, and the quotient is Z/e with g mapping to g mod e.
-    Returns the induced injective hom class from Z/e, with images h^0, ...,
-    h^(e-1).  It has the same image subgroup of the fan automorphisms, so
-    all orbit data agrees with the original.
+    Returns the induced injective hom class from Z/e, with the same
+    generator h.  It has the same image subgroup of the fan automorphisms,
+    so all orbit data agrees with the original.
     """
-    e = hom.group.order // len(hom.kernel)
-    return HomClass(GroupSpec.cyclic(e), hom.aut, hom.images[:e], hom.orbit_size)
+    return HomClass(GroupSpec.cyclic(hom.order), hom.aut, hom.generator, hom.orbit_size)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ that `galois.enumerate_hom_classes` replaced, kept as its reference.
 `TableGroup` is the former general `GroupSpec`: any finite group, element 0
 the identity, stored as its full table.  The tests build only the cyclic
 one, `TableGroup.cyclic(d)`, to check `GroupSpec`, `HomClass` and kernel
-reduction against a route that reads nothing but the table.  `hom_classes`
+reduction against a route that reads nothing but the table: a `TableHom`
+keeps the image of every element, where a `HomClass` keeps its generator's.  `hom_classes`
 finds every homomorphism by extending each tuple of generator images along
 the Cayley graph and checking all |G|^2 products, then groups them into
 conjugation orbits; `reduce_kernel` builds the quotient table coset by coset.
@@ -107,9 +108,15 @@ class TableHom:
 
 
 def orbit_stabilizer(hom, orbit: Sequence[int]) -> frozenset[int]:
-    """The group elements of `hom` fixing the orbit's minimal ray."""
+    """The elements g of Z/d whose image h^g under the hom class `hom` fixes
+    the orbit's minimal ray: h's ray permutation applied g times."""
     rep = min(orbit)
-    return frozenset(g for g in range(hom.group.order) if hom.ray_permutation(g)[rep] == rep)
+    stabilizer, ray = set(), rep
+    for g in range(hom.group.order):
+        if ray == rep:
+            stabilizer.add(g)
+        ray = hom.ray_permutation[ray]
+    return frozenset(stabilizer)
 
 
 def _extend_to_hom(

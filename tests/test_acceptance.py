@@ -65,9 +65,7 @@ Z2Z2 = FGAbelianGroup(0, (2, 2))
 
 def test_01_real_forms_of_projective_line():
     """The projective line over R has exactly three forms: 1 + 2 by twist."""
-    report = classify_fan(
-        builtin_fan("projective:1"), GroupSpec.cyclic(2), RealComplexBackend()
-    )
+    report = classify_fan(builtin_fan("projective:1"), RealComplexBackend())
     assert report.total == 3
     by_phi = {entry.phi_images[0]: entry.value.order() for entry in report.entries}
     assert by_phi == {
@@ -191,7 +189,7 @@ def test_06_finite_field_vanishing_three_routes():
                     reduced = FiniteFieldBackend(q, e)
                     route_norm = h1_cyclic_norm_formula(fan, reduced_hom, reduced)
                     assert route_norm == TRIVIAL, (name, q, d)
-                    route_closed = h1_finite_field_torus(q, e, reduced_hom.matrix(1))
+                    route_closed = h1_finite_field_torus(q, e, reduced_hom.matrix)
                     assert route_closed == TRIVIAL, (name, q, d)
                     module = finite_field_torus_module(reduced, reduced_hom)
                     route_brute = brute_force_h1_finite(module)
@@ -228,9 +226,8 @@ def test_07_randomized_classification_properties():
         d = rng.choice([2, 3, 4, 5, 6])
         q = rng.choice([2, 3, 4, 5])
         backend = FiniteFieldBackend(q, d)
-        group = backend.group
-        report = classify_fan(fan, group, backend)
-        classes = enumerate_hom_classes(group, automorphism_group(fan))
+        report = classify_fan(fan, backend)
+        classes = enumerate_hom_classes(backend.group, automorphism_group(fan))
         assert len(report.entries) == len(classes), trial
         ident = IntMatrix.identity(fan.rank)
         for cls, entry in zip(classes, report.entries):
@@ -283,7 +280,7 @@ def test_09_hexagon_real_classification():
     order four and three singletons, agreeing with the direct involution
     computation class by class."""
     fan = builtin_fan("hexagon")
-    report = classify_fan(fan, GroupSpec.cyclic(2), RealComplexBackend())
+    report = classify_fan(fan, RealComplexBackend())
     assert report.total == 7
     orders = sorted(entry.value.order() for entry in report.entries)
     assert orders == [1, 1, 1, 4]

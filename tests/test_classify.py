@@ -503,14 +503,14 @@ SQUARE = Fan.make(2, [(1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 1), (1, 2), (2, 3)
 
 
 def test_classify_fan_line_real():
-    report = classify_fan(P1, GroupSpec.cyclic(2), RealComplexBackend())
+    report = classify_fan(P1, RealComplexBackend())
     assert report.total == 3
     orders = sorted(e.value.order() for e in report.entries)
     assert orders == [1, 2]
 
 
 def test_classify_fan_hexagon_real():
-    report = classify_fan(builtin_fan("hexagon"), GroupSpec.cyclic(2), RealComplexBackend())
+    report = classify_fan(builtin_fan("hexagon"), RealComplexBackend())
     assert report.total == 7
     assert sorted(e.value.order() for e in report.entries) == [1, 1, 1, 4]
     by_type = {}
@@ -524,7 +524,7 @@ def test_classify_fan_hexagon_real():
 
 
 def test_classify_fan_square_real():
-    report = classify_fan(SQUARE, GroupSpec.cyclic(2), RealComplexBackend())
+    report = classify_fan(SQUARE, RealComplexBackend())
     assert report.total == 8
     by_type = {}
     for entry in report.entries:
@@ -538,10 +538,9 @@ def test_classify_fan_square_real():
 
 def test_classify_fan_ff_vanishing_smoke():
     fan = builtin_fan("hexagon")
-    group = GroupSpec.cyclic(2)
     backend = FiniteFieldBackend(3, 2)
-    report = classify_fan(fan, group, backend)
-    classes = enumerate_hom_classes(group, automorphism_group(fan))
+    report = classify_fan(fan, backend)
+    classes = enumerate_hom_classes(backend.group, automorphism_group(fan))
     assert len(report.entries) == len(classes)
     assert report.total == len(classes)
     assert all(e.value.is_trivial() for e in report.entries)
@@ -549,13 +548,8 @@ def test_classify_fan_ff_vanishing_smoke():
 
 def test_classify_fan_trivial_class_entry():
     fan = builtin_fan("surface:C4")
-    report = classify_fan(fan, GroupSpec.cyclic(4), FiniteFieldBackend(2, 4))
+    report = classify_fan(fan, FiniteFieldBackend(2, 4))
     assert any(e.label == "trivial" and e.value.is_trivial() for e in report.entries)
-
-
-def test_classify_fan_group_backend_mismatch():
-    with pytest.raises(ValueError):
-        classify_fan(P1, GroupSpec.cyclic(3), RealComplexBackend())
 
 
 NORM_ROUTE_CASES = [
@@ -577,7 +571,7 @@ def test_classify_fan_matches_the_norm_route(name, spec):
     over the ray-orbit stabilizers that classify projective reports."""
     fan = builtin_fan(name)
     backend = cli._parse_backend(spec, None)
-    report = classify_fan(fan, backend.group, backend)
+    report = classify_fan(fan, backend)
     classes = enumerate_hom_classes(backend.group, automorphism_group(fan))
     assert len(report.entries) == len(classes)
     d = backend.group.order
@@ -597,7 +591,7 @@ def test_classify_fan_factors_no_number_for_a_built_backend(monkeypatch):
         monkeypatch.setattr(module, "_prime_factors", lambda n: factored.append(n) or original(n))
     for backend in backends:
         for name in ("surface:D12", "surface:C6", "projective:3"):
-            assert classify_fan(builtin_fan(name), backend.group, backend).total is not None
+            assert classify_fan(builtin_fan(name), backend).total is not None
     assert factored == []
 
 
@@ -612,7 +606,7 @@ def test_classify_surface_real_hexagon():
     assert sorted(e.value.order() for e in report.entries) == [1, 1, 1, 4]
     labels = sorted(e.label for e in report.entries)
     assert any("C2" in lab for lab in labels)
-    plain = classify_fan(builtin_fan("hexagon"), GroupSpec.cyclic(2), RealComplexBackend())
+    plain = classify_fan(builtin_fan("hexagon"), RealComplexBackend())
     assert [e.value for e in report.entries] == [e.value for e in plain.entries]
     assert [e.phi_images for e in report.entries] == [e.phi_images for e in plain.entries]
 
@@ -654,9 +648,9 @@ def test_descent_status_cases():
 
 def test_classify_fan_verdict_reads_the_fan_rank():
     be = FiniteFieldBackend(2, 3)
-    report = classify_fan(builtin_fan("projective:3"), be.group, be)
+    report = classify_fan(builtin_fan("projective:3"), be)
     assert {e.descent for e in report.entries} == {descent_status(3, 3)}
-    report = classify_fan(builtin_fan("projective:2"), be.group, be)
+    report = classify_fan(builtin_fan("projective:2"), be)
     assert {e.descent for e in report.entries} == {descent_status(2, 3)}
 
 
@@ -680,7 +674,6 @@ def test_classify_projective_builds_no_fan(monkeypatch):
 def test_report_json_schema():
     report = classify_fan(
         builtin_fan("hexagon"),
-        GroupSpec.cyclic(2),
         RealComplexBackend(),
         fan_name="hexagon",
     )
@@ -700,15 +693,16 @@ def test_report_json_schema():
 
 
 def test_report_json_deterministic():
-    args = (builtin_fan("surface:D4"), GroupSpec.cyclic(2), RealComplexBackend())
+    args = (builtin_fan("surface:D4"), RealComplexBackend())
     assert classify_fan(*args).to_json() == classify_fan(*args).to_json()
 
 
 def test_report_entries_match_hom_classes():
     fan = builtin_fan("surface:D4p")
-    group = GroupSpec.cyclic(2)
-    report = classify_fan(fan, group, RealComplexBackend())
-    classes = enumerate_hom_classes(group, automorphism_group(fan))
+    report = classify_fan(fan, RealComplexBackend())
+    classes = enumerate_hom_classes(GroupSpec.cyclic(2), automorphism_group(fan))
     assert len(report.entries) == len(classes)
     for entry, cls in zip(report.entries, classes):
-        assert entry.phi_images == tuple(cls.matrix(g) for g in group.generators)
+        assert entry.phi_images == (cls.matrix,)
+    trivial_group = classify_fan(fan, FiniteFieldBackend(3, 1))
+    assert [entry.phi_images for entry in trivial_group.entries] == [()]

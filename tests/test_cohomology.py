@@ -205,7 +205,7 @@ def _torus_subgroup_real_route(fan: Fan, hom) -> FGAbelianGroup:
       numerator   z with R z = 0,  (I + P) z = 0,  z_rho = 0 at fixed rays
       denominator (I - P) {z : R z = 0}
     """
-    perm = hom.ray_permutation(1)
+    perm = hom.ray_permutation
     m = fan.num_rays
     p = _permutation_matrix(perm)
     r = fan.ray_columns
@@ -260,7 +260,7 @@ def test_real_route_trivial_class_is_trivial():
 def test_real_routes_agree_on_surface_builtins():
     for fan in (P1, P2, P1XP1, HEXAGON):
         for cls in _c2_classes(fan):
-            s = cls.matrix(1)
+            s = cls.matrix
             expected = h1_real_involution(s)
             assert h1_cyclic_norm_formula(fan, cls, REAL) == expected
             assert _h1_real_quotient_presentation(fan, cls) == expected
@@ -314,7 +314,7 @@ def _assert_real_routes_agree(fan: Fan) -> tuple[int, ...]:
     formula give one group on every C2 class; returns the sorted orders."""
     orders = []
     for cls in _c2_classes(fan):
-        expected = h1_real_involution(cls.matrix(1))
+        expected = h1_real_involution(cls.matrix)
         assert _h1_real_quotient_presentation(fan, cls) == expected
         assert _torus_subgroup_real_route(fan, cls) == expected
         orders.append(expected.order())
@@ -510,7 +510,7 @@ def test_sum_tables_are_split_into_blocks_within_their_budget(monkeypatch):
         [0, 0, 0, 0, 0, -1],
         [0, 0, 0, 0, -1, 0],
     ]
-    module = _cyclic_module(2, (3, 3, 2, 1, 3, 3), [IntMatrix.identity(6).rows, swap])
+    module = FiniteModule(C2, (3, 3, 2, 1, 3, 3), M(swap))
     blocks = set()
     for span in (0, 1, 2, cohomology._SUM_TABLE_SPAN, 10**6):
         monkeypatch.setattr(cohomology, "_SUM_TABLE_SPAN", span)
@@ -521,24 +521,20 @@ def test_sum_tables_are_split_into_blocks_within_their_budget(monkeypatch):
     assert {1, 2, 6} <= blocks
 
 
-def _cyclic_module(order, moduli, mats):
-    return FiniteModule(GroupSpec.cyclic(order), moduli, tuple(M(m) for m in mats))
-
-
 def test_brute_force_negation_on_z4():
-    mod = _cyclic_module(2, (4,), [[[1]], [[-1]]])
+    mod = FiniteModule(C2, (4,), M([[-1]]))
     assert brute_force_h1_finite(mod) == Z2
     _assert_matches_literal(mod)
 
 
 def test_brute_force_trivial_action_on_z3():
-    mod = _cyclic_module(2, (3,), [[[1]], [[1]]])
+    mod = FiniteModule(C2, (3,), M([[1]]))
     assert brute_force_h1_finite(mod) == TRIVIAL
     _assert_matches_literal(mod)
 
 
 def test_brute_force_trivial_action_on_z2():
-    mod = _cyclic_module(2, (2,), [[[1]], [[1]]])
+    mod = FiniteModule(C2, (2,), M([[1]]))
     assert brute_force_h1_finite(mod) == Z2
     _assert_matches_literal(mod)
 
@@ -546,7 +542,7 @@ def test_brute_force_trivial_action_on_z2():
 def test_generator_column_count_matches_per_cocycle_count_on_a_large_module():
     """(Z/600)^2 with C2 acting by -1: H^1 = M / 2M, from 360,000 cocycles,
     counted over the generator's column as the per-cocycle count does."""
-    module = _cyclic_module(2, (600, 600), [[[1, 0], [0, 1]], [[599, 0], [0, 599]]])
+    module = FiniteModule(C2, (600, 600), M([[599, 0], [0, 599]]))
     assert brute_force_h1_finite(module) == _per_cocycle_brute_force_h1(module) == Z2Z2
 
 
@@ -560,13 +556,13 @@ def test_brute_force_guard(monkeypatch):
         patch.setattr(FiniteModule, "elements", untouchable)
         patch.setattr(cohomology, "MAX_COCYCLE_CHECKS", 4000)
         for size in (4001, 10**7):
-            big = FiniteModule(GroupSpec.cyclic(2), (size,), (M([[1]]), M([[1]])))
+            big = FiniteModule(C2, (size,), M([[1]]))
             start = time.perf_counter()
             with pytest.raises(TooLarge):
                 brute_force_h1_finite(big)
             assert time.perf_counter() - start < 0.1
         # the guard bounds work: 10 assignments of Z/10 under C4, 16 pairs each
-        small = FiniteModule(GroupSpec.cyclic(4), (10,), tuple(M([[1]]) for _ in range(4)))
+        small = FiniteModule(GroupSpec.cyclic(4), (10,), M([[1]]))
         patch.setattr(cohomology, "MAX_COCYCLE_CHECKS", 159)
         with pytest.raises(TooLarge, match="10 candidate assignments times 4\\^2 group pairs"):
             brute_force_h1_finite(small)
@@ -581,21 +577,21 @@ from toricforms.exact_linalg import IntMatrix
 from toricforms.galois import GroupSpec
 
 start = time.perf_counter()
-FiniteModule(GroupSpec.cyclic(1000), (5,), (IntMatrix.identity(1),) * 1000)
+FiniteModule(GroupSpec.cyclic(1000), (5,), IntMatrix.identity(1))
 print(time.perf_counter() - start)
 """
 
 
 def test_module_checks_one_product_per_element_and_generator(monkeypatch):
-    """The homomorphism check makes d products, one per element and the
-    generator, not d^2: the trivial action of C1000 builds in under a second
-    under python -O (10.7 s when every pair was checked)."""
+    """The homomorphism check makes d - 1 products, the powers of the
+    generator up to sigma^d, not d^2: the trivial action of C1000 builds in
+    under a second under python -O (10.7 s when every pair was checked)."""
     products = []
     matmul = IntMatrix.__matmul__
     with monkeypatch.context() as patch:
         patch.setattr(IntMatrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
-        FiniteModule(GroupSpec.cyclic(1000), (5,), (IntMatrix.identity(1),) * 1000)
-    assert len(products) == 1000
+        FiniteModule(GroupSpec.cyclic(1000), (5,), IntMatrix.identity(1))
+    assert len(products) == 999
     child = subprocess.run(
         [sys.executable, "-O", "-c", _LARGE_TRIVIAL_MODULE_SCRIPT],
         capture_output=True,
@@ -608,13 +604,26 @@ def test_module_checks_one_product_per_element_and_generator(monkeypatch):
 
 
 def test_module_refuses_an_action_wrong_at_a_non_generator():
-    # C4 acting on Z/5 through the powers 1, 2, 4, 3 of 2
-    FiniteModule(GroupSpec.cyclic(4), (5,), tuple(M([[x]]) for x in (1, 2, 4, 3)))
-    with pytest.raises(ValueError, match="not a homomorphism"):
-        FiniteModule(GroupSpec.cyclic(4), (5,), tuple(M([[x]]) for x in (1, 2, 1, 3)))
+    # C4 acting on Z/5 through the generator 2, whose fourth power is 1
+    FiniteModule(GroupSpec.cyclic(4), (5,), M([[2]]))
     # C2 with the generator acting by 2, whose square 4 is not the identity
     with pytest.raises(ValueError, match="not a homomorphism"):
-        FiniteModule(GroupSpec.cyclic(2), (5,), (M([[1]]), M([[2]])))
+        FiniteModule(C2, (5,), M([[2]]))
+
+
+def test_module_compares_a_modulus_one_coordinate_as_zero():
+    """On a coordinate of modulus 1 every entry is 0, the identity's too, so
+    sigma^d = 1 holds there whatever sigma's entry; elsewhere it is checked.
+    The dense-torus module over F_2 split by F_2 is all such coordinates."""
+    module = FiniteModule(C2, (1, 5), M([[7, 0], [0, -1]]))
+    assert brute_force_h1_finite(module) == TRIVIAL
+    _assert_matches_literal(module)
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        FiniteModule(C2, (1, 5), M([[0, 0], [0, 2]]))
+    trivial = enumerate_hom_classes(GroupSpec.cyclic(1), automorphism_group(P2))[0]
+    module = finite_field_torus_module(FiniteFieldBackend(2, 1), trivial)
+    assert (module.moduli, module.sigma) == ((1, 1), IntMatrix.zero(2, 2))
+    assert brute_force_h1_finite(module) == TRIVIAL
 
 
 def _surface_oracle_modules(q: int, d: int) -> list[FiniteModule]:
@@ -638,15 +647,6 @@ def test_table_driven_brute_force_matches_literal_on_surface_classes(q, d):
         _assert_matches_literal(module)
 
 
-def _module_from_generator(order, moduli, gen_mat) -> FiniteModule:
-    """The module on which the generator of Z/order acts by `gen_mat`."""
-    mats = [IntMatrix.identity(len(moduli))]
-    for _ in range(order - 1):
-        prod = mats[-1] @ gen_mat
-        mats.append(M([[x % moduli[i] for x in row] for i, row in enumerate(prod.rows)]))
-    return FiniteModule(GroupSpec.cyclic(order), tuple(moduli), tuple(mats))
-
-
 @st.composite
 def _diagonal_modules(draw):
     """Cyclic groups of order 1-4 acting diagonally."""
@@ -657,7 +657,7 @@ def _diagonal_modules(draw):
         [u for u in range(m) if math.gcd(u, m) == 1 and pow(u, order, m) == 1 % m] for m in moduli
     ]
     gen_mat = IntMatrix.diagonal([draw(st.sampled_from(us)) for us in units])
-    return _module_from_generator(order, moduli, gen_mat)
+    return FiniteModule(GroupSpec.cyclic(order), tuple(moduli), gen_mat)
 
 
 @st.composite
@@ -669,7 +669,7 @@ def _permutation_modules(draw):
     modulus = {cycle: draw(st.integers(1, 7)) for cycle in sorted(set(cycles), key=min)}
     order = math.lcm(*map(len, cycles)) * draw(st.integers(1, 2))
     moduli = [modulus[cycle] for cycle in cycles]
-    return _module_from_generator(order, moduli, _permutation_matrix(perm))
+    return FiniteModule(GroupSpec.cyclic(order), tuple(moduli), _permutation_matrix(perm))
 
 
 @st.composite
@@ -692,7 +692,7 @@ def _monomial_modules(draw):
     order, power = 1, gen_mat
     while reduced(power) != ident:
         order, power = order + 1, power @ gen_mat
-    return _module_from_generator(order * draw(st.integers(1, 2)), moduli, gen_mat)
+    return FiniteModule(GroupSpec.cyclic(order * draw(st.integers(1, 2))), tuple(moduli), gen_mat)
 
 
 @settings(max_examples=60, deadline=None)
@@ -724,7 +724,7 @@ def test_three_finite_field_routes_agree(q, d):
     for fan in (P1, P2):
         for cls in enumerate_hom_classes(group, automorphism_group(fan)):
             via_norm = h1_cyclic_norm_formula(fan, cls, backend)
-            via_torus = h1_finite_field_torus(q, d, cls.matrix(1))
+            via_torus = h1_finite_field_torus(q, d, cls.matrix)
             via_brute = brute_force_h1_finite(finite_field_torus_module(backend, cls))
             assert via_norm == via_torus == via_brute == TRIVIAL
 
@@ -740,7 +740,7 @@ def _torsion_twist_class():
 
 def test_torsion_fan_has_the_expected_twist():
     cls = _torsion_twist_class()
-    assert cls.matrix(1) == M([[-1, 0], [2, 1]])
+    assert cls.matrix == M([[-1, 0], [2, 1]])
 
 
 def test_torsion_assumption_violated_when_factor_divides_units():
@@ -753,7 +753,7 @@ def test_torsion_fan_routes_agree_when_assumption_holds():
     cls = _torsion_twist_class()
     backend = FiniteFieldBackend(2, 2)  # units of order 3, coprime to the Z/2
     via_norm = h1_cyclic_norm_formula(TORSION_FAN, cls, backend)
-    via_torus = h1_finite_field_torus(2, 2, cls.matrix(1))
+    via_torus = h1_finite_field_torus(2, 2, cls.matrix)
     via_brute = brute_force_h1_finite(finite_field_torus_module(backend, cls))
     assert via_norm == via_torus == via_brute
 
@@ -774,7 +774,7 @@ def _fixed_lattice_and_norm_op(fan: Fan, hom, backend) -> tuple[IntMatrix, IntMa
     the norm route builds them."""
     q, d, c = backend.q, backend.d, backend.mult_order
     ident = IntMatrix.identity(fan.num_rays)
-    qp = _permutation_matrix(hom.ray_permutation(1)).scaled(q)
+    qp = _permutation_matrix(hom.ray_permutation).scaled(q)
     norm_op = functools.reduce(lambda acc, _: acc @ qp + ident, range(d - 1), ident)
     fixed_lattice = congruence_kernel_basis(
         smith_normal_form(fan.ray_columns.vstack(qp - ident)), c
@@ -808,7 +808,7 @@ def _stacked_fixed_lattice(fan: Fan, hom, backend) -> IntMatrix:
     """Y^G + c Z^rays as the norm route built it before reading it off the
     ray orbits: the congruence kernel of the stack [R; qP - I]."""
     ident = IntMatrix.identity(fan.num_rays)
-    qp = _permutation_matrix(hom.ray_permutation(1)).scaled(backend.q)
+    qp = _permutation_matrix(hom.ray_permutation).scaled(backend.q)
     return congruence_kernel(fan.ray_columns.vstack(qp - ident), backend.mult_order)
 
 
@@ -816,7 +816,7 @@ def _assert_orbit_fixed_lattice_is_stacked_kernel(fan: Fan, hom, backend) -> Non
     """The orbit-built fixed lattice and the stacked kernel span one lattice:
     each lies in the other (triangular_subquotient raises MembershipError
     when it does not)."""
-    orbit_built = _fixed_ray_lattice(fan, hom.ray_permutation(1), backend.q, backend.mult_order)
+    orbit_built = _fixed_ray_lattice(fan, hom.ray_permutation, backend.q, backend.mult_order)
     stacked = _stacked_fixed_lattice(fan, hom, backend)
     assert triangular_subquotient(orbit_built, stacked).is_trivial()
     assert triangular_subquotient(stacked, orbit_built).is_trivial()
@@ -969,7 +969,7 @@ def test_large_q_ff_routes_keep_every_entry_below_c(monkeypatch):
     monkeypatch.setattr(cohomology, "basis_mod", recording_basis_mod)
     monkeypatch.setattr(exact_linalg, "smith_normal_form", recording_smith_normal_form)
     assert h1_cyclic_norm_formula(fan, hom, backend).is_trivial()
-    assert h1_finite_field_torus(LARGE_Q, 2, hom.matrix(1)).is_trivial()
+    assert h1_finite_field_torus(LARGE_Q, 2, hom.matrix).is_trivial()
     assert factored == []
     c = backend.mult_order
     assert len(bases) == 6
@@ -1025,12 +1025,12 @@ def test_closed_forms_match_their_subquotient_references(backend):
     for name in CLOSED_FORM_FAN_NAMES:
         fan = named_fan(name)
         for cls in enumerate_hom_classes(backend.group, automorphism_group(fan)):
-            s = cls.matrix(1)
+            s = cls.matrix
             if backend is REAL:
                 expected = _subquotient_h1_real_involution(s)
                 assert h1_real_involution(s) == expected
             else:
-                e = cls.group.order // len(cls.kernel)
+                e = cls.order
                 expected = _subquotient_h1_finite_field_torus(backend.q, e, s)
                 assert cohomology._h1_finite_field_torus(backend.q, e, s) == expected
             assert classify.hom_class_h1(fan, cls, backend) == expected
@@ -1071,7 +1071,7 @@ def test_involution_formula_counts_the_sign_blocks(case):
 _WRONG_BASIS_SCRIPT = """
 from toricforms import classify, cohomology
 from toricforms.exact_linalg import IntMatrix
-from toricforms.galois import FiniteFieldBackend, GroupSpec
+from toricforms.galois import FiniteFieldBackend
 
 # the identity is a basis of Z^n, not of the image of the matrix given
 cohomology.basis_mod = lambda gens, modulus: IntMatrix.identity(gens.nrows)
@@ -1079,7 +1079,7 @@ swap = IntMatrix.from_rows([[0, 1], [1, 0]])
 fan = classify.builtin_fan("projective:1")
 for call in (
     lambda: cohomology.h1_finite_field_torus(3, 2, swap),
-    lambda: classify.classify_fan(fan, GroupSpec.cyclic(2), FiniteFieldBackend(3, 2)),
+    lambda: classify.classify_fan(fan, FiniteFieldBackend(3, 2)),
 ):
     try:
         print("returned", call())

@@ -937,6 +937,9 @@ for call in (
     lambda: smith_normal_form([[1, 2]]),
     lambda: smith_normal_form(IntMatrix.from_rows([[2.9, 0], [0, 1]])),
     lambda: smith_normal_form(IntMatrix(((2.9, 0), (0, 1)))),
+    lambda: IntMatrix(((1.5, 2), (0, 1))),
+    lambda: IntMatrix.diagonal([1.5, 2]),
+    lambda: b.scaled(1.5),
     lambda: IntMatrix.from_rows([[1, True]]),
     lambda: IntMatrix.from_cols([(1, 0), ("2", 1)]),
 ):
@@ -969,7 +972,10 @@ ValueError factors must be >= 0, got [-3, 2]
 returned Z/2 + Z/2
 TypeError m must be an IntMatrix, got list
 TypeError rows must have int entries, got float 2.9
-TypeError m must have int entries, got float 2.9
+TypeError rows must have int entries, got float 2.9
+TypeError rows must have int entries, got float 1.5
+TypeError rows must have int entries, got float 1.5
+TypeError c must be an int, got float 1.5
 TypeError rows must have int entries, got bool True
 TypeError cols must have int entries, got str '2'
 """
@@ -979,10 +985,12 @@ def test_shape_preconditions_survive_optimized_mode():
     """`IntMatrix` and `FGAbelianGroup` are exported: a product, sum, stack,
     power or determinant of ill-shaped matrices raises ValueError naming both
     shapes (or k); lattice operations and group constructors raise ValueError
-    naming the bad argument, and a Smith form of a non-matrix, or of a bare
-    `IntMatrix` holding a float, raises TypeError naming `m`.  The checked constructors refuse any entry that is
-    not exactly an int, naming their argument, where they used to truncate
-    2.9 to 2 and take True as 1.  All of it holds under python -O, where an
+    naming the bad argument, and a Smith form of a non-matrix raises
+    TypeError naming `m`.  Every constructor, the bare `IntMatrix(rows)` and
+    `diagonal` included, refuses any entry that is not exactly an int,
+    naming its argument, where they used to truncate 2.9 to 2, take True as
+    1, or keep 1.5 as it is; `scaled` refuses a factor that is not an int.
+    All of it holds under python -O, where an
     assert would let `[1 2] @ [1 2]` return `[1 2]`, a short hstack truncate
     silently and `FGAbelianGroup(0, (3, 2))` pass as a group unequal to Z/6.
     Subquotients take dependent ambient generators there too."""
@@ -1119,7 +1127,7 @@ def test_classify_fan_factors_each_matrix_once(count_decompositions):
     fan = _fresh_builtin("surface:C6")
     validate_fan(fan)
     count_decompositions.clear()  # validation is not the subject
-    report = classify_fan(fan, be.group, be)
+    report = classify_fan(fan, be)
     assert report.total is not None
     # every H^1 over F_q is trivial (Lang), so each of the 5 nontrivial
     # classes has a subquotient of index 1, read off the triangular bases
@@ -1142,7 +1150,7 @@ def test_classify_fan_factors_only_cocharacter_sized_matrices(count_decompositio
         fan = _fresh_builtin(name)
         validate_fan(fan)
         count_decompositions.clear()
-        classify_fan(fan, backend.group, backend)
+        classify_fan(fan, backend)
         cells = [m.nrows * m.ncols for m in count_decompositions]
         assert max(cells, default=0) <= 2 * fan.rank**2, name
 
@@ -1195,7 +1203,7 @@ def test_second_classification_factors_no_cone_or_ray_matrix(count_decomposition
     assert not cones & set(count_decompositions)
     count_decompositions.clear()
     assert _norm_route_values(fan, be) == first
-    report = classify_fan(fan, be.group, be)
+    report = classify_fan(fan, be)
     assert [entry.value for entry in report.entries] == first
     assert fan.ray_rows not in count_decompositions
     assert not cones & set(count_decompositions)

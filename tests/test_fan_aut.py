@@ -44,7 +44,7 @@ from toricforms.fans import (
     surface_blowup,
     validate_fan,
 )
-from toricforms.galois import GroupSpec, RealComplexBackend
+from toricforms.galois import RealComplexBackend
 
 from test_exact_linalg import rational_solve
 from test_fans import (
@@ -734,7 +734,7 @@ def test_a_fan_and_its_kept_group_are_freed_without_the_collector():
     fan_ref = weakref.ref(fan)
     gc.disable()
     try:
-        report = classify_fan(fan, GroupSpec.cyclic(2), RealComplexBackend())
+        report = classify_fan(fan, RealComplexBackend())
         group_ref = weakref.ref(automorphism_group(fan))
         assert report.entries and group_ref() is not None
         del fan, report
@@ -755,7 +755,7 @@ def test_the_symmetry_search_leaves_no_reference_cycle():
     try:
         automorphism_group(_fresh(base))
         assert gc.collect() == 0
-        classify_fan(_fresh(base), GroupSpec.cyclic(2), RealComplexBackend())
+        classify_fan(_fresh(base), RealComplexBackend())
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -40,15 +40,16 @@ from toricforms.galois import (
 
 from table_groups import TableGroup, hom_classes, orbit_stabilizer, reduce_kernel
 from test_fan_aut import REFERENCE_FAN_NAMES as AUT_REFERENCE_FAN_NAMES
-from test_fans import HEXAGON, P1, P1XP1, P2, named_fan
+from test_fans import HEXAGON, P1, P1XP1, P2, PRODUCT_FAN_NAMES, named_fan
 
 
 def _coset_representatives(hom, orbit) -> dict[int, int]:
     """For each ray in the orbit, the least group element moving its minimal ray there."""
-    rep = min(orbit)
+    ray = min(orbit)
     out: dict[int, int] = {}
     for g in range(hom.group.order):
-        out.setdefault(hom.ray_permutation(g)[rep], g)
+        out.setdefault(ray, g)
+        ray = hom.ray_permutation[ray]
     assert sorted(out) == sorted(orbit)
     return out
 
@@ -116,12 +117,12 @@ def test_backend_validation_survives_optimized_mode():
         "             lambda: GroupSpec.cyclic(0), lambda: GroupSpec(MAX_GROUP_ORDER + 1),\n"
         "             lambda: h1_finite_field_torus(6, 2, I1),\n"
         "             lambda: h1_finite_field_torus(2, 0, I1),\n"
-        "             lambda: FiniteModule(C2, (5,), (I1, M([[2]]))),\n"
-        "             lambda: FiniteModule(C2, (0,), (I1, I1)),\n"
+        "             lambda: FiniteModule(C2, (5,), M([[2]])),\n"
+        "             lambda: FiniteModule(C2, (0,), I1),\n"
         "             lambda: FiniteModule(C2, (5,), (I1,)),\n"
-        "             lambda: FiniteModule(C2, (5,), (I1, M([[1, 0]]))),\n"
-        "             lambda: FiniteModule(C2, (5,), (M([[-1]]), I1)),\n"
-        "             lambda: FiniteModule(C2, (2, 3), (IntMatrix.identity(2), swap)),\n"
+        "             lambda: FiniteModule(C2, (5,), M([[1, 0]])),\n"
+        "             lambda: FiniteModule(C2, (1, 5), M([[0, 0], [0, 2]])),\n"
+        "             lambda: FiniteModule(C2, (2, 3), swap),\n"
         "             lambda: IntMatrix.from_rows([[1, 2], [3]]),\n"
         "             lambda: SymbolicBrauerBackend.from_json('{\"Q\": {}}', 2),\n"
         "             lambda: SymbolicBrauerBackend(2, (1,), ()),\n"
@@ -144,7 +145,8 @@ def test_backend_validation_survives_optimized_mode():
         "             lambda: involution_type(M([[1, 0, 0], [0, 1, 0]])),\n"
         "             lambda: enumerate_hom_classes(C2, None),\n"
         "             lambda: enumerate_hom_classes(None, P1_AUT),\n"
-        "             lambda: FiniteModule(C2, (5,), (I1, M([[-1]])))):\n"
+        "             lambda: FiniteModule(C2, (1, 5), M([[7, 0], [0, -1]])),\n"
+        "             lambda: FiniteModule(C2, (5,), M([[-1]]))):\n"
         "    try:\n"
         "        make()\n"
         "    except (TypeError, ValueError) as exc:\n"
@@ -170,9 +172,9 @@ def test_backend_validation_survives_optimized_mode():
         "ValueError finite-field torus needs degree d >= 1, got d=0",
         "ValueError action is not a homomorphism",
         "ValueError moduli must be at least 1, got (0,)",
-        "ValueError 1 action matrices for a group of order 2",
+        "TypeError sigma must be an IntMatrix, got tuple",
         "ValueError action matrix of shape (1, 2), expected (1, 1)",
-        "ValueError group element 0 must act as the identity",
+        "ValueError action is not a homomorphism",
         "ValueError action matrix [0 1; 1 0] does not descend to the moduli (2, 3)",
         "ValueError ragged rows: [1, 2]",
         "ValueError symbolic backend JSON: missing key 'invariant_factors'",
@@ -196,6 +198,7 @@ def test_backend_validation_survives_optimized_mode():
         "NotInvolution matrix [1 0 0; 0 1 0] is not an involution",
         "TypeError aut must be a FanAutGroup, got NoneType",
         "TypeError group must be a GroupSpec, got NoneType",
+        "accepted",
         "accepted",
     ]
 
@@ -227,7 +230,8 @@ def test_hom_classes_c2_into_p1():
     assert sum(c.is_trivial for c in classes) == 1
     swap = next(c for c in classes if not c.is_trivial)
     assert swap.is_injective
-    assert swap.matrix(1) == IntMatrix.from_rows([[-1]])
+    assert swap.matrix == IntMatrix.from_rows([[-1]])
+    assert (swap.order, swap.is_trivial) == (2, False)
     assert swap.ray_orbits == ((0, 1),)
     assert orbit_stabilizer(swap, (0, 1)) == frozenset({0})
     assert _coset_representatives(swap, (0, 1)) == {0: 0, 1: 1}
@@ -249,7 +253,7 @@ def test_hom_classes_c4_into_square():
     injective = [c for c in classes if c.is_injective]
     assert len(injective) == 1
     rot = injective[0]
-    assert rot.matrix(1).power(4) == IntMatrix.identity(2)
+    assert rot.order == 4 and rot.matrix.power(2) != IntMatrix.identity(2)
     assert rot.ray_orbits == ((0, 1, 2, 3),)
     assert orbit_stabilizer(rot, (0, 1, 2, 3)) == frozenset({0})
 
@@ -285,63 +289,70 @@ def test_orbit_stabilizer_has_group_order_over_orbit_length(group):
                 assert len(orbit_stabilizer(hom, orbit)) == group.order // len(orbit)
 
 
-REFERENCE_FAN_NAMES = list(BUILTIN_NAMES) + [f"projective:{n}" for n in range(1, 5)]
+#: every builtin fan, and every fan of the benchmark's high-rank workload
+REFERENCE_FAN_NAMES = (
+    list(BUILTIN_NAMES) + [f"projective:{n}" for n in range(1, 5)] + list(PRODUCT_FAN_NAMES)
+)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 8, 12])
+@pytest.mark.parametrize("d", range(1, 13))
 def test_hom_classes_match_table_reference(d):
     """The conjugacy-class enumeration against the table-group route that
     extends generator images along the Cayley graph: the same classes in
-    the same order, with the same kernel reductions and ray orbits."""
+    the same order, each with the reference's image of the generator (of 0
+    when d = 1), the order d / |kernel| and the same orbit size, kernel
+    reduction and ray orbits."""
     group, table = GroupSpec.cyclic(d), TableGroup.cyclic(d)
     for name in REFERENCE_FAN_NAMES:
-        aut = automorphism_group(builtin_fan(name))
+        aut = automorphism_group(named_fan(name))
         got, want = enumerate_hom_classes(group, aut), hom_classes(table, aut)
-        assert [(c.images, c.orbit_size) for c in got] == [
-            (c.images, c.orbit_size) for c in want
+        assert [(c.generator, c.order, c.orbit_size) for c in got] == [
+            (c.images[1 % d], d // len(c.kernel), c.orbit_size) for c in want
         ], (name, d)
         assert sum(c.orbit_size for c in got) == sum(
             1 for h in range(aut.order) if d % aut.element_order(h) == 0
         )
         for cls, ref in zip(got, want):
             assert cls.ray_orbits == ref.ray_orbits
-            assert cls.kernel == ref.kernel
             induced = kernel_reduction(cls)
             ref_induced = reduce_kernel(ref)
-            assert induced.group == GroupSpec.cyclic(ref_induced.group.order)
-            assert induced.images == ref_induced.images and induced.is_injective
+            e = ref_induced.group.order
+            assert induced.group == GroupSpec.cyclic(e)
+            assert induced.generator == ref_induced.images[1 % e] and induced.is_injective
             assert induced.orbit_size == ref_induced.orbit_size
             assert induced.ray_orbits == cls.ray_orbits
 
 
-def reference_hom_classes(group: GroupSpec, aut) -> list[tuple[tuple[int, ...], int]]:
-    """(images, orbit size) per class: each class found by conjugating its
-    least element by every element of aut."""
-    d = group.order
+def reference_classes(aut) -> list[tuple[int, int, int]]:
+    """(least member, order, size) of every conjugacy class of aut: each
+    class found by conjugating its least element by every element of aut,
+    the order counted by multiplying up to the identity."""
     inverse = aut.inverse_indices
     seen: set[int] = set()
     out = []
     for h in range(aut.order):
-        if h in seen or d % aut.element_order(h):
+        if h in seen:
             continue
         conjugates = {aut.mult_index(aut.mult_index(c, h), inverse[c]) for c in range(aut.order)}
         seen |= conjugates
-        powers = [aut.identity_index]
-        for _ in range(d - 1):
-            powers.append(aut.mult_index(powers[-1], h))
-        out.append((tuple(powers), len(conjugates)))
+        order, power = 1, h
+        while power != aut.identity_index:
+            order, power = order + 1, aut.mult_index(power, h)
+        out.append((h, order, len(conjugates)))
     return out
 
 
 @pytest.mark.parametrize("name", AUT_REFERENCE_FAN_NAMES)
 def test_hom_classes_are_generator_orbits(name):
     """Conjugacy classes as orbits under the generators, against conjugation
-    by every element: the same classes in the same order and sizes."""
+    by every element: for each d the classes whose order divides d, in the
+    same order, with the same orders and sizes."""
     aut = automorphism_group(named_fan(name))
-    for d in (1, 2, 3, 4, 6):
-        group = GroupSpec.cyclic(d)
-        got = [(c.images, c.orbit_size) for c in enumerate_hom_classes(group, aut)]
-        assert got == reference_hom_classes(group, aut), d
+    reference = reference_classes(aut)
+    for d in range(1, 13):
+        classes = enumerate_hom_classes(GroupSpec.cyclic(d), aut)
+        got = [(c.generator, c.order, c.orbit_size) for c in classes]
+        assert got == [c for c in reference if d % c[1] == 0], d
 
 
 def test_hom_enumeration_refuses_large_groups_before_listing_images(monkeypatch):
@@ -384,13 +395,13 @@ def test_kernel_reduction():
     aut = automorphism_group(P1XP1)
     classes = enumerate_hom_classes(GroupSpec.cyclic(4), aut)
     # pick a class that factors through C2
-    factoring = [c for c in classes if len(c.kernel) == 2]
+    factoring = [c for c in classes if c.order == 2]
     assert factoring
     hom = factoring[0]
     induced = kernel_reduction(hom)
     assert induced.group.order == 2
-    assert induced.is_injective
-    assert induced.matrix(1) == hom.matrix(1)
+    assert induced.is_injective and not hom.is_injective
+    assert induced.matrix == hom.matrix
     assert induced.ray_orbits == hom.ray_orbits
 
 
@@ -399,7 +410,8 @@ def test_kernel_reduction_trivial_hom():
     trivial = next(c for c in enumerate_hom_classes(GroupSpec.cyclic(2), aut) if c.is_trivial)
     induced = kernel_reduction(trivial)
     assert induced.group.order == 1
-    assert induced.images == (trivial.images[0],)
+    assert induced.generator == trivial.generator == aut.identity_index
+    assert induced.is_trivial and induced.is_injective
 
 
 def test_finite_field_backend_validation():
