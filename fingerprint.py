@@ -110,6 +110,22 @@ INPUT_FILES = {
         "Q": {"invariant_factors": [4]},
         "images": [{"subgroup_gens": [2], "subgroup_of_Q": [[2]]}],
     },
+    # Q = (Z/2400)^5 with norm images whose integer Smith forms blow up
+    "N.json": {
+        "Q": {"invariant_factors": [2400, 2400, 2400, 2400, 2400]},
+        "images": [
+            {
+                "subgroup_gens": [2],
+                "subgroup_of_Q": [
+                    [-594, -1822, 445, -1616, -2351],
+                    [-464, 1633, -1412, 427, 1742],
+                    [282, 467, -77, 758, 479],
+                    [-736, 292, -237, 210, -9],
+                    [54, 398, -751, 294, 71],
+                ],
+            }
+        ],
+    },
 }
 
 
@@ -132,6 +148,10 @@ EDGE_OPS: dict[str, tuple[str, ...]] = {
     "edge classify projective 3 symbolic Z/4": (
         "classify", "projective", "-n", "3",
         "--backend", f"symbolic:{_file('z4.json')}", "--group", "cyclic:4", "--json",
+    ),
+    "edge classify projective 3 symbolic large images": (
+        "classify", "projective", "-n", "3",
+        "--backend", f"symbolic:{_file('N.json')}", "--group", "cyclic:4", "--json",
     ),
     "edge fan aut projective:8 budget": ("fan", "aut", "--builtin", "projective:8"),
     "edge oracle torsion fan ff:2,2": (

@@ -7,14 +7,15 @@ All computations are exact.  The module implements:
   classification of Z[C_2]-lattices gives H^1 = (Z/2)^b with
   b = (n - tr s) / 2 - rank over F_2 of (1 + s);
 * the kernel-of-norm / image-of-(Frobenius - 1) computation for tori over
-  finite fields, which compares the orders of the two groups, each read
-  off one `basis_mod` diagonal: they agree, since H^1 is trivial by Lang's
+  finite fields, which compares the orders of the two groups, each an
+  `index_mod` mod q^d - 1: they agree, since H^1 is trivial by Lang's
   theorem, and a disagreement raises LangViolated;
 * the norm-formula route for cyclic Galois groups, which works on the fan's
   ray coordinates and never touches the cocharacter action directly: over
   R it is one subquotient of Z^rays read off the class-group presentation
   Cl = Z^rays / (ray coordinates), over finite fields the fixed points
-  modulo norms Y^G / N Y of Y = Hom(Cl, K*) inside (K*)^rays, mod q^d - 1;
+  modulo norms Y^G / N Y of Y = Hom(Cl, K*) inside (K*)^rays, one
+  `quotient_mod` mod q^d - 1;
 * a literal cocycle brute force over finite modules.
 
 `classify` reports the first two, on the rank x rank cocharacter matrix,
@@ -39,10 +40,11 @@ from .exact_linalg import (
     IntMatrix,
     basis_mod,
     congruence_kernel,
+    index_mod,
     kernel_basis,
     lattice_subquotient,
+    quotient_mod,
     rank_mod_2,
-    triangular_subquotient,
 )
 from .fan_aut import _check_involution, _cycles
 from .fans import Fan, TooLarge, class_group, degree_data
@@ -211,11 +213,11 @@ def _h1_finite_field_quotient_presentation(
     With B the rays x orbits matrix of these generators, the numerator is
     B K + c Z^rays for K the congruence kernel of R B mod c.
 
-    Both lattices contain c Z^rays, so both bases are kept in the bounded
-    triangular form of `basis_mod`, no entry above c: the kernels come
-    from `congruence_kernel`, B K and the norms are reduced mod c, and
-    `triangular_subquotient` divides the two with no Smith form unless the
-    quotient is nontrivial.
+    Both lattices contain c Z^rays, so every step runs mod c and no entry
+    exceeds c: the kernels come from `congruence_kernel`, B K and the
+    norms are reduced mod c, and `quotient_mod` divides the two, checking
+    that the norms lie in the fixed lattice, with no Smith form: the
+    quotient is trivial by Lang's theorem.
     """
     q = backend.q
     c = backend.mult_order
@@ -229,8 +231,7 @@ def _h1_finite_field_quotient_presentation(
         norms = tuple(
             tuple((y + q * x) % c for y, x in zip(row, moved[i])) for i, row in enumerate(y_rows)
         )
-    denominator = basis_mod(IntMatrix._trusted(norms, fan.num_rays), c)
-    return triangular_subquotient(fixed_lattice, denominator)
+    return quotient_mod(fixed_lattice, IntMatrix._trusted(norms, fan.num_rays), c)
 
 
 def _fixed_ray_lattice(fan: Fan, perm: Sequence[int], q: int, c: int) -> IntMatrix:
@@ -644,27 +645,23 @@ def _h1_finite_field_torus(q: int, d: int, s: IntMatrix) -> FGAbelianGroup:
 
     Modulo c = q^d - 1, sigma^d = q^d s^d = 1, so N (sigma - 1) = sigma^d - 1
     is zero and im(sigma - 1) lies in ker N: H^1 is trivial exactly when the
-    two have one order.  Each order is read off one `basis_mod` diagonal:
-    for a matrix A, im A + c Z^n has index prod diag basis_mod(A, c) in Z^n,
-    so A's image in (Z/c)^n has c^n / prod diag elements and its kernel
-    prod diag.  Lang's theorem (Amer. J. Math. 78, 1956) makes every torus
-    over a finite field have trivial H^1, so unequal orders are a fault in
-    the arithmetic: LangViolated, also under python -O.
+    two have one order.  Each order is read off one `index_mod`: for a
+    matrix A, A's image in (Z/c)^n has c^n / index_mod(A, c) elements and
+    its kernel index_mod(A, c).  Lang's theorem (Amer. J. Math. 78, 1956)
+    makes every torus over a finite field have trivial H^1, so unequal
+    orders are a fault in the arithmetic: LangViolated, also under
+    python -O.
     """
     c = q**d - 1
     n = s.nrows
     ident = IntMatrix.identity(n)
     sigma = s.scaled(q)
     norm_op = reduce(lambda acc, _: acc @ sigma + ident, range(d - 1), ident)
-    kernel_order = _diagonal_product(basis_mod(norm_op, c))
-    image_index = _diagonal_product(basis_mod(sigma - ident, c))
+    kernel_order = index_mod(norm_op, c)
+    image_index = index_mod(sigma - ident, c)
     if kernel_order * image_index != c**n:
         raise LangViolated(
             f"q = {q}, d = {d}: |ker N| = {kernel_order} differs from"
             f" |im(sigma - 1)| = {c**n // image_index}"
         )
     return FGAbelianGroup.trivial()
-
-
-def _diagonal_product(basis: IntMatrix) -> int:
-    return math.prod(row[i] for i, row in enumerate(basis.rows))

@@ -8,9 +8,10 @@ normal form with unimodular transform witnesses:
 kernels, saturations, cokernel presentations and subquotients of integer
 lattices, plus a canonical value type for finitely generated abelian
 groups.  Lattices that contain c Z^n are handled mod c instead, in the
-triangular form of `basis_mod`: congruence kernels and subquotients of
-such bases take no Smith form unless the quotient is nontrivial, and then
-only of a matrix with entries below its order.
+triangular form of `basis_mod`, whose entries stay below c: their indices
+(`index_mod`), congruence kernels, intersections (`intersection_mod`) and
+quotients (`quotient_mod`).  A quotient takes no Smith form unless it is
+nontrivial, and then only of two such bases.
 """
 
 from __future__ import annotations
@@ -619,17 +620,6 @@ def lattice_subquotient(sup_gens: IntMatrix, sub_gens: IntMatrix) -> FGAbelianGr
     return cokernel_presentation(IntMatrix._trusted(tuple(y), sub_gens.ncols))
 
 
-def lattice_intersection(gens_a: IntMatrix, gens_b: IntMatrix) -> IntMatrix:
-    """Generators (as columns) of the intersection of the two column-span
-    lattices: a @ s for (s, t) over a basis of the integer kernel of [a | -b]."""
-    if gens_a.nrows != gens_b.nrows:
-        raise ValueError(
-            f"gens_b must have the {gens_a.nrows} rows of gens_a, got shape {gens_b.shape}"
-        )
-    k = kernel_basis(gens_a.hstack(-gens_b))
-    return gens_a @ IntMatrix._trusted(k.rows[: gens_a.ncols], k.ncols)
-
-
 def basis_mod(gens: IntMatrix, modulus: int) -> IntMatrix:
     """Triangular basis of the lattice spanned by gens plus modulus * Z^nrows.
 
@@ -706,49 +696,51 @@ def congruence_kernel(m: IntMatrix, modulus: int) -> IntMatrix:
     return IntMatrix._trusted(tuple(row[k:] for row in x_rows), n)
 
 
-def triangular_subquotient(sup: IntMatrix, sub: IntMatrix) -> FGAbelianGroup:
-    """Quotient of the lattice with basis `sup` by its sublattice with basis
-    `sub`, both square lower triangular with positive diagonals, as
-    `basis_mod` returns them.
+def _diagonal_product(basis: IntMatrix) -> int:
+    return math.prod(row[i] for i, row in enumerate(basis.rows))
 
-    The coordinates y of sub in sup (sup @ y == sub) come from forward
-    substitution with exact division; a column that does not divide is not
-    in the lattice, and raises MembershipError naming the first such
-    column.  y is lower triangular, so the quotient has order
-    D = prod diag(sub) / prod diag(sup) = det y.  It is trivial when D = 1;
-    otherwise a group of order D is killed by D, so D Z^n lies in y Z^n and
-    the quotient is the cokernel of `basis_mod(y, D)`, whose entries stay
-    below D.  y itself is exact and may have entries above those of either
-    basis.  Raises ValueError unless both bases have that shape.
+
+def index_mod(gens: IntMatrix, modulus: int) -> int:
+    """[Z^nrows : im gens + modulus Z^nrows], the product of the diagonal of
+    `basis_mod(gens, modulus)`; it divides modulus^nrows."""
+    return _diagonal_product(basis_mod(gens, modulus))
+
+
+def intersection_mod(a: IntMatrix, b: IntMatrix, modulus: int) -> IntMatrix:
+    """Basis, in the form of `basis_mod`, of the intersection of
+    im a + c Z^n and im b + c Z^n, for c = modulus.
+
+    z lies in both exactly when z = a s + c u = b t + c v, that is when
+    a s - b t == 0 (mod c), and then z - a s lies in c Z^n: the
+    intersection is a s + c Z^n over the congruence kernel (s, t) of
+    [a | -b].  Raises ValueError unless b has the rows of a.
     """
-    n = sup.nrows
-    for name, basis in (("sup", sup), ("sub", sub)):
-        rows = basis.rows
-        if basis.shape != (n, n) or any(rows[i][i] <= 0 or any(rows[i][i + 1 :]) for i in range(n)):
-            raise ValueError(
-                f"{name} must be a {n} x {n} lower-triangular basis with positive"
-                f" diagonal, got shape {basis.shape}"
-            )
-    mul = operator.mul
-    cols = []
-    for j in range(n):
-        # rows above j of sub's column j are zero, hence so are its coordinates
-        coords = [0] * n
-        for i in range(j, n):
-            row = sup.rows[i]
-            coords[i], rest = divmod(
-                sub.rows[i][j] - sum(map(mul, row[j:i], coords[j:i])), row[i]
-            )
-            if rest:
-                raise MembershipError(
-                    f"column {j} of the subgroup generators is not in the ambient lattice"
-                )
-        cols.append(coords)
-    y = IntMatrix.from_cols(cols, n)
-    assert sup @ y == sub
-    order = math.prod(cols[i][i] for i in range(n))
+    if a.nrows != b.nrows:
+        raise ValueError(f"b must have the {a.nrows} rows of a, got shape {b.shape}")
+    kernel = congruence_kernel(a.hstack(-b), modulus)
+    return basis_mod(a @ IntMatrix._trusted(kernel.rows[: a.ncols], kernel.ncols), modulus)
+
+
+def quotient_mod(sup: IntMatrix, sub: IntMatrix, modulus: int) -> FGAbelianGroup:
+    """(im sup + c Z^n) / (im sub + c Z^n), for c = modulus.
+
+    The subgroup lies in the ambient lattice exactly when adding its
+    generators leaves the ambient index unchanged; MembershipError
+    otherwise.  The quotient then has order D = index(sub) / index(sup):
+    it is trivial when D = 1, with no Smith form, and otherwise the
+    `lattice_subquotient` of the two `basis_mod` bases, whose entries lie
+    below c, certified to have order D.  Raises ValueError unless sub has
+    the rows of sup.
+    """
+    if sup.nrows != sub.nrows:
+        raise ValueError(f"sub must have the {sup.nrows} rows of sup, got shape {sub.shape}")
+    sup_basis, sub_basis = basis_mod(sup, modulus), basis_mod(sub, modulus)
+    sup_index = _diagonal_product(sup_basis)
+    if index_mod(sup_basis.hstack(sub_basis), modulus) != sup_index:
+        raise MembershipError("a column of the subgroup generators is not in the ambient lattice")
+    order = _diagonal_product(sub_basis) // sup_index
     if order == 1:
         return FGAbelianGroup.trivial()
-    result = cokernel_presentation(basis_mod(y, order))
+    result = lattice_subquotient(sup_basis, sub_basis)
     assert result.order() == order
     return result

@@ -26,13 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Any, Sequence
 
-from .exact_linalg import (
-    FGAbelianGroup,
-    IntMatrix,
-    cokernel_presentation,
-    lattice_intersection,
-    lattice_subquotient,
-)
+from .exact_linalg import FGAbelianGroup, IntMatrix, index_mod, intersection_mod, quotient_mod
 from .fan_aut import FanAutGroup, _cycles
 from .fans import TooLarge
 
@@ -269,6 +263,10 @@ class SymbolicBrauerBackend:
     only subgroup of that order) to generators (columns) of the subgroup
     (k* intersect N_{K/K^H}(K*)) / N_{K/k}(K*) of Q.  Each order is listed
     at most once.
+
+    Every lattice of norm data contains the relations diag(factors) Z^t of
+    Q, hence c Z^t for c the exponent of Q, so its containments and
+    quotients are taken mod c, every entry below c, whatever the data.
     """
 
     degree: int
@@ -298,13 +296,14 @@ class SymbolicBrauerBackend:
         # monotonicity: larger subgroup of the Galois group means a smaller
         # subfield tower step, hence a larger norm image is *not* possible:
         # ha dividing hb (H_a inside H_b) forces image(hb) inside image(ha).
-        # Z^t / big is finite, so adding gb's columns leaves the cokernel
+        # big contains c Z^t, so adding gb's columns leaves its index
         # unchanged exactly when they already lie in big.
+        c = math.lcm(*self.quotient_factors)
         for ha, ga in listed.items():
             for hb, gb in listed.items():
                 if ha != hb and hb % ha == 0:
                     big = ga.hstack(self._modulus_cols())
-                    if cokernel_presentation(big) != cokernel_presentation(big.hstack(gb)):
+                    if index_mod(big, c) != index_mod(big.hstack(gb), c):
                         raise AssumptionViolated(
                             f"norm image of the subgroup of order {hb} is not contained"
                             f" in that of the subgroup of order {ha}"
@@ -414,7 +413,8 @@ def norm_quotient(backend: FieldBackend, stabilizer_orders: Sequence[int]) -> FG
     stabilizer in the cyclic Galois group Z/d.  h divides d and names the
     subgroup, the only one of that order; its fixed field, of degree d/h
     over k, is the field of definition of that orbit's coordinate.  Raises
-    ValueError unless every order divides d.
+    ValueError unless every order divides d.  Symbolic data is intersected
+    and divided mod the exponent of Q, so no entry outgrows Q.
     """
     d = backend.group.order
     for h in stabilizer_orders:
@@ -447,10 +447,10 @@ def norm_quotient(backend: FieldBackend, stabilizer_orders: Sequence[int]) -> FG
         moduli = backend._modulus_cols()
         if t == 0:
             return FGAbelianGroup.trivial()
+        c = math.lcm(*backend.quotient_factors)
         current = IntMatrix.identity(t)
         for h in stabilizer_orders:
-            pre = backend.image_subgroup(h).hstack(moduli)
-            current = lattice_intersection(current, pre)
-        return lattice_subquotient(current, moduli)
+            current = intersection_mod(current, backend.image_subgroup(h).hstack(moduli), c)
+        return quotient_mod(current, moduli, c)
 
     raise BackendUnsupported(f"unknown backend {backend!r}")

@@ -47,9 +47,9 @@ from toricforms.exact_linalg import (
     congruence_kernel,
     kernel_basis,
     lattice_subquotient,
+    quotient_mod,
     saturation_basis,
     smith_normal_form,
-    triangular_subquotient,
 )
 from toricforms.fan_aut import NotInvolution, _check_involution, automorphism_group
 from toricforms.fans import Fan, class_group, validate_fan
@@ -66,7 +66,7 @@ from toricforms.galois import (
 )
 
 from table_groups import orbit_stabilizer
-from test_exact_linalg import congruence_kernel_basis, rational_solve
+from test_exact_linalg import congruence_kernel_basis, rational_solve, triangular_subquotient
 from test_fans import HEXAGON, P1, P1XP1, P2, PRODUCT_FAN_NAMES, named_fan, unimodular
 
 M = IntMatrix.from_rows
@@ -814,12 +814,13 @@ def _stacked_fixed_lattice(fan: Fan, hom, backend) -> IntMatrix:
 
 def _assert_orbit_fixed_lattice_is_stacked_kernel(fan: Fan, hom, backend) -> None:
     """The orbit-built fixed lattice and the stacked kernel span one lattice:
-    each lies in the other (triangular_subquotient raises MembershipError
-    when it does not)."""
-    orbit_built = _fixed_ray_lattice(fan, hom.ray_permutation, backend.q, backend.mult_order)
+    each lies in the other (quotient_mod raises MembershipError when it
+    does not)."""
+    c = backend.mult_order
+    orbit_built = _fixed_ray_lattice(fan, hom.ray_permutation, backend.q, c)
     stacked = _stacked_fixed_lattice(fan, hom, backend)
-    assert triangular_subquotient(orbit_built, stacked).is_trivial()
-    assert triangular_subquotient(stacked, orbit_built).is_trivial()
+    assert quotient_mod(orbit_built, stacked, c).is_trivial()
+    assert quotient_mod(stacked, orbit_built, c).is_trivial()
 
 
 def _assert_orbit_fixed_lattices(fan: Fan, backends) -> int:
@@ -972,7 +973,10 @@ def test_large_q_ff_routes_keep_every_entry_below_c(monkeypatch):
     assert h1_finite_field_torus(LARGE_Q, 2, hom.matrix).is_trivial()
     assert factored == []
     c = backend.mult_order
-    assert len(bases) == 6
+    # the norm route: the fixed lattice's kernel and basis, Y's kernel, and
+    # in `quotient_mod` both bases and the membership check's; the closed
+    # form: two indices
+    assert len(bases) == 8
     for basis in bases:
         for i, row in enumerate(basis.rows):
             assert c % row[i] == 0
@@ -1069,12 +1073,12 @@ def test_involution_formula_counts_the_sign_blocks(case):
 
 
 _WRONG_BASIS_SCRIPT = """
-from toricforms import classify, cohomology
+from toricforms import classify, cohomology, exact_linalg
 from toricforms.exact_linalg import IntMatrix
 from toricforms.galois import FiniteFieldBackend
 
 # the identity is a basis of Z^n, not of the image of the matrix given
-cohomology.basis_mod = lambda gens, modulus: IntMatrix.identity(gens.nrows)
+exact_linalg.basis_mod = lambda gens, modulus: IntMatrix.identity(gens.nrows)
 swap = IntMatrix.from_rows([[0, 1], [1, 0]])
 fan = classify.builtin_fan("projective:1")
 for call in (

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import operator
 import re
 import subprocess
 import sys
@@ -27,12 +28,13 @@ from toricforms.exact_linalg import (
     congruence_kernel,
     det,
     fraction_free_solve,
+    index_mod,
+    intersection_mod,
     kernel_basis,
-    lattice_intersection,
     lattice_subquotient,
+    quotient_mod,
     saturation_basis,
     smith_normal_form,
-    triangular_subquotient,
 )
 from toricforms.galois import (
     FiniteFieldBackend,
@@ -347,6 +349,19 @@ def test_lattice_subquotient_frozen():
         lattice_subquotient(i2.scaled(2), IntMatrix.from_cols([(1, 0)]))
 
 
+def lattice_intersection(gens_a: IntMatrix, gens_b: IntMatrix) -> IntMatrix:
+    """The intersection route `intersection_mod` replaced, kept as its
+    reference: generators (as columns) of the intersection of the two
+    column-span lattices, a @ s for (s, t) over a basis of the integer
+    kernel of [a | -b]."""
+    if gens_a.nrows != gens_b.nrows:
+        raise ValueError(
+            f"gens_b must have the {gens_a.nrows} rows of gens_a, got shape {gens_b.shape}"
+        )
+    k = kernel_basis(gens_a.hstack(-gens_b))
+    return gens_a @ IntMatrix(k.rows[: gens_a.ncols], k.ncols)
+
+
 def test_lattice_intersection_frozen():
     a = IntMatrix.from_cols([(2, 0), (0, 1)])
     b = IntMatrix.from_cols([(3, 0), (0, 1)])
@@ -354,6 +369,10 @@ def test_lattice_intersection_frozen():
     want = IntMatrix.from_cols([(6, 0), (0, 1)])
     assert lattice_subquotient(meet, want) == FGAbelianGroup.trivial()
     assert lattice_subquotient(want, meet) == FGAbelianGroup.trivial()
+    # mod 12 the intersection is the same lattice, in `basis_mod` form
+    assert intersection_mod(a, b, 12) == want
+    assert intersection_mod(M([[2]]), M([[3]]), 12) == M([[6]])
+    assert intersection_mod(a, IntMatrix.from_cols([], nrows=2), 12) == IntMatrix.diagonal([12, 12])
 
 
 def test_congruence_kernel():
@@ -380,6 +399,10 @@ def test_basis_mod_frozen():
     assert basis_mod(IntMatrix.from_cols([], nrows=3), 6) == IntMatrix.diagonal([6, 6, 6])
     # a unimodular generator set collapses to the identity
     assert basis_mod(M([[1, 7], [0, 1]]), 12) == IntMatrix.identity(2)
+    # the index is the diagonal product
+    assert index_mod(M([[2, 0], [0, 3]]), 12) == 6
+    assert index_mod(IntMatrix.from_cols([], nrows=2), 6) == 36
+    assert index_mod(IntMatrix.zero(0, 2), 12) == 1
 
 
 def _lattices_equal(a: IntMatrix, b: IntMatrix) -> bool:
@@ -483,24 +506,80 @@ def test_congruence_kernel_entries_bounded():
         assert all(sum(m.rows[i][k] * col[k] for k in range(4)) % 63 == 0 for i in range(2))
 
 
+def triangular_subquotient(sup: IntMatrix, sub: IntMatrix) -> FGAbelianGroup:
+    """The forward substitution `quotient_mod` replaced, kept as its second
+    reference: the quotient of the lattice with basis `sup` by its
+    sublattice with basis `sub`, both square lower triangular with positive
+    diagonals, as `basis_mod` returns them.
+
+    The coordinates y of sub in sup (sup @ y == sub) come from forward
+    substitution with exact division; a column that does not divide is not
+    in the lattice, and raises MembershipError naming the first such
+    column.  y is lower triangular, so the quotient has order
+    D = prod diag(sub) / prod diag(sup) = det y.  It is trivial when D = 1;
+    otherwise a group of order D is killed by D, so D Z^n lies in y Z^n and
+    the quotient is the cokernel of `basis_mod(y, D)`.  y itself is exact
+    and may have entries far above those of either basis.  Raises
+    ValueError unless both bases have that shape.
+    """
+    n = sup.nrows
+    for name, basis in (("sup", sup), ("sub", sub)):
+        rows = basis.rows
+        if basis.shape != (n, n) or any(rows[i][i] <= 0 or any(rows[i][i + 1 :]) for i in range(n)):
+            raise ValueError(
+                f"{name} must be a {n} x {n} lower-triangular basis with positive"
+                f" diagonal, got shape {basis.shape}"
+            )
+    cols = []
+    for j in range(n):
+        # rows above j of sub's column j are zero, hence so are its coordinates
+        coords = [0] * n
+        for i in range(j, n):
+            row = sup.rows[i]
+            coords[i], rest = divmod(
+                sub.rows[i][j] - sum(map(operator.mul, row[j:i], coords[j:i])), row[i]
+            )
+            if rest:
+                raise MembershipError(
+                    f"column {j} of the subgroup generators is not in the ambient lattice"
+                )
+        cols.append(coords)
+    y = IntMatrix.from_cols(cols, n)
+    assert sup @ y == sub
+    order = math.prod(cols[i][i] for i in range(n))
+    if order == 1:
+        return FGAbelianGroup.trivial()
+    result = cokernel_presentation(basis_mod(y, order))
+    assert result.order() == order
+    return result
+
+
 def test_triangular_subquotient_frozen():
+    """The substitution and `quotient_mod` (mod 12) on the same bases."""
     i2 = IntMatrix.identity(2)
-    assert triangular_subquotient(i2, M([[2, 0], [1, 6]])) == FGAbelianGroup.cyclic(12)
-    assert triangular_subquotient(i2, M([[2, 0], [0, 6]])) == FGAbelianGroup.from_factors([2, 6])
-    assert triangular_subquotient(M([[2, 0], [1, 3]]), M([[2, 0], [1, 3]])).is_trivial()
-    assert triangular_subquotient(IntMatrix.zero(0, 0), IntMatrix.zero(0, 0)).is_trivial()
-    # columns 1 and 2 are not in Z + 2Z + 2Z; column 1 is named
+    for subquotient in (triangular_subquotient, lambda sup, sub: quotient_mod(sup, sub, 12)):
+        assert subquotient(i2, M([[2, 0], [1, 6]])) == FGAbelianGroup.cyclic(12)
+        assert subquotient(i2, M([[2, 0], [0, 6]])) == FGAbelianGroup.from_factors([2, 6])
+        assert subquotient(M([[2, 0], [1, 3]]), M([[2, 0], [1, 3]])).is_trivial()
+        assert subquotient(IntMatrix.zero(0, 0), IntMatrix.zero(0, 0)).is_trivial()
+    # columns 1 and 2 are not in Z + 2Z + 2Z; the substitution names column 1
     with pytest.raises(MembershipError, match="^column 1 "):
         triangular_subquotient(IntMatrix.diagonal([1, 2, 2]), IntMatrix.identity(3))
+    with pytest.raises(MembershipError):
+        quotient_mod(IntMatrix.diagonal([1, 2, 2]), IntMatrix.identity(3), 12)
+    # generators, not bases: 2 and 3 span Z; no subgroup generators leave Z^2 / 4 Z^2
+    assert quotient_mod(M([[2, 3]]), M([[1]]), 12).is_trivial()
+    assert quotient_mod(i2, IntMatrix.from_cols([], nrows=2), 4) == FGAbelianGroup(0, (4, 4))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 4), st.sampled_from([1, 2, 12, 63, 728]), st.data())
 def test_triangular_subquotient_matches_smith_route(n, modulus, data):
-    """On random `basis_mod` lattices sup and sub, with sub built from
-    members of sup and sometimes one arbitrary column, the substitution
-    route gives the group `lattice_subquotient` gives, or raises the same
-    MembershipError."""
+    """On random generators of sup and sub, with sub built from members of
+    sup and sometimes one arbitrary column, `quotient_mod` gives the group
+    that `lattice_subquotient` and the forward substitution
+    `triangular_subquotient` give on their `basis_mod` bases, or raises
+    MembershipError as both do."""
     entries = st.integers(-30, 30)
 
     def gens(ncols: int) -> IntMatrix:
@@ -508,7 +587,8 @@ def test_triangular_subquotient_matches_smith_route(n, modulus, data):
             [[data.draw(entries) for _ in range(ncols)] for _ in range(n)], ncols=ncols
         )
 
-    sup = basis_mod(gens(data.draw(st.integers(0, n + 1))), modulus)
+    sup_gens = gens(data.draw(st.integers(0, n + 1)))
+    sup = basis_mod(sup_gens, modulus)
     members = sup @ gens(data.draw(st.integers(0, n + 1)))
     if members.ncols and data.draw(st.booleans()):
         cols = members.cols()
@@ -522,8 +602,34 @@ def test_triangular_subquotient_matches_smith_route(n, modulus, data):
     except MembershipError as exc:
         with pytest.raises(MembershipError, match=f"^{re.escape(str(exc))}$"):
             triangular_subquotient(sup, sub)
+        with pytest.raises(MembershipError):
+            quotient_mod(sup_gens, members, modulus)
     else:
+        assert quotient_mod(sup_gens, members, modulus) == want
         assert triangular_subquotient(sup, sub) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4), st.sampled_from([1, 2, 12, 63, 728]), st.data())
+def test_intersection_mod_matches_smith_route(n, modulus, data):
+    """On random generators a and b, `intersection_mod` spans the lattice
+    that `lattice_intersection` gives on im a + c Z^n and im b + c Z^n."""
+    entries = st.integers(-30, 30)
+
+    def gens() -> IntMatrix:
+        ncols = data.draw(st.integers(0, n + 1))
+        return IntMatrix.from_rows(
+            [[data.draw(entries) for _ in range(ncols)] for _ in range(n)], ncols=ncols
+        )
+
+    slack = IntMatrix.diagonal([modulus] * n)
+    a, b = gens(), gens()
+    meet = intersection_mod(a, b, modulus)
+    want = lattice_intersection(a.hstack(slack), b.hstack(slack))
+    assert all(0 <= x <= modulus for row in meet.rows for x in row)
+    assert index_mod(meet, modulus) == index_mod(want, modulus)
+    assert quotient_mod(meet, want, modulus).is_trivial()
+    assert quotient_mod(want, meet, modulus).is_trivial()
 
 
 # --- abelian group canonical form ------------------------------------------
@@ -907,7 +1013,7 @@ def test_matmul_degenerate_shapes():
 _SHAPE_SCRIPT = """
 from toricforms.exact_linalg import (
     FGAbelianGroup, IntMatrix, basis_mod, congruence_kernel, det, fraction_free_solve,
-    lattice_intersection, lattice_subquotient, smith_normal_form, triangular_subquotient,
+    intersection_mod, lattice_subquotient, quotient_mod, smith_normal_form,
 )
 
 a, b = IntMatrix.from_rows([[1, 2]]), IntMatrix.from_rows([[1, 2], [3, 4]])
@@ -923,10 +1029,10 @@ for call in (
     lambda: det(a),
     lambda: basis_mod(b, 0),
     lambda: congruence_kernel(b, 0),
-    lambda: triangular_subquotient(b, IntMatrix.identity(2)),
-    lambda: triangular_subquotient(IntMatrix.identity(2), a),
+    lambda: quotient_mod(b, IntMatrix.identity(2), 0),
+    lambda: quotient_mod(IntMatrix.identity(2), a, 6),
     lambda: fraction_free_solve(b, a),
-    lambda: lattice_intersection(b, a),
+    lambda: intersection_mod(b, a, 6),
     lambda: FGAbelianGroup(0, (3, 2)),
     lambda: FGAbelianGroup(-1, (1,)),
     lambda: FGAbelianGroup.cyclic(-2),
@@ -961,10 +1067,10 @@ ValueError k must be >= 0, got -1
 ValueError det of a non-square (1, 2) matrix
 ValueError modulus must be >= 1, got 0
 ValueError modulus must be >= 1, got 0
-ValueError sup must be a 2 x 2 lower-triangular basis with positive diagonal, got shape (2, 2)
-ValueError sub must be a 2 x 2 lower-triangular basis with positive diagonal, got shape (1, 2)
+ValueError modulus must be >= 1, got 0
+ValueError sub must have the 2 rows of sup, got shape (1, 2)
 ValueError b must have the 2 rows of a, got shape (1, 2)
-ValueError gens_b must have the 2 rows of gens_a, got shape (1, 2)
+ValueError b must have the 2 rows of a, got shape (1, 2)
 ValueError invariant_factors must be >= 2, each dividing the next, got (3, 2)
 ValueError free_rank must be >= 0, got -1
 ValueError n must be >= 1, got -2

@@ -11,14 +11,18 @@ from pathlib import Path
 from typing import Sequence
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toricforms
+from toricforms import cli
 from toricforms.classify import BUILTIN_NAMES, builtin_fan
 from toricforms.exact_linalg import (
     FGAbelianGroup,
     IntMatrix,
-    lattice_intersection,
+    cokernel_presentation,
     lattice_subquotient,
+    smith_normal_form,
 )
 from toricforms.fan_aut import automorphism_group
 from toricforms.galois import (
@@ -41,6 +45,7 @@ from toricforms.galois import (
 from table_groups import TableGroup, hom_classes, orbit_stabilizer, reduce_kernel
 from test_fan_aut import REFERENCE_FAN_NAMES as AUT_REFERENCE_FAN_NAMES
 from test_fans import HEXAGON, P1, P1XP1, P2, PRODUCT_FAN_NAMES, named_fan
+from test_exact_linalg import lattice_intersection
 
 
 def _coset_representatives(hom, orbit) -> dict[int, int]:
@@ -654,6 +659,136 @@ def test_symbolic_monotonicity_enforced():
         else:
             with pytest.raises(AssumptionViolated, match="not contained"):
                 SymbolicBrauerBackend(4, (4,), images)
+
+
+def _norm_quotient_by_smith_forms(backend: SymbolicBrauerBackend, orders) -> FGAbelianGroup:
+    """The symbolic `norm_quotient` before it worked mod the exponent of Q,
+    kept as its reference: exact intersections by `lattice_intersection`
+    and one `lattice_subquotient`, all by integer Smith forms."""
+    t = len(backend.quotient_factors)
+    if t == 0:
+        return FGAbelianGroup.trivial()
+    moduli = IntMatrix.diagonal(list(backend.quotient_factors))
+    current = IntMatrix.identity(t)
+    for h in orders:
+        current = lattice_intersection(current, backend.image_subgroup(h).hstack(moduli))
+    return lattice_subquotient(current, moduli)
+
+
+def _monotone_by_cokernels(factors, images) -> bool:
+    """The monotonicity check before it compared indices mod the exponent
+    of Q, kept as its reference: for ha dividing hb, adding image(hb) to
+    image(ha) + diag(Q) leaves the cokernel unchanged."""
+    moduli = IntMatrix.diagonal(list(factors))
+    for ha, ga in images:
+        for hb, gb in images:
+            if ha != hb and hb % ha == 0:
+                big = ga.hstack(moduli)
+                if cokernel_presentation(big) != cokernel_presentation(big.hstack(gb)):
+                    return False
+    return True
+
+
+@st.composite
+def _symbolic_data(draw):
+    """(degree, factors, images) with t <= 3 factors in 2..30 and image
+    entries of absolute value at most 50, the listed orders drawn from the
+    divisors of d in {2, 4, 6}.  Nested data, image(h) = h G for one G,
+    satisfies monotonicity; free data draws each image on its own."""
+    d = draw(st.sampled_from([2, 4, 6]))
+    t = draw(st.integers(0, 3))
+    factors = tuple(draw(st.lists(st.integers(2, 30), min_size=t, max_size=t)))
+    entries = st.integers(-50, 50)
+
+    def matrix() -> IntMatrix:
+        ncols = draw(st.integers(0, 3))
+        return IntMatrix.from_rows(
+            [[draw(entries) for _ in range(ncols)] for _ in range(t)], ncols=ncols
+        )
+
+    orders = draw(st.lists(st.sampled_from([h for h in range(1, d + 1) if d % h == 0]), unique=True))
+    if draw(st.booleans()):
+        g = matrix()
+        images = tuple((h, g.scaled(h)) for h in orders)
+    else:
+        images = tuple((h, matrix()) for h in orders)
+    return d, factors, images
+
+
+@settings(max_examples=150, deadline=None)
+@given(_symbolic_data())
+def test_symbolic_mod_c_routes_match_smith_form_references(data):
+    """On random symbolic backends, the monotonicity verdict read off
+    `index_mod` is the cokernel comparison's, and `norm_quotient` mod the
+    exponent of Q is the group the exact Smith-form route gives, on every
+    multiset of at most two stabilizer orders.  A third exact intersection
+    can already outgrow any time budget on this data (the reference took
+    over 3 s on one (1, 2, 2) case with t = 3), the growth the mod-c route
+    removed."""
+    d, factors, images = data
+    if not _monotone_by_cokernels(factors, images):
+        with pytest.raises(AssumptionViolated, match="not contained"):
+            SymbolicBrauerBackend(d, factors, images)
+        return
+    backend = SymbolicBrauerBackend(d, factors, images)
+    for r in range(3):
+        for orders in itertools.combinations_with_replacement(_divisors(d), r):
+            try:
+                want = _norm_quotient_by_smith_forms(backend, orders)
+            except BackendUnsupported:
+                with pytest.raises(BackendUnsupported):
+                    norm_quotient(backend, orders)
+                continue
+            assert norm_quotient(backend, orders) == want, orders
+
+
+#: Norm data whose Smith forms of [m | diag Q] blew up: Q = (Z/2400)^5, and
+#: the columns of m span the norms from the quadratic subfield of a degree-4
+#: extension (m's own invariant factors are 1, 1, 1, 2, 17528090966386).
+_LARGE_IMAGE_Q = 2400
+_LARGE_IMAGE_COLS = [
+    [-594, -1822, 445, -1616, -2351],
+    [-464, 1633, -1412, 427, 1742],
+    [282, 467, -77, 758, 479],
+    [-736, 292, -237, 210, -9],
+    [54, 398, -751, 294, 71],
+]
+_LARGE_IMAGE_DATA = {
+    "Q": {"invariant_factors": [_LARGE_IMAGE_Q] * 5},
+    "images": [{"subgroup_gens": [2], "subgroup_of_Q": _LARGE_IMAGE_COLS}],
+}
+_LARGE_IMAGE_TOP = {"subgroup_gens": [1], "subgroup_of_Q": []}
+
+
+@pytest.mark.parametrize("with_top", [False, True], ids=["order-2-image", "order-2-and-4-images"])
+def test_symbolic_large_image_ends_within_a_second(with_top, tmp_path, capsys):
+    """The backend load and the quotient by the order-2 image each end
+    within a second; with integer Smith forms of [m | diag Q], the quotient
+    did not end within 60 s, and with the order-4 image listed too the
+    load's monotonicity check did not end within 20 s.  The quotient is the
+    subgroup of (Z/c)^5 spanned by m's columns, the sum of Z/(c / gcd(c, s))
+    over m's invariant factors s."""
+    data = json.loads(json.dumps(_LARGE_IMAGE_DATA))
+    if with_top:
+        data["images"].append(_LARGE_IMAGE_TOP)
+    text = json.dumps(data)
+    start = time.perf_counter()
+    backend = SymbolicBrauerBackend.from_json(text, 4)
+    loaded = time.perf_counter()
+    got = norm_quotient(backend, [2])
+    done = time.perf_counter()
+    assert loaded - start < 1.0
+    assert done - loaded < 1.0
+    c = _LARGE_IMAGE_Q
+    m = IntMatrix.from_cols(_LARGE_IMAGE_COLS)
+    want = FGAbelianGroup.from_factors([c // math.gcd(c, s) for s in smith_normal_form(m).diagonal])
+    assert got == want == FGAbelianGroup(0, (1200, 1200, 2400, 2400, 2400))
+    path = tmp_path / "norms.json"
+    path.write_text(text)
+    argv = ["classify", "projective", "-n", "3", "--backend", f"symbolic:{path}", "--group", "cyclic:4"]
+    assert cli.run(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"H^1 = {want} " in next(line for line in lines if "partition (2, 2) " in line)
 
 
 def test_symbolic_rejects_repeated_orders():
