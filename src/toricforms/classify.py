@@ -28,11 +28,12 @@ from typing import Mapping, Sequence, Union
 
 from . import _jsonout
 from .cohomology import (
+    _check_hom_class,
     _h1_finite_field_torus,
     h1_cyclic_norm_formula,
     h1_real_involution,
 )
-from .exact_linalg import FGAbelianGroup, IntMatrix
+from .exact_linalg import FGAbelianGroup, IntMatrix, _check_int
 from .fans import (
     Fan,
     RankUnsupported,
@@ -305,7 +306,13 @@ class PartitionSet:
 
 
 def partitions_dividing(n_plus_1: int, d: int) -> PartitionSet:
-    """All weakly decreasing partitions of ``n_plus_1`` with parts dividing ``d``."""
+    """All weakly decreasing partitions of ``n_plus_1`` with parts dividing ``d``.
+
+    Raises TypeError unless both are exactly ints, and ValueError unless
+    both are at least 1.
+    """
+    _check_int(n_plus_1, "n_plus_1")
+    _check_int(d, "d")
     if n_plus_1 < 1 or d < 1:
         raise ValueError("partitions_dividing requires n_plus_1 >= 1 and d >= 1")
     divisors = [m for m in range(d, 0, -1) if d % m == 0]  # descending, ends in 1
@@ -425,7 +432,13 @@ def descent_status(
     `rank` is the rank of the fan's lattice.  Descent holds automatically for
     fans of rank at most 2 (complete surface fans are quasiprojective), for
     degree-2 extensions, and whenever the caller asserts quasiprojectivity.
+    Raises TypeError unless `rank` and `group_order` are exactly ints, and
+    ValueError unless both are at least 1.
     """
+    for name, value in (("rank", rank), ("group_order", group_order)):
+        _check_int(value, name)
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     if rank <= 2:
         return DescentStatus(
             FORMS_CLASSIFIED,
@@ -777,9 +790,11 @@ def classify_projective(n: int, backend: FieldBackend) -> ClassificationReport:
     one pool of rows and every matrix of the report points into it: at most
     (n+1)**2 row objects in all.  The norm quotient depends on the set of
     parts alone, so it is computed once per set.
-    Raises ``TooLarge`` before building anything when the partition
-    matrices would hold more than ``MAX_PROJECTIVE_CELLS`` entries.
+    Raises TypeError unless n is exactly an int, ValueError when n < 1, and
+    ``TooLarge`` before building anything when the partition matrices would
+    hold more than ``MAX_PROJECTIVE_CELLS`` entries.
     """
+    _check_int(n, "n")
     if n < 1:
         raise ValueError("projective space classification needs n >= 1")
     group = backend.group
@@ -829,7 +844,10 @@ def hom_class_h1(fan: Fan, hom: HomClass, backend: FieldBackend) -> FGAbelianGro
     matrix s: the involution formula, and ker N / im(q s - 1) over F_{q^e},
     the field the kernel fixes, where e = `hom.order` is the order of s.
     Symbolic data gets the norm quotient over the hom's ray-orbit stabilizers.
+    Raises ValueError, as `h1_cyclic_norm_formula` does, unless `hom` is a
+    hom class of `fan` and the backend's degree is the order of its group.
     """
+    _check_hom_class(fan, hom, backend)
     if hom.is_trivial:
         return FGAbelianGroup.trivial()
     s = hom.matrix

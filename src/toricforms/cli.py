@@ -71,27 +71,21 @@ class UsageError(Exception):
     """Bad command-line shape; reported with exit code 2."""
 
 
-#: Longest text `_write_out` hands the text stream in one write; every
-#: report of the builtin catalog (3.7 MB at most) is written whole.
-WRITE_WHOLE = 8 * 1024 * 1024
-#: Characters in each write of a longer text.
+#: Characters in each write of `_write_out`.
 WRITE_SLICE = 64 * 1024
 
 
 def _write_out(text: str) -> None:
-    """`print(text)`, with a text longer than WRITE_WHOLE characters
-    written in slices of WRITE_SLICE.
+    """`print(text)`, written in slices of WRITE_SLICE characters; a text
+    of at most one slice is one write of that very str.
 
     The text stream encodes each write into a bytes copy, so one print of a
     large report's whole text held two copies of it; a small slice's copy
     is small, and its memory is reused by the next.
     """
     write = sys.stdout.write
-    if len(text) <= WRITE_WHOLE:
-        write(text)
-    else:
-        for start in range(0, len(text), WRITE_SLICE):
-            write(text[start : start + WRITE_SLICE])
+    for start in range(0, len(text), WRITE_SLICE):
+        write(text[start : start + WRITE_SLICE])
     write("\n")
 
 

@@ -38,6 +38,7 @@ from typing import Iterable, Sequence
 from .exact_linalg import (
     FGAbelianGroup,
     IntMatrix,
+    _check_int,
     basis_mod,
     congruence_kernel,
     index_mod,
@@ -138,6 +139,16 @@ def _check_degree(degree: int, hom: HomClass) -> None:
             f"backend: extension degree {degree} differs from the order"
             f" {hom.group.order} of the twisting group of hom"
         )
+
+
+def _check_hom_class(fan: Fan, hom: HomClass, backend: FieldBackend) -> None:
+    """ValueError naming `hom` unless it is a hom class of `fan`, and as
+    `_check_degree` unless the backend's Galois group has the order of the
+    group `hom` twists by.  A class is of a fan when its group was built on
+    an equal fan."""
+    if hom.aut.fan_key != (fan.rank, fan.rays, fan.max_cones):
+        raise ValueError("hom: a hom class of another fan")
+    _check_degree(backend.group.order, hom)
 
 
 def _check_torsion_assumption(backend: FieldBackend, fan: Fan) -> None:
@@ -268,9 +279,7 @@ def h1_cyclic_norm_formula(
     presentation on every fan, so on projective spaces this route stays
     independent of the `norm_quotient` that `classify projective` reports.
     """
-    if hom.aut.fan_key != (fan.rank, fan.rays, fan.max_cones):
-        raise ValueError("hom: a hom class of another fan")
-    _check_degree(backend.group.order, hom)
+    _check_hom_class(fan, hom, backend)
     if isinstance(backend, SymbolicBrauerBackend):
         if not _diagonal_degree(fan):
             raise BackendUnsupported(
@@ -627,9 +636,14 @@ def h1_finite_field_torus(q: int, d: int, s: IntMatrix) -> FGAbelianGroup:
     group H^1 = ker(Norm) / im(sigma - 1) with Norm the sum of sigma^j.
     The result is always trivial (Lang); the route compares the orders of
     the two groups and raises LangViolated if they differ.  Raises
-    ValueError, also under python -O, unless q is a prime power, d >= 1, s
-    is square and s^d = 1.
+    TypeError unless q and d are exactly ints and s is an IntMatrix, and
+    ValueError unless q is a prime power, d >= 1, s is square and s^d = 1,
+    all also under python -O.
     """
+    _check_int(q, "q")  # before `_prime_factors`, whose cache takes 3.0 for 3
+    _check_int(d, "d")
+    if not isinstance(s, IntMatrix):
+        raise TypeError(f"s must be an IntMatrix, got {type(s).__name__}")
     _prime_power_base(q)  # raises ValueError unless q is a prime power
     if d < 1:
         raise ValueError(f"finite-field torus needs degree d >= 1, got d={d}")

@@ -42,6 +42,13 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def _check_int(value: object, name: str) -> None:
+    """TypeError naming `name` unless value is exactly an int (a float or a
+    bool is refused, never converted)."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {type(value).__name__} {value!r}")
+
+
 def _check_int_entries(vectors: Iterable[Sequence[int]], name: str) -> None:
     """TypeError naming `name` for an entry that is not exactly an int (a
     float, bool or str is refused, never converted)."""
@@ -177,8 +184,7 @@ class IntMatrix:
         return IntMatrix._trusted(tuple(tuple(-x for x in r) for r in self.rows), self.ncols)
 
     def scaled(self, c: int) -> "IntMatrix":
-        if type(c) is not int:
-            raise TypeError(f"c must be an int, got {type(c).__name__} {c!r}")
+        _check_int(c, "c")
         return IntMatrix._trusted(tuple(tuple(c * x for x in r) for r in self.rows), self.ncols)
 
     def apply(self, v: Sequence[int]) -> tuple[int, ...]:
@@ -489,7 +495,9 @@ class FGAbelianGroup:
 
     free_rank copies of Z plus cyclic factors Z/f for the invariant factors,
     each >= 2 and dividing the next.  Two values are equal iff the groups are
-    isomorphic.  Any other input raises ValueError, also under python -O.
+    isomorphic.  Any other value raises ValueError, and a free_rank or
+    factor that is not exactly an int raises TypeError, also under
+    python -O.
 
     >>> FGAbelianGroup.from_factors([2, 3])
     FGAbelianGroup(free_rank=0, invariant_factors=(6,))
@@ -501,6 +509,8 @@ class FGAbelianGroup:
     invariant_factors: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        _check_int(self.free_rank, "free_rank")
+        _check_int_entries((self.invariant_factors,), "invariant_factors")
         if self.free_rank < 0:
             raise ValueError(f"free_rank must be >= 0, got {self.free_rank}")
         factors = self.invariant_factors

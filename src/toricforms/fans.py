@@ -29,6 +29,7 @@ from .exact_linalg import (
     FGAbelianGroup,
     IntMatrix,
     SmithDecomposition,
+    _check_int,
     _check_int_entries,
     _int_tuples,
     det,
@@ -134,8 +135,7 @@ class Fan:
     ) -> "Fan":
         """Build a fan, normalizing cone order (indices sorted, cones sorted).
         A rank, ray entry or cone index that is not an int raises TypeError."""
-        if type(rank) is not int:
-            raise TypeError(f"rank must be an int, got {type(rank).__name__} {rank!r}")
+        _check_int(rank, "rank")
         rays_t = _int_tuples(rays, "rays")
         cones_t = tuple(sorted(tuple(sorted(c)) for c in _int_tuples(max_cones, "max_cones")))
         return cls(rank, rays_t, cones_t)
@@ -159,13 +159,6 @@ class Fan:
     def ray_rows_snf(self) -> SmithDecomposition:
         """Smith decomposition of `ray_rows`: the presentation Cl = Z^rays / im R."""
         return smith_normal_form(self.ray_rows)
-
-    @cached_property
-    def ray_columns_snf(self) -> SmithDecomposition:
-        """Smith decomposition of `ray_columns`: the transpose of
-        `ray_rows_snf`, since u R v = d gives v^T R^T u^T = d^T."""
-        dec = self.ray_rows_snf
-        return SmithDecomposition(self.ray_columns, dec.v.transpose, dec.d.transpose, dec.u.transpose)
 
     def cone_matrix(self, cone: Sequence[int]) -> IntMatrix:
         """rank x len(cone) matrix whose columns are the cone's rays, which
@@ -418,8 +411,12 @@ def _check_rays_and_cones(fan: Fan) -> None:
 
     if not fan.num_rays:
         raise RaysNotFullRank("no rays: they span the zero sublattice")
-    if fan.ray_columns_snf.rank != fan.rank:
-        sat = saturation_basis(fan.ray_columns_snf)
+    dec = fan.ray_rows_snf
+    if dec.rank != fan.rank:
+        # u R v = d gives v^T R^T u^T = d^T: the decomposition of the columns
+        sat = saturation_basis(
+            SmithDecomposition(fan.ray_columns, dec.v.transpose, dec.d.transpose, dec.u.transpose)
+        )
         raise RaysNotFullRank(
             f"rays span a rank-{sat.ncols} sublattice; saturated span basis: {sat.cols()}"
         )

@@ -26,7 +26,14 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Any, Sequence
 
-from .exact_linalg import FGAbelianGroup, IntMatrix, index_mod, intersection_mod, quotient_mod
+from .exact_linalg import (
+    FGAbelianGroup,
+    IntMatrix,
+    _check_int,
+    index_mod,
+    intersection_mod,
+    quotient_mod,
+)
 from .fan_aut import FanAutGroup, _cycles
 from .fans import TooLarge
 
@@ -48,14 +55,15 @@ class GroupSpec:
     """The cyclic group Z/d of order d: elements 0..d-1 under addition mod d.
 
     Element 1 is the distinguished generator (complex conjugation, or
-    Frobenius).  Construction raises ValueError when d < 1 and TooLarge
-    when d > MAX_GROUP_ORDER.
+    Frobenius).  Construction raises TypeError unless d is exactly an int,
+    ValueError when d < 1 and TooLarge when d > MAX_GROUP_ORDER.
     """
 
     order: int
 
     def __post_init__(self) -> None:
         # typed errors, so the check also holds under python -O
+        _check_int(self.order, "order")
         if not 1 <= self.order <= MAX_GROUP_ORDER:
             raise (ValueError if self.order < 1 else TooLarge)(
                 f"cyclic group order must be in 1..{MAX_GROUP_ORDER}, got {self.order}"
@@ -215,8 +223,9 @@ class FiniteFieldBackend:
     """The extension F_{q^d} / F_q.
 
     K* is cyclic of order q^d - 1 with Frobenius acting as multiplication by
-    q.  Construction raises TooLarge when q exceeds 2**40, and ValueError
-    unless q is a prime power and d >= 1.  The norm onto F_{q^e} for e | d
+    q.  Construction raises TypeError unless q and d are exactly ints,
+    TooLarge when q exceeds 2**40, and ValueError unless q is a prime power
+    and d >= 1.  The norm onto F_{q^e} for e | d
     is multiplication by t = (q^d - 1)/(q^e - 1) on Z/(q^d - 1); t divides
     q^d - 1, so the image has order (q^d - 1)/t = q^e - 1: every
     intermediate norm is onto, and there is nothing to check per divisor of d.
@@ -226,6 +235,9 @@ class FiniteFieldBackend:
     d: int
 
     def __post_init__(self) -> None:
+        # before `_prime_factors`, whose cache answers 3.0 with the entry for 3
+        _check_int(self.q, "q")
+        _check_int(self.d, "d")
         _prime_power_base(self.q)  # raises if not a prime power
         if self.d < 1:
             raise ValueError(f"finite-field backend needs degree d >= 1, got d={self.d}")

@@ -1230,13 +1230,12 @@ sys.stderr.write(json.dumps({"code": code, "grown": grown, "length": len(text), 
 
 
 def test_write_out_writes_a_short_text_whole_and_a_long_one_in_slices(monkeypatch):
-    """A text of WRITE_WHOLE characters or fewer is one write of that very
+    """A text of WRITE_SLICE characters or fewer is one write of that very
     str; a longer one goes in slices of WRITE_SLICE, then the newline."""
     writes = []
     monkeypatch.setattr("sys.stdout", type("Recorder", (), {"write": staticmethod(writes.append)}))
-    monkeypatch.setattr(cli, "WRITE_WHOLE", 10)
     monkeypatch.setattr(cli, "WRITE_SLICE", 4)
-    short = "0123456789"
+    short = "0123"
     cli._write_out(short)
     assert writes == [short, "\n"] and writes[0] is short
     writes.clear()
@@ -1263,6 +1262,6 @@ def test_large_report_is_written_in_slices(tmp_path):
         )
     result = json.loads(child.stderr)
     assert result["code"] == 0
-    assert result["length"] > 4 * cli.WRITE_WHOLE
+    assert result["length"] > 60_000_000
     assert hashlib.sha256(out.read_bytes()).hexdigest() == result["sha256"]
     assert result["grown"] < 1.5 * result["length"]

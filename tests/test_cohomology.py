@@ -21,7 +21,6 @@ from toricforms.classify import (
     BUILTIN_NAMES,
     BUILTIN_SURFACE_NAMES,
     builtin_fan,
-    partition_cocharacter_matrix,
 )
 from toricforms.cohomology import (
     FiniteModule,
@@ -799,7 +798,7 @@ def _h1_finite_field_intersection_route(fan: Fan, hom, backend) -> FGAbelianGrou
     )
     coeffs = IntMatrix(tuple(pair.rows[: fan.num_rays]), pair.ncols)
     numerator = basis_mod(fixed_lattice @ coeffs, c)
-    y_lattice = congruence_kernel_basis(fan.ray_columns_snf, c)
+    y_lattice = congruence_kernel_basis(smith_normal_form(fan.ray_columns), c)
     denominator = basis_mod(norm_op @ y_lattice, c)
     return lattice_subquotient(numerator, denominator)
 
@@ -1192,87 +1191,13 @@ def test_shapiro_orbits_finite_field():
                 assert all(p.is_trivial() for p in parts)
 
 
-# ---------------------------------------------------------------------------
-# typed preconditions
-
-
-_PRECONDITION_SCRIPT = """
-from toricforms.classify import builtin_fan, partition_cocharacter_matrix
-from toricforms.cohomology import finite_field_torus_module, h1_cyclic_norm_formula
-from toricforms.fan_aut import automorphism_group
-from toricforms.galois import FiniteFieldBackend, GroupSpec, enumerate_hom_classes
-
-fan = builtin_fan("surface:C6")
-hom = enumerate_hom_classes(GroupSpec.cyclic(6), automorphism_group(fan))[1]
-backend = FiniteFieldBackend(2, 2)
-for call in (
-    lambda: h1_cyclic_norm_formula(fan, hom, backend),
-    lambda: finite_field_torus_module(backend, hom),
-    lambda: partition_cocharacter_matrix((0, 3), 3),
-):
-    try:
-        print("returned", call())
-    except ValueError as exc:
-        print(type(exc).__name__, exc)
-"""
-
-_PRECONDITION_ERRORS = (
-    "ValueError backend: extension degree 2 differs from the order 6 of the twisting group of hom\n"
-    * 2
-    + "ValueError partition parts must be positive, got (0, 3)\n"
-)
-
-
-def test_degree_and_partition_preconditions_survive_optimized_mode():
-    """A backend whose degree is not the twisting group's order, and a partition
-    with a part 0, are refused with ValueError, also under python -O."""
-    fan = builtin_fan("surface:C6")
-    hom = enumerate_hom_classes(GroupSpec.cyclic(6), automorphism_group(fan))[1]
-    backend = FiniteFieldBackend(2, 2)
-    with pytest.raises(ValueError, match="^backend: extension degree 2 differs"):
-        h1_cyclic_norm_formula(fan, hom, backend)
-    with pytest.raises(ValueError, match="^backend: extension degree 2 differs"):
-        finite_field_torus_module(backend, hom)
-    for parts in ((0, 3), (-1, 4), (4, -1, 0)):
-        with pytest.raises(ValueError, match="partition parts must be positive"):
-            partition_cocharacter_matrix(parts, 3)
-    child = subprocess.run(
-        [sys.executable, "-O", "-c", _PRECONDITION_SCRIPT],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env={"PYTHONPATH": str(Path(toricforms.__file__).resolve().parents[1])},
-        check=True,
-    )
-    assert child.stdout == _PRECONDITION_ERRORS
-
-
-_FOREIGN_HOM_SCRIPT = """
-from toricforms.classify import builtin_fan
-from toricforms.cohomology import h1_cyclic_norm_formula
-from toricforms.fan_aut import automorphism_group
-from toricforms.fans import Fan
-from toricforms.galois import FiniteFieldBackend, GroupSpec, RealComplexBackend
-from toricforms.galois import enumerate_hom_classes
-
-p2, hexagon = builtin_fan("projective:2"), builtin_fan("surface:D12")
-copy = Fan.make(hexagon.rank, hexagon.rays, hexagon.max_cones)
-for backend in (RealComplexBackend(), FiniteFieldBackend(3, 2)):
-    for cls in enumerate_hom_classes(GroupSpec.cyclic(2), automorphism_group(copy)):
-        try:
-            print("returned", h1_cyclic_norm_formula(p2, cls, backend))
-        except ValueError as exc:
-            print(type(exc).__name__, exc)
-        print("equal fan", h1_cyclic_norm_formula(hexagon, cls, backend))
-"""
-
-
 def test_norm_route_refuses_a_hom_class_of_another_fan():
     """The hexagon's C2 classes handed to the norm route with P2 are refused
-    with ValueError naming hom, over R and F_9, also under python -O.  A
-    class is of a fan when its group was built on an equal fan: classes of
-    an equal fresh copy of the hexagon are accepted with the hexagon, with
-    the values of the hexagon's own classes."""
+    with ValueError naming hom, over R and F_9 (under python -O too, in
+    `test_preconditions.py`).  A class is of a fan when its group was built
+    on an equal fan: classes of an equal fresh copy of the hexagon are
+    accepted with the hexagon, with the values of the hexagon's own
+    classes."""
     p2, hexagon = builtin_fan("projective:2"), builtin_fan("surface:D12")
     copy = Fan.make(hexagon.rank, hexagon.rays, hexagon.max_cones)
     classes = enumerate_hom_classes(C2, automorphism_group(copy))
@@ -1286,14 +1211,3 @@ def test_norm_route_refuses_a_hom_class_of_another_fan():
                     h1_cyclic_norm_formula(p2, foreign, backend)
             value = h1_cyclic_norm_formula(hexagon, cls, backend)
             assert value == h1_cyclic_norm_formula(hexagon, own_cls, backend)
-    child = subprocess.run(
-        [sys.executable, "-O", "-c", _FOREIGN_HOM_SCRIPT],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env={"PYTHONPATH": str(Path(toricforms.__file__).resolve().parents[1])},
-        check=True,
-    )
-    refused = "ValueError hom: a hom class of another fan\n"
-    values = ["1", "Z/2 + Z/2", "1", "1"] + ["1"] * 4  # over R, then over F_9
-    assert child.stdout == "".join(f"{refused}equal fan {v}\n" for v in values)

@@ -4,7 +4,6 @@ import ast
 import math
 import operator
 import re
-import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -1008,107 +1007,6 @@ def test_matmul_degenerate_shapes():
         M([[1, 2]]) @ M([[1, 2]])
     with pytest.raises(ValueError, match=r"^shape mismatch: \(1, 2\) @ vector of length 1$"):
         M([[1, 2]]).apply((1,))
-
-
-_SHAPE_SCRIPT = """
-from toricforms.exact_linalg import (
-    FGAbelianGroup, IntMatrix, basis_mod, congruence_kernel, det, fraction_free_solve,
-    intersection_mod, lattice_subquotient, quotient_mod, smith_normal_form,
-)
-
-a, b = IntMatrix.from_rows([[1, 2]]), IntMatrix.from_rows([[1, 2], [3, 4]])
-for call in (
-    lambda: a @ a,
-    lambda: a + b,
-    lambda: a - b,
-    lambda: a.apply((1,)),
-    lambda: b.hstack(IntMatrix.from_rows([[1]])),
-    lambda: b.vstack(IntMatrix.from_rows([[1]])),
-    lambda: a.power(2),
-    lambda: b.power(-1),
-    lambda: det(a),
-    lambda: basis_mod(b, 0),
-    lambda: congruence_kernel(b, 0),
-    lambda: quotient_mod(b, IntMatrix.identity(2), 0),
-    lambda: quotient_mod(IntMatrix.identity(2), a, 6),
-    lambda: fraction_free_solve(b, a),
-    lambda: intersection_mod(b, a, 6),
-    lambda: FGAbelianGroup(0, (3, 2)),
-    lambda: FGAbelianGroup(-1, (1,)),
-    lambda: FGAbelianGroup.cyclic(-2),
-    lambda: FGAbelianGroup.from_factors([-3, 2]),
-    lambda: lattice_subquotient(
-        IntMatrix.from_cols([(2, 0), (3, 0), (0, 4)]), IntMatrix.from_cols([(2, 0), (0, 8)])
-    ),
-    lambda: smith_normal_form([[1, 2]]),
-    lambda: smith_normal_form(IntMatrix.from_rows([[2.9, 0], [0, 1]])),
-    lambda: smith_normal_form(IntMatrix(((2.9, 0), (0, 1)))),
-    lambda: IntMatrix(((1.5, 2), (0, 1))),
-    lambda: IntMatrix.diagonal([1.5, 2]),
-    lambda: b.scaled(1.5),
-    lambda: IntMatrix.from_rows([[1, True]]),
-    lambda: IntMatrix.from_cols([(1, 0), ("2", 1)]),
-):
-    try:
-        print("returned", call())
-    except (ValueError, TypeError) as exc:
-        print(type(exc).__name__, exc)
-"""
-
-_SHAPE_ERRORS = """\
-ValueError shape mismatch: (1, 2) @ (1, 2)
-ValueError shape mismatch: (1, 2) + (2, 2)
-ValueError shape mismatch: (1, 2) + (2, 2)
-ValueError shape mismatch: (1, 2) @ vector of length 1
-ValueError shape mismatch: (2, 2) beside (1, 1)
-ValueError shape mismatch: (2, 2) over (1, 1)
-ValueError power of a non-square (1, 2) matrix
-ValueError k must be >= 0, got -1
-ValueError det of a non-square (1, 2) matrix
-ValueError modulus must be >= 1, got 0
-ValueError modulus must be >= 1, got 0
-ValueError modulus must be >= 1, got 0
-ValueError sub must have the 2 rows of sup, got shape (1, 2)
-ValueError b must have the 2 rows of a, got shape (1, 2)
-ValueError b must have the 2 rows of a, got shape (1, 2)
-ValueError invariant_factors must be >= 2, each dividing the next, got (3, 2)
-ValueError free_rank must be >= 0, got -1
-ValueError n must be >= 1, got -2
-ValueError factors must be >= 0, got [-3, 2]
-returned Z/2 + Z/2
-TypeError m must be an IntMatrix, got list
-TypeError rows must have int entries, got float 2.9
-TypeError rows must have int entries, got float 2.9
-TypeError rows must have int entries, got float 1.5
-TypeError rows must have int entries, got float 1.5
-TypeError c must be an int, got float 1.5
-TypeError rows must have int entries, got bool True
-TypeError cols must have int entries, got str '2'
-"""
-
-
-def test_shape_preconditions_survive_optimized_mode():
-    """`IntMatrix` and `FGAbelianGroup` are exported: a product, sum, stack,
-    power or determinant of ill-shaped matrices raises ValueError naming both
-    shapes (or k); lattice operations and group constructors raise ValueError
-    naming the bad argument, and a Smith form of a non-matrix raises
-    TypeError naming `m`.  Every constructor, the bare `IntMatrix(rows)` and
-    `diagonal` included, refuses any entry that is not exactly an int,
-    naming its argument, where they used to truncate 2.9 to 2, take True as
-    1, or keep 1.5 as it is; `scaled` refuses a factor that is not an int.
-    All of it holds under python -O, where an
-    assert would let `[1 2] @ [1 2]` return `[1 2]`, a short hstack truncate
-    silently and `FGAbelianGroup(0, (3, 2))` pass as a group unequal to Z/6.
-    Subquotients take dependent ambient generators there too."""
-    child = subprocess.run(
-        [sys.executable, "-O", "-c", _SHAPE_SCRIPT],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env={"PYTHONPATH": str(Path(exact_linalg.__file__).resolve().parents[1])},
-        check=True,
-    )
-    assert child.stdout == _SHAPE_ERRORS
 
 
 # --- one decomposition per lattice -------------------------------------------

@@ -398,62 +398,6 @@ def test_validation_runs_once_per_fan_object(monkeypatch):
     assert counts["checks"] == 2
 
 
-_PRECONDITION_SCRIPT = """
-from toricforms.fans import Fan, class_group, cox_data, degree_data, is_smooth, validate_fan
-
-bad = Fan.make(2, [(1, 0), (2, 0)], [(0,), (1,)])
-unused = Fan.make(2, [(1, 0), (0, 1), (-1, -1), (1, 1)], [(0, 1), (1, 2), (0, 2)])
-for call in (
-    lambda: class_group(bad),
-    lambda: cox_data(bad),
-    lambda: degree_data(bad),
-    lambda: is_smooth(bad),
-    lambda: validate_fan(bad),
-    lambda: class_group(unused),
-    lambda: cox_data(unused),
-    lambda: Fan.make(2, [(1.7, 0), (0, 1)], [(0, 1)]),
-    lambda: Fan.make(2, [(True, 0), (0, 1)], [(0, 1)]),
-    lambda: Fan.make(2, [(1, 0), (0, 1)], [(0, 1.0)]),
-    lambda: Fan.make(2.0, [(1, 0), (0, 1)], [(0, 1)]),
-    lambda: validate_fan(Fan(2, ((True, 0), (0, 1)), ((0, 1),))),
-):
-    try:
-        print("returned", call())
-    except (ValueError, TypeError) as exc:
-        print(type(exc).__name__, exc)
-"""
-
-_PRECONDITION_ERRORS = """\
-NonPrimitiveRay ray 1 = (2, 0) is not primitive
-NonPrimitiveRay ray 1 = (2, 0) is not primitive
-NonPrimitiveRay ray 1 = (2, 0) is not primitive
-NonPrimitiveRay ray 1 = (2, 0) is not primitive
-NonPrimitiveRay ray 1 = (2, 0) is not primitive
-UnusedRay ray 3 = (1, 1) lies in no maximal cone
-UnusedRay ray 3 = (1, 1) lies in no maximal cone
-TypeError rays must have int entries, got float 1.7
-TypeError rays must have int entries, got bool True
-TypeError max_cones must have int entries, got float 1.0
-TypeError rank must be an int, got float 2.0
-TypeError rays must have int entries, got bool True
-"""
-
-
-def test_invariants_refuse_invalid_fans_under_optimized_mode():
-    """No invariant answers on a non-fan (the class group of the fan above
-    used to come out as Z, and that of P^2 with an unused ray (1, 1) as
-    Z + Z), and Fan.make converts nothing: both hold under python -O."""
-    child = subprocess.run(
-        [sys.executable, "-O", "-c", _PRECONDITION_SCRIPT],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env={"PYTHONPATH": str(Path(fans.__file__).resolve().parents[1])},
-        check=True,
-    )
-    assert child.stdout == _PRECONDITION_ERRORS
-
-
 def _monomial_exponents(cox) -> list[tuple[int, ...]]:
     """Exponent vector of each irrelevant-ideal generator, one entry per ray."""
     return [

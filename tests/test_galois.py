@@ -105,110 +105,6 @@ _REPEATED_ORDER_JSON = json.dumps({"Q": {"invariant_factors": [4]}, "images": [
 ]})
 
 
-def test_backend_validation_survives_optimized_mode():
-    """Input checks are typed exceptions, so `python -O` keeps them."""
-    script = (
-        "from toricforms.cohomology import FiniteModule, h1_finite_field_torus\n"
-        "from toricforms.exact_linalg import IntMatrix\n"
-        "from toricforms.fan_aut import automorphism_group, identify_gl2_class, involution_type\n"
-        "from toricforms.fans import Fan\n"
-        "from toricforms.galois import FiniteFieldBackend, GroupSpec, RealComplexBackend,"
-        " SymbolicBrauerBackend, enumerate_hom_classes, norm_quotient\n"
-        "M, C2, I1 = IntMatrix.from_rows, GroupSpec.cyclic(2), IntMatrix.identity(1)\n"
-        "P1_AUT = automorphism_group(Fan.make(1, [[1], [-1]], [[0], [1]]))\n"
-        "swap = M([[0, 1], [1, 0]])\n"
-        f"MAX_GROUP_ORDER, REPEATED = {MAX_GROUP_ORDER}, {_REPEATED_ORDER_JSON!r}\n"
-        "for make in (lambda: FiniteFieldBackend(6, 2), lambda: FiniteFieldBackend(2, 0),\n"
-        "             lambda: GroupSpec.cyclic(0), lambda: GroupSpec(MAX_GROUP_ORDER + 1),\n"
-        "             lambda: h1_finite_field_torus(6, 2, I1),\n"
-        "             lambda: h1_finite_field_torus(2, 0, I1),\n"
-        "             lambda: FiniteModule(C2, (5,), M([[2]])),\n"
-        "             lambda: FiniteModule(C2, (0,), I1),\n"
-        "             lambda: FiniteModule(C2, (5,), (I1,)),\n"
-        "             lambda: FiniteModule(C2, (5,), M([[1, 0]])),\n"
-        "             lambda: FiniteModule(C2, (1, 5), M([[0, 0], [0, 2]])),\n"
-        "             lambda: FiniteModule(C2, (2, 3), swap),\n"
-        "             lambda: IntMatrix.from_rows([[1, 2], [3]]),\n"
-        "             lambda: SymbolicBrauerBackend.from_json('{\"Q\": {}}', 2),\n"
-        "             lambda: SymbolicBrauerBackend(2, (1,), ()),\n"
-        "             lambda: SymbolicBrauerBackend(2, (2, 3), ((2, I1),)),\n"
-        "             lambda: SymbolicBrauerBackend(4, (2,), ((3, I1),)),\n"
-        "             lambda: SymbolicBrauerBackend(4, (2,), ((0, I1),)),\n"
-        "             lambda: SymbolicBrauerBackend(4, (4,), ((2, M([[2]])), (2, M([[6]])))),\n"
-        "             lambda: SymbolicBrauerBackend.from_json(REPEATED, 4),\n"
-        "             lambda: norm_quotient(RealComplexBackend(), [3]),\n"
-        "             lambda: norm_quotient(FiniteFieldBackend(2, 4), [3]),\n"
-        "             lambda: FiniteFieldBackend(2, 4).norm_image_generator(3),\n"
-        "             lambda: identify_gl2_class([M([[1, 0], [0, 0]])]),\n"
-        "             lambda: identify_gl2_class([IntMatrix.identity(2), M([[0, -1], [1, 0]])]),\n"
-        "             lambda: identify_gl2_class([]),\n"
-        "             lambda: identify_gl2_class([IntMatrix.identity(3)]),\n"
-        "             lambda: h1_finite_field_torus(3, 2, M([[1, 0, 0], [0, 1, 0]])),\n"
-        "             lambda: h1_finite_field_torus(3, 2, M([[0, -1], [1, 0]])),\n"
-        "             lambda: involution_type(M([[0, -1], [1, 0]])),\n"
-        "             lambda: involution_type(M([[1, 1], [0, 1]])),\n"
-        "             lambda: involution_type(M([[1, 0, 0], [0, 1, 0]])),\n"
-        "             lambda: enumerate_hom_classes(C2, None),\n"
-        "             lambda: enumerate_hom_classes(None, P1_AUT),\n"
-        "             lambda: FiniteModule(C2, (1, 5), M([[7, 0], [0, -1]])),\n"
-        "             lambda: FiniteModule(C2, (5,), M([[-1]]))):\n"
-        "    try:\n"
-        "        make()\n"
-        "    except (TypeError, ValueError) as exc:\n"
-        "        print(type(exc).__name__, exc)\n"
-        "    else:\n"
-        "        print('accepted')\n"
-    )
-    src = str(Path(toricforms.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env={"PYTHONPATH": src},
-        check=True,
-    ).stdout.splitlines()
-    assert out == [
-        "ValueError finite-field backend needs a prime power, got q=6",
-        "ValueError finite-field backend needs degree d >= 1, got d=0",
-        f"ValueError cyclic group order must be in 1..{MAX_GROUP_ORDER}, got 0",
-        f"TooLarge cyclic group order must be in 1..{MAX_GROUP_ORDER}, got {MAX_GROUP_ORDER + 1}",
-        "ValueError finite-field backend needs a prime power, got q=6",
-        "ValueError finite-field torus needs degree d >= 1, got d=0",
-        "ValueError action is not a homomorphism",
-        "ValueError moduli must be at least 1, got (0,)",
-        "TypeError sigma must be an IntMatrix, got tuple",
-        "ValueError action matrix of shape (1, 2), expected (1, 1)",
-        "ValueError action is not a homomorphism",
-        "ValueError action matrix [0 1; 1 0] does not descend to the moduli (2, 3)",
-        "ValueError ragged rows: [1, 2]",
-        "ValueError symbolic backend JSON: missing key 'invariant_factors'",
-        "ValueError invariant factors of Q must be at least 2, got [1]",
-        "ValueError norm image of the subgroup of order 2 needs 2 rows, one per factor of Q, got 1",
-        "ValueError 3 is not the order of a subgroup of Z/4",
-        "ValueError 0 is not the order of a subgroup of Z/4",
-        "ValueError two norm images for the subgroup of order 2 of Z/4",
-        "ValueError two norm images for the subgroup of order 2 of Z/4",
-        "ValueError 3 is not the order of a subgroup of Z/2",
-        "ValueError 3 is not the order of a subgroup of Z/4",
-        "ValueError 3 is not the order of a subgroup of Z/4",
-        "UnidentifiedClass matrix [1 0; 0 0] has order > 12, not in a finite GL(2,Z) group",
-        "UnidentifiedClass matrix set is not closed under products",
-        "UnidentifiedClass empty group",
-        "UnidentifiedClass finite GL(2,Z) groups consist of 2x2 matrices",
-        "ValueError twisting matrix s must be square, got shape (2, 3)",
-        "ValueError twisting matrix s must satisfy s^d = 1 for d=2",
-        "NotInvolution matrix [0 -1; 1 0] is not an involution",
-        "NotInvolution matrix [1 1; 0 1] is not an involution",
-        "NotInvolution matrix [1 0 0; 0 1 0] is not an involution",
-        "TypeError aut must be a FanAutGroup, got NoneType",
-        "TypeError group must be a GroupSpec, got NoneType",
-        "accepted",
-        "accepted",
-    ]
-
-
-
 @pytest.mark.parametrize(
     "backend, degree",
     [
