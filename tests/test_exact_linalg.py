@@ -42,6 +42,8 @@ from toricforms.galois import (
     enumerate_hom_classes,
 )
 
+from test_preconditions import expected_lines, optimized_section
+
 M = IntMatrix.from_rows
 
 
@@ -1007,6 +1009,12 @@ def test_matmul_degenerate_shapes():
         M([[1, 2]]) @ M([[1, 2]])
     with pytest.raises(ValueError, match=r"^shape mismatch: \(1, 2\) @ vector of length 1$"):
         M([[1, 2]]).apply((1,))
+
+
+
+def test_shape_preconditions_survive_optimized_mode():
+    """Shapes, moduli and int entries are refused under python -O too."""
+    assert optimized_section("linear algebra") == expected_lines("linear algebra")
 
 
 # --- one decomposition per lattice -------------------------------------------

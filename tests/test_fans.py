@@ -57,6 +57,8 @@ from toricforms.fans import (
     validate_fan,
 )
 
+from test_preconditions import expected_lines, optimized_section
+
 def dihedral_variants(word: Sequence[int]) -> set[tuple[int, ...]]:
     """All rotations of the word and of its reversal."""
     w = tuple(word)
@@ -396,6 +398,12 @@ def test_validation_runs_once_per_fan_object(monkeypatch):
         with pytest.raises(NonPrimitiveRay, match=r"^ray 1 = \(2, 0\) is not primitive$"):
             read(bad)
     assert counts["checks"] == 2
+
+
+
+def test_invariants_refuse_invalid_fans_under_optimized_mode():
+    """No invariant answers on a non-fan, and Fan.make converts nothing, under python -O too."""
+    assert optimized_section("fans") == expected_lines("fans")
 
 
 def _monomial_exponents(cox) -> list[tuple[int, ...]]:

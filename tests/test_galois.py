@@ -46,6 +46,7 @@ from table_groups import TableGroup, hom_classes, orbit_stabilizer, reduce_kerne
 from test_fan_aut import REFERENCE_FAN_NAMES as AUT_REFERENCE_FAN_NAMES
 from test_fans import HEXAGON, P1, P1XP1, P2, PRODUCT_FAN_NAMES, named_fan
 from test_exact_linalg import lattice_intersection
+from test_preconditions import expected_lines, optimized_section
 
 
 def _coset_representatives(hom, orbit) -> dict[int, int]:
@@ -103,6 +104,11 @@ _REPEATED_ORDER_JSON = json.dumps({"Q": {"invariant_factors": [4]}, "images": [
     {"subgroup_gens": [2], "subgroup_of_Q": [[2]]},
     {"subgroup_gens": [6], "subgroup_of_Q": [[6]]},
 ]})
+
+
+def test_backend_validation_survives_optimized_mode():
+    """Input checks are typed exceptions, so `python -O` keeps them."""
+    assert optimized_section("galois") == expected_lines("galois")
 
 
 @pytest.mark.parametrize(
