@@ -2,17 +2,17 @@
 
 ``json.dumps`` takes the C encoder only when ``indent`` is None, so indented
 output goes through the pure-Python encoder, one generator step per token.
-``dumps`` builds the same text from the C leaf primitives instead
-(``encode_basestring_ascii`` for strings, ``int.__repr__`` for ints).  Every
-piece is appended to one list that is joined once at the end, so each byte
-is copied once, however deep it sits; a sequence of plain ints is written by
-one ``str.join``.
+``dump`` builds the same text from the C leaf primitives instead
+(``encode_basestring_ascii`` for strings, ``int.__repr__`` for ints) and
+hands its pieces, in order, to a ``write`` callable; no whole text is built.
+``dumps`` joins the pieces once.  A sequence of plain ints is one piece,
+built by one ``str.join``.
 
 Payloads repeat such sequences heavily (a projective report's matrices
-share their rows), so one ``dumps`` call memoizes the text of each all-int
+share their rows), so one ``dump`` call memoizes the text of each all-int
 sequence, by identity first and by items second, each with its indent.  A
 sequence looks each item up by identity before anything else, and a hit is
-appended with no type check, no hash and no recursive call: the payload
+written with no type check, no hash and no recursive call: the payload
 stays alive and unchanged for the call, so an object written once has the
 same text.  An object enters the identity memo when it is met a second
 time, so equal rows that are distinct objects (a symmetry group's) add no
@@ -29,26 +29,32 @@ tuples, str, int, bool and None.  Anything else raises ``TypeError``.
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _quote
+from typing import Callable
 
 _int_repr = int.__repr__
 _INT_ONLY = {int}
 
 
+def dump(obj: object, write: Callable[[str], object]) -> None:
+    """Hand the pieces of ``json.dumps(obj, indent=2)`` to ``write``, in order."""
+    _encode(obj, "\n", write, {}, {})
+
+
 def dumps(obj: object) -> str:
     """``json.dumps(obj, indent=2)`` for the library's payload types."""
-    out: list[str] = []
-    _encode(obj, "\n", out, {}, {})
-    return "".join(out)
+    pieces: list[str] = []
+    dump(obj, pieces.append)
+    return "".join(pieces)
 
 
-def _encode(obj: object, newline: str, out: list[str], memo: dict, shared: dict) -> None:
+def _encode(obj: object, newline: str, write: Callable[[str], object], memo: dict, shared: dict) -> None:
     # `newline` is a line break plus the indent of the line `obj` starts on;
     # `memo` maps (int items, newline) to (the first sequence written with
     # them, their text); `shared` maps (id, newline) to the text of each
     # all-int sequence written twice so far
     if isinstance(obj, (list, tuple)):
         if not obj:
-            out.append("[]")
+            write("[]")
             return
         inner = newline + "  "
         # the type check must precede the items key: (True, False) == (1.0, 0) == (1, 0)
@@ -62,41 +68,41 @@ def _encode(obj: object, newline: str, out: list[str], memo: dict, shared: dict)
                 first, text = hit
                 if first is obj:  # this very object, met again
                     shared[id(obj), newline] = text
-            out.append(text)
+            write(text)
             return
         lead, sep = "[" + inner, "," + inner
         for item in obj:
-            out.append(lead)
+            write(lead)
             lead = sep
             # nothing is looked up by identity until some object repeats
             text = shared.get((id(item), inner)) if shared else None
             if text is None:
-                _encode(item, inner, out, memo, shared)
+                _encode(item, inner, write, memo, shared)
             else:
-                out.append(text)
-        out.append(newline + "]")
+                write(text)
+        write(newline + "]")
     elif isinstance(obj, str):
-        out.append(_quote(obj))
+        write(_quote(obj))
     elif obj is None:
-        out.append("null")
+        write("null")
     elif obj is True:
-        out.append("true")
+        write("true")
     elif obj is False:
-        out.append("false")
+        write("false")
     elif isinstance(obj, int):
-        out.append(_int_repr(obj))
+        write(_int_repr(obj))
     elif isinstance(obj, dict):
         if not obj:
-            out.append("{}")
+            write("{}")
             return
         inner = newline + "  "
         lead, sep = "{" + inner, "," + inner
         for key, value in obj.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(lead + _quote(key) + ": ")
+            write(lead + _quote(key) + ": ")
             lead = sep
-            _encode(value, inner, out, memo, shared)
-        out.append(newline + "}")
+            _encode(value, inner, write, memo, shared)
+        write(newline + "}")
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 from . import _jsonout
 from .cohomology import (
@@ -33,7 +33,7 @@ from .cohomology import (
     h1_cyclic_norm_formula,
     h1_real_involution,
 )
-from .exact_linalg import FGAbelianGroup, IntMatrix, _check_int
+from .exact_linalg import FGAbelianGroup, IntMatrix, _check_int, _check_int_entries
 from .fans import (
     Fan,
     RankUnsupported,
@@ -374,8 +374,11 @@ def partition_cocharacter_matrix(partition: Sequence[int], n_plus_1: int) -> Int
     The lattice is Z^(n+1)/Z(1,..,1) with basis the images of the last n
     coordinate vectors, so index 0 maps to minus the all-ones vector: the
     column of the index sent to 0 is all -1, and every other index j sent to
-    perm[j] puts a 1 in row perm[j] - 1 of column j - 1.
+    perm[j] puts a 1 in row perm[j] - 1 of column j - 1.  Raises TypeError
+    unless n_plus_1 and every part are exactly ints.
     """
+    _check_int(n_plus_1, "n_plus_1")
+    _check_int_entries((partition,), "partition")
     return _pooled_cocharacter_matrix(partition, n_plus_1, {})
 
 
@@ -703,10 +706,6 @@ def h1_value_json(value: FGAbelianGroup | SymGroupExpr | UnresolvedValue) -> dic
     return {"kind": "symbolic", "text": render(value)}
 
 
-def _value_text(value: FGAbelianGroup | SymGroupExpr | UnresolvedValue) -> str:
-    return h1_value_json(value)["text"]
-
-
 @dataclass(frozen=True)
 class ClassificationReport:
     """Classification of twisted forms for one fan / group / backend triple."""
@@ -740,18 +739,16 @@ class ClassificationReport:
     def to_json(self) -> str:
         return _jsonout.dumps(self.to_json_dict())
 
-    def __str__(self) -> str:
-        lines = [
-            f"fan {self.fan_name}: group {self.group_name}, backend {self.backend_name}"
-        ]
+    def lines(self) -> Iterator[str]:
+        """The lines of the text form, one at a time."""
+        yield f"fan {self.fan_name}: group {self.group_name}, backend {self.backend_name}"
         for entry in self.entries:
-            lines.append(
-                f"  {entry.label:<32} H^1 = {_value_text(entry.value):<16}"
-                f" [{entry.descent.status}]"
-            )
-        total = "symbolic" if self.total is None else str(self.total)
-        lines.append(f"  total forms: {total}")
-        return "\n".join(lines)
+            value = h1_value_json(entry.value)["text"]
+            yield f"  {entry.label:<32} H^1 = {value:<16} [{entry.descent.status}]"
+        yield f"  total forms: {'symbolic' if self.total is None else self.total}"
+
+    def __str__(self) -> str:
+        return "\n".join(self.lines())
 
 
 def _report_total(entries: Sequence[ReportEntry]) -> int | None:
@@ -770,8 +767,9 @@ def _report_total(entries: Sequence[ReportEntry]) -> int | None:
 
 #: Largest number of matrix cells (partitions times n * n) in one
 #: ``classify_projective`` report; ``-n 300`` over C/R needs 13.6 million.
-#: The matrices share their rows, so this bounds the output rather than the
-#: matrix memory: about 15 bytes of ``--json`` per cell (205 MB at -n 300).
+#: The matrices share their rows and the command line streams its output,
+#: so this bounds time, not memory: ``-n 300 --json`` writes 205 MB in
+#: about 0.2 s and peaks at 21 MB.
 MAX_PROJECTIVE_CELLS = 14_000_000
 
 

@@ -20,7 +20,7 @@ import json
 import sys
 from functools import cache
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import _jsonout
 from .classify import (
@@ -69,24 +69,6 @@ from .galois import (
 
 class UsageError(Exception):
     """Bad command-line shape; reported with exit code 2."""
-
-
-#: Characters in each write of `_write_out`.
-WRITE_SLICE = 64 * 1024
-
-
-def _write_out(text: str) -> None:
-    """`print(text)`, written in slices of WRITE_SLICE characters; a text
-    of at most one slice is one write of that very str.
-
-    The text stream encodes each write into a bytes copy, so one print of a
-    large report's whole text held two copies of it; a small slice's copy
-    is small, and its memory is reused by the next.
-    """
-    write = sys.stdout.write
-    for start in range(0, len(text), WRITE_SLICE):
-        write(text[start : start + WRITE_SLICE])
-    write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +154,18 @@ def _parse_matrix(text: str) -> IntMatrix:
     return IntMatrix.from_rows([tuple(row) for row in data])
 
 
-def _emit(args: argparse.Namespace, human: str, payload: dict) -> int:
-    _write_out(_jsonout.dumps(payload) if args.json else human)
+def _emit(args: argparse.Namespace, payload: Callable[[], object],
+          lines: Callable[[], Iterable[str]]) -> int:
+    """Write a verb's answer to stdout: under --json the JSON of `payload()`,
+    else each of `lines()` on a line of its own.  Only the chosen form is
+    built, and it reaches the stream piece by piece, never as one text."""
+    write = sys.stdout.write
+    if args.json:
+        _jsonout.dump(payload(), write)
+        write("\n")
+    else:
+        for line in lines():
+            write(line + "\n")
     return 0
 
 
@@ -185,13 +177,10 @@ def _emit(args: argparse.Namespace, human: str, payload: dict) -> int:
 def _cmd_fan_validate(args: argparse.Namespace) -> int:
     fan, _ = _load_fan(args)
     validate_fan(fan)
-    if args.json:
-        print(fan.to_json())
-    else:
-        print(
-            f"valid: rank {fan.rank}, {fan.num_rays} rays,"
-            f" {len(fan.max_cones)} maximal cones"
-        )
+    _emit(args, fan.to_dict, lambda: [
+        f"valid: rank {fan.rank}, {fan.num_rays} rays, {len(fan.max_cones)} maximal cones"])
+    if args.json:  # the fan file's text, which ends in a newline of its own
+        sys.stdout.write("\n")
     return 0
 
 
@@ -199,71 +188,81 @@ def _cmd_fan_info(args: argparse.Namespace) -> int:
     fan, name = _load_fan(args)
     complete = is_complete(fan)  # validates the fan
     smooth = is_smooth(fan)
-    payload = {
-        "name": name,
-        "rank": fan.rank,
-        "rays": [list(r) for r in fan.rays],
-        "max_cones": [list(c) for c in fan.max_cones],
-        "smooth": smooth,
-        "complete": complete,
-        "class_group": str(class_group(fan)),
-    }
-    lines = [
-        f"name: {name}",
-        f"rank: {fan.rank}",
-        "rays ({}): {}".format(
-            fan.num_rays, " ".join(str(tuple(r)) for r in fan.rays)
-        ),
-        f"smooth: {str(smooth).lower()}",
-        f"complete: {str(complete).lower()}",
-        f"class group: {class_group(fan)}",
-    ]
-    if fan.rank == 2 and smooth and complete:
-        seq = a_sequence(fan)
-        payload["a_sequence"] = list(seq)
-        lines.append(f"a-sequence: {seq}")
-    return _emit(args, "\n".join(lines), payload)
+    group = class_group(fan)
+    seq = a_sequence(fan) if fan.rank == 2 and smooth and complete else None
+
+    def payload() -> dict:
+        out = {
+            "name": name,
+            "rank": fan.rank,
+            "rays": [list(r) for r in fan.rays],
+            "max_cones": [list(c) for c in fan.max_cones],
+            "smooth": smooth,
+            "complete": complete,
+            "class_group": str(group),
+        }
+        if seq is not None:
+            out["a_sequence"] = list(seq)
+        return out
+
+    def lines() -> Iterable[str]:
+        yield f"name: {name}"
+        yield f"rank: {fan.rank}"
+        yield f"rays ({fan.num_rays}): " + " ".join(str(tuple(r)) for r in fan.rays)
+        yield f"smooth: {str(smooth).lower()}"
+        yield f"complete: {str(complete).lower()}"
+        yield f"class group: {group}"
+        if seq is not None:
+            yield f"a-sequence: {seq}"
+
+    return _emit(args, payload, lines)
 
 
 def _cmd_fan_aut(args: argparse.Namespace) -> int:
     fan, _ = _load_fan(args)
     aut = automorphism_group(fan)  # validates the fan
     label = identify_gl2_class(aut) if fan.rank == 2 else None
-    payload = {
-        "order": aut.order,
-        "label": label,
-        "matrices": [m.rows for m in aut.matrices],
-    }
-    lines = [f"order {aut.order}, label {label or '-'}"]
-    for m in aut.matrices:
-        lines.append("  " + "; ".join(str(list(row)) for row in m.rows))
-    return _emit(args, "\n".join(lines), payload)
+
+    def lines() -> Iterable[str]:
+        yield f"order {aut.order}, label {label or '-'}"
+        for m in aut.matrices:
+            yield "  " + "; ".join(str(list(row)) for row in m.rows)
+
+    return _emit(
+        args,
+        lambda: {"order": aut.order, "label": label, "matrices": [m.rows for m in aut.matrices]},
+        lines,
+    )
 
 
 def _cmd_fan_cox(args: argparse.Namespace) -> int:
     fan, name = _load_fan(args)
     data = cox_data(fan)  # validates the fan
     degrees = data.degrees
-    payload = {
-        "name": name,
-        "num_variables": fan.num_rays,
-        "class_group": str(class_group(fan)),
-        "free_degree_rows": degrees.free_rows.rows,
-        "torsion_degree_rows": degrees.torsion_rows.rows,
-        "torsion_moduli": list(degrees.torsion_moduli),
-        "irrelevant_complements": [list(c) for c in data.irrelevant_complements],
-    }
-    lines = [
-        f"Cox presentation for {name}",
-        f"variables: {fan.num_rays} (one per ray)",
-        f"class group: {class_group(fan)}",
-        "free degree rows:",
-    ]
-    for row in degrees.free_rows.rows:
-        lines.append(f"  {list(row)}")
-    for modulus, row in zip(degrees.torsion_moduli, degrees.torsion_rows.rows):
-        lines.append(f"  {list(row)}  (mod {modulus})")
-    return _emit(args, "\n".join(lines), payload)
+    group = class_group(fan)
+
+    def payload() -> dict:
+        return {
+            "name": name,
+            "num_variables": fan.num_rays,
+            "class_group": str(group),
+            "free_degree_rows": degrees.free_rows.rows,
+            "torsion_degree_rows": degrees.torsion_rows.rows,
+            "torsion_moduli": list(degrees.torsion_moduli),
+            "irrelevant_complements": [list(c) for c in data.irrelevant_complements],
+        }
+
+    def lines() -> Iterable[str]:
+        yield f"Cox presentation for {name}"
+        yield f"variables: {fan.num_rays} (one per ray)"
+        yield f"class group: {group}"
+        yield "free degree rows:"
+        for row in degrees.free_rows.rows:
+            yield f"  {list(row)}"
+        for modulus, row in zip(degrees.torsion_moduli, degrees.torsion_rows.rows):
+            yield f"  {list(row)}  (mod {modulus})"
+
+    return _emit(args, payload, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +282,9 @@ def _backend_for_group(args: argparse.Namespace) -> FieldBackend:
     return backend
 
 
-def _print_report(args: argparse.Namespace, report) -> int:
-    _write_out(report.to_json() if args.json else str(report))
-    return 0
-
-
 def _cmd_classify_projective(args: argparse.Namespace) -> int:
-    return _print_report(args, classify_projective(args.n, _backend_for_group(args)))
+    report = classify_projective(args.n, _backend_for_group(args))
+    return _emit(args, report.to_json_dict, report.lines)
 
 
 def _cmd_classify_fan(args: argparse.Namespace) -> int:
@@ -300,12 +295,13 @@ def _cmd_classify_fan(args: argparse.Namespace) -> int:
         quasiprojective=args.quasiprojective,
         fan_name=name,
     )
-    return _print_report(args, report)
+    return _emit(args, report.to_json_dict, report.lines)
 
 
 def _cmd_classify_surface_real(args: argparse.Namespace) -> int:
     fan, name = _load_fan(args)
-    return _print_report(args, classify_surface_real(fan, fan_name=name))
+    report = classify_surface_real(fan, fan_name=name)
+    return _emit(args, report.to_json_dict, report.lines)
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +312,11 @@ def _cmd_classify_surface_real(args: argparse.Namespace) -> int:
 def _cmd_h1_real(args: argparse.Namespace) -> int:
     matrix = _parse_matrix(args.matrix)
     group = h1_real_involution(matrix)
-    payload = {
-        "matrix": matrix.rows,
-        "h1": h1_value_json(group),
-    }
-    return _emit(args, f"H^1 = {group}", payload)
+    return _emit(
+        args,
+        lambda: {"matrix": matrix.rows, "h1": h1_value_json(group)},
+        lambda: [f"H^1 = {group}"],
+    )
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
@@ -331,8 +327,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     aut = automorphism_group(fan)  # validates the fan
     group = backend.group
     classes = enumerate_hom_classes(group, aut)
-    rows = []
-    class_payloads = []
+    classes_json = []
     all_agree = True
     unchecked = []
     for index, cls in enumerate(classes):
@@ -361,28 +356,21 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             all_agree = all_agree and all(value == closed for value in checks)
             if not checks:
                 unchecked.append(index)
-        rows.append(
-            f"class {index}: norm route {norm_json['text']} |"
-            f" closed form {closed} | brute force {brute_json['text']}"
-        )
-        class_payloads.append(
-            {
-                "class": index,
-                "norm_route": norm_json,
-                "closed_form": h1_value_json(closed),
-                "brute_force": brute_json,
-            }
-        )
-    if not all_agree:
-        rows.append("ROUTE DISAGREEMENT")
-    elif unchecked:
-        rows.append(
-            "UNCHECKED: only the closed form ran, for class "
-            + ", ".join(map(str, unchecked))
-        )
-    else:
-        rows.append("all routes agree")
-    _emit(args, "\n".join(rows), {"classes": class_payloads, "all_agree": all_agree})
+        classes_json.append({"class": index, "norm_route": norm_json,
+                             "closed_form": h1_value_json(closed), "brute_force": brute_json})
+
+    def lines() -> Iterable[str]:
+        for c in classes_json:
+            yield (f"class {c['class']}: norm route {c['norm_route']['text']} | closed form"
+                   f" {c['closed_form']['text']} | brute force {c['brute_force']['text']}")
+        if not all_agree:
+            yield "ROUTE DISAGREEMENT"
+        elif unchecked:
+            yield "UNCHECKED: only the closed form ran, for class " + ", ".join(map(str, unchecked))
+        else:
+            yield "all routes agree"
+
+    _emit(args, lambda: {"classes": classes_json, "all_agree": all_agree}, lines)
     return 0 if all_agree and not unchecked else 1
 
 
@@ -392,22 +380,22 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_table_surface(args: argparse.Namespace) -> int:
-    rows = []
-    lines = []
+    rows = []  # (label, expression, C/R value's JSON or None, C/R text)
     for label in sorted(SURFACE_LABELS):
-        expr = surface_table(label)
-        real_payload = None
-        real_text = ""
+        real, real_text = None, ""
         if args.real:
             try:
-                value = surface_table(label, REAL_TOWER)
-                real_payload = h1_value_json(value)
-                real_text = f"  | C/R: {real_payload['text']}"
+                real = h1_value_json(surface_table(label, REAL_TOWER))
+                real_text = f"  | C/R: {real['text']}"
             except TowerDataMissing:
                 real_text = "  | C/R: -"
-        rows.append({"label": label, "h1": h1_value_json(expr), "real": real_payload})
-        lines.append(f"{label:>4}  {render(expr)}{real_text}")
-    return _emit(args, "\n".join(lines), {"rows": rows})
+        rows.append((label, surface_table(label), real, real_text))
+    return _emit(
+        args,
+        lambda: {"rows": [{"label": label, "h1": h1_value_json(expr), "real": real}
+                          for label, expr, real, _ in rows]},
+        lambda: (f"{label:>4}  {render(expr)}{real_text}" for label, expr, _, real_text in rows),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -495,9 +495,9 @@ class FGAbelianGroup:
 
     free_rank copies of Z plus cyclic factors Z/f for the invariant factors,
     each >= 2 and dividing the next.  Two values are equal iff the groups are
-    isomorphic.  Any other value raises ValueError, and a free_rank or
-    factor that is not exactly an int raises TypeError, also under
-    python -O.
+    isomorphic.  Any other value raises ValueError; a free_rank or factor
+    that is not exactly an int, or factors not in a tuple, raise TypeError,
+    also under python -O.
 
     >>> FGAbelianGroup.from_factors([2, 3])
     FGAbelianGroup(free_rank=0, invariant_factors=(6,))
@@ -510,10 +510,12 @@ class FGAbelianGroup:
 
     def __post_init__(self) -> None:
         _check_int(self.free_rank, "free_rank")
-        _check_int_entries((self.invariant_factors,), "invariant_factors")
+        factors = self.invariant_factors
+        if type(factors) is not tuple:
+            raise TypeError(f"invariant_factors must be a tuple, got {type(factors).__name__} {factors!r}")
+        _check_int_entries((factors,), "invariant_factors")
         if self.free_rank < 0:
             raise ValueError(f"free_rank must be >= 0, got {self.free_rank}")
-        factors = self.invariant_factors
         if any(f < 2 or f % x for x, f in zip((1,) + factors, factors)):
             raise ValueError(
                 f"invariant_factors must be >= 2, each dividing the next, got {factors}"

@@ -286,6 +286,7 @@ class SymbolicBrauerBackend:
     images: tuple[tuple[int, IntMatrix], ...]
 
     def __post_init__(self) -> None:
+        _check_int(self.degree, "degree")
         self.group  # GroupSpec.cyclic rejects a degree below 1
         if any(f < 2 for f in self.quotient_factors):
             raise ValueError(

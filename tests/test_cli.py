@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import toricforms
 from toricforms import _jsonout, cli, fan_aut
-from toricforms.classify import builtin_fan, classify_projective
+from toricforms.classify import ClassificationReport, builtin_fan, classify_projective
 from toricforms.cli import run
 from toricforms.cohomology import FiniteModule, brute_force_h1_finite
 from toricforms.exact_linalg import IntMatrix
@@ -1229,26 +1229,26 @@ sys.stderr.write(json.dumps({"code": code, "grown": grown, "length": len(text), 
 """
 
 
-def test_write_out_writes_a_short_text_whole_and_a_long_one_in_slices(monkeypatch):
-    """A text of WRITE_SLICE characters or fewer is one write of that very
-    str; a longer one goes in slices of WRITE_SLICE, then the newline."""
-    writes = []
-    monkeypatch.setattr("sys.stdout", type("Recorder", (), {"write": staticmethod(writes.append)}))
-    monkeypatch.setattr(cli, "WRITE_SLICE", 4)
-    short = "0123"
-    cli._write_out(short)
-    assert writes == [short, "\n"] and writes[0] is short
-    writes.clear()
-    cli._write_out("0123456789a")
-    assert writes == ["0123", "4567", "89a", "\n"]
+@pytest.mark.parametrize("json_mode", [True, False])
+def test_a_report_builds_only_the_form_it_writes(capsys, monkeypatch, json_mode):
+    """Under --json a report's text lines are never formatted, and without
+    it its JSON payload is never built."""
+
+    def refuse(self):
+        raise AssertionError("built the form that is not written")
+
+    monkeypatch.setattr(ClassificationReport, "lines" if json_mode else "to_json_dict", refuse)
+    argv = ["classify", "projective", "-n", "3", "--backend", "real"] + ["--json"] * json_mode
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "") and ("total forms: 4" in out) != json_mode
 
 
-def test_large_report_is_written_in_slices(tmp_path):
+def test_large_report_is_streamed(tmp_path):
     """A report of 61 MB of JSON (`classify projective -n 200`) reaches the
-    file byte for byte as `to_json()` plus a newline, and the write holds
-    no second copy of the text: the process grows by well under twice the
-    text's length (1.05 times it in 64 KiB slices, 1.29 times in 8 MiB
-    slices, 2.01 times when one print encoded the whole text)."""
+    file byte for byte as `to_json()` plus a newline, and no whole text of
+    it is ever held: the process grows by under a tenth of the text's
+    length (0.04 times it streamed, 1.05 times when its whole text was
+    built and written in 64 KiB slices)."""
     out = tmp_path / "report.json"
     with out.open("wb") as stdout:
         child = subprocess.run(
@@ -1264,4 +1264,4 @@ def test_large_report_is_written_in_slices(tmp_path):
     assert result["code"] == 0
     assert result["length"] > 60_000_000
     assert hashlib.sha256(out.read_bytes()).hexdigest() == result["sha256"]
-    assert result["grown"] < 1.5 * result["length"]
+    assert result["grown"] < 0.1 * result["length"]

@@ -1,7 +1,8 @@
 """The indented-JSON emitter against its oracle, ``json.dumps(obj, indent=2)``.
 
 Random nested payloads of every supported type must come out byte for byte
-as the stdlib writes them; every other type must raise ``TypeError``.
+as the stdlib writes them, from ``dumps`` and from ``dump`` into a list;
+every other type must raise ``TypeError``.
 Payloads that repeat rows, by value or as one object, and rows that compare
 equal to int rows but are not (``(True, False)``, ``(1.0, 0)``), hold the
 per-call row memos to the same oracle.
@@ -43,7 +44,14 @@ _PAYLOADS = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(_PAYLOADS)
 def test_emitter_matches_json_dumps(obj):
-    assert _jsonout.dumps(obj) == json.dumps(obj, indent=2)
+    assert _jsonout.dumps(obj) == _streamed(obj) == json.dumps(obj, indent=2)
+
+
+def _streamed(obj) -> str:
+    """The pieces that ``dump`` writes, joined."""
+    pieces = []
+    _jsonout.dump(obj, pieces.append)
+    return "".join(pieces)
 
 
 # objects built at run time, so that equal literals folded into one constant
@@ -95,10 +103,10 @@ _EDITED = [5, -5, 2**64]
 )
 def test_emitter_matches_json_dumps_on_edge_cases(obj):
     obj = copy.deepcopy(obj)  # keeps which objects are shared
-    assert _jsonout.dumps(obj) == json.dumps(obj, indent=2)
+    assert _jsonout.dumps(obj) == _streamed(obj) == json.dumps(obj, indent=2)
     # the memo lives for one call: a list changed in place prints anew
     _append_to_lists(obj, set())
-    assert _jsonout.dumps(obj) == json.dumps(obj, indent=2)
+    assert _jsonout.dumps(obj) == _streamed(obj) == json.dumps(obj, indent=2)
 
 
 def _append_to_lists(obj, seen: set) -> None:
@@ -182,7 +190,9 @@ def test_emitter_rejects_float_rows_equal_to_int_rows(obj):
 @pytest.mark.parametrize("n", [16, 24])
 def test_report_json_peaks_below_twice_its_length(n):
     """The writer copies each byte once: no nested copy per container level
-    (a phi row sits six levels deep)."""
+    (a phi row sits six levels deep).  Streamed to a writer that keeps
+    nothing, it holds no whole text: its peak is its memo of row texts, a
+    small share of the text's length (0.079 of it at n=16, 0.021 at n=24)."""
     report = classify_projective(n, FiniteFieldBackend(2, 12))
     tracemalloc.start()
     try:
@@ -191,3 +201,11 @@ def test_report_json_peaks_below_twice_its_length(n):
     finally:
         tracemalloc.stop()
     assert peak < 2 * len(text), (peak, len(text))
+    payload = report.to_json_dict()
+    tracemalloc.start()
+    try:
+        _jsonout.dump(payload, lambda piece: None)
+        _, streamed = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert streamed < 0.2 * len(text), (streamed, len(text))

@@ -105,6 +105,8 @@ def sections() -> dict[str, list[tuple[str, object, str]]]:
          "TypeError free_rank must be an int, got bool True"),
         ("FGAbelianGroup(0, (2.0,))", lambda: FGAbelianGroup(0, (2.0,)),
          "TypeError invariant_factors must have int entries, got float 2.0"),
+        ("FGAbelianGroup(0, [2])", lambda: FGAbelianGroup(0, [2]),
+         "TypeError invariant_factors must be a tuple, got list [2]"),
         # dependent ambient generators are fine
         ("lattice_subquotient(C([(2, 0), (3, 0), (0, 4)]), C([(2, 0), (0, 8)]))",
          lambda: lattice_subquotient(C([(2, 0), (3, 0), (0, 4)]), C([(2, 0), (0, 8)])), "returned Z/2 + Z/2"),
@@ -218,6 +220,8 @@ def sections() -> dict[str, list[tuple[str, object, str]]]:
          "ValueError symbolic backend JSON: missing key 'invariant_factors'"),
         ("SymbolicBrauerBackend(2, (1,), ())", lambda: SymbolicBrauerBackend(2, (1,), ()),
          "ValueError invariant factors of Q must be at least 2, got [1]"),
+        ("SymbolicBrauerBackend(2.0, (2,), ())", lambda: SymbolicBrauerBackend(2.0, (2,), ()),
+         "TypeError degree must be an int, got float 2.0"),
         ("SymbolicBrauerBackend(2, (2, 3), ((2, I1),))", lambda: SymbolicBrauerBackend(2, (2, 3), ((2, I1),)),
          "ValueError norm image of the subgroup of order 2 needs 2 rows, one per factor of Q, got 1"),
         ("SymbolicBrauerBackend(4, (2,), ((3, I1),))", lambda: SymbolicBrauerBackend(4, (2,), ((3, I1),)),
@@ -278,6 +282,10 @@ def sections() -> dict[str, list[tuple[str, object, str]]]:
          "ValueError partition parts must be positive, got (-1, 4)"),
         ("partition_cocharacter_matrix((4, -1, 0), 3)", lambda: partition_cocharacter_matrix((4, -1, 0), 3),
          "ValueError partition parts must be positive, got (4, -1, 0)"),
+        ("partition_cocharacter_matrix((1.0, 2), 3)", lambda: partition_cocharacter_matrix((1.0, 2), 3),
+         "TypeError partition must have int entries, got float 1.0"),
+        ("partition_cocharacter_matrix((1, 2), 3.0)", lambda: partition_cocharacter_matrix((1, 2), 3.0),
+         "TypeError n_plus_1 must be an int, got float 3.0"),
         ("partitions_dividing(3.0, 2)", lambda: partitions_dividing(3.0, 2),
          "TypeError n_plus_1 must be an int, got float 3.0"),
         ("partitions_dividing(3, True)", lambda: partitions_dividing(3, True),
