@@ -19,6 +19,7 @@ from .classify import (
     descent_status,
     evaluate,
     hom_class_h1,
+    oracle_routes,
     partition_cocharacter_matrix,
     partitions_dividing,
     render,
@@ -78,6 +79,7 @@ __all__ = [
     "involution_type",
     "is_complete",
     "norm_quotient",
+    "oracle_routes",
     "partition_cocharacter_matrix",
     "partitions_dividing",
     "render",

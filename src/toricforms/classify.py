@@ -30,6 +30,8 @@ from . import _jsonout
 from .cohomology import (
     _check_hom_class,
     _h1_finite_field_torus,
+    brute_force_h1_finite,
+    finite_field_torus_module,
     h1_cyclic_norm_formula,
     h1_real_involution,
 )
@@ -45,12 +47,14 @@ from .fans import (
 )
 from .fan_aut import automorphism_group, identify_gl2_class, involution_type
 from .galois import (
+    AssumptionViolated,
     FieldBackend,
     FiniteFieldBackend,
     HomClass,
     RealComplexBackend,
     _prime_factors,
     enumerate_hom_classes,
+    kernel_reduction,
     norm_quotient,
 )
 
@@ -883,6 +887,37 @@ def classify_fan(
     return ClassificationReport(
         fan_name, group.name, backend.describe(), tuple(entries), _report_total(entries)
     )
+
+
+def oracle_routes(fan: Fan, backend: FieldBackend) -> tuple[tuple[FGAbelianGroup | str, ...], ...]:
+    """H^1 of each twisting class by three routes, over a finite field: one
+    row (norm route, closed form, brute force) per class, in `classify_fan`'s
+    order.  The closed form is `hom_class_h1`, the value `classify_fan`
+    reports; the other two run on the kernel reduction, over F_{q^e} for e
+    the class's order.  A route that did not run is its reason: "trivial
+    class" (the untwisted brute force; that norm route is the trivial group),
+    "skipped (assumption)" (class-group torsion not invertible on the units)
+    or "skipped (guard)" (past MAX_COCYCLE_CHECKS).  Raises ValueError
+    unless the backend is a finite field."""
+    if not isinstance(backend, FiniteFieldBackend):
+        raise ValueError("the oracle verb needs a finite-field backend (ff:q,d)")
+    rows = []
+    for cls in enumerate_hom_classes(backend.group, automorphism_group(fan)):
+        closed = hom_class_h1(fan, cls, backend)
+        if cls.is_trivial:
+            rows.append((FGAbelianGroup.trivial(), closed, "trivial class"))
+            continue
+        reduced, reduced_backend = kernel_reduction(cls), FiniteFieldBackend(backend.q, cls.order)
+        try:
+            norm = h1_cyclic_norm_formula(fan, reduced, reduced_backend)
+        except AssumptionViolated:
+            norm = "skipped (assumption)"
+        try:
+            brute = brute_force_h1_finite(finite_field_torus_module(reduced_backend, reduced))
+        except TooLarge:
+            brute = "skipped (guard)"
+        rows.append((norm, closed, brute))
+    return tuple(rows)
 
 
 def classify_surface_real(fan: Fan, *, fan_name: str = "custom") -> ClassificationReport:

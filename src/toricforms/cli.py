@@ -32,20 +32,14 @@ from .classify import (
     classify_projective,
     classify_surface_real,
     h1_value_json,
+    oracle_routes,
     render,
     surface_table,
 )
-from .cohomology import (
-    brute_force_h1_finite,
-    finite_field_torus_module,
-    h1_cyclic_norm_formula,
-    h1_finite_field_torus,
-    h1_real_involution,
-)
-from .exact_linalg import FGAbelianGroup, IntMatrix
+from .cohomology import h1_real_involution
+from .exact_linalg import IntMatrix
 from .fans import (
     Fan,
-    TooLarge,
     a_sequence,
     class_group,
     cox_data,
@@ -55,15 +49,12 @@ from .fans import (
 )
 from .fan_aut import automorphism_group, identify_gl2_class
 from .galois import (
-    AssumptionViolated,
     BackendUnsupported,
     FieldBackend,
     FiniteFieldBackend,
     GroupSpec,
     RealComplexBackend,
     SymbolicBrauerBackend,
-    enumerate_hom_classes,
-    kernel_reduction,
 )
 
 
@@ -177,11 +168,8 @@ def _emit(args: argparse.Namespace, payload: Callable[[], object],
 def _cmd_fan_validate(args: argparse.Namespace) -> int:
     fan, _ = _load_fan(args)
     validate_fan(fan)
-    _emit(args, fan.to_dict, lambda: [
+    return _emit(args, fan.to_dict, lambda: [
         f"valid: rank {fan.rank}, {fan.num_rays} rays, {len(fan.max_cones)} maximal cones"])
-    if args.json:  # the fan file's text, which ends in a newline of its own
-        sys.stdout.write("\n")
-    return 0
 
 
 def _cmd_fan_info(args: argparse.Namespace) -> int:
@@ -321,43 +309,17 @@ def _cmd_h1_real(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     fan, _ = _load_fan(args)
-    backend = _parse_backend(args.backend, None)
-    if not isinstance(backend, FiniteFieldBackend):
-        raise ValueError("the oracle verb needs a finite-field backend (ff:q,d)")
-    aut = automorphism_group(fan)  # validates the fan
-    group = backend.group
-    classes = enumerate_hom_classes(group, aut)
-    classes_json = []
-    all_agree = True
-    unchecked = []
-    for index, cls in enumerate(classes):
-        # every route runs on the one kernel reduction, over F_{q^e}
-        reduced_hom = kernel_reduction(cls)
-        e = reduced_hom.group.order
-        if e == 1:
-            closed = FGAbelianGroup.trivial()
-            norm_json = h1_value_json(closed)
-            brute_json = {"kind": "skipped", "text": "trivial class"}
-        else:
-            reduced_backend = FiniteFieldBackend(backend.q, e)
-            closed = h1_finite_field_torus(backend.q, e, reduced_hom.matrix)
-            checks = []  # the routes that ran beside the closed form
-            try:
-                checks.append(h1_cyclic_norm_formula(fan, reduced_hom, reduced_backend))
-                norm_json = h1_value_json(checks[-1])
-            except AssumptionViolated:
-                norm_json = {"kind": "skipped", "text": "skipped (assumption)"}
-            module = finite_field_torus_module(reduced_backend, reduced_hom)
-            try:
-                checks.append(brute_force_h1_finite(module))
-                brute_json = h1_value_json(checks[-1])
-            except TooLarge:
-                brute_json = {"kind": "skipped", "text": "skipped (guard)"}
-            all_agree = all_agree and all(value == closed for value in checks)
-            if not checks:
-                unchecked.append(index)
-        classes_json.append({"class": index, "norm_route": norm_json,
-                             "closed_form": h1_value_json(closed), "brute_force": brute_json})
+    rows = oracle_routes(fan, _parse_backend(args.backend, None))
+    # a route that did not run is its reason, a string; the others check the closed form
+    checks = [[v for v in (norm, brute) if not isinstance(v, str)] for norm, _, brute in rows]
+    all_agree = all(v == closed for (_, closed, _), ran in zip(rows, checks) for v in ran)
+    unchecked = [index for index, ran in enumerate(checks) if not ran]
+
+    def as_json(value: object) -> dict:
+        return {"kind": "skipped", "text": value} if isinstance(value, str) else h1_value_json(value)
+
+    keys = ("norm_route", "closed_form", "brute_force")
+    classes_json = [{"class": index} | dict(zip(keys, map(as_json, row))) for index, row in enumerate(rows)]
 
     def lines() -> Iterable[str]:
         for c in classes_json:

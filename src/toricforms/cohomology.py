@@ -267,7 +267,7 @@ def h1_cyclic_norm_formula(
 ) -> FGAbelianGroup:
     """H^1 of the twisted dense torus, computed on the ray-coordinate side.
 
-    `classify` calls it for symbolic data only; elsewhere it is the reference.
+    `classify` reports it for symbolic data; `oracle_routes` checks F_q by it.
     Requires, for concrete backends, that every class-group torsion factor
     act invertibly on the units of the splitting field (AssumptionViolated
     otherwise).  Raises ValueError unless `hom` is a hom class of `fan` and

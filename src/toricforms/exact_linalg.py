@@ -540,17 +540,20 @@ class FGAbelianGroup:
         """Canonicalize an arbitrary list of cyclic factor sizes.
 
         Zeros count toward the free rank; the rest are merged into a proper
-        divisibility chain (so [2, 3] becomes (6,), and [4, 2, 4] -> (2, 4, 4)).
+        divisibility chain (so [2, 3] becomes (6,), and [4, 2, 4] -> (2, 4, 4)):
+        each passes down the chain as (chain[i], f) = (gcd, lcm), which sorts
+        every prime's exponents with nothing factored, and the 1s are dropped.
         Raises ValueError on a negative factor.
         """
         if any(f < 0 for f in factors):
             raise ValueError(f"factors must be >= 0, got {list(factors)}")
         free = free_rank + sum(1 for f in factors if f == 0)
-        finite = [f for f in factors if f not in (0, 1)]
-        if not finite:
-            return cls(free, ())
-        dec = smith_normal_form(IntMatrix.diagonal(finite))
-        return cls(free, dec.nonunit_factors)
+        chain: list[int] = []
+        for f in filter(None, factors):
+            for i, link in enumerate(chain):
+                chain[i], f = math.gcd(link, f), math.lcm(link, f)
+            chain.append(f)
+        return cls(free, tuple(f for f in chain if f > 1))
 
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.invariant_factors

@@ -34,6 +34,7 @@ from .exact_linalg import (
     _int_tuples,
     det,
     fraction_free_solve,
+    index_mod,
     saturation_basis,
     smith_normal_form,
 )
@@ -523,15 +524,14 @@ def cox_data(fan: Fan) -> CoxData:
 
 
 def is_smooth(fan: Fan) -> bool:
-    """Every maximal cone is generated by part of a lattice basis: a cone of
-    rank rays has determinant ±1, a smaller one (its rays independent in a
-    valid fan) spans a saturated sublattice, a unit Smith diagonal."""
+    """Every maximal cone C of k rays spans a saturated sublattice: its den δ,
+    a nonzero k x k minor, is 1 or [Z^rank : im C + δ Z^rank] = δ^(rank - k),
+    one `index_mod`, since the torsion of Z^rank / im C has exponent dividing δ."""
     validate_fan(fan)
+    dens = {c: abs(fan.cone_den(c)) for c in fan.max_cones}
     return all(
-        abs(fan.cone_den(c)) == 1
-        if len(c) == fan.rank
-        else all(x == 1 for x in smith_normal_form(fan.cone_matrix(c)).diagonal)
-        for c in fan.max_cones
+        den == 1 or index_mod(fan.cone_matrix(c), den) == den ** (fan.rank - len(c))
+        for c, den in dens.items()
     )
 
 

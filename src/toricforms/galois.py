@@ -123,10 +123,6 @@ class HomClass:
         return self.aut.element_order(self.generator)
 
     @property
-    def is_injective(self) -> bool:
-        return self.order == self.group.order
-
-    @property
     def is_trivial(self) -> bool:
         return self.order == 1
 

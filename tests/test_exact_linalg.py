@@ -645,6 +645,17 @@ def test_fg_abelian_group_canonicalization():
     assert FGAbelianGroup.cyclic(1).is_trivial()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 72), max_size=6), st.integers(0, 2))
+def test_from_factors_is_the_smith_form_of_the_diagonal(factors, free_rank):
+    """`from_factors` merges the factors by gcd and lcm; the nonunit
+    factors of the Smith form of their diagonal are the reference."""
+    finite = [f for f in factors if f not in (0, 1)]
+    want = smith_normal_form(IntMatrix.diagonal(finite)).nonunit_factors if finite else ()
+    got = FGAbelianGroup.from_factors(factors, free_rank)
+    assert got == FGAbelianGroup(free_rank + factors.count(0), want)
+
+
 def _exponent(g: FGAbelianGroup) -> int | None:
     """Least common multiple of the element orders; None when g is infinite."""
     if g.free_rank:

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricforms import exact_linalg, fans
@@ -21,6 +21,7 @@ from toricforms.cli import run
 from toricforms.exact_linalg import (
     FGAbelianGroup,
     IntMatrix,
+    fraction_free_solve,
     kernel_basis,
     saturation_basis,
     smith_normal_form,
@@ -475,6 +476,49 @@ def test_smooth_and_complete():
     # the cones cover the plane, but (1, 1) spans none of them: not a fan
     with pytest.raises(UnusedRay, match=r"^ray 3 = \(1, 1\) lies in no maximal cone$"):
         is_complete(Fan.make(2, P2.rays + ((1, 1),), P2.max_cones))
+
+
+def smith_route_is_smooth(fan: Fan) -> bool:
+    """The test `is_smooth` replaced, kept as its reference: every maximal
+    cone's Smith diagonal is all ones."""
+    return all(
+        all(x == 1 for x in smith_normal_form(fan.cone_matrix(c)).diagonal) for c in fan.max_cones
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_is_smooth_matches_the_smith_route(data):
+    """A random cone of k <= rank independent rays, beside one ray cone per
+    further column that makes the rays span: `is_smooth`, which divides the
+    cone mod its den, against the Smith diagonal."""
+    rank = data.draw(st.integers(2, 5))
+    k = data.draw(st.integers(1, rank))
+    cols = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank),
+                              min_size=rank, max_size=rank))
+    square = IntMatrix.from_cols(cols, rank)
+    assume(fraction_free_solve(square)[0] != 0)
+    rays = [primitive_vector(col) for col in cols]
+    fan = Fan.make(rank, rays, [tuple(range(k))] + [(j,) for j in range(k, rank)])
+    assert is_smooth(fan) == smith_route_is_smooth(fan)
+
+
+def test_is_smooth_and_from_factors_take_no_smith_form(monkeypatch):
+    """On validated fans, `is_smooth` and `FGAbelianGroup.from_factors`
+    answer with the Smith form patched to raise."""
+    low = Fan.make(3, [(1, 0, 0), (1, 2, 0), (0, 0, 1), (-1, -1, -1)], [(0, 1), (2, 3)])
+    cases = [named_fan(name) for name in (*BUILTIN_NAMES, "projective:3", "P1xP2")] + [low]
+    for fan in cases:
+        validate_fan(fan)
+    want = [smith_route_is_smooth(fan) for fan in cases]
+
+    def refuse(m):
+        raise AssertionError("a Smith form")
+
+    monkeypatch.setattr(exact_linalg, "smith_normal_form", refuse)
+    monkeypatch.setattr(fans, "smith_normal_form", refuse)
+    assert [is_smooth(fan) for fan in cases] == want == [True] * (len(cases) - 1) + [False]
+    assert FGAbelianGroup.from_factors([4, 6, 0, 1, 9]) == FGAbelianGroup(1, (6, 36))
 
 
 def test_ccw_order():

@@ -276,6 +276,8 @@ def sections() -> dict[str, list[tuple[str, object, str]]]:
          foreign),
         ("hom_class_h1(hexagon, copy_classes[1], REAL)", lambda: hom_class_h1(hexagon, copy_classes[1], REAL),
          "returned Z/2 + Z/2"),
+        ("oracle_routes(hexagon, REAL)", lambda: oracle_routes(hexagon, REAL),
+         "ValueError the oracle verb needs a finite-field backend (ff:q,d)"),
         ("partition_cocharacter_matrix((0, 3), 3)", lambda: partition_cocharacter_matrix((0, 3), 3),
          "ValueError partition parts must be positive, got (0, 3)"),
         ("partition_cocharacter_matrix((-1, 4), 3)", lambda: partition_cocharacter_matrix((-1, 4), 3),
