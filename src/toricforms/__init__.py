@@ -18,8 +18,6 @@ from .classify import (
     classify_surface_real,
     descent_status,
     evaluate,
-    hom_class_h1,
-    oracle_routes,
     partition_cocharacter_matrix,
     partitions_dividing,
     render,
@@ -29,8 +27,9 @@ from .cohomology import (
     brute_force_h1_finite,
     finite_field_torus_module,
     h1_cyclic_norm_formula,
-    h1_finite_field_torus,
     h1_real_involution,
+    hom_class_h1,
+    oracle_routes,
 )
 from .exact_linalg import FGAbelianGroup, IntMatrix, smith_normal_form
 from .fan_aut import automorphism_group, identify_gl2_class, involution_type
@@ -72,7 +71,6 @@ __all__ = [
     "evaluate",
     "finite_field_torus_module",
     "h1_cyclic_norm_formula",
-    "h1_finite_field_torus",
     "h1_real_involution",
     "hom_class_h1",
     "identify_gl2_class",

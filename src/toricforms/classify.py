@@ -6,7 +6,8 @@ This module turns the lower-level engines into finished classifications:
   extension, organised by partitions whose parts divide the degree;
 * ``classify_fan`` — one report entry per conjugacy class of twisting
   homomorphisms into the fan symmetry group, with the cohomology group of the
-  twisted torus attached to each entry;
+  twisted torus attached to each entry: ``cohomology.hom_class_h1``, which
+  holds the rule that picks an H^1 route per backend;
 * ``classify_surface_real`` — the rank-2 specialisation over C/R, with each
   entry tagged by the lattice type of its involution;
 * ``surface_table`` — the symbolic answer for every finite subgroup class of
@@ -27,14 +28,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence, Union
 
 from . import _jsonout
-from .cohomology import (
-    _check_hom_class,
-    _h1_finite_field_torus,
-    brute_force_h1_finite,
-    finite_field_torus_module,
-    h1_cyclic_norm_formula,
-    h1_real_involution,
-)
+from .cohomology import hom_class_h1
 from .exact_linalg import FGAbelianGroup, IntMatrix, _check_int, _check_int_entries
 from .fans import (
     Fan,
@@ -47,14 +41,10 @@ from .fans import (
 )
 from .fan_aut import automorphism_group, identify_gl2_class, involution_type
 from .galois import (
-    AssumptionViolated,
     FieldBackend,
-    FiniteFieldBackend,
-    HomClass,
     RealComplexBackend,
     _prime_factors,
     enumerate_hom_classes,
-    kernel_reduction,
     norm_quotient,
 )
 
@@ -839,27 +829,6 @@ def classify_projective(n: int, backend: FieldBackend) -> ClassificationReport:
     )
 
 
-def hom_class_h1(fan: Fan, hom: HomClass, backend: FieldBackend) -> FGAbelianGroup:
-    """Cohomology of the torus twisted by one homomorphism class.
-
-    Over C/R and F_q it is read off the generator's rank x rank cocharacter
-    matrix s: the involution formula, and ker N / im(q s - 1) over F_{q^e},
-    the field the kernel fixes, where e = `hom.order` is the order of s.
-    Symbolic data gets the norm quotient over the hom's ray-orbit stabilizers.
-    Raises ValueError, as `h1_cyclic_norm_formula` does, unless `hom` is a
-    hom class of `fan` and the backend's degree is the order of its group.
-    """
-    _check_hom_class(fan, hom, backend)
-    if hom.is_trivial:
-        return FGAbelianGroup.trivial()
-    s = hom.matrix
-    if isinstance(backend, RealComplexBackend):
-        return h1_real_involution(s)
-    if isinstance(backend, FiniteFieldBackend):
-        return _h1_finite_field_torus(backend.q, hom.order, s)
-    return h1_cyclic_norm_formula(fan, hom, backend)
-
-
 def classify_fan(
     fan: Fan,
     backend: FieldBackend,
@@ -887,37 +856,6 @@ def classify_fan(
     return ClassificationReport(
         fan_name, group.name, backend.describe(), tuple(entries), _report_total(entries)
     )
-
-
-def oracle_routes(fan: Fan, backend: FieldBackend) -> tuple[tuple[FGAbelianGroup | str, ...], ...]:
-    """H^1 of each twisting class by three routes, over a finite field: one
-    row (norm route, closed form, brute force) per class, in `classify_fan`'s
-    order.  The closed form is `hom_class_h1`, the value `classify_fan`
-    reports; the other two run on the kernel reduction, over F_{q^e} for e
-    the class's order.  A route that did not run is its reason: "trivial
-    class" (the untwisted brute force; that norm route is the trivial group),
-    "skipped (assumption)" (class-group torsion not invertible on the units)
-    or "skipped (guard)" (past MAX_COCYCLE_CHECKS).  Raises ValueError
-    unless the backend is a finite field."""
-    if not isinstance(backend, FiniteFieldBackend):
-        raise ValueError("the oracle verb needs a finite-field backend (ff:q,d)")
-    rows = []
-    for cls in enumerate_hom_classes(backend.group, automorphism_group(fan)):
-        closed = hom_class_h1(fan, cls, backend)
-        if cls.is_trivial:
-            rows.append((FGAbelianGroup.trivial(), closed, "trivial class"))
-            continue
-        reduced, reduced_backend = kernel_reduction(cls), FiniteFieldBackend(backend.q, cls.order)
-        try:
-            norm = h1_cyclic_norm_formula(fan, reduced, reduced_backend)
-        except AssumptionViolated:
-            norm = "skipped (assumption)"
-        try:
-            brute = brute_force_h1_finite(finite_field_torus_module(reduced_backend, reduced))
-        except TooLarge:
-            brute = "skipped (guard)"
-        rows.append((norm, closed, brute))
-    return tuple(rows)
 
 
 def classify_surface_real(fan: Fan, *, fan_name: str = "custom") -> ClassificationReport:

@@ -32,11 +32,10 @@ from .classify import (
     classify_projective,
     classify_surface_real,
     h1_value_json,
-    oracle_routes,
     render,
     surface_table,
 )
-from .cohomology import h1_real_involution
+from .cohomology import h1_real_involution, oracle_routes
 from .exact_linalg import IntMatrix
 from .fans import (
     Fan,

@@ -18,9 +18,10 @@ All computations are exact.  The module implements:
   `quotient_mod` mod q^d - 1;
 * a literal cocycle brute force over finite modules.
 
-`classify` reports the first two, on the rank x rank cocharacter matrix,
-and the norm formula only for symbolic norm data; the tests keep the
-subquotients the first two once built as their references.  Having
+`hom_class_h1`, the value `classify` reports, picks the first two, on the
+rank x rank cocharacter matrix, and the norm formula only for symbolic norm
+data; `oracle_routes` runs all three routes over a finite field.  The tests
+keep the subquotients the first two once built as their references.  Having
 genuinely independent routes is the point: they cross-check each other on
 every example, so a bug in one presentation cannot silently agree with the
 same bug in another.
@@ -38,7 +39,6 @@ from typing import Iterable, Sequence
 from .exact_linalg import (
     FGAbelianGroup,
     IntMatrix,
-    _check_int,
     basis_mod,
     congruence_kernel,
     index_mod,
@@ -47,8 +47,8 @@ from .exact_linalg import (
     quotient_mod,
     rank_mod_2,
 )
-from .fan_aut import _check_involution, _cycles
-from .fans import Fan, TooLarge, class_group, degree_data
+from .fan_aut import _check_involution, _cycles, automorphism_group
+from .fans import Fan, TooLarge, class_group
 from .galois import (
     AssumptionViolated,
     BackendUnsupported,
@@ -59,9 +59,9 @@ from .galois import (
     RealComplexBackend,
     SymbolicBrauerBackend,
     _prime_factors,
-    _prime_power_base,
+    enumerate_hom_classes,
+    kernel_reduction,
     norm_quotient,
-    torsion_factor_invertible,
 )
 
 
@@ -122,13 +122,12 @@ def _diagonal_degree(fan: Fan) -> bool:
 
     In that case the ray-coordinate subtorus is one split multiplicative
     group with the plain Galois action, and the norm quotient over the orbit
-    stabilizers is the whole answer.
+    stabilizers is the whole answer.  With Cl = Z the ray relations are the
+    multiples of one primitive vector, which is the degree row up to sign;
+    (1, ..., 1) is primitive, so it is that vector exactly when the rays sum
+    to zero.
     """
-    deg = degree_data(fan)
-    if deg.torsion_moduli or deg.free_rows.nrows != 1:
-        return False
-    row = deg.free_rows.row(0)
-    return all(x == 1 for x in row) or all(x == -1 for x in row)
+    return class_group(fan) == FGAbelianGroup.free(1) and not any(map(sum, zip(*fan.rays)))
 
 
 def _check_degree(degree: int, hom: HomClass) -> None:
@@ -149,16 +148,6 @@ def _check_hom_class(fan: Fan, hom: HomClass, backend: FieldBackend) -> None:
     if hom.aut.fan_key != (fan.rank, fan.rays, fan.max_cones):
         raise ValueError("hom: a hom class of another fan")
     _check_degree(backend.group.order, hom)
-
-
-def _check_torsion_assumption(backend: FieldBackend, fan: Fan) -> None:
-    cl = class_group(fan)
-    for f in cl.invariant_factors:
-        if not torsion_factor_invertible(backend, f):
-            raise AssumptionViolated(
-                f"class group torsion factor {f} is not invertible on the unit "
-                f"group of {backend.describe()}"
-            )
 
 
 def _h1_real_quotient_presentation(fan: Fan, hom: HomClass) -> FGAbelianGroup:
@@ -229,9 +218,19 @@ def _h1_finite_field_quotient_presentation(
     norms are reduced mod c, and `quotient_mod` divides the two, checking
     that the norms lie in the fixed lattice, with no Smith form: the
     quotient is trivial by Lang's theorem.
+
+    The presentation assumes every torsion factor f of the class group
+    invertible on the units K* = Z/c, that is gcd(f, c) = 1; it raises
+    AssumptionViolated otherwise.
     """
     q = backend.q
     c = backend.mult_order
+    for f in class_group(fan).invariant_factors:
+        if math.gcd(f, c) != 1:
+            raise AssumptionViolated(
+                f"class group torsion factor {f} is not invertible on the unit "
+                f"group of {backend.describe()}"
+            )
     perm = hom.ray_permutation
     fixed_lattice = _fixed_ray_lattice(fan, perm, q, c)
     y_rows = congruence_kernel(fan.ray_columns, c).rows
@@ -268,8 +267,8 @@ def h1_cyclic_norm_formula(
     """H^1 of the twisted dense torus, computed on the ray-coordinate side.
 
     `classify` reports it for symbolic data; `oracle_routes` checks F_q by it.
-    Requires, for concrete backends, that every class-group torsion factor
-    act invertibly on the units of the splitting field (AssumptionViolated
+    Over F_q, requires that every class-group torsion factor be prime to
+    q^d - 1, the order of the splitting field's units (AssumptionViolated
     otherwise).  Raises ValueError unless `hom` is a hom class of `fan` and
     the backend's Galois group has the order of the group `hom` twists by.
 
@@ -288,7 +287,6 @@ def h1_cyclic_norm_formula(
         # orbit-stabilizer: an orbit of r rays has a stabilizer of order |G| / r
         orders = [hom.group.order // len(orbit) for orbit in hom.ray_orbits]
         return norm_quotient(backend, orders)
-    _check_torsion_assumption(backend, fan)
     if isinstance(backend, RealComplexBackend):
         return _h1_real_quotient_presentation(fan, hom)
     if isinstance(backend, FiniteFieldBackend):
@@ -627,37 +625,14 @@ def _exact_log(n: int, p: int) -> int:
 # finite-field tori, kernel-of-norm route
 
 
-def h1_finite_field_torus(q: int, d: int, s: IntMatrix) -> FGAbelianGroup:
-    """H^1 of Frobenius acting on a torus over F_q split by F_{q^d}.
-
-    `s` is the cocharacter matrix of the twisting automorphism assigned to
-    Frobenius; it must satisfy s^d = 1.  On the finite module
-    (Z/(q^d - 1))^n the generator acts by sigma = q s, and for a cyclic
-    group H^1 = ker(Norm) / im(sigma - 1) with Norm the sum of sigma^j.
-    The result is always trivial (Lang); the route compares the orders of
-    the two groups and raises LangViolated if they differ.  Raises
-    TypeError unless q and d are exactly ints and s is an IntMatrix, and
-    ValueError unless q is a prime power, d >= 1, s is square and s^d = 1,
-    all also under python -O.
-    """
-    _check_int(q, "q")  # before `_prime_factors`, whose cache takes 3.0 for 3
-    _check_int(d, "d")
-    if not isinstance(s, IntMatrix):
-        raise TypeError(f"s must be an IntMatrix, got {type(s).__name__}")
-    _prime_power_base(q)  # raises ValueError unless q is a prime power
-    if d < 1:
-        raise ValueError(f"finite-field torus needs degree d >= 1, got d={d}")
-    if s.ncols != s.nrows:
-        raise ValueError(f"twisting matrix s must be square, got shape {s.shape}")
-    if s.power(d) != IntMatrix.identity(s.nrows):
-        raise ValueError(f"twisting matrix s must satisfy s^d = 1 for d={d}")
-    return _h1_finite_field_torus(q, d, s)
-
-
 def _h1_finite_field_torus(q: int, d: int, s: IntMatrix) -> FGAbelianGroup:
-    """`h1_finite_field_torus` for a checked q and an s of order dividing d.
+    """H^1 of Frobenius acting on a torus over F_q split by F_{q^d}, for a
+    prime power q and the cocharacter matrix s of the twisting automorphism
+    assigned to Frobenius, of order dividing d.
 
-    Modulo c = q^d - 1, sigma^d = q^d s^d = 1, so N (sigma - 1) = sigma^d - 1
+    On the finite module (Z/(q^d - 1))^n the generator acts by sigma = q s,
+    and for a cyclic group H^1 = ker(Norm) / im(sigma - 1) with Norm the sum
+    of sigma^j.  Modulo c = q^d - 1, sigma^d = q^d s^d = 1, so N (sigma - 1) = sigma^d - 1
     is zero and im(sigma - 1) lies in ker N: H^1 is trivial exactly when the
     two have one order.  Each order is read off one `index_mod`: for a
     matrix A, A's image in (Z/c)^n has c^n / index_mod(A, c) elements and
@@ -679,3 +654,59 @@ def _h1_finite_field_torus(q: int, d: int, s: IntMatrix) -> FGAbelianGroup:
             f" |im(sigma - 1)| = {c**n // image_index}"
         )
     return FGAbelianGroup.trivial()
+
+
+# ---------------------------------------------------------------------------
+# the route each backend takes
+
+
+def hom_class_h1(fan: Fan, hom: HomClass, backend: FieldBackend) -> FGAbelianGroup:
+    """Cohomology of the torus twisted by one homomorphism class.
+
+    Over C/R and F_q it is read off the generator's rank x rank cocharacter
+    matrix s: the involution formula, and ker N / im(q s - 1) over F_{q^e},
+    the field the kernel fixes, where e = `hom.order` is the order of s.
+    Symbolic data gets the norm quotient over the hom's ray-orbit stabilizers.
+    Raises ValueError, as `h1_cyclic_norm_formula` does, unless `hom` is a
+    hom class of `fan` and the backend's degree is the order of its group.
+    """
+    _check_hom_class(fan, hom, backend)
+    if hom.is_trivial:
+        return FGAbelianGroup.trivial()
+    s = hom.matrix
+    if isinstance(backend, RealComplexBackend):
+        return h1_real_involution(s)
+    if isinstance(backend, FiniteFieldBackend):
+        return _h1_finite_field_torus(backend.q, hom.order, s)
+    return h1_cyclic_norm_formula(fan, hom, backend)
+
+
+def oracle_routes(fan: Fan, backend: FieldBackend) -> tuple[tuple[FGAbelianGroup | str, ...], ...]:
+    """H^1 of each twisting class by three routes, over a finite field: one
+    row (norm route, closed form, brute force) per class, in `classify_fan`'s
+    order.  The closed form is `hom_class_h1`, the value `classify_fan`
+    reports; the other two run on the kernel reduction, over F_{q^e} for e
+    the class's order.  A route that did not run is its reason: "trivial
+    class" (the untwisted brute force; that norm route is the trivial group),
+    "skipped (assumption)" (class-group torsion not invertible on the units)
+    or "skipped (guard)" (past MAX_COCYCLE_CHECKS).  Raises ValueError
+    unless the backend is a finite field."""
+    if not isinstance(backend, FiniteFieldBackend):
+        raise ValueError("the oracle verb needs a finite-field backend (ff:q,d)")
+    rows = []
+    for cls in enumerate_hom_classes(backend.group, automorphism_group(fan)):
+        closed = hom_class_h1(fan, cls, backend)
+        if cls.is_trivial:
+            rows.append((FGAbelianGroup.trivial(), closed, "trivial class"))
+            continue
+        reduced, reduced_backend = kernel_reduction(cls), FiniteFieldBackend(backend.q, cls.order)
+        try:
+            norm = h1_cyclic_norm_formula(fan, reduced, reduced_backend)
+        except AssumptionViolated:
+            norm = "skipped (assumption)"
+        try:
+            brute = brute_force_h1_finite(finite_field_torus_module(reduced_backend, reduced))
+        except TooLarge:
+            brute = "skipped (guard)"
+        rows.append((norm, closed, brute))
+    return tuple(rows)

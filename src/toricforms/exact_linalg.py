@@ -209,20 +209,6 @@ class IntMatrix:
     def submatrix_cols(self, js: Sequence[int]) -> "IntMatrix":
         return IntMatrix._trusted(tuple(tuple(r[j] for j in js) for r in self.rows), len(js))
 
-    def power(self, k: int) -> "IntMatrix":
-        if self.nrows != self.ncols:
-            raise ValueError(f"power of a non-square {self.shape} matrix")
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
-        result = IntMatrix.identity(self.nrows)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base
-            k >>= 1
-        return result
-
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(x) for x in r) for r in self.rows) + "]"
 

@@ -412,8 +412,8 @@ def _check_rays_and_cones(fan: Fan) -> None:
 
     if not fan.num_rays:
         raise RaysNotFullRank("no rays: they span the zero sublattice")
-    dec = fan.ray_rows_snf
-    if dec.rank != fan.rank:
+    if not fraction_free_solve(fan.ray_rows)[0]:
+        dec = fan.ray_rows_snf
         # u R v = d gives v^T R^T u^T = d^T: the decomposition of the columns
         sat = saturation_basis(
             SmithDecomposition(fan.ray_columns, dec.v.transpose, dec.d.transpose, dec.u.transpose)

@@ -395,22 +395,6 @@ def _json_ints(value: object, what: str) -> tuple[int, ...]:
 FieldBackend = RealComplexBackend | FiniteFieldBackend | SymbolicBrauerBackend
 
 
-def torsion_factor_invertible(backend: FieldBackend, factor: int) -> bool:
-    """Is multiplication by `factor` invertible on the coefficient units?
-
-    For C/R the units are divisible, so any nonzero factor acts invertibly on
-    the cohomology this library computes.  For a finite field, multiplication
-    by `factor` on the cyclic K* = Z/(q^d - 1) is a bijection iff `factor` is
-    prime to q^d - 1.
-    """
-    assert factor >= 1
-    if isinstance(backend, RealComplexBackend):
-        return True
-    if isinstance(backend, FiniteFieldBackend):
-        return math.gcd(factor, backend.mult_order) == 1
-    raise BackendUnsupported("symbolic backend carries no unit-group arithmetic")
-
-
 # ---------------------------------------------------------------------------
 # norm quotients
 

@@ -20,12 +20,11 @@ from toricforms.classify import (
     builtin_fan,
     classify_fan,
     classify_projective,
-    oracle_routes,
     partitions_dividing,
     partition_cocharacter_matrix,
     surface_table,
 )
-from toricforms.cohomology import h1_cyclic_norm_formula, h1_real_involution
+from toricforms.cohomology import h1_cyclic_norm_formula, h1_real_involution, oracle_routes
 from toricforms.exact_linalg import FGAbelianGroup, IntMatrix
 from toricforms.fan_aut import (
     automorphism_group,

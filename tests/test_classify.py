@@ -58,14 +58,13 @@ from toricforms.classify import (
     evaluate,
     MAX_PROJECTIVE_CELLS,
     _count_partitions_dividing,
-    oracle_routes,
     partition_cocharacter_matrix,
     partition_permutation,
     partitions_dividing,
     render,
     surface_table,
 )
-from toricforms.cohomology import TooLarge, h1_cyclic_norm_formula, h1_real_involution
+from toricforms.cohomology import TooLarge, h1_cyclic_norm_formula, h1_real_involution, oracle_routes
 from toricforms.exact_linalg import IntMatrix
 from toricforms import classify, cli, cohomology, galois
 

@@ -21,16 +21,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toricforms
-from toricforms import _jsonout, cli, fan_aut
+from toricforms import _jsonout, cli, exact_linalg, fan_aut, fans
 from toricforms.classify import ClassificationReport, builtin_fan, classify_projective
 from toricforms.cli import run
 from toricforms.cohomology import FiniteModule, brute_force_h1_finite
-from toricforms.exact_linalg import IntMatrix
+from toricforms.exact_linalg import IntMatrix, smith_normal_form
 from toricforms.fan_aut import automorphism_group
 from toricforms.fans import TooLarge, validate_fan
 from toricforms.galois import FiniteFieldBackend, GroupSpec, RealComplexBackend, enumerate_hom_classes
 
-from test_fans import _disjoint_cones
+from test_fans import PRODUCT_FAN_NAMES, _disjoint_cones, named_fan
 
 P2_JSON = json.dumps(
     {"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "cones": [[0, 1], [1, 2], [0, 2]]}
@@ -544,11 +544,11 @@ def test_cohomology_oracle_guard_bounds_the_work(capsys):
 
 
 def test_cohomology_oracle_disagreement_exits_one_with_json(capsys, monkeypatch):
-    from toricforms import classify
+    from toricforms import cohomology
     from toricforms.exact_linalg import FGAbelianGroup
 
     monkeypatch.setattr(
-        classify, "hom_class_h1", lambda fan, hom, backend: FGAbelianGroup.from_factors([2])
+        cohomology, "hom_class_h1", lambda fan, hom, backend: FGAbelianGroup.from_factors([2])
     )
     argv = ["cohomology", "oracle", "--builtin", "surface:C2", "--backend", "ff:3,2"]
     code, out, _ = invoke(capsys, *argv)
@@ -775,6 +775,31 @@ def test_classify_fan_over_finite_fields_with_class_group_torsion(tmp_path, caps
     assert (code, err) == (0, "")
     entries = json.loads(out)["entries"]
     assert len(entries) == 2 and all(e["h1"]["text"] == "1" for e in entries)
+
+
+def test_classify_fan_from_a_file_takes_no_smith_form(tmp_path, capsys, monkeypatch):
+    """Validation reads full rank off one elimination of the rays, and
+    `classify` reads H^1 off the cocharacter matrix: `classify fan --file`
+    over C/R and F_q factors no matrix, on the product fans and on a fan
+    with class-group torsion."""
+    paths = [tmp_path / "torsion.json"]
+    paths[0].write_text(TORSION_FAN_JSON)
+    for name in PRODUCT_FAN_NAMES:
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(named_fan(name).to_json())
+    factored = []
+
+    def recording_smith_normal_form(m):
+        factored.append(m)
+        return smith_normal_form(m)
+
+    monkeypatch.setattr(exact_linalg, "smith_normal_form", recording_smith_normal_form)
+    monkeypatch.setattr(fans, "smith_normal_form", recording_smith_normal_form)
+    for path in paths:
+        for backend in ("real", "ff:2,2", "ff:2,3", "ff:3,4"):
+            code, out, err = invoke(capsys, "classify", "fan", "--file", str(path), "--backend", backend)
+            assert (code, err) == (0, "") and "total forms" in out
+    assert factored == []
 
 
 _TORSION_ORACLE_ROWS = (

@@ -4,6 +4,8 @@ import functools
 import itertools
 import math
 import operator
+import random
+import re
 import subprocess
 import sys
 import time
@@ -28,15 +30,16 @@ from toricforms.cohomology import (
     _IndexedModule,
     _action_tables,
     _cocycle_columns,
+    _diagonal_degree,
     _exact_log,
     _fixed_ray_lattice,
     _h1_finite_field_quotient_presentation,
+    _h1_finite_field_torus,
     _h1_real_quotient_presentation,
     _permutation_matrix,
     brute_force_h1_finite,
     finite_field_torus_module,
     h1_cyclic_norm_formula,
-    h1_finite_field_torus,
     h1_real_involution,
 )
 from toricforms.exact_linalg import (
@@ -51,7 +54,7 @@ from toricforms.exact_linalg import (
     smith_normal_form,
 )
 from toricforms.fan_aut import NotInvolution, _check_involution, automorphism_group
-from toricforms.fans import Fan, class_group, validate_fan
+from toricforms.fans import Fan, class_group, degree_data, is_complete, primitive_vector, validate_fan
 from toricforms.galois import (
     AssumptionViolated,
     BackendUnsupported,
@@ -285,6 +288,8 @@ def test_real_route_square_class_orders():
 
 # rays (1,0), (-1,2), (-1,-2): Cl = Z + Z/2
 TORSION_TRIANGLE = Fan.make(2, [(1, 0), (-1, 2), (-1, -2)], [(0, 1), (1, 2), (0, 2)])
+# rays (2,-1), (-1,2), (-1,-1), P^2 modulo Z/3: Cl = Z + Z/3, and the rays sum to 0
+TORSION3_TRIANGLE = Fan.make(2, [(2, -1), (-1, 2), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
 # the diagonal square: Cl = Z^2 + Z/2
 TORSION_SQUARE = Fan.make(
     2, [(1, 1), (-1, 1), (-1, -1), (1, -1)], [(0, 1), (1, 2), (2, 3), (0, 3)]
@@ -707,13 +712,13 @@ def test_table_driven_brute_force_matches_literal_on_random_actions(module):
 @pytest.mark.parametrize("q,d", [(2, 2), (3, 2), (4, 2), (2, 3), (5, 2)])
 def test_split_finite_field_torus_is_cohomologically_trivial(q, d):
     for n in (1, 2):
-        assert h1_finite_field_torus(q, d, IntMatrix.identity(n)) == TRIVIAL
+        assert _h1_finite_field_torus(q, d, IntMatrix.identity(n)) == TRIVIAL
 
 
 def test_frobenius_multiplier_matters_but_h1_still_vanishes():
     # an order-two twist on a rank-one torus: the norm-one torus of F_{q^2}/F_q
     for q in (2, 3, 4, 5):
-        assert h1_finite_field_torus(q, 2, M([[-1]])) == TRIVIAL
+        assert _h1_finite_field_torus(q, 2, M([[-1]])) == TRIVIAL
 
 
 @pytest.mark.parametrize("q,d", [(2, 2), (3, 2), (2, 3)])
@@ -723,7 +728,7 @@ def test_three_finite_field_routes_agree(q, d):
     for fan in (P1, P2):
         for cls in enumerate_hom_classes(group, automorphism_group(fan)):
             via_norm = h1_cyclic_norm_formula(fan, cls, backend)
-            via_torus = h1_finite_field_torus(q, d, cls.matrix)
+            via_torus = _h1_finite_field_torus(q, d, cls.matrix)
             via_brute = brute_force_h1_finite(finite_field_torus_module(backend, cls))
             assert via_norm == via_torus == via_brute == TRIVIAL
 
@@ -752,9 +757,101 @@ def test_torsion_fan_routes_agree_when_assumption_holds():
     cls = _torsion_twist_class()
     backend = FiniteFieldBackend(2, 2)  # units of order 3, coprime to the Z/2
     via_norm = h1_cyclic_norm_formula(TORSION_FAN, cls, backend)
-    via_torus = h1_finite_field_torus(2, 2, cls.matrix)
+    via_torus = _h1_finite_field_torus(2, 2, cls.matrix)
     via_brute = brute_force_h1_finite(finite_field_torus_module(backend, cls))
     assert via_norm == via_torus == via_brute
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 27])
+def test_norm_route_torsion_check_matches_residue_enumeration(q):
+    """The finite-field norm route assumes the class-group torsion factor 3
+    invertible on K* = Z/(q^2 - 1): on every twisting class it raises
+    AssumptionViolated exactly when 3 times the literal residues mod q^2 - 1
+    is not all of them, and returns the trivial group otherwise."""
+    fan = TORSION3_TRIANGLE
+    assert class_group(fan) == FGAbelianGroup.from_factors([3], 1)
+    backend = FiniteFieldBackend(q, 2)
+    c = q**2 - 1
+    onto = len({3 * x % c for x in range(c)}) == c
+    refusal = f"^class group torsion factor 3 is not invertible on the unit group of {re.escape(backend.describe())}$"
+    classes = enumerate_hom_classes(backend.group, automorphism_group(fan))
+    assert len(classes) == 2
+    for cls in classes:
+        if onto:
+            assert h1_cyclic_norm_formula(fan, cls, backend) == TRIVIAL
+        else:
+            with pytest.raises(AssumptionViolated, match=refusal):
+                h1_cyclic_norm_formula(fan, cls, backend)
+
+
+def _degree_row_is_diagonal(fan: Fan) -> bool:
+    """`_diagonal_degree` as it was before it read the class group and the
+    ray sum, kept as its reference: the degree rows of the Smith transform,
+    one row of all 1 or all -1 and no torsion."""
+    deg = degree_data(fan)
+    if deg.torsion_moduli or deg.free_rows.nrows != 1:
+        return False
+    row = deg.free_rows.row(0)
+    return all(x == 1 for x in row) or all(x == -1 for x in row)
+
+
+def _random_unimodular(rng: random.Random, rank: int) -> IntMatrix:
+    """A signed permutation times a few elementary row operations."""
+    order = rng.sample(range(rank), rank)
+    rows = [[rng.choice((1, -1)) * int(order[i] == j) for j in range(rank)] for i in range(rank)]
+    for _ in range(rng.randint(0, 4) if rank > 1 else 0):
+        i, j = rng.sample(range(rank), 2)
+        c = rng.randint(-2, 2)
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return M(rows)
+
+
+def _random_simplex_fan(rng: random.Random, rank: int) -> Fan:
+    """rank independent primitive rays and the primitive vector of minus a
+    positive combination of them, every rank of them a cone: a complete
+    simplicial fan with a class group of rank 1, torsion or not."""
+    while True:
+        rays = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(rank)]
+        if exact_linalg.det(M(rays)):
+            break
+    rays = [primitive_vector(r) for r in rays]
+    weights = [rng.choice((1, 1, 2, 3)) for _ in rays]
+    rays.append(primitive_vector([-sum(w * r[k] for w, r in zip(weights, rays)) for k in range(rank)]))
+    return Fan.make(rank, rays, itertools.combinations(range(rank + 1), rank))
+
+
+def _random_subdivision(rng: random.Random, fan: Fan) -> Fan:
+    """`fan` with one maximal cone split at a primitive interior ray."""
+    cone = rng.choice(fan.max_cones)
+    weights = [rng.randint(1, 2) for _ in cone]
+    ray = primitive_vector([sum(w * fan.rays[i][k] for w, i in zip(weights, cone)) for k in range(fan.rank)])
+    new = fan.num_rays
+    cones = [c for c in fan.max_cones if c != cone] + [tuple(j for j in cone if j != i) + (new,) for i in cone]
+    return Fan.make(fan.rank, fan.rays + (ray,), cones)
+
+
+def test_diagonal_degree_matches_the_degree_rows():
+    """Class group Z and rays summing to zero, against the degree rows it
+    replaced, on the builtins, projective:1..6 and the complete torsion fans,
+    three unimodular images of each, and 300 random complete simplicial
+    fans of rank 2 and 3 (150 with a class group of rank 1, 150 subdivided)."""
+    rng = random.Random(20261019)
+    bases = [named_fan(name) for name in (*BUILTIN_NAMES, *(f"projective:{n}" for n in range(1, 7)))]
+    bases += [TORSION_TRIANGLE, TORSION_SQUARE, TORSION_PRISM, TORSION3_TRIANGLE]
+    cases = list(bases)
+    for base in bases:
+        for _ in range(3):
+            g = _random_unimodular(rng, base.rank)
+            cases.append(Fan.make(base.rank, [g.apply(r) for r in base.rays], base.max_cones))
+    simplices = [_random_simplex_fan(rng, rng.choice((2, 3))) for _ in range(150)]
+    cases += simplices + [_random_subdivision(rng, fan) for fan in simplices]
+    assert len(cases) == 4 * len(bases) + 300 == 396
+    diagonal = 0
+    for fan in cases:
+        assert is_complete(fan)
+        assert _diagonal_degree(fan) == _degree_row_is_diagonal(fan)
+        diagonal += _diagonal_degree(fan)
+    assert diagonal > 4 * 6
 
 
 def test_symbolic_backend_needs_degree_one_profile():
@@ -969,7 +1066,7 @@ def test_large_q_ff_routes_keep_every_entry_below_c(monkeypatch):
     monkeypatch.setattr(cohomology, "basis_mod", recording_basis_mod)
     monkeypatch.setattr(exact_linalg, "smith_normal_form", recording_smith_normal_form)
     assert h1_cyclic_norm_formula(fan, hom, backend).is_trivial()
-    assert h1_finite_field_torus(LARGE_Q, 2, hom.matrix).is_trivial()
+    assert _h1_finite_field_torus(LARGE_Q, 2, hom.matrix).is_trivial()
     assert factored == []
     c = backend.mult_order
     # the norm route: the fixed lattice's kernel and basis, Y's kernel, and
@@ -1036,7 +1133,7 @@ def test_closed_forms_match_their_subquotient_references(backend):
                 e = cls.order
                 expected = _subquotient_h1_finite_field_torus(backend.q, e, s)
                 assert cohomology._h1_finite_field_torus(backend.q, e, s) == expected
-            assert classify.hom_class_h1(fan, cls, backend) == expected
+            assert cohomology.hom_class_h1(fan, cls, backend) == expected
             orders.append(expected.order())
     assert len(orders) > len(CLOSED_FORM_FAN_NAMES)
     assert set(orders) == ({1, 2, 4, 8, 16} if backend is REAL else {1})
@@ -1081,7 +1178,7 @@ exact_linalg.basis_mod = lambda gens, modulus: IntMatrix.identity(gens.nrows)
 swap = IntMatrix.from_rows([[0, 1], [1, 0]])
 fan = classify.builtin_fan("projective:1")
 for call in (
-    lambda: cohomology.h1_finite_field_torus(3, 2, swap),
+    lambda: cohomology._h1_finite_field_torus(3, 2, swap),
     lambda: classify.classify_fan(fan, FiniteFieldBackend(3, 2)),
 ):
     try:
@@ -1093,7 +1190,7 @@ for call in (
 
 def test_finite_field_route_refuses_unequal_orders_under_optimized_mode():
     """A `basis_mod` that returns a wrong basis makes the two orders differ,
-    and the closed form raises LangViolated, from the public route and from
+    and the closed form raises LangViolated, called directly and from
     `classify_fan`, also under python -O."""
     child = subprocess.run(
         [sys.executable, "-O", "-c", _WRONG_BASIS_SCRIPT],
@@ -1161,11 +1258,11 @@ def shapiro_orbit_h1(fan: Fan, hom, backend) -> tuple[FGAbelianGroup, ...]:
             # the whole group on the orbit's induced torus, Frobenius times
             # the cyclic shift of the orbit's coordinates.  This keeps q
             # itself; the stabilizer's fixed field has q**len(orbit)
-            # elements, which can exceed what `h1_finite_field_torus`
+            # elements, which can exceed what `_h1_finite_field_torus`
             # factors.
             e = len(orbit)
             shift = _permutation_matrix([(i + 1) % e for i in range(e)])
-            h1 = h1_finite_field_torus(backend.q, backend.d, shift)
+            h1 = _h1_finite_field_torus(backend.q, backend.d, shift)
         else:
             raise BackendUnsupported("orbitwise check needs a concrete field backend")
         assert h1.is_trivial(), "Hilbert 90 must hold on every orbit"

@@ -57,8 +57,6 @@ def test_matrix_basics():
     assert a.col(1) == (2, 4)
     b = IntMatrix.from_cols([(1, 3), (2, 4)])
     assert b == a
-    assert a.power(0) == IntMatrix.identity(2)
-    assert a.power(2) == a @ a
 
 
 def test_empty_shapes_are_tracked():

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricforms import exact_linalg, fans
-from toricforms.classify import BUILTIN_NAMES, builtin_fan
+from toricforms.classify import BUILTIN_NAMES, builtin_fan, classify_fan
 from toricforms.cli import run
 from toricforms.exact_linalg import (
     FGAbelianGroup,
@@ -57,6 +57,7 @@ from toricforms.fans import (
     surface_blowup,
     validate_fan,
 )
+from toricforms.galois import FiniteFieldBackend, RealComplexBackend
 
 from test_preconditions import expected_lines, optimized_section
 
@@ -374,8 +375,9 @@ def test_class_groups_frozen():
 def test_validation_runs_once_per_fan_object(monkeypatch):
     """The verdict is a fact the Fan keeps: a second read of any invariant
     runs neither the ray and cone checks nor the eliminations of validation
-    (one den per cone, one membership solve per cone but the first), and a
-    bad fan raises its FanError on every read."""
+    (one den per cone, one membership solve per cone but the first, one
+    full-rank elimination of the rays), and a bad fan raises its FanError on
+    every read."""
     counts = {"checks": 0, "solves": 0}
 
     def counted(name, func):
@@ -390,16 +392,37 @@ def test_validation_runs_once_per_fan_object(monkeypatch):
     reads = (validate_fan, automorphism_group, class_group, is_complete, is_smooth, cox_data)
     for read in reads:
         read(fan)
-    assert counts == {"checks": 1, "solves": 6 + 5}
+    assert counts == {"checks": 1, "solves": 6 + 5 + 1}
     for read in reads + (boundary_word,):
         read(fan)
-    assert counts == {"checks": 1, "solves": 6 + 5}
+    assert counts == {"checks": 1, "solves": 6 + 5 + 1}
     bad = Fan.make(2, [(1, 0), (2, 0)], [(0,), (1,)])
     for read in reads + (degree_data, boundary_word):
         with pytest.raises(NonPrimitiveRay, match=r"^ray 1 = \(2, 0\) is not primitive$"):
             read(bad)
     assert counts["checks"] == 2
 
+
+
+def test_validation_and_classification_take_no_smith_form(monkeypatch):
+    """The full-rank check is an elimination: on fresh copies of the
+    builtins, the product fans and P^3, P^4, validation, the symmetry search
+    and `classify_fan` over C/R and F_4 answer with the Smith form patched
+    to raise."""
+    names = (*BUILTIN_NAMES, *PRODUCT_FAN_NAMES, "projective:3", "projective:4")
+    bases = [named_fan(name) for name in names]  # builtins are built before the patch
+
+    def refuse(m):
+        raise AssertionError("a Smith form")
+
+    monkeypatch.setattr(exact_linalg, "smith_normal_form", refuse)
+    monkeypatch.setattr(fans, "smith_normal_form", refuse)
+    for base in bases:
+        fan = Fan.make(base.rank, base.rays, base.max_cones)
+        validate_fan(fan)
+        assert automorphism_group(fan).order == automorphism_group(base).order
+        for backend in (RealComplexBackend(), FiniteFieldBackend(2, 2)):
+            assert classify_fan(fan, backend).total == classify_fan(base, backend).total
 
 
 def test_invariants_refuse_invalid_fans_under_optimized_mode():

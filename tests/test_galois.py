@@ -39,7 +39,6 @@ from toricforms.galois import (
     enumerate_hom_classes,
     kernel_reduction,
     norm_quotient,
-    torsion_factor_invertible,
 )
 
 from table_groups import TableGroup, hom_classes, orbit_stabilizer, reduce_kernel
@@ -160,7 +159,7 @@ def test_hom_classes_c4_into_square():
     injective = [c for c in classes if c.order == c.group.order]
     assert len(injective) == 1
     rot = injective[0]
-    assert rot.order == 4 and rot.matrix.power(2) != IntMatrix.identity(2)
+    assert rot.order == 4 and rot.matrix @ rot.matrix != IntMatrix.identity(2)
     assert rot.ray_orbits == ((0, 1, 2, 3),)
     assert orbit_stabilizer(rot, (0, 1, 2, 3)) == frozenset({0})
 
@@ -335,13 +334,6 @@ def test_finite_field_backend_validation():
     assert FiniteFieldBackend(2, 3).group.order == 3
 
 
-def test_torsion_factor_invertible():
-    assert torsion_factor_invertible(RealComplexBackend(), 5)
-    ff = FiniteFieldBackend(2, 2)  # units Z/3
-    assert torsion_factor_invertible(ff, 2)
-    assert not torsion_factor_invertible(ff, 3)
-
-
 def _divisors(d: int) -> list[int]:
     return [h for h in range(1, d + 1) if d % h == 0]
 
@@ -499,8 +491,6 @@ def test_closed_forms_match_residue_enumeration():
         for sub in subgroups:
             e = d // len(sub)
             assert norm_images[sub] == fixed(e) == image(backend.norm_image_generator(len(sub)))
-        for factor in range(1, 13):
-            assert torsion_factor_invertible(backend, factor) == (len(image(factor)) == c)
         k_units = fixed(1)
         full_norms = norm_images[subgroups[-1]]
         for r in range(len(subgroups) + 1):

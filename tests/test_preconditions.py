@@ -81,8 +81,6 @@ def sections() -> dict[str, list[tuple[str, object, str]]]:
         ("a.apply((1,))", lambda: a.apply((1,)), "ValueError shape mismatch: (1, 2) @ vector of length 1"),
         ("b.hstack(M([[1]]))", lambda: b.hstack(M([[1]])), "ValueError shape mismatch: (2, 2) beside (1, 1)"),
         ("b.vstack(M([[1]]))", lambda: b.vstack(M([[1]])), "ValueError shape mismatch: (2, 2) over (1, 1)"),
-        ("a.power(2)", lambda: a.power(2), "ValueError power of a non-square (1, 2) matrix"),
-        ("b.power(-1)", lambda: b.power(-1), "ValueError k must be >= 0, got -1"),
         ("det(a)", lambda: det(a), "ValueError det of a non-square (1, 2) matrix"),
         ("basis_mod(b, 0)", lambda: basis_mod(b, 0), "ValueError modulus must be >= 1, got 0"),
         ("congruence_kernel(b, 0)", lambda: congruence_kernel(b, 0),
@@ -179,22 +177,6 @@ def sections() -> dict[str, list[tuple[str, object, str]]]:
          f"TooLarge cyclic group order must be in 1..{MAX_GROUP_ORDER}, got {MAX_GROUP_ORDER + 1}"),
         ("GroupSpec(2.5)", lambda: GroupSpec(2.5), "TypeError order must be an int, got float 2.5"),
         ("GroupSpec(True)", lambda: GroupSpec(True), "TypeError order must be an int, got bool True"),
-        ("h1_finite_field_torus(6, 2, I1)", lambda: h1_finite_field_torus(6, 2, I1),
-         "ValueError finite-field backend needs a prime power, got q=6"),
-        ("h1_finite_field_torus(2, 0, I1)", lambda: h1_finite_field_torus(2, 0, I1),
-         "ValueError finite-field torus needs degree d >= 1, got d=0"),
-        ("h1_finite_field_torus(3.0, 2, I1)", lambda: h1_finite_field_torus(3.0, 2, I1),
-         "TypeError q must be an int, got float 3.0"),
-        ("h1_finite_field_torus(3, True, I1)", lambda: h1_finite_field_torus(3, True, I1),
-         "TypeError d must be an int, got bool True"),
-        ("h1_finite_field_torus(3, 2, [[1]])", lambda: h1_finite_field_torus(3, 2, [[1]]),
-         "TypeError s must be an IntMatrix, got list"),
-        ("h1_finite_field_torus(3, 2, M([[1, 0, 0], [0, 1, 0]]))",
-         lambda: h1_finite_field_torus(3, 2, M([[1, 0, 0], [0, 1, 0]])),
-         "ValueError twisting matrix s must be square, got shape (2, 3)"),
-        ("h1_finite_field_torus(3, 2, M([[0, -1], [1, 0]]))",
-         lambda: h1_finite_field_torus(3, 2, M([[0, -1], [1, 0]])),
-         "ValueError twisting matrix s must satisfy s^d = 1 for d=2"),
         ("FiniteModule(C2, (5,), M([[2]]))", lambda: FiniteModule(C2, (5,), M([[2]])),
          "ValueError action is not a homomorphism"),
         ("FiniteModule(C2, (0,), I1)", lambda: FiniteModule(C2, (0,), I1),
