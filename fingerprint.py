@@ -185,14 +185,15 @@ EDGE_OPS: dict[str, tuple[str, ...]] = {
     "edge fan validate non-simplicial cone": (
         "fan", "validate", "--file", _file("non_simplicial.json"),
     ),
+    # 1001 = 7 * 11 * 13 is prime to the order of every hexagon symmetry: one class
+    "edge classify fan degree 1001": (
+        "classify", "fan", "--builtin", "hexagon", "--backend", "ff:2,1001",
+    ),
     # q just below 2**40: every lattice step of the oracle's routes runs mod q^2 - 1
     "edge oracle surface:C2 large q": (
         "cohomology", "oracle", "--builtin", "surface:C2", "--backend", "ff:1099511627689,2",
     ),
     # one op per size budget, each refused before its work
-    "edge classify fan hom-group budget": (
-        "classify", "fan", "--builtin", "hexagon", "--backend", "ff:2,1001",
-    ),
     "edge classify projective group-order budget": (
         "classify", "projective", "-n", "2", "--backend", "ff:2,10001",
     ),

@@ -39,7 +39,7 @@ from .fans import (
     is_smooth,
     surface_blowup,
 )
-from .fan_aut import automorphism_group, identify_gl2_class, involution_type
+from .fan_aut import GL2_CLASS_LABELS, automorphism_group, identify_gl2_class, involution_type
 from .galois import (
     FieldBackend,
     RealComplexBackend,
@@ -608,24 +608,8 @@ def _surface_fan(label: str) -> Fan:
     return fan
 
 
-_SURFACE_SUFFIXES = (
-    "D12",
-    "D8",
-    "D6",
-    "D6p",
-    "C6",
-    "C3",
-    "D4",
-    "D4p",
-    "C4",
-    "C2",
-    "D2",
-    "D2p",
-    "C1",
-)
-
 BUILTIN_SURFACE_NAMES: tuple[str, ...] = tuple(
-    f"surface:{suffix}" for suffix in _SURFACE_SUFFIXES
+    "surface:" + label.replace("'", "p") for label in GL2_CLASS_LABELS
 )
 
 #: Fixed-name catalog entries; "projective:n" is additionally accepted for n >= 1.
@@ -676,7 +660,7 @@ class ReportEntry:
 
     label: str
     phi_images: tuple[IntMatrix, ...]
-    value: FGAbelianGroup | SymGroupExpr | UnresolvedValue
+    value: FGAbelianGroup
     descent: DescentStatus
 
 
@@ -708,7 +692,7 @@ class ClassificationReport:
     group_name: str
     backend_name: str
     entries: tuple[ReportEntry, ...]
-    total: int | None
+    total: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -739,19 +723,14 @@ class ClassificationReport:
         for entry in self.entries:
             value = h1_value_json(entry.value)["text"]
             yield f"  {entry.label:<32} H^1 = {value:<16} [{entry.descent.status}]"
-        yield f"  total forms: {'symbolic' if self.total is None else self.total}"
+        yield f"  total forms: {self.total}"
 
     def __str__(self) -> str:
         return "\n".join(self.lines())
 
 
-def _report_total(entries: Sequence[ReportEntry]) -> int | None:
-    total = 0
-    for entry in entries:
-        if not isinstance(entry.value, FGAbelianGroup) or not entry.value.is_finite():
-            return None
-        total += entry.value.order()
-    return total
+def _report_total(entries: Sequence[ReportEntry]) -> int:
+    return sum(entry.value.order() for entry in entries)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ composition of permutation tuples and one dict lookup.  The matrices are the
 report format.
 
 The search assigns images to a frame of independent rays one ray at a
-time, by backtracking.  It prunes a partial assignment when a ray invariant
+time, by backtracking.  It prunes a partial assignment when a ray's star
 differs, an image repeats, cone incidence breaks (two frame rays share a
 maximal cone exactly when their images do), or a ray relation fails: every
 other ray is a rational combination of the frame rays, so its image is the
@@ -53,7 +53,7 @@ from .exact_linalg import (
     fraction_free_solve,
     rank_mod_2,
 )
-from .fans import Fan, TooLarge, boundary_word, is_complete, is_smooth, validate_fan
+from .fans import Fan, TooLarge, validate_fan
 
 
 class UnidentifiedClass(ValueError):
@@ -197,13 +197,11 @@ class FanAutGroup:
         return found
 
 
-def _ray_invariants(fan: Fan) -> dict[int, tuple]:
-    """Conjugation-invariant fingerprint per ray, used only to prune."""
-    if fan.rank == 2 and is_complete(fan) and is_smooth(fan):
-        bw = boundary_word(fan)
-        return {i: ("a", bw.value_at_ray(i)) for i in range(fan.num_rays)}
+def _ray_invariants(fan: Fan) -> dict[int, tuple[int, ...]]:
+    """Each ray's star, the sorted sizes of the maximal cones that contain
+    it: an automorphism keeps it, so it only prunes."""
     return {
-        i: ("cones", tuple(sorted(len(c) for c in fan.max_cones if i in c)))
+        i: tuple(sorted(len(c) for c in fan.max_cones if i in c))
         for i in range(fan.num_rays)
     }
 

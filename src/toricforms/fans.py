@@ -555,9 +555,6 @@ class BoundaryWord:
     ccw_indices: tuple[int, ...]
     word: tuple[int, ...]
 
-    def value_at_ray(self, ray_index: int) -> int:
-        return self.word[self.ccw_indices.index(ray_index)]
-
 
 def boundary_word(fan: Fan) -> BoundaryWord:
     """Compute the boundary word; fan must be rank 2, smooth, and complete.

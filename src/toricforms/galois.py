@@ -38,7 +38,6 @@ from .fan_aut import FanAutGroup, _cycles
 from .fans import TooLarge
 
 MAX_GROUP_ORDER = 10_000
-MAX_HOM_GROUP_ORDER = 1000  # enumerate_hom_classes is meant for small acting groups
 _MAX_FACTORED = 2**40  # trial division then needs at most 2**20 divisors
 
 
@@ -139,21 +138,16 @@ def enumerate_hom_classes(group: GroupSpec, aut: FanAutGroup) -> tuple[HomClass,
     One class per conjugacy class of elements h whose order divides d, as
     `FanAutGroup.classes_dividing` lists them once per d and the group
     keeps them: each class by its least member h, the generator's image,
-    and its size.  The classes come sorted by h; the trivial homomorphism
-    is always present.  Raises TypeError naming the argument unless group
-    is a GroupSpec and aut a FanAutGroup, and TooLarge, before any element
-    order is taken, when d exceeds MAX_HOM_GROUP_ORDER.
+    and its size.  That walk is one pass over the group's elements whatever
+    d is, d entering only through which element orders divide it.  The
+    classes come sorted by h; the trivial homomorphism is always present.
+    Raises TypeError naming the argument unless group is a GroupSpec and
+    aut a FanAutGroup.
     """
     for name, value, kind in (("group", group, GroupSpec), ("aut", aut, FanAutGroup)):
         if not isinstance(value, kind):
             raise TypeError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
-    d = group.order
-    if d > MAX_HOM_GROUP_ORDER:
-        raise TooLarge(
-            f"hom enumeration needs an acting group of order at most"
-            f" {MAX_HOM_GROUP_ORDER}, got {d}"
-        )
-    return tuple(HomClass(group, aut, h, size) for h, size in aut.classes_dividing(d))
+    return tuple(HomClass(group, aut, h, size) for h, size in aut.classes_dividing(group.order))
 
 
 def kernel_reduction(hom: HomClass) -> HomClass:
@@ -429,7 +423,6 @@ def norm_quotient(backend: FieldBackend, stabilizer_orders: Sequence[int]) -> FG
         assert all(c % g == 0 for g in gens)
         meet_gen = math.lcm(*gens)
         # numerator = <meet_gen>, denominator = k* = <base_units>
-        assert meet_gen % base_units == 0 or base_units % meet_gen == 0
         assert base_units % meet_gen == 0, "numerator must contain the full norm image"
         result = FGAbelianGroup.cyclic(base_units // meet_gen)
         assert result.is_trivial(), "finite-field norms are surjective; quotient must vanish"

@@ -28,7 +28,7 @@ from toricforms.cohomology import FiniteModule, brute_force_h1_finite
 from toricforms.exact_linalg import IntMatrix, smith_normal_form
 from toricforms.fan_aut import automorphism_group
 from toricforms.fans import TooLarge, validate_fan
-from toricforms.galois import FiniteFieldBackend, GroupSpec, RealComplexBackend, enumerate_hom_classes
+from toricforms.galois import FiniteFieldBackend, GroupSpec, RealComplexBackend
 
 from test_fans import PRODUCT_FAN_NAMES, _disjoint_cones, named_fan
 
@@ -596,11 +596,22 @@ def test_cohomology_oracle_needs_ff(capsys):
 
 
 @pytest.mark.parametrize("verb", ["classify fan", "cohomology oracle"])
-def test_galois_group_above_the_hom_bound_is_a_domain_error(capsys, verb):
-    """Degree 1001 exceeds the hom-enumeration bound: exit 1 with one line."""
+def test_galois_degree_1001_has_only_the_trivial_class(capsys, verb):
+    """1001 = 7 * 11 * 13 is prime to the order of every hexagon symmetry,
+    so the one twisting class is the trivial one: exit 0 with its row."""
     code, out, err = invoke(capsys, *verb.split(), "--builtin", "hexagon", "--backend", "ff:2,1001")
-    assert (code, out) == (1, "")
-    assert err == "error: hom enumeration needs an acting group of order at most 1000, got 1001\n"
+    assert (code, err) == (0, "")
+    if verb == "classify fan":
+        assert out == (
+            "fan hexagon: group C1001, backend F_2^1001/F_2\n"
+            "  trivial                          H^1 = 1                [FORMS_CLASSIFIED]\n"
+            "  total forms: 1\n"
+        )
+    else:
+        assert out == (
+            "class 0: norm route 1 | closed form 1 | brute force trivial class\n"
+            "all routes agree\n"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -891,11 +902,6 @@ _BUDGETS = {
     "galois.MAX_GROUP_ORDER": (
         lambda: GroupSpec.cyclic(10_001),
         ["classify", "projective", "-n", "2", "--backend", "ff:2,10001"],
-        None,
-    ),
-    "galois.MAX_HOM_GROUP_ORDER": (
-        lambda: enumerate_hom_classes(GroupSpec.cyclic(1001), automorphism_group(builtin_fan("hexagon"))),
-        ["classify", "fan", "--builtin", "hexagon", "--backend", "ff:2,1001"],
         None,
     ),
     "galois._MAX_FACTORED": (

@@ -69,7 +69,7 @@ from toricforms.galois import (
 
 from table_groups import orbit_stabilizer
 from test_exact_linalg import congruence_kernel_basis, rational_solve, triangular_subquotient
-from test_fans import HEXAGON, P1, P1XP1, P2, PRODUCT_FAN_NAMES, named_fan, unimodular
+from test_fans import HEXAGON, P1, P1XP1, P2, PRODUCT_FAN_NAMES, named_fan, random_unimodular, unimodular
 
 M = IntMatrix.from_rows
 TRIVIAL = FGAbelianGroup.trivial()
@@ -795,17 +795,6 @@ def _degree_row_is_diagonal(fan: Fan) -> bool:
     return all(x == 1 for x in row) or all(x == -1 for x in row)
 
 
-def _random_unimodular(rng: random.Random, rank: int) -> IntMatrix:
-    """A signed permutation times a few elementary row operations."""
-    order = rng.sample(range(rank), rank)
-    rows = [[rng.choice((1, -1)) * int(order[i] == j) for j in range(rank)] for i in range(rank)]
-    for _ in range(rng.randint(0, 4) if rank > 1 else 0):
-        i, j = rng.sample(range(rank), 2)
-        c = rng.randint(-2, 2)
-        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-    return M(rows)
-
-
 def _random_simplex_fan(rng: random.Random, rank: int) -> Fan:
     """rank independent primitive rays and the primitive vector of minus a
     positive combination of them, every rank of them a cone: a complete
@@ -841,7 +830,7 @@ def test_diagonal_degree_matches_the_degree_rows():
     cases = list(bases)
     for base in bases:
         for _ in range(3):
-            g = _random_unimodular(rng, base.rank)
+            g = random_unimodular(rng, base.rank)
             cases.append(Fan.make(base.rank, [g.apply(r) for r in base.rays], base.max_cones))
     simplices = [_random_simplex_fan(rng, rng.choice((2, 3))) for _ in range(150)]
     cases += simplices + [_random_subdivision(rng, fan) for fan in simplices]

@@ -41,6 +41,8 @@ from toricforms.fans import (
     NotSmoothComplete,
     TooLarge,
     boundary_word,
+    is_complete,
+    is_smooth,
     surface_blowup,
     validate_fan,
 )
@@ -56,6 +58,7 @@ from test_fans import (
     named_fan,
     product_fan,
     random_smooth_complete_fan,
+    random_unimodular,
     unimodular,
 )
 
@@ -465,6 +468,46 @@ def test_search_matches_frame_product_reference(fan_name):
     assert group.matrices == _frame_product_automorphisms(fan)
     # the permutations the search stored are the matrices' own
     assert group.ray_permutations == _ray_permutations(fan, group.matrices)
+
+
+def boundary_word_ray_invariants(fan: Fan) -> dict[int, tuple]:
+    """The finer pruning invariant, for reference: on a smooth complete
+    surface fan each ray's boundary-word value, elsewhere its star."""
+    if fan.rank == 2 and is_complete(fan) and is_smooth(fan):
+        bw = boundary_word(fan)
+        return {i: ("a", bw.word[bw.ccw_indices.index(i)]) for i in range(fan.num_rays)}
+    return _ray_invariants(fan)
+
+
+def test_star_pruning_finds_the_boundary_word_pruning_group(monkeypatch):
+    """Per frame ray, the star candidates include the boundary-word
+    candidates in the same order, and only orbit points give a leaf that
+    passes the matrix test: so pruning by either finds the same elements,
+    permutations and generators.  On every builtin, five unimodular images
+    of each, the product fans, P^3 and P^4."""
+    import toricforms.fan_aut as fan_aut
+
+    rng = random.Random(39)
+    fans = [named_fan(name) for name in BUILTIN_NAMES]
+    fans += [
+        Fan.make(2, [g.apply(r) for r in fan.rays], fan.max_cones)
+        for fan in list(fans)
+        for g in (random_unimodular(rng, 2) for _ in range(5))
+    ]
+    assert len(fans) == 84
+    fans += [named_fan(name) for name in (*PRODUCT_FAN_NAMES, "projective:3", "projective:4")]
+    finer = 0
+    for fan in fans:
+        star = automorphism_group(_fresh(fan))
+        with monkeypatch.context() as patch:
+            patch.setattr(fan_aut, "_ray_invariants", boundary_word_ray_invariants)
+            word = automorphism_group(_fresh(fan))
+        assert star.matrices == word.matrices
+        assert star.ray_permutations == word.ray_permutations
+        assert star.generators == word.generators
+        word_values = set(boundary_word_ray_invariants(fan).values())
+        finer += len(word_values) > len(set(_ray_invariants(fan).values()))
+    assert finer == 84 - 3 * 6  # all but hexagon, D12 and D8, whose words are constant
 
 
 @settings(max_examples=25, deadline=None)

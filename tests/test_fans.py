@@ -130,6 +130,17 @@ def unimodular(draw, rank: int) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
+def random_unimodular(rng: random.Random, rank: int) -> IntMatrix:
+    """`unimodular`, drawn from a seeded generator instead."""
+    order = rng.sample(range(rank), rank)
+    rows = [[rng.choice((1, -1)) * int(order[i] == j) for j in range(rank)] for i in range(rank)]
+    for _ in range(rng.randint(0, 4) if rank > 1 else 0):
+        i, j = rng.sample(range(rank), 2)
+        c = rng.randint(-2, 2)
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return IntMatrix.from_rows(rows)
+
+
 def test_valid_fans_pass():
     for fan in (P2, P1XP1, HEXAGON, P1):
         validate_fan(fan)
@@ -559,7 +570,7 @@ def test_boundary_words_frozen():
     bw = boundary_word(P2)
     # starts at the lexicographically smallest ray, which is (-1, -1)
     assert bw.ccw_indices[0] == 2
-    assert bw.value_at_ray(0) == -1
+    assert bw.word[bw.ccw_indices.index(0)] == -1
 
 
 def test_boundary_word_requires_smooth_complete():

@@ -3,18 +3,14 @@
 import itertools
 import json
 import math
-import subprocess
-import sys
 import time
 import tracemalloc
-from pathlib import Path
 from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import toricforms
 from toricforms import cli
 from toricforms.classify import BUILTIN_NAMES, builtin_fan
 from toricforms.exact_linalg import (
@@ -29,7 +25,6 @@ from toricforms.galois import (
     AssumptionViolated,
     BackendUnsupported,
     MAX_GROUP_ORDER,
-    MAX_HOM_GROUP_ORDER,
     FiniteFieldBackend,
     GroupSpec,
     HomClass,
@@ -255,46 +250,10 @@ def test_hom_classes_are_generator_orbits(name):
     same order, with the same orders and sizes."""
     aut = automorphism_group(named_fan(name))
     reference = reference_classes(aut)
-    for d in range(1, 13):
+    for d in [*range(1, 13), 1001, 9240, 10_000]:
         classes = enumerate_hom_classes(GroupSpec.cyclic(d), aut)
         got = [(c.generator, c.order, c.orbit_size) for c in classes]
         assert got == [c for c in reference if d % c[1] == 0], d
-
-
-def test_hom_enumeration_refuses_large_groups_before_listing_images(monkeypatch):
-    """Above MAX_HOM_GROUP_ORDER elements, a typed error before the order of
-    any fan symmetry is taken, also under python -O."""
-    aut = automorphism_group(HEXAGON)
-    big = GroupSpec.cyclic(MAX_HOM_GROUP_ORDER + 1)
-    calls = []
-    order_of = type(aut).element_order
-    monkeypatch.setattr(type(aut), "element_order", lambda self, i: calls.append(i) or order_of(self, i))
-    with pytest.raises(ValueError, match=f"order at most {MAX_HOM_GROUP_ORDER}, got 1001"):
-        enumerate_hom_classes(big, aut)
-    assert calls == []
-    assert len(enumerate_hom_classes(GroupSpec.cyclic(MAX_HOM_GROUP_ORDER), automorphism_group(P1))) == 2
-    script = (
-        "from toricforms.classify import builtin_fan\n"
-        "from toricforms.fan_aut import automorphism_group\n"
-        "from toricforms.galois import GroupSpec, enumerate_hom_classes\n"
-        "try:\n"
-        "    enumerate_hom_classes(GroupSpec.cyclic(1001), automorphism_group(builtin_fan('hexagon')))\n"
-        "except ValueError as exc:\n"
-        "    print(type(exc).__name__, exc)\n"
-    )
-    src = str(Path(toricforms.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env={"PYTHONPATH": src},
-        check=True,
-    ).stdout
-    assert out == (
-        f"TooLarge hom enumeration needs an acting group of order at most"
-        f" {MAX_HOM_GROUP_ORDER}, got 1001\n"
-    )
 
 
 def test_kernel_reduction():
