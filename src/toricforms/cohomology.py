@@ -16,7 +16,8 @@ All computations are exact.  The module implements:
   Cl = Z^rays / (ray coordinates), over finite fields the fixed points
   modulo norms Y^G / N Y of Y = Hom(Cl, K*) inside (K*)^rays, one
   `quotient_mod` mod q^d - 1;
-* a literal cocycle brute force over finite modules.
+* a literal cocycle brute force over finite modules, one primary part at a
+  time.
 
 `hom_class_h1`, the value `classify` reports, picks the first two, on the
 rank x rank cocharacter matrix, and the norm formula only for symbolic norm
@@ -379,29 +380,27 @@ def finite_field_torus_module(backend: FiniteFieldBackend, hom: HomClass) -> Fin
     return FiniteModule(hom.group, (c,) * s.nrows, IntMatrix._trusted(q_s, s.ncols))
 
 
-#: Most assignments times |G|^2 cocycle checks `brute_force_h1_finite` makes.
+#: Most assignments times |G|^2 cocycle checks `brute_force_h1_finite` may
+#: make, counted on the whole module: a bound on the work of its primary parts.
 MAX_COCYCLE_CHECKS = 10_000_000
 
 
 def brute_force_h1_finite(module: FiniteModule) -> FGAbelianGroup:
-    """H^1 of Z/d by literal enumeration of cocycles.
+    """H^1 of Z/d by literal enumeration of cocycles, one primary part at a
+    time.
 
-    A cocycle c is fixed by its value x = c(1) on the generator sigma:
-    c(a + 1) = c(a) + sigma^a x.  Every module element x is extended along
-    0 -> 1 -> ... -> d-1, filtered by the closing edge c(0) = c(d-1) +
-    sigma^(d-1) x, and the survivors are checked against the identity
-    c(a + b) = c(a) + a c(b) on all pairs (a, b); coboundaries are enumerated
-    directly.  The quotient's structure is read off by counting torsion
-    elements.  Each assignment costs up to d^2 cocycle checks, so the work
-    is bounded by assignments times d^2; raises TooLarge if that exceeds
-    MAX_COCYCLE_CHECKS, before anything is enumerated.
+    By CRT the module is the direct sum of its p-primary parts M_p, one per
+    prime p of the moduli.  M_p has the moduli p^v_p(m_i) and the same
+    sigma, which descends to it because m_i | x_ij m_j implies
+    p^v_p(m_i) | x_ij p^v_p(m_j).  Cohomology is additive, so H^1(M) is the
+    sum of the H^1(M_p), and each part is enumerated on its own: sum |M_p|
+    candidates in place of prod |M_p|.  A p-primary module is its one part,
+    and a module of moduli 1 has none.
 
-    The enumeration runs on element indices (`_IndexedModule`): a cochain
-    is one column per group element, holding its value for every candidate
-    x at once.  Group elements act through spread-valued tables
-    (`_action_tables`), so u + a v over whole columns is
-    index.reduced(spread[u] + sact[a][v]): one lookup per element in the
-    module's sum table, or one per block of coordinates above rank 2.
+    Each assignment of the whole module costs up to d^2 cocycle checks, so
+    assignments times d^2 bounds the work of every part together; raises
+    TooLarge if that exceeds MAX_COCYCLE_CHECKS, before anything is
+    enumerated.
     """
     group = module.group
     d = group.order
@@ -411,13 +410,39 @@ def brute_force_h1_finite(module: FiniteModule) -> FGAbelianGroup:
             f"{count} candidate assignments times {d}^2 group pairs"
             f" exceed {MAX_COCYCLE_CHECKS} cocycle checks"
         )
-    index = _IndexedModule(module.moduli)
-    c, boundaries = _cocycle_columns(module, index)
+    factors: list[int] = []
+    for p in sorted({p for m in module.moduli for p in _prime_factors(m)}):
+        # p^v_p(m) = gcd(m, p^k) for any k >= v_p(m), and m < 2^bit_length
+        moduli = tuple(math.gcd(m, p ** m.bit_length()) for m in module.moduli)
+        factors.extend(_primary_h1_factors(FiniteModule(group, moduli, module.sigma), p))
+    return FGAbelianGroup.from_factors(factors)
+
+
+def _primary_h1_factors(part: FiniteModule, p: int) -> list[int]:
+    """The cyclic factors of H^1 of a p-primary module, each a power of p.
+
+    A cocycle c is fixed by its value x = c(1) on the generator sigma:
+    c(a + 1) = c(a) + sigma^a x.  Every module element x is extended along
+    0 -> 1 -> ... -> d-1, filtered by the closing edge c(0) = c(d-1) +
+    sigma^(d-1) x, and the survivors are checked against the identity
+    c(a + b) = c(a) + a c(b) on all pairs (a, b); coboundaries are enumerated
+    directly.  The quotient's structure is read off by counting p-power
+    torsion elements.
+
+    The enumeration runs on element indices (`_IndexedModule`): a cochain
+    is one column per group element, holding its value for every candidate
+    x at once.  Group elements act through spread-valued tables
+    (`_action_tables`), so u + a v over whole columns is
+    index.reduced(spread[u] + sact[a][v]): one lookup per element in the
+    module's sum table, or one per block of coordinates above rank 2.
+    """
+    index = _IndexedModule(part.moduli)
+    c, boundaries = _cocycle_columns(part, index)
     cocycles = set(zip(*c))
     assert boundaries <= cocycles
     h_order = len(cocycles) // len(boundaries)
     if h_order == 1:
-        return FGAbelianGroup.trivial()
+        return []
     # a cocycle is fixed by its value at the generator (d > 1 here), so k z
     # is a coboundary exactly when k z(1) is a coboundary's value there
     at_generator = {b[1] for b in boundaries}
@@ -427,27 +452,25 @@ def brute_force_h1_finite(module: FiniteModule) -> FGAbelianGroup:
         counted over the generator's column."""
         return sum(map(at_generator.__contains__, index.multiples(k, c[1])))
 
+    # logs[k] = log_p of the size of the p^k-torsion subgroup; the count of
+    # cyclic factors of order at least p^k is logs[k] - logs[k-1]
+    logs = [0]
+    while True:
+        logs.append(_exact_log(killed(p ** len(logs)) // len(boundaries), p))
+        if logs[-1] == logs[-2]:
+            break
     factors: list[int] = []
-    for p in _prime_factors(h_order):
-        # logs[k] = log_p of the size of the p^k-torsion subgroup; the count
-        # of cyclic factors of order at least p^k is logs[k] - logs[k-1]
-        logs = [0]
-        while True:
-            logs.append(_exact_log(killed(p ** len(logs)) // len(boundaries), p))
-            if logs[-1] == logs[-2]:
-                break
-        for k in range(1, len(logs) - 1):
-            multiplicity = (logs[k] - logs[k - 1]) - (logs[k + 1] - logs[k])
-            factors.extend([p**k] * multiplicity)
-    result = FGAbelianGroup.from_factors(factors)
-    assert result.order() == h_order
-    return result
+    for k in range(1, len(logs) - 1):
+        multiplicity = (logs[k] - logs[k - 1]) - (logs[k + 1] - logs[k])
+        factors.extend([p**k] * multiplicity)
+    assert p ** logs[-1] == h_order, f"|H^1| = {h_order} of a {p}-primary module"
+    return factors
 
 
 def _cocycle_columns(
     module: FiniteModule, index: _IndexedModule
 ) -> tuple[list[list[int]], set[tuple[int, ...]]]:
-    """(c, boundaries) for `brute_force_h1_finite`: c[a] is the column of
+    """(c, boundaries) for `_primary_h1_factors`: c[a] is the column of
     cocycle values at group element a, one entry per cocycle, and
     boundaries the set of coboundaries, each a tuple of element indices."""
     d = module.group.order

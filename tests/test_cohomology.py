@@ -446,6 +446,38 @@ def _per_cocycle_brute_force_h1(module: FiniteModule) -> FGAbelianGroup:
     )
 
 
+def _whole_module_brute_force_h1(module: FiniteModule) -> FGAbelianGroup:
+    """`brute_force_h1_finite` before it split the module into its primary
+    parts, kept as its reference: the same cocycle columns, over every
+    element of the whole module, and the torsion count over every prime of
+    |H^1|."""
+    index = _IndexedModule(module.moduli)
+    c, boundaries = _cocycle_columns(module, index)
+    cocycles = set(zip(*c))
+    assert boundaries <= cocycles
+    h_order = len(cocycles) // len(boundaries)
+    if h_order == 1:
+        return FGAbelianGroup.trivial()
+    at_generator = {b[1] for b in boundaries}
+
+    def killed(k: int) -> int:
+        return sum(map(at_generator.__contains__, index.multiples(k, c[1])))
+
+    factors: list[int] = []
+    for p in _prime_factors(h_order):
+        logs = [0]
+        while True:
+            logs.append(_exact_log(killed(p ** len(logs)) // len(boundaries), p))
+            if logs[-1] == logs[-2]:
+                break
+        for k in range(1, len(logs) - 1):
+            multiplicity = (logs[k] - logs[k - 1]) - (logs[k + 1] - logs[k])
+            factors.extend([p**k] * multiplicity)
+    result = FGAbelianGroup.from_factors(factors)
+    assert result.order() == h_order
+    return result
+
+
 def _multiple_table(index: _IndexedModule, k: int) -> list[int]:
     """table[i] = the index of k times element i, from `_IndexedModule.table`."""
     return index.table(IntMatrix.identity(len(index.moduli)).scaled(k))
@@ -456,12 +488,14 @@ SUM_TABLE_PAIRS = 200_000
 
 
 def _assert_matches_literal(module: FiniteModule) -> None:
-    """Same answer as the literal enumeration, a sum table that adds every
+    """Same answer as the literal enumeration and the whole-module one, a
+    sum table that adds every
     pair of elements (on modules of at most SUM_TABLE_PAIRS pairs), and
     spread-valued tables that decode to `act` on every group element and
     every module element, and to negation."""
     h1 = brute_force_h1_finite(module)
     assert h1 == _literal_brute_force_h1(module) == _per_cocycle_brute_force_h1(module)
+    assert h1 == _whole_module_brute_force_h1(module)
     elements = list(module.elements())
     index = _IndexedModule(module.moduli)
     assert index.pool == list(range(len(elements)))
@@ -544,10 +578,87 @@ def test_brute_force_trivial_action_on_z2():
 
 
 def test_generator_column_count_matches_per_cocycle_count_on_a_large_module():
-    """(Z/600)^2 with C2 acting by -1: H^1 = M / 2M, from 360,000 cocycles,
-    counted over the generator's column as the per-cocycle count does."""
-    module = FiniteModule(C2, (600, 600), M([[599, 0], [0, 599]]))
+    """(Z/512)^2 with C2 acting by -1: H^1 = M / 2M, from 262,144 cocycles
+    of its one primary part, counted over the generator's column as the
+    per-cocycle count does."""
+    module = FiniteModule(C2, (512, 512), M([[511, 0], [0, 511]]))
     assert brute_force_h1_finite(module) == _per_cocycle_brute_force_h1(module) == Z2Z2
+
+
+def test_brute_force_joins_the_primary_parts(monkeypatch):
+    """Z/6 under the trivial C6: H^1 = Hom(C6, Z/6) = Z/6, its factors 2 and
+    3 from the parts Z/2 and Z/3.  A module of moduli 1 has no part, and
+    its H^1 is trivial."""
+    parts = []
+    primary = cohomology._primary_h1_factors
+
+    def recorded(part, p):
+        factors = primary(part, p)
+        parts.append((part.moduli, p, factors))
+        return factors
+
+    monkeypatch.setattr(cohomology, "_primary_h1_factors", recorded)
+    z6 = FiniteModule(GroupSpec.cyclic(6), (6,), M([[1]]))
+    assert brute_force_h1_finite(z6) == FGAbelianGroup.cyclic(6)
+    assert parts == [((2,), 2, [2]), ((3,), 3, [3])]
+    ones = FiniteModule(C2, (1, 1), M([[0, 1], [1, 0]]))
+    parts.clear()
+    assert brute_force_h1_finite(ones) == TRIVIAL
+    assert parts == []
+    for module in (z6, ones):
+        _assert_matches_literal(module)
+
+
+#: Composite moduli for modules that split into primary parts.
+_COMPOSITES = (4, 6, 8, 9, 10, 12, 14, 15, 18, 20, 21)
+
+#: Most elements of a drawn module, so that the literal enumeration stays fast.
+_MIXED_MODULE_SIZE = 900
+
+
+@st.composite
+def _mixed_moduli_modules(draw):
+    """Ranks 1-3 with distinct composite moduli and d in {1, 2, 3, 4, 6}:
+    sigma = P D P^-1, for D a diagonal of units u_i with u_i^d = 1 mod m_i
+    and P = 1 + N unipotent upper triangular, N's entry (i, j) a multiple of
+    m_i / gcd(m_i, m_j).  Such matrices descend to the moduli and form a
+    ring, so P^-1 = 1 - N + N^2 and sigma descend, and sigma^d = P D^d P^-1
+    acts as 1."""
+    d = draw(st.sampled_from((1, 2, 3, 4, 6)))
+    moduli: list[int] = []
+    for _ in range(draw(st.integers(1, 3))):
+        room = _MIXED_MODULE_SIZE // math.prod(moduli)
+        options = [m for m in _COMPOSITES if m <= room and m not in moduli]
+        if not options:
+            break
+        moduli.append(draw(st.sampled_from(options)))
+    n = len(moduli)
+    units = [
+        draw(st.sampled_from([u for u in range(m) if math.gcd(u, m) == 1 and pow(u, d, m) == 1]))
+        for m in moduli
+    ]
+    nilpotent = M([
+        [
+            draw(st.integers(0, 3)) * (mi // math.gcd(mi, mj)) if i < j else 0
+            for j, mj in enumerate(moduli)
+        ]
+        for i, mi in enumerate(moduli)
+    ])
+    ident = IntMatrix.identity(n)
+    p, p_inv = ident + nilpotent, ident - nilpotent + nilpotent @ nilpotent
+    assert p @ p_inv == ident
+    sigma = p @ IntMatrix.diagonal(units) @ p_inv
+    return FiniteModule(GroupSpec.cyclic(d), tuple(moduli), sigma)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mixed_moduli_modules())
+def test_primary_parts_match_the_whole_module_on_mixed_moduli(module):
+    assert (
+        brute_force_h1_finite(module)
+        == _whole_module_brute_force_h1(module)
+        == _literal_brute_force_h1(module)
+    )
 
 
 def test_brute_force_guard(monkeypatch):

@@ -27,7 +27,6 @@ from toricforms.galois import (
     MAX_GROUP_ORDER,
     FiniteFieldBackend,
     GroupSpec,
-    HomClass,
     RealComplexBackend,
     SymbolicBrauerBackend,
     _prime_factors,

@@ -52,6 +52,7 @@ def sections() -> dict[str, list[tuple[str, object, str]]]:
     """The table's rows, by the part of the library they call."""
     M, C, I1, I2 = IntMatrix.from_rows, IntMatrix.from_cols, IntMatrix.identity(1), IntMatrix.identity(2)
     C2, REAL, F4 = GroupSpec.cyclic(2), RealComplexBackend(), FiniteFieldBackend(2, 2)
+    C6 = GroupSpec.cyclic(6)
     a, b = M([[1, 2]]), M([[1, 2], [3, 4]])
     swap, quarter = M([[0, 1], [1, 0]]), M([[0, -1], [1, 0]])
     bad = Fan.make(2, [(1, 0), (2, 0)], [(0,), (1,)])  # ray 1 is not primitive
@@ -260,6 +261,9 @@ def sections() -> dict[str, list[tuple[str, object, str]]]:
          "returned Z/2 + Z/2"),
         ("oracle_routes(hexagon, REAL)", lambda: oracle_routes(hexagon, REAL),
          "ValueError the oracle verb needs a finite-field backend (ff:q,d)"),
+        # H^1 joined from the primary parts Z/2 and Z/3
+        ("brute_force_h1_finite(FiniteModule(C6, (6,), I1))",
+         lambda: brute_force_h1_finite(FiniteModule(C6, (6,), I1)), "returned Z/6"),
         ("partition_cocharacter_matrix((0, 3), 3)", lambda: partition_cocharacter_matrix((0, 3), 3),
          "ValueError partition parts must be positive, got (0, 3)"),
         ("partition_cocharacter_matrix((-1, 4), 3)", lambda: partition_cocharacter_matrix((-1, 4), 3),
