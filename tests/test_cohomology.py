@@ -489,10 +489,9 @@ SUM_TABLE_PAIRS = 200_000
 
 def _assert_matches_literal(module: FiniteModule) -> None:
     """Same answer as the literal enumeration and the whole-module one, a
-    sum table that adds every
-    pair of elements (on modules of at most SUM_TABLE_PAIRS pairs), and
-    spread-valued tables that decode to `act` on every group element and
-    every module element, and to negation."""
+    sum table that adds every pair of elements (on modules of at most
+    SUM_TABLE_PAIRS pairs), and spread-valued tables that decode to `act`
+    on every group element and every module element, and to negation."""
     h1 = brute_force_h1_finite(module)
     assert h1 == _literal_brute_force_h1(module) == _per_cocycle_brute_force_h1(module)
     assert h1 == _whole_module_brute_force_h1(module)
